@@ -31,7 +31,10 @@ import (
 
 // Process is the IP core mapped onto one tile of the asynchronous NoC.
 type Process interface {
-	// Round is called once per local round of the hosting tile.
+	// Round is called once per local round of the hosting tile. An idle
+	// tile has no local rounds (see Config.MaxLocalRounds): after a round
+	// in which nothing arrived, the process sent nothing and no copy is
+	// buffered, Round is next called when a frame arrives.
 	Round(ctx *Ctx)
 }
 
@@ -46,7 +49,12 @@ type Config struct {
 	// LinkCap is the capacity of each tile's input FIFO; a send into a
 	// full FIFO is dropped (buffer overflow). Defaults to 64.
 	LinkCap int
-	// MaxLocalRounds bounds each tile's execution (defaults to 1000).
+	// MaxLocalRounds bounds each tile's execution (defaults to 1000). Only
+	// rounds with work count: an idle tile — nothing received, nothing
+	// sent by its process, send buffer empty — sleeps on its input FIFO
+	// (a clock-gated domain) instead of spinning its budget away before
+	// the first frame reaches it. A tile that spends the budget retires;
+	// frames sent to it afterwards are lost.
 	MaxLocalRounds int
 	// Seed seeds the per-tile random streams (forwarding decisions are
 	// still nondeterministic in aggregate because interleaving is).
@@ -90,6 +98,15 @@ type Network struct {
 	nextID atomic.Uint64
 	done   atomic.Bool
 
+	// work counts the tiles currently awake plus the frames sitting in
+	// input FIFOs. It reaches zero only when every live tile sleeps (or
+	// has retired) on an empty FIFO: no one is left to send, so the run is
+	// over and whoever took it to zero closes stop. Finish closes stop as
+	// well; sleeping tiles select on it.
+	work     atomic.Int64
+	stop     chan struct{}
+	stopOnce sync.Once
+
 	tx, bits, deliveries, upsets, overflow atomic.Int64
 }
 
@@ -109,7 +126,7 @@ func New(cfg Config) (*Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := &Network{cfg: cfg, inj: inj}
+	n := &Network{cfg: cfg, inj: inj, stop: make(chan struct{})}
 	n.inbox = make([]chan []byte, cfg.Topo.Tiles())
 	n.procs = make([]Process, cfg.Topo.Tiles())
 	for i := range n.inbox {
@@ -121,11 +138,15 @@ func New(cfg Config) (*Network, error) {
 // Attach maps proc onto tile t.
 func (n *Network) Attach(t packet.TileID, proc Process) { n.procs[t] = proc }
 
-// Run launches one goroutine per live tile and blocks until every tile
-// retires (done flag observed or MaxLocalRounds exhausted).
+// Run launches one goroutine per live tile and blocks until the run is
+// over: a process called Finish, or the network went quiescent (every
+// tile asleep or retired, no frame in any FIFO). A Network runs once.
 func (n *Network) Run() Stats {
 	var wg sync.WaitGroup
 	master := rng.New(n.cfg.Seed ^ 0x5eed)
+	// Every live tile starts awake; counted before the first goroutine
+	// can go to sleep, so work cannot touch zero early.
+	n.work.Store(int64(n.cfg.Topo.Tiles() - n.inj.DeadTileCount()))
 	for i := 0; i < n.cfg.Topo.Tiles(); i++ {
 		id := packet.TileID(i)
 		if !n.inj.TileAlive(id) {
@@ -154,18 +175,25 @@ func (n *Network) tileLoop(id packet.TileID, r *rng.Stream) {
 	present := map[packet.MsgID]bool{}
 	seen := map[packet.MsgID]bool{}
 	var mailbox []*packet.Packet
+	var woke []byte // the frame that ended the last sleep, received first
 
 	for round := 1; round <= n.cfg.MaxLocalRounds && !n.done.Load(); round++ {
+		active := false // did this round receive or originate anything?
 		// Receive: drain whatever has arrived, CRC-checking each frame.
 		for {
-			var frame []byte
-			select {
-			case frame = <-n.inbox[id]:
-			default:
+			frame := woke
+			woke = nil
+			if frame == nil {
+				select {
+				case frame = <-n.inbox[id]:
+					n.work.Add(-1) // this tile is awake, so work stays >= 1
+				default:
+				}
 			}
 			if frame == nil {
 				break
 			}
+			active = true
 			p, err := packet.Decode(frame)
 			if err != nil {
 				n.upsets.Add(1)
@@ -187,6 +215,7 @@ func (n *Network) tileLoop(id packet.TileID, r *rng.Stream) {
 		if proc := n.procs[id]; proc != nil {
 			ctx := &Ctx{net: n, self: id, round: round, delivered: mailbox, rnd: r,
 				enqueue: func(p *packet.Packet) {
+					active = true
 					seen[p.ID] = true
 					present[p.ID] = true
 					sendBuf = append(sendBuf, p)
@@ -216,7 +245,31 @@ func (n *Network) tileLoop(id packet.TileID, r *rng.Stream) {
 				n.transmit(id, nb, p, r)
 			}
 		}
+		if !active && len(sendBuf) == 0 {
+			if woke = n.sleep(id); woke == nil {
+				return
+			}
+		}
 		runtime.Gosched() // yield the "clock domain"
+	}
+	// Budget spent or run finished. A retired tile still swallows the
+	// frames its neighbors send it, so that they stop counting as work.
+	for n.sleep(id) != nil {
+	}
+}
+
+// sleep parks tile id until a frame arrives (returned; its unit of work
+// becomes the woken tile's) or the run stops (nil). The caller's unit of
+// work is released first; releasing the last one is quiescence.
+func (n *Network) sleep(id packet.TileID) []byte {
+	if n.work.Add(-1) == 0 {
+		n.stopOnce.Do(func() { close(n.stop) })
+	}
+	select {
+	case frame := <-n.inbox[id]:
+		return frame
+	case <-n.stop:
+		return nil
 	}
 }
 
@@ -235,9 +288,11 @@ func (n *Network) transmit(from, to packet.TileID, p *packet.Packet, r *rng.Stre
 	if n.inj.UpsetHappens(r) {
 		n.inj.CorruptFrame(frame, r)
 	}
+	n.work.Add(1) // counted before it is visible, see Network.work
 	select {
 	case n.inbox[to] <- frame:
 	default:
+		n.work.Add(-1)    // the sender is awake, so work stays >= 1
 		n.overflow.Add(1) // input FIFO full: the oldest pressure wins
 	}
 }
@@ -276,4 +331,7 @@ func (c *Ctx) Rand() *rng.Stream { return c.rnd }
 
 // Finish signals global application completion; every tile retires at its
 // next local round boundary.
-func (c *Ctx) Finish() { c.net.done.Store(true) }
+func (c *Ctx) Finish() {
+	c.net.done.Store(true)
+	c.net.stopOnce.Do(func() { close(c.net.stop) })
+}

@@ -9,7 +9,6 @@ import (
 	"repro/internal/gossip"
 	"repro/internal/packet"
 	"repro/internal/rng"
-	"repro/internal/snapshot"
 	"repro/internal/topology"
 )
 
@@ -202,18 +201,5 @@ func TestSnapshotPreservesBatchKernel(t *testing.T) {
 	if _, err := Restore(bytes.NewReader(ckptOff), cfg); err == nil ||
 		!strings.Contains(err.Error(), "BatchDraws") {
 		t.Fatalf("restore under BatchDraws=true accepted a default checkpoint (err=%v)", err)
-	}
-}
-
-// TestV1CheckpointRejectedUnderBatchKernel: pre-kernel checkpoints carry
-// no kernel flag and were drawn per port; resuming them with BatchDraws
-// set must fail loudly instead of quietly switching realization.
-func TestV1CheckpointRejectedUnderBatchKernel(t *testing.T) {
-	ckpt := readCompatFile(t, "v1_grid6x6.ckpt")
-	cfg := compatCfg()
-	cfg.BatchDraws = true
-	_, err := RestoreSection(snapshot.NewReader(ckpt), cfg)
-	if err == nil || !strings.Contains(err.Error(), "BatchDraws") {
-		t.Fatalf("v1 checkpoint accepted under the batch kernel (err=%v)", err)
 	}
 }

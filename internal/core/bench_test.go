@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"testing"
 
 	"repro/internal/fault"
@@ -18,7 +19,7 @@ func stepNet(tb testing.TB, cfg Config) *Network {
 	tb.Helper()
 	g := topology.NewGrid(8, 8)
 	cfg.Topo = g
-	cfg.TTL = 255
+	cfg.TTL = steadyTTL
 	cfg.MaxRounds = 100000
 	n, err := New(cfg)
 	if err != nil {
@@ -33,25 +34,42 @@ func stepNet(tb testing.TB, cfg Config) *Network {
 	return n
 }
 
+// steadyTTL is the lifetime of the single broadcast the steady-state
+// fixtures (stepNet, scaleNet) measure on — the longest a uint8 TTL
+// allows. steadyUntil is the round at which a benchmark must rebuild its
+// fixture: the broadcast dies at round steadyTTL everywhere at once, and
+// the last rounds before that are kept out of the measurement.
+const (
+	steadyTTL   = 255
+	steadyUntil = steadyTTL - 25
+)
+
 // scaleNet is the large-mesh fixture of the sharded-engine benchmarks: a
 // side×side grid with a *center* broadcast (a corner broadcast would need
 // ~2× the rounds to cover the mesh, eating into the TTL-bounded
 // measurement window), warmed up until every tile holds a live copy.
 func scaleNet(tb testing.TB, side int, cfg Config) *Network {
 	tb.Helper()
+	// A p=0.5 center broadcast reaches the whole mesh in a little over
+	// side rounds (~0.8 hops/round over side/2..side hops); side+30
+	// rounds leave a wide steady-state window before the TTL guillotine —
+	// up to side ≈ 200, past which no window is left and a caller's
+	// rebuild-at-steadyUntil loop would rebuild forever.
+	warm := side + 30
+	if warm >= steadyUntil {
+		tb.Fatalf("scaleNet: a %d×%d mesh needs %d warm-up rounds, the TTL-%d window closes at round %d",
+			side, side, warm, steadyTTL, steadyUntil)
+	}
 	g := topology.NewGrid(side, side)
 	cfg.Topo = g
-	cfg.TTL = 255
+	cfg.TTL = steadyTTL
 	cfg.MaxRounds = 100000
 	n, err := New(cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	n.Inject(g.ID(side/2, side/2), packet.Broadcast, 0, make([]byte, 16))
-	// A p=0.5 center broadcast reaches the whole mesh in a little over
-	// side rounds (~0.8 hops/round over side/2..side hops); side+30
-	// rounds leave a wide steady-state window before the TTL guillotine.
-	for i := 0; i < side+30; i++ {
+	for i := 0; i < warm; i++ {
 		n.Step()
 	}
 	return n
@@ -66,7 +84,7 @@ func BenchmarkStepGrid8x8(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if n.round >= 220 {
+		if n.round >= steadyUntil {
 			// The broadcast dies when its TTL runs out; restart the
 			// steady state outside the timer.
 			b.StopTimer()
@@ -84,7 +102,7 @@ func BenchmarkStepGrid8x8Sync(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if n.round >= 220 {
+		if n.round >= steadyUntil {
 			b.StopTimer()
 			n = stepNet(b, Config{P: 0.5, Seed: 1, Fault: fault.Model{SigmaSync: 1.5}})
 			b.StartTimer()
@@ -101,7 +119,7 @@ func benchStepShards(b *testing.B, side, shards int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if n.round >= 230 {
+		if n.round >= steadyUntil {
 			// The broadcast dies when its TTL runs out; restart the
 			// steady state outside the timer.
 			b.StopTimer()
@@ -134,12 +152,23 @@ func BenchmarkStepGrid64x64(b *testing.B) {
 	}
 }
 
+// BenchmarkStepGrid128x128 is the dense kernel above sim.AutoShards'
+// shardFloorTiles (16384 tiles): the mesh size from which sharding is
+// selected, so the keep-sharding decision rests on this pair.
+func BenchmarkStepGrid128x128(b *testing.B) {
+	for _, shards := range []int{1, 2} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			benchStepShards(b, 128, shards)
+		})
+	}
+}
+
 // benchChurn measures one inject+Step round of a side×side recycling mesh
 // under sustained unicast churn — the mega-mesh workload of the memory
 // refactor. Unlike the broadcast fixtures above, the live message
 // population turns over every TTL rounds, so this kernel exercises slot
 // retirement, free-list reuse and the bitset row clears alongside
-// forwarding. B/op is the gate metric: at steady state the table is
+// forwarding. B/op is the metric to watch: at steady state the table is
 // warm and a round should allocate only delivery mailbox entries and
 // retired-ledger accretion, independent of mesh size.
 func benchChurn(b *testing.B, side, perRound, shards int) {
@@ -175,9 +204,7 @@ func benchChurn(b *testing.B, side, perRound, shards int) {
 }
 
 // BenchmarkStepGrid256x256 is the 65536-tile churn kernel — the smallest
-// mesh the AutoShards mega heuristic treats as a mega-mesh, and the mesh
-// the CI memory gate benchmarks with -benchmem against the committed
-// baseline.
+// mesh the AutoShards mega heuristic treats as a mega-mesh.
 func BenchmarkStepGrid256x256(b *testing.B) {
 	benchChurn(b, 256, 8, 8)
 }
@@ -247,19 +274,9 @@ func BenchmarkStepGrid64x64DenseBcastBatch(b *testing.B) {
 // scheduler makes each round's cost proportional to.
 func activeTiles(n *Network) int {
 	c := 0
-	seen := make(map[int]bool)
-	forOccupied(&n.bufOcc, 0, len(n.tiles), false, func(ti int) {
-		if !seen[ti] {
-			seen[ti] = true
-			c++
-		}
-	})
-	forOccupied(&n.rcvOcc, 0, len(n.tiles), false, func(ti int) {
-		if !seen[ti] {
-			seen[ti] = true
-			c++
-		}
-	})
+	for i := range n.bufOcc.bits {
+		c += bits.OnesCount64(n.bufOcc.bits[i] | n.rcvOcc.bits[i])
+	}
 	return c
 }
 
@@ -267,11 +284,10 @@ func activeTiles(n *Network) int {
 // mesh under sub-TTL broadcast churn: every broadcast dies TTL hops from
 // its source, so only a pocket of the mesh is ever active and per-round
 // cost should track the active-tile count, not the mesh size — the
-// workload the frontier scheduler and the sparse row tier exist for.
-// The live population turns over continuously, exercising retirement,
-// sparse-row resets and (when the spread pocket outgrows the promotion
-// threshold) the two-tier promotion path. The steady-state active-tile
-// count is attached to the result as the active_tiles metric.
+// workload the frontier scheduler exists for. The live population turns
+// over continuously, exercising retirement and row clears. The
+// steady-state active-tile count is attached to the result as the
+// active_tiles metric.
 func benchSubTTL(b *testing.B, side int, ttl uint8, perRound, shards int) {
 	g := topology.NewGrid(side, side)
 	cfg := Config{
@@ -310,13 +326,13 @@ func benchSubTTL(b *testing.B, side int, ttl uint8, perRound, shards int) {
 
 // BenchmarkStepGrid512x512SubTTL is the tentpole target workload: a
 // 262144-tile mesh where TTL-16 broadcasts keep a few thousand tiles
-// active. CI gates both ns/op and B/op against BENCH_8.json.
+// active (bench/'s mesh_sparse workload at the kernel level).
 func BenchmarkStepGrid512x512SubTTL(b *testing.B) {
 	benchSubTTL(b, 512, 16, 4, 8)
 }
 
 // BenchmarkStepGrid256x256SubTTL is the same workload on the 65536-tile
-// mesh, also gated against BENCH_8.json.
+// mesh.
 func BenchmarkStepGrid256x256SubTTL(b *testing.B) {
 	benchSubTTL(b, 256, 16, 4, 8)
 }
@@ -349,7 +365,7 @@ func BenchmarkSubTTLScaling(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if n.round >= 230 {
+			if n.round >= steadyUntil {
 				b.StopTimer()
 				n = scaleNet(b, 64, cfg)
 				b.StartTimer()
@@ -369,7 +385,7 @@ func BenchmarkStepGrid8x8Literal(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if n.round >= 220 {
+		if n.round >= steadyUntil {
 			b.StopTimer()
 			n = stepNet(b, cfg)
 			b.StartTimer()

@@ -1,18 +1,22 @@
 package core
 
-// Checkpoint format compatibility. testdata/compat holds a version-1
-// (pre-recycling) SecCore payload generated by the dense-flags engine,
-// frozen forever: the files cannot be regenerated, because the engine
-// that wrote them is gone. The tests pin two promises:
+// Checkpoint format tests. testdata/compat holds the historical oracle of
+// the engine: a mid-run state written by the original dense-flags engine
+// (payload version 1) together with the 8-round continuation that engine
+// produced from it. The state was carried forward — restored by the last
+// build that read version 1 and re-snapshotted in the current layout
+// (v5_grid6x6.ckpt) — while the golden continuation is frozen: the engine
+// that recorded it is gone. The tests pin three promises:
 //
-//  1. A v1 checkpoint restores into the bitset engine and continues
-//     bit-identically — the recorded continuation (events, deliveries,
-//     counters, awareness) is compared line by line against a golden
-//     captured before the refactor.
-//  2. Corrupt or truncated v2 payloads are rejected with an error, never
-//     a panic — the decoder validates before it trusts.
+//  1. The carried-forward state continues bit-identically — events,
+//     deliveries, counters, awareness — to what the original engine did.
+//  2. Corrupt or truncated payloads are rejected with an error, never a
+//     panic — the decoder validates before it trusts.
+//  3. Every payload version but the current one is refused by name
+//     (ErrPayloadVersion).
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -25,7 +29,7 @@ import (
 	"repro/internal/topology"
 )
 
-// compatCfg is the configuration of the run that wrote the frozen v1
+// compatCfg is the configuration of the run that wrote the frozen
 // checkpoint. It must never change: the embedded digest pins it.
 func compatCfg() Config {
 	return Config{
@@ -47,12 +51,13 @@ func readCompatFile(t *testing.T, name string) []byte {
 	return b
 }
 
-// TestRestoreV1Golden restores the frozen pre-refactor checkpoint and
-// replays its recorded 8-round continuation: every event, delivery, the
-// final counters and the awareness state of all four injected messages
-// must match what the dense-flags engine produced.
+// TestRestoreV1Golden restores the state the version-1 engine froze
+// (carried forward to the current layout) and replays its recorded
+// 8-round continuation: every event, delivery, the final counters and the
+// awareness state of all four injected messages must match what the
+// dense-flags engine produced.
 func TestRestoreV1Golden(t *testing.T) {
-	ckpt := readCompatFile(t, "v1_grid6x6.ckpt")
+	ckpt := readCompatFile(t, "v5_grid6x6.ckpt")
 	golden := string(readCompatFile(t, "v1_grid6x6.golden"))
 
 	var rec strings.Builder
@@ -65,7 +70,7 @@ func TestRestoreV1Golden(t *testing.T) {
 	}
 	n, err := RestoreSection(snapshot.NewReader(ckpt), cfg)
 	if err != nil {
-		t.Fatalf("v1 checkpoint no longer restores: %v", err)
+		t.Fatalf("frozen checkpoint no longer restores: %v", err)
 	}
 	n.SetForwardLimit(14, 1) // routers/limits are re-applied by the caller, as documented
 	for i := 0; i < 8; i++ {
@@ -107,25 +112,28 @@ func TestRestoreV1Golden(t *testing.T) {
 	}
 }
 
-// TestRestoreV1RejectsRecycle pins the explicit error for the one resume
-// combination that cannot work: version-1 checkpoints predate the
-// generation tags and in-flight frame stamps retirement depends on.
-func TestRestoreV1RejectsRecycle(t *testing.T) {
-	ckpt := readCompatFile(t, "v1_grid6x6.ckpt")
-	cfg := compatCfg()
-	cfg.Recycle = true
-	_, err := RestoreSection(snapshot.NewReader(ckpt), cfg)
-	if err == nil {
-		t.Fatal("v1 checkpoint restored with Recycle enabled")
+// TestRestoreRefusesOtherVersions pins the single-version contract: a
+// payload stamped with any version but the current one — the four retired
+// layouts, zero, the next — comes back as ErrPayloadVersion before any of
+// it is decoded, never a panic.
+func TestRestoreRefusesOtherVersions(t *testing.T) {
+	ckpt := readCompatFile(t, "v5_grid6x6.ckpt")
+	if ckpt[0] != corePayloadVersion {
+		t.Fatalf("frozen checkpoint is stamped version %d, want %d", ckpt[0], corePayloadVersion)
 	}
-	if !strings.Contains(err.Error(), "Recycle") {
-		t.Fatalf("error does not name the Recycle knob: %v", err)
+	for _, v := range []byte{0, 1, 2, 3, 4, 6} {
+		mut := append([]byte(nil), ckpt...)
+		mut[0] = v // versions below 128 are one uvarint byte
+		_, err := RestoreSection(snapshot.NewReader(mut), compatCfg())
+		if !errors.Is(err, ErrPayloadVersion) {
+			t.Errorf("version %d: err = %v, want ErrPayloadVersion", v, err)
+		}
 	}
 }
 
-// compatV2State builds a mid-run recycling network and returns its v2
+// recycleState builds a mid-run recycling network and returns its
 // payload bytes plus the config to restore under.
-func compatV2State(t *testing.T) ([]byte, Config) {
+func recycleState(t *testing.T) ([]byte, Config) {
 	t.Helper()
 	cfg := compatCfg()
 	cfg.Recycle = true
@@ -144,18 +152,18 @@ func compatV2State(t *testing.T) ([]byte, Config) {
 	return w.Bytes(), cfg
 }
 
-// TestRestoreV2CorruptSections byte-flips every position of a healthy v2
+// TestRestoreV2CorruptSections byte-flips every position of a healthy
 // payload and truncates it at every length: each mutation must either
 // restore cleanly (flips the CRC catches are rejected earlier; a few
 // positions are genuinely don't-care) or fail with an error — never
 // panic, never hang. This is the cheap deterministic cousin of
 // FuzzRestore, run on every go test.
 func TestRestoreV2CorruptSections(t *testing.T) {
-	payload, cfg := compatV2State(t)
+	payload, cfg := recycleState(t)
 
 	t.Run("intact", func(t *testing.T) {
 		if _, err := RestoreSection(snapshot.NewReader(payload), cfg); err != nil {
-			t.Fatalf("healthy v2 payload rejected: %v", err)
+			t.Fatalf("healthy payload rejected: %v", err)
 		}
 	})
 	t.Run("flips", func(t *testing.T) {
@@ -191,12 +199,11 @@ func TestRestoreV2CorruptSections(t *testing.T) {
 	})
 }
 
-// TestSnapshotRoundTripRecycle pins the v2 round trip through the full
-// container path with recycling active: Snapshot → Restore must
-// reproduce a byte-identical re-snapshot (whole-state equality), and the
-// restored run must continue to the same final state as the original.
+// TestSnapshotRoundTripRecycle pins the payload round trip with recycling
+// active: Snapshot → Restore must reproduce a byte-identical re-snapshot
+// (whole-state equality).
 func TestSnapshotRoundTripRecycle(t *testing.T) {
-	payload, cfg := compatV2State(t)
+	payload, cfg := recycleState(t)
 	n, err := RestoreSection(snapshot.NewReader(payload), cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -33,8 +33,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math/bits"
-	"sync/atomic"
 
 	"repro/internal/energy"
 	"repro/internal/fault"
@@ -605,109 +603,18 @@ func (n *Network) emit(kind EventKind, tile, peer packet.TileID, msg packet.MsgI
 	}
 }
 
-// enqueue inserts *p into t's send buffer, enforcing dedup and capacity.
-// The packet is copied by value; the caller keeps ownership of *p. Counts
-// and events go through the executing lane.
-func (n *Network) enqueue(ln *lane, t *tile, p *packet.Packet) {
-	if s := msgSlot(p.ID); !n.cfg.DisableDedup && n.rowBit(&n.tbl.present[s], s, t.id) {
-		ln.cnt.Duplicates++
-		return
-	}
-	if n.cfg.BufferCap > 0 && len(t.sendBuf) >= n.cfg.BufferCap {
-		// Hard overflow: oldest dropped first (§4.2).
-		if len(t.sendBuf) > 0 {
-			ln.emit(EvOverflow, t.id, t.id, t.sendBuf[0].ID)
-		}
-		n.dropOldest(t)
-		ln.cnt.OverflowDrops++
-	}
-	if ln.borrowed == p {
-		ln.unshare(p)
-	}
-	if t.sendBuf == nil {
-		t.sendBuf = ln.bufs.get() // re-arm a cold tile from the lane pool
-	}
-	t.sendBuf = append(t.sendBuf, *p)
-	if len(t.sendBuf) == 1 {
-		n.occSet(&n.bufOcc, uint32(t.id)) // buffer went non-empty
-	}
-	if n.recycle {
-		n.addCopies(msgSlot(p.ID), 1)
-	}
-	n.setPresent(t, p.ID)
-}
-
-func (n *Network) dropOldest(t *tile) {
-	if len(t.sendBuf) == 0 {
-		return
-	}
-	id := t.sendBuf[0].ID
-	copy(t.sendBuf, t.sendBuf[1:])
-	t.sendBuf[len(t.sendBuf)-1] = packet.Packet{}
-	t.sendBuf = t.sendBuf[:len(t.sendBuf)-1]
-	if n.recycle {
-		n.addCopies(msgSlot(id), -1)
-	}
-	n.clearPresent(t, id)
-}
-
-// deliver hands *p to t's IP mailbox if it addresses t and has not been
-// delivered here before. The mailbox takes a heap copy, so the ring slot
-// or buffer entry backing *p can be recycled freely afterwards. On a
-// non-direct lane the OnDeliver callback is staged for the post-barrier
-// flush; Receiver processes never reach a non-direct lane (their presence
-// forces the sequential phase-4 fallback in stepShards).
-func (n *Network) deliver(ln *lane, t *tile, p *packet.Packet) {
-	if p.Dst != t.id && p.Dst != packet.Broadcast {
-		return
-	}
-	if s := msgSlot(p.ID); n.rowBit(&n.tbl.seen[s], s, t.id) {
-		return
-	}
-	n.setSeen(t, p.ID)
-	if n.cfg.StopSpreadOnDelivery && p.Dst == t.id {
-		n.markDead(p.ID)
-	}
-	if ln.borrowed == p {
-		ln.unshare(p)
-	}
-	q := ln.pkts.get() // arena-carved heap copy, mailbox lifetime
-	*q = *p
-	if t.mailbox == nil {
-		t.mailbox = ln.mail.carve()
-	}
-	t.mailbox = append(t.mailbox, q)
-	ln.cnt.Deliveries++
-	ln.cnt.DeliveredPayloadBits += 8 * len(p.Payload)
-	ln.emit(EvDeliver, t.id, p.Src, p.ID)
-	if ln.direct {
-		if n.cfg.OnDeliver != nil {
-			n.cfg.OnDeliver(t.id, q, n.round)
-		}
-		if rcv, ok := t.proc.(Receiver); ok {
-			rcv.Receive(&t.ctx, q)
-		}
-		return
-	}
-	if n.cfg.OnDeliver != nil {
-		ln.actions = append(ln.actions, action{
-			ev:  Event{Round: n.round, Kind: EvDeliver, Tile: t.id, Peer: p.Src, Msg: p.ID},
-			pkt: q,
-		})
-	}
-}
-
 // Step executes one full gossip round across all tiles. Rounds are
 // numbered from 1; a message forwarded during round r arrives at the far
 // end of the link within round r (one hop per round), so under flooding a
 // message is delivered at round = Manhattan distance, matching the
 // Fig. 3-3 walkthrough.
 //
-// The round body is split into phase functions so the sequential engine
-// and the sharded engine (shard.go) share one implementation: sequential
-// mode runs phases 2-4 on the network-wide direct lane; sharded mode runs
-// them per-shard between barriers. Phase 1 always runs sequentially — it
-// allocates message IDs, whose order is observable.
+// The round body is split into phase functions (phase.go) so the
+// sequential engine and the sharded engine (shard.go) share one
+// implementation: sequential mode runs phases 2-4 on the network-wide
+// direct lane; sharded mode runs them per-shard between barriers. Phase 1
+// always runs sequentially — it allocates message IDs, whose order is
+// observable.
 func (n *Network) Step() {
 	if !n.started {
 		n.started = true
@@ -734,425 +641,11 @@ func (n *Network) Step() {
 		// sample the round (they see ledgered Aware counts, same values).
 		n.retireExpired()
 	}
-	// Promote sparse rows that crossed the density threshold this round.
-	// Barrier-only, so tier membership is stable during phases and driven
-	// purely by shard-count-independent cardinalities.
-	n.tbl.promoteDue()
-
 	if n.cfg.Observer != nil {
 		n.cfg.Observer(n.round, n)
 	}
 	if n.cfg.OnRoundEnd != nil {
 		n.cfg.OnRoundEnd(n.round, n)
-	}
-}
-
-// phaseCompute is phase 1 — computation: run the IP cores; they read the
-// mailbox filled during the previous round and may create new messages.
-// Only the process-bearing tiles (refreshProcs) are visited.
-func (n *Network) phaseCompute() {
-	for _, t := range n.procTiles {
-		if !t.alive {
-			continue
-		}
-		t.ctx.delivered = t.mailbox
-		t.proc.Round(&t.ctx)
-		t.ctx.delivered = nil
-		for i := range t.mailbox {
-			t.mailbox[i] = nil
-		}
-		t.mailbox = t.mailbox[:0]
-	}
-}
-
-// phaseAge is phase 2 — aging: decrement TTLs, garbage-collect expired
-// messages, for the occupied tiles of the lane's range. The word loops of
-// phases 2-4 are hand-inlined copies of forOccupied (occupancy.go): the
-// three sweeps are the engine's innermost frames and an indirect visit
-// call per occupied tile is measurable on dense small meshes. Each sweep
-// is two-level — the lane walks the set summary bits of its frontier
-// segment and only loads the tile words under them — so a lane whose
-// range is idle costs O(range/4096) summary loads, not a word scan.
-func (n *Network) phaseAge(ln *lane) {
-	unaligned := n.par && !n.alignedLanes
-	// markDead is the only writer of the tombstone bits and it is gated on
-	// StopSpreadOnDelivery, so with the flag off no packet can be dead and
-	// the per-packet slot lookup below is pure waste — on a dense mesh the
-	// aging sweep touches every live copy every round, and skipping the
-	// lookup is worth ~an eighth of the whole phase.
-	checkDead := n.cfg.StopSpreadOnDelivery
-	w0, w1 := ln.lo>>6, (ln.hi+63)>>6
-	s0, s1 := w0>>6, (w1+63)>>6
-	for si := s0; si < s1; si++ {
-		var sw uint64
-		if n.par {
-			// Summary words can span lanes even under an aligned
-			// partition; other lanes CAS their bits mid-phase.
-			sw = atomic.LoadUint64(&n.bufOcc.sum[si])
-		} else {
-			sw = n.bufOcc.sum[si]
-		}
-		if si == s0 {
-			sw &^= (uint64(1) << (uint(w0) & 63)) - 1
-		}
-		for ; sw != 0; sw &= sw - 1 {
-			wi := si<<6 + bits.TrailingZeros64(sw)
-			if wi >= w1 {
-				break
-			}
-			var w uint64
-			if unaligned {
-				// Another lane may CAS its own bits of a shared boundary
-				// word mid-phase; even a discarded plain read is a race.
-				w = atomic.LoadUint64(&n.bufOcc.bits[wi])
-			} else {
-				w = n.bufOcc.bits[wi]
-			}
-			if wi == w0 {
-				w &^= (uint64(1) << (uint(ln.lo) & 63)) - 1
-			}
-			for ; w != 0; w &= w - 1 {
-				ti := wi<<6 + bits.TrailingZeros64(w)
-				if ti >= ln.hi {
-					break
-				}
-				t := n.tiles[ti]
-				if !t.alive {
-					continue
-				}
-				// Age in place first: in the steady state nothing expires,
-				// and the compaction pass below (which copies every
-				// surviving packet) is pure overhead then. isDead cannot
-				// change during phase 2, so both passes agree on who
-				// expires.
-				dropped := false
-				for i := range t.sendBuf {
-					p := &t.sendBuf[i]
-					p.TTL--
-					if p.TTL == 0 || (checkDead && n.isDead(p.ID)) {
-						dropped = true
-					}
-				}
-				if !dropped {
-					continue
-				}
-				kept := t.sendBuf[:0]
-				for i := range t.sendBuf {
-					p := &t.sendBuf[i]
-					if p.TTL == 0 || (checkDead && n.isDead(p.ID)) {
-						if n.recycle {
-							n.addCopies(msgSlot(p.ID), -1)
-						}
-						n.clearPresent(t, p.ID)
-						ln.emit(EvExpire, t.id, t.id, p.ID)
-						continue
-					}
-					kept = append(kept, *p)
-				}
-				// Zero the compaction tail so expired payloads can be
-				// collected.
-				for i := len(kept); i < len(t.sendBuf); i++ {
-					t.sendBuf[i] = packet.Packet{}
-				}
-				t.sendBuf = kept
-				if len(kept) == 0 {
-					n.occClear(&n.bufOcc, uint32(ti)) // buffer drained
-					ln.bufs.put(t.sendBuf)
-					t.sendBuf = nil
-				}
-			}
-		}
-	}
-}
-
-// phaseForward is phase 3 — forwarding: every buffered message goes out
-// on each port independently with probability P; skew-free copies arrive
-// within this round, skewed ones slip to later rounds.
-func (n *Network) phaseForward(ln *lane) {
-	// The lane's outbox was fully merged at the end of the previous round;
-	// clearing it here (instead of behind a dedicated barrier) is what
-	// keeps the sharded round at three barriers.
-	clearOutbox(ln)
-	unaligned := n.par && !n.alignedLanes
-	batch := n.batch && n.cfg.PortWeight == nil
-	w0, w1 := ln.lo>>6, (ln.hi+63)>>6
-	s0, s1 := w0>>6, (w1+63)>>6
-	for si := s0; si < s1; si++ {
-		var sw uint64
-		if n.par {
-			// Summary words can span lanes even under an aligned
-			// partition; other lanes CAS their bits mid-phase.
-			sw = atomic.LoadUint64(&n.bufOcc.sum[si])
-		} else {
-			sw = n.bufOcc.sum[si]
-		}
-		if si == s0 {
-			sw &^= (uint64(1) << (uint(w0) & 63)) - 1
-		}
-		for ; sw != 0; sw &= sw - 1 {
-			wi := si<<6 + bits.TrailingZeros64(sw)
-			if wi >= w1 {
-				break
-			}
-			var w uint64
-			if unaligned {
-				// Another lane may CAS its own bits of a shared boundary
-				// word mid-phase; even a discarded plain read is a race.
-				w = atomic.LoadUint64(&n.bufOcc.bits[wi])
-			} else {
-				w = n.bufOcc.bits[wi]
-			}
-			if wi == w0 {
-				w &^= (uint64(1) << (uint(ln.lo) & 63)) - 1
-			}
-			for ; w != 0; w &= w - 1 {
-				ti := wi<<6 + bits.TrailingZeros64(w)
-				if ti >= ln.hi {
-					break
-				}
-				t := n.tiles[ti]
-				if !t.alive {
-					continue
-				}
-				buffered := len(t.sendBuf)
-				if buffered == 0 {
-					continue
-				}
-				count := buffered
-				if t.fwdLimit > 0 && count > t.fwdLimit {
-					count = t.fwdLimit // serializing bridge: TDM slots this round
-				}
-				// Round-robin over the buffer so a long-lived message cannot
-				// hog a rate-limited bridge. The cursor is normalized once
-				// (the buffer may have shrunk since last round) and then
-				// advanced with wrap-on-overflow subtractions: this inner
-				// loop runs per buffered message per round, and a `%` per
-				// iteration is measurably slower than a
-				// compare-and-subtract.
-				cur := t.fwdCursor % buffered
-				if batch && t.router == nil {
-					n.forwardBatch(ln, t, cur, count, buffered)
-					cur += count
-					if cur >= buffered {
-						cur -= buffered
-					}
-					t.fwdCursor = cur
-					continue
-				}
-				for i := 0; i < count; i++ {
-					idx := cur + i
-					if idx >= buffered {
-						idx -= buffered // i < count <= buffered: one wrap at most
-					}
-					p := &t.sendBuf[idx]
-					if t.router != nil {
-						for _, nb := range t.router(p) {
-							n.transmit(ln, t, nb, p, n.inj.LinkAlive(t.id, nb))
-						}
-						continue
-					}
-					if n.cfg.PortWeight != nil {
-						for pi, nb := range t.nbrs {
-							prob := n.cfg.P * n.cfg.PortWeight(t.id, nb, p)
-							// MakeThreshold+BoolT ≡ Bool(prob), draw for draw.
-							if !t.rnd.BoolT(rng.MakeThreshold(prob)) {
-								continue
-							}
-							n.transmit(ln, t, nb, p, t.nbrAlive[pi])
-						}
-						continue
-					}
-					for pi, nb := range t.nbrs {
-						if !t.rnd.BoolT(n.pThresh) {
-							continue
-						}
-						n.transmit(ln, t, nb, p, t.nbrAlive[pi])
-					}
-				}
-				cur += count
-				if cur >= buffered {
-					cur -= buffered // count <= buffered: one wrap at most
-				}
-				t.fwdCursor = cur
-			}
-		}
-	}
-}
-
-// phaseReceive is phase 4 — reception: consume the arrivals scheduled for
-// this round, CRC-check them, merge survivors into the send buffer,
-// deliver.
-func (n *Network) phaseReceive(ln *lane) {
-	unaligned := n.par && !n.alignedLanes
-	w0, w1 := ln.lo>>6, (ln.hi+63)>>6
-	s0, s1 := w0>>6, (w1+63)>>6
-	for si := s0; si < s1; si++ {
-		var sw uint64
-		if n.par {
-			// Summary words can span lanes even under an aligned
-			// partition; other lanes CAS their bits mid-phase.
-			sw = atomic.LoadUint64(&n.rcvOcc.sum[si])
-		} else {
-			sw = n.rcvOcc.sum[si]
-		}
-		if si == s0 {
-			sw &^= (uint64(1) << (uint(w0) & 63)) - 1
-		}
-		for ; sw != 0; sw &= sw - 1 {
-			wi := si<<6 + bits.TrailingZeros64(sw)
-			if wi >= w1 {
-				break
-			}
-			var w uint64
-			if unaligned {
-				// Another lane may CAS its own bits of a shared boundary
-				// word mid-phase; even a discarded plain read is a race.
-				w = atomic.LoadUint64(&n.rcvOcc.bits[wi])
-			} else {
-				w = n.rcvOcc.bits[wi]
-			}
-			if wi == w0 {
-				w &^= (uint64(1) << (uint(ln.lo) & 63)) - 1
-			}
-			for ; w != 0; w &= w - 1 {
-				ti := wi<<6 + bits.TrailingZeros64(w)
-				if ti >= ln.hi {
-					break
-				}
-				t := n.tiles[ti]
-				if !t.alive {
-					continue
-				}
-				bucket := t.ring.take(n.round)
-				for i := range bucket {
-					a := &bucket[i]
-					if n.recycle {
-						// The arrival is consumed this round whatever its
-						// fate; a.pkt.ID still holds the originating ID even
-						// on the literal path (stashed by transmit, before
-						// any decode).
-						n.addInflight(msgSlot(a.pkt.ID), -1)
-					}
-					var p *packet.Packet
-					switch {
-					case a.frame != nil:
-						if p = n.decodeArrival(ln, t, a); p == nil {
-							continue // frame already recycled
-						}
-						ln.borrowed = p // payload still aliases the pooled frame
-					case a.upset:
-						ln.cnt.UpsetsDetected++
-						ln.emit(EvUpset, t.id, t.id, a.pkt.ID)
-						continue
-					default:
-						p = &a.pkt
-					}
-					if !n.isDead(p.ID) {
-						// Analytic overflow: with probability POverflow the
-						// incoming packet finds no buffer space and is lost —
-						// the "% dropped packets" swept by Figs. 4-10/4-11.
-						// (Oldest-first eviction applies on the hard-capacity
-						// path in enqueue, per §4.2.)
-						if t.rnd.BoolT(n.overflowT) {
-							ln.cnt.OverflowDrops++
-							ln.emit(EvOverflow, t.id, t.id, p.ID)
-						} else {
-							n.deliver(ln, t, p)
-							n.enqueue(ln, t, p)
-						}
-					}
-					if a.frame != nil {
-						// Consumed (any stored payload was cloned by
-						// unshare): the frame can go back to the pool.
-						ln.pool.put(a.frame)
-						a.frame = nil
-						ln.borrowed = nil
-					}
-				}
-				t.ring.release(n.round)
-				if t.ring.count == 0 {
-					n.occClear(&n.rcvOcc, uint32(ti)) // nothing left in flight here
-					ln.rings.detach(&t.ring)
-				}
-			}
-		}
-	}
-}
-
-// decodeArrival decodes a literal-path wire frame into the arrival's ring
-// slot, applying the CRC check. On success the decoded payload still
-// aliases a.frame (DecodeInto is zero-copy), so the phase-4 loop recycles
-// the frame only after the arrival is fully consumed; on failure the
-// frame is recycled here and nil is returned. A decoded ID the network
-// never issued — a slot the table doesn't cover, or a generation the slot
-// is not currently bound to — is proof of corruption too: a CRC escape
-// (~2^-16 per scrambled frame) can smuggle a frame past the checksum, and
-// rejecting impossible IDs keeps the tables bounded by the real message
-// count. With recycling on, the generation check is also what keeps a
-// stale frame from aliasing the slot's next tenant; those near-misses
-// (structurally valid slot, wrong tenant) are tallied as GhostFrames.
-func (n *Network) decodeArrival(ln *lane, t *tile, a *arrival) *packet.Packet {
-	err := packet.DecodeInto(&a.pkt, a.frame)
-	if err != nil || !n.current(a.pkt.ID) {
-		if err == nil {
-			if s := msgSlot(a.pkt.ID); s != 0 && int(s) <= n.issuedSlots() {
-				ln.cnt.GhostFrames++
-			}
-		}
-		a.pkt.Payload = nil // drop the alias before pooling the frame
-		ln.pool.put(a.frame)
-		a.frame = nil
-		ln.cnt.UpsetsDetected++
-		// A scrambled frame's ID is untrustworthy: report Msg 0.
-		ln.emit(EvUpset, t.id, t.id, 0)
-		return nil
-	}
-	return &a.pkt
-}
-
-// transmit sends one copy of *p from tile t toward neighbor nb, applying
-// the transient fault model. The energy of driving the link is spent even
-// when the copy is lost downstream. The copy travels by value (analytic
-// path) or as a pooled encoded frame (literal path); either way the
-// steady state allocates nothing per transmission. The arrival reaches
-// the destination ring through ln.send: directly on a direct lane, via
-// the post-phase outbox merge otherwise. linkUp is the cached
-// inj.LinkAlive(t.id, nb) verdict — precomputed per port at New on the
-// gossip paths, looked up per call on the (cold) router path.
-func (n *Network) transmit(ln *lane, t *tile, nb packet.TileID, p *packet.Packet, linkUp bool) {
-	ln.cnt.Energy.AddTransmission(p.SizeBits())
-	ln.emit(EvTransmit, t.id, nb, p.ID)
-	if !linkUp {
-		return // crashed link or dead far-end tile: copy vanishes
-	}
-	slip := n.inj.SyncSlip(&t.rnd)
-	if slip > 0 {
-		ln.cnt.SlippedDeliveries++
-	}
-	when := n.round + slip
-
-	if n.cfg.Fault.LiteralUpsets {
-		frame := ln.pool.get(packet.EncodedLen(len(p.Payload)))
-		if err := packet.EncodeTo(frame, p); err != nil {
-			// Oversized payloads are caught at Inject/Send time; an
-			// encode failure here is a programming error.
-			panic(fmt.Sprintf("core: encode failed in flight: %v", err))
-		}
-		if t.rnd.BoolT(n.upsetT) {
-			n.inj.CorruptFrame(frame, &t.rnd)
-			ln.cnt.UpsetsInjected++
-		}
-		// The arrival's by-value packet is unused on the literal path, so
-		// its ID field carries the originating message for the in-flight
-		// accounting — the frame itself may be corrupted beyond trust.
-		ln.send(nb, when, arrival{frame: frame, pkt: packet.Packet{ID: p.ID}})
-	} else {
-		a := arrival{pkt: *p}
-		if t.rnd.BoolT(n.upsetT) {
-			a.upset = true
-			ln.cnt.UpsetsInjected++
-		}
-		ln.send(nb, when, a)
 	}
 }
 

@@ -24,12 +24,12 @@ import (
 // Each bitmap carries a summary level on top — one summary bit per
 // 64-tile word, set while the word is non-zero — so the phase sweeps are
 // two-level: walk the set summary bits, then the set tile bits under
-// them. A sub-TTL workload on a 512×512 mesh touches a few dozen of the
-// 4096 tile words; the summary collapses the idle remainder to 64 word
-// loads per phase, making the sweep O(active words + tiles/4096) instead
-// of O(tiles/64). This is the frontier the scheduler iterates: a tile
-// enters it the instant a copy is buffered or scheduled to arrive, and
-// leaves when its buffer and ring drain.
+// them (Network.sweep, phase.go). A sub-TTL workload on a 512×512 mesh
+// touches a few dozen of the 4096 tile words; the summary collapses the
+// idle remainder to 64 word loads per phase, making the sweep O(active
+// words + tiles/4096), not O(tiles/64). This is the frontier the
+// scheduler iterates: a tile enters it the instant a copy is buffered or
+// scheduled to arrive, and leaves when its buffer and ring drain.
 //
 // Both levels are exact at every round barrier (enqueue sets a tile's
 // bufOcc bit when its buffer goes non-empty, aging clears it when the
@@ -205,55 +205,6 @@ func sumClearAtomic(sum []uint64, wi uint32) {
 		old := atomic.LoadUint64(w)
 		if old&mask == 0 || atomic.CompareAndSwapUint64(w, old, old&^mask) {
 			return
-		}
-	}
-}
-
-// forOccupied calls visit for every set bit of m in [lo, hi), in
-// ascending tile order — the sequential sweep order, minus the idle
-// tiles. Iteration is two-level: set summary bits select the tile words
-// to load, so idle stretches cost one summary word per 4096 tiles.
-// atomicLoad selects atomic word reads, needed while another lane may
-// CAS its own bits of a shared boundary word.
-func forOccupied(m *occMap, lo, hi int, atomicLoad bool, visit func(ti int)) {
-	if lo >= hi {
-		return
-	}
-	w0, w1 := lo>>6, (hi+63)>>6
-	s0, s1 := w0>>6, (w1+63)>>6
-	for si := s0; si < s1; si++ {
-		var sw uint64
-		if atomicLoad {
-			sw = atomic.LoadUint64(&m.sum[si])
-		} else {
-			sw = m.sum[si]
-		}
-		if si == s0 {
-			sw &^= (uint64(1) << (uint(w0) & 63)) - 1 // mask words below w0
-		}
-		for sw != 0 {
-			wi := si<<6 + bits.TrailingZeros64(sw)
-			sw &= sw - 1
-			if wi >= w1 {
-				break
-			}
-			var w uint64
-			if atomicLoad {
-				w = atomic.LoadUint64(&m.bits[wi])
-			} else {
-				w = m.bits[wi]
-			}
-			if wi == w0 {
-				w &^= (uint64(1) << (uint(lo) & 63)) - 1 // mask bits below lo
-			}
-			for w != 0 {
-				ti := wi<<6 + bits.TrailingZeros64(w)
-				w &= w - 1
-				if ti >= hi {
-					return
-				}
-				visit(ti)
-			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/fault"
@@ -8,54 +9,63 @@ import (
 	"repro/internal/topology"
 )
 
-// TestForOccupiedIteration pins the iterator contract the phase loops
-// hand-inline: ascending order, bits below lo masked, bits at/after hi
-// never visited, empty ranges visit nothing. The map under test spans
-// several summary bits so the two-level walk is exercised too.
+// TestForOccupiedIteration pins the contract of the one sweep phases 2-4
+// run (Network.sweep): ascending tile order, tiles below the lane's lo
+// masked, tiles at/after hi never visited, empty ranges visit nothing,
+// stale summary bits surface nothing. The sweep is observed through the
+// aging phase: every occupied tile buffers one TTL-1 copy, so each visit
+// is one EvExpire, in visit order. The 70×70 mesh spans two summary words,
+// so the two-level walk and both levels of range masking are exercised.
 func TestForOccupiedIteration(t *testing.T) {
-	var m occMap
-	m.initOcc(200) // 4 words
-	set := []int{0, 1, 63, 64, 100, 127, 128, 199}
-	for _, ti := range set {
-		m.setBarrier(ti)
-	}
-	collect := func(lo, hi int) []int {
+	set := []int{0, 1, 63, 64, 100, 127, 128, 199, 4095, 4096, 4100, 4899}
+	visit := func(lo, hi int, stale bool) []int {
 		var got []int
-		forOccupied(&m, lo, hi, false, func(ti int) { got = append(got, ti) })
+		n := mustNet(t, Config{
+			Topo: topology.NewGrid(70, 70), P: 0, TTL: 1, MaxRounds: 10, Seed: 1,
+			OnEvent: func(ev Event) {
+				if ev.Kind == EvExpire {
+					got = append(got, int(ev.Tile))
+				}
+			},
+		})
+		for _, ti := range set {
+			mustInject(t, n, packet.TileID(ti), packet.Broadcast, 0, nil)
+		}
+		if stale {
+			// Words 3 and 70 hold no tile of the set: summary bits over
+			// zero words, as unaligned parallel clears leave them.
+			n.bufOcc.sum[0] |= 1 << 3
+			n.bufOcc.sum[1] |= 1 << (70 - 64)
+		}
+		ln := lane{net: n, lo: lo, hi: hi, direct: true, cnt: &n.cnt}
+		n.sweep(&ln, sweepAge)
 		return got
 	}
 	cases := []struct {
 		lo, hi int
 		want   []int
 	}{
-		{0, 200, []int{0, 1, 63, 64, 100, 127, 128, 199}},
+		{0, 4900, set},
 		{1, 128, []int{1, 63, 64, 100, 127}}, // lo mid-word, hi on a word edge
 		{64, 100, []int{64}},                 // hi mid-word excludes 100
 		{65, 100, nil},                       // nothing in (64, 100)
-		{199, 200, []int{199}},               // final partial word
+		{199, 200, []int{199}},               // single tile
 		{50, 50, nil},                        // empty range
+		{129, 4097, []int{199, 4095, 4096}},  // range crosses the summary-word edge
+		{4097, 4900, []int{4100, 4899}},      // lo inside the second summary word
 	}
 	for _, c := range cases {
-		got := collect(c.lo, c.hi)
-		if len(got) != len(c.want) {
-			t.Fatalf("forOccupied[%d,%d) = %v, want %v", c.lo, c.hi, got, c.want)
-		}
-		for i := range got {
-			if got[i] != c.want[i] {
-				t.Fatalf("forOccupied[%d,%d) = %v, want %v", c.lo, c.hi, got, c.want)
+		for _, stale := range []bool{false, true} {
+			if got := visit(c.lo, c.hi, stale); !reflect.DeepEqual(got, c.want) {
+				t.Fatalf("sweep[%d,%d) stale=%v visited %v, want %v", c.lo, c.hi, stale, got, c.want)
 			}
 		}
 	}
-	// A stale summary bit over a zero word (the unaligned-parallel clear
-	// leaves these) must not surface phantom tiles, and empty() must see
-	// through it.
-	var stale occMap
-	stale.initOcc(200)
-	stale.sum[0] = 1 << 2 // word 2 flagged, but no tile bit set
-	forOccupied(&stale, 0, 200, false, func(ti int) {
-		t.Fatalf("stale summary bit visited tile %d", ti)
-	})
-	if !stale.empty() {
+	// empty() must see through a summary that holds only stale bits.
+	var m occMap
+	m.initOcc(200)
+	m.sum[0] = 1 << 2
+	if !m.empty() {
 		t.Fatal("empty() = false on a map with only a stale summary bit")
 	}
 }

@@ -1,9 +1,9 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"io"
-	"math"
 
 	"repro/internal/crc"
 	"repro/internal/packet"
@@ -40,32 +40,19 @@ import (
 // digest pins the seed and fault model.
 
 // corePayloadVersion versions the SecCore payload layout independently of
-// the container version. Version 4 (the two-tier row engine) prefixes
-// every stored row with a tier byte — dense rows serialize their words as
-// before, sparse rows a strictly-ascending tile list — and writes the
-// retired ledger in ring (retirement) order, the order the bounded ledger
-// itself keeps. Version 3 added the forwarding-kernel flag
-// (Config.BatchDraws) next to the recycle flag — the kernel changes the
-// RNG realization, so resuming under the wrong one must be refused, like
-// a Recycle mismatch. Version 2 (the bitset/recycling engine) encodes
-// the message table slot-major — generations, occupancy, tile bitmaps,
-// the free list and the retired ledger — and stamps every in-flight wire
-// frame with its originating ID; version 1 (the dense per-tile-flags
-// engine) is still decoded, for checkpoints written before the refactor
-// (restoreV1). All older versions stay readable: their all-dense rows
-// restore onto whichever tier discipline the mesh uses (forceDense), and
-// versions below 3, lacking the kernel flag, restore only into
-// BatchDraws=false networks.
-const corePayloadVersion = 4
+// the container version. There is one layout: checkpoints are ephemeral
+// artifacts written and read by the same build (sim.Checkpointer, the
+// service's preemption files), so Restore reads exactly the version
+// EncodeState writes and refuses every other with ErrPayloadVersion.
+// Version 5 stores the message table slot-major (generations, occupancy,
+// bare tile-bitmap rows, the free list, the retired ledger in ring order),
+// the Recycle and BatchDraws flags, and stamps every in-flight wire frame
+// with its originating ID.
+const corePayloadVersion = 5
 
-// corePayloadVersionV3 is the pre-two-tier (all-dense rows) layout.
-const corePayloadVersionV3 = 3
-
-// corePayloadVersionV2 is the pre-batch-kernel layout, kept readable.
-const corePayloadVersionV2 = 2
-
-// corePayloadVersionV1 is the pre-recycling payload layout, kept readable.
-const corePayloadVersionV1 = 1
+// ErrPayloadVersion is returned (wrapped) by Restore and RestoreSection
+// for a SecCore payload whose version is not the one this build writes.
+var ErrPayloadVersion = errors.New("core: unsupported checkpoint payload version")
 
 // arrival discriminants in the in-flight encoding.
 const (
@@ -185,8 +172,8 @@ func (n *Network) EncodeState(w *snapshot.Writer) {
 		w.U8(bits)
 		if tb.occ[s] {
 			w.Int(int(tb.aware[s]))
-			encodeRow(w, &tb.present[s])
-			encodeRow(w, &tb.seen[s])
+			encodeRow(w, tb.present[s])
+			encodeRow(w, tb.seen[s])
 		}
 	}
 	// Free list, in FIFO order — slot reuse order is observable through
@@ -225,14 +212,13 @@ func (n *Network) EncodeState(w *snapshot.Writer) {
 	}
 }
 
-// Message-table slot state bits in the version-2 payload.
+// Message-table slot state bits.
 const (
 	slotOccupied uint8 = 1 << 0
 	slotDead     uint8 = 1 << 1
 )
 
-// encodePacket writes one packet. Tile IDs are 32 bits in the version-2
-// payload (version-1 payloads carried 16; restoreV1 widens on read).
+// encodePacket writes one packet, tile IDs at their in-memory 32 bits.
 func encodePacket(w *snapshot.Writer, p *packet.Packet) {
 	w.Uvarint(uint64(p.ID))
 	w.U32(uint32(p.Src))
@@ -262,7 +248,7 @@ func encodeRing(w *snapshot.Writer, r *arrivalRing, round int) {
 				// The originating ID rides along (see arrival): the
 				// in-flight accounting of ID recycling needs it, and the
 				// frame bytes may be corrupted beyond trust. Zero only in
-				// networks restored from version-1 checkpoints, which
+				// the pre-recycling lineage of testdata/compat, which
 				// cannot run with recycling anyway.
 				w.Uvarint(uint64(a.pkt.ID))
 				w.WriteBytes(a.frame)
@@ -306,30 +292,16 @@ func RestoreSection(sec *snapshot.Reader, cfg Config) (*Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	v := sec.Int()
-	if sec.Err() == nil && (v < corePayloadVersionV1 || v > corePayloadVersion) {
-		return nil, fmt.Errorf("core: checkpoint payload version %d, this build reads %d through %d",
-			v, corePayloadVersionV1, corePayloadVersion)
+	if v := sec.Int(); sec.Err() == nil && v != corePayloadVersion {
+		return nil, fmt.Errorf("%w %d, this build reads only %d", ErrPayloadVersion, v, corePayloadVersion)
 	}
 	if d := sec.U32(); sec.Err() == nil && d != ConfigDigest(&n.cfg) {
 		return nil, fmt.Errorf("core: checkpoint was taken under a different configuration (digest %08x != %08x)", d, ConfigDigest(&n.cfg))
 	}
-	if v < corePayloadVersion && n.batch && sec.Err() == nil {
-		return nil, fmt.Errorf("core: version-%d checkpoint predates the batch-draw kernel; resume with BatchDraws=false", v)
-	}
-	if v == corePayloadVersionV1 && sec.Err() == nil {
-		return restoreV1(sec, n)
-	}
 	if recycle := sec.Bool(); sec.Err() == nil && recycle != n.recycle {
 		return nil, fmt.Errorf("core: checkpoint written with Recycle=%v, config says %v", recycle, n.recycle)
 	}
-	// v2 predates the batch kernel: those runs drew per port, so they may
-	// only resume under the default kernel.
-	batch := false
-	if v >= corePayloadVersionV3 {
-		batch = sec.Bool()
-	}
-	if sec.Err() == nil && batch != n.batch {
+	if batch := sec.Bool(); sec.Err() == nil && batch != n.batch {
 		return nil, fmt.Errorf("core: checkpoint written with BatchDraws=%v, config says %v", batch, n.batch)
 	}
 	n.round = sec.Int()
@@ -379,10 +351,10 @@ func RestoreSection(sec *snapshot.Reader, cfg Config) (*Network, error) {
 			return nil, fmt.Errorf("core: slot %d aware count %d out of [0, %d]", s, aware, len(n.tiles))
 		}
 		tb.aware[s] = int32(aware)
-		if err := decodeRowVersioned(sec, tb, &tb.present[s], len(n.tiles), v); err != nil {
+		if err := decodeRow(sec, tb.present[s], len(n.tiles)); err != nil {
 			return nil, fmt.Errorf("core: slot %d present row: %w", s, err)
 		}
-		if err := decodeRowVersioned(sec, tb, &tb.seen[s], len(n.tiles), v); err != nil {
+		if err := decodeRow(sec, tb.seen[s], len(n.tiles)); err != nil {
 			return nil, fmt.Errorf("core: slot %d seen row: %w", s, err)
 		}
 	}
@@ -404,28 +376,18 @@ func RestoreSection(sec *snapshot.Reader, cfg Config) (*Network, error) {
 			tb.free = append(tb.free, s)
 		}
 	}
-	// Retired ledger. v4 stores it in ring (retirement) order and the ring
-	// is bounded; v2/v3 stored it sorted by ID — restored in read order,
-	// which is deterministic, so the rebuilt ring (and every future
-	// eviction) is too. Duplicate entries are impossible in either order:
-	// the map insert below would shrink the ledger against its count,
-	// caught by the length check.
+	// Retired ledger, in ring (retirement) order; the ring is bounded. A
+	// duplicate entry would shrink the map against the ring, caught by the
+	// length check below.
 	nret := sec.Count(2)
 	if sec.Err() == nil && nret > tb.retCap {
 		return nil, fmt.Errorf("core: retired ledger holds %d entries, cap is %d", nret, tb.retCap)
 	}
-	var prev packet.MsgID
 	for i := 0; i < nret; i++ {
 		rid := packet.MsgID(sec.Uvarint())
 		aware := sec.Int()
 		if sec.Err() != nil {
 			break
-		}
-		if v < corePayloadVersion {
-			if i > 0 && rid <= prev {
-				return nil, fmt.Errorf("core: retired ledger not sorted at entry %d", i)
-			}
-			prev = rid
 		}
 		s := msgSlot(rid)
 		if s == 0 || int(s) > nslots || msgGen(rid) >= tb.gens[s] {
@@ -465,116 +427,12 @@ func RestoreSection(sec *snapshot.Reader, cfg Config) (*Network, error) {
 	if err := sec.Finish(); err != nil {
 		return nil, err
 	}
-	return n, n.finishRestore()
-}
-
-// restoreV1 decodes the pre-recycling payload (dense per-message records
-// plus per-tile flag byte arrays) into the bitset tables. Recycling
-// cannot resume from it: version 1 predates the generation tags and
-// in-flight stamps retirement depends on.
-func restoreV1(sec *snapshot.Reader, n *Network) (*Network, error) {
-	if n.recycle {
-		return nil, fmt.Errorf("core: version-1 checkpoint predates ID recycling; resume with Config.Recycle disabled")
-	}
-	n.round = sec.Int()
-	id := sec.Uvarint()
-	if id > math.MaxUint32 { // v1 IDs were dense counters; 2^32 is far past any real run
-		return nil, fmt.Errorf("core: checkpoint nextID %d implausible", id)
-	}
-	n.nextID = packet.MsgID(id)
-	n.started = sec.Bool()
-
-	n.cnt.Energy.Transmissions = sec.Int()
-	n.cnt.Energy.Bits = sec.Int()
-	n.cnt.UpsetsInjected = sec.Int()
-	n.cnt.UpsetsDetected = sec.Int()
-	n.cnt.OverflowDrops = sec.Int()
-	n.cnt.SlippedDeliveries = sec.Int()
-	n.cnt.Deliveries = sec.Int()
-	n.cnt.DeliveredPayloadBits = sec.Int()
-	n.cnt.Duplicates = sec.Int()
-
-	tb := &n.tbl
-	nmsgs := sec.Count(2)
-	if sec.Err() == nil && uint64(nmsgs) != uint64(n.nextID) {
-		return nil, fmt.Errorf("core: checkpoint message table holds %d entries, allocator says %d", nmsgs, n.nextID)
-	}
-	for s := 1; s <= nmsgs; s++ {
-		tb.appendSlot()
-		aware := sec.Int()
-		if sec.Err() == nil && (aware < 0 || aware > len(n.tiles)) {
-			return nil, fmt.Errorf("core: message %d aware count %d out of [0, %d]", s, aware, len(n.tiles))
-		}
-		tb.occ[s] = true
-		tb.live++
-		tb.aware[s] = int32(aware)
-		tb.dead[s] = sec.Bool()
-	}
-	tb.peakLive = tb.live
-
-	if tiles := sec.Count(1); sec.Err() == nil && tiles != len(n.tiles) {
-		return nil, fmt.Errorf("core: checkpoint holds %d tiles, topology has %d", tiles, len(n.tiles))
-	}
-	for _, t := range n.tiles {
-		if err := restoreTileScalars(sec, t); err != nil {
-			return nil, err
-		}
-		// The per-tile flag bytes of the old layout become row bits.
-		flags := sec.ReadBytes()
-		if uint64(len(flags)) > uint64(n.nextID)+1 {
-			return nil, fmt.Errorf("core: tile %d flag table covers %d messages, only %d exist", t.id, len(flags), n.nextID)
-		}
-		for id := 1; id < len(flags); id++ {
-			f := flags[id]
-			if f&^(flagPresent|flagSeen) != 0 {
-				return nil, fmt.Errorf("core: tile %d has unknown flag bits %#x for message %d", t.id, f, id)
-			}
-			// The ascending outer tile loop makes these sparse-tier inserts
-			// (big meshes) amortized O(1) appends; small meshes are dense.
-			if f&flagPresent != 0 {
-				n.rowSet(&tb.present[id], uint32(id), t.id)
-			}
-			if f&flagSeen != 0 {
-				n.rowSet(&tb.seen[id], uint32(id), t.id)
-			}
-		}
-		if err := restoreTileTraffic(sec, n, t, true); err != nil {
-			return nil, err
-		}
-	}
-	if err := sec.Finish(); err != nil {
-		return nil, err
-	}
-	return n, n.finishRestore()
-}
-
-// finishRestore recomputes the derived state a checkpoint does not carry
-// — the occupancy bitmaps the phase loops iterate, and the promotion
-// candidates (a sparse row at or past the threshold was flagged in the
-// original run but not yet promoted: injections between the last Step
-// and the snapshot can do that; re-deriving the flags from the row
-// lengths makes the resumed run promote at its next barrier exactly as
-// the original would) — then runs the awareness cross-check against the
-// serialized counts.
-func (n *Network) finishRestore() error {
+	// The occupancy bitmaps the phase sweeps iterate are derived state.
 	n.rebuildOccupancy()
-	tb := &n.tbl
-	if tb.sparse {
-		for s := 1; s <= tb.slots(); s++ {
-			if !tb.occ[s] {
-				continue
-			}
-			if p := &tb.present[s]; p.bits == nil && len(p.list) >= tb.promoteAt {
-				tb.markPromote(uint32(s), false)
-			} else if q := &tb.seen[s]; q.bits == nil && len(q.list) >= tb.promoteAt {
-				tb.markPromote(uint32(s), false)
-			}
-		}
-	}
-	return n.crossCheckAware()
+	return n, n.crossCheckAware()
 }
 
-// restoreTiles decodes the version-2 per-tile array.
+// restoreTiles decodes the per-tile array.
 func restoreTiles(sec *snapshot.Reader, n *Network) error {
 	if tiles := sec.Count(1); sec.Err() == nil && tiles != len(n.tiles) {
 		return fmt.Errorf("core: checkpoint holds %d tiles, topology has %d", tiles, len(n.tiles))
@@ -583,7 +441,7 @@ func restoreTiles(sec *snapshot.Reader, n *Network) error {
 		if err := restoreTileScalars(sec, t); err != nil {
 			return err
 		}
-		if err := restoreTileTraffic(sec, n, t, false); err != nil {
+		if err := restoreTileTraffic(sec, n, t); err != nil {
 			return err
 		}
 	}
@@ -607,14 +465,12 @@ func restoreTileScalars(sec *snapshot.Reader, t *tile) error {
 }
 
 // restoreTileTraffic decodes a tile's send buffer, mailbox and arrival
-// ring, recomputing the buffered-copy counts recycling retires on. v1
-// selects the legacy ring layout, whose wire frames carry no originating
-// ID.
-func restoreTileTraffic(sec *snapshot.Reader, n *Network, t *tile, v1 bool) error {
+// ring, recomputing the buffered-copy counts recycling retires on.
+func restoreTileTraffic(sec *snapshot.Reader, n *Network, t *tile) error {
 	nbuf := sec.Count(1)
 	t.sendBuf = make([]packet.Packet, 0, nbuf)
 	for i := 0; i < nbuf; i++ {
-		p, err := decodePacket(sec, n, false, v1)
+		p, err := decodePacket(sec, n, false)
 		if err != nil {
 			return fmt.Errorf("core: tile %d send buffer: %w", t.id, err)
 		}
@@ -628,89 +484,23 @@ func restoreTileTraffic(sec *snapshot.Reader, n *Network, t *tile, v1 bool) erro
 	for i := 0; i < nmail; i++ {
 		// Mailbox copies await phase-1 consumption and do not hold their
 		// message live: the ID may already name a retired generation.
-		p, err := decodePacket(sec, n, true, v1)
+		p, err := decodePacket(sec, n, true)
 		if err != nil {
 			return fmt.Errorf("core: tile %d mailbox: %w", t.id, err)
 		}
 		t.mailbox = append(t.mailbox, &p)
 	}
-	if err := decodeRing(sec, n, t, v1); err != nil {
+	if err := decodeRing(sec, n, t); err != nil {
 		return fmt.Errorf("core: tile %d arrival ring: %w", t.id, err)
 	}
 	return nil
 }
 
-// Row tier discriminants in the version-4 payload.
-const (
-	rowDense  uint8 = 0
-	rowSparse uint8 = 1
-)
-
-// encodeRow writes one tile-membership row: a tier byte, then the dense
-// words or the sparse list (count + strictly-ascending tiles). The tier
-// rides along so a resumed run continues with the exact row
-// representations of the original — promotion state included.
-func encodeRow(w *snapshot.Writer, r *msgRow) {
-	if r.bits != nil {
-		w.U8(rowDense)
-		for _, word := range r.bits {
-			w.U64(word)
-		}
-		return
-	}
-	w.U8(rowSparse)
-	w.Int(len(r.list))
-	for _, t := range r.list {
-		w.U32(t)
-	}
-}
-
-// decodeRowVersioned reads one row. Versions below 4 stored bare dense
-// words; version 4 prefixes a tier byte. Either way the row ends up on
-// the serialized tier: pre-v4 checkpoints restore all-dense even on
-// sparse-enabled meshes (their engines were all-dense; the rows retire
-// back to sparse normally).
-func decodeRowVersioned(sec *snapshot.Reader, tb *msgTable, r *msgRow, tiles, v int) error {
-	tier := rowDense
-	if v >= corePayloadVersion {
-		tier = sec.U8()
-	}
-	switch tier {
-	case rowDense:
-		tb.forceDense(r)
-		return decodeRow(sec, r.bits, tiles)
-	case rowSparse:
-		if !tb.sparse {
-			return fmt.Errorf("sparse row on a %d-tile mesh (dense-only)", tiles)
-		}
-		nt := sec.Count(4)
-		prev := -1
-		for i := 0; i < nt; i++ {
-			t := sec.U32()
-			if sec.Err() != nil {
-				break
-			}
-			if int(t) >= tiles || int(t) <= prev {
-				return fmt.Errorf("sparse row entry %d (tile %d) out of order or out of range", i, t)
-			}
-			prev = int(t)
-			r.list = append(r.list, t)
-		}
-		return sec.Err()
-	default:
-		if sec.Err() != nil {
-			return sec.Err()
-		}
-		return fmt.Errorf("unknown row tier %d", tier)
-	}
-}
-
-// forceDense moves an (empty) sparse row to the dense tier before a
-// dense decode; dense rows pass through.
-func (tb *msgTable) forceDense(r *msgRow) {
-	if r.bits == nil {
-		r.bits = tb.denseRow()
-		r.list = nil
+// encodeRow writes one tile bitmap as its bare words; the count is the
+// mesh geometry's, so it is not stored.
+func encodeRow(w *snapshot.Writer, r []uint64) {
+	for _, word := range r {
+		w.U64(word)
 	}
 }
 
@@ -754,26 +544,12 @@ func (n *Network) crossCheckAware() error {
 // slot (live copies pin their message), tile IDs must exist (Dst may also
 // be Broadcast), and buffered TTLs must be alive — values a snapshot of a
 // consistent engine can never contain otherwise. allowStale admits IDs of
-// already-retired generations, which only mailbox copies may carry. v1
-// payloads carried 16-bit tile IDs with the all-ones broadcast sentinel;
-// version 2 stores the in-memory 32-bit IDs directly.
-func decodePacket(sec *snapshot.Reader, n *Network, allowStale, v1 bool) (packet.Packet, error) {
+// already-retired generations, which only mailbox copies may carry.
+func decodePacket(sec *snapshot.Reader, n *Network, allowStale bool) (packet.Packet, error) {
 	var p packet.Packet
 	p.ID = packet.MsgID(sec.Uvarint())
-	if v1 {
-		readTile := func() packet.TileID {
-			raw := sec.U16()
-			if raw == 0xffff {
-				return packet.Broadcast
-			}
-			return packet.TileID(raw)
-		}
-		p.Src = readTile()
-		p.Dst = readTile()
-	} else {
-		p.Src = packet.TileID(sec.U32())
-		p.Dst = packet.TileID(sec.U32())
-	}
+	p.Src = packet.TileID(sec.U32())
+	p.Dst = packet.TileID(sec.U32())
 	p.Kind = packet.Kind(sec.U8())
 	p.TTL = sec.U8()
 	payload := sec.ReadBytes()
@@ -827,10 +603,9 @@ const maxRestoredSlip = 1 << 16
 // geometry and each bucket's insertion order. Every rescheduled arrival
 // raises its message's in-flight count (the mirror of lane.send), which
 // is what keeps retirement from freeing a slot whose frames are still in
-// the air. v1 payloads predate the per-frame originating ID; frames read
-// from them carry ID zero, admissible only because a v1 restore never
-// recycles.
-func decodeRing(sec *snapshot.Reader, n *Network, t *tile, v1 bool) error {
+// the air. A frame with originating ID zero (see encodeRing) is admissible
+// only without recycling.
+func decodeRing(sec *snapshot.Reader, n *Network, t *tile) error {
 	count := sec.Count(3) // delta + kind + at least one payload byte
 	for i := 0; i < count; i++ {
 		d := sec.Int()
@@ -840,21 +615,19 @@ func decodeRing(sec *snapshot.Reader, n *Network, t *tile, v1 bool) error {
 		var a arrival
 		switch kind := sec.U8(); kind {
 		case arrFrame:
-			if !v1 {
-				a.pkt.ID = packet.MsgID(sec.Uvarint())
-				if sec.Err() == nil && a.pkt.ID == 0 && n.recycle {
-					return fmt.Errorf("in-flight frame without originating ID in a recycling checkpoint")
-				}
-				if sec.Err() == nil && a.pkt.ID != 0 && !n.current(a.pkt.ID) {
-					return fmt.Errorf("in-flight frame originates from message %d, which the table does not hold", a.pkt.ID)
-				}
+			a.pkt.ID = packet.MsgID(sec.Uvarint())
+			if sec.Err() == nil && a.pkt.ID == 0 && n.recycle {
+				return fmt.Errorf("in-flight frame without originating ID in a recycling checkpoint")
+			}
+			if sec.Err() == nil && a.pkt.ID != 0 && !n.current(a.pkt.ID) {
+				return fmt.Errorf("in-flight frame originates from message %d, which the table does not hold", a.pkt.ID)
 			}
 			a.frame = sec.ReadBytes()
 			if sec.Err() == nil && len(a.frame) < packet.EncodedLen(0) {
 				return fmt.Errorf("wire frame of %d bytes shorter than a header", len(a.frame))
 			}
 		case arrUpset, arrValue:
-			p, err := decodePacket(sec, n, false, v1)
+			p, err := decodePacket(sec, n, false)
 			if err != nil {
 				return err
 			}

@@ -353,7 +353,7 @@ func TestRestoreRejectsInconsistentState(t *testing.T) {
 	// payload version; flipping it must fail even though the container
 	// CRC is valid.
 	bad := append([]byte(nil), good...)
-	bad[1] ^= 0xff // first digest byte (version 1 encodes as one byte)
+	bad[1] ^= 0xff // first digest byte (the version encodes as one byte)
 	if _, err := Restore(bytes.NewReader(reseal(bad)), cfg); err == nil {
 		t.Error("corrupted digest accepted")
 	}

@@ -2,12 +2,10 @@ package core
 
 // Sub-TTL regime tests: meshes whose diameter dwarfs the TTL, so every
 // message dies long before reaching most tiles — the workload the
-// frontier scheduler and the two-tier (sparse/dense) message rows exist
-// for. The differential scenarios extend the seq == sharded ==
-// snapshot-resumed contract onto meshes large enough that the sparse
-// tier, the summary-level frontier and row promotion are all active;
-// the property tests pin the promotion lifecycle and the bounded
-// retired ledger directly.
+// frontier scheduler exists for. The differential scenarios extend the
+// seq == sharded == snapshot-resumed contract onto meshes large enough
+// that the summary-level frontier and word-aligned lanes are active; the
+// property test pins the bounded retired ledger directly.
 
 import (
 	"reflect"
@@ -17,11 +15,10 @@ import (
 	"repro/internal/topology"
 )
 
-// subTTLScenarios builds the differential cases: 64×64 (sparse tier
-// active, promoteAt = 128) and 256×256 (promoteAt = 1024, multi-word
-// summary level) grids with TTL ≪ diameter, broadcast churn from
-// scattered sources, and recycling on so retirement, slot reuse and
-// sparse-row resets all happen under shards.
+// subTTLScenarios builds the differential cases: 64×64 and 256×256
+// (multi-word summary level) grids with TTL ≪ diameter, broadcast churn
+// from scattered sources, and recycling on so retirement, slot reuse and
+// row clears all happen under shards.
 func subTTLScenarios() []shardScenario {
 	inject := func(tiles, count, stride int) []injection {
 		var ins []injection
@@ -41,7 +38,7 @@ func subTTLScenarios() []shardScenario {
 	return []shardScenario{
 		{
 			// Diameter 126, TTL 10: each broadcast touches a few hundred of
-			// the 4096 tiles, crossing the 128-entry promotion threshold.
+			// the 4096 tiles.
 			name: "subttl-64x64",
 			cfg: func() Config {
 				return Config{
@@ -53,9 +50,8 @@ func subTTLScenarios() []shardScenario {
 			rounds: 30,
 		},
 		{
-			// Diameter 510, TTL 24: the spread diamond (~1200 tiles) crosses
-			// the 1024-entry promotion threshold on a mesh whose summary
-			// level spans 16 words.
+			// Diameter 510, TTL 24: a ~1200-tile spread diamond on a mesh
+			// whose summary level spans 16 words.
 			name: "subttl-256x256",
 			cfg: func() Config {
 				return Config{
@@ -73,8 +69,8 @@ func subTTLScenarios() []shardScenario {
 // shard counts 2 and 5, and snapshot-resumed mid-spread, and requires
 // the full observable record — events, deliveries, counters, aware
 // tables — to be identical. This is the shard-invariance and
-// resume-identity contract on the mesh sizes where the sparse tier and
-// the frontier scheduler actually engage.
+// resume-identity contract on the mesh sizes where the frontier
+// scheduler actually engages.
 func TestSubTTLDifferential(t *testing.T) {
 	scenarios := subTTLScenarios()
 	if testing.Short() {
@@ -93,155 +89,13 @@ func TestSubTTLDifferential(t *testing.T) {
 						shards, firstEventDiff(want.events, got.events))
 				}
 			}
-			// Resume at round 8: mid-spread, with sparse and promoted rows
-			// both live in the checkpoint, restoring into a sharded engine.
+			// Resume at round 8: mid-spread, restoring into a sharded engine.
 			got, _ := runResumedScenario(t, sc, 8, 1, 2)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("snapshot-resume diverged from straight run: %s",
 					firstEventDiff(want.events, got.events))
 			}
 		})
-	}
-}
-
-// TestSparseRowPromotionLifecycle pins the two-tier row lifecycle on one
-// message: rows are born sparse on a sparse-enabled mesh, promote to the
-// dense tier at the barrier after their cardinality crosses the
-// threshold, reset to empty sparse lists when the message retires, and
-// the recycled slot's next tenant starts sparse with no trace of the old
-// tenant (no resurrection).
-func TestSparseRowPromotionLifecycle(t *testing.T) {
-	cfg := Config{
-		Topo: topology.NewGrid(64, 64), P: 1, TTL: 12,
-		MaxRounds: 1000, Seed: 4242, Recycle: true,
-	}
-	n := mustNet(t, cfg)
-	tb := &n.tbl
-	if !tb.sparse {
-		t.Fatal("64x64 mesh did not enable the sparse tier")
-	}
-
-	id := mustInject(t, n, 64*32+32, packet.Broadcast, 0, []byte("promote me"))
-	s := msgSlot(id)
-	if tb.present[s].bits != nil || tb.seen[s].bits != nil {
-		t.Fatal("fresh slot's rows are not sparse")
-	}
-
-	promoted := -1
-	for r := 0; r < 40 && n.current(id); r++ {
-		sparseLen := len(tb.seen[s].list)
-		n.Step()
-		if promoted < 0 && tb.seen[s].bits != nil {
-			promoted = n.Round()
-			// Promotion must be cardinality-driven: the pre-step sparse
-			// list, plus this round's growth, had to reach the threshold.
-			if aware := int(tb.aware[s]); aware < tb.promoteAt {
-				t.Fatalf("seen row promoted at %d aware tiles, threshold is %d (pre-step list %d)",
-					aware, tb.promoteAt, sparseLen)
-			}
-		}
-		// Whatever the tier, the incremental aware count must match a row
-		// scan — the invariant that makes the tier invisible to behavior.
-		if n.current(id) {
-			if scan := tb.awareScan(s); scan != tb.aware[s] {
-				t.Fatalf("round %d: aware %d != row scan %d", n.Round(), tb.aware[s], scan)
-			}
-		}
-	}
-	if promoted < 0 {
-		t.Fatal("TTL-12 full-P broadcast never promoted its seen row past 128 tiles")
-	}
-	if n.current(id) {
-		t.Fatal("message never retired; lifecycle not closed")
-	}
-	finalAware := n.Aware(id)
-	if finalAware < tb.promoteAt {
-		t.Fatalf("ledgered aware %d below promotion threshold %d — promotion can't have happened", finalAware, tb.promoteAt)
-	}
-
-	// Retirement must reset both rows to empty sparse lists and pool the
-	// promoted bitmaps.
-	if tb.present[s].bits != nil || tb.seen[s].bits != nil {
-		t.Fatal("retired slot's rows still dense")
-	}
-	if len(tb.present[s].list) != 0 || len(tb.seen[s].list) != 0 {
-		t.Fatal("retired slot's rows not empty")
-	}
-	if len(tb.freeRows) == 0 {
-		t.Fatal("promoted bitmap not pooled at retirement")
-	}
-
-	// The recycled slot's next tenant must start from nothing.
-	id2 := mustInject(t, n, 0, 63, 0, []byte("new tenant"))
-	if msgSlot(id2) != s || id2 == id {
-		t.Fatalf("slot not recycled: first ID %d (slot %d), second ID %d (slot %d)", id, s, id2, msgSlot(id2))
-	}
-	if tb.seen[s].bits != nil {
-		t.Fatal("recycled slot resurrected a dense row")
-	}
-	if got := n.Aware(id2); got != 1 {
-		t.Fatalf("new tenant Aware = %d, want 1 (source only)", got)
-	}
-	if got := n.Aware(id); got != finalAware {
-		t.Fatalf("retired message's ledgered Aware moved %d -> %d after slot reuse", finalAware, got)
-	}
-	for ti := 0; ti < 64*64; ti++ {
-		if n.AwareAt(id, packet.TileID(ti)) {
-			t.Fatalf("retired message resurrected awareness at tile %d", ti)
-		}
-	}
-}
-
-// TestAwareScanMixedTiers cross-checks awareScan over all tier
-// combinations of the present/seen pair against a brute-force per-tile
-// union count.
-func TestAwareScanMixedTiers(t *testing.T) {
-	cfg := Config{Topo: topology.NewGrid(64, 64), P: 1, TTL: 3, MaxRounds: 10, Seed: 1}
-	n := mustNet(t, cfg)
-	tb := &n.tbl
-	tiles := 64 * 64
-
-	brute := func(s uint32) int32 {
-		var c int32
-		for ti := 0; ti < tiles; ti++ {
-			p := n.rowBit(&tb.present[s], s, packet.TileID(ti))
-			q := n.rowBit(&tb.seen[s], s, packet.TileID(ti))
-			if p || q {
-				c++
-			}
-		}
-		return c
-	}
-	fill := func(r *msgRow, s uint32, tilesIn []int) {
-		for _, ti := range tilesIn {
-			n.rowSet(r, s, packet.TileID(ti))
-		}
-	}
-
-	a := []int{0, 5, 63, 64, 100, 4095}
-	b := []int{5, 64, 65, 200, 2048}
-	for _, denseP := range []bool{false, true} {
-		for _, denseS := range []bool{false, true} {
-			s := tb.appendSlot()
-			tb.occ[s] = true
-			if denseP {
-				tb.forceDense(&tb.present[s])
-			}
-			if denseS {
-				tb.forceDense(&tb.seen[s])
-			}
-			fill(&tb.present[s], s, a)
-			fill(&tb.seen[s], s, b)
-			if got, want := tb.awareScan(s), brute(s); got != want {
-				t.Fatalf("denseP=%v denseS=%v: awareScan = %d, brute force = %d", denseP, denseS, got, want)
-			}
-			// Clears must hold the scan equality too.
-			n.rowClear(&tb.present[s], s, 64)
-			n.rowClear(&tb.seen[s], s, 65)
-			if got, want := tb.awareScan(s), brute(s); got != want {
-				t.Fatalf("denseP=%v denseS=%v after clears: awareScan = %d, brute force = %d", denseP, denseS, got, want)
-			}
-		}
 	}
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/bits"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/packet"
@@ -22,29 +21,14 @@ import (
 // touching a byte in every tile's private array (the former per-tile
 // []uint8 layout, whose memory was O(tiles × ever-issued)).
 //
-// Two-tier rows. On small meshes a row is a dense []uint64 tile bitmap,
-// as before. On meshes of sparseMinTiles tiles and up, a row starts life
-// as a sorted sparse tile list ([]uint32): a sub-TTL message that dies
-// after 16 hops touches ~1k of the 262k tiles of a 512×512 mesh, and a
-// dense row would spend 32 KiB (and O(tiles/64) clearing work at
-// retirement) to record it. A sparse row costs 4 bytes per aware tile
-// and retires in O(aware). When a row's cardinality crosses the
-// promotion threshold (promoteAt ≈ the density where the list stops
-// being cheaper), the row is promoted to the dense bitmap — at the next
-// round barrier, never mid-phase, so the decision depends only on
-// barrier state (the row's cardinality), which is shard-count
-// independent: sequential, sharded and snapshot-resumed runs promote the
-// same rows at the same rounds and their checkpoints stay byte-equal.
-// Rows never demote while their message lives; retirement resets the
-// slot to the sparse tier (pooling the dense bitmap) for its next
-// tenant.
+// Rows. A row is a dense []uint64 tile bitmap carved from a shared arena:
+// 8 bytes per 64 tiles per live message, whatever the mesh size. With
+// Config.Recycle the number of rows is bounded by the live population, so
+// a 512×512 mesh under TTL-16 churn holds ~70 slots × 2 rows × 32 KiB —
+// 17 B/tile.
 //
-// Concurrency. Dense-row bit flips follow the occupancy discipline:
-// lane-private words use plain ops, shared boundary words CAS (see
-// rowSet). A sparse row is one shared structure — inserts move memory —
-// so while shard goroutines are live every sparse-row operation takes
-// the slot's stripe lock. Tier membership itself (bits == nil) only
-// changes at barriers, so the tier check needs no synchronization.
+// Concurrency. Row bit flips follow the occupancy discipline: lane-private
+// words use plain ops, shared boundary words CAS (see rowSet).
 //
 // Lifecycle. Without Config.Recycle the allocator only ever appends:
 // generations stay 0, packed IDs coincide numerically with the former
@@ -88,55 +72,23 @@ func msgSlot(id packet.MsgID) uint32 { return uint32(id) }
 // msgGen extracts the generation tag of id.
 func msgGen(id packet.MsgID) uint32 { return uint32(id >> msgGenShift) }
 
-// msgRow is one tile-membership row: which tiles hold (present) or have
-// held (seen) a copy of the slot's message. Exactly one tier is active:
-// dense (bits != nil, one bit per tile) or sparse (bits == nil, list is
-// the sorted tile set). Small meshes are born dense; sparse-enabled
-// meshes promote per row at round barriers (promoteDue).
-type msgRow struct {
-	bits []uint64 // dense tile bitmap; nil while the row is sparse
-	list []uint32 // sorted tile list; active only while bits == nil
-}
-
 // msgTable is the network-wide message-state store. All per-slot slices
 // are indexed by slot; index 0 is the unused sentinel. Scalar state
 // (generation, aware count, tombstone, occupancy) is parallel-array; the
-// present/seen flags are two-tier rows (dense rows come from the row
-// arena).
+// present/seen flags are tile-bitmap rows carved from the row arena.
 type msgTable struct {
-	words  int // words per dense tile bitmap (ceil(tiles/64))
-	stride int // allocation stride of a dense row, >= words (cache-line padding)
-	tiles  int // mesh size, for sparse-row validation
+	words  int // words per tile bitmap (ceil(tiles/64))
+	stride int // allocation stride of a row, >= words (cache-line padding)
 	arena  []uint64
 
-	// sparse enables the sparse row tier (meshes of sparseMinTiles and
-	// up); promoteAt is the list cardinality at which a row promotes to
-	// the dense tier.
-	sparse    bool
-	promoteAt int
-
-	gens     []uint32 // generation currently bound to each slot
-	aware    []int32  // tiles aware (present|seen non-empty); atomic under par
-	copies   []int32  // buffered copies network-wide (recycle only); atomic under par
-	inflight []int32  // copies scheduled in arrival rings (recycle only); atomic under par
-	dead     []bool   // spread-stop tombstone
-	occ      []bool   // slot currently bound to a live message
-	present  []msgRow // per-slot row: a copy is buffered at tile
-	seen     []msgRow // per-slot row: delivered at / originated by tile
-
-	// promoteCand flags slots whose sparse rows crossed promoteAt
-	// mid-round; promoteDue visits exactly these at the barrier. One bit
-	// per slot, CASed while shard goroutines are live.
-	promoteCand []uint64
-
-	// rowMu stripes the sparse-row operations: all accesses to a sparse
-	// row of slot s lock rowMu[s % rowMuStripes] while shard goroutines
-	// are live. Dense rows never take it.
-	rowMu [rowMuStripes]sync.Mutex
-
-	// freeRows pools the dense bitmaps of retired promoted slots for the
-	// next promotion (barrier-only access).
-	freeRows [][]uint64
+	gens     []uint32   // generation currently bound to each slot
+	aware    []int32    // tiles aware (present|seen non-empty); atomic under par
+	copies   []int32    // buffered copies network-wide (recycle only); atomic under par
+	inflight []int32    // copies scheduled in arrival rings (recycle only); atomic under par
+	dead     []bool     // spread-stop tombstone
+	occ      []bool     // slot currently bound to a live message
+	present  [][]uint64 // per-slot row: a copy is buffered at tile
+	seen     [][]uint64 // per-slot row: delivered at / originated by tile
 
 	// FIFO free list of retired slots: freed at freeTail-side append,
 	// reused from freeHead. FIFO (not LIFO) keeps slot reuse order
@@ -162,7 +114,7 @@ type msgTable struct {
 	peakLive int // high-water mark of live
 }
 
-// tableStridePadTiles is the mesh size from which dense rows are padded
+// tableStridePadTiles is the mesh size from which rows are padded
 // to whole 64-byte cache lines: shard lanes CAS adjacent words of
 // adjacent rows concurrently, and on meshes large enough to shard,
 // padding keeps two rows from false-sharing a line. Below it (rows
@@ -170,25 +122,10 @@ type msgTable struct {
 // meshes where sharding is pointless anyway.
 const tableStridePadTiles = 512
 
-// tableArenaRows is how many dense rows a fresh arena block carves: row
+// tableArenaRows is how many rows a fresh arena block carves: row
 // allocation costs one make per tableArenaRows rows instead of one
 // each, and keeps rows of consecutive slots contiguous.
 const tableArenaRows = 32
-
-// sparseMinTiles is the mesh size from which rows start in the sparse
-// tier. Below it a dense row is at most 64 words and the two-tier
-// bookkeeping would cost more than it saves; at and above it (64×64 and
-// up) a sub-TTL message's row is orders of magnitude smaller than the
-// mesh.
-const sparseMinTiles = 4096
-
-// sparseMaxLen caps the promotion threshold: beyond ~1k entries the
-// insertion memmove of the sorted list costs more than the dense row's
-// memory saves, whatever the mesh size.
-const sparseMaxLen = 1024
-
-// rowMuStripes is the sparse-row lock striping; must be a power of two.
-const rowMuStripes = 64
 
 // retiredLedgerCap bounds the retired-awareness ledger. 65536 retirees
 // cover every realistic polling window (the metrics recorder samples a
@@ -200,27 +137,19 @@ const retiredLedgerCap = 1 << 16
 func (tb *msgTable) initTable(tiles int) {
 	tb.words = (tiles + 63) / 64
 	tb.stride = tb.words
-	tb.tiles = tiles
 	if tiles >= tableStridePadTiles {
 		tb.stride = (tb.words + 7) &^ 7
-	}
-	if tiles >= sparseMinTiles {
-		tb.sparse = true
-		tb.promoteAt = tiles / 32
-		if tb.promoteAt > sparseMaxLen {
-			tb.promoteAt = sparseMaxLen
-		}
 	}
 	tb.retCap = retiredLedgerCap
 	tb.gens = make([]uint32, 1, 8)
 	tb.aware = make([]int32, 1, 8)
 	tb.dead = make([]bool, 1, 8)
 	tb.occ = make([]bool, 1, 8)
-	tb.present = make([]msgRow, 1, 8)
-	tb.seen = make([]msgRow, 1, 8)
+	tb.present = make([][]uint64, 1, 8)
+	tb.seen = make([][]uint64, 1, 8)
 }
 
-// row carves one zeroed dense tile bitmap from the arena.
+// row carves one zeroed tile bitmap from the arena.
 func (tb *msgTable) row() []uint64 {
 	if len(tb.arena) < tb.stride {
 		tb.arena = make([]uint64, tb.stride*tableArenaRows)
@@ -230,39 +159,17 @@ func (tb *msgTable) row() []uint64 {
 	return r
 }
 
-// denseRow returns a zeroed dense bitmap for a promotion, preferring the
-// pool of retired promoted rows over a fresh arena carve. Barrier only.
-func (tb *msgTable) denseRow() []uint64 {
-	if k := len(tb.freeRows) - 1; k >= 0 {
-		r := tb.freeRows[k]
-		tb.freeRows[k] = nil
-		tb.freeRows = tb.freeRows[:k]
-		return r
-	}
-	return tb.row()
-}
-
 // appendSlot extends every parallel array by one slot and returns its
 // index. Slices double via append, so issuing m messages reallocates
-// each array O(log m) times over a run. On dense meshes rows come from
-// the arena; on sparse-enabled meshes a fresh slot's rows are empty
-// sparse lists that grow with the message's actual spread.
+// each array O(log m) times over a run.
 func (tb *msgTable) appendSlot() uint32 {
 	s := uint32(len(tb.gens))
 	tb.gens = append(tb.gens, 0)
 	tb.aware = append(tb.aware, 0)
 	tb.dead = append(tb.dead, false)
 	tb.occ = append(tb.occ, false)
-	if tb.sparse {
-		tb.present = append(tb.present, msgRow{})
-		tb.seen = append(tb.seen, msgRow{})
-		if int(s)>>6 >= len(tb.promoteCand) {
-			tb.promoteCand = append(tb.promoteCand, 0)
-		}
-	} else {
-		tb.present = append(tb.present, msgRow{bits: tb.row()})
-		tb.seen = append(tb.seen, msgRow{bits: tb.row()})
-	}
+	tb.present = append(tb.present, tb.row())
+	tb.seen = append(tb.seen, tb.row())
 	if tb.copies != nil {
 		tb.copies = append(tb.copies, 0)
 		tb.inflight = append(tb.inflight, 0)
@@ -308,9 +215,8 @@ func (n *Network) newMsgID() packet.MsgID {
 // flight can never be heard from again, so its slot is reclaimed. The
 // ascending-slot scan and the FIFO free list make retirement — and every
 // ID issued after it — deterministic and shard-count independent. Scan
-// cost is O(slots), bounded by the peak live population, plus the row
-// reset of each retiree — O(aware) for sparse rows, O(tiles/64) for
-// dense ones.
+// cost is O(slots), bounded by the peak live population, plus the
+// O(tiles/64) row clear of each retiree.
 func (n *Network) retireExpired() {
 	tb := &n.tbl
 	for s := 1; s < len(tb.occ); s++ {
@@ -324,11 +230,8 @@ func (n *Network) retireExpired() {
 		tb.occ[s] = false
 		tb.dead[s] = false
 		tb.aware[s] = 0
-		tb.resetRow(&tb.present[s])
-		tb.resetRow(&tb.seen[s])
-		if tb.sparse {
-			tb.promoteCand[s>>6] &^= 1 << (uint(s) & 63)
-		}
+		clear(tb.present[s])
+		clear(tb.seen[s])
 		tb.free = append(tb.free, uint32(s))
 		tb.live--
 		n.cnt.Retired++
@@ -370,79 +273,6 @@ func (tb *msgTable) ledgerEach(visit func(id packet.MsgID, aware int32)) {
 	}
 }
 
-// resetRow clears a retired slot's row back to an empty sparse list (on
-// sparse-enabled meshes, pooling a promoted bitmap for the next
-// promotion) or to a zeroed dense bitmap (dense meshes). Barrier only.
-func (tb *msgTable) resetRow(r *msgRow) {
-	if r.bits != nil {
-		clear(r.bits)
-		if tb.sparse {
-			tb.freeRows = append(tb.freeRows, r.bits)
-			r.bits = nil
-		}
-	}
-	r.list = r.list[:0]
-}
-
-// promoteDue promotes, at the round barrier, every flagged sparse row
-// whose cardinality still meets the threshold. Promotion is driven by
-// barrier cardinality alone — a shard-count-independent quantity — so
-// sequential, sharded and resumed runs agree on every row's tier, which
-// keeps their checkpoints byte-identical.
-func (tb *msgTable) promoteDue() {
-	if !tb.sparse {
-		return
-	}
-	for wi := range tb.promoteCand {
-		w := tb.promoteCand[wi]
-		if w == 0 {
-			continue
-		}
-		tb.promoteCand[wi] = 0
-		for ; w != 0; w &= w - 1 {
-			s := wi<<6 + bits.TrailingZeros64(w)
-			if s >= len(tb.occ) || !tb.occ[s] {
-				continue
-			}
-			tb.promoteRow(&tb.present[s])
-			tb.promoteRow(&tb.seen[s])
-		}
-	}
-}
-
-// promoteRow moves one sparse row to the dense tier if its cardinality
-// reached the threshold; rows that shrank back below it (overflow drops,
-// expiries) stay sparse and will be re-flagged if they cross again.
-func (tb *msgTable) promoteRow(r *msgRow) {
-	if r.bits != nil || len(r.list) < tb.promoteAt {
-		return
-	}
-	dense := tb.denseRow()
-	for _, t := range r.list {
-		dense[t>>6] |= 1 << (t & 63)
-	}
-	r.bits = dense
-	r.list = nil
-}
-
-// markPromote flags slot s for the barrier promotion pass. Called with
-// the stripe lock held; the candidate word is shared across stripes, so
-// it is CASed while shard goroutines are live.
-func (tb *msgTable) markPromote(s uint32, par bool) {
-	w := &tb.promoteCand[s>>6]
-	mask := uint64(1) << (s & 63)
-	if !par {
-		*w |= mask
-		return
-	}
-	for {
-		old := atomic.LoadUint64(w)
-		if old&mask != 0 || atomic.CompareAndSwapUint64(w, old, old|mask) {
-			return
-		}
-	}
-}
-
 // current reports whether id names the message its slot is bound to right
 // now — the generation check that turns recycled-slot aliases into
 // ghosts. Only externally-supplied IDs need it (Aware, AwareAt, decoded
@@ -467,145 +297,66 @@ func (n *Network) isDead(id packet.MsgID) bool {
 	return n.tbl.dead[s]
 }
 
-// sparseIndex returns the insertion index of t in the sorted list and
-// whether t is already there. Hand-rolled (not sort.Search): this runs
-// on every sparse-row membership test of the hot phases, and the closure
-// call per probe is measurable there.
-func sparseIndex(list []uint32, t uint32) (int, bool) {
-	lo, hi := 0, len(list)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if list[mid] < t {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+// rowBit reads tile t's membership in row r, following the occupancy
+// discipline: while shard goroutines are live (n.par) word loads are
+// atomic — lanes only flip bits of their own tiles, but tiles of several
+// lanes can share a 64-tile word — unless the lane partition is
+// word-aligned (n.alignedLanes), in which case every word is lane-private
+// and plain accesses are race-free.
+func (n *Network) rowBit(r []uint64, t packet.TileID) bool {
+	w := &r[t>>6]
+	var v uint64
+	if n.par && !n.alignedLanes {
+		v = atomic.LoadUint64(w)
+	} else {
+		v = *w
 	}
-	return lo, lo < len(list) && list[lo] == t
+	return v&(1<<(t&63)) != 0
 }
 
-// rowBit reads tile t's membership in slot s's row. Dense rows follow
-// the occupancy discipline: while shard goroutines are live (n.par) word
-// loads are atomic — lanes only flip bits of their own tiles, but tiles
-// of several lanes can share a 64-tile word — unless the lane partition
-// is word-aligned (n.alignedLanes), in which case every word is
-// lane-private and plain accesses are race-free. Sparse rows take the
-// slot's stripe lock under par: concurrent inserts move the backing
-// array.
-func (n *Network) rowBit(r *msgRow, s uint32, t packet.TileID) bool {
-	if r.bits != nil {
-		w := &r.bits[t>>6]
-		var v uint64
-		if n.par && !n.alignedLanes {
-			v = atomic.LoadUint64(w)
-		} else {
-			v = *w
-		}
-		return v&(1<<(t&63)) != 0
-	}
-	if n.par {
-		mu := &n.tbl.rowMu[s&(rowMuStripes-1)]
-		mu.Lock()
-		_, found := sparseIndex(r.list, uint32(t))
-		mu.Unlock()
-		return found
-	}
-	_, found := sparseIndex(r.list, uint32(t))
-	return found
-}
-
-// rowSet sets tile t's membership in slot s's row and reports whether it
-// was already set. Dense rows CAS shared words under n.par (atomic Or
-// lands in Go 1.23; this module builds on 1.22): bit transitions of
-// distinct tiles commute, so the final words are exactly the sequential
-// engine's regardless of interleaving. Sparse inserts keep the list
-// sorted — so its content is the tile set, order-independent — and flag
-// the slot for barrier promotion when the cardinality crosses the
-// threshold.
-func (n *Network) rowSet(r *msgRow, s uint32, t packet.TileID) bool {
-	if r.bits != nil {
-		w := &r.bits[t>>6]
-		mask := uint64(1) << (t & 63)
-		if n.par && !n.alignedLanes {
-			for {
-				old := atomic.LoadUint64(w)
-				if old&mask != 0 {
-					return true
-				}
-				if atomic.CompareAndSwapUint64(w, old, old|mask) {
-					return false
-				}
+// rowSet sets tile t's membership in row r and reports whether it was
+// already set. Shared words are CASed under n.par (atomic Or lands in Go
+// 1.23; this module builds on 1.22): bit transitions of distinct tiles
+// commute, so the final words are exactly the sequential engine's
+// regardless of interleaving.
+func (n *Network) rowSet(r []uint64, t packet.TileID) bool {
+	w := &r[t>>6]
+	mask := uint64(1) << (t & 63)
+	if n.par && !n.alignedLanes {
+		for {
+			old := atomic.LoadUint64(w)
+			if old&mask != 0 {
+				return true
+			}
+			if atomic.CompareAndSwapUint64(w, old, old|mask) {
+				return false
 			}
 		}
-		old := *w
-		*w = old | mask
-		return old&mask != 0
 	}
-	if n.par {
-		mu := &n.tbl.rowMu[s&(rowMuStripes-1)]
-		mu.Lock()
-		was := n.tbl.sparseSet(r, s, uint32(t), true)
-		mu.Unlock()
-		return was
-	}
-	return n.tbl.sparseSet(r, s, uint32(t), false)
+	old := *w
+	*w = old | mask
+	return old&mask != 0
 }
 
-// sparseSet inserts t into the sorted list, reporting prior membership.
-func (tb *msgTable) sparseSet(r *msgRow, s, t uint32, par bool) bool {
-	i, found := sparseIndex(r.list, t)
-	if found {
-		return true
-	}
-	r.list = append(r.list, 0)
-	copy(r.list[i+1:], r.list[i:])
-	r.list[i] = t
-	if len(r.list) >= tb.promoteAt {
-		tb.markPromote(s, par)
-	}
-	return false
-}
-
-// rowClear clears tile t's membership in slot s's row and reports
-// whether it was set.
-func (n *Network) rowClear(r *msgRow, s uint32, t packet.TileID) bool {
-	if r.bits != nil {
-		w := &r.bits[t>>6]
-		mask := uint64(1) << (t & 63)
-		if n.par && !n.alignedLanes {
-			for {
-				old := atomic.LoadUint64(w)
-				if old&mask == 0 {
-					return false
-				}
-				if atomic.CompareAndSwapUint64(w, old, old&^mask) {
-					return true
-				}
+// rowClear clears tile t's membership in row r and reports whether it
+// was set.
+func (n *Network) rowClear(r []uint64, t packet.TileID) bool {
+	w := &r[t>>6]
+	mask := uint64(1) << (t & 63)
+	if n.par && !n.alignedLanes {
+		for {
+			old := atomic.LoadUint64(w)
+			if old&mask == 0 {
+				return false
+			}
+			if atomic.CompareAndSwapUint64(w, old, old&^mask) {
+				return true
 			}
 		}
-		old := *w
-		*w = old &^ mask
-		return old&mask != 0
 	}
-	if n.par {
-		mu := &n.tbl.rowMu[s&(rowMuStripes-1)]
-		mu.Lock()
-		was := sparseClear(r, uint32(t))
-		mu.Unlock()
-		return was
-	}
-	return sparseClear(r, uint32(t))
-}
-
-// sparseClear removes t from the sorted list, reporting prior membership.
-func sparseClear(r *msgRow, t uint32) bool {
-	i, found := sparseIndex(r.list, t)
-	if !found {
-		return false
-	}
-	copy(r.list[i:], r.list[i+1:])
-	r.list = r.list[:len(r.list)-1]
-	return true
+	old := *w
+	*w = old &^ mask
+	return old&mask != 0
 }
 
 // flagsOf returns t's flags for id, zero if the tile never touched it (or
@@ -618,10 +369,10 @@ func (t *tile) flagsOf(id packet.MsgID) uint8 {
 	}
 	s := msgSlot(id)
 	var f uint8
-	if n.rowBit(&n.tbl.present[s], s, t.id) {
+	if n.rowBit(n.tbl.present[s], t.id) {
 		f |= flagPresent
 	}
-	if n.rowBit(&n.tbl.seen[s], s, t.id) {
+	if n.rowBit(n.tbl.seen[s], t.id) {
 		f |= flagSeen
 	}
 	return f
@@ -676,10 +427,10 @@ func (n *Network) addInflight(s uint32, delta int32) {
 // on the unaware -> aware transition.
 func (n *Network) setPresent(t *tile, id packet.MsgID) {
 	s := msgSlot(id)
-	if n.rowSet(&n.tbl.present[s], s, t.id) {
+	if n.rowSet(n.tbl.present[s], t.id) {
 		return
 	}
-	if !n.rowBit(&n.tbl.seen[s], s, t.id) {
+	if !n.rowBit(n.tbl.seen[s], t.id) {
 		n.addAware(s, 1)
 	}
 }
@@ -689,10 +440,10 @@ func (n *Network) setPresent(t *tile, id packet.MsgID) {
 // scanning Aware() stopped counting the tile.
 func (n *Network) clearPresent(t *tile, id packet.MsgID) {
 	s := msgSlot(id)
-	if !n.rowClear(&n.tbl.present[s], s, t.id) {
+	if !n.rowClear(n.tbl.present[s], t.id) {
 		return
 	}
-	if !n.rowBit(&n.tbl.seen[s], s, t.id) {
+	if !n.rowBit(n.tbl.seen[s], t.id) {
 		n.addAware(s, -1)
 	}
 }
@@ -700,10 +451,10 @@ func (n *Network) clearPresent(t *tile, id packet.MsgID) {
 // setSeen marks id as delivered at (or originated by) t.
 func (n *Network) setSeen(t *tile, id packet.MsgID) {
 	s := msgSlot(id)
-	if n.rowSet(&n.tbl.seen[s], s, t.id) {
+	if n.rowSet(n.tbl.seen[s], t.id) {
 		return
 	}
-	if !n.rowBit(&n.tbl.present[s], s, t.id) {
+	if !n.rowBit(n.tbl.present[s], t.id) {
 		n.addAware(s, 1)
 	}
 }
@@ -721,14 +472,11 @@ type MemStats struct {
 	Live int
 	// PeakLive is the high-water mark of Live over the run.
 	PeakLive int
-	// DenseRows counts rows currently in the dense tier (including
-	// pooled retired bitmaps); on dense meshes, always 2×Slots.
-	DenseRows int
 	// RetiredLedger is the number of entries in the retired-awareness
 	// ledger (tile-independent, bounded by the ledger ring).
 	RetiredLedger int
 	// TableBytes is the message table's total footprint: both rows per
-	// slot (dense words or sparse entries) plus every parallel array,
+	// slot (at the padded stride) plus every parallel array,
 	// the free list and an estimate (two words per map entry plus the
 	// ring) of the retired ledger.
 	TableBytes int
@@ -740,79 +488,28 @@ type MemStats struct {
 func (n *Network) Mem() MemStats {
 	tb := &n.tbl
 	slots := tb.slots()
-	dense := len(tb.freeRows)
-	rowBytes := len(tb.freeRows) * tb.stride * 8
-	for s := 1; s <= slots; s++ {
-		for _, r := range []*msgRow{&tb.present[s], &tb.seen[s]} {
-			if r.bits != nil {
-				dense++
-				rowBytes += tb.stride * 8
-			} else {
-				rowBytes += cap(r.list) * 4
-			}
-		}
-	}
-	bytes := rowBytes +
+	bytes := slots*2*tb.stride*8 +
 		len(tb.gens)*4 + len(tb.aware)*4 + len(tb.dead) + len(tb.occ) +
-		len(tb.copies)*4 + len(tb.inflight)*4 + len(tb.promoteCand)*8 +
+		len(tb.copies)*4 + len(tb.inflight)*4 +
 		len(tb.free)*4 + len(tb.retired)*16 + len(tb.retRing)*8
 	return MemStats{
 		Slots:         slots,
 		Live:          tb.live,
 		PeakLive:      tb.peakLive,
-		DenseRows:     dense,
 		RetiredLedger: len(tb.retired),
 		TableBytes:    bytes,
 	}
 }
 
 // awareScan recomputes slot s's aware count from its rows — the
-// cardinality of present ∪ seen, on whatever tier each row is. Restore
-// uses it to cross-check the serialized counts; it is the slow-path
-// truth the incremental count must always equal. Barrier only.
+// cardinality of present ∪ seen. Restore uses it to cross-check the
+// serialized counts; it is the slow-path truth the incremental count must
+// always equal. Barrier only.
 func (tb *msgTable) awareScan(s uint32) int32 {
-	p, q := &tb.present[s], &tb.seen[s]
-	switch {
-	case p.bits != nil && q.bits != nil:
-		var c int
-		for i := range p.bits {
-			c += bits.OnesCount64(p.bits[i] | q.bits[i])
-		}
-		return int32(c)
-	case p.bits == nil && q.bits == nil:
-		return int32(unionLen(p.list, q.list))
-	default:
-		dense, sparse := p, q
-		if dense.bits == nil {
-			dense, sparse = q, p
-		}
-		var c int
-		for _, w := range dense.bits {
-			c += bits.OnesCount64(w)
-		}
-		for _, t := range sparse.list {
-			if dense.bits[t>>6]&(1<<(t&63)) == 0 {
-				c++
-			}
-		}
-		return int32(c)
+	p, q := tb.present[s], tb.seen[s]
+	var c int
+	for i := range p {
+		c += bits.OnesCount64(p[i] | q[i])
 	}
-}
-
-// unionLen counts the union of two sorted lists.
-func unionLen(a, b []uint32) int {
-	c, i, j := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		c++
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			i++
-			j++
-		}
-	}
-	return c + (len(a) - i) + (len(b) - j)
+	return int32(c)
 }

@@ -74,7 +74,7 @@ func realCheckpoint(tb testing.TB, rounds int, withRecorder bool) []byte {
 
 // recycledCheckpoint serializes a churned recycling network: retired
 // slots, a populated free list and awareness ledger, and reissued
-// generations — the v2 payload sections a dense checkpoint never has.
+// generations — the payload sections a non-recycling checkpoint leaves empty.
 func recycledCheckpoint(tb testing.TB) []byte {
 	tb.Helper()
 	cfg := fuzzCfg()
@@ -103,7 +103,7 @@ func FuzzRestore(f *testing.F) {
 	f.Add(realCheckpoint(f, 4, true))  // mid-run, skewed arrivals in flight
 	f.Add(realCheckpoint(f, 0, true))  // fresh network, empty series
 	f.Add(realCheckpoint(f, 7, false)) // no metrics section
-	f.Add(recycledCheckpoint(f))       // v2: free list, ledger, generations
+	f.Add(recycledCheckpoint(f))       // free list, ledger, generations
 	f.Add([]byte("SNOC"))              // magic alone
 	f.Add([]byte{})
 
@@ -136,7 +136,7 @@ func FuzzRestore(f *testing.F) {
 		// this fuzz target.
 		_, _ = core.RestoreSection(snapshot.NewReader(data), fuzzCfg())
 		// Same surface with recycling on: only this config reaches the
-		// free-list, ledger and generation validation of the v2 decoder.
+		// free-list, ledger and generation validation of the decoder.
 		rcfg := fuzzCfg()
 		rcfg.Recycle = true
 		rcfg.TTL = 3
