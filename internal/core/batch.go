@@ -86,6 +86,7 @@ func (n *Network) forwardBatch(ln *lane, t *tile, cur, count, buffered int) {
 	if d == 0 || n.pThresh == 0 {
 		return
 	}
+	ports := n.ports(t)
 	if n.pThresh >= rng.ThresholdAlways {
 		// Flooding: every port, no draws — same as BoolT(ThresholdAlways).
 		for i := 0; i < count; i++ {
@@ -95,7 +96,7 @@ func (n *Network) forwardBatch(ln *lane, t *tile, cur, count, buffered int) {
 			}
 			p := &t.sendBuf[idx]
 			for pi, nb := range t.nbrs {
-				n.transmit(ln, t, nb, p, t.nbrAlive[pi])
+				n.transmit(ln, t, nb, p, ports[pi])
 			}
 		}
 		return
@@ -129,7 +130,7 @@ func (n *Network) forwardBatch(ln *lane, t *tile, cur, count, buffered int) {
 			if !t.rnd.BoolT(n.pThresh) {
 				continue
 			}
-			n.transmit(ln, t, nb, p, t.nbrAlive[pi])
+			n.transmit(ln, t, nb, p, ports[pi])
 		}
 	}
 }
@@ -137,6 +138,7 @@ func (n *Network) forwardBatch(ln *lane, t *tile, cur, count, buffered int) {
 // forwardMask draws one 64-bit mask per message and decides each port
 // from its own 16-bit lane.
 func (n *Network) forwardMask(ln *lane, t *tile, cur, count, buffered int) {
+	ports := n.ports(t)
 	for i := 0; i < count; i++ {
 		idx := cur + i
 		if idx >= buffered {
@@ -149,7 +151,7 @@ func (n *Network) forwardMask(ln *lane, t *tile, cur, count, buffered int) {
 			if lane16 >= n.batchT16 {
 				continue
 			}
-			n.transmit(ln, t, nb, p, t.nbrAlive[pi])
+			n.transmit(ln, t, nb, p, ports[pi])
 		}
 	}
 }
@@ -158,6 +160,7 @@ func (n *Network) forwardMask(ln *lane, t *tile, cur, count, buffered int) {
 // window's message j/d — and geometric-skips from success to success.
 func (n *Network) forwardSkip(ln *lane, t *tile, cur, count, buffered, d int) {
 	trials := count * d
+	ports := n.ports(t)
 	j := t.rnd.GeometricSkip(n.invLn1mP)
 	for j < trials {
 		idx := cur + j/d
@@ -165,7 +168,7 @@ func (n *Network) forwardSkip(ln *lane, t *tile, cur, count, buffered, d int) {
 			idx -= buffered
 		}
 		pi := j % d
-		n.transmit(ln, t, t.nbrs[pi], &t.sendBuf[idx], t.nbrAlive[pi])
+		n.transmit(ln, t, t.nbrs[pi], &t.sendBuf[idx], ports[pi])
 		j += 1 + t.rnd.GeometricSkip(n.invLn1mP)
 	}
 }

@@ -21,13 +21,14 @@
 // steady state allocates (almost) nothing: per-message state lives in
 // slot-major bitset tables indexed by the slot half of the MsgID
 // (table.go), in-flight copies travel by value through small per-tile
-// arrival rings (ring.go), and per-tile contexts and neighbor lists are
-// built once at New. With Config.Recycle the tables are additionally
-// bounded by the *live* message population — expired-everywhere messages
-// are retired at round barriers and their IDs recycled under a fresh
-// generation tag — which is what lets the engine sustain mega-meshes
-// (512×512 and beyond). See DESIGN.md, "Engine internals & performance"
-// and "Message-state lifecycle".
+// arrival rings (ring.go), and the per-tile state every sweep touches is
+// one flat array built once at New (the IP-core side of a tile exists only
+// where a Process, router or forward limit was attached). With
+// Config.Recycle the tables are additionally bounded by the *live* message
+// population — expired-everywhere messages are retired at round barriers
+// and their IDs recycled under a fresh generation tag — which is what lets
+// the engine sustain mega-meshes (512×512 and beyond). See DESIGN.md,
+// "Engine internals & performance" and "Message-state lifecycle".
 package core
 
 import (
@@ -45,6 +46,12 @@ import (
 // Ctx giving access to the tile's mailbox and send port. Round is invoked
 // once per gossip round, after delivery; a Process on a crashed tile is
 // never invoked.
+//
+// The mailbox belongs to the Process: a tile keeps the packets delivered
+// to it only while a Process is attached to drain them. A tile without one
+// has no IP core to hand packets to — its deliveries still count
+// (Counters.Deliveries, EvDeliver, OnDeliver, the delivered-once filter)
+// but nothing is stored.
 type Process interface {
 	// Init is called once before round 0.
 	Init(ctx *Ctx)
@@ -292,41 +299,78 @@ type Counters struct {
 	GhostFrames int
 }
 
-// tile is the per-tile runtime state: the Fig. 3-5 hardware interface.
-// All hot-path state is flat: the send buffer owns its packets by value,
-// dedup and the delivery-once filter are bit flags indexed by MsgID, and
-// in-flight copies sit in a per-tile arrival ring keyed by arrival round.
+// tile is the communication half of a tile's runtime state — the Fig. 3-5
+// hardware interface, and everything the per-round sweeps touch. All of it
+// is flat: the send buffer owns its packets by value, dedup and the
+// delivery-once filter are bit flags indexed by MsgID, in-flight copies
+// sit in a per-tile arrival ring keyed by arrival round, and the tiles
+// themselves are one contiguous array (Network.tiles). It is kept small
+// on purpose (136 bytes): a mega-mesh pays it once per tile whether or not
+// the tile ever carries traffic. What only some tiles have lives behind
+// cold.
 type tile struct {
-	id      packet.TileID
-	alive   bool            // inj.TileAlive(id), cached at New (crash state is immutable)
 	sendBuf []packet.Packet // live copies, owned by value
 	ring    arrivalRing     // in-flight copies keyed by arrival round
-	proc    Process
-	rnd     rng.Stream // forwarding decisions + app randomness (by value: hot state stays on the tile's cache lines)
-	mailbox []*packet.Packet
+	rnd     rng.Stream      // forwarding decisions + app randomness (by value: hot state stays on the tile's cache lines)
 	nbrs    []packet.TileID // topo.Neighbors(id), cached at New
-	// nbrAlive caches inj.LinkAlive(id, nbrs[i]) per port: the per-copy
-	// link-liveness test in transmit is a slice load instead of a map
-	// lookup. Valid for the network's lifetime — crash faults are sampled
-	// once, before round 0.
-	nbrAlive []bool
-	ctx      Ctx // reusable context handed to the Process
+	cold    *coldTile       // IP-core side; nil until Attach/SetRouter/SetForwardLimit
+	// portOff locates this tile's ports in Network.portAlive: port i's
+	// cached link verdict is portAlive[portOff+i].
+	portOff int
+	id      packet.TileID
+	alive   bool // inj.TileAlive(id), cached at New (crash state is immutable)
+}
+
+// coldTile is the IP-core half of a tile: the attached Process with its
+// mailbox and context, and the bridge settings of the Chapter 5 hybrids.
+// Most tiles of a large mesh have none of these, so the block is
+// allocated on first use (Network.coldOf) and the sweeps reach it through
+// one nil check.
+type coldTile struct {
+	proc    Process
+	mailbox []*packet.Packet
+	ctx     Ctx // reusable context handed to the Process
 
 	fwdLimit  int // max messages forwarded per round; 0 = unlimited
 	fwdCursor int // round-robin position for rate-limited forwarding
 	router    func(p *packet.Packet) []packet.TileID
 }
 
+// coldOf returns t's IP-core block, allocating it on first use.
+func (n *Network) coldOf(t *tile) *coldTile {
+	if t.cold == nil {
+		t.cold = &coldTile{ctx: Ctx{net: n, tile: t}}
+	}
+	return t.cold
+}
+
+// process returns the Process attached to t, or nil.
+func (t *tile) process() Process {
+	if t.cold == nil {
+		return nil
+	}
+	return t.cold.proc
+}
+
 // Network is one simulated stochastically-communicating NoC.
 type Network struct {
-	cfg    Config
-	topo   topology.Topology
-	inj    *fault.Injector
-	tiles  []*tile
-	round  int
-	nextID packet.MsgID // last issued packed ID (slot | generation<<32)
-	cnt    Counters
-	tbl    msgTable // per-message state, slot-indexed (table.go)
+	cfg  Config
+	topo topology.Topology
+	inj  *fault.Injector
+	// tiles is one contiguous array: the per-round phases sweep it in
+	// ascending order, and sequential layout is what lets the hardware
+	// prefetcher hide that sweep on mega-meshes. Tiles are only ever
+	// handled through pointers into it, never copied.
+	tiles []tile
+	// portAlive caches inj.LinkAlive(t.id, t.nbrs[i]) for every port of
+	// every tile (see tile.portOff): the per-copy link-liveness test in
+	// transmit is a slice load instead of a map lookup. Valid for the
+	// network's lifetime — crash faults are sampled once, before round 0.
+	portAlive []bool
+	round     int
+	nextID    packet.MsgID // last issued packed ID (slot | generation<<32)
+	cnt       Counters
+	tbl       msgTable // per-message state, slot-indexed (table.go)
 	// pThresh is cfg.P in 53-bit fixed point, precomputed once so the
 	// innermost forwarding draw is a single integer compare —
 	// decision-identical to the former Float64() < P (see rng.MakeThreshold).
@@ -412,32 +456,23 @@ func New(cfg Config) (*Network, error) {
 		n.tbl.copies = make([]int32, 1, 8)
 		n.tbl.inflight = make([]int32, 1, 8)
 	}
-	// Without synchronization skew every copy arrives in the round it was
-	// sent, so one recycled arrival bucket per tile covers all traffic.
-	ringLen := 1
-	if cfg.Fault.SigmaSync > 0 {
-		ringLen = ringInitLen
-	}
-	// One contiguous backing array for all tiles: the per-round phases
-	// sweep every tile, and sequential layout is what lets the hardware
-	// prefetcher hide that sweep on mega-meshes (a per-tile heap object
-	// costs a cache miss per tile per phase). Tiles are only ever accessed
-	// through the stable n.tiles pointers, never copied.
-	backing := make([]tile, cfg.Topo.Tiles())
-	n.tiles = make([]*tile, cfg.Topo.Tiles())
+	n.tiles = make([]tile, cfg.Topo.Tiles())
+	ports := 0
 	for i := range n.tiles {
-		t := &backing[i]
+		t := &n.tiles[i]
 		t.id = packet.TileID(i)
 		t.alive = inj.TileAlive(t.id)
 		t.rnd = *master.Split(uint64(i) + 1)
-		t.nbrs = cfg.Topo.Neighbors(packet.TileID(i))
-		t.nbrAlive = make([]bool, len(t.nbrs))
+		t.nbrs = cfg.Topo.Neighbors(t.id)
+		t.portOff = ports
+		ports += len(t.nbrs)
+	}
+	n.portAlive = make([]bool, ports)
+	for i := range n.tiles {
+		t := &n.tiles[i]
 		for j, nb := range t.nbrs {
-			t.nbrAlive[j] = inj.LinkAlive(t.id, nb)
+			n.portAlive[t.portOff+j] = inj.LinkAlive(t.id, nb)
 		}
-		t.ring.initLen = ringLen
-		t.ctx = Ctx{net: n, tile: t}
-		n.tiles[i] = t
 	}
 	n.seqLane = lane{net: n, lo: 0, hi: len(n.tiles), direct: true, cnt: &n.cnt}
 	if s := cfg.Shards; s > 1 {
@@ -448,13 +483,33 @@ func New(cfg Config) (*Network, error) {
 			n.initLanes(s)
 		}
 	}
+	// Without synchronization skew every copy arrives in the round it was
+	// sent, so one recycled arrival bucket per tile covers all traffic.
+	ringLen := 1
+	if cfg.Fault.SigmaSync > 0 {
+		ringLen = ringInitLen
+	}
+	n.seqLane.rings.initLen = ringLen
+	for i := range n.lanes {
+		n.lanes[i].rings.initLen = ringLen
+	}
 	return n, nil
 }
 
+// ports returns the cached link verdicts of t's ports, index-aligned with
+// t.nbrs.
+func (n *Network) ports(t *tile) []bool {
+	return n.portAlive[t.portOff:][:len(t.nbrs)]
+}
+
 // Attach maps proc onto tile t. It panics if t is out of range (a mapping
-// bug, not a runtime condition).
+// bug, not a runtime condition). The tile's mailbox starts filling from
+// this call on: packets delivered to t while it had no Process were never
+// stored (see Process), so a Process attached mid-run sees only later
+// deliveries. The one exception is a restored network, whose serialized
+// mailboxes wait for the Process the caller re-attaches.
 func (n *Network) Attach(t packet.TileID, proc Process) {
-	n.tiles[t].proc = proc
+	n.coldOf(&n.tiles[t]).proc = proc
 	n.procsDirty = true
 }
 
@@ -472,12 +527,14 @@ func (n *Network) refreshProcs() {
 	n.procsDirty = false
 	n.procTiles = n.procTiles[:0]
 	n.hasReceiver = false
-	for _, t := range n.tiles {
-		if t.proc == nil {
+	for i := range n.tiles {
+		t := &n.tiles[i]
+		proc := t.process()
+		if proc == nil {
 			continue
 		}
 		n.procTiles = append(n.procTiles, t)
-		if _, ok := t.proc.(Receiver); ok {
+		if _, ok := proc.(Receiver); ok {
 			n.hasReceiver = true
 		}
 	}
@@ -488,7 +545,7 @@ func (n *Network) refreshProcs() {
 // shared-bus bridge in the Chapter 5 hybrid architectures: excess
 // messages stay buffered — and keep aging — until the bus frees up.
 func (n *Network) SetForwardLimit(t packet.TileID, limit int) {
-	n.tiles[t].fwdLimit = limit
+	n.coldOf(&n.tiles[t]).fwdLimit = limit
 }
 
 // SetRouter makes tile t a deterministic router: instead of gossiping
@@ -499,7 +556,7 @@ func (n *Network) SetForwardLimit(t packet.TileID, limit int) {
 // destination clusters. route must be pure; returning nil drops nothing
 // (the message just stays buffered and ages).
 func (n *Network) SetRouter(t packet.TileID, route func(p *packet.Packet) []packet.TileID) {
-	n.tiles[t].router = route
+	n.coldOf(&n.tiles[t]).router = route
 }
 
 // Aware returns how many tiles know message id — they hold a copy now or
@@ -523,7 +580,7 @@ func (n *Network) AwareAt(id packet.MsgID, t packet.TileID) bool {
 	if int(t) >= len(n.tiles) {
 		return false
 	}
-	return n.tiles[t].flagsOf(id) != 0
+	return n.flagsOf(&n.tiles[t], id) != 0
 }
 
 // Quiescent reports whether no tile holds a live message and nothing is
@@ -549,7 +606,7 @@ func (n *Network) Drain(maxRounds int) int {
 }
 
 // Process returns the process attached to tile t, or nil.
-func (n *Network) Process(t packet.TileID) Process { return n.tiles[t].proc }
+func (n *Network) Process(t packet.TileID) Process { return n.tiles[t].process() }
 
 // Injector exposes the sampled fault state (read-only use).
 func (n *Network) Injector() *fault.Injector { return n.inj }
@@ -588,9 +645,9 @@ func (n *Network) Inject(src, dst packet.TileID, kind packet.Kind, payload []byt
 		return id, nil
 	}
 	// The originator knows its own rumor: never deliver it back to src.
-	n.setSeen(n.tiles[src], id)
+	n.setSeen(&n.tiles[src], id)
 	n.emit(EvCreated, src, src, id)
-	n.enqueue(&n.seqLane, n.tiles[src], &packet.Packet{
+	n.enqueue(&n.seqLane, &n.tiles[src], &packet.Packet{
 		ID: id, Src: src, Dst: dst, Kind: kind, TTL: n.cfg.TTL, Payload: payload,
 	})
 	return id, nil
@@ -618,9 +675,9 @@ func (n *Network) emit(kind EventKind, tile, peer packet.TileID, msg packet.MsgI
 func (n *Network) Step() {
 	if !n.started {
 		n.started = true
-		for _, t := range n.tiles {
-			if t.proc != nil && t.alive {
-				t.proc.Init(&t.ctx)
+		for i := range n.tiles {
+			if c := n.tiles[i].cold; c != nil && c.proc != nil && n.tiles[i].alive {
+				c.proc.Init(&c.ctx)
 			}
 		}
 	}
@@ -635,9 +692,10 @@ func (n *Network) Step() {
 		n.phaseForward(&n.seqLane)
 		n.phaseReceive(&n.seqLane)
 	}
+	// Round barrier: no phase is executing and nothing is staged.
+	n.trimPools()
 	if n.recycle {
-		// Round barrier: no phase is executing and nothing is staged, so
-		// expired-everywhere messages can be retired before observers
+		// Expired-everywhere messages can be retired before observers
 		// sample the round (they see ledgered Aware counts, same values).
 		n.retireExpired()
 	}
@@ -661,8 +719,8 @@ func (n *Network) Step() {
 // draws, upset/overflow/skew draws, application randomness) changes.
 func (n *Network) Reseed(seed uint64) {
 	master := rng.New(seed)
-	for i, t := range n.tiles {
-		t.rnd = *master.Split(uint64(i) + 1)
+	for i := range n.tiles {
+		n.tiles[i].rnd = *master.Split(uint64(i) + 1)
 	}
 }
 
@@ -675,7 +733,7 @@ func (n *Network) Completed() bool {
 		if !t.alive {
 			continue
 		}
-		c, ok := t.proc.(Completer)
+		c, ok := t.cold.proc.(Completer)
 		if !ok {
 			continue
 		}
@@ -753,7 +811,9 @@ func (c *Ctx) Round() int {
 }
 
 // Delivered returns the messages addressed to this tile that arrived since
-// the previous round, each delivered exactly once.
+// the previous round, each delivered exactly once. Only packets that
+// arrived while a Process was attached are here: a tile stores nothing
+// before its first Attach (see Process).
 func (c *Ctx) Delivered() []*packet.Packet { return c.delivered }
 
 // Send creates a new message and hands it to the communication fabric.

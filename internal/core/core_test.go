@@ -179,7 +179,7 @@ func TestTTLBoundsBufferLifetime(t *testing.T) {
 	if got := len(n.tiles[0].sendBuf); got != 0 {
 		t.Fatalf("buffer holds %d messages after TTL expiry", got)
 	}
-	if n.tiles[0].flagsOf(1)&flagPresent != 0 {
+	if n.flagsOf(&n.tiles[0], 1)&flagPresent != 0 {
 		t.Fatal("present flag not cleaned after GC")
 	}
 }
@@ -314,7 +314,7 @@ func TestBufferCapDropsOldest(t *testing.T) {
 	if got := len(n.tiles[0].sendBuf); got != 2 {
 		t.Fatalf("buffer holds %d, cap 2", got)
 	}
-	if n.tiles[0].flagsOf(id1)&flagPresent != 0 {
+	if n.flagsOf(&n.tiles[0], id1)&flagPresent != 0 {
 		t.Fatal("oldest message not the one dropped")
 	}
 	if n.Counters().OverflowDrops != 1 {
@@ -691,7 +691,7 @@ func TestForwardLimitSerializes(t *testing.T) {
 	}
 	seen := 0
 	for id := packet.MsgID(1); id <= n.nextID; id++ {
-		if n.tiles[1].flagsOf(id)&flagSeen != 0 {
+		if n.flagsOf(&n.tiles[1], id)&flagSeen != 0 {
 			seen++
 		}
 	}

@@ -1,0 +1,344 @@
+package core
+
+// Frontier-memory tests: what a sub-TTL mega-mesh keeps resident must
+// follow what is live. Three promises are pinned here — a tile with no
+// Process stores no deliveries (the mailbox contract), the ring and buffer
+// pools are sized by the hot tiles and shrink when the frontier does, and
+// steady churn neither grows the heap nor allocates per round.
+
+import (
+	"bytes"
+	"reflect"
+	"runtime"
+	"testing"
+	"unsafe"
+
+	"repro/internal/fault"
+	"repro/internal/packet"
+	"repro/internal/topology"
+)
+
+// recorderProc is a Process that only listens: it logs the IDs its
+// mailbox hands it, in order, and sends nothing.
+type recorderProc struct{ got []packet.MsgID }
+
+func (r *recorderProc) Init(*Ctx) {}
+func (r *recorderProc) Round(ctx *Ctx) {
+	for _, p := range ctx.Delivered() {
+		r.got = append(r.got, p.ID)
+	}
+}
+
+// churnNet builds a side×side TTL-16 recycling mesh with no processes and
+// returns it with a function that injects perRound broadcasts at scattered
+// tiles and steps once — the mesh_sparse workload in miniature.
+func churnNet(tb testing.TB, side, perRound, shards int) (*Network, func()) {
+	tb.Helper()
+	n, err := New(Config{
+		Topo: topology.NewGrid(side, side), P: 0.5, TTL: 16, MaxRounds: 1 << 30,
+		Seed: 0xF407, Recycle: true, Shards: shards,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tiles := side * side
+	return n, func() {
+		for i := 0; i < perRound; i++ {
+			src := packet.TileID((n.Round()*perRound*2654435761 + i*40503) % tiles)
+			mustInject(tb, n, src, packet.Broadcast, 0, nil)
+		}
+		n.Step()
+	}
+}
+
+// checkPoolAccounting verifies, at a round barrier, that every lane's
+// armed counts are exactly the tiles of its range holding a ring or a
+// buffer, that only hot tiles hold a ring, and that Mem reports the sums.
+func checkPoolAccounting(tb testing.TB, n *Network) {
+	tb.Helper()
+	lanes := []*lane{&n.seqLane}
+	if len(n.lanes) > 0 {
+		if a, b := n.seqLane.rings.armed, n.seqLane.bufs.armed; a != 0 || b != 0 {
+			tb.Fatalf("round %d: direct lane of a sharded network holds armed counts %d/%d", n.Round(), a, b)
+		}
+		lanes = lanes[:0]
+		for i := range n.lanes {
+			lanes = append(lanes, &n.lanes[i])
+		}
+	}
+	var armed, pooledRings, pooledBufs int
+	for li, ln := range lanes {
+		rings, bufs := 0, 0
+		for i := ln.lo; i < ln.hi; i++ {
+			t := &n.tiles[i]
+			if t.ring.buckets != nil {
+				rings++
+				if t.ring.count == 0 && len(t.sendBuf) == 0 {
+					tb.Fatalf("round %d: cold tile %d still holds its ring", n.Round(), i)
+				}
+			}
+			if t.sendBuf != nil {
+				bufs++
+			}
+		}
+		if rings != ln.rings.armed || bufs != ln.bufs.armed {
+			tb.Fatalf("round %d lane %d: %d rings and %d buffers held, pools count %d and %d armed",
+				n.Round(), li, rings, bufs, ln.rings.armed, ln.bufs.armed)
+		}
+		if len(ln.rings.free) > max(poolFloor, rings) || len(ln.bufs.free) > max(poolFloor, bufs) {
+			tb.Fatalf("round %d lane %d: %d rings and %d buffers pooled with %d and %d armed",
+				n.Round(), li, len(ln.rings.free), len(ln.bufs.free), rings, bufs)
+		}
+		armed += rings
+		pooledRings += len(ln.rings.free)
+		pooledBufs += len(ln.bufs.free)
+	}
+	if m := n.Mem(); m.ArmedRings != armed || m.PooledRings != pooledRings || m.PooledBufs != pooledBufs {
+		tb.Fatalf("round %d: Mem reports %d armed, %d/%d pooled; lanes hold %d, %d/%d",
+			n.Round(), m.ArmedRings, m.PooledRings, m.PooledBufs, armed, pooledRings, pooledBufs)
+	}
+}
+
+// TestFrontierMemoryPinned is the growth pin: 256×256, TTL 16, four
+// broadcasts a round, nobody attached. Once warm, a thousand more rounds
+// must leave the collected heap where it was (a stored delivery per
+// reached tile grows it by ~67 KB a round on this mesh) and a round must
+// not allocate (a ring pool smaller than the frontier re-allocates
+// thousands of rings a round).
+func TestFrontierMemoryPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("1200 rounds of 256x256 churn; skipped under -short")
+	}
+	n, round := churnNet(t, 256, 4, 0)
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	for n.Round() < 200 { // well past 3×TTL: frontier, table and pools are in steady state
+		round()
+	}
+	warm := heap()
+	for n.Round() < 1200 {
+		round()
+	}
+	if end := heap(); end > warm+2<<20 {
+		t.Errorf("heap grew %d KB between rounds 200 and 1200 of steady churn, want < 2048",
+			(end-warm)>>10)
+	}
+	if allocs := testing.AllocsPerRun(100, round); allocs > 16 {
+		t.Errorf("steady churn round allocates %.0f times, want <= 16", allocs)
+	}
+	for i := range n.tiles {
+		if n.tiles[i].cold != nil {
+			t.Fatalf("tile %d grew an IP-core block with nothing attached", i)
+		}
+	}
+	checkPoolAccounting(t, n)
+}
+
+// TestTileStaysSlim pins the per-tile fixed cost: a mega-mesh pays it for
+// every tile, hot or not, so what only attached tiles need belongs in
+// coldTile.
+func TestTileStaysSlim(t *testing.T) {
+	if size := unsafe.Sizeof(tile{}); size > 136 {
+		t.Errorf("tile is %d bytes, want <= 136", size)
+	}
+}
+
+// TestPoolsFollowFrontier drives a frontier of thousands of tiles, lets it
+// collapse, and starts one small pocket: the pools must cover the big
+// frontier while it lives (no allocation per round) and fall back to the
+// floor once it is gone, at any shard count.
+func TestPoolsFollowFrontier(t *testing.T) {
+	for _, shards := range []int{0, 4} {
+		n, round := churnNet(t, 128, 4, shards)
+		// Warm until bucket and buffer capacities have stopped growing
+		// (pooled storage keeps what it grew to): what allocates after that
+		// is a pool running dry.
+		for n.Round() < 320 {
+			round()
+			checkPoolAccounting(t, n)
+		}
+		big := n.Mem()
+		if big.ArmedRings < 8*poolFloor {
+			t.Fatalf("shards=%d: only %d rings armed; the frontier never outgrew the pool floor", shards, big.ArmedRings)
+		}
+		// Sharded rounds allocate their goroutine closures (~20); a pool
+		// held at the floor would allocate for every tile past it (~10k).
+		if allocs := testing.AllocsPerRun(20, round); allocs > 64 {
+			t.Errorf("shards=%d: a round over %d armed rings allocates %.0f times, want <= 64", shards, big.ArmedRings, allocs)
+		}
+		if left := n.Drain(64); left == 64 {
+			t.Fatalf("shards=%d: churn did not drain", shards)
+		}
+		checkPoolAccounting(t, n)
+		lanes := max(1, shards)
+		if m := n.Mem(); m.ArmedRings != 0 || m.PooledRings > lanes*poolFloor || m.PooledBufs > lanes*poolFloor {
+			t.Errorf("shards=%d: after the drain %d rings armed, %d rings and %d buffers pooled; want 0 and <= %d each",
+				shards, m.ArmedRings, m.PooledRings, m.PooledBufs, lanes*poolFloor)
+		}
+		mustInject(t, n, 77, packet.Broadcast, 0, nil)
+		for i := 0; i < 6; i++ {
+			n.Step()
+			checkPoolAccounting(t, n)
+		}
+		if m := n.Mem(); m.ArmedRings == 0 || m.ArmedRings > poolFloor {
+			t.Errorf("shards=%d: the pocket armed %d rings, want a few dozen", shards, m.ArmedRings)
+		}
+	}
+}
+
+// TestPoolAccountingExact replays the sharded-engine scenarios — routers,
+// forward limits, literal frames, skew, Receiver processes forcing the
+// sequential phase-4 fallback — and checks the pools' books every round,
+// sequentially, sharded, and across a snapshot/restore.
+func TestPoolAccountingExact(t *testing.T) {
+	for _, sc := range append(shardScenarios(t), subTTLScenarios()[0]) {
+		base := sc.cfg
+		sc.cfg = func() Config {
+			cfg := base()
+			cfg.OnRoundEnd = func(_ int, n *Network) { checkPoolAccounting(t, n) }
+			return cfg
+		}
+		for _, shards := range []int{1, 3} {
+			runShardScenario(t, sc, shards)
+			runResumedScenario(t, sc, sc.rounds/3, shards, 4-shards)
+		}
+	}
+}
+
+// mailboxScenario is a small mixed workload that drains well before its
+// last round, so every delivery has been handed to its Process by then.
+func mailboxScenario(setup func(n *Network)) shardScenario {
+	return shardScenario{
+		name: "mailbox-8x8",
+		cfg: func() Config {
+			return Config{
+				Topo: topology.NewGrid(8, 8), P: 0.7, TTL: 6, MaxRounds: 1000, Seed: 0x3A11,
+				Fault: fault.Model{PUpset: 0.05, LiteralUpsets: true, SigmaSync: 0.5},
+			}
+		},
+		setup: setup,
+		inject: []injection{
+			{beforeRound: 0, src: 0, dst: packet.Broadcast, payload: "all"},
+			{beforeRound: 2, src: 63, dst: 9, payload: "one"},
+			{beforeRound: 5, src: 27, dst: packet.Broadcast},
+			{beforeRound: 9, src: 36, dst: packet.Broadcast, payload: "late"},
+		},
+		rounds: 40,
+	}
+}
+
+// TestMailboxOnlyWithProcess pins the mailbox contract from both sides. A
+// network with nothing attached and one with a listening Process on every
+// tile produce the same counters, the same event log and the same
+// OnDeliver sequence, sequentially and sharded; the bare one stores
+// nothing (no tile even grows an IP-core block), and in the other every
+// Process is handed each of its tile's deliveries exactly once, in order.
+func TestMailboxOnlyWithProcess(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		var bareNet *Network
+		bare := runShardScenario(t, mailboxScenario(func(n *Network) { bareNet = n }), shards)
+		if bare.cnt.Deliveries < 64 {
+			t.Fatalf("scenario delivered only %d packets", bare.cnt.Deliveries)
+		}
+		for i := range bareNet.tiles {
+			if bareNet.tiles[i].cold != nil {
+				t.Fatalf("shards=%d: process-less tile %d stored its deliveries", shards, i)
+			}
+		}
+
+		var procs []*recorderProc
+		heard := runShardScenario(t, mailboxScenario(func(n *Network) {
+			procs = procs[:0]
+			for i := 0; i < n.Topology().Tiles(); i++ {
+				procs = append(procs, &recorderProc{})
+				n.Attach(packet.TileID(i), procs[i])
+			}
+		}), shards)
+		if !reflect.DeepEqual(bare, heard) {
+			t.Fatalf("shards=%d: attaching listeners changed the run: %s", shards, firstEventDiff(bare.events, heard.events))
+		}
+		want := make([][]packet.MsgID, len(procs))
+		for _, d := range heard.delivers {
+			want[d.tile] = append(want[d.tile], d.id)
+		}
+		for i, p := range procs {
+			if !reflect.DeepEqual(p.got, want[i]) {
+				t.Fatalf("shards=%d: tile %d's process was handed %v, OnDeliver saw %v", shards, i, p.got, want[i])
+			}
+		}
+	}
+}
+
+// TestAttachMidRunSeesLaterDeliveries: a Process attached after round r is
+// handed only what is delivered from then on — the tile kept nothing
+// while it had no IP core.
+func TestAttachMidRunSeesLaterDeliveries(t *testing.T) {
+	const tile = 7 // two hops from the source
+	var delivered []packet.MsgID
+	cfg := baseCfg(topology.NewGrid(6, 6), 1)
+	cfg.TTL = 4
+	cfg.OnDeliver = func(tl packet.TileID, p *packet.Packet, _ int) {
+		if tl == tile {
+			delivered = append(delivered, p.ID)
+		}
+	}
+	n := mustNet(t, cfg)
+	early := mustInject(t, n, 0, packet.Broadcast, 0, []byte("early"))
+	for i := 0; i < 4; i++ {
+		n.Step()
+	}
+	proc := &recorderProc{}
+	n.Attach(tile, proc)
+	late := mustInject(t, n, 0, packet.Broadcast, 0, []byte("late"))
+	for i := 0; i < 6; i++ {
+		n.Step()
+	}
+	if want := []packet.MsgID{early, late}; !reflect.DeepEqual(delivered, want) {
+		t.Fatalf("tile %d deliveries = %v, want %v", tile, delivered, want)
+	}
+	if want := []packet.MsgID{late}; !reflect.DeepEqual(proc.got, want) {
+		t.Fatalf("process attached at round 4 was handed %v, want %v", proc.got, want)
+	}
+}
+
+// TestRestoreKeepsMailboxes: deliveries waiting in mailboxes at a
+// checkpoint are serialized, survive a restore byte for byte with nothing
+// attached, and reach the Process the caller re-attaches.
+func TestRestoreKeepsMailboxes(t *testing.T) {
+	cfg := baseCfg(topology.NewGrid(4, 4), 1)
+	n := mustNet(t, cfg)
+	for i := 0; i < 16; i++ {
+		n.Attach(packet.TileID(i), &recorderProc{})
+	}
+	id := mustInject(t, n, 0, packet.Broadcast, 0, []byte("held"))
+	n.Step()
+	n.Step() // tiles 2, 5 and 8 took delivery this round; nobody has run since
+	ckpt := snapshotBytes(t, n)
+
+	restored, err := Restore(bytes.NewReader(ckpt), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again := snapshotBytes(t, restored); !bytes.Equal(ckpt, again) {
+		t.Fatal("snapshot → restore → snapshot changed the bytes")
+	}
+	procs := make([]*recorderProc, 16)
+	for i := range procs {
+		procs[i] = &recorderProc{}
+		restored.Attach(packet.TileID(i), procs[i])
+	}
+	restored.Step()
+	for i, p := range procs {
+		var want []packet.MsgID
+		if i == 2 || i == 5 || i == 8 {
+			want = []packet.MsgID{id}
+		}
+		if !reflect.DeepEqual(p.got, want) {
+			t.Errorf("tile %d's re-attached process was handed %v, want %v", i, p.got, want)
+		}
+	}
+}

@@ -66,13 +66,8 @@ func TestChurnSteadyStateAllocs(t *testing.T) {
 	round := 0
 	churnRound := func() {
 		for i := 0; i < 4; i++ {
-			// Unicast to a neighbor: a first-time delivery allocates its
-			// mailbox entry by design, so broadcast traffic would put ~1
-			// alloc per reached tile on every round. Unicast keeps the
-			// delivery count fixed (4/round) and leaves the forwarding,
-			// dedup and recycling machinery as the measured surface.
 			src := packet.TileID((round*4 + i) % 256)
-			if _, err := n.Inject(src, src^1, 0, nil); err != nil {
+			if _, err := n.Inject(src, packet.Broadcast, 0, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -87,12 +82,13 @@ func TestChurnSteadyStateAllocs(t *testing.T) {
 	if n.issuedSlots() != slotsBefore {
 		t.Fatalf("slot table grew %d -> %d during steady-state churn", slotsBefore, n.issuedSlots())
 	}
-	// Observed floor is ~7: four mailbox entries (one per delivery) plus
-	// retired-ledger map inserts as it accretes entries. The regression
-	// this catches is per-copy or per-hop allocation, which shows up as
-	// dozens per round.
-	if avg > 12 {
-		t.Fatalf("steady-state churn round allocates %.1f times, want <= 12", avg)
+	// Nothing is attached, so deliveries store nothing (frontier_test.go)
+	// and the measured value is 0; the headroom is for the retired-ledger
+	// map growing a bucket as it accretes entries. The regression this
+	// catches is per-copy, per-hop or per-delivery allocation, which shows
+	// up as dozens per round.
+	if avg > 2 {
+		t.Fatalf("steady-state churn round allocates %.1f times, want <= 2", avg)
 	}
 }
 

@@ -57,9 +57,14 @@ import (
 // would lose the fill, so unaligned parallel clears leave the summary
 // bit set. The summary is then a conservative superset — iteration
 // reads a zero tile word and moves on — and the next sequential or
-// exclusive-owner clear tidies it. Unaligned partitions only occur on
-// meshes with fewer than 64 tiles per shard, where the whole summary is
-// one word.
+// exclusive-owner clear tidies it. The same sharing makes the summary
+// lag mid-phase: the lane that flips a shared word from zero publishes it,
+// and a peer whose tiles sit in that word may sweep first (phase 4 sweeps
+// straight after its own merge). Sweeps under an unaligned partition
+// therefore do not consult the summary at all — such a lane spans fewer
+// than 64 tiles, one or two words, and reads them directly (Network.sweep).
+// Unaligned partitions only occur on meshes with fewer than 64 tiles per
+// shard.
 
 // occMap is one two-level occupancy bitmap: bits holds one bit per tile,
 // sum one bit per word of bits (set while the word is non-zero — exactly
@@ -215,7 +220,8 @@ func sumClearAtomic(sum []uint64, wi uint32) {
 func (n *Network) rebuildOccupancy() {
 	n.bufOcc.reset()
 	n.rcvOcc.reset()
-	for i, t := range n.tiles {
+	for i := range n.tiles {
+		t := &n.tiles[i]
 		if len(t.sendBuf) > 0 {
 			n.bufOcc.setBarrier(i)
 		}

@@ -61,6 +61,30 @@ func TestForOccupiedIteration(t *testing.T) {
 			}
 		}
 	}
+	// Under an unaligned parallel partition a peer lane may not have
+	// published a shared word in the summary yet when this lane sweeps
+	// (phase 4 merges and receives without a barrier in between): the
+	// sweep must find the word's tiles anyway.
+	var lagging []int
+	n := mustNet(t, Config{
+		Topo: topology.NewGrid(70, 70), P: 0, TTL: 1, MaxRounds: 10, Seed: 1,
+		OnEvent: func(ev Event) {
+			if ev.Kind == EvExpire {
+				lagging = append(lagging, int(ev.Tile))
+			}
+		},
+	})
+	for _, ti := range set {
+		mustInject(t, n, packet.TileID(ti), packet.Broadcast, 0, nil)
+	}
+	n.bufOcc.sum[0] &^= 1 << 1 // word 1 (tiles 64-127) not yet published
+	n.par = true
+	n.sweep(&lane{net: n, lo: 64, hi: 128, direct: true, cnt: &n.cnt}, sweepAge)
+	n.par = false
+	if want := []int{64, 100, 127}; !reflect.DeepEqual(lagging, want) {
+		t.Fatalf("unaligned sweep behind a lagging summary visited %v, want %v", lagging, want)
+	}
+
 	// empty() must see through a summary that holds only stale bits.
 	var m occMap
 	m.initOcc(200)
@@ -102,7 +126,8 @@ func TestOccupancyTracksTileState(t *testing.T) {
 	}
 	mustInject(t, n, 12, packet.Broadcast, 0, []byte("occ"))
 	checkExact := func(round int) {
-		for i, tl := range n.tiles {
+		for i := range n.tiles {
+			tl := &n.tiles[i]
 			wantBuf := len(tl.sendBuf) > 0
 			gotBuf := n.bufOcc.bits[i>>6]&(1<<(uint(i)&63)) != 0
 			if wantBuf != gotBuf {
@@ -130,7 +155,8 @@ func TestOccupancyTracksTileState(t *testing.T) {
 		t.Fatal("TTL-6 broadcast never drained in 40 rounds")
 	}
 	// Quiescence via bitmaps must agree with the ground truth.
-	for _, tl := range n.tiles {
+	for i := range n.tiles {
+		tl := &n.tiles[i]
 		if len(tl.sendBuf) > 0 || tl.ring.count > 0 {
 			t.Fatalf("Quiescent() true but tile %d holds state", tl.id)
 		}

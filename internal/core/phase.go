@@ -24,13 +24,12 @@ func (n *Network) phaseCompute() {
 		if !t.alive {
 			continue
 		}
-		t.ctx.delivered = t.mailbox
-		t.proc.Round(&t.ctx)
-		t.ctx.delivered = nil
-		for i := range t.mailbox {
-			t.mailbox[i] = nil
-		}
-		t.mailbox = t.mailbox[:0]
+		c := t.cold
+		c.ctx.delivered = c.mailbox
+		c.proc.Round(&c.ctx)
+		c.ctx.delivered = nil
+		clear(c.mailbox)
+		c.mailbox = c.mailbox[:0]
 	}
 }
 
@@ -81,6 +80,15 @@ func (n *Network) sweep(ln *lane, ph sweepPhase) {
 		} else {
 			sw = m.sum[si]
 		}
+		if unaligned {
+			// Lanes share tile words here, so the summary bit of this
+			// lane's word may be a peer's to publish — and phase 4 sweeps
+			// straight after its own merge, with no barrier for the peer to
+			// get there. The summary is not trusted: an unaligned lane
+			// spans under 64 tiles, so reading its one or two words
+			// directly costs nothing.
+			sw = ^uint64(0)
+		}
 		if si == s0 {
 			sw &^= (uint64(1) << (uint(w0) & 63)) - 1 // mask words below w0
 		}
@@ -105,7 +113,7 @@ func (n *Network) sweep(ln *lane, ph sweepPhase) {
 				if ti >= ln.hi {
 					break
 				}
-				t := n.tiles[ti]
+				t := &n.tiles[ti]
 				if !t.alive {
 					continue
 				}
@@ -166,8 +174,12 @@ func (n *Network) ageTile(ln *lane, t *tile) {
 	t.sendBuf = kept
 	if len(kept) == 0 {
 		n.occClear(&n.bufOcc, uint32(t.id)) // buffer drained
-		ln.bufs.put(t.sendBuf)
+		pl := n.poolLane(ln, t.id)
+		pl.bufs.put(t.sendBuf)
 		t.sendBuf = nil
+		if t.ring.count == 0 {
+			pl.rings.detach(&t.ring) // nothing in flight either: the tile went cold
+		}
 	}
 }
 
@@ -179,28 +191,37 @@ func (n *Network) forwardTile(ln *lane, t *tile) {
 	if buffered == 0 {
 		return
 	}
-	count := buffered
-	if t.fwdLimit > 0 && count > t.fwdLimit {
-		count = t.fwdLimit // serializing bridge: TDM slots this round
+	// Only a bridge tile (SetForwardLimit, SetRouter) has a limit, a
+	// router or a cursor that ever leaves zero: with no limit the whole
+	// buffer goes out every round and the round-robin start never moves.
+	count, cur := buffered, 0
+	var router func(p *packet.Packet) []packet.TileID
+	c := t.cold
+	if c != nil {
+		if c.fwdLimit > 0 && count > c.fwdLimit {
+			count = c.fwdLimit // serializing bridge: TDM slots this round
+		}
+		// Round-robin over the buffer so a long-lived message cannot hog a
+		// rate-limited bridge. The cursor is normalized once (the buffer
+		// may have shrunk since last round) and then advanced with
+		// wrap-on-overflow subtractions: the inner loop runs per buffered
+		// message per round, and a `%` per iteration is measurably slower
+		// than a compare-and-subtract.
+		cur = c.fwdCursor % buffered
+		router = c.router
 	}
-	// Round-robin over the buffer so a long-lived message cannot hog a
-	// rate-limited bridge. The cursor is normalized once (the buffer may
-	// have shrunk since last round) and then advanced with
-	// wrap-on-overflow subtractions: the inner loop runs per buffered
-	// message per round, and a `%` per iteration is measurably slower than
-	// a compare-and-subtract.
-	cur := t.fwdCursor % buffered
-	if n.batch && n.cfg.PortWeight == nil && t.router == nil {
+	if n.batch && n.cfg.PortWeight == nil && router == nil {
 		n.forwardBatch(ln, t, cur, count, buffered)
 	} else {
+		ports := n.ports(t)
 		for i := 0; i < count; i++ {
 			idx := cur + i
 			if idx >= buffered {
 				idx -= buffered // i < count <= buffered: one wrap at most
 			}
 			p := &t.sendBuf[idx]
-			if t.router != nil {
-				for _, nb := range t.router(p) {
+			if router != nil {
+				for _, nb := range router(p) {
 					n.transmit(ln, t, nb, p, n.inj.LinkAlive(t.id, nb))
 				}
 				continue
@@ -212,7 +233,7 @@ func (n *Network) forwardTile(ln *lane, t *tile) {
 					if !t.rnd.BoolT(rng.MakeThreshold(prob)) {
 						continue
 					}
-					n.transmit(ln, t, nb, p, t.nbrAlive[pi])
+					n.transmit(ln, t, nb, p, ports[pi])
 				}
 				continue
 			}
@@ -220,15 +241,17 @@ func (n *Network) forwardTile(ln *lane, t *tile) {
 				if !t.rnd.BoolT(n.pThresh) {
 					continue
 				}
-				n.transmit(ln, t, nb, p, t.nbrAlive[pi])
+				n.transmit(ln, t, nb, p, ports[pi])
 			}
 		}
 	}
-	cur += count
-	if cur >= buffered {
-		cur -= buffered // count <= buffered: one wrap at most
+	if c != nil {
+		cur += count
+		if cur >= buffered {
+			cur -= buffered // count <= buffered: one wrap at most
+		}
+		c.fwdCursor = cur
 	}
-	t.fwdCursor = cur
 }
 
 // transmit sends one copy of *p from tile t toward neighbor nb, applying
@@ -328,7 +351,12 @@ func (n *Network) receiveTile(ln *lane, t *tile) {
 	t.ring.release(n.round)
 	if t.ring.count == 0 {
 		n.occClear(&n.rcvOcc, uint32(t.id)) // nothing left in flight here
-		ln.rings.detach(&t.ring)
+		if len(t.sendBuf) == 0 {
+			// Nothing was kept either (every arrival was a reject): the
+			// tile went cold. A tile that still buffers a copy keeps its
+			// ring for the arrivals its neighbours send next round.
+			n.poolLane(ln, t.id).rings.detach(&t.ring)
+		}
 	}
 }
 
@@ -363,12 +391,15 @@ func (n *Network) decodeArrival(ln *lane, t *tile, a *arrival) *packet.Packet {
 	return &a.pkt
 }
 
-// deliver hands *p to t's IP mailbox if it addresses t and has not been
-// delivered here before. The mailbox takes a heap copy, so the ring slot
-// or buffer entry backing *p can be recycled freely afterwards. On a
-// non-direct lane the OnDeliver callback is staged for the post-barrier
-// flush; Receiver processes never reach a non-direct lane (their presence
-// forces the sequential phase-4 fallback in stepShards).
+// deliver records the first-time delivery of *p at t, if it addresses t,
+// and hands it to whoever is there to take it: the attached Process (its
+// mailbox, and Receive when it is a Receiver) and the OnDeliver hook. They
+// share one heap copy, so the ring slot or buffer entry backing *p can be
+// recycled freely afterwards; a tile with neither — no IP core, nobody
+// watching — is counted and flagged but stores nothing. On a non-direct
+// lane the OnDeliver callback is staged for the post-barrier flush;
+// Receiver processes never reach a non-direct lane (their presence forces
+// the sequential phase-4 fallback in stepShards).
 func (n *Network) deliver(ln *lane, t *tile, p *packet.Packet) {
 	if p.Dst != t.id && p.Dst != packet.Broadcast {
 		return
@@ -380,24 +411,27 @@ func (n *Network) deliver(ln *lane, t *tile, p *packet.Packet) {
 	if n.cfg.StopSpreadOnDelivery && p.Dst == t.id {
 		n.markDead(p.ID)
 	}
-	if ln.borrowed == p {
-		ln.unshare(p)
-	}
-	q := ln.pkts.get() // arena-carved heap copy, mailbox lifetime
-	*q = *p
-	if t.mailbox == nil {
-		t.mailbox = ln.mail.carve()
-	}
-	t.mailbox = append(t.mailbox, q)
 	ln.cnt.Deliveries++
 	ln.cnt.DeliveredPayloadBits += 8 * len(p.Payload)
 	ln.emit(EvDeliver, t.id, p.Src, p.ID)
+	proc := t.process()
+	if proc == nil && n.cfg.OnDeliver == nil {
+		return
+	}
+	if ln.borrowed == p {
+		ln.unshare(p)
+	}
+	q := ln.pkts.get()
+	*q = *p
+	if proc != nil {
+		t.cold.mailbox = append(t.cold.mailbox, q)
+	}
 	if ln.direct {
 		if n.cfg.OnDeliver != nil {
 			n.cfg.OnDeliver(t.id, q, n.round)
 		}
-		if rcv, ok := t.proc.(Receiver); ok {
-			rcv.Receive(&t.ctx, q)
+		if rcv, ok := proc.(Receiver); ok {
+			rcv.Receive(&t.cold.ctx, q)
 		}
 		return
 	}
@@ -429,7 +463,7 @@ func (n *Network) enqueue(ln *lane, t *tile, p *packet.Packet) {
 		ln.unshare(p)
 	}
 	if t.sendBuf == nil {
-		t.sendBuf = ln.bufs.get() // re-arm a cold tile from the lane pool
+		t.sendBuf, _ = n.poolLane(ln, t.id).bufs.get() // re-arm from the lane pool; dry = nil, append allocates
 	}
 	t.sendBuf = append(t.sendBuf, *p)
 	if len(t.sendBuf) == 1 {

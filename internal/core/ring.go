@@ -39,20 +39,16 @@ const ringInitCap = 4
 type arrivalRing struct {
 	buckets [][]arrival // power-of-two length; bucket for round x is x&mask
 	count   int         // arrivals in flight across all buckets
-	// initLen is the bucket count allocated at first use (0 means
-	// ringInitLen). A skew-free fault model never slips an arrival, so its
-	// networks start with a single recycled bucket; grow covers the rest.
-	initLen int
 }
 
 // schedule enqueues a for consumption at absolute round when. now is the
 // round currently executing; when >= now always holds (slips are never
-// negative), and the ring grows if the slip outruns its span. pool, when
-// non-nil, supplies recycled bucket arrays for a cold ring (lazyInit)
-// instead of fresh allocations.
+// negative), and the ring grows if the slip outruns its span. A cold ring
+// is armed from pool first; a nil pool (unit tests) allocates a
+// ringInitLen-bucket ring.
 func (r *arrivalRing) schedule(now, when int, a arrival, pool *ringPool) {
 	if r.buckets == nil {
-		r.lazyInit(pool)
+		pool.arm(r)
 	}
 	if when-now >= len(r.buckets) {
 		r.grow(now, when-now+1)
@@ -62,35 +58,18 @@ func (r *arrivalRing) schedule(now, when int, a arrival, pool *ringPool) {
 	r.count++
 }
 
-// lazyInit populates the buckets on a cold ring: from the pool when it
-// has a detached bucket array (the steady state of a wandering frontier —
-// rings drain and re-arm constantly, so recycling keeps first-touch cost
-// allocation-free and bounds ring memory by the active tiles, not by
-// every tile ever touched), otherwise the bucket array plus one backing
-// block carved into per-bucket slices of capacity ringInitCap, so warming
-// a ring costs two allocations instead of a cascade of small append
-// growths. Full-slice expressions keep the carved buckets from growing
-// into each other. A pooled array may be larger than initLen (it may have
-// grown in its previous tenancy); schedule's mask arithmetic works at any
-// power-of-two length, so the size is behavior-invisible.
-func (r *arrivalRing) lazyInit(pool *ringPool) {
-	if pool != nil {
-		if l := len(pool.free); l > 0 {
-			r.buckets = pool.free[l-1]
-			pool.free[l-1] = nil
-			pool.free = pool.free[:l-1]
-			return
-		}
-	}
-	n := r.initLen
-	if n == 0 {
-		n = ringInitLen
-	}
-	r.buckets = make([][]arrival, n)
+// newBuckets allocates a fresh n-bucket ring: the bucket array plus one
+// backing block carved into per-bucket slices of capacity ringInitCap, so
+// warming a ring costs two allocations instead of a cascade of small
+// append growths. Full-slice expressions keep the carved buckets from
+// growing into each other.
+func newBuckets(n int) [][]arrival {
+	buckets := make([][]arrival, n)
 	backing := make([]arrival, n*ringInitCap)
-	for i := range r.buckets {
-		r.buckets[i] = backing[i*ringInitCap : i*ringInitCap : (i+1)*ringInitCap]
+	for i := range buckets {
+		buckets[i] = backing[i*ringInitCap : i*ringInitCap : (i+1)*ringInitCap]
 	}
+	return buckets
 }
 
 // grow rebuilds the ring with at least span buckets. In-flight arrivals
@@ -136,30 +115,53 @@ func (r *arrivalRing) release(now int) {
 	r.buckets[i] = b[:0]
 }
 
-// ringPoolCap bounds how many detached bucket arrays a pool retains;
-// beyond it, drained rings drop their buckets for the GC. It comfortably
-// covers the per-lane active-tile churn of the sub-TTL workloads.
-const ringPoolCap = 256
-
-// ringPool recycles the bucket arrays of drained arrival rings. Pools
-// are per-lane: a ring is detached by the lane that consumed its last
-// arrival (phase 4) and re-armed by whichever lane next schedules into
-// the tile, so get/put never contend and the exchange is behavior-free —
-// every pooled bucket is empty and zeroed (release truncates and zeroes
-// before detach is possible).
+// ringPool recycles the bucket arrays of cold tiles' arrival rings. Pools
+// are per-lane and a tile only ever uses its own lane's (Network.poolLane),
+// so arm/detach never contend and the exchange is behavior-free — every
+// pooled bucket is empty and zeroed (release truncates and zeroes before
+// detach is possible). A pooled array may be longer than initLen (it may
+// have grown in its previous tenancy); schedule's mask arithmetic works at
+// any power-of-two length, so the size is behavior-invisible.
 type ringPool struct {
-	free [][][]arrival
+	pool[[][]arrival]
+	// initLen is the bucket count of a freshly allocated ring (0 means
+	// ringInitLen). A skew-free fault model never slips an arrival, so its
+	// networks start every ring with a single recycled bucket; grow covers
+	// the rest.
+	initLen int
 }
 
-// detach moves a fully-drained ring's buckets into the pool (or drops
-// them when the pool is full), returning the ring to its never-touched
-// state. Caller must ensure r.count == 0.
+// arm gives a cold ring its buckets: a detached array when the pool has
+// one — the steady state of a wandering frontier, which keeps first touch
+// allocation-free and bounds ring memory by the tiles that are hot, not
+// by every tile ever touched — otherwise a fresh one. A nil pool always
+// allocates.
+func (rp *ringPool) arm(r *arrivalRing) {
+	if rp == nil {
+		r.buckets = newBuckets(ringInitLen)
+		return
+	}
+	var ok bool
+	if r.buckets, ok = rp.get(); ok {
+		return
+	}
+	n := rp.initLen
+	if n == 0 {
+		n = ringInitLen
+	}
+	r.buckets = newBuckets(n)
+}
+
+// detach returns a ring's buckets to the pool and the ring to its
+// never-touched state. Caller must ensure r.count == 0, and calls it only
+// when the tile has gone cold (nothing buffered either): a tile that is
+// still gossiping gets its next arrivals a round later, and detaching
+// between them would cycle every hot tile's ring through the pool every
+// round.
 func (rp *ringPool) detach(r *arrivalRing) {
 	if r.buckets == nil {
 		return
 	}
-	if len(rp.free) < ringPoolCap {
-		rp.free = append(rp.free, r.buckets)
-	}
+	rp.put(r.buckets)
 	r.buckets = nil
 }

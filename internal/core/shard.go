@@ -50,18 +50,18 @@ type lane struct {
 
 	// Frontier recycling: on a large mesh the active pocket wanders, so
 	// first-touch allocations (a fresh tile's arrival-ring buckets, its
-	// send buffer, the heap copy a delivery leaves in the mailbox) happen
-	// every round somewhere new — a steady allocation rate whose GC marks
-	// the whole mesh's pointer graph, an O(mesh) round cost in disguise.
-	// Per-lane recycling makes the steady state allocation-free: rings
-	// and buffers detach to the pools when they drain, mailbox copies are
-	// carved from a chunked arena. All three are behavior-invisible
-	// (capacity and address reuse only) and contention-free (used only by
-	// the lane executing the owning tile).
+	// send buffer) happen every round somewhere new — a steady allocation
+	// rate whose GC marks the whole mesh's pointer graph, an O(mesh) round
+	// cost in disguise. Per-lane recycling makes the steady state
+	// allocation-free: buffers return to the pool when they drain, rings
+	// when their tile goes cold, and the heap copies deliveries hand to
+	// processes and OnDeliver are carved from a chunked arena. All of it
+	// is behavior-invisible (capacity and address reuse only) and
+	// contention-free (a tile only ever uses the pools of the lane that
+	// owns it, see Network.poolLane).
 	rings ringPool
 	bufs  bufPool
 	pkts  pktArena
-	mail  mailSlab
 
 	// borrowed points at the in-processing literal arrival whose payload
 	// still aliases its pooled frame; deliver/enqueue clone the payload
@@ -131,47 +131,70 @@ func (fp *framePool) put(f []byte) {
 	fp.frames = append(fp.frames, f)
 }
 
-// bufPoolCap bounds the send-buffer slices a lane pool retains.
-const bufPoolCap = 256
+// poolFloor is how many detached items a pool keeps however small the
+// frontier is: it covers the churn of small meshes and sparse pockets
+// outright, so their pools are never trimmed.
+const poolFloor = 256
 
-// bufPool recycles drained send-buffer slices: phase 2 detaches a
-// tile's buffer when its last copy expires, enqueue re-arms the next
-// cold tile from the pool. Pooled slices are empty with their tail
-// zeroed (every truncation in the engine zeroes what it cuts), so reuse
-// is behavior-free.
-type bufPool struct {
-	free [][]packet.Packet
+// pool is one lane's free list of a recyclable per-tile resource (ring
+// bucket arrays, send buffers). Its size follows the frontier: armed
+// counts the items handed out and not yet returned — the lane's hot tiles
+// — and at every round barrier trim cuts the free list back to that count
+// (or poolFloor). A frontier in steady state returns about as many items
+// per round as it takes, at most one per armed tile, so the bound never
+// starves it; a frontier that collapses leaves its pool holding what a
+// frontier of the new size can use, and the rest goes to the GC.
+type pool[T any] struct {
+	free  []T
+	armed int
 }
 
-// get returns a recycled empty buffer, or nil when the pool is dry (the
-// caller's append then allocates as before).
-func (bp *bufPool) get() []packet.Packet {
-	l := len(bp.free)
+// get hands out a pooled item. ok is false when the pool is dry: the
+// caller then allocates, and the item it eventually puts back is what
+// fills the pool.
+func (p *pool[T]) get() (v T, ok bool) {
+	p.armed++
+	l := len(p.free)
 	if l == 0 {
-		return nil
+		return v, false
 	}
-	b := bp.free[l-1]
-	bp.free[l-1] = nil
-	bp.free = bp.free[:l-1]
-	return b
+	var zero T
+	v, p.free[l-1] = p.free[l-1], zero
+	p.free = p.free[:l-1]
+	return v, true
 }
 
-// put retains an empty buffer's capacity for the next cold tile.
-func (bp *bufPool) put(b []packet.Packet) {
-	if cap(b) == 0 || len(bp.free) >= bufPoolCap {
-		return
-	}
-	bp.free = append(bp.free, b[:0])
+// put takes an item back.
+func (p *pool[T]) put(v T) {
+	p.armed--
+	p.free = append(p.free, v)
 }
 
-// pktArenaChunk is how many mailbox packet copies a lane carves from one
-// allocation.
+// trim drops the pooled items beyond max(poolFloor, armed), reallocating
+// the list so the cut tail is collectable. Barrier only.
+func (p *pool[T]) trim() {
+	keep := max(poolFloor, p.armed)
+	if len(p.free) > keep {
+		p.free = append(make([]T, 0, keep), p.free[:keep]...)
+	}
+}
+
+// bufPool recycles drained send-buffer slices: phase 2 returns a tile's
+// buffer when its last copy expires, enqueue re-arms the next cold tile
+// from the pool. Pooled slices are empty with their tail zeroed (every
+// truncation in the engine zeroes what it cuts), so reuse is
+// behavior-free; a dry pool hands out nil and the caller's append
+// allocates.
+type bufPool = pool[[]packet.Packet]
+
+// pktArenaChunk is how many delivered-packet copies a lane carves from
+// one allocation.
 const pktArenaChunk = 256
 
 // pktArena hands out heap copies for delivered packets in chunks: the
-// copies live as long as the mailbox references them either way, so
-// carving them from a block only divides the allocation count (and the
-// GC's object count) by the chunk size.
+// copies live as long as a mailbox or an OnDeliver hook references them
+// either way, so carving them from a block only divides the allocation
+// count (and the GC's object count) by the chunk size.
 type pktArena struct {
 	chunk []packet.Packet
 }
@@ -184,29 +207,6 @@ func (a *pktArena) get() *packet.Packet {
 	p := &a.chunk[0]
 	a.chunk = a.chunk[1:]
 	return p
-}
-
-// mailSlabCarve is the capacity of a carved cold-tile mailbox; slabs are
-// carved in mailSlabCarve*pktArenaChunk-pointer blocks.
-const mailSlabCarve = 2
-
-// mailSlab carves initial mailbox slices for cold tiles. Most tiles of a
-// sub-TTL pocket take one or two deliveries in their lifetime, so a
-// capacity-2 carve absorbs the whole mailbox of the common case; a tile
-// that outgrows it falls back to ordinary append growth. Full-slice
-// expressions keep neighbors from growing into each other.
-type mailSlab struct {
-	block []*packet.Packet
-}
-
-// carve returns an empty capacity-mailSlabCarve mailbox slice.
-func (m *mailSlab) carve() []*packet.Packet {
-	if len(m.block) < mailSlabCarve {
-		m.block = make([]*packet.Packet, mailSlabCarve*pktArenaChunk)
-	}
-	s := m.block[:0:mailSlabCarve]
-	m.block = m.block[mailSlabCarve:]
-	return s
 }
 
 // emit publishes a protocol event: immediately on a direct lane, staged
@@ -236,6 +236,8 @@ func (ln *lane) send(dst packet.TileID, when int, a arrival) {
 		ln.net.addInflight(msgSlot(a.pkt.ID), 1)
 	}
 	if ln.direct {
+		// Phase 3 only runs on the direct lane in sequential mode, where
+		// it is every tile's pool lane.
 		ln.net.tiles[dst].ring.schedule(ln.net.round, when, a, &ln.rings)
 		ln.net.occSet(&ln.net.rcvOcc, uint32(dst))
 		return
@@ -307,6 +309,32 @@ func (n *Network) initLanes(shards int) {
 		ln.cnt = &ln.delta
 		ln.outbox = make([][]outbound, shards)
 		lo += span
+	}
+}
+
+// poolLane returns the lane whose ring and buffer pools serve tile t: the
+// executing lane — except that the direct lane of a sharded network
+// (Inject, phase 1, the sequential phase-4 fallback, Restore) borrows the
+// pools of the shard that owns t. Every ring and buffer therefore goes back
+// to the pool it was drawn from, which keeps each pool's armed count the
+// exact number of its lane's tiles holding one. The direct lane only
+// executes while no shard goroutine is live, so the borrowing is
+// race-free.
+func (n *Network) poolLane(ln *lane, t packet.TileID) *lane {
+	if ln.direct && len(n.lanes) > 0 {
+		return &n.lanes[n.laneFor(t)]
+	}
+	return ln
+}
+
+// trimPools is the round-barrier half of the pool policy (see pool): each
+// lane's free lists are cut back to its armed count.
+func (n *Network) trimPools() {
+	n.seqLane.rings.trim()
+	n.seqLane.bufs.trim()
+	for i := range n.lanes {
+		n.lanes[i].rings.trim()
+		n.lanes[i].bufs.trim()
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/crc"
 	"repro/internal/packet"
@@ -194,18 +195,24 @@ func (n *Network) EncodeState(w *snapshot.Writer) {
 
 	// Per-tile state.
 	w.Int(len(n.tiles))
-	for _, t := range n.tiles {
+	for i := range n.tiles {
+		t := &n.tiles[i]
 		for _, s := range t.rnd.State() {
 			w.U64(s)
 		}
-		w.Int(t.fwdCursor)
-		w.Int(t.fwdLimit)
+		// A tile without an IP-core block encodes as the zero one.
+		var c coldTile
+		if t.cold != nil {
+			c = *t.cold
+		}
+		w.Int(c.fwdCursor)
+		w.Int(c.fwdLimit)
 		w.Int(len(t.sendBuf))
 		for i := range t.sendBuf {
 			encodePacket(w, &t.sendBuf[i])
 		}
-		w.Int(len(t.mailbox))
-		for _, p := range t.mailbox {
+		w.Int(len(c.mailbox))
+		for _, p := range c.mailbox {
 			encodePacket(w, p)
 		}
 		encodeRing(w, &t.ring, n.round)
@@ -437,8 +444,9 @@ func restoreTiles(sec *snapshot.Reader, n *Network) error {
 	if tiles := sec.Count(1); sec.Err() == nil && tiles != len(n.tiles) {
 		return fmt.Errorf("core: checkpoint holds %d tiles, topology has %d", tiles, len(n.tiles))
 	}
-	for _, t := range n.tiles {
-		if err := restoreTileScalars(sec, t); err != nil {
+	for i := range n.tiles {
+		t := &n.tiles[i]
+		if err := restoreTileScalars(sec, n, t); err != nil {
 			return err
 		}
 		if err := restoreTileTraffic(sec, n, t); err != nil {
@@ -448,8 +456,10 @@ func restoreTiles(sec *snapshot.Reader, n *Network) error {
 	return nil
 }
 
-// restoreTileScalars decodes a tile's RNG state and forwarding cursor.
-func restoreTileScalars(sec *snapshot.Reader, t *tile) error {
+// restoreTileScalars decodes a tile's RNG state, forwarding cursor and
+// forward limit; only a bridge tile has the latter two non-zero, and only
+// it gets an IP-core block for them.
+func restoreTileScalars(sec *snapshot.Reader, n *Network, t *tile) error {
 	var st [4]uint64
 	for i := range st {
 		st[i] = sec.U64()
@@ -459,16 +469,24 @@ func restoreTileScalars(sec *snapshot.Reader, t *tile) error {
 			return fmt.Errorf("core: tile %d: %w", t.id, err)
 		}
 	}
-	t.fwdCursor = sec.Int()
-	t.fwdLimit = sec.Int()
+	if cursor, limit := sec.Int(), sec.Int(); cursor != 0 || limit != 0 {
+		c := n.coldOf(t)
+		c.fwdCursor, c.fwdLimit = cursor, limit
+	}
 	return nil
 }
 
 // restoreTileTraffic decodes a tile's send buffer, mailbox and arrival
-// ring, recomputing the buffered-copy counts recycling retires on.
+// ring, recomputing the buffered-copy counts recycling retires on. Buffer
+// and ring are armed through the tile's pool lane, so the pools' armed
+// counts cover restored tiles like any other.
 func restoreTileTraffic(sec *snapshot.Reader, n *Network, t *tile) error {
+	pl := n.poolLane(&n.seqLane, t.id)
 	nbuf := sec.Count(1)
-	t.sendBuf = make([]packet.Packet, 0, nbuf)
+	if nbuf > 0 {
+		buf, _ := pl.bufs.get() // dry after New: counts the buffer as armed
+		t.sendBuf = slices.Grow(buf, nbuf)
+	}
 	for i := 0; i < nbuf; i++ {
 		p, err := decodePacket(sec, n, false)
 		if err != nil {
@@ -480,17 +498,18 @@ func restoreTileTraffic(sec *snapshot.Reader, n *Network, t *tile) error {
 		}
 	}
 	nmail := sec.Count(1)
-	t.mailbox = make([]*packet.Packet, 0, nmail)
 	for i := 0; i < nmail; i++ {
-		// Mailbox copies await phase-1 consumption and do not hold their
-		// message live: the ID may already name a retired generation.
+		// Mailbox copies await phase-1 consumption by the Process the
+		// caller re-attaches, and do not hold their message live: the ID
+		// may already name a retired generation.
 		p, err := decodePacket(sec, n, true)
 		if err != nil {
 			return fmt.Errorf("core: tile %d mailbox: %w", t.id, err)
 		}
-		t.mailbox = append(t.mailbox, &p)
+		c := n.coldOf(t)
+		c.mailbox = append(c.mailbox, &p)
 	}
-	if err := decodeRing(sec, n, t); err != nil {
+	if err := decodeRing(sec, n, t, &pl.rings); err != nil {
 		return fmt.Errorf("core: tile %d arrival ring: %w", t.id, err)
 	}
 	return nil
@@ -605,7 +624,7 @@ const maxRestoredSlip = 1 << 16
 // is what keeps retirement from freeing a slot whose frames are still in
 // the air. A frame with originating ID zero (see encodeRing) is admissible
 // only without recycling.
-func decodeRing(sec *snapshot.Reader, n *Network, t *tile) error {
+func decodeRing(sec *snapshot.Reader, n *Network, t *tile, pool *ringPool) error {
 	count := sec.Count(3) // delta + kind + at least one payload byte
 	for i := 0; i < count; i++ {
 		d := sec.Int()
@@ -645,7 +664,7 @@ func decodeRing(sec *snapshot.Reader, n *Network, t *tile) error {
 		if n.recycle {
 			n.addInflight(msgSlot(a.pkt.ID), 1)
 		}
-		t.ring.schedule(n.round, n.round+d, a, nil)
+		t.ring.schedule(n.round, n.round+d, a, pool)
 	}
 	return nil
 }

@@ -49,7 +49,7 @@ import (
 // a never-issued ID). Retirement order is deterministic, so eviction —
 // and the ledger bytes a snapshot serializes, in ring order — is too.
 
-// Per-tile message flags, as reported by tile.flagsOf.
+// Per-tile message flags, as reported by Network.flagsOf.
 const (
 	flagPresent uint8 = 1 << 0 // a copy is in the tile's send buffer
 	flagSeen    uint8 = 1 << 1 // the message was delivered here (or originated here)
@@ -362,8 +362,7 @@ func (n *Network) rowClear(r []uint64, t packet.TileID) bool {
 // flagsOf returns t's flags for id, zero if the tile never touched it (or
 // if id names a retired generation — per-tile history dies with the slot;
 // only the aggregate count survives in the retired ledger).
-func (t *tile) flagsOf(id packet.MsgID) uint8 {
-	n := t.ctx.net
+func (n *Network) flagsOf(t *tile, id packet.MsgID) uint8 {
 	if !n.current(id) {
 		return 0
 	}
@@ -459,11 +458,12 @@ func (n *Network) setSeen(t *tile, id packet.MsgID) {
 	}
 }
 
-// MemStats summarizes the message-table footprint of a Network — the
-// state whose growth the mega-mesh refactor bounds. All byte figures are
-// computed from the table's own geometry (rows, parallel arrays, free
-// list, retired ledger), not from runtime heap statistics, so they are
-// deterministic and comparable across runs.
+// MemStats summarizes the state of a Network that grows and shrinks with
+// its traffic: the message table, bounded by the live messages, and the
+// ring and buffer pools, bounded by the hot tiles. All figures are computed
+// from the engine's own bookkeeping (rows, parallel arrays, free lists),
+// not from runtime heap statistics, so they are deterministic and
+// comparable across runs.
 type MemStats struct {
 	// Slots is the table's slot count — with recycling, bounded by the
 	// peak live population; without, the number of messages ever issued.
@@ -480,11 +480,23 @@ type MemStats struct {
 	// the free list and an estimate (two words per map entry plus the
 	// ring) of the retired ledger.
 	TableBytes int
+	// ArmedRings is the number of tiles whose arrival ring currently holds
+	// a bucket array: the tiles that have taken an arrival since they last
+	// went cold (nothing buffered, nothing in flight). It follows the live
+	// frontier, and is the bound the pools below are trimmed to.
+	ArmedRings int
+	// PooledRings is the number of detached bucket arrays waiting in the
+	// lanes' ring pools for the next tile to warm up. At a round barrier
+	// each lane holds at most max(256, its armed rings).
+	PooledRings int
+	// PooledBufs is the same count for drained send buffers, bounded per
+	// lane by max(256, its tiles with a buffer).
+	PooledBufs int
 }
 
-// Mem returns the current message-table footprint. Divide TableBytes by
-// the tile count for the bytes-per-tile figure the scaling experiments
-// report.
+// Mem returns the current message-table footprint and pool sizes. Divide
+// TableBytes by the tile count for the bytes-per-tile figure the scaling
+// experiments report.
 func (n *Network) Mem() MemStats {
 	tb := &n.tbl
 	slots := tb.slots()
@@ -492,13 +504,23 @@ func (n *Network) Mem() MemStats {
 		len(tb.gens)*4 + len(tb.aware)*4 + len(tb.dead) + len(tb.occ) +
 		len(tb.copies)*4 + len(tb.inflight)*4 +
 		len(tb.free)*4 + len(tb.retired)*16 + len(tb.retRing)*8
-	return MemStats{
+	m := MemStats{
 		Slots:         slots,
 		Live:          tb.live,
 		PeakLive:      tb.peakLive,
 		RetiredLedger: len(tb.retired),
 		TableBytes:    bytes,
 	}
+	pools := func(ln *lane) {
+		m.ArmedRings += ln.rings.armed
+		m.PooledRings += len(ln.rings.free)
+		m.PooledBufs += len(ln.bufs.free)
+	}
+	pools(&n.seqLane)
+	for i := range n.lanes {
+		pools(&n.lanes[i])
+	}
+	return m
 }
 
 // awareScan recomputes slot s's aware count from its rows — the

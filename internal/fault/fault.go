@@ -127,7 +127,7 @@ func NewInjector(topo topology.Topology, model Model, r *rng.Stream) (*Injector,
 
 	// Tile crashes.
 	if model.DeadTiles > 0 {
-		var candidates []packet.TileID
+		candidates := make([]packet.TileID, 0, topo.Tiles())
 		for i := 0; i < topo.Tiles(); i++ {
 			if !protected[packet.TileID(i)] {
 				candidates = append(candidates, packet.TileID(i))
@@ -148,9 +148,12 @@ func NewInjector(topo topology.Topology, model Model, r *rng.Stream) (*Injector,
 		}
 	}
 
-	// Link crashes.
-	links := allLinks(topo)
+	// Link crashes. The link list is only materialised by the branch that
+	// samples from it: a model without link crashes (every paper figure
+	// but the link sweeps, every mega-mesh run) must not pay O(links) for
+	// it. Building the list draws nothing, so the streams do not move.
 	if model.DeadLinks > 0 {
+		links := allLinks(topo)
 		if model.DeadLinks > len(links) {
 			return nil, fmt.Errorf("fault: DeadLinks=%d exceeds %d links", model.DeadLinks, len(links))
 		}
@@ -158,7 +161,7 @@ func NewInjector(topo topology.Topology, model Model, r *rng.Stream) (*Injector,
 			inj.linkDead[linkKey(links[idx][0], links[idx][1])] = true
 		}
 	} else if model.PLinkCrash > 0 {
-		for _, l := range links {
+		for _, l := range allLinks(topo) {
 			if r.Bool(model.PLinkCrash) {
 				inj.linkDead[linkKey(l[0], l[1])] = true
 			}

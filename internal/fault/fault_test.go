@@ -89,6 +89,35 @@ func TestDeadLinksExact(t *testing.T) {
 	}
 }
 
+// TestNoLinkListWithoutLinkFaults pins that an injector whose model has no
+// link crashes never materialises the fabric's link list: the number of
+// allocations is a small constant, the same on a mesh sixteen times the
+// size (the list grows by append, so building it shows as a count that
+// rises with the mesh).
+func TestNoLinkListWithoutLinkFaults(t *testing.T) {
+	small, large := topology.NewGrid(16, 16), topology.NewGrid(64, 64)
+	for _, tc := range []struct {
+		name  string
+		model Model
+	}{
+		{"fault-free", Model{}},
+		{"tile crash probability", Model{PTileCrash: 0.1, Protect: []packet.TileID{0}}},
+		{"exact dead tiles", Model{DeadTiles: 3}},
+	} {
+		allocs := func(topo topology.Topology) float64 {
+			return testing.AllocsPerRun(5, func() {
+				if _, err := NewInjector(topo, tc.model, rng.New(7)); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		s, l := allocs(small), allocs(large)
+		if s != l || l > 8 {
+			t.Errorf("%s: %v allocations at 16x16, %v at 64x64; want one small constant", tc.name, s, l)
+		}
+	}
+}
+
 func TestDeadLinksExceedCapacity(t *testing.T) {
 	topo := topology.NewGrid(2, 1) // one link
 	if _, err := NewInjector(topo, Model{DeadLinks: 2}, rng.New(1)); err == nil {

@@ -18,7 +18,10 @@ type Topology interface {
 	// Tiles returns the number of tiles, identified as 0..Tiles()-1.
 	Tiles() int
 	// Neighbors returns the tiles directly linked to t, in a fixed,
-	// deterministic order (for the grid: left, right, up, down).
+	// deterministic order — the tile's port order, which every per-port
+	// random draw sequence hangs on. For the grid that is ascending tile
+	// ID: up, left, right, down; a torus appends its wraparound links
+	// after those (tile 0 of a 4x4 torus: 1, 4, 3, 12).
 	Neighbors(t packet.TileID) []packet.TileID
 }
 
@@ -98,7 +101,41 @@ func NewGrid(width, height int) *Grid {
 	if width <= 0 || height <= 0 {
 		panic("topology: non-positive grid dimension")
 	}
+	return newMesh(width, height, false)
+}
+
+// newMesh builds the width x height mesh, plus the torus wraparound
+// links when wrap is set, with every neighbour list carved from one flat
+// backing array at the tile's final degree: two allocations however many
+// tiles, where per-tile append growth cost four per tile. Links are added
+// in the order they always were (tiles ascending, each linking right then
+// down; then the row wraps, then the column wraps), so every list fills
+// in the historical port order. The carved capacities make those appends
+// in place; the full-slice bounds make an AddLink on the finished grid
+// reallocate the one list it extends instead of overwriting the next
+// tile's.
+func newMesh(width, height int, wrap bool) *Grid {
 	g := &Grid{Graph: *NewGraph(width * height), Width: width, Height: height}
+	ports := 2 * (width*(height-1) + height*(width-1))
+	if wrap {
+		ports = 4 * width * height
+	}
+	flat := make([]packet.TileID, ports)
+	off := 0
+	for y := 0; y < height; y++ {
+		for x := 0; x < width; x++ {
+			d := 4
+			if !wrap {
+				for _, onEdge := range [4]bool{x == 0, x == width-1, y == 0, y == height-1} {
+					if onEdge {
+						d--
+					}
+				}
+			}
+			g.adj[g.ID(x, y)] = flat[off : off : off+d]
+			off += d
+		}
+	}
 	for y := 0; y < height; y++ {
 		for x := 0; x < width; x++ {
 			id := g.ID(x, y)
@@ -108,6 +145,14 @@ func NewGrid(width, height int) *Grid {
 			if y+1 < height {
 				mustLink(&g.Graph, id, g.ID(x, y+1))
 			}
+		}
+	}
+	if wrap {
+		for y := 0; y < height; y++ {
+			mustLink(&g.Graph, g.ID(0, y), g.ID(width-1, y))
+		}
+		for x := 0; x < width; x++ {
+			mustLink(&g.Graph, g.ID(x, 0), g.ID(x, height-1))
 		}
 	}
 	return g
@@ -148,14 +193,7 @@ func NewTorus(width, height int) *Grid {
 	if width < 3 || height < 3 {
 		panic("topology: torus requires dimensions >= 3 to avoid duplicate links")
 	}
-	g := NewGrid(width, height)
-	for y := 0; y < height; y++ {
-		mustLink(&g.Graph, g.ID(0, y), g.ID(width-1, y))
-	}
-	for x := 0; x < width; x++ {
-		mustLink(&g.Graph, g.ID(x, 0), g.ID(x, height-1))
-	}
-	return g
+	return newMesh(width, height, true)
 }
 
 // NewFullyConnected returns the complete graph on n tiles — the topology

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -109,6 +110,64 @@ func TestTorus(t *testing.T) {
 	// Torus diameter is floor(W/2)+floor(H/2).
 	if d := Diameter(g, AllAlive, AllLinksAlive); d != 4 {
 		t.Fatalf("torus(4,4) diameter = %d, want 4", d)
+	}
+}
+
+// TestGridPortOrder pins the port order of grid and torus tiles: up, left,
+// right, down by ascending tile ID, torus wrap links after those. The
+// engine draws one Bernoulli per (message, port) in this order, so every
+// golden in the repository hangs on it.
+func TestGridPortOrder(t *testing.T) {
+	ids := func(v ...packet.TileID) []packet.TileID { return v }
+	grid, torus := NewGrid(4, 4), NewTorus(4, 4)
+	for _, tc := range []struct {
+		name string
+		topo *Grid
+		tile packet.TileID
+		want []packet.TileID
+	}{
+		{"grid interior", grid, 5, ids(1, 4, 6, 9)},
+		{"grid top edge", grid, 1, ids(0, 2, 5)},
+		{"grid left edge", grid, 4, ids(0, 5, 8)},
+		{"grid right edge", grid, 7, ids(3, 6, 11)},
+		{"grid bottom edge", grid, 13, ids(9, 12, 14)},
+		{"grid first corner", grid, 0, ids(1, 4)},
+		{"grid last corner", grid, 15, ids(11, 14)},
+		{"grid single column", NewGrid(1, 3), 1, ids(0, 2)},
+		{"grid single row", NewGrid(3, 1), 1, ids(0, 2)},
+		{"torus interior", torus, 5, ids(1, 4, 6, 9)},
+		{"torus first corner", torus, 0, ids(1, 4, 3, 12)},
+		{"torus top-right corner", torus, 3, ids(2, 7, 0, 15)},
+		{"torus last corner", torus, 15, ids(11, 14, 12, 3)},
+		{"torus left edge", torus, 4, ids(0, 5, 8, 7)},
+		{"torus top edge", torus, 1, ids(0, 2, 5, 13)},
+	} {
+		if got := tc.topo.Neighbors(tc.tile); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: Neighbors(%d) = %v, want %v", tc.name, tc.tile, got, tc.want)
+		}
+	}
+}
+
+// TestGridFlatAdjacency pins the constructor's storage: a constant number
+// of allocations whatever the mesh size, and neighbour lists that a later
+// AddLink extends without touching the next tile's.
+func TestGridFlatAdjacency(t *testing.T) {
+	if allocs := testing.AllocsPerRun(5, func() { NewGrid(32, 32) }); allocs > 4 {
+		t.Errorf("NewGrid(32, 32) made %v allocations, want a constant few", allocs)
+	}
+	if allocs := testing.AllocsPerRun(5, func() { NewTorus(32, 32) }); allocs > 4 {
+		t.Errorf("NewTorus(32, 32) made %v allocations, want a constant few", allocs)
+	}
+	g := NewGrid(4, 4)
+	next := append([]packet.TileID(nil), g.Neighbors(1)...)
+	if err := g.AddLink(0, 15); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := g.Neighbors(0), []packet.TileID{1, 4, 15}; !reflect.DeepEqual(got, want) {
+		t.Errorf("Neighbors(0) after AddLink = %v, want %v", got, want)
+	}
+	if got := g.Neighbors(1); !reflect.DeepEqual(got, next) {
+		t.Errorf("AddLink(0, 15) overwrote tile 1's ports: %v, want %v", got, next)
 	}
 }
 
