@@ -12,11 +12,12 @@
 // the Monte Carlo replica pool (0 = GOMAXPROCS); results are identical
 // for every worker count — replicas are seeded by index, not by
 // scheduling order. -shards sets the intra-replica shard count for the
-// `-fig scaling` study (0 auto-picks from idle cores); engine results
-// are bit-identical at any shard count. The scaling study prints
-// machine-dependent wall-clock, so it is excluded from -fig all (whose
-// output is diffed against figures_output.txt) and must be requested
-// explicitly.
+// `-fig scaling` study (0 auto-picks from idle cores); the engine grants
+// at most one shard per 64 tiles and the tables print the granted count.
+// Engine results are bit-identical at any shard count. The scaling study
+// prints machine-dependent wall-clock, so it is excluded from -fig all
+// (whose output is diffed against figures_output.txt) and must be
+// requested explicitly.
 //
 // -fig smc runs the statistical-model-checking cross-validation
 // (docs/SMC.md): SPRT verdicts against exactly known trajectory
@@ -69,7 +70,7 @@ var (
 	seedFlag    = flag.Uint64("seed", 2003, "master seed")
 	workersFlag = flag.Int("workers", 0, "parallel replica workers (0 = GOMAXPROCS)")
 	quick       = flag.Bool("quick", false, "reduced sweep resolution")
-	shardsFlag  = flag.Int("shards", 0, "engine shards per replica for the scaling study (0 = auto from idle cores)")
+	shardsFlag  = flag.Int("shards", 0, "engine shards per replica for the scaling study (0 = auto from idle cores; clamped to one per 64 tiles)")
 	metricsOut  = flag.String("metrics", "", "write per-round series of the canonical 8x8 broadcast to this file (JSONL; .csv suffix selects CSV)")
 	cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile  = flag.String("memprofile", "", "write a heap profile to this file at exit")

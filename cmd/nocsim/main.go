@@ -20,7 +20,9 @@
 //
 // -shards splits each round's per-tile work across K parallel lanes;
 // results are bit-identical at any shard count, so it is purely a
-// wall-clock knob for large grids (see DESIGN.md, "Sharded engine").
+// wall-clock knob for large grids (see DESIGN.md, "Sharded engine"). A
+// lane owns whole 64-tile words, so K is clamped to tiles/64 and a grid
+// under 128 tiles runs the sequential engine whatever K says.
 //
 // -metrics FILE records the run through the internal/metrics per-round
 // recorder and writes the series (transmissions, CRC rejects, drops,
@@ -56,7 +58,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"repro/internal/core"
@@ -79,7 +80,7 @@ var (
 	p          = flag.Float64("p", 0.5, "forwarding probability")
 	ttl        = flag.Int("ttl", core.DefaultTTL, "message TTL in rounds")
 	seed       = flag.Uint64("seed", 1, "simulation seed")
-	shards     = flag.Int("shards", 0, "engine shards (0/1 = sequential; results identical at any count)")
+	shards     = flag.Int("shards", 0, "engine shards (0/1 = sequential; clamped to one per 64 tiles; results identical at any count)")
 	deadT      = flag.Int("dead-tiles", 0, "tiles to crash")
 	deadL      = flag.Int("dead-links", 0, "links to crash")
 	upset      = flag.Float64("upset", 0, "per-transmission data-upset probability")
@@ -112,11 +113,8 @@ func main() {
 	if *src < 0 || *src >= grid.Tiles() || *dst < 0 || *dst >= grid.Tiles() {
 		log.Fatalf("src/dst out of range for a %dx%d grid", *width, *height)
 	}
-	if *checkProp != "" {
-		runCheck(grid)
-		return
-	}
-	deliveryRound := -1
+	// One fabric description for both modes; -check replicates it under
+	// derived seeds (smc ignores Seed), plain mode adds its hooks.
 	cfg := core.Config{
 		Topo: grid, P: *p, TTL: uint8(*ttl), MaxRounds: *maxR, Seed: *seed,
 		Shards: *shards,
@@ -126,11 +124,16 @@ func main() {
 			LiteralUpsets: *literal,
 			Protect:       []packet.TileID{packet.TileID(*src), packet.TileID(*dst)},
 		},
-		OnDeliver: func(t packet.TileID, pk *packet.Packet, round int) {
-			if t == packet.TileID(*dst) && deliveryRound < 0 {
-				deliveryRound = round
-			}
-		},
+	}
+	if *checkProp != "" {
+		runCheck(cfg)
+		return
+	}
+	deliveryRound := -1
+	cfg.OnDeliver = func(t packet.TileID, pk *packet.Packet, round int) {
+		if t == packet.TileID(*dst) && deliveryRound < 0 {
+			deliveryRound = round
+		}
 	}
 	col := &trace.Collector{}
 	if *showTrace {
@@ -197,8 +200,10 @@ func main() {
 			fmt.Print(viz.Frame(net, grid, id, packet.TileID(*src), packet.TileID(*dst)))
 		}
 		if *ckptEvery > 0 && net.Round()%*ckptEvery == 0 {
-			if err := saveCheckpoint(*ckptFile, meta, net, rec); err != nil {
-				log.Fatalf("checkpoint: %v", err)
+			// Engine plus recorder, when one is attached; atomic, so an
+			// interruption mid-save never leaves a torn file.
+			if err := sim.SaveCheckpoint(*ckptFile, meta, net, rec); err != nil {
+				log.Fatal(err)
 			}
 		}
 		if net.Quiescent() {
@@ -239,7 +244,7 @@ func main() {
 // language, decision procedure and error guarantees are documented in
 // docs/SMC.md). The verdict maps onto the exit status — 0 ACCEPT,
 // 1 REJECT, 2 UNDECIDED — so properties can gate scripts and CI.
-func runCheck(grid *topology.Grid) {
+func runCheck(cfg core.Config) {
 	for name, set := range map[string]bool{
 		"-trace":            *showTrace,
 		"-viz":              *showViz,
@@ -256,16 +261,7 @@ func runCheck(grid *topology.Grid) {
 		log.Fatal(err)
 	}
 	model := smc.Model{
-		Config: core.Config{
-			Topo: grid, P: *p, TTL: uint8(*ttl), MaxRounds: *maxR,
-			Shards: *shards,
-			Fault: fault.Model{
-				DeadTiles: *deadT, DeadLinks: *deadL,
-				PUpset: *upset, POverflow: *overflow, SigmaSync: *sigma,
-				LiteralUpsets: *literal,
-				Protect:       []packet.TileID{packet.TileID(*src), packet.TileID(*dst)},
-			},
-		},
+		Config:       cfg,
 		Source:       packet.TileID(*src),
 		Dest:         packet.TileID(*dst),
 		Tech:         energy.NoCLink025,
@@ -289,25 +285,6 @@ func runCheck(grid *topology.Grid) {
 	default:
 		os.Exit(2)
 	}
-}
-
-// saveCheckpoint atomically writes the run's state — engine plus the
-// metrics recorder, when one is attached — to path (tmp + rename, so an
-// interruption mid-save never leaves a torn file).
-func saveCheckpoint(path string, meta sim.CheckpointMeta, net *core.Network, rec *metrics.Recorder) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	err = sim.WriteCheckpoint(tmp, meta, net, rec)
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
 }
 
 // writeMetrics exports the single run's series (a one-replica merge, so

@@ -100,8 +100,10 @@ type Config struct {
 	// runs the per-tile phases of every round shard-parallel; 0 or 1
 	// selects the sequential engine. Results are bit-identical at any
 	// shard count (see DESIGN.md, "Sharded engine") — Shards is purely a
-	// wall-clock knob for large meshes. Counts above the tile count are
-	// clamped. One behavioural caveat: observer hooks (OnEvent,
+	// wall-clock knob for large meshes. The count is clamped to the mesh's
+	// whole 64-tile words (a shard owns whole words of the tile bitmaps);
+	// below 128 tiles the sequential engine runs. Network.Shards reports
+	// the count in effect. One behavioural caveat: observer hooks (OnEvent,
 	// OnDeliver) fire after the phase barrier instead of mid-phase, so a
 	// hook that reads network state (Aware, Counters) sees end-of-phase
 	// values; hooks that only record their arguments — every hook in
@@ -411,14 +413,9 @@ type Network struct {
 	// aware-count updates switch to atomics under it. It is only
 	// written by the stepping goroutine between barriers.
 	par bool
-	// alignedLanes is true when every lane boundary falls on a 64-tile
-	// word boundary (initLanes): no two lanes then share any word of the
-	// tile bitmaps (message rows, occupancy), and the bit flips skip
-	// their CAS loops even while shard goroutines are live.
-	alignedLanes bool
-	// laneBase/laneRem record the initLanes partition arithmetic (span
-	// units per lane, in words when aligned, tiles otherwise) so laneFor
-	// can invert tile→lane without a lookup table.
+	// laneBase/laneRem record the initLanes partition arithmetic (64-tile
+	// words per lane) so laneFor can invert tile→lane without a lookup
+	// table.
 	laneBase, laneRem int
 	// hasReceiver caches whether any attached process implements
 	// Receiver (recomputed when procsDirty; consulted by stepShards).
@@ -475,13 +472,11 @@ func New(cfg Config) (*Network, error) {
 		}
 	}
 	n.seqLane = lane{net: n, lo: 0, hi: len(n.tiles), direct: true, cnt: &n.cnt}
-	if s := cfg.Shards; s > 1 {
-		if s > len(n.tiles) {
-			s = len(n.tiles)
-		}
-		if s > 1 {
-			n.initLanes(s)
-		}
+	// A lane owns whole 64-tile words (initLanes), so a mesh carries at most
+	// one shard per whole word; with fewer than two the sequential engine —
+	// bit-identical by the sharding contract — runs.
+	if s := min(cfg.Shards, len(n.tiles)/64); s > 1 {
+		n.initLanes(s)
 	}
 	// Without synchronization skew every copy arrives in the round it was
 	// sent, so one recycled arrival bucket per tile covers all traffic.
@@ -620,6 +615,10 @@ func (n *Network) Counters() Counters { return n.cnt }
 
 // Topology returns the fabric.
 func (n *Network) Topology() topology.Topology { return n.topo }
+
+// Shards returns the shard count the engine runs with: Config.Shards after
+// New's clamp to whole 64-tile words, 1 for the sequential engine.
+func (n *Network) Shards() int { return max(1, len(n.lanes)) }
 
 // Inject creates a new message originating at tile src before the
 // simulation starts (or between rounds), bypassing any Process. It is the

@@ -44,48 +44,48 @@ type diffConfig struct {
 	resumeK int
 }
 
-// genTopology picks a random fabric. Small sizes on purpose: divergence
-// bugs are about phase ordering and RNG stream discipline, not scale,
-// and 200 cases must stay inside tier-1 time.
+// genTopology picks a random fabric. A shard owns whole 64-tile words, so
+// every fabric has at least two of them (128 tiles: the 2-shard leg runs
+// on two lanes) and about four in ten of each sparse family have five or
+// more (320-512 tiles: the 5-shard leg runs on five); in between the
+// engine clamps, which runShardScenario checks. No larger than that on
+// purpose: divergence bugs are about phase ordering and RNG stream
+// discipline, not scale, and 200 cases must stay inside tier-1 time. The
+// complete fabric stays at 128-136 tiles and runs at a thinned P (genP).
 func genTopology(g *rng.Stream) topology.Topology {
 	switch g.Intn(5) {
 	case 0:
-		return topology.NewGrid(2+g.Intn(5), 2+g.Intn(5))
+		return topology.NewGrid(8+g.Intn(18), 16+g.Intn(5))
 	case 1:
-		return topology.NewTorus(3+g.Intn(3), 3+g.Intn(3))
+		return topology.NewTorus(8+g.Intn(18), 16+g.Intn(5))
 	case 2:
-		return topology.NewFullyConnected(4 + g.Intn(12))
+		return topology.NewFullyConnected(128 + g.Intn(9))
 	case 3:
-		return topology.NewRing(4 + g.Intn(12))
+		return topology.NewRing(128 + g.Intn(384))
 	default:
-		// Two small grid clusters joined by one bridge link — the
-		// Chapter 5 shape, where routers and forward limits matter.
-		side := 2 + g.Intn(2)
-		tiles := side * side
-		gr := topology.NewGraph(2 * tiles)
-		link := func(a, b int) {
-			if err := gr.AddLink(packet.TileID(a), packet.TileID(b)); err != nil {
-				panic(err)
-			}
-		}
-		for c := 0; c < 2; c++ {
-			base := c * tiles
-			for y := 0; y < side; y++ {
-				for x := 0; x < side; x++ {
-					id := base + y*side + x
-					if x < side-1 {
-						link(id, id+1)
-					}
-					if y < side-1 {
-						link(id, id+side)
-					}
-				}
-			}
-		}
-		link(tiles-1, tiles)
-		return gr
+		// Two grid clusters joined by one bridge link — the Chapter 5
+		// shape, where routers and forward limits matter.
+		return clusterTopo(8 + g.Intn(8))
 	}
 }
+
+// genP draws a case's forwarding probability from [0.2, 1) — divided by
+// denseThin on the complete fabric. A round there costs tiles²·P
+// transmissions per live message, and an undetected upset of a TTL byte
+// (it is outside the CRC) keeps a message alive for the whole run: at the
+// full P range the ~50 complete-fabric cases were 95 % of both generated
+// suites' time. Thinned, a tile still sends each message to 1-4 of its
+// ~130 peers a round, a grid's fan-out, nearly all of it across a lane
+// boundary and many senders into each arrival ring.
+func genP(g *rng.Stream, topo topology.Topology) float64 {
+	p := 0.2 + 0.8*g.Float64()
+	if len(topo.Neighbors(0)) == topo.Tiles()-1 {
+		p /= denseThin
+	}
+	return p
+}
+
+const denseThin = 32
 
 // genFault rolls the full Chapter 2 knob set. Each knob is enabled
 // independently, so the population covers both isolated knobs and the
@@ -127,7 +127,7 @@ func genCase(idx int) diffConfig {
 
 	cfgTemplate := Config{
 		Topo:                 topo,
-		P:                    0.2 + 0.8*g.Float64(),
+		P:                    genP(g, topo),
 		TTL:                  uint8(3 + g.Intn(14)),
 		MaxRounds:            1000,
 		Seed:                 g.Uint64(),

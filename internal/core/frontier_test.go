@@ -195,7 +195,7 @@ func TestPoolsFollowFrontier(t *testing.T) {
 // sequential phase-4 fallback — and checks the pools' books every round,
 // sequentially, sharded, and across a snapshot/restore.
 func TestPoolAccountingExact(t *testing.T) {
-	for _, sc := range append(shardScenarios(t), subTTLScenarios()[0]) {
+	for _, sc := range append(shardScenarios(), subTTLScenarios()[0]) {
 		base := sc.cfg
 		sc.cfg = func() Config {
 			cfg := base()
@@ -213,19 +213,19 @@ func TestPoolAccountingExact(t *testing.T) {
 // last round, so every delivery has been handed to its Process by then.
 func mailboxScenario(setup func(n *Network)) shardScenario {
 	return shardScenario{
-		name: "mailbox-8x8",
+		name: "mailbox-14x14",
 		cfg: func() Config {
 			return Config{
-				Topo: topology.NewGrid(8, 8), P: 0.7, TTL: 6, MaxRounds: 1000, Seed: 0x3A11,
+				Topo: topology.NewGrid(14, 14), P: 0.7, TTL: 6, MaxRounds: 1000, Seed: 0x3A11,
 				Fault: fault.Model{PUpset: 0.05, LiteralUpsets: true, SigmaSync: 0.5},
 			}
 		},
 		setup: setup,
 		inject: []injection{
 			{beforeRound: 0, src: 0, dst: packet.Broadcast, payload: "all"},
-			{beforeRound: 2, src: 63, dst: 9, payload: "one"},
-			{beforeRound: 5, src: 27, dst: packet.Broadcast},
-			{beforeRound: 9, src: 36, dst: packet.Broadcast, payload: "late"},
+			{beforeRound: 2, src: 195, dst: 165, payload: "one"},
+			{beforeRound: 5, src: 61, dst: packet.Broadcast},
+			{beforeRound: 9, src: 134, dst: packet.Broadcast, payload: "late"},
 		},
 		rounds: 40,
 	}

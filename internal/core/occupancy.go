@@ -1,9 +1,6 @@
 package core
 
-import (
-	"math/bits"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // This file holds the per-tile occupancy bitmaps of the round engine.
 //
@@ -41,51 +38,29 @@ import (
 // every golden.
 //
 // Concurrency: a tile's bit is only ever flipped by the lane that owns
-// the tile, but tiles of several lanes can share a 64-tile word when
-// lane boundaries are unaligned (meshes too small for word-aligned
-// sharding, see initLanes). Tile-bit flips then go through a CAS loop
-// and iteration reads the words atomically; with word-aligned lanes —
-// and always on the sequential engine — plain loads and stores suffice.
-// The summary level is one notch more shared: even under an aligned
-// partition a summary word covers 64 tile words that may span several
-// lanes, so while shard goroutines are live every summary flip is a CAS
-// and every summary read an atomic load. That stays cheap because
+// the tile, and a lane owns whole 64-tile words (initLanes), so tile words
+// take plain loads and stores on both engines. The summary level is one
+// notch more shared: a summary word covers 64 tile words that may span
+// several lanes, so while shard goroutines are live every summary flip is
+// a CAS and every summary read an atomic load. That stays cheap because
 // summary bits only flip on a word's empty↔non-empty transitions — at
-// most once per active word per phase, not once per transmission. Under
-// an unaligned partition a tile word itself is shared, and a drain by
-// one lane can race a fill by another on the same summary bit; clearing
-// would lose the fill, so unaligned parallel clears leave the summary
-// bit set. The summary is then a conservative superset — iteration
-// reads a zero tile word and moves on — and the next sequential or
-// exclusive-owner clear tidies it. The same sharing makes the summary
-// lag mid-phase: the lane that flips a shared word from zero publishes it,
-// and a peer whose tiles sit in that word may sweep first (phase 4 sweeps
-// straight after its own merge). Sweeps under an unaligned partition
-// therefore do not consult the summary at all — such a lane spans fewer
-// than 64 tiles, one or two words, and reads them directly (Network.sweep).
-// Unaligned partitions only occur on meshes with fewer than 64 tiles per
-// shard.
+// most once per active word per phase, not once per transmission — and
+// exact because the lane flipping a summary bit is the sole writer of the
+// tile word it mirrors.
 
 // occMap is one two-level occupancy bitmap: bits holds one bit per tile,
-// sum one bit per word of bits (set while the word is non-zero — exactly
-// at barriers, a superset mid-phase under unaligned parallel clears).
+// sum one bit per word of bits, set exactly while the word is non-zero.
 type occMap struct {
 	bits []uint64
 	sum  []uint64
 }
 
-// empty reports whether no bit of m is set, walking only the words the
-// summary names. A stale summary bit (unaligned parallel clears, see the
-// file comment) is verified against its word, so a superset summary
-// never yields a false non-empty verdict. Barrier use only.
+// empty reports whether no bit of m is set; the summary answers alone.
+// Barrier use only.
 func (m *occMap) empty() bool {
-	for si, sw := range m.sum {
-		for sw != 0 {
-			wi := si<<6 + bits.TrailingZeros64(sw)
-			sw &= sw - 1
-			if m.bits[wi] != 0 {
-				return false
-			}
+	for _, sw := range m.sum {
+		if sw != 0 {
+			return false
 		}
 	}
 	return true
@@ -114,17 +89,12 @@ func (m *occMap) setBarrier(ti int) {
 	m.sum[wi>>6] |= 1 << (uint(wi) & 63)
 }
 
-// occSet sets bit ti of m. Safe under parallel phases: unaligned lanes
-// CAS the shared tile word, aligned lanes own their tile words outright;
-// the summary word is CASed whenever shard goroutines are live (it can
-// span lanes even under an aligned partition). The CAS loops live in
-// separate functions so that occSet/occClear stay leaf calls the
-// compiler inlines into the per-transmission hot path.
+// occSet sets bit ti of m. Safe under parallel phases: the calling lane
+// owns the tile word outright; the summary word can span lanes, so it is
+// CASed whenever shard goroutines are live. The CAS loops live in separate
+// functions so that occSet/occClear stay leaf calls the compiler inlines
+// into the per-transmission hot path.
 func (n *Network) occSet(m *occMap, ti uint32) {
-	if n.par && !n.alignedLanes {
-		occSetAtomic(m, ti)
-		return
-	}
 	wi := ti >> 6
 	old := m.bits[wi]
 	m.bits[wi] = old | 1<<(ti&63)
@@ -138,32 +108,8 @@ func (n *Network) occSet(m *occMap, ti uint32) {
 	}
 }
 
-func occSetAtomic(m *occMap, ti uint32) {
-	w := &m.bits[ti>>6]
-	mask := uint64(1) << (ti & 63)
-	for {
-		old := atomic.LoadUint64(w)
-		if old&mask != 0 {
-			return
-		}
-		if atomic.CompareAndSwapUint64(w, old, old|mask) {
-			if old == 0 {
-				sumSetAtomic(m.sum, ti>>6)
-			}
-			return
-		}
-	}
-}
-
-// occClear clears bit ti of m, under the same discipline as occSet. A
-// word drained by an unaligned parallel clear keeps its summary bit (see
-// the file comment: clearing could lose a concurrent fill of the shared
-// word); everywhere else the summary tracks the word exactly.
+// occClear clears bit ti of m, under the same discipline as occSet.
 func (n *Network) occClear(m *occMap, ti uint32) {
-	if n.par && !n.alignedLanes {
-		occClearAtomic(m, ti)
-		return
-	}
 	wi := ti >> 6
 	w := m.bits[wi] &^ (1 << (ti & 63))
 	m.bits[wi] = w
@@ -176,19 +122,8 @@ func (n *Network) occClear(m *occMap, ti uint32) {
 	}
 }
 
-func occClearAtomic(m *occMap, ti uint32) {
-	w := &m.bits[ti>>6]
-	mask := uint64(1) << (ti & 63)
-	for {
-		old := atomic.LoadUint64(w)
-		if old&mask == 0 || atomic.CompareAndSwapUint64(w, old, old&^mask) {
-			return
-		}
-	}
-}
-
 // sumSetAtomic sets summary bit wi (one bit per tile word) with a CAS:
-// summary words can span lanes even when tile words do not.
+// summary words can span lanes, tile words do not.
 func sumSetAtomic(sum []uint64, wi uint32) {
 	w := &sum[wi>>6]
 	mask := uint64(1) << (wi & 63)
@@ -200,9 +135,8 @@ func sumSetAtomic(sum []uint64, wi uint32) {
 	}
 }
 
-// sumClearAtomic clears summary bit wi. Only called while the clearing
-// lane exclusively owns tile word wi (aligned partitions), so no
-// concurrent fill of that word can race the clear.
+// sumClearAtomic clears summary bit wi. The clearing lane exclusively owns
+// tile word wi, so no concurrent fill of that word can race the clear.
 func sumClearAtomic(sum []uint64, wi uint32) {
 	w := &sum[wi>>6]
 	mask := uint64(1) << (wi & 63)

@@ -10,92 +10,70 @@ import (
 )
 
 // TestForOccupiedIteration pins the contract of the one sweep phases 2-4
-// run (Network.sweep): ascending tile order, tiles below the lane's lo
-// masked, tiles at/after hi never visited, empty ranges visit nothing,
-// stale summary bits surface nothing. The sweep is observed through the
-// aging phase: every occupied tile buffers one TTL-1 copy, so each visit
-// is one EvExpire, in visit order. The 70×70 mesh spans two summary words,
-// so the two-level walk and both levels of range masking are exercised.
+// run (Network.sweep) over the ranges lanes actually have — whole 64-tile
+// words, the last one possibly cut short by the mesh end: ascending tile
+// order, words outside [lo, hi) never visited even when they share a
+// summary word with the range, empty ranges visit nothing, and the summary
+// stays exact through the drains, with and without the summary CAS path
+// (n.par). The sweep is observed through the aging phase: every occupied
+// tile buffers one TTL-1 copy, so each visit is one EvExpire, in visit
+// order, and drains the tile. The 70×70 mesh spans two summary words (its
+// tile word 64 opens the second), so the two-level walk and the
+// summary-level range masks are exercised.
 func TestForOccupiedIteration(t *testing.T) {
 	set := []int{0, 1, 63, 64, 100, 127, 128, 199, 4095, 4096, 4100, 4899}
-	visit := func(lo, hi int, stale bool) []int {
-		var got []int
-		n := mustNet(t, Config{
-			Topo: topology.NewGrid(70, 70), P: 0, TTL: 1, MaxRounds: 10, Seed: 1,
-			OnEvent: func(ev Event) {
-				if ev.Kind == EvExpire {
-					got = append(got, int(ev.Tile))
-				}
-			},
-		})
-		for _, ti := range set {
-			mustInject(t, n, packet.TileID(ti), packet.Broadcast, 0, nil)
-		}
-		if stale {
-			// Words 3 and 70 hold no tile of the set: summary bits over
-			// zero words, as unaligned parallel clears leave them.
-			n.bufOcc.sum[0] |= 1 << 3
-			n.bufOcc.sum[1] |= 1 << (70 - 64)
-		}
-		ln := lane{net: n, lo: lo, hi: hi, direct: true, cnt: &n.cnt}
-		n.sweep(&ln, sweepAge)
-		return got
-	}
 	cases := []struct {
 		lo, hi int
 		want   []int
 	}{
 		{0, 4900, set},
-		{1, 128, []int{1, 63, 64, 100, 127}}, // lo mid-word, hi on a word edge
-		{64, 100, []int{64}},                 // hi mid-word excludes 100
-		{65, 100, nil},                       // nothing in (64, 100)
-		{199, 200, []int{199}},               // single tile
-		{50, 50, nil},                        // empty range
-		{129, 4097, []int{199, 4095, 4096}},  // range crosses the summary-word edge
-		{4097, 4900, []int{4100, 4899}},      // lo inside the second summary word
+		{0, 64, []int{0, 1, 63}},                       // one word
+		{64, 128, []int{64, 100, 127}},                 // one word, neighbours occupied on both sides
+		{128, 4096, []int{128, 199, 4095}},             // hi on the summary-word edge
+		{128, 4160, []int{128, 199, 4095, 4096, 4100}}, // range crosses the summary-word edge
+		{4096, 4900, []int{4096, 4100, 4899}},          // lo on the summary-word edge, hi the mesh end
+		{4160, 4900, []int{4899}},                      // lo inside the second summary word, partial last word
+		{192, 192, nil},                                // empty range
+		{256, 4032, nil},                               // 59 idle words between occupied ones
 	}
 	for _, c := range cases {
-		for _, stale := range []bool{false, true} {
-			if got := visit(c.lo, c.hi, stale); !reflect.DeepEqual(got, c.want) {
-				t.Fatalf("sweep[%d,%d) stale=%v visited %v, want %v", c.lo, c.hi, stale, got, c.want)
+		for _, par := range []bool{false, true} {
+			var got []int
+			n := mustNet(t, Config{
+				Topo: topology.NewGrid(70, 70), P: 0, TTL: 1, MaxRounds: 10, Seed: 1,
+				OnEvent: func(ev Event) {
+					if ev.Kind == EvExpire {
+						got = append(got, int(ev.Tile))
+					}
+				},
+			})
+			for _, ti := range set {
+				mustInject(t, n, packet.TileID(ti), packet.Broadcast, 0, nil)
+			}
+			n.par = par
+			n.sweep(&lane{net: n, lo: c.lo, hi: c.hi, direct: true, cnt: &n.cnt}, sweepAge)
+			n.par = false
+			if !reflect.DeepEqual(got, c.want) {
+				t.Fatalf("sweep[%d,%d) par=%v visited %v, want %v", c.lo, c.hi, par, got, c.want)
+			}
+			// Every visited tile drained; the summary must have followed,
+			// word by word, and nothing outside the range may have moved.
+			checkSummaryExact(t, "bufOcc", &n.bufOcc, 0)
+			for _, ti := range set {
+				inRange := c.lo <= ti && ti < c.hi
+				if occupied := n.bufOcc.bits[ti>>6]&(1<<(uint(ti)&63)) != 0; occupied == inRange {
+					t.Fatalf("sweep[%d,%d) par=%v: tile %d occupied=%v after the sweep", c.lo, c.hi, par, ti, occupied)
+				}
+			}
+			if whole := c.lo == 0 && c.hi == 4900; n.bufOcc.empty() != whole {
+				t.Fatalf("sweep[%d,%d) par=%v: empty() = %v", c.lo, c.hi, par, !whole)
 			}
 		}
 	}
-	// Under an unaligned parallel partition a peer lane may not have
-	// published a shared word in the summary yet when this lane sweeps
-	// (phase 4 merges and receives without a barrier in between): the
-	// sweep must find the word's tiles anyway.
-	var lagging []int
-	n := mustNet(t, Config{
-		Topo: topology.NewGrid(70, 70), P: 0, TTL: 1, MaxRounds: 10, Seed: 1,
-		OnEvent: func(ev Event) {
-			if ev.Kind == EvExpire {
-				lagging = append(lagging, int(ev.Tile))
-			}
-		},
-	})
-	for _, ti := range set {
-		mustInject(t, n, packet.TileID(ti), packet.Broadcast, 0, nil)
-	}
-	n.bufOcc.sum[0] &^= 1 << 1 // word 1 (tiles 64-127) not yet published
-	n.par = true
-	n.sweep(&lane{net: n, lo: 64, hi: 128, direct: true, cnt: &n.cnt}, sweepAge)
-	n.par = false
-	if want := []int{64, 100, 127}; !reflect.DeepEqual(lagging, want) {
-		t.Fatalf("unaligned sweep behind a lagging summary visited %v, want %v", lagging, want)
-	}
-
-	// empty() must see through a summary that holds only stale bits.
-	var m occMap
-	m.initOcc(200)
-	m.sum[0] = 1 << 2
-	if !m.empty() {
-		t.Fatal("empty() = false on a map with only a stale summary bit")
-	}
 }
 
-// TestOccupancySummaryExact checks that the summary level mirrors the
-// word level exactly at round barriers: a summary bit is set iff its
+// checkSummaryExact checks that the summary level mirrors the word level
+// exactly, as it must at every round barrier: a summary bit is set iff its
 // 64-tile word is non-zero.
 func checkSummaryExact(t *testing.T, name string, m *occMap, round int) {
 	t.Helper()

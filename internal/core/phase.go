@@ -60,34 +60,27 @@ func (n *Network) phaseReceive(ln *lane) { n.sweep(ln, sweepReceive) }
 // every golden. Iteration is two-level: the lane walks the set summary
 // bits of its frontier segment and only loads the tile words under them,
 // so a lane whose range is idle costs O(range/4096) summary loads, not a
-// word scan. The per-tile bodies are called directly (a switch, not a
-// function value): the sweep is the engine's innermost frame, and an
-// indirect call per occupied tile is measurable on dense small meshes.
+// word scan. A lane's range is whole tile words (lo a word boundary, hi a
+// word boundary or the mesh end, past which no bit is ever set), so only
+// the summary level needs range masks. The per-tile bodies are called
+// directly (a switch, not a function value): the sweep is the engine's
+// innermost frame, and an indirect call per occupied tile is measurable on
+// dense small meshes.
 func (n *Network) sweep(ln *lane, ph sweepPhase) {
 	m := &n.bufOcc
 	if ph == sweepReceive {
 		m = &n.rcvOcc
 	}
-	unaligned := n.par && !n.alignedLanes
 	w0, w1 := ln.lo>>6, (ln.hi+63)>>6
 	s0, s1 := w0>>6, (w1+63)>>6
 	for si := s0; si < s1; si++ {
 		var sw uint64
 		if n.par {
-			// Summary words can span lanes even under an aligned
-			// partition; other lanes CAS their bits mid-phase.
+			// Summary words can span lanes; other lanes CAS their bits
+			// mid-phase.
 			sw = atomic.LoadUint64(&m.sum[si])
 		} else {
 			sw = m.sum[si]
-		}
-		if unaligned {
-			// Lanes share tile words here, so the summary bit of this
-			// lane's word may be a peer's to publish — and phase 4 sweeps
-			// straight after its own merge, with no barrier for the peer to
-			// get there. The summary is not trusted: an unaligned lane
-			// spans under 64 tiles, so reading its one or two words
-			// directly costs nothing.
-			sw = ^uint64(0)
 		}
 		if si == s0 {
 			sw &^= (uint64(1) << (uint(w0) & 63)) - 1 // mask words below w0
@@ -97,23 +90,8 @@ func (n *Network) sweep(ln *lane, ph sweepPhase) {
 			if wi >= w1 {
 				break
 			}
-			var w uint64
-			if unaligned {
-				// Another lane may CAS its own bits of a shared boundary
-				// word mid-phase; even a discarded plain read is a race.
-				w = atomic.LoadUint64(&m.bits[wi])
-			} else {
-				w = m.bits[wi]
-			}
-			if wi == w0 {
-				w &^= (uint64(1) << (uint(ln.lo) & 63)) - 1 // mask tiles below lo
-			}
-			for ; w != 0; w &= w - 1 {
-				ti := wi<<6 + bits.TrailingZeros64(w)
-				if ti >= ln.hi {
-					break
-				}
-				t := &n.tiles[ti]
+			for w := m.bits[wi]; w != 0; w &= w - 1 {
+				t := &n.tiles[wi<<6+bits.TrailingZeros64(w)]
 				if !t.alive {
 					continue
 				}
@@ -404,7 +382,7 @@ func (n *Network) deliver(ln *lane, t *tile, p *packet.Packet) {
 	if p.Dst != t.id && p.Dst != packet.Broadcast {
 		return
 	}
-	if n.rowBit(n.tbl.seen[msgSlot(p.ID)], t.id) {
+	if rowBit(n.tbl.seen[msgSlot(p.ID)], t.id) {
 		return
 	}
 	n.setSeen(t, p.ID)
@@ -447,7 +425,7 @@ func (n *Network) deliver(ln *lane, t *tile, p *packet.Packet) {
 // The packet is copied by value; the caller keeps ownership of *p. Counts
 // and events go through the executing lane.
 func (n *Network) enqueue(ln *lane, t *tile, p *packet.Packet) {
-	if !n.cfg.DisableDedup && n.rowBit(n.tbl.present[msgSlot(p.ID)], t.id) {
+	if !n.cfg.DisableDedup && rowBit(n.tbl.present[msgSlot(p.ID)], t.id) {
 		ln.cnt.Duplicates++
 		return
 	}

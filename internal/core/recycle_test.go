@@ -43,7 +43,7 @@ func genRecycleCase(idx int) diffConfig {
 
 	cfgTemplate := Config{
 		Topo:                 topo,
-		P:                    0.2 + 0.8*g.Float64(),
+		P:                    genP(g, topo),
 		TTL:                  uint8(3 + g.Intn(6)),
 		MaxRounds:            1000,
 		Seed:                 g.Uint64(),

@@ -260,55 +260,32 @@ func (ln *lane) unshare(p *packet.Packet) {
 	ln.borrowed = nil
 }
 
-// initLanes partitions the tiles into shards contiguous tile-ID ranges
-// and builds their lanes. shards is already clamped to [2, tiles].
-//
-// Meshes with at least 64 tiles per shard get a *word-aligned* partition:
-// every lane boundary falls on a multiple of 64 tiles, so no two lanes
-// share any 64-bit word of the tile bitmaps (message present/seen rows,
-// occupancy) and the per-bit flips skip their CAS loops even while shard
-// goroutines are live (n.alignedLanes). The partition choice is invisible
-// to results — sharding is bit-identical at any lane geometry.
+// initLanes partitions the tiles into shards contiguous tile-ID ranges and
+// builds their lanes. Every lane owns whole 64-tile words — New clamps
+// shards to [2, tiles/64] — so no two lanes share any 64-bit word of the
+// tile bitmaps (message present/seen rows, occupancy) and the per-bit
+// flips are plain loads and stores even while shard goroutines are live.
+// Only the last lane's last word can be partial (the mesh end). The
+// geometry is invisible to results — sharding is bit-identical at any
+// shard count.
 func (n *Network) initLanes(shards int) {
 	n.lanes = make([]lane, shards)
 	tiles := len(n.tiles)
+	words := occWords(tiles)
+	n.laneBase, n.laneRem = words/shards, words%shards
 	lo := 0
-	if tiles >= shards*64 {
-		n.alignedLanes = true
-		words := occWords(tiles)
-		n.laneBase, n.laneRem = words/shards, words%shards
-		for i := range n.lanes {
-			spanW := n.laneBase
-			if i < n.laneRem {
-				spanW++
-			}
-			hi := lo + spanW*64
-			if hi > tiles {
-				hi = tiles // only the last word can be partial
-			}
-			ln := &n.lanes[i]
-			ln.net = n
-			ln.idx = i
-			ln.lo, ln.hi = lo, hi
-			ln.cnt = &ln.delta
-			ln.outbox = make([][]outbound, shards)
-			lo = hi
-		}
-		return
-	}
-	n.laneBase, n.laneRem = tiles/shards, tiles%shards
 	for i := range n.lanes {
-		span := n.laneBase
+		spanW := n.laneBase
 		if i < n.laneRem {
-			span++
+			spanW++
 		}
 		ln := &n.lanes[i]
 		ln.net = n
 		ln.idx = i
-		ln.lo, ln.hi = lo, lo+span
+		ln.lo, ln.hi = lo, min(lo+spanW*64, tiles)
 		ln.cnt = &ln.delta
 		ln.outbox = make([][]outbound, shards)
-		lo += span
+		lo = ln.hi
 	}
 }
 
@@ -339,18 +316,14 @@ func (n *Network) trimPools() {
 }
 
 // laneFor maps a tile to the index of the lane owning it, inverting the
-// initLanes partition arithmetically: the first laneRem lanes span
-// laneBase+1 units, the rest laneBase (units are 64-tile words on an
-// aligned partition, single tiles otherwise).
+// initLanes partition arithmetically: in 64-tile words, the first laneRem
+// lanes span laneBase+1, the rest laneBase.
 func (n *Network) laneFor(t packet.TileID) int {
-	x := int(t)
-	if n.alignedLanes {
-		x >>= 6
-	}
-	if wide := n.laneRem * (n.laneBase + 1); x < wide {
-		return x / (n.laneBase + 1)
+	w := int(t) >> 6
+	if wide := n.laneRem * (n.laneBase + 1); w < wide {
+		return w / (n.laneBase + 1)
 	} else {
-		return n.laneRem + (x-wide)/n.laneBase
+		return n.laneRem + (w-wide)/n.laneBase
 	}
 }
 

@@ -14,7 +14,10 @@ import (
 // bit-identical to the sequential engine at any shard count. Every
 // scenario below runs once sequentially and once per shard count, and the
 // complete observable record — event sequence, delivery sequence,
-// counters, aware tables — must match exactly.
+// counters, aware tables — must match exactly. A shard owns whole 64-tile
+// words, so every fabric here has at least two of them (128 tiles), and
+// checkLanes refuses a run that asked for shards and got the sequential
+// engine.
 
 // deliverRec is one OnDeliver invocation, payload included so a sharded
 // run cannot get away with delivering the right ID with a corrupted body.
@@ -52,38 +55,42 @@ type shardScenario struct {
 	setup  func(n *Network)
 	inject []injection
 	rounds int
+	// mayClamp marks the clamp tests: asking for more shards than the
+	// fabric has whole words, down to the sequential engine, is their point.
+	mayClamp bool
 }
 
-// clusterTopo builds the Chapter 5 style two-cluster fabric used by the
-// router scenario: two 3x3 gossip grids (tiles 0-8 and 9-17) joined by a
-// single bridge link 8<->9.
-func clusterTopo(tb testing.TB) *topology.Graph {
-	tb.Helper()
-	g := topology.NewGraph(18)
+// clusterTopo builds the Chapter 5 style two-cluster fabric: two
+// side×side gossip grids (tiles 0..side²-1 and side²..2·side²-1) joined by
+// a single bridge link between the last tile of the first and the first
+// tile of the second.
+func clusterTopo(side int) *topology.Graph {
+	tiles := side * side
+	g := topology.NewGraph(2 * tiles)
 	link := func(a, b int) {
 		if err := g.AddLink(packet.TileID(a), packet.TileID(b)); err != nil {
-			tb.Fatalf("AddLink(%d,%d): %v", a, b, err)
+			panic(err)
 		}
 	}
 	for c := 0; c < 2; c++ {
-		base := c * 9
-		for y := 0; y < 3; y++ {
-			for x := 0; x < 3; x++ {
-				id := base + y*3 + x
-				if x < 2 {
+		base := c * tiles
+		for y := 0; y < side; y++ {
+			for x := 0; x < side; x++ {
+				id := base + y*side + x
+				if x < side-1 {
 					link(id, id+1)
 				}
-				if y < 2 {
-					link(id, id+3)
+				if y < side-1 {
+					link(id, id+side)
 				}
 			}
 		}
 	}
-	link(8, 9)
+	link(tiles-1, tiles)
 	return g
 }
 
-func shardScenarios(tb testing.TB) []shardScenario {
+func shardScenarios() []shardScenario {
 	return []shardScenario{
 		{
 			// Analytic fault mix on a grid: upsets, overflows, crashed
@@ -91,17 +98,18 @@ func shardScenarios(tb testing.TB) []shardScenario {
 			name: "grid-analytic-faults",
 			cfg: func() Config {
 				return Config{
-					Topo: topology.NewGrid(6, 6), P: 0.45, TTL: 8,
+					Topo: topology.NewGrid(12, 12), P: 0.45, TTL: 8,
 					MaxRounds: 1000, Seed: 11,
 					Fault: fault.Model{
 						PUpset: 0.1, POverflow: 0.05, PLinkCrash: 0.05,
-						DeadTiles: 3, Protect: []packet.TileID{0, 14, 35},
+						DeadTiles: 9, Protect: []packet.TileID{0, 102, 114, 143},
 					},
 				}
 			},
 			inject: []injection{
-				{beforeRound: 0, src: 0, dst: packet.Broadcast},
-				{beforeRound: 4, src: 35, dst: 14, kind: 1, payload: "mid-run"},
+				{beforeRound: 0, src: 114, dst: packet.Broadcast},
+				{beforeRound: 2, src: 0, dst: packet.Broadcast},
+				{beforeRound: 4, src: 143, dst: 102, kind: 1, payload: "mid-run"},
 			},
 			rounds: 40,
 		},
@@ -111,13 +119,13 @@ func shardScenarios(tb testing.TB) []shardScenario {
 			name: "grid-sync-skew",
 			cfg: func() Config {
 				return Config{
-					Topo: topology.NewGrid(5, 5), P: 0.6, TTL: 10,
+					Topo: topology.NewGrid(13, 13), P: 0.6, TTL: 10,
 					MaxRounds: 1000, Seed: 7,
 					Fault: fault.Model{SigmaSync: 1.2},
 				}
 			},
 			inject: []injection{
-				{beforeRound: 0, src: 12, dst: packet.Broadcast, payload: "skewed"},
+				{beforeRound: 0, src: 84, dst: packet.Broadcast, payload: "skewed"},
 			},
 			rounds: 40,
 		},
@@ -127,14 +135,14 @@ func shardScenarios(tb testing.TB) []shardScenario {
 			name: "grid-literal-upsets",
 			cfg: func() Config {
 				return Config{
-					Topo: topology.NewGrid(5, 5), P: 0.7, TTL: 9,
+					Topo: topology.NewGrid(16, 12), P: 0.7, TTL: 9,
 					MaxRounds: 1000, Seed: 21,
 					Fault: fault.Model{LiteralUpsets: true, PUpset: 0.15},
 				}
 			},
 			inject: []injection{
-				{beforeRound: 0, src: 0, dst: packet.Broadcast, payload: "literal payload"},
-				{beforeRound: 3, src: 24, dst: 0, kind: 2, payload: "return traffic"},
+				{beforeRound: 0, src: 56, dst: packet.Broadcast, payload: "literal payload"},
+				{beforeRound: 3, src: 135, dst: 56, kind: 2, payload: "return traffic"},
 			},
 			rounds: 40,
 		},
@@ -144,7 +152,7 @@ func shardScenarios(tb testing.TB) []shardScenario {
 			name: "torus-portweight-bufcap",
 			cfg: func() Config {
 				return Config{
-					Topo: topology.NewTorus(4, 4), P: 0.8, TTL: 12,
+					Topo: topology.NewTorus(16, 16), P: 0.8, TTL: 12,
 					BufferCap: 2, MaxRounds: 1000, Seed: 5,
 					PortWeight: func(from, to packet.TileID, p *packet.Packet) float64 {
 						if to < from {
@@ -156,8 +164,8 @@ func shardScenarios(tb testing.TB) []shardScenario {
 			},
 			inject: []injection{
 				{beforeRound: 0, src: 0, dst: packet.Broadcast},
-				{beforeRound: 1, src: 5, dst: packet.Broadcast},
-				{beforeRound: 2, src: 10, dst: packet.Broadcast},
+				{beforeRound: 1, src: 85, dst: packet.Broadcast},
+				{beforeRound: 2, src: 170, dst: packet.Broadcast},
 			},
 			rounds: 30,
 		},
@@ -167,22 +175,21 @@ func shardScenarios(tb testing.TB) []shardScenario {
 			name: "grid-dedup-off",
 			cfg: func() Config {
 				return Config{
-					Topo: topology.NewGrid(4, 4), P: 0.5, TTL: 5,
+					Topo: topology.NewGrid(12, 12), P: 0.5, TTL: 5,
 					BufferCap: 3, DisableDedup: true, MaxRounds: 1000, Seed: 3,
 				}
 			},
 			inject: []injection{
 				{beforeRound: 0, src: 0, dst: packet.Broadcast},
-				{beforeRound: 0, src: 15, dst: packet.Broadcast},
+				{beforeRound: 0, src: 143, dst: packet.Broadcast},
+				{beforeRound: 1, src: 127, dst: packet.Broadcast},
 			},
 			rounds: 25,
 		},
 		{
-			// 256 tiles: the smallest mesh the invariance shard counts
-			// split both ways — word-aligned lanes at 2 and 4 shards
-			// (lane-private bitmap words, plain bit flips) and the
-			// unaligned CAS fallback at 7. The fault mix keeps occupancy
-			// bits churning at the lane-boundary words.
+			// 256 tiles = 4 words, split evenly by 2 and 4 shards (7 is
+			// clamped to 4). The fault mix keeps occupancy bits churning
+			// at the lane-boundary words.
 			name: "grid16-aligned-lanes",
 			cfg: func() Config {
 				return Config{
@@ -199,69 +206,92 @@ func shardScenarios(tb testing.TB) []shardScenario {
 			rounds: 35,
 		},
 		{
+			// 576 tiles = 9 words: every invariance shard count gets its
+			// lanes in full, and 4 and 7 split the words unevenly (3+2+2+2;
+			// 2+2+1+1+1+1+1), the partition laneFor has to invert.
+			name: "grid24-uneven-lanes",
+			cfg: func() Config {
+				return Config{
+					Topo: topology.NewGrid(24, 24), P: 0.5, TTL: 9,
+					MaxRounds: 1000, Seed: 41,
+					Fault: fault.Model{PUpset: 0.05, SigmaSync: 0.8},
+				}
+			},
+			inject: []injection{
+				{beforeRound: 0, src: 0, dst: packet.Broadcast, payload: "uneven"},
+				{beforeRound: 2, src: 325, dst: 250, kind: 1, payload: "across three lanes"},
+				{beforeRound: 6, src: 288, dst: packet.Broadcast},
+			},
+			rounds: 35,
+		},
+		{
 			// Batch kernel, mask-lane sampler: P >= 1/16 on a degree-4
 			// grid draws one 64-bit mask per message. Faults keep the
 			// downstream transmit/receive draws in the mix.
 			name: "grid-batch-mask",
 			cfg: func() Config {
 				return Config{
-					Topo: topology.NewGrid(6, 6), P: 0.4, TTL: 9,
+					Topo: topology.NewGrid(18, 18), P: 0.4, TTL: 9,
 					MaxRounds: 1000, Seed: 51, BatchDraws: true,
 					Fault: fault.Model{PUpset: 0.08, SigmaSync: 0.6},
 				}
 			},
 			inject: []injection{
-				{beforeRound: 0, src: 0, dst: packet.Broadcast, payload: "mask"},
-				{beforeRound: 3, src: 35, dst: 2, kind: 1},
+				{beforeRound: 0, src: 171, dst: packet.Broadcast, payload: "mask"},
+				{beforeRound: 3, src: 323, dst: 250, kind: 1},
 			},
 			rounds: 35,
 		},
 		{
 			// Batch kernel, geometric-skip sampler: P below the mask
-			// floor with several buffered messages per tile (broadcasts
-			// from four corners, long TTL) makes the flattened-trial
-			// skip path the cost winner; thin tiles fall back to the
-			// exact per-port draws, so both batch branches run.
+			// floor with several buffered messages per tile (three
+			// broadcasts from each of two tiles facing each other across
+			// the lane boundary, long TTL) makes the flattened-trial skip
+			// path the cost winner; thin tiles fall back to the exact
+			// per-port draws, so both batch branches run.
 			name: "grid-batch-skip",
 			cfg: func() Config {
 				return Config{
-					Topo: topology.NewGrid(6, 6), P: 0.03, TTL: 14,
+					Topo: topology.NewGrid(12, 12), P: 0.03, TTL: 14,
 					MaxRounds: 1000, Seed: 52, BatchDraws: true,
 				}
 			},
 			inject: []injection{
-				{beforeRound: 0, src: 0, dst: packet.Broadcast, payload: "skip-a"},
-				{beforeRound: 0, src: 5, dst: packet.Broadcast, payload: "skip-b"},
-				{beforeRound: 0, src: 30, dst: packet.Broadcast, payload: "skip-c"},
-				{beforeRound: 1, src: 35, dst: packet.Broadcast, payload: "skip-d"},
-				{beforeRound: 2, src: 14, dst: packet.Broadcast, payload: "skip-e"},
+				{beforeRound: 0, src: 126, dst: packet.Broadcast, payload: "skip-a"},
+				{beforeRound: 0, src: 126, dst: packet.Broadcast, payload: "skip-b"},
+				{beforeRound: 0, src: 126, dst: packet.Broadcast, payload: "skip-c"},
+				{beforeRound: 1, src: 129, dst: packet.Broadcast, payload: "skip-d"},
+				{beforeRound: 1, src: 129, dst: packet.Broadcast, payload: "skip-e"},
+				{beforeRound: 1, src: 129, dst: packet.Broadcast, payload: "skip-f"},
+				{beforeRound: 2, src: 66, dst: packet.Broadcast, payload: "skip-g"},
 			},
 			rounds: 40,
 		},
 		{
-			// Two gossip clusters bridged by deterministic routers with a
-			// serializing forward limit — the round-robin cursor path.
+			// Two 9×9 gossip clusters (tiles 0-80 and 81-161) bridged by
+			// deterministic routers with a serializing forward limit — the
+			// round-robin cursor path.
 			name: "cluster-routers-fwdlimit",
 			cfg: func() Config {
 				return Config{
-					Topo: clusterTopo(tb), P: 0.6, TTL: 10,
+					Topo: clusterTopo(9), P: 0.6, TTL: 14,
 					MaxRounds: 1000, Seed: 13,
 				}
 			},
 			setup: func(n *Network) {
-				n.SetRouter(8, func(p *packet.Packet) []packet.TileID {
-					return []packet.TileID{9, 7, 5}
+				n.SetRouter(80, func(p *packet.Packet) []packet.TileID {
+					return []packet.TileID{81, 79, 71}
 				})
-				n.SetRouter(9, func(p *packet.Packet) []packet.TileID {
-					return []packet.TileID{8, 10, 12}
+				n.SetRouter(81, func(p *packet.Packet) []packet.TileID {
+					return []packet.TileID{80, 82, 90}
 				})
-				n.SetForwardLimit(8, 1)
-				n.SetForwardLimit(9, 1)
+				n.SetForwardLimit(80, 1)
+				n.SetForwardLimit(81, 1)
 			},
 			inject: []injection{
-				{beforeRound: 0, src: 0, dst: 17, kind: 1, payload: "cross-cluster"},
-				{beforeRound: 2, src: 13, dst: 4, kind: 1, payload: "backhaul"},
-				{beforeRound: 5, src: 2, dst: packet.Broadcast},
+				{beforeRound: 0, src: 60, dst: 101, kind: 1, payload: "cross-cluster"},
+				{beforeRound: 2, src: 92, dst: 70, kind: 1, payload: "backhaul"},
+				{beforeRound: 5, src: 62, dst: packet.Broadcast},
 			},
 			rounds: 50,
 		},
@@ -272,13 +302,13 @@ func shardScenarios(tb testing.TB) []shardScenario {
 			name: "stop-spread-on-delivery",
 			cfg: func() Config {
 				return Config{
-					Topo: topology.NewGrid(5, 5), P: 0.7, TTL: 12,
+					Topo: topology.NewGrid(12, 12), P: 0.7, TTL: 12,
 					StopSpreadOnDelivery: true, MaxRounds: 1000, Seed: 17,
 				}
 			},
 			inject: []injection{
-				{beforeRound: 0, src: 0, dst: 24, kind: 1, payload: "killed early"},
-				{beforeRound: 1, src: 20, dst: 4, kind: 1},
+				{beforeRound: 0, src: 0, dst: 52, kind: 1, payload: "killed early"},
+				{beforeRound: 1, src: 100, dst: 139, kind: 1},
 			},
 			rounds: 30,
 		},
@@ -288,17 +318,40 @@ func shardScenarios(tb testing.TB) []shardScenario {
 			name: "grid-processes-receiver",
 			cfg: func() Config {
 				return Config{
-					Topo: topology.NewGrid(4, 4), P: 0.6, TTL: 10,
+					Topo: topology.NewGrid(12, 12), P: 0.6, TTL: 10,
 					MaxRounds: 1000, Seed: 29,
 				}
 			},
 			setup: func(n *Network) {
-				n.Attach(0, &senderProc{dst: 15, payload: []byte("to sink")})
-				n.Attach(15, &sinkProc{})
-				n.Attach(5, &broadcastOnce{})
+				n.Attach(100, &senderProc{dst: 130, payload: []byte("to sink")})
+				n.Attach(130, &sinkProc{})
+				n.Attach(65, &broadcastOnce{})
 			},
 			rounds: 30,
 		},
+	}
+}
+
+// checkLanes is the guard every scenario engine passes through
+// (runShardScenario and both sides of runResumedScenario): the engine must
+// run on exactly the lanes New's clamp promises — min(shards, tiles/64),
+// the sequential engine below two — and a scenario that asked for shards
+// must get more than one. Without the second half a fabric too small for
+// its shard counts (or a later, tighter clamp) would quietly turn the
+// invariance suite into sequential-vs-sequential.
+func checkLanes(tb testing.TB, sc shardScenario, n *Network, shards int) {
+	tb.Helper()
+	tiles := n.Topology().Tiles()
+	want := min(shards, tiles/64)
+	if want < 2 {
+		want = 1
+	}
+	if got := n.Shards(); got != want {
+		tb.Fatalf("%s: Shards=%d on %d tiles runs %d lanes, want %d", sc.name, shards, tiles, got, want)
+	}
+	if shards > 1 && want == 1 && !sc.mayClamp {
+		tb.Fatalf("%s: asked for %d shards on %d tiles — under two whole words, so this would compare the sequential engine with itself",
+			sc.name, shards, tiles)
 	}
 }
 
@@ -319,6 +372,7 @@ func runShardScenario(tb testing.TB, sc shardScenario, shards int) shardSnapshot
 	if err != nil {
 		tb.Fatalf("%s/shards=%d: %v", sc.name, shards, err)
 	}
+	checkLanes(tb, sc, n, shards)
 	if sc.setup != nil {
 		sc.setup(n)
 	}
@@ -349,14 +403,15 @@ func runShardScenario(tb testing.TB, sc shardScenario, shards int) shardSnapshot
 }
 
 // TestShardCountInvariance is the sharded engine's contract test: for
-// every scenario, runs at shard counts 2, 4 and 7 must be bit-identical
+// every scenario, runs at shard counts 2, 4 and 7 (as many of them as the
+// fabric has whole words for, never fewer than two) must be bit-identical
 // to the sequential run — same event sequence, same delivery sequence
 // (payloads included), same counters, same aware tables, round by round.
 // CI runs this test under -race, which also exercises the engine's
 // synchronization claims (tile-local writes, atomic aware counts, barrier
 // ordering).
 func TestShardCountInvariance(t *testing.T) {
-	for _, sc := range shardScenarios(t) {
+	for _, sc := range shardScenarios() {
 		t.Run(sc.name, func(t *testing.T) {
 			want := runShardScenario(t, sc, 1)
 			if len(want.events) == 0 {
@@ -413,12 +468,59 @@ func TestShardsClampedToTiles(t *testing.T) {
 		cfg: func() Config {
 			return Config{Topo: topology.NewGrid(2, 2), P: 1, TTL: 4, MaxRounds: 100, Seed: 1}
 		},
-		inject: []injection{{beforeRound: 0, src: 0, dst: packet.Broadcast}},
-		rounds: 8,
+		inject:   []injection{{beforeRound: 0, src: 0, dst: packet.Broadcast}},
+		rounds:   8,
+		mayClamp: true,
 	}
 	want := runShardScenario(t, sc, 1)
 	got := runShardScenario(t, sc, 64) // 64 shards, 4 tiles
 	if !reflect.DeepEqual(got.events, want.events) || got.cnt != want.cnt {
 		t.Fatal("over-sharded run diverged from sequential")
+	}
+}
+
+// TestShardsClampedToWords pins the whole-word rule: a shard owns whole
+// 64-tile words, so New grants at most tiles/64 of the shards asked for
+// and falls back to the sequential engine below two. The effective counts are spelled out (runShardScenario checks
+// the formula; this checks the numbers), and every run, clamped or not,
+// must match the sequential one.
+func TestShardsClampedToWords(t *testing.T) {
+	asked := []int{2, 3, 64}
+	for _, c := range []struct {
+		tiles int
+		want  [3]int // effective shard count per entry of asked
+	}{
+		{64, [3]int{1, 1, 1}},
+		{127, [3]int{1, 1, 1}},
+		{128, [3]int{2, 2, 2}},
+		{200, [3]int{2, 3, 3}},
+		{4096, [3]int{2, 3, 64}},
+	} {
+		var net *Network
+		sc := shardScenario{
+			name: fmt.Sprintf("clamp-%d", c.tiles),
+			cfg: func() Config {
+				return Config{Topo: topology.NewRing(c.tiles), P: 0.7, TTL: 12, MaxRounds: 100, Seed: 5}
+			},
+			setup: func(n *Network) { net = n },
+			inject: []injection{
+				{beforeRound: 0, src: 0, dst: packet.Broadcast, payload: "wraps the ring seam"},
+				{beforeRound: 1, src: packet.TileID(c.tiles / 2), dst: packet.Broadcast},
+				{beforeRound: 3, src: packet.TileID(c.tiles - 1), dst: 5, kind: 1},
+			},
+			rounds:   24,
+			mayClamp: true,
+		}
+		want := runShardScenario(t, sc, 1)
+		for i, shards := range asked {
+			got := runShardScenario(t, sc, shards)
+			if net.Shards() != c.want[i] {
+				t.Errorf("%d tiles, Shards=%d: engine runs %d shards, want %d", c.tiles, shards, net.Shards(), c.want[i])
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%d tiles, Shards=%d diverged from sequential: %s",
+					c.tiles, shards, firstEventDiff(want.events, got.events))
+			}
+		}
 	}
 }

@@ -562,8 +562,11 @@ func (n *Network) crossCheckAware() error {
 // restored network's bounds: IDs must name the current tenant of their
 // slot (live copies pin their message), tile IDs must exist (Dst may also
 // be Broadcast), and buffered TTLs must be alive — values a snapshot of a
-// consistent engine can never contain otherwise. allowStale admits IDs of
-// already-retired generations, which only mailbox copies may carry.
+// consistent engine can never contain otherwise. The one exception is a
+// zero TTL under Fault.LiteralUpsets: the TTL byte of a wire frame is
+// outside the CRC, so a flipped bit there is accepted, and the copy sits
+// in a buffer at TTL 0 until the next aging wraps it. allowStale admits
+// IDs of already-retired generations, which only mailbox copies may carry.
 func decodePacket(sec *snapshot.Reader, n *Network, allowStale bool) (packet.Packet, error) {
 	var p packet.Packet
 	p.ID = packet.MsgID(sec.Uvarint())
@@ -587,7 +590,7 @@ func decodePacket(sec *snapshot.Reader, n *Network, allowStale bool) (packet.Pac
 	if p.Dst != packet.Broadcast && int(p.Dst) >= len(n.tiles) {
 		return p, fmt.Errorf("packet destination tile %d out of range", p.Dst)
 	}
-	if p.TTL == 0 {
+	if p.TTL == 0 && !n.cfg.Fault.LiteralUpsets {
 		return p, fmt.Errorf("packet with expired TTL")
 	}
 	if len(payload) > packet.MaxPayload {

@@ -27,8 +27,9 @@ import (
 // a 512×512 mesh under TTL-16 churn holds ~70 slots × 2 rows × 32 KiB —
 // 17 B/tile.
 //
-// Concurrency. Row bit flips follow the occupancy discipline: lane-private
-// words use plain ops, shared boundary words CAS (see rowSet).
+// Concurrency. Row words are lane-private (a lane owns whole 64-tile
+// words), so bit flips are plain ops; only the per-slot counts are shared
+// across lanes and go atomic under n.par (addAware, addCopies, addInflight).
 //
 // Lifecycle. Without Config.Recycle the allocator only ever appends:
 // generations stay 0, packed IDs coincide numerically with the former
@@ -297,42 +298,18 @@ func (n *Network) isDead(id packet.MsgID) bool {
 	return n.tbl.dead[s]
 }
 
-// rowBit reads tile t's membership in row r, following the occupancy
-// discipline: while shard goroutines are live (n.par) word loads are
-// atomic — lanes only flip bits of their own tiles, but tiles of several
-// lanes can share a 64-tile word — unless the lane partition is
-// word-aligned (n.alignedLanes), in which case every word is lane-private
-// and plain accesses are race-free.
-func (n *Network) rowBit(r []uint64, t packet.TileID) bool {
-	w := &r[t>>6]
-	var v uint64
-	if n.par && !n.alignedLanes {
-		v = atomic.LoadUint64(w)
-	} else {
-		v = *w
-	}
-	return v&(1<<(t&63)) != 0
+// rowBit reads tile t's membership in row r. Row words need no
+// synchronization even while shard goroutines are live: a lane flips only
+// the bits of its own tiles, and lanes own whole 64-tile words (initLanes).
+func rowBit(r []uint64, t packet.TileID) bool {
+	return r[t>>6]&(1<<(t&63)) != 0
 }
 
 // rowSet sets tile t's membership in row r and reports whether it was
-// already set. Shared words are CASed under n.par (atomic Or lands in Go
-// 1.23; this module builds on 1.22): bit transitions of distinct tiles
-// commute, so the final words are exactly the sequential engine's
-// regardless of interleaving.
-func (n *Network) rowSet(r []uint64, t packet.TileID) bool {
+// already set.
+func rowSet(r []uint64, t packet.TileID) bool {
 	w := &r[t>>6]
 	mask := uint64(1) << (t & 63)
-	if n.par && !n.alignedLanes {
-		for {
-			old := atomic.LoadUint64(w)
-			if old&mask != 0 {
-				return true
-			}
-			if atomic.CompareAndSwapUint64(w, old, old|mask) {
-				return false
-			}
-		}
-	}
 	old := *w
 	*w = old | mask
 	return old&mask != 0
@@ -340,20 +317,9 @@ func (n *Network) rowSet(r []uint64, t packet.TileID) bool {
 
 // rowClear clears tile t's membership in row r and reports whether it
 // was set.
-func (n *Network) rowClear(r []uint64, t packet.TileID) bool {
+func rowClear(r []uint64, t packet.TileID) bool {
 	w := &r[t>>6]
 	mask := uint64(1) << (t & 63)
-	if n.par && !n.alignedLanes {
-		for {
-			old := atomic.LoadUint64(w)
-			if old&mask == 0 {
-				return false
-			}
-			if atomic.CompareAndSwapUint64(w, old, old&^mask) {
-				return true
-			}
-		}
-	}
 	old := *w
 	*w = old &^ mask
 	return old&mask != 0
@@ -368,10 +334,10 @@ func (n *Network) flagsOf(t *tile, id packet.MsgID) uint8 {
 	}
 	s := msgSlot(id)
 	var f uint8
-	if n.rowBit(n.tbl.present[s], t.id) {
+	if rowBit(n.tbl.present[s], t.id) {
 		f |= flagPresent
 	}
-	if n.rowBit(n.tbl.seen[s], t.id) {
+	if rowBit(n.tbl.seen[s], t.id) {
 		f |= flagSeen
 	}
 	return f
@@ -426,10 +392,10 @@ func (n *Network) addInflight(s uint32, delta int32) {
 // on the unaware -> aware transition.
 func (n *Network) setPresent(t *tile, id packet.MsgID) {
 	s := msgSlot(id)
-	if n.rowSet(n.tbl.present[s], t.id) {
+	if rowSet(n.tbl.present[s], t.id) {
 		return
 	}
-	if !n.rowBit(n.tbl.seen[s], t.id) {
+	if !rowBit(n.tbl.seen[s], t.id) {
 		n.addAware(s, 1)
 	}
 }
@@ -439,10 +405,10 @@ func (n *Network) setPresent(t *tile, id packet.MsgID) {
 // scanning Aware() stopped counting the tile.
 func (n *Network) clearPresent(t *tile, id packet.MsgID) {
 	s := msgSlot(id)
-	if !n.rowClear(n.tbl.present[s], t.id) {
+	if !rowClear(n.tbl.present[s], t.id) {
 		return
 	}
-	if !n.rowBit(n.tbl.seen[s], t.id) {
+	if !rowBit(n.tbl.seen[s], t.id) {
 		n.addAware(s, -1)
 	}
 }
@@ -450,10 +416,10 @@ func (n *Network) clearPresent(t *tile, id packet.MsgID) {
 // setSeen marks id as delivered at (or originated by) t.
 func (n *Network) setSeen(t *tile, id packet.MsgID) {
 	s := msgSlot(id)
-	if n.rowSet(n.tbl.seen[s], t.id) {
+	if rowSet(n.tbl.seen[s], t.id) {
 		return
 	}
-	if !n.rowBit(n.tbl.present[s], t.id) {
+	if !rowBit(n.tbl.present[s], t.id) {
 		n.addAware(s, 1)
 	}
 }

@@ -17,7 +17,8 @@ import (
 type GridScalingRow struct {
 	// Side is the mesh edge; Tiles = Side².
 	Side, Tiles int
-	// Shards is the shard count of the parallel run.
+	// Shards is the shard count the parallel run executed with — what the
+	// engine granted (core.Network.Shards), not what was asked for.
 	Shards int
 	// RoundsToFull is the round at which every tile was aware of the
 	// broadcast (the dissemination latency the thesis scales by mesh
@@ -36,25 +37,25 @@ type GridScalingRow struct {
 }
 
 // scalingBroadcast runs one center broadcast on a side×side mesh until
-// full awareness (or the round budget) and reports the outcome and the
-// wall-clock of the Step loop.
-func scalingBroadcast(side, shards int, seed uint64) (res core.Result, secs float64, err error) {
+// full awareness (or the round budget) and reports the outcome, the shard
+// count the engine ran with, and the wall-clock of the Step loop.
+func scalingBroadcast(side, shards int, seed uint64) (res core.Result, ran int, secs float64, err error) {
 	g := topology.NewGrid(side, side)
 	cfg := core.Config{
 		Topo: g, P: 0.5, TTL: 255, MaxRounds: 1024, Seed: seed, Shards: shards,
 	}
 	net, err := core.New(cfg)
 	if err != nil {
-		return core.Result{}, 0, err
+		return core.Result{}, 0, 0, err
 	}
 	id, err := net.Inject(g.ID(side/2, side/2), packet.Broadcast, 0, nil)
 	if err != nil {
-		return core.Result{}, 0, err
+		return core.Result{}, 0, 0, err
 	}
 	tiles := g.Tiles()
 	start := time.Now()
 	res = net.RunWhile(func(n *core.Network) bool { return n.Aware(id) < tiles })
-	return res, time.Since(start).Seconds(), nil
+	return res, net.Shards(), time.Since(start).Seconds(), nil
 }
 
 // MegaChurnRow is one mesh size of the mega-mesh churn study: a
@@ -63,7 +64,8 @@ func scalingBroadcast(side, shards int, seed uint64) (res core.Result, secs floa
 type MegaChurnRow struct {
 	// Side is the mesh edge; Tiles = Side².
 	Side, Tiles int
-	// Shards is the shard count the run executed with.
+	// Shards is the shard count the run executed with
+	// (core.Network.Shards).
 	Shards int
 	// Rounds and Injected describe the workload: Rounds churn rounds with
 	// Injected total fresh broadcasts spread uniformly across them.
@@ -123,7 +125,7 @@ func MegaChurn(sides []int, perRound, rounds, shards int, seed uint64) ([]MegaCh
 		secs := time.Since(start).Seconds()
 		m := net.Mem()
 		rows = append(rows, MegaChurnRow{
-			Side: side, Tiles: tiles, Shards: sc,
+			Side: side, Tiles: tiles, Shards: net.Shards(),
 			Rounds: rounds, Injected: rounds * perRound,
 			Retired:  net.Counters().Retired,
 			MidSlots: midSlots, EndSlots: m.Slots, LiveEnd: m.Live,
@@ -139,8 +141,9 @@ func MegaChurn(sides []int, perRound, rounds, shards int, seed uint64) ([]MegaCh
 // sharded engine, checks the two outcomes are bit-identical (rounds,
 // counters — the sharding contract), and records both wall-clock times.
 // shards <= 1 auto-picks via sim.Config.AutoShards for a single replica
-// owning the whole machine; an explicit count (e.g. from -shards) is used
-// as given. Timing is single-replica on purpose: a busy Monte Carlo pool
+// owning the whole machine; an explicit count (e.g. from -shards) is
+// handed to the engine as given, and the row reports what the engine
+// granted. Timing is single-replica on purpose: a busy Monte Carlo pool
 // would corrupt the wall-clock comparison.
 func GridScaling(sides []int, shards int, seed uint64) ([]GridScalingRow, error) {
 	rows := make([]GridScalingRow, 0, len(sides))
@@ -150,21 +153,21 @@ func GridScaling(sides []int, shards int, seed uint64) ([]GridScalingRow, error)
 		if sc <= 1 {
 			sc = sim.Config{Replicas: 1}.AutoShards(tiles)
 		}
-		seq, seqSecs, err := scalingBroadcast(side, 1, seed)
+		seq, _, seqSecs, err := scalingBroadcast(side, 1, seed)
 		if err != nil {
 			return nil, err
 		}
-		par, parSecs, err := scalingBroadcast(side, sc, seed)
+		par, ran, parSecs, err := scalingBroadcast(side, sc, seed)
 		if err != nil {
 			return nil, err
 		}
 		if seq.Rounds != par.Rounds || seq.Counters != par.Counters {
 			return nil, fmt.Errorf(
 				"experiments: sharded engine diverged on %dx%d (shards=%d): rounds %d vs %d",
-				side, side, sc, seq.Rounds, par.Rounds)
+				side, side, ran, seq.Rounds, par.Rounds)
 		}
 		rows = append(rows, GridScalingRow{
-			Side: side, Tiles: tiles, Shards: sc,
+			Side: side, Tiles: tiles, Shards: ran,
 			RoundsToFull:  seq.Rounds,
 			FullyAware:    seq.Completed,
 			Transmissions: seq.Counters.Energy.Transmissions,

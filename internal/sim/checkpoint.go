@@ -133,15 +133,21 @@ func (c *Checkpointer) MaybeSave(meta CheckpointMeta, net *core.Network, rec *me
 	return c.Save(meta, net, rec)
 }
 
-// Save unconditionally writes replica's checkpoint file. The write is
-// atomic — a temporary file renamed into place — so an interruption
-// mid-save leaves the previous checkpoint intact, never a torn file.
+// Save unconditionally writes replica's checkpoint file, atomically
+// (SaveCheckpoint), creating Dir if needed.
 func (c *Checkpointer) Save(meta CheckpointMeta, net *core.Network, rec *metrics.Recorder) error {
 	if err := os.MkdirAll(c.Dir, 0o755); err != nil {
 		return fmt.Errorf("sim: checkpoint dir: %w", err)
 	}
-	path := CheckpointPath(c.Dir, meta.Replica)
-	tmp, err := os.CreateTemp(c.Dir, filepath.Base(path)+".tmp*")
+	return SaveCheckpoint(CheckpointPath(c.Dir, meta.Replica), meta, net, rec)
+}
+
+// SaveCheckpoint writes one checkpoint (WriteCheckpoint's format) to path.
+// The write is atomic — a temporary file beside path, renamed into place
+// once complete — so an interruption mid-save leaves the previous
+// checkpoint intact, never a torn file. path's directory must exist.
+func SaveCheckpoint(path string, meta CheckpointMeta, net *core.Network, rec *metrics.Recorder) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
 		return fmt.Errorf("sim: checkpoint: %w", err)
 	}

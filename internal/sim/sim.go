@@ -75,7 +75,9 @@ const shardFloorTiles = 1 << 14
 // (sequential — the zero-allocation path). Meshes under shardFloorTiles
 // tiles are never sharded — the measured per-round barrier overhead
 // exceeds the parallelism below that size — and above the floor shards
-// are still capped at one per 64 tiles so lanes stay coarse. Mega-meshes
+// are capped at one per 64 tiles, which is the engine's own clamp (a shard
+// owns whole 64-tile words, see core.Config.Shards): AutoShards never asks
+// for more than core.New grants. Mega-meshes
 // (megaShardTiles tiles and up) ignore the replica count and shard with
 // the full pool — see megaShardTiles for why.
 func (c Config) AutoShards(tiles int) int {

@@ -269,6 +269,23 @@ func TestAutoShards(t *testing.T) {
 			t.Errorf("%s: AutoShards(%d) = %d, want %d", c.name, c.tiles, got, c.want)
 		}
 	}
+	// The tiles/64 cap is the engine's own clamp, so AutoShards never asks
+	// for shards core.New would not grant — pinned where the cap binds (a
+	// pool far wider than the mesh has words), on a mesh of whole words and
+	// on one whose last word is partial.
+	for _, side := range []int{128, 129} {
+		tiles := side * side
+		shards := sim.Config{Replicas: 1, Workers: 512}.AutoShards(tiles)
+		n, err := core.New(core.Config{
+			Topo: topology.NewGrid(side, side), P: 0.5, TTL: 4, Shards: shards,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if shards != tiles/64 || n.Shards() != shards {
+			t.Errorf("%dx%d: AutoShards = %d (cap %d), engine runs %d", side, side, shards, tiles/64, n.Shards())
+		}
+	}
 }
 
 // TestAutoShardsZeroWorkersPositive pins the default-pool path: whatever
