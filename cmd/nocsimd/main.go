@@ -96,7 +96,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := newHTTPServer(srv)
 	go func() {
 		if err := httpSrv.Serve(ln); err != nil && err != http.ErrServerClosed {
 			log.Fatal(err)
@@ -119,6 +119,12 @@ func main() {
 	log.Print("drained; bye")
 }
 
+// newHTTPServer fronts srv with connection limits. It sets no
+// WriteTimeout: an SSE stream stays open as long as its job runs.
+func newHTTPServer(srv *service.Server) *http.Server {
+	return &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: 10 * time.Second, IdleTimeout: 2 * time.Minute}
+}
+
 // cacheOrOff renders the cache flag for the startup banner.
 func cacheOrOff(dir string) string {
 	if dir == "" {
@@ -135,7 +141,7 @@ func runLoadtest(srv *service.Server) int {
 		log.Print(err)
 		return 1
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := newHTTPServer(srv)
 	go httpSrv.Serve(ln)
 	defer func() {
 		httpSrv.Shutdown(context.Background())

@@ -185,7 +185,7 @@ func benchChurn(b *testing.B, side, perRound, shards int) {
 	round := 0
 	churnRound := func() {
 		for i := 0; i < perRound; i++ {
-			src := packet.TileID((round*perRound*2654435761 + i*40503) % tiles)
+			src := packet.TileID((int64(round*perRound)*2654435761 + int64(i*40503)) % int64(tiles))
 			if _, err := n.Inject(src, src^1, 0, nil); err != nil {
 				b.Fatal(err)
 			}
@@ -237,7 +237,7 @@ func benchDenseBroadcast(b *testing.B, batch bool) {
 	round := 0
 	denseRound := func() {
 		for i := 0; i < perRound; i++ {
-			src := packet.TileID((round*perRound*2654435761 + i*40503) % tiles)
+			src := packet.TileID((int64(round*perRound)*2654435761 + int64(i*40503)) % int64(tiles))
 			if _, err := n.Inject(src, packet.Broadcast, 0, nil); err != nil {
 				b.Fatal(err)
 			}
@@ -302,7 +302,7 @@ func benchSubTTL(b *testing.B, side int, ttl uint8, perRound, shards int) {
 	round := 0
 	churnRound := func() {
 		for i := 0; i < perRound; i++ {
-			src := packet.TileID((round*perRound*2654435761 + i*40503) % tiles)
+			src := packet.TileID((int64(round*perRound)*2654435761 + int64(i*40503)) % int64(tiles))
 			if _, err := n.Inject(src, packet.Broadcast, 0, nil); err != nil {
 				b.Fatal(err)
 			}

@@ -44,7 +44,7 @@ func churnNet(tb testing.TB, side, perRound, shards int) (*Network, func()) {
 	tiles := side * side
 	return n, func() {
 		for i := 0; i < perRound; i++ {
-			src := packet.TileID((n.Round()*perRound*2654435761 + i*40503) % tiles)
+			src := packet.TileID((int64(n.Round()*perRound)*2654435761 + int64(i*40503)) % int64(tiles))
 			mustInject(tb, n, src, packet.Broadcast, 0, nil)
 		}
 		n.Step()

@@ -109,7 +109,7 @@ func megaChurn(tb testing.TB, side, perRound, rounds int, shards int) *Network {
 	tiles := side * side
 	for round := 0; round < rounds; round++ {
 		for i := 0; i < perRound; i++ {
-			src := packet.TileID((round*perRound*2654435761 + i*40503) % tiles)
+			src := packet.TileID((int64(round*perRound)*2654435761 + int64(i*40503)) % int64(tiles))
 			if _, err := n.Inject(src, packet.Broadcast, 0, nil); err != nil {
 				tb.Fatal(err)
 			}
@@ -135,7 +135,7 @@ func TestMegaMesh512Churn(t *testing.T) {
 	tiles := side * side
 	for round := 60; round < 120; round++ {
 		for i := 0; i < perRound; i++ {
-			src := packet.TileID((round*perRound*2654435761 + i*40503) % tiles)
+			src := packet.TileID((int64(round*perRound)*2654435761 + int64(i*40503)) % int64(tiles))
 			if _, err := n.Inject(src, packet.Broadcast, 0, nil); err != nil {
 				t.Fatal(err)
 			}

@@ -112,7 +112,7 @@ func MegaChurn(sides []int, perRound, rounds, shards int, seed uint64) ([]MegaCh
 		start := time.Now()
 		for round := 0; round < rounds; round++ {
 			for i := 0; i < perRound; i++ {
-				src := packet.TileID((round*perRound*2654435761 + i*40503) % tiles)
+				src := packet.TileID((int64(round*perRound)*2654435761 + int64(i*40503)) % int64(tiles))
 				if _, err := net.Inject(src, packet.Broadcast, 0, nil); err != nil {
 					return nil, err
 				}

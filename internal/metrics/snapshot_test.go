@@ -96,7 +96,7 @@ func TestRecorderRestoreRejectsOversizedRoundClaim(t *testing.T) {
 	w.Int(payloadVersion)
 	w.Int(numBuiltinInts)
 	w.Int(numBuiltinFloats)
-	w.Int(1 << 40) // last
+	w.Uvarint(1 << 40) // last: Int's encoding, at a value 32-bit int cannot hold
 	w.Uvarint(0)
 	w.Int(0)
 	w.Int(0)

@@ -80,8 +80,8 @@ func TestMakeThresholdBoundaries(t *testing.T) {
 	// Ceil rounding: for p just above k/2^53 the threshold is k+1, so a
 	// draw equal to k still fires — the exact semantics of u < p·2^53.
 	p := math.Nextafter(0.5, 1) // 0.5 + 2^-53
-	if got := MakeThreshold(p); got != (1<<52)+1 {
-		t.Errorf("MakeThreshold(0.5+ulp) = %d, want %d", got, (1<<52)+1)
+	if want := Threshold(1<<52) + 1; MakeThreshold(p) != want {
+		t.Errorf("MakeThreshold(0.5+ulp) = %d, want %d", MakeThreshold(p), want)
 	}
 }
 

@@ -2,14 +2,13 @@ package service
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sync/atomic"
 
-	"repro/internal/crc"
+	"repro/internal/snapshot"
 )
 
 // The on-disk result cache. Every completed simulation is stored under
@@ -18,19 +17,14 @@ import (
 // instead of re-simulated — the amortization a verification workload
 // issuing many identical queries against one fabric lives on.
 //
-// Entry file layout (little-endian, one file per key):
-//
-//	magic "NSR1" | u32 len(canon) | canon | u32 len(status) | status |
-//	u32 len(payload) | payload | u32 CRC-32C(everything before)
-//
-// canon is the canonical request JSON: Get compares it byte for byte
-// against the requester's, so a digest collision can only cause a miss
-// (and a re-simulation), never a cross-served result. The trailing CRC
-// covers the whole entry; a torn or bit-rotted file is detected,
-// deleted, and treated as a miss — corrupt bytes are never served.
-
-// cacheMagic introduces every result-cache entry file.
-var cacheMagic = []byte("NSR1")
+// An entry is one snapshot container per key whose snapshot.SecResult
+// section holds the canonical request JSON, the terminal status JSON and
+// the JSONL payload. Get compares the stored canon byte for byte against
+// the requester's, so a digest collision can only cause a miss (and a
+// re-simulation), never a cross-served result. A file that does not
+// decode as such a container — torn, bit-rotted (the container's CRC
+// covers it all), or in another format — is deleted and treated as a
+// miss: corrupt bytes are never served.
 
 // Cache is the on-disk content-addressed result store. A nil *Cache is
 // an always-miss cache: every method is nil-receiver safe, so the
@@ -77,8 +71,8 @@ func (c *Cache) Misses() int64 {
 	return c.misses.Load()
 }
 
-// Corrupt returns the number of entries rejected (and deleted) because
-// their CRC or framing did not verify.
+// Corrupt returns the number of entry files rejected (and deleted)
+// because they did not decode as a result container.
 func (c *Cache) Corrupt() int64 {
 	if c == nil {
 		return 0
@@ -88,10 +82,10 @@ func (c *Cache) Corrupt() int64 {
 
 // Get looks key up. canon is the requester's canonical request JSON; an
 // entry whose stored canon differs — a digest collision — is a miss,
-// never a cross-serve. A corrupt entry (bad magic, framing, or CRC) is
-// deleted and reported as a miss, so at worst the simulation runs
-// again. On a hit it returns the result payload (JSONL) and the
-// terminal status stored with it.
+// never a cross-serve. An entry file that does not decode is deleted and
+// reported as a miss, so at worst the simulation runs again. On a hit it
+// returns the result payload (JSONL) and the terminal status stored with
+// it.
 func (c *Cache) Get(key string, canon []byte) (payload []byte, status Status, ok bool) {
 	if c == nil {
 		return nil, Status{}, false
@@ -101,32 +95,37 @@ func (c *Cache) Get(key string, canon []byte) (payload []byte, status Status, ok
 		c.misses.Add(1)
 		return nil, Status{}, false
 	}
-	entry, ok := decodeEntry(raw)
-	if !ok {
+	var stored, statusJSON []byte
+	dec, err := snapshot.Decode(raw)
+	if err == nil {
+		var sec *snapshot.Reader
+		if sec, err = dec.Section(snapshot.SecResult); err == nil {
+			stored, statusJSON, payload = sec.ReadBytes(), sec.ReadBytes(), sec.ReadBytes()
+			err = sec.Finish()
+		}
+	}
+	if err == nil {
+		err = json.Unmarshal(statusJSON, &status)
+	}
+	if err != nil {
 		c.corrupt.Add(1)
 		c.misses.Add(1)
 		os.Remove(c.path(key)) // quarantine: never serve, re-simulate
 		return nil, Status{}, false
 	}
-	if !bytes.Equal(entry.canon, canon) {
+	if !bytes.Equal(stored, canon) {
 		// Same key, different request: a config-digest collision. Do not
 		// cross-serve; the caller re-simulates (and overwrites the entry).
 		c.misses.Add(1)
 		return nil, Status{}, false
 	}
-	if err := json.Unmarshal(entry.status, &status); err != nil {
-		c.corrupt.Add(1)
-		c.misses.Add(1)
-		os.Remove(c.path(key))
-		return nil, Status{}, false
-	}
 	c.hits.Add(1)
-	return entry.payload, status, true
+	return payload, status, true
 }
 
-// Put stores payload and status under key, atomically (temp file +
-// rename): a crash mid-write leaves either the old entry or none, never
-// a torn file — and torn files are caught by the CRC anyway.
+// Put stores payload and status under key, atomically
+// (snapshot.WriteFile): a crash mid-write leaves either the old entry or
+// none, never a torn file — and torn files are caught by the CRC anyway.
 func (c *Cache) Put(key string, canon, payload []byte, status Status) error {
 	if c == nil {
 		return nil
@@ -135,68 +134,14 @@ func (c *Cache) Put(key string, canon, payload []byte, status Status) error {
 	if err != nil {
 		return fmt.Errorf("service: cache status: %w", err)
 	}
-	raw := encodeEntry(canon, statusJSON, payload)
-	tmp, err := os.CreateTemp(c.dir, key+".tmp*")
+	err = snapshot.WriteFile(c.path(key), func(enc *snapshot.Encoder) {
+		sec := enc.Section(snapshot.SecResult)
+		sec.WriteBytes(canon)
+		sec.WriteBytes(statusJSON)
+		sec.WriteBytes(payload)
+	})
 	if err != nil {
-		return fmt.Errorf("service: cache put: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	_, werr := tmp.Write(raw)
-	if cerr := tmp.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		return fmt.Errorf("service: cache put %s: %w", key, werr)
-	}
-	if err := os.Rename(tmp.Name(), c.path(key)); err != nil {
-		return fmt.Errorf("service: cache put: %w", err)
+		return fmt.Errorf("service: cache put %s: %w", key, err)
 	}
 	return nil
-}
-
-// cacheEntry is a decoded entry file.
-type cacheEntry struct {
-	canon, status, payload []byte
-}
-
-// encodeEntry renders one entry file.
-func encodeEntry(canon, status, payload []byte) []byte {
-	n := len(cacheMagic) + 3*4 + len(canon) + len(status) + len(payload) + 4
-	out := make([]byte, 0, n)
-	out = append(out, cacheMagic...)
-	for _, sec := range [][]byte{canon, status, payload} {
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(sec)))
-		out = append(out, sec...)
-	}
-	return binary.LittleEndian.AppendUint32(out, crc.Checksum32(out))
-}
-
-// decodeEntry parses and verifies one entry file; ok=false means the
-// file is corrupt (truncated, overlong, bad magic, or CRC mismatch).
-func decodeEntry(raw []byte) (e cacheEntry, ok bool) {
-	if len(raw) < len(cacheMagic)+4 || !bytes.Equal(raw[:len(cacheMagic)], cacheMagic) {
-		return e, false
-	}
-	body, sum := raw[:len(raw)-4], binary.LittleEndian.Uint32(raw[len(raw)-4:])
-	if crc.Checksum32(body) != sum {
-		return e, false
-	}
-	rest := body[len(cacheMagic):]
-	secs := make([][]byte, 3)
-	for i := range secs {
-		if len(rest) < 4 {
-			return e, false
-		}
-		n := int(binary.LittleEndian.Uint32(rest))
-		rest = rest[4:]
-		if n < 0 || n > len(rest) {
-			return e, false
-		}
-		secs[i] = rest[:n]
-		rest = rest[n:]
-	}
-	if len(rest) != 0 {
-		return e, false
-	}
-	return cacheEntry{canon: secs[0], status: secs[1], payload: secs[2]}, true
 }

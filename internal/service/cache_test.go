@@ -2,17 +2,48 @@ package service
 
 import (
 	"bytes"
-	"net/http"
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/sim"
 )
 
 // Cache-correctness tests: byte-identical replay from disk, the
 // simulation-invocation counter staying flat on hits, singleflight
 // dedup of concurrent identical submissions, the digest-collision
-// guard, and CRC detection of corrupt entries.
+// guard, and quarantine of entry files that do not decode.
+
+// parentEntry is an entry file in the format the cache wrote before
+// entries became snapshot containers: magic "NSR1", three sections each
+// prefixed with a u32 little-endian length (canon "canon", status
+// {"state":"done"}, payload "payload\n"), then a CRC-32. That format
+// served it for canon "canon"; now it must miss and be replaced.
+var parentEntry, _ = hex.DecodeString("4e535231" +
+	"05000000" + "63616e6f6e" +
+	"10000000" + "7b227374617465223a22646f6e65227d" +
+	"08000000" + "7061796c6f61640a" +
+	"b75af8cd")
+
+// checkpointFile is a valid checkpoint container (a fresh engine's
+// sim.WriteCheckpoint): a snapshot file without a SecResult section.
+func checkpointFile(t *testing.T) []byte {
+	t.Helper()
+	req := smallJob(1)
+	cfg, _ := req.coreConfig()
+	net, err := core.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := sim.WriteCheckpoint(&buf, sim.CheckpointMeta{Replica: 1, Seed: 1}, net, nil); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
 
 // TestCacheHitByteIdentical proves the caching contract end to end: a
 // repeated identical submission is served from disk — the Simulations
@@ -20,35 +51,28 @@ import (
 // first run's.
 func TestCacheHitByteIdentical(t *testing.T) {
 	dir := t.TempDir()
-	srv, ts := newTestServer(t, Options{Workers: 1, CacheDir: dir})
+	srv, c := newTestServer(t, Options{Workers: 1, CacheDir: dir})
 	req := smallJob(17)
 
-	_, first, aerr := postJob(t, ts.URL, req)
-	if aerr != nil {
-		t.Fatalf("submit: %v", aerr)
-	}
-	firstDone := waitState(t, ts.URL, first.ID, StateDone)
-	want := getResult(t, ts.URL, first.ID)
+	first := submit(t, c, req)
+	firstDone, want := waitState(t, c, first.ID, StateDone)
 	if st := srv.Stats(); st.Simulations != 1 || st.CacheHits != 0 {
 		t.Fatalf("after first run: %+v", st)
 	}
 
-	code, second, aerr := postJob(t, ts.URL, req)
-	if aerr != nil {
-		t.Fatalf("resubmit: %v", aerr)
-	}
-	if code != http.StatusOK || !second.CacheHit || second.State != StateDone {
-		t.Fatalf("resubmit = %d %+v, want 200 cache_hit done", code, second)
+	// A done state is the client-checked 200 of a job born finished.
+	second := submit(t, c, req)
+	if !second.CacheHit || second.State != StateDone {
+		t.Fatalf("resubmit = %+v, want 200 cache_hit done", second)
 	}
 	if second.ID == first.ID {
 		t.Fatal("cache hit reused the first job's ID")
 	}
-	got := getResult(t, ts.URL, second.ID)
-	if !bytes.Equal(got, want) {
+	if _, got := waitState(t, c, second.ID, StateDone); !bytes.Equal(got, want) {
 		t.Fatalf("cached result differs from original:\ngot:\n%s\nwant:\n%s", got, want)
 	}
-	secondDone := getStatus(t, ts.URL, second.ID)
-	if !secondDone.CacheHit {
+	secondDone, err := c.Status(testCtx(t), second.ID)
+	if err != nil || !secondDone.CacheHit {
 		t.Fatal("status of cache-born job does not report cache_hit")
 	}
 	if secondDone.DeliveredRound != firstDone.DeliveredRound ||
@@ -56,22 +80,16 @@ func TestCacheHitByteIdentical(t *testing.T) {
 		secondDone.EnergyJ != firstDone.EnergyJ {
 		t.Fatalf("cached status %+v differs from original %+v", secondDone, firstDone)
 	}
-	st := srv.Stats()
-	if st.Simulations != 1 {
-		t.Fatalf("cache hit re-simulated: Simulations = %d", st.Simulations)
-	}
-	if st.CacheHits != 1 {
-		t.Fatalf("CacheHits = %d, want 1", st.CacheHits)
+	if st := srv.Stats(); st.Simulations != 1 || st.CacheHits != 1 {
+		t.Fatalf("after the hit: %+v, want Simulations 1 (no re-simulation) and CacheHits 1", st)
 	}
 
 	// The cache outlives the server: a fresh instance over the same
 	// directory serves the result without ever simulating.
-	srv2, ts2 := newTestServer(t, Options{Workers: 1, CacheDir: dir})
-	code, sub, aerr := postJob(t, ts2.URL, req)
-	if aerr != nil || code != http.StatusOK || !sub.CacheHit {
-		t.Fatalf("fresh server over warm cache: %d %+v %v", code, sub, aerr)
-	}
-	if !bytes.Equal(getResult(t, ts2.URL, sub.ID), want) {
+	srv2, c2 := newTestServer(t, Options{Workers: 1, CacheDir: dir})
+	if sub := submit(t, c2, req); !sub.CacheHit {
+		t.Fatalf("fresh server over warm cache: %+v", sub)
+	} else if _, got := waitState(t, c2, sub.ID, StateDone); !bytes.Equal(got, want) {
 		t.Fatal("fresh server served different bytes from the same cache entry")
 	}
 	if st := srv2.Stats(); st.Simulations != 0 {
@@ -83,7 +101,7 @@ func TestCacheHitByteIdentical(t *testing.T) {
 // entry: tweaking any identity field (seed, p, budget, fault model)
 // changes the key and forces a fresh simulation.
 func TestCacheKeySeparatesConfigs(t *testing.T) {
-	srv, ts := newTestServer(t, Options{Workers: 2, CacheDir: t.TempDir()})
+	srv, c := newTestServer(t, Options{Workers: 2, CacheDir: t.TempDir()})
 	base := smallJob(23)
 	variants := []JobRequest{base, base, base, base}
 	variants[1].Seed = 24
@@ -92,12 +110,8 @@ func TestCacheKeySeparatesConfigs(t *testing.T) {
 
 	results := make([][]byte, len(variants))
 	for i, v := range variants {
-		_, sub, aerr := postJob(t, ts.URL, v)
-		if aerr != nil {
-			t.Fatalf("variant %d: %v", i, aerr)
-		}
-		waitState(t, ts.URL, sub.ID, StateDone)
-		results[i] = getResult(t, ts.URL, sub.ID)
+		sub := submit(t, c, v)
+		_, results[i] = waitState(t, c, sub.ID, StateDone)
 	}
 	if st := srv.Stats(); st.Simulations != int64(len(variants)) || st.CacheHits != 0 {
 		t.Fatalf("distinct configs shared cache entries: %+v", st)
@@ -112,29 +126,14 @@ func TestCacheKeySeparatesConfigs(t *testing.T) {
 // in-flight job — same ID, deduped flag — and the simulation runs
 // exactly once.
 func TestSingleflightDedup(t *testing.T) {
-	entered := make(chan struct{}, 1)
-	release := make(chan struct{})
-	opts := Options{Workers: 1, CacheDir: t.TempDir()}
-	opts.roundHook = func(id string, round int) {
-		if round == 1 {
-			select {
-			case entered <- struct{}{}:
-			default:
-			}
-			<-release
-		}
-	}
-	srv, ts := newTestServer(t, opts)
-	t.Cleanup(func() { close(release) })
+	srv, c, p := newParkedServer(t, Options{Workers: 1, CacheDir: t.TempDir()}, 1)
 	req := smallJob(31)
 
-	_, first, aerr := postJob(t, ts.URL, req)
-	if aerr != nil {
-		t.Fatalf("submit: %v", aerr)
-	}
-	<-entered // the job is running and parked
+	first := submit(t, c, req)
+	<-p.entered // the job is running and parked
 
 	const dups = 8
+	ctx := testCtx(t)
 	var wg sync.WaitGroup
 	ids := make([]string, dups)
 	dedup := make([]bool, dups)
@@ -142,88 +141,75 @@ func TestSingleflightDedup(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, sub, aerr := postJob(t, ts.URL, req)
-			if aerr != nil {
-				t.Errorf("dup %d: %v", i, aerr)
+			sub, err := c.Submit(ctx, req)
+			if err != nil {
+				t.Errorf("dup %d: %v", i, err)
 				return
 			}
 			ids[i], dedup[i] = sub.ID, sub.Deduped
 		}(i)
 	}
 	wg.Wait()
-	release <- struct{}{}
+	p.release()
 
 	for i := 0; i < dups; i++ {
-		if ids[i] != first.ID {
-			t.Fatalf("dup %d got job %s, want the in-flight %s", i, ids[i], first.ID)
-		}
-		if !dedup[i] {
-			t.Fatalf("dup %d not marked deduped", i)
+		if ids[i] != first.ID || !dedup[i] {
+			t.Fatalf("dup %d got job %s (deduped %v), want the in-flight %s, deduped", i, ids[i], dedup[i], first.ID)
 		}
 	}
-	waitState(t, ts.URL, first.ID, StateDone)
-	st := srv.Stats()
-	if st.Simulations != 1 {
-		t.Fatalf("%d concurrent identical submissions ran %d simulations, want exactly 1", dups+1, st.Simulations)
-	}
-	if st.Deduped != dups {
-		t.Fatalf("Deduped = %d, want %d", st.Deduped, dups)
-	}
-	if st.Accepted != 1 {
-		t.Fatalf("Accepted = %d, want 1", st.Accepted)
+	waitState(t, c, first.ID, StateDone)
+	if st := srv.Stats(); st.Simulations != 1 || st.Deduped != dups || st.Accepted != 1 {
+		t.Fatalf("%d concurrent identical submissions: %+v, want exactly 1 simulation, %d deduped, 1 accepted", dups+1, st, dups)
 	}
 }
 
-// TestCorruptEntryResimulated flips bits in a cache entry on disk and
-// verifies the CRC catches it: the entry is quarantined, the job
-// re-simulates, and the (identical) result repopulates the cache.
+// TestCorruptEntryResimulated replaces a cache entry with a bit-rotted
+// copy, a parent-format entry and a checkpoint container in turn: each is
+// quarantined, the job re-simulates, and the result rewrites the entry.
 func TestCorruptEntryResimulated(t *testing.T) {
 	dir := t.TempDir()
-	srv, ts := newTestServer(t, Options{Workers: 1, CacheDir: dir})
+	srv, c := newTestServer(t, Options{Workers: 1, CacheDir: dir})
 	req := smallJob(47)
 
-	_, first, aerr := postJob(t, ts.URL, req)
-	if aerr != nil {
-		t.Fatalf("submit: %v", aerr)
-	}
-	waitState(t, ts.URL, first.ID, StateDone)
-	want := getResult(t, ts.URL, first.ID)
+	first := submit(t, c, req)
+	_, want := waitState(t, c, first.ID, StateDone)
 
 	entries, err := filepath.Glob(filepath.Join(dir, "*.res"))
 	if err != nil || len(entries) != 1 {
 		t.Fatalf("cache entries = %v (err %v), want exactly 1", entries, err)
 	}
-	raw, err := os.ReadFile(entries[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[len(raw)/2] ^= 0xff // bit-rot in the middle of the payload
-	if err := os.WriteFile(entries[0], raw, 0o644); err != nil {
-		t.Fatal(err)
+	for i, damage := range []struct {
+		name string
+		mut  func([]byte) []byte
+	}{
+		{"bit-rot", func(b []byte) []byte { b[len(b)/2] ^= 0xff; return b }},
+		{"parent-format entry", func([]byte) []byte { return parentEntry }},
+		{"checkpoint container", func([]byte) []byte { return checkpointFile(t) }},
+	} {
+		raw, err := os.ReadFile(entries[0]) // the entry the last run (re)wrote
+		if err != nil {
+			t.Fatalf("%s: %v", damage.name, err)
+		}
+		if err := os.WriteFile(entries[0], damage.mut(raw), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		sub := submit(t, c, req)
+		if sub.CacheHit {
+			t.Fatalf("%s: served as a cache hit", damage.name)
+		}
+		if _, got := waitState(t, c, sub.ID, StateDone); !bytes.Equal(got, want) {
+			t.Fatalf("%s: re-simulated result differs from the original", damage.name)
+		}
+		if st := srv.Stats(); st.Simulations != int64(i+2) || srv.cache.Corrupt() != int64(i+1) {
+			t.Fatalf("%s: Simulations = %d, Corrupt = %d, want %d and %d", damage.name, st.Simulations, srv.cache.Corrupt(), i+2, i+1)
+		}
 	}
 
-	_, second, aerr := postJob(t, ts.URL, req)
-	if aerr != nil {
-		t.Fatalf("resubmit: %v", aerr)
+	// The re-simulation healed the entry: one more submission hits.
+	if sub := submit(t, c, req); !sub.CacheHit {
+		t.Fatalf("post-heal submit = %+v, want a cache hit", sub)
 	}
-	if second.CacheHit {
-		t.Fatal("corrupt entry was served as a cache hit")
-	}
-	waitState(t, ts.URL, second.ID, StateDone)
-	if got := getResult(t, ts.URL, second.ID); !bytes.Equal(got, want) {
-		t.Fatal("re-simulated result differs from the original")
-	}
-	st := srv.Stats()
-	if st.Simulations != 2 {
-		t.Fatalf("Simulations = %d, want 2 (corrupt entry must re-simulate)", st.Simulations)
-	}
-
-	// The re-simulation healed the entry: a third submission hits.
-	code, third, aerr := postJob(t, ts.URL, req)
-	if aerr != nil || code != http.StatusOK || !third.CacheHit {
-		t.Fatalf("post-heal submit = %d %+v %v, want a cache hit", code, third, aerr)
-	}
-	if st := srv.Stats(); st.Simulations != 2 {
+	if st := srv.Stats(); st.Simulations != 4 {
 		t.Fatalf("healed entry re-simulated again: %+v", st)
 	}
 }
@@ -265,51 +251,64 @@ func TestCacheNeverCrossServesOnDigestCollision(t *testing.T) {
 	}
 }
 
-// TestCacheEntryCRC exercises decode directly: truncation, trailing
-// garbage, bad magic, and flipped bits all fail closed.
-func TestCacheEntryCRC(t *testing.T) {
-	entry := encodeEntry([]byte("canon"), []byte(`{"state":"done"}`), []byte("payload\n"))
-	if e, ok := decodeEntry(entry); !ok || string(e.canon) != "canon" || string(e.payload) != "payload\n" {
-		t.Fatalf("round trip failed: ok=%v entry=%+v", ok, e)
+// wantQuarantined writes raw as the entry file of key "k" and checks
+// that Get misses, deletes the file and counts it as corrupt.
+func wantQuarantined(t *testing.T, c *Cache, name string, raw []byte) {
+	t.Helper()
+	if err := os.WriteFile(c.path("k"), raw, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	for name, mut := range map[string]func([]byte) []byte{
-		"truncated":        func(b []byte) []byte { return b[:len(b)-3] },
-		"trailing garbage": func(b []byte) []byte { return append(append([]byte(nil), b...), 0xaa) },
-		"bad magic":        func(b []byte) []byte { b = append([]byte(nil), b...); b[0] ^= 0xff; return b },
-		"flipped bit":      func(b []byte) []byte { b = append([]byte(nil), b...); b[len(b)/2] ^= 1; return b },
-		"empty":            func([]byte) []byte { return nil },
-	} {
-		if _, ok := decodeEntry(mut(append([]byte(nil), entry...))); ok {
-			t.Errorf("%s entry decoded as valid", name)
-		}
+	corrupt := c.Corrupt()
+	if _, _, ok := c.Get("k", []byte("canon")); ok {
+		t.Errorf("%s entry served", name)
+	}
+	if c.Corrupt() != corrupt+1 {
+		t.Errorf("%s entry not counted corrupt", name)
+	}
+	if _, err := os.Stat(c.path("k")); !os.IsNotExist(err) {
+		t.Errorf("%s entry not quarantined: stat err = %v", name, err)
 	}
 }
 
-// TestCorruptEntryQuarantined verifies Get deletes a corrupt file so a
-// healthy rewrite is not racing bad bytes.
-func TestCorruptEntryQuarantined(t *testing.T) {
-	dir := t.TempDir()
-	c, err := OpenCache(dir)
+// TestCacheEntryCRC drives damaged entry files through Cache.Get on
+// disk: truncation, trailing garbage, bad magic, a flipped bit and an
+// empty file all fail closed.
+func TestCacheEntryCRC(t *testing.T) {
+	c, err := OpenCache(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	canon := []byte("canon")
-	if err := c.Put("k", canon, []byte("ok\n"), Status{State: StateDone}); err != nil {
+	if err := c.Put("k", []byte("canon"), []byte("payload\n"), Status{State: StateDone}); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, "k.res")
-	if err := os.WriteFile(path, []byte("NSR1 not a real entry"), 0o644); err != nil {
+	entry, err := os.ReadFile(c.path("k"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := c.Get("k", canon); ok {
-		t.Fatal("corrupt entry served")
+	if payload, _, ok := c.Get("k", []byte("canon")); !ok || string(payload) != "payload\n" {
+		t.Fatalf("round trip failed: ok=%v payload=%q", ok, payload)
 	}
-	if c.Corrupt() != 1 {
-		t.Fatalf("Corrupt() = %d, want 1", c.Corrupt())
+	for name, mut := range map[string]func([]byte) []byte{
+		"truncated":        func(b []byte) []byte { return b[:len(b)-3] },
+		"trailing garbage": func(b []byte) []byte { return append(b, 0xaa) },
+		"bad magic":        func(b []byte) []byte { b[0] ^= 0xff; return b },
+		"flipped bit":      func(b []byte) []byte { b[len(b)/2] ^= 1; return b },
+		"empty":            func([]byte) []byte { return nil },
+	} {
+		wantQuarantined(t, c, name, mut(bytes.Clone(entry)))
 	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatalf("corrupt entry not quarantined: stat err = %v", err)
+}
+
+// TestCorruptEntryQuarantined verifies Get deletes an entry file written
+// in another format — a parent-format entry that format would have
+// served, or a checkpoint container — so a healthy rewrite replaces it.
+func TestCorruptEntryQuarantined(t *testing.T) {
+	c, err := OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
 	}
+	wantQuarantined(t, c, "parent-format", parentEntry)
+	wantQuarantined(t, c, "checkpoint container", checkpointFile(t))
 }
 
 // TestNilCacheIsAlwaysMiss pins the disabled-cache mode.

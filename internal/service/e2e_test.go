@@ -4,23 +4,23 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"io"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
-	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
 
 // End-to-end integration tests: a real Server behind httptest, driven
-// over HTTP exactly as a client would. The suite runs under -race in
-// the servicegate CI job.
+// through a Client exactly as any caller would. The suite runs under
+// -race in the servicegate CI job.
 
-// newTestServer builds a Server with opts plus an httptest front end.
-// Cleanup stops both.
-func newTestServer(t *testing.T, opts Options) (*Server, *httptest.Server) {
+// newTestServer builds a Server with opts, an httptest front end, and a
+// Client on it. Cleanup stops both.
+func newTestServer(t *testing.T, opts Options) (*Server, *Client) {
 	t.Helper()
 	s, err := New(opts)
 	if err != nil {
@@ -31,7 +31,33 @@ func newTestServer(t *testing.T, opts Options) (*Server, *httptest.Server) {
 		ts.Close()
 		s.Close()
 	})
-	return s, ts
+	return s, NewClient(ts.URL, ts.Client())
+}
+
+// park holds the first job to reach a chosen round inside that round, so
+// control requests land at an exact barrier.
+type park struct {
+	entered chan struct{} // closed once a job is held
+	release func()        // lets it go; idempotent
+}
+
+// newParkedServer is newTestServer with a round hook that parks the first
+// job to reach round.
+func newParkedServer(t *testing.T, opts Options, round int) (*Server, *Client, park) {
+	t.Helper()
+	p := park{entered: make(chan struct{})}
+	gate := make(chan struct{})
+	var held atomic.Bool
+	opts.roundHook = func(_ string, r int) {
+		if r == round && held.CompareAndSwap(false, true) {
+			close(p.entered)
+			<-gate
+		}
+	}
+	p.release = sync.OnceFunc(func() { close(gate) })
+	s, c := newTestServer(t, opts)
+	t.Cleanup(p.release) // runs first: Close waits for the parked worker
+	return s, c, p
 }
 
 // smallJob is a quick deterministic request: ~10 hops on a 6x6 mesh.
@@ -52,270 +78,122 @@ func longJob(seed uint64) JobRequest {
 	}
 }
 
-// postJob submits req and decodes the response envelope.
-func postJob(t *testing.T, base string, req JobRequest) (code int, sub SubmitResponse, aerr *APIError) {
+// testCtx returns a context bounded well under the suite's timeout.
+func testCtx(t *testing.T) context.Context {
 	t.Helper()
-	body, err := json.Marshal(req)
-	if err != nil {
-		t.Fatalf("marshal: %v", err)
-	}
-	return postRaw(t, base, body)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	t.Cleanup(cancel)
+	return ctx
 }
 
-// postRaw submits a raw body to POST /v1/jobs.
-func postRaw(t *testing.T, base string, body []byte) (code int, sub SubmitResponse, aerr *APIError) {
+// submit submits req through c, failing the test on any error.
+func submit(t *testing.T, c *Client, req JobRequest) SubmitResponse {
 	t.Helper()
-	resp, err := http.Post(base+"/v1/jobs", "application/json", bytes.NewReader(body))
+	sub, err := c.Submit(testCtx(t), req)
 	if err != nil {
-		t.Fatalf("POST /v1/jobs: %v", err)
+		t.Fatalf("submit: %v", err)
 	}
-	defer resp.Body.Close()
-	raw, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode >= 400 {
-		var env struct {
-			Error *APIError `json:"error"`
-		}
-		if err := json.Unmarshal(raw, &env); err != nil || env.Error == nil {
-			t.Fatalf("status %d with unstructured error body %q", resp.StatusCode, raw)
-		}
-		return resp.StatusCode, sub, env.Error
-	}
-	if err := json.Unmarshal(raw, &sub); err != nil {
-		t.Fatalf("decode submit response %q: %v", raw, err)
-	}
-	return resp.StatusCode, sub, nil
+	return sub
 }
 
-// getStatus fetches GET /v1/jobs/{id}.
-func getStatus(t *testing.T, base, id string) Status {
+// waitState streams a job to its end, checks that it ended in want and,
+// if done, that the streamed lines equal its result byte for byte, and
+// returns the done event's status and the streamed series.
+func waitState(t *testing.T, c *Client, id string, want State) (Status, []byte) {
 	t.Helper()
-	resp, err := http.Get(base + "/v1/jobs/" + id)
-	if err != nil {
-		t.Fatalf("GET status: %v", err)
+	var streamed bytes.Buffer
+	st, err := c.Stream(testCtx(t), id, func(line []byte) { streamed.Write(line) })
+	if err != nil || st.State != want {
+		t.Fatalf("job %s ended %s (err %v), want %s", id, st.State, err, want)
 	}
-	defer resp.Body.Close()
-	var st Status
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatalf("decode status: %v", err)
+	if want == StateDone {
+		if res, err := c.Result(testCtx(t), id); err != nil || !bytes.Equal(res, streamed.Bytes()) {
+			t.Fatalf("job %s: result (err %v) differs from its stream:\nresult:\n%s\nstream:\n%s", id, err, res, streamed.Bytes())
+		}
 	}
-	return st
+	return st, streamed.Bytes()
 }
 
-// waitState polls a job until want (or any terminal state if the job
-// overshoots), failing the test on timeout.
-func waitState(t *testing.T, base, id string, want State) Status {
+// wantAPIError fails the test unless err is an *APIError with code (whose
+// HTTP status the client has checked is httpStatus(code)).
+func wantAPIError(t *testing.T, err error, code string) {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		st := getStatus(t, base, id)
-		if st.State == want {
-			return st
-		}
-		if st.State.Terminal() || time.Now().After(deadline) {
-			t.Fatalf("job %s: state %s (want %s)", id, st.State, want)
-		}
-		time.Sleep(2 * time.Millisecond)
+	var aerr *APIError
+	if !errors.As(err, &aerr) || aerr.Code != code {
+		t.Fatalf("err = %v, want %s (HTTP %d)", err, code, httpStatus(code))
 	}
-}
-
-// getResult fetches the finished job's JSONL artifact.
-func getResult(t *testing.T, base, id string) []byte {
-	t.Helper()
-	resp, err := http.Get(base + "/v1/jobs/" + id + "/result")
-	if err != nil {
-		t.Fatalf("GET result: %v", err)
-	}
-	defer resp.Body.Close()
-	raw, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET result: status %d body %q", resp.StatusCode, raw)
-	}
-	return raw
-}
-
-// sseEvent is one parsed server-sent event.
-type sseEvent struct {
-	event string
-	data  string
-}
-
-// readStream consumes GET /v1/jobs/{id}/stream to EOF and parses the
-// events.
-func readStream(t *testing.T, base, id string) []sseEvent {
-	t.Helper()
-	resp, err := http.Get(base + "/v1/jobs/" + id + "/stream")
-	if err != nil {
-		t.Fatalf("GET stream: %v", err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("stream Content-Type = %q", ct)
-	}
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatalf("read stream: %v", err)
-	}
-	var events []sseEvent
-	for _, block := range strings.Split(string(raw), "\n\n") {
-		if strings.TrimSpace(block) == "" {
-			continue
-		}
-		var ev sseEvent
-		for _, line := range strings.Split(block, "\n") {
-			switch {
-			case strings.HasPrefix(line, "event: "):
-				ev.event = strings.TrimPrefix(line, "event: ")
-			case strings.HasPrefix(line, "data: "):
-				ev.data = strings.TrimPrefix(line, "data: ")
-			}
-		}
-		events = append(events, ev)
-	}
-	return events
 }
 
 // TestSubmitStreamComplete is the happy path: submit, stream the rounds
 // live, and verify the concatenated stream is byte-identical to the
 // result artifact and consistent with the final status.
 func TestSubmitStreamComplete(t *testing.T) {
-	_, ts := newTestServer(t, Options{Workers: 2})
-	code, sub, aerr := postJob(t, ts.URL, smallJob(7))
-	if aerr != nil {
-		t.Fatalf("submit: %v", aerr)
+	_, c, p := newParkedServer(t, Options{Workers: 2}, 1)
+	sub := submit(t, c, smallJob(7))
+	if sub.State.Terminal() {
+		t.Fatalf("submit answered a finished %s job, want 202", sub.State)
 	}
-	if code != http.StatusAccepted {
-		t.Fatalf("submit status = %d, want 202", code)
-	}
-
-	events := readStream(t, ts.URL, sub.ID)
-	if len(events) < 2 {
-		t.Fatalf("stream produced %d events, want rounds + done", len(events))
-	}
-	last := events[len(events)-1]
-	if last.event != "done" {
-		t.Fatalf("final event = %q, want done", last.event)
-	}
-	var final Status
-	if err := json.Unmarshal([]byte(last.data), &final); err != nil {
-		t.Fatalf("decode done event: %v", err)
-	}
-	if final.State != StateDone {
-		t.Fatalf("done event state = %s", final.State)
-	}
-	if final.DeliveredRound < 1 {
-		t.Fatalf("delivered_round = %d, want >= 1", final.DeliveredRound)
-	}
-	if final.Transmissions <= 0 || final.EnergyJ <= 0 {
-		t.Fatalf("final counters empty: %+v", final)
-	}
+	<-p.entered // the stream below opens on a running job, released by its first line
 
 	var streamed bytes.Buffer
-	for _, ev := range events[:len(events)-1] {
-		if ev.event != "round" {
-			t.Fatalf("unexpected event %q before done", ev.event)
-		}
-		streamed.WriteString(ev.data)
-		streamed.WriteByte('\n')
+	final, err := c.Stream(testCtx(t), sub.ID, func(line []byte) { streamed.Write(line); p.release() })
+	if err != nil {
+		t.Fatalf("stream: %v", err)
 	}
-	result := getResult(t, ts.URL, sub.ID)
-	if !bytes.Equal(streamed.Bytes(), result) {
-		t.Fatalf("streamed series differs from result artifact:\nstream:\n%s\nresult:\n%s", streamed.Bytes(), result)
+	if final.State != StateDone || final.DeliveredRound < 1 || final.Transmissions <= 0 || final.EnergyJ <= 0 {
+		t.Fatalf("done event = %+v, want done, delivered_round >= 1 and non-zero counters", final)
+	}
+
+	res, err := c.Result(testCtx(t), sub.ID)
+	if err != nil || !bytes.Equal(streamed.Bytes(), res) {
+		t.Fatalf("streamed series differs from result artifact (err %v):\nstream:\n%s\nresult:\n%s", err, streamed.Bytes(), res)
 	}
 	// rounds+1 lines: line 0 is round 0 (the pre-run injection).
-	if got := bytes.Count(result, []byte("\n")); got != final.Rounds+1 {
+	if got := bytes.Count(res, []byte("\n")); got != final.Rounds+1 {
 		t.Fatalf("result has %d lines, status says %d rounds", got, final.Rounds)
 	}
-	if st := getStatus(t, ts.URL, sub.ID); st.State != StateDone || st.DeliveredRound != final.DeliveredRound {
-		t.Fatalf("status after done = %+v, stream said %+v", st, final)
+	if st, err := c.Status(testCtx(t), sub.ID); err != nil || st != final {
+		t.Fatalf("status after done = %+v (err %v), stream said %+v", st, err, final)
 	}
 }
 
 // TestCancelMidRun cancels a running job at a round barrier and
 // verifies it lands in canceled, not done.
 func TestCancelMidRun(t *testing.T) {
-	entered := make(chan struct{}, 1)
-	release := make(chan struct{})
-	opts := Options{Workers: 1}
-	opts.roundHook = func(id string, round int) {
-		if round == 1 {
-			select {
-			case entered <- struct{}{}:
-			default:
-			}
-			<-release
-		}
-	}
-	_, ts := newTestServer(t, opts)
-	t.Cleanup(func() { close(release) })
+	_, c, p := newParkedServer(t, Options{Workers: 1}, 1)
+	sub := submit(t, c, longJob(3))
+	<-p.entered // the worker is parked inside round 1
 
-	_, sub, aerr := postJob(t, ts.URL, longJob(3))
-	if aerr != nil {
-		t.Fatalf("submit: %v", aerr)
+	if _, err := c.Cancel(testCtx(t), sub.ID); err != nil {
+		t.Fatalf("cancel: %v", err)
 	}
-	<-entered // the worker is parked inside round 1
+	p.release() // let the worker reach the barrier
 
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+sub.ID, nil)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatalf("DELETE: %v", err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("DELETE status = %d", resp.StatusCode)
-	}
-	release <- struct{}{} // let the worker reach the barrier
-
-	st := waitState(t, ts.URL, sub.ID, StateCanceled)
+	st, _ := waitState(t, c, sub.ID, StateCanceled)
 	if st.Rounds >= longJob(3).MaxRounds {
 		t.Fatalf("canceled job ran its full %d-round budget", st.Rounds)
 	}
 	// The result of a canceled job is a conflict, not a partial series.
-	resp, err = http.Get(ts.URL + "/v1/jobs/" + sub.ID + "/result")
-	if err != nil {
-		t.Fatalf("GET result: %v", err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusConflict {
-		t.Fatalf("result of canceled job: status %d, want 409", resp.StatusCode)
-	}
+	_, err := c.Result(testCtx(t), sub.ID)
+	wantAPIError(t, err, ErrConflict)
 }
 
 // TestCancelQueuedJob cancels a job that never got a worker.
 func TestCancelQueuedJob(t *testing.T) {
-	entered := make(chan struct{}, 1)
-	release := make(chan struct{})
-	opts := Options{Workers: 1, QueueCap: 4}
-	opts.roundHook = func(id string, round int) {
-		if round == 1 {
-			select {
-			case entered <- struct{}{}:
-			default:
-			}
-			<-release
-		}
-	}
-	_, ts := newTestServer(t, opts)
-	t.Cleanup(func() { close(release) })
+	_, c, p := newParkedServer(t, Options{Workers: 1, QueueCap: 4}, 1)
+	running := submit(t, c, longJob(1))
+	<-p.entered
+	queued := submit(t, c, longJob(2))
 
-	_, running, _ := postJob(t, ts.URL, longJob(1))
-	<-entered
-	_, queued, aerr := postJob(t, ts.URL, longJob(2))
-	if aerr != nil {
-		t.Fatalf("second submit: %v", aerr)
+	if _, err := c.Cancel(testCtx(t), queued.ID); err != nil {
+		t.Fatalf("cancel: %v", err)
 	}
+	p.release()
 
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+queued.ID, nil)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatalf("DELETE: %v", err)
-	}
-	resp.Body.Close()
-	release <- struct{}{}
-
-	if st := waitState(t, ts.URL, queued.ID, StateCanceled); st.Rounds != 0 {
+	if st, _ := waitState(t, c, queued.ID, StateCanceled); st.Rounds != 0 {
 		t.Fatalf("queued job executed %d rounds after cancel", st.Rounds)
 	}
-	waitState(t, ts.URL, running.ID, StateDone)
+	waitState(t, c, running.ID, StateDone)
 }
 
 // TestPreemptResumeByteIdentical is the tentpole invariant: a job
@@ -331,51 +209,25 @@ func TestPreemptResumeByteIdentical(t *testing.T) {
 
 	// Reference: the same request, never preempted.
 	_, ref := newTestServer(t, Options{Workers: 1})
-	_, refSub, aerr := postJob(t, ref.URL, req)
-	if aerr != nil {
-		t.Fatalf("reference submit: %v", aerr)
-	}
-	refDone := waitState(t, ref.URL, refSub.ID, StateDone)
-	want := getResult(t, ref.URL, refSub.ID)
+	refSub := submit(t, ref, req)
+	refDone, want := waitState(t, ref, refSub.ID, StateDone)
 
 	// Preempted: park the worker inside round 3, land the preempt, then
 	// let it reach the barrier and yield.
-	entered := make(chan struct{}, 1)
-	release := make(chan struct{})
 	ckdir := t.TempDir()
-	opts := Options{Workers: 1, CheckpointDir: ckdir}
-	opts.roundHook = func(id string, round int) {
-		if round == 3 {
-			select {
-			case entered <- struct{}{}:
-			default:
-			}
-			<-release
-		}
-	}
-	srv, ts := newTestServer(t, opts)
-	t.Cleanup(func() { close(release) })
-	_, sub, aerr := postJob(t, ts.URL, req)
-	if aerr != nil {
-		t.Fatalf("submit: %v", aerr)
-	}
-	<-entered
+	srv, c, p := newParkedServer(t, Options{Workers: 1, CheckpointDir: ckdir}, 3)
+	sub := submit(t, c, req)
+	<-p.entered
 
-	resp, err := http.Post(ts.URL+"/v1/jobs/"+sub.ID+"/preempt", "", nil)
-	if err != nil {
-		t.Fatalf("POST preempt: %v", err)
+	if _, err := c.Preempt(testCtx(t), sub.ID); err != nil {
+		t.Fatalf("preempt: %v", err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("preempt status = %d", resp.StatusCode)
-	}
-	release <- struct{}{}
+	p.release()
 
-	done := waitState(t, ts.URL, sub.ID, StateDone)
+	done, got := waitState(t, c, sub.ID, StateDone)
 	if done.Preempts != 1 {
 		t.Fatalf("preempts = %d, want 1", done.Preempts)
 	}
-	got := getResult(t, ts.URL, sub.ID)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("preempted+resumed result differs from uninterrupted run:\ngot:\n%s\nwant:\n%s", got, want)
 	}
@@ -390,11 +242,7 @@ func TestPreemptResumeByteIdentical(t *testing.T) {
 
 	// Satellite: a resumed-then-completed job deletes its checkpoint —
 	// the directory holds no .ckpt files afterwards.
-	left, err := filepath.Glob(filepath.Join(ckdir, "*.ckpt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(left) != 0 {
+	if left, _ := filepath.Glob(filepath.Join(ckdir, "*.ckpt")); len(left) != 0 {
 		t.Fatalf("checkpoint files left after completion: %v", left)
 	}
 }
@@ -403,52 +251,19 @@ func TestPreemptResumeByteIdentical(t *testing.T) {
 // fleet saturated by a batch job, an interactive submission forces a
 // yield and finishes first.
 func TestInteractivePreemptsBatch(t *testing.T) {
-	release := make(chan struct{})
-	gate := make(chan struct{}, 1)
-	var parkMu sync.Mutex
-	var parked string
-	opts := Options{Workers: 1}
-	opts.roundHook = func(id string, round int) {
-		if round != 2 {
-			return
-		}
-		// Only the first job to reach round 2 — the batch job, submitted
-		// while the fleet was empty — parks; the interactive job that
-		// preempts it must run through freely.
-		parkMu.Lock()
-		if parked == "" {
-			parked = id
-		}
-		mine := parked == id
-		parkMu.Unlock()
-		if mine {
-			select {
-			case gate <- struct{}{}:
-			default:
-			}
-			<-release
-		}
-	}
-	srv, ts := newTestServer(t, opts)
-	t.Cleanup(func() { close(release) })
+	// The batch job is the first to reach round 2, so it alone parks.
+	srv, c, p := newParkedServer(t, Options{Workers: 1}, 2)
 
 	batch := longJob(11)
 	batch.Priority = PriorityBatch
-	_, bsub, aerr := postJob(t, ts.URL, batch)
-	if aerr != nil {
-		t.Fatalf("batch submit: %v", aerr)
-	}
-	<-gate // batch job is parked mid-round-2 on the only worker
+	bsub := submit(t, c, batch)
+	<-p.entered // batch job is parked mid-round-2 on the only worker
 
-	inter := smallJob(12)
-	_, isub, aerr := postJob(t, ts.URL, inter)
-	if aerr != nil {
-		t.Fatalf("interactive submit: %v", aerr)
-	}
-	release <- struct{}{} // batch reaches its barrier and yields
+	isub := submit(t, c, smallJob(12))
+	p.release() // batch reaches its barrier and yields
 
-	waitState(t, ts.URL, isub.ID, StateDone)
-	bdone := waitState(t, ts.URL, bsub.ID, StateDone)
+	waitState(t, c, isub.ID, StateDone)
+	bdone, _ := waitState(t, c, bsub.ID, StateDone)
 	if bdone.Preempts < 1 {
 		t.Fatalf("batch job preempts = %d, want >= 1", bdone.Preempts)
 	}
@@ -459,39 +274,16 @@ func TestInteractivePreemptsBatch(t *testing.T) {
 
 // TestAdmissionControl fills the queue and verifies the structured 429.
 func TestAdmissionControl(t *testing.T) {
-	entered := make(chan struct{}, 1)
-	release := make(chan struct{})
-	opts := Options{Workers: 1, QueueCap: 1}
-	opts.roundHook = func(id string, round int) {
-		if round == 1 {
-			select {
-			case entered <- struct{}{}:
-			default:
-			}
-			<-release
-		}
-	}
-	srv, ts := newTestServer(t, opts)
-	t.Cleanup(func() { close(release) })
+	_, c, p := newParkedServer(t, Options{Workers: 1, QueueCap: 1}, 1)
 
-	_, _, aerr := postJob(t, ts.URL, longJob(21)) // occupies the worker
-	if aerr != nil {
-		t.Fatalf("first submit: %v", aerr)
-	}
-	<-entered
-	_, _, aerr = postJob(t, ts.URL, longJob(22)) // fills the queue
-	if aerr != nil {
-		t.Fatalf("second submit: %v", aerr)
-	}
-	code, _, aerr := postJob(t, ts.URL, longJob(23)) // rejected
-	if aerr == nil {
-		t.Fatal("third submit admitted past the queue cap")
-	}
-	if code != http.StatusTooManyRequests || aerr.Code != ErrSaturated {
-		t.Fatalf("rejection = %d %q, want 429 %q", code, aerr.Code, ErrSaturated)
-	}
-	if st := srv.Stats(); st.Rejected != 1 {
-		t.Fatalf("stats.Rejected = %d, want 1", st.Rejected)
+	submit(t, c, longJob(21)) // occupies the worker
+	<-p.entered
+	submit(t, c, longJob(22)) // fills the queue
+	_, err := c.Submit(testCtx(t), longJob(23))
+	wantAPIError(t, err, ErrSaturated)
+	st, err := c.Stats(testCtx(t))
+	if err != nil || st.Rejected != 1 {
+		t.Fatalf("stats = %+v (err %v), want Rejected 1", st, err)
 	}
 }
 
@@ -499,7 +291,7 @@ func TestAdmissionControl(t *testing.T) {
 // syntactically broken and semantically invalid submissions get typed,
 // machine-readable rejections — never a 500, never an accepted job.
 func TestMalformedConfigsRejected(t *testing.T) {
-	srv, ts := newTestServer(t, Options{Workers: 1, MaxJobRounds: 500, MaxTiles: 1024})
+	srv, c := newTestServer(t, Options{Workers: 1, MaxJobRounds: 500, MaxTiles: 1024})
 	valid := func(mut func(*JobRequest)) []byte {
 		r := smallJob(1)
 		mut(&r)
@@ -507,32 +299,26 @@ func TestMalformedConfigsRejected(t *testing.T) {
 		return b
 	}
 	cases := []struct {
-		name     string
-		body     []byte
-		wantCode int
-		wantErr  string
+		name    string
+		body    []byte
+		wantErr string // both codes are HTTP 400
 	}{
-		{"truncated json", []byte(`{"width": 4,`), http.StatusBadRequest, ErrBadJSON},
-		{"wrong type", []byte(`{"width": "four"}`), http.StatusBadRequest, ErrBadJSON},
-		{"unknown field", []byte(`{"width": 4, "height": 4, "warp": 9}`), http.StatusBadRequest, ErrBadJSON},
-		{"zero size", valid(func(r *JobRequest) { r.Width = 0 }), http.StatusBadRequest, ErrInvalidConfig},
-		{"too many tiles", valid(func(r *JobRequest) { r.Width, r.Height = 64, 64 }), http.StatusBadRequest, ErrInvalidConfig},
-		{"src out of range", valid(func(r *JobRequest) { r.Src = 99 }), http.StatusBadRequest, ErrInvalidConfig},
-		{"p out of range", valid(func(r *JobRequest) { r.P = 1.5 }), http.StatusBadRequest, ErrInvalidConfig},
-		{"round budget over cap", valid(func(r *JobRequest) { r.MaxRounds = 100000 }), http.StatusBadRequest, ErrInvalidConfig},
-		{"bogus priority", valid(func(r *JobRequest) { r.Priority = "urgent" }), http.StatusBadRequest, ErrInvalidConfig},
-		{"fault upset over 1", valid(func(r *JobRequest) { r.Fault.Upset = 2 }), http.StatusBadRequest, ErrInvalidConfig},
-		{"negative dead tiles", valid(func(r *JobRequest) { r.Fault.DeadTiles = -1 }), http.StatusBadRequest, ErrInvalidConfig},
+		{"truncated json", []byte(`{"width": 4,`), ErrBadJSON},
+		{"wrong type", []byte(`{"width": "four"}`), ErrBadJSON},
+		{"unknown field", []byte(`{"width": 4, "height": 4, "warp": 9}`), ErrBadJSON},
+		{"zero size", valid(func(r *JobRequest) { r.Width = 0 }), ErrInvalidConfig},
+		{"too many tiles", valid(func(r *JobRequest) { r.Width, r.Height = 64, 64 }), ErrInvalidConfig},
+		{"src out of range", valid(func(r *JobRequest) { r.Src = 99 }), ErrInvalidConfig},
+		{"p out of range", valid(func(r *JobRequest) { r.P = 1.5 }), ErrInvalidConfig},
+		{"round budget over cap", valid(func(r *JobRequest) { r.MaxRounds = 100000 }), ErrInvalidConfig},
+		{"bogus priority", valid(func(r *JobRequest) { r.Priority = "urgent" }), ErrInvalidConfig},
+		{"fault upset over 1", valid(func(r *JobRequest) { r.Fault.Upset = 2 }), ErrInvalidConfig},
+		{"negative dead tiles", valid(func(r *JobRequest) { r.Fault.DeadTiles = -1 }), ErrInvalidConfig},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			code, _, aerr := postRaw(t, ts.URL, tc.body)
-			if aerr == nil {
-				t.Fatalf("body %s was accepted", tc.body)
-			}
-			if code != tc.wantCode || aerr.Code != tc.wantErr {
-				t.Fatalf("got %d %q, want %d %q (message: %s)", code, aerr.Code, tc.wantCode, tc.wantErr, aerr.Message)
-			}
+			_, err := c.submitRaw(testCtx(t), tc.body)
+			wantAPIError(t, err, tc.wantErr)
 		})
 	}
 	if st := srv.Stats(); st.Accepted != 0 || st.Simulations != 0 {
@@ -542,26 +328,14 @@ func TestMalformedConfigsRejected(t *testing.T) {
 
 // TestUnknownJob404s pins the not_found surface across all job routes.
 func TestUnknownJob404s(t *testing.T) {
-	_, ts := newTestServer(t, Options{Workers: 1})
-	for _, route := range []struct{ method, path string }{
-		{http.MethodGet, "/v1/jobs/j-999999"},
-		{http.MethodGet, "/v1/jobs/j-999999/stream"},
-		{http.MethodGet, "/v1/jobs/j-999999/result"},
-		{http.MethodPost, "/v1/jobs/j-999999/preempt"},
-		{http.MethodDelete, "/v1/jobs/j-999999"},
-	} {
-		req, _ := http.NewRequest(route.method, ts.URL+route.path, nil)
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatalf("%s %s: %v", route.method, route.path, err)
-		}
-		var env struct {
-			Error *APIError `json:"error"`
-		}
-		err = json.NewDecoder(resp.Body).Decode(&env)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound || err != nil || env.Error == nil || env.Error.Code != ErrNotFound {
-			t.Fatalf("%s %s: status %d, error %+v", route.method, route.path, resp.StatusCode, env.Error)
+	_, c := newTestServer(t, Options{Workers: 1})
+	calls := clientCalls(c, "j-999999")
+	delete(calls, "submit")
+	delete(calls, "stats")
+	for route, call := range calls {
+		var aerr *APIError
+		if err := call(testCtx(t)); !errors.As(err, &aerr) || aerr.Code != ErrNotFound {
+			t.Errorf("%s: err = %v, want %s", route, err, ErrNotFound)
 		}
 	}
 }
@@ -569,59 +343,68 @@ func TestUnknownJob404s(t *testing.T) {
 // TestStreamReplayAfterCompletion verifies a late subscriber to a
 // finished job replays the full series immediately.
 func TestStreamReplayAfterCompletion(t *testing.T) {
-	_, ts := newTestServer(t, Options{Workers: 1})
-	_, sub, aerr := postJob(t, ts.URL, smallJob(9))
-	if aerr != nil {
-		t.Fatalf("submit: %v", aerr)
-	}
-	waitState(t, ts.URL, sub.ID, StateDone)
-	result := getResult(t, ts.URL, sub.ID)
+	_, c := newTestServer(t, Options{Workers: 1})
+	sub := submit(t, c, smallJob(9))
+	_, res := waitState(t, c, sub.ID, StateDone)
 
-	events := readStream(t, ts.URL, sub.ID)
 	var replay bytes.Buffer
-	for _, ev := range events {
-		if ev.event == "round" {
-			replay.WriteString(ev.data)
-			replay.WriteByte('\n')
-		}
+	if _, err := c.Stream(testCtx(t), sub.ID, func(line []byte) { replay.Write(line) }); err != nil {
+		t.Fatalf("stream: %v", err)
 	}
-	if !bytes.Equal(replay.Bytes(), result) {
+	if !bytes.Equal(replay.Bytes(), res) {
 		t.Fatal("late stream replay differs from the result artifact")
+	}
+}
+
+// failingWriter is a ResponseWriter and Flusher whose writes fail, as
+// they do once the client has gone away.
+type failingWriter struct{ *httptest.ResponseRecorder }
+
+func (failingWriter) Write([]byte) (int, error) { return 0, errors.New("client gone") }
+
+// TestStreamStopsAtFailedWrite verifies handleStream returns at its first
+// failed write instead of following a live job to its end.
+func TestStreamStopsAtFailedWrite(t *testing.T) {
+	srv, c, p := newParkedServer(t, Options{Workers: 1}, 1)
+	sub := submit(t, c, longJob(5))
+	<-p.entered // the job stays live until released
+
+	srv.mu.Lock()
+	j := srv.jobs[sub.ID]
+	srv.mu.Unlock()
+	returned := make(chan struct{})
+	go func() {
+		srv.handleStream(failingWriter{httptest.NewRecorder()}, httptest.NewRequest(http.MethodGet, "/", nil), j)
+		close(returned)
+	}()
+	select {
+	case <-returned:
+	case <-time.After(time.Second):
+		t.Fatal("handleStream still running a second after its writes failed")
 	}
 }
 
 // TestHealthzFlipsOnDrain pins the load-balancer contract.
 func TestHealthzFlipsOnDrain(t *testing.T) {
-	srv, ts := newTestServer(t, Options{Workers: 1})
-	resp, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
+	srv, c := newTestServer(t, Options{Workers: 1})
+	healthz := func() int {
+		t.Helper()
+		resp, err := c.hc.Get(c.base + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("healthz before drain = %d", resp.StatusCode)
+	if code := healthz(); code != http.StatusOK {
+		t.Fatalf("healthz before drain = %d", code)
 	}
 	if err := srv.Drain(testCtx(t)); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
-	resp, err = http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
+	if code := healthz(); code != http.StatusServiceUnavailable {
+		t.Fatalf("healthz after drain = %d, want 503", code)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("healthz after drain = %d, want 503", resp.StatusCode)
-	}
-	code, _, aerr := postJob(t, ts.URL, smallJob(5))
-	if aerr == nil || code != http.StatusServiceUnavailable || aerr.Code != ErrDraining {
-		t.Fatalf("submit after drain = %d %+v, want 503 %q", code, aerr, ErrDraining)
-	}
-}
-
-// testCtx returns a context bounded well under the suite's timeout.
-func testCtx(t *testing.T) context.Context {
-	t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	t.Cleanup(cancel)
-	return ctx
+	_, err := c.Submit(testCtx(t), smallJob(5))
+	wantAPIError(t, err, ErrDraining)
 }

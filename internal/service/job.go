@@ -124,17 +124,11 @@ func (j *Job) appendLine(line []byte) {
 }
 
 // setLines replaces the job's result lines wholesale (cache-hit
-// replay). payload is split on newlines; callers pass well-formed JSONL.
+// replay). The lines alias payload, which the caller hands over.
 func (j *Job) setLines(payload []byte) {
-	var lines [][]byte
-	for len(payload) > 0 {
-		i := bytes.IndexByte(payload, '\n')
-		if i < 0 {
-			lines = append(lines, append(append([]byte(nil), payload...), '\n'))
-			break
-		}
-		lines = append(lines, append([]byte(nil), payload[:i+1]...))
-		payload = payload[i+1:]
+	lines := bytes.SplitAfter(payload, []byte("\n"))
+	if len(lines[len(lines)-1]) == 0 {
+		lines = lines[:len(lines)-1] // the empty tail after the final newline
 	}
 	j.mu.Lock()
 	j.lines = lines
@@ -157,15 +151,7 @@ func (j *Job) snapshot(from int) (lines [][]byte, state State, updated chan stru
 func (j *Job) result() []byte {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	var n int
-	for _, l := range j.lines {
-		n += len(l)
-	}
-	out := make([]byte, 0, n)
-	for _, l := range j.lines {
-		out = append(out, l...)
-	}
-	return out
+	return bytes.Join(j.lines, nil)
 }
 
 // currentStatus renders the job's externally visible condition now.

@@ -1,21 +1,19 @@
 package service
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
 // The load-test harness drives a Server with mixed interactive+batch
-// traffic over its real HTTP surface, then drains it and audits the
-// invariants a multi-tenant daemon must hold under saturation:
+// traffic over its real HTTP surface through a Client, then drains it
+// and audits the invariants a multi-tenant daemon must hold under
+// saturation:
 //
 //   - the worker fleet never exceeds its configured bound;
 //   - admission control rejects (with 429), it does not queue without
@@ -88,8 +86,8 @@ type LoadReport struct {
 	CacheHits int64 `json:"cache_hits"`
 	// Rejected counts 429 admission rejections.
 	Rejected int64 `json:"rejected"`
-	// TransportErrors counts submissions that failed below HTTP or with
-	// an unexpected status.
+	// TransportErrors counts submissions that failed with any error other
+	// than a saturated rejection.
 	TransportErrors int64 `json:"transport_errors"`
 	// SubmitPerSec is the sustained client-observed submission rate.
 	SubmitPerSec float64 `json:"submit_per_sec"`
@@ -165,12 +163,12 @@ func RunLoad(srv *Server, base string, cfg LoadConfig) (*LoadReport, error) {
 	}
 
 	var (
-		submitted, accepted, deduped, cacheHits atomic.Int64
-		rejected, transportErrs                 atomic.Int64
-		mu                                      sync.Mutex
-		acceptedIDs                             []string
+		rep         LoadReport
+		mu          sync.Mutex // guards rep's client-side counters and acceptedIDs
+		acceptedIDs []string
 	)
-	client := &http.Client{Timeout: 30 * time.Second}
+	client := NewClient(base, &http.Client{Timeout: 30 * time.Second})
+	ctx := context.Background()
 	deadline := time.Now().Add(cfg.Duration)
 	start := time.Now()
 
@@ -188,85 +186,46 @@ func RunLoad(srv *Server, base string, cfg LoadConfig) (*LoadReport, error) {
 				if float64(i%100)/100 < cfg.BatchFraction {
 					req.Priority = PriorityBatch
 				}
-				body, _ := json.Marshal(req)
-				submitted.Add(1)
-				resp, err := client.Post(base+"/v1/jobs", "application/json", bytes.NewReader(body))
-				if err != nil {
-					transportErrs.Add(1)
-					continue
-				}
-				raw, _ := io.ReadAll(resp.Body)
-				resp.Body.Close()
-				switch resp.StatusCode {
-				case http.StatusAccepted, http.StatusOK:
-					var sub SubmitResponse
-					if err := json.Unmarshal(raw, &sub); err != nil {
-						transportErrs.Add(1)
-						continue
-					}
-					switch {
-					case sub.Deduped:
-						deduped.Add(1)
-					case sub.CacheHit:
-						cacheHits.Add(1)
-					default:
-						accepted.Add(1)
-						mu.Lock()
-						acceptedIDs = append(acceptedIDs, sub.ID)
-						mu.Unlock()
-					}
-				case http.StatusTooManyRequests:
-					rejected.Add(1)
+				sub, err := client.Submit(ctx, req)
+				var aerr *APIError
+				mu.Lock()
+				rep.Submitted++
+				switch {
+				case errors.As(err, &aerr) && aerr.Code == ErrSaturated:
+					rep.Rejected++
+				case err != nil:
+					rep.TransportErrors++
+				case sub.Deduped:
+					rep.Deduped++
+				case sub.CacheHit:
+					rep.CacheHits++
 				default:
-					transportErrs.Add(1)
+					rep.Accepted++
+					acceptedIDs = append(acceptedIDs, sub.ID)
 				}
+				mu.Unlock()
 			}
 		}(c)
 	}
 	wg.Wait()
-	elapsed := time.Since(start)
+	rep.Elapsed = time.Since(start)
+	rep.SubmitPerSec = float64(rep.Submitted) / rep.Elapsed.Seconds()
 
 	// Graceful drain: every accepted job must reach a terminal state.
-	ctx, cancel := context.WithTimeout(context.Background(), cfg.DrainTimeout)
+	drainCtx, cancel := context.WithTimeout(ctx, cfg.DrainTimeout)
 	defer cancel()
-	if err := srv.Drain(ctx); err != nil {
+	if err := srv.Drain(drainCtx); err != nil {
 		return nil, fmt.Errorf("service: load drain: %w", err)
 	}
-
-	var lost int64
 	for _, id := range acceptedIDs {
-		resp, err := client.Get(base + "/v1/jobs/" + id)
-		if err != nil {
-			lost++
-			continue
-		}
-		var st Status
-		err = json.NewDecoder(resp.Body).Decode(&st)
-		resp.Body.Close()
-		if err != nil || !st.State.Terminal() {
-			lost++
+		if st, err := client.Status(ctx, id); err != nil || !st.State.Terminal() {
+			rep.Lost++
 		}
 	}
 
-	stats := srv.Stats()
-	rep := &LoadReport{
-		Elapsed:         elapsed,
-		Submitted:       submitted.Load(),
-		Accepted:        accepted.Load(),
-		Deduped:         deduped.Load(),
-		CacheHits:       cacheHits.Load(),
-		Rejected:        rejected.Load(),
-		TransportErrors: transportErrs.Load(),
-		SubmitPerSec:    float64(submitted.Load()) / elapsed.Seconds(),
-		Completed:       stats.Completed,
-		Canceled:        stats.Canceled,
-		Failed:          stats.Failed,
-		Simulations:     stats.Simulations,
-		Preemptions:     stats.Preemptions,
-		Resumes:         stats.Resumes,
-		Workers:         stats.Workers,
-		MaxRunning:      stats.MaxRunning,
-		Lost:            lost,
-	}
-	return rep, nil
+	st := srv.Stats()
+	rep.Completed, rep.Canceled, rep.Failed = st.Completed, st.Canceled, st.Failed
+	rep.Simulations, rep.Preemptions, rep.Resumes = st.Simulations, st.Preemptions, st.Resumes
+	rep.Workers, rep.MaxRunning = st.Workers, st.MaxRunning
+	return &rep, nil
 }

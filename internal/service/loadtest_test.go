@@ -1,7 +1,6 @@
 package service
 
 import (
-	"net/http"
 	"testing"
 	"time"
 )
@@ -19,9 +18,9 @@ func TestLoadMixedTraffic(t *testing.T) {
 	// a few milliseconds, so clients submitting in a tight loop outrun
 	// the fleet and admission control must engage.
 	opts.roundHook = func(string, int) { time.Sleep(50 * time.Microsecond) }
-	srv, ts := newTestServer(t, opts)
+	srv, c := newTestServer(t, opts)
 
-	rep, err := RunLoad(srv, ts.URL, LoadConfig{
+	rep, err := RunLoad(srv, c.base, LoadConfig{
 		Duration:      400 * time.Millisecond,
 		Clients:       6,
 		BatchFraction: 0.5,
@@ -33,20 +32,13 @@ func TestLoadMixedTraffic(t *testing.T) {
 	}
 	t.Logf("\n%s", rep)
 
+	// Violations covers loss, the fleet bound, acceptance, transport
+	// errors and server-side failures.
 	if v := rep.Violations(); len(v) != 0 {
 		t.Fatalf("invariant violations: %v", v)
 	}
-	if rep.Lost != 0 {
-		t.Fatalf("drain lost %d accepted jobs", rep.Lost)
-	}
-	if rep.MaxRunning > rep.Workers {
-		t.Fatalf("fleet peaked at %d concurrent jobs, bound is %d", rep.MaxRunning, rep.Workers)
-	}
 	if rep.Rejected == 0 {
 		t.Fatal("admission control never engaged despite a saturated 2-worker fleet")
-	}
-	if rep.Accepted == 0 {
-		t.Fatal("no job accepted")
 	}
 	if rep.SubmitPerSec < 10 {
 		t.Fatalf("sustained submission rate %.1f/s below the 10/s floor", rep.SubmitPerSec)
@@ -67,10 +59,8 @@ func TestLoadMixedTraffic(t *testing.T) {
 	if st.Running != 0 || st.Queued != 0 {
 		t.Fatalf("drain returned with %d running / %d queued", st.Running, st.Queued)
 	}
-	code, _, aerr := postJob(t, ts.URL, smallJob(999))
-	if aerr == nil || code != http.StatusServiceUnavailable {
-		t.Fatalf("post-drain submit = %d %+v, want 503", code, aerr)
-	}
+	_, err = c.Submit(testCtx(t), smallJob(999))
+	wantAPIError(t, err, ErrDraining)
 }
 
 // TestLoadDefaultsValidate pins that the zero-value LoadConfig expands

@@ -467,24 +467,32 @@ func (s *Server) register(req JobRequest, key string, canon []byte) *Job {
 	return j
 }
 
-// lookup resolves a job ID.
-func (s *Server) lookup(id string) (*Job, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	return j, ok
-}
-
 // routes wires the HTTP surface.
 func (s *Server) routes() {
 	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
-	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleStatus)
-	s.mux.HandleFunc("GET /v1/jobs/{id}/stream", s.handleStream)
-	s.mux.HandleFunc("GET /v1/jobs/{id}/result", s.handleResult)
-	s.mux.HandleFunc("POST /v1/jobs/{id}/preempt", s.handlePreempt)
-	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
+	s.mux.HandleFunc("GET /v1/jobs/{id}", s.jobRoute(s.handleStatus))
+	s.mux.HandleFunc("GET /v1/jobs/{id}/stream", s.jobRoute(s.handleStream))
+	s.mux.HandleFunc("GET /v1/jobs/{id}/result", s.jobRoute(s.handleResult))
+	s.mux.HandleFunc("POST /v1/jobs/{id}/preempt", s.jobRoute(s.handlePreempt))
+	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.jobRoute(s.handleCancel))
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
+}
+
+// jobRoute resolves the {id} of a job route and hands the job to h; an
+// unknown ID is answered with not_found.
+func (s *Server) jobRoute(h func(http.ResponseWriter, *http.Request, *Job)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		id := r.PathValue("id")
+		s.mu.Lock()
+		j, ok := s.jobs[id]
+		s.mu.Unlock()
+		if !ok {
+			writeError(w, apiErrorf(ErrNotFound, "no job %q", id))
+			return
+		}
+		h(w, r, j)
+	}
 }
 
 // writeJSON writes v with status code.
@@ -553,13 +561,24 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleStatus is GET /v1/jobs/{id}.
-func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.lookup(r.PathValue("id"))
-	if !ok {
-		writeError(w, apiErrorf(ErrNotFound, "no job %q", r.PathValue("id")))
-		return
-	}
+func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request, j *Job) {
 	writeJSON(w, http.StatusOK, j.currentStatus())
+}
+
+// The SSE framing of GET /v1/jobs/{id}/stream, written by handleStream
+// and parsed by Client.Stream: each event is an "event: " line naming
+// it, one "data: " line and a blank line.
+const (
+	sseEvent   = "event: "
+	sseData    = "data: "
+	eventRound = "round" // data: one round's JSONL record, without its newline
+	eventDone  = "done"  // data: the terminal Status; the stream ends
+)
+
+// writeEvent writes one server-sent event.
+func writeEvent(w io.Writer, name string, data []byte) error {
+	_, err := fmt.Fprintf(w, "%s%s\n%s%s\n\n", sseEvent, name, sseData, data)
+	return err
 }
 
 // handleStream is GET /v1/jobs/{id}/stream: the job's per-round metric
@@ -568,43 +587,34 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 // concatenating the data payloads reproduces GET /v1/jobs/{id}/result
 // byte for byte. A terminal "event: done" carries the final Status and
 // closes the stream. For finished jobs (including cache hits) the whole
-// series replays immediately.
-func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.lookup(r.PathValue("id"))
-	if !ok {
-		writeError(w, apiErrorf(ErrNotFound, "no job %q", r.PathValue("id")))
-		return
-	}
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		writeError(w, apiErrorf(ErrInternal, "response writer cannot stream"))
-		return
-	}
+// series replays immediately. A failed write or flush ends the handler,
+// so a vanished client does not hold it until the job ends.
+func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, j *Job) {
 	h := w.Header()
 	h.Set("Content-Type", "text/event-stream")
 	h.Set("Cache-Control", "no-store")
 	h.Set("Connection", "keep-alive")
 	w.WriteHeader(http.StatusOK)
+	rc := http.NewResponseController(w)
 
 	sent := 0
 	for {
 		lines, state, updated := j.snapshot(sent)
 		for _, line := range lines {
 			// line carries its trailing newline; SSE data is the line body.
-			io.WriteString(w, "event: round\ndata: ")
-			w.Write(bytes.TrimSuffix(line, []byte("\n")))
-			io.WriteString(w, "\n\n")
+			if writeEvent(w, eventRound, bytes.TrimSuffix(line, []byte("\n"))) != nil {
+				return
+			}
 		}
 		sent += len(lines)
-		if len(lines) > 0 {
-			fl.Flush()
-		}
 		if state.Terminal() {
 			st, _ := json.Marshal(j.currentStatus())
-			io.WriteString(w, "event: done\ndata: ")
-			w.Write(st)
-			io.WriteString(w, "\n\n")
-			fl.Flush()
+			if writeEvent(w, eventDone, st) == nil {
+				rc.Flush()
+			}
+			return
+		}
+		if len(lines) > 0 && rc.Flush() != nil {
 			return
 		}
 		select {
@@ -618,12 +628,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 // handleResult is GET /v1/jobs/{id}/result: the full JSONL series of a
 // finished job — byte-identical to the concatenated stream, and to the
 // cached artifact identical future submissions are served from.
-func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.lookup(r.PathValue("id"))
-	if !ok {
-		writeError(w, apiErrorf(ErrNotFound, "no job %q", r.PathValue("id")))
-		return
-	}
+func (s *Server) handleResult(w http.ResponseWriter, r *http.Request, j *Job) {
 	st := j.currentStatus()
 	if st.State != StateDone {
 		writeError(w, apiErrorf(ErrConflict, "job %s is %s, result requires done", j.ID, st.State))
@@ -634,12 +639,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleCancel is DELETE /v1/jobs/{id}.
-func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.lookup(r.PathValue("id"))
-	if !ok {
-		writeError(w, apiErrorf(ErrNotFound, "no job %q", r.PathValue("id")))
-		return
-	}
+func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request, j *Job) {
 	if st := j.currentStatus(); st.State.Terminal() {
 		writeError(w, apiErrorf(ErrConflict, "job %s already %s", j.ID, st.State))
 		return
@@ -653,12 +653,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 // yield at its next round barrier (checkpoint + requeue). The scheduler
 // preempts batch jobs automatically when interactive work waits; the
 // endpoint exposes the same lever to operators and tests.
-func (s *Server) handlePreempt(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.lookup(r.PathValue("id"))
-	if !ok {
-		writeError(w, apiErrorf(ErrNotFound, "no job %q", r.PathValue("id")))
-		return
-	}
+func (s *Server) handlePreempt(w http.ResponseWriter, r *http.Request, j *Job) {
 	if !j.requestPreempt() {
 		writeError(w, apiErrorf(ErrConflict, "job %s is not preemptible right now", j.ID))
 		return

@@ -41,6 +41,12 @@ type CheckpointMeta struct {
 // for uninstrumented replicas.
 func WriteCheckpoint(w io.Writer, meta CheckpointMeta, net *core.Network, rec *metrics.Recorder) error {
 	enc := snapshot.NewEncoder(w)
+	encodeCheckpoint(enc, meta, net, rec)
+	return enc.Close()
+}
+
+// encodeCheckpoint adds one replica's sections to enc.
+func encodeCheckpoint(enc *snapshot.Encoder, meta CheckpointMeta, net *core.Network, rec *metrics.Recorder) {
 	sw := enc.Section(snapshot.SecSim)
 	sw.Int(meta.Replica)
 	sw.U64(meta.Seed)
@@ -48,7 +54,6 @@ func WriteCheckpoint(w io.Writer, meta CheckpointMeta, net *core.Network, rec *m
 	if rec != nil {
 		rec.EncodeState(enc.Section(snapshot.SecMetrics))
 	}
-	return enc.Close()
 }
 
 // ReadCheckpoint rebuilds a replica's state from r. cfg must be the
@@ -143,24 +148,13 @@ func (c *Checkpointer) Save(meta CheckpointMeta, net *core.Network, rec *metrics
 }
 
 // SaveCheckpoint writes one checkpoint (WriteCheckpoint's format) to path.
-// The write is atomic — a temporary file beside path, renamed into place
-// once complete — so an interruption mid-save leaves the previous
-// checkpoint intact, never a torn file. path's directory must exist.
+// The write is atomic (snapshot.WriteFile), so an interruption mid-save
+// leaves the previous checkpoint intact, never a torn file. path's
+// directory must exist.
 func SaveCheckpoint(path string, meta CheckpointMeta, net *core.Network, rec *metrics.Recorder) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("sim: checkpoint: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	err = WriteCheckpoint(tmp, meta, net, rec)
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
+	err := snapshot.WriteFile(path, func(enc *snapshot.Encoder) { encodeCheckpoint(enc, meta, net, rec) })
 	if err != nil {
 		return fmt.Errorf("sim: checkpoint %s: %w", path, err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("sim: checkpoint: %w", err)
 	}
 	return nil
 }

@@ -2,23 +2,27 @@ package snapshot_test
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/packet"
+	"repro/internal/service"
 	"repro/internal/sim"
 	"repro/internal/snapshot"
 	"repro/internal/topology"
 )
 
-// FuzzRestore feeds arbitrary bytes through every checkpoint decode
-// surface. The contract under fuzzing is narrow and absolute: corrupt,
+// FuzzRestore feeds arbitrary bytes through every checkpoint and
+// result-cache decode surface. The contract under fuzzing is narrow and absolute: corrupt,
 // truncated or hostile input must come back as an error — never a panic,
 // never an input-controlled huge allocation. Three surfaces are
 // exercised, in increasing depth:
 //
-//  1. the container codec (snapshot.Decode + section walk),
+//  1. the container codec (snapshot.Decode + section walk, SecResult
+//     included: the cache reads its three byte strings the same way),
 //  2. the full checkpoint-file reader (sim.ReadCheckpoint), whose CRC
 //     turns almost all mutants into early ErrCorrupt,
 //  3. the post-CRC payload decoders (core.RestoreSection and
@@ -26,8 +30,8 @@ import (
 //     path the CRC cannot shield, where the bounds checks and
 //     cross-field validation of the decoders themselves must hold.
 //
-// The seed corpus is built from REAL checkpoints (a mid-run faulty
-// broadcast, a fresh network, a recorder-less file), so the fuzzer
+// The seed corpus is built from REAL files (a mid-run faulty broadcast,
+// a fresh network, a recorder-less checkpoint, a cache entry), so the fuzzer
 // starts at the deep end of the decoders instead of spending its budget
 // getting past the magic number.
 
@@ -99,6 +103,22 @@ func recycledCheckpoint(tb testing.TB) []byte {
 	return buf.Bytes()
 }
 
+// cacheEntry is a result-cache entry file as service.Cache.Put writes it.
+func cacheEntry(tb testing.TB) []byte {
+	tb.Helper()
+	dir := tb.TempDir()
+	c, err := service.OpenCache(dir)
+	if err == nil {
+		err = c.Put("k", []byte(`{"width":4,"height":4,"src":0,"dst":15,"p":0.6,"seed":42}`),
+			[]byte(`{"round":0,"aware_tiles":{"n":1,"mean":1}}`+"\n"), service.Status{ID: "j-000001", State: service.StateDone})
+	}
+	raw, rerr := os.ReadFile(filepath.Join(dir, "k.res"))
+	if err != nil || rerr != nil {
+		tb.Fatal(err, rerr)
+	}
+	return raw
+}
+
 func FuzzRestore(f *testing.F) {
 	f.Add(realCheckpoint(f, 4, true))  // mid-run, skewed arrivals in flight
 	f.Add(realCheckpoint(f, 0, true))  // fresh network, empty series
@@ -106,12 +126,13 @@ func FuzzRestore(f *testing.F) {
 	f.Add(recycledCheckpoint(f))       // free list, ledger, generations
 	f.Add([]byte("SNOC"))              // magic alone
 	f.Add([]byte{})
+	f.Add(cacheEntry(f)) // a SecResult container
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Surface 1: the container codec. A container that decodes must
 		// also survive a full section walk.
 		if dec, err := snapshot.Decode(data); err == nil {
-			for _, id := range []snapshot.SectionID{snapshot.SecCore, snapshot.SecMetrics, snapshot.SecSim} {
+			for _, id := range []snapshot.SectionID{snapshot.SecCore, snapshot.SecMetrics, snapshot.SecSim, snapshot.SecResult} {
 				if !dec.Has(id) {
 					continue
 				}

@@ -1,7 +1,12 @@
-// Package snapshot defines the checkpoint container format of the
-// simulator: a versioned, CRC-guarded binary envelope that carries the
-// complete state of an interrupted run so it can be resumed
-// bit-identically (see DESIGN.md, "Checkpoint format & invariants").
+// Package snapshot defines the simulator's on-disk container format: a
+// versioned, CRC-guarded binary envelope. It frames two kinds of file:
+//
+//   - checkpoints, which carry the complete state of an interrupted run
+//     so it can be resumed bit-identically (see DESIGN.md, "Checkpoint
+//     format & invariants"): sections SecSim, SecCore and SecMetrics;
+//   - result-cache entries of the nocsimd daemon (internal/service): one
+//     SecResult section holding a finished job's canonical request,
+//     terminal status and JSONL series.
 //
 // The container is a flat sequence of sections:
 //
@@ -9,12 +14,11 @@
 //	section: id uvarint | length uvarint | payload
 //
 // Each subsystem owns one section and encodes its payload with the
-// primitive codec below: the round engine (core), the metrics recorder
-// (metrics) and the Monte Carlo runner's replica metadata (sim). The
-// trailing CRC-32 — the repository's own internal/crc implementation, the
-// same code that guards packets on the wire — covers every preceding byte,
-// so a truncated or bit-flipped checkpoint is rejected before any section
-// is interpreted.
+// primitive codec below. The trailing CRC-32 — the repository's own
+// internal/crc implementation, the same code that guards packets on the
+// wire — covers every preceding byte, so a truncated or bit-flipped file
+// is rejected before any section is interpreted. Both kinds of file are
+// written by WriteFile and read by Decode.
 //
 // Decoding is hardened against hostile input (FuzzRestore): every length
 // and count field is validated against the bytes actually present before
@@ -28,13 +32,16 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
+	"path/filepath"
 
 	"repro/internal/crc"
 )
 
 // Version is the container format version this package writes. Decoders
 // reject versions they do not know (there is no cross-version migration:
-// a checkpoint is a short-lived artifact of one simulator build).
+// a checkpoint is a short-lived artifact of one simulator build, and a
+// cache entry that does not decode is re-simulated).
 const Version = 1
 
 // MaxLen bounds the size of a container a Decoder will read (256 MiB —
@@ -60,6 +67,10 @@ const (
 	SecMetrics SectionID = 2
 	// SecSim is the Monte Carlo runner's replica metadata (internal/sim).
 	SecSim SectionID = 3
+	// SecResult is a result-cache entry (internal/service): the canonical
+	// request JSON, the terminal status JSON and the JSONL series, each a
+	// length-prefixed byte string.
+	SecResult SectionID = 4
 )
 
 // ErrCorrupt is wrapped by every decoding error caused by malformed,
@@ -190,6 +201,28 @@ func (e *Encoder) Close() error {
 	body.U32(crc.Checksum32(body.Bytes()))
 	_, err := e.w.Write(body.Bytes())
 	return err
+}
+
+// WriteFile writes the container fill builds to path atomically: it goes
+// to a temporary file beside path that is renamed into place once
+// complete, so an interrupted write leaves the previous file intact,
+// never a torn one. path's directory must exist.
+func WriteFile(path string, fill func(*Encoder)) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	defer os.Remove(tmp.Name()) // no-op after a successful rename
+	enc := NewEncoder(tmp)
+	fill(enc)
+	err = enc.Close()
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
+	}
+	return os.Rename(tmp.Name(), path)
 }
 
 // Decoder parses one container: it reads the input fully (bounded by
