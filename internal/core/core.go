@@ -572,7 +572,7 @@ func (n *Network) Aware(id packet.MsgID) int {
 // forgotten with its slot: AwareAt then reports false even if Aware still
 // reports the ledgered count.
 func (n *Network) AwareAt(id packet.MsgID, t packet.TileID) bool {
-	if int(t) >= len(n.tiles) {
+	if uint(t) >= uint(len(n.tiles)) {
 		return false
 	}
 	return n.flagsOf(&n.tiles[t], id) != 0

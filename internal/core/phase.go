@@ -354,7 +354,7 @@ func (n *Network) decodeArrival(ln *lane, t *tile, a *arrival) *packet.Packet {
 	err := packet.DecodeInto(&a.pkt, a.frame)
 	if err != nil || !n.current(a.pkt.ID) {
 		if err == nil {
-			if s := msgSlot(a.pkt.ID); s != 0 && int(s) <= n.issuedSlots() {
+			if s := msgSlot(a.pkt.ID); s != 0 && s <= uint32(n.issuedSlots()) {
 				ln.cnt.GhostFrames++
 			}
 		}

@@ -193,7 +193,9 @@ func (n *Network) EncodeState(w *snapshot.Writer) {
 		w.Int(int(aware))
 	})
 
-	// Per-tile state.
+	// Per-tile state: at least the four RNG state words and five one-byte
+	// counts a tile, reserved at once rather than grown into by doubling.
+	w.Grow(len(n.tiles) * (4*8 + 5))
 	w.Int(len(n.tiles))
 	for i := range n.tiles {
 		t := &n.tiles[i]
@@ -376,7 +378,7 @@ func RestoreSection(sec *snapshot.Reader, cfg Config) (*Network, error) {
 			if sec.Err() != nil {
 				break
 			}
-			if s == 0 || int(s) > nslots || tb.occ[s] || listed[s] {
+			if s == 0 || s > uint32(nslots) || tb.occ[s] || listed[s] {
 				return nil, fmt.Errorf("core: free list entry %d invalid (slot %d)", i, s)
 			}
 			listed[s] = true
@@ -397,7 +399,7 @@ func RestoreSection(sec *snapshot.Reader, cfg Config) (*Network, error) {
 			break
 		}
 		s := msgSlot(rid)
-		if s == 0 || int(s) > nslots || msgGen(rid) >= tb.gens[s] {
+		if s == 0 || s > uint32(nslots) || msgGen(rid) >= tb.gens[s] {
 			return nil, fmt.Errorf("core: retired ledger names impossible message %d", rid)
 		}
 		if aware < 1 || aware > len(n.tiles) {
@@ -421,7 +423,7 @@ func RestoreSection(sec *snapshot.Reader, cfg Config) (*Network, error) {
 		}
 		if nslots > 0 {
 			nid := packet.MsgID(id)
-			if s := msgSlot(nid); s == 0 || int(s) > nslots || msgGen(nid) > tb.gens[s] {
+			if s := msgSlot(nid); s == 0 || s > uint32(nslots) || msgGen(nid) > tb.gens[s] {
 				return nil, fmt.Errorf("core: checkpoint nextID %d implausible", id)
 			}
 		}

@@ -8,11 +8,16 @@
 //
 // Each code comes in two functionally identical implementations:
 //
-//   - a table-driven fast path used by the simulator's inner loop, and
+//   - a fast path: a table-driven loop for CRC-16, and hash/crc32's IEEE
+//     code for CRC-32 (carry-less multiply on amd64, slicing-by-8 tables
+//     on platforms without CRC instructions, 386 among them; the same
+//     polynomial and the same bytes everywhere), and
 //   - a bit-serial "shift register" model (one bit per step) that mirrors
 //     the hardware structure of Fig. 3-5 and is used in tests to validate
 //     the fast path against a literal reading of the hardware.
 package crc
+
+import "hash/crc32"
 
 // CCITT polynomial x^16 + x^12 + x^5 + 1, MSB-first convention.
 const ccittPoly = 0x1021
@@ -21,10 +26,7 @@ const ccittPoly = 0x1021
 // Ethernet and hash/crc32.
 const ieeePoly = 0xedb88320
 
-var (
-	ccittTable [256]uint16
-	ieeeTable  [256]uint32
-)
+var ccittTable [256]uint16
 
 func init() {
 	for i := 0; i < 256; i++ {
@@ -37,16 +39,6 @@ func init() {
 			}
 		}
 		ccittTable[i] = c16
-
-		c32 := uint32(i)
-		for b := 0; b < 8; b++ {
-			if c32&1 != 0 {
-				c32 = c32>>1 ^ ieeePoly
-			} else {
-				c32 >>= 1
-			}
-		}
-		ieeeTable[i] = c32
 	}
 }
 
@@ -60,14 +52,14 @@ func Checksum16(data []byte) uint16 {
 	return crc
 }
 
-// Checksum32 returns the CRC-32 (IEEE 802.3) checksum of data.
-func Checksum32(data []byte) uint32 {
-	crc := ^uint32(0)
-	for _, b := range data {
-		crc = crc>>8 ^ ieeeTable[byte(crc)^b]
-	}
-	return ^crc
-}
+// Checksum32 returns the CRC-32 (IEEE 802.3) checksum of data:
+// crc32.ChecksumIEEE, which ChecksumSerial32 reproduces bit by bit.
+func Checksum32(data []byte) uint32 { return crc32.ChecksumIEEE(data) }
+
+// Update32 extends sum, the Checksum32 of some bytes, over data: the
+// Checksum32 of a concatenation is Update32 applied piece by piece,
+// starting from 0.
+func Update32(sum uint32, data []byte) uint32 { return crc32.Update(sum, crc32.IEEETable, data) }
 
 // ShiftRegister16 is a bit-serial CRC-16-CCITT engine modeling the single
 // 16-bit linear-feedback shift register a tile's CRC circuit consists of.

@@ -23,6 +23,10 @@ func TestChecksum16Empty(t *testing.T) {
 }
 
 func TestChecksum32MatchesStdlib(t *testing.T) {
+	// CRC-32/IEEE of the check string is 0xCBF43926 on every platform.
+	if got := Checksum32([]byte("123456789")); got != 0xcbf43926 {
+		t.Fatalf("Checksum32(check string) = %#08x, want 0xcbf43926", got)
+	}
 	cases := [][]byte{
 		nil,
 		{0},
@@ -51,17 +55,38 @@ func TestSerialMatchesTable16(t *testing.T) {
 	}
 }
 
+// Lengths run past 64 bytes, where hash/crc32 switches from its tables to
+// carry-less multiplication on amd64.
 func TestSerialMatchesTable32(t *testing.T) {
 	r := rng.New(2)
 	for i := 0; i < 200; i++ {
-		n := r.Intn(64)
+		n := r.Intn(300)
 		data := make([]byte, n)
 		for j := range data {
 			data[j] = byte(r.Uint64())
 		}
 		if got, want := ChecksumSerial32(data), Checksum32(data); got != want {
-			t.Fatalf("serial %#08x != table %#08x for %v", got, want, data)
+			t.Fatalf("serial %#08x != fast path %#08x for %v", got, want, data)
 		}
+	}
+}
+
+// Update32 over a split of the data, at every split point, gives the
+// checksum of the whole (the container encoder's streaming CRC).
+func TestChecksum32InPieces(t *testing.T) {
+	r := rng.New(5)
+	data := make([]byte, 300)
+	for j := range data {
+		data[j] = byte(r.Uint64())
+	}
+	want := ChecksumSerial32(data)
+	for i := range data {
+		if got := Update32(Update32(0, data[:i]), data[i:]); got != want {
+			t.Fatalf("split at %d: %#08x, want %#08x", i, got, want)
+		}
+	}
+	if Update32(0, nil) != Checksum32(nil) {
+		t.Fatal("Update32 from 0 over nothing is not the empty checksum")
 	}
 }
 
@@ -84,10 +109,11 @@ func TestQuickSerialEquivalence16(t *testing.T) {
 	}
 }
 
-// Property: CRC-32 agrees with the stdlib on arbitrary input.
+// Property: the stdlib CRC-32 that Checksum32 returns agrees with the
+// bit-serial reference on arbitrary input.
 func TestQuickStdlibEquivalence32(t *testing.T) {
 	f := func(data []byte) bool {
-		return Checksum32(data) == crc32.ChecksumIEEE(data)
+		return crc32.ChecksumIEEE(data) == ChecksumSerial32(data)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

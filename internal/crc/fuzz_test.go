@@ -6,8 +6,9 @@ import (
 )
 
 // Fuzz targets pinning the equivalence of each CRC's two implementations
-// on arbitrary byte strings. The table-driven path is what the simulator
-// runs; the bit-serial shift register is the hardware-faithful reference
+// on arbitrary byte strings. The fast path (the CRC-16 table, hash/crc32
+// for CRC-32) is what the simulator runs; the bit-serial shift register
+// is the hardware-faithful reference
 // (Fig. 3-5). testing/quick covers the same property with its own small
 // generator; the fuzz targets add coverage-guided input generation and a
 // persistent corpus, and run as a smoke pass in CI.
@@ -42,7 +43,7 @@ func FuzzSerialEquivalence32(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		want := crc32.ChecksumIEEE(data)
 		if got := Checksum32(data); got != want {
-			t.Fatalf("table CRC-32 %#08x != stdlib %#08x", got, want)
+			t.Fatalf("Checksum32 %#08x != stdlib %#08x", got, want)
 		}
 		if got := ChecksumSerial32(data); got != want {
 			t.Fatalf("serial CRC-32 %#08x != stdlib %#08x", got, want)

@@ -187,7 +187,7 @@ func (inj *Injector) Model() Model { return inj.model }
 
 // TileAlive reports whether tile t escaped crash injection.
 func (inj *Injector) TileAlive(t packet.TileID) bool {
-	if int(t) >= len(inj.tileAlive) {
+	if uint(t) >= uint(len(inj.tileAlive)) {
 		return false
 	}
 	return inj.tileAlive[t]

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -14,7 +15,7 @@ import (
 
 // Cache-correctness tests: byte-identical replay from disk, the
 // simulation-invocation counter staying flat on hits, singleflight
-// dedup of concurrent identical submissions, the digest-collision
+// dedup of concurrent identical submissions, the key-collision
 // guard, and quarantine of entry files that do not decode.
 
 // parentEntry is an entry file in the format the cache wrote before
@@ -27,6 +28,19 @@ var parentEntry, _ = hex.DecodeString("4e535231" +
 	"10000000" + "7b227374617465223a22646f6e65227d" +
 	"08000000" + "7061796c6f61640a" +
 	"b75af8cd")
+
+// containerEntry is an entry file as the cache has written it since
+// entries became snapshot containers: key "k", canon "canon", payload
+// "round 0\nround 1\n" and status containerStatus. The on-disk bytes do
+// not change with the codec's implementation.
+var containerEntry, _ = hex.DecodeString("534e4f43000104a4010563616e6f6e8b01" +
+	"7b226964223a226a2d303030303031222c227374617465223a22646f6e65222c2270" +
+	"72696f72697479223a22222c22726f756e6473223a312c2264656c6976657265645f" +
+	"726f756e64223a312c227472616e736d697373696f6e73223a302c22656e65726779" +
+	"5f6a223a302c2263616368655f686974223a66616c73652c22707265656d70747322" +
+	"3a307d10726f756e6420300a726f756e6420310a36732977")
+
+var containerStatus = Status{ID: "j-000001", State: StateDone, Rounds: 1, DeliveredRound: 1}
 
 // checkpointFile is a valid checkpoint container (a fresh engine's
 // sim.WriteCheckpoint): a snapshot file without a SecResult section.
@@ -98,15 +112,16 @@ func TestCacheHitByteIdentical(t *testing.T) {
 }
 
 // TestCacheKeySeparatesConfigs verifies nearby configs never share an
-// entry: tweaking any identity field (seed, p, budget, fault model)
+// entry: tweaking any identity field (seed, p, fault model, payload size)
 // changes the key and forces a fresh simulation.
 func TestCacheKeySeparatesConfigs(t *testing.T) {
 	srv, c := newTestServer(t, Options{Workers: 2, CacheDir: t.TempDir()})
 	base := smallJob(23)
-	variants := []JobRequest{base, base, base, base}
+	variants := []JobRequest{base, base, base, base, base}
 	variants[1].Seed = 24
 	variants[2].P = 0.61
 	variants[3].Fault.Upset = 0.05
+	variants[4].Payload = 64
 
 	results := make([][]byte, len(variants))
 	for i, v := range variants {
@@ -216,7 +231,7 @@ func TestCorruptEntryResimulated(t *testing.T) {
 
 // TestCacheNeverCrossServesOnDigestCollision exercises the canon guard
 // directly: two different requests stored under the same key (a forced
-// digest collision) must never serve each other's bytes.
+// key collision) must never serve each other's bytes.
 func TestCacheNeverCrossServesOnDigestCollision(t *testing.T) {
 	c, err := OpenCache(t.TempDir())
 	if err != nil {
@@ -233,7 +248,7 @@ func TestCacheNeverCrossServesOnDigestCollision(t *testing.T) {
 		t.Fatalf("matching canon missed: ok=%v payload=%q", ok, payload)
 	}
 	if _, _, ok := c.Get(key, b.canonical()); ok {
-		t.Fatal("cache served request A's result to request B across a digest collision")
+		t.Fatal("cache served request A's result to request B across a key collision")
 	}
 	if c.Hits() != 1 || c.Misses() != 1 {
 		t.Fatalf("hits=%d misses=%d, want 1/1", c.Hits(), c.Misses())
@@ -309,6 +324,116 @@ func TestCorruptEntryQuarantined(t *testing.T) {
 	}
 	wantQuarantined(t, c, "parent-format", parentEntry)
 	wantQuarantined(t, c, "checkpoint container", checkpointFile(t))
+}
+
+// TestCacheEntryBytesUnchanged pins the entry format byte for byte:
+// Put, and put with the payload in round-line pieces, both write
+// containerEntry, and containerEntry reads back as what it stores.
+func TestCacheEntryBytesUnchanged(t *testing.T) {
+	c, err := OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	canon := []byte("canon")
+	if err := c.Put("whole", canon, []byte("round 0\nround 1\n"), containerStatus); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.put("pieces", canon, containerStatus, []byte("round 0\n"), []byte("round 1\n")); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"whole", "pieces"} {
+		if raw, err := os.ReadFile(c.path(key)); err != nil || !bytes.Equal(raw, containerEntry) {
+			t.Fatalf("%s: wrote %x (err %v), want %x", key, raw, err, containerEntry)
+		}
+	}
+	if err := os.WriteFile(c.path("k"), containerEntry, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	payload, status, ok := c.Get("k", canon)
+	if !ok || string(payload) != "round 0\nround 1\n" || status != containerStatus {
+		t.Fatalf("Get = %q, %+v, %v", payload, status, ok)
+	}
+}
+
+// entry8x8 is a result the size of an 8x8 job's: its canonical request, a
+// done status and 18 JSONL round lines of 680 bytes (12 KB).
+func entry8x8() (canon, payload []byte, status Status) {
+	req := JobRequest{Width: 8, Height: 8, Src: 0, Dst: 63, P: 0.5, TTL: 64, MaxRounds: 100, Seed: 1}
+	req.normalize()
+	line := append(bytes.Repeat([]byte("x"), 679), '\n')
+	return req.canonical(), bytes.Repeat(line, 18), Status{ID: "j-000001", State: StateDone, Rounds: 17, DeliveredRound: 17}
+}
+
+func BenchmarkCacheGet(b *testing.B) {
+	c, err := OpenCache(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	canon, payload, status := entry8x8()
+	if err := c.Put("k", canon, payload, status); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.SetBytes(int64(len(payload)))
+	for i := 0; i < b.N; i++ {
+		if _, _, ok := c.Get("k", canon); !ok {
+			b.Fatal("miss")
+		}
+	}
+}
+
+func BenchmarkCachePut(b *testing.B) {
+	c, err := OpenCache(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	canon, payload, status := entry8x8()
+	b.ReportAllocs()
+	b.SetBytes(int64(len(payload)))
+	for i := 0; i < b.N; i++ {
+		if err := c.Put("k", canon, payload, status); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestCacheGetAllocs pins Get's copy-free decode: past the buffer the file
+// is read into, a Get allocates well under one more payload's worth of
+// bytes, in a bounded number of allocations.
+func TestCacheGetAllocs(t *testing.T) {
+	c, err := OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	canon, payload, status := entry8x8()
+	if err := c.Put("k", canon, payload, status); err != nil {
+		t.Fatal(err)
+	}
+	fi, err := os.Stat(c.path("k"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	get := func() {
+		if _, _, ok := c.Get("k", canon); !ok {
+			t.Fatal("miss")
+		}
+	}
+	const runs = 100
+	allocs := testing.AllocsPerRun(runs, get)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		get()
+	}
+	runtime.ReadMemStats(&after)
+	perGet := int64(after.TotalAlloc-before.TotalAlloc) / runs
+	if limit := fi.Size() + int64(len(payload))/2; perGet > limit {
+		t.Errorf("Get allocates %d B for a %d B file with a %d B payload, want <= %d: a payload-sized copy", perGet, fi.Size(), len(payload), limit)
+	}
+	if allocs > 24 {
+		t.Errorf("Get makes %.0f allocations, want <= 24", allocs)
+	}
+	t.Logf("Get: %d B in %.0f allocations for a %d B file", perGet, allocs, fi.Size())
 }
 
 // TestNilCacheIsAlwaysMiss pins the disabled-cache mode.

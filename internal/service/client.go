@@ -98,8 +98,9 @@ func (c *Client) Result(ctx context.Context, id string) ([]byte, error) {
 // Stream follows GET /v1/jobs/{id}/stream to its done event and returns
 // the terminal Status carried there. onRound receives each round's JSONL
 // record including its newline, so the lines concatenate to Result's
-// bytes; a finished job replays its whole series. Cancelling ctx ends
-// the stream with ctx's error.
+// bytes; a finished job replays its whole series. An error event ends the
+// stream with its *APIError. Cancelling ctx ends the stream with ctx's
+// error.
 func (c *Client) Stream(ctx context.Context, id string, onRound func(line []byte)) (Status, error) {
 	var st Status
 	path := jobPath(id) + "/stream"
@@ -131,6 +132,13 @@ func (c *Client) Stream(ctx context.Context, id string, onRound func(line []byte
 			}
 			io.Copy(io.Discard, resp.Body) // the server ends the stream here; reuse the connection
 			return st, nil
+		case event == eventError:
+			aerr := new(APIError)
+			if json.Unmarshal(data, aerr) != nil || aerr.Code == "" {
+				return st, fmt.Errorf("service: %s: error event without an error: %.200q", path, data)
+			}
+			io.Copy(io.Discard, resp.Body)
+			return st, aerr
 		default:
 			return st, fmt.Errorf("service: %s: unexpected event %q", path, event)
 		}

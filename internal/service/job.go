@@ -1,9 +1,6 @@
 package service
 
-import (
-	"bytes"
-	"sync"
-)
+import "sync"
 
 // State is a job's position in its lifecycle state machine:
 //
@@ -16,7 +13,7 @@ import (
 //
 // queued and preempted jobs wait in the scheduler; running jobs own a
 // worker; done, failed and canceled are terminal. A cache hit skips the
-// machine entirely: the job is born done.
+// machine entirely: the job is born done, its result in the cache entry.
 type State string
 
 // The job states.
@@ -75,8 +72,10 @@ type Status struct {
 // Job is one accepted simulation. The immutable identity fields are set
 // at submission; everything else is guarded by mu. Result bytes
 // accumulate as newline-terminated JSONL round lines in lines, which
-// only ever grows — an appended line is immutable, so subscribers may
-// retain references without copies.
+// only grows while the job runs — an appended line is immutable, so
+// subscribers may retain references without copies. A done job whose
+// result lives in its cache entry holds no lines at all: a done job
+// always has line 0 otherwise.
 type Job struct {
 	// ID is the job's external identifier ("j-<n>").
 	ID string
@@ -89,7 +88,7 @@ type Job struct {
 
 	mu       sync.Mutex
 	state    State
-	lines    [][]byte // per-round JSONL, lines[r] = round r
+	lines    [][]byte // per-round JSONL, lines[r] = round r; nil once on disk
 	status   Status   // terminal summary, valid once state.Terminal()
 	preempts int      // times preempted so far
 	cacheHit bool
@@ -123,18 +122,6 @@ func (j *Job) appendLine(line []byte) {
 	j.mu.Unlock()
 }
 
-// setLines replaces the job's result lines wholesale (cache-hit
-// replay). The lines alias payload, which the caller hands over.
-func (j *Job) setLines(payload []byte) {
-	lines := bytes.SplitAfter(payload, []byte("\n"))
-	if len(lines[len(lines)-1]) == 0 {
-		lines = lines[:len(lines)-1] // the empty tail after the final newline
-	}
-	j.mu.Lock()
-	j.lines = lines
-	j.mu.Unlock()
-}
-
 // snapshot returns the lines appended since from, the current state,
 // and the channel that will close on the next change — the SSE tail
 // loop's read.
@@ -145,13 +132,6 @@ func (j *Job) snapshot(from int) (lines [][]byte, state State, updated chan stru
 		lines = j.lines[from:]
 	}
 	return lines, j.state, j.updated
-}
-
-// result concatenates the job's JSONL lines.
-func (j *Job) result() []byte {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return bytes.Join(j.lines, nil)
 }
 
 // currentStatus renders the job's externally visible condition now.
@@ -173,10 +153,15 @@ func (j *Job) currentStatus() Status {
 }
 
 // finish moves the job into terminal state st with summary status.
-func (j *Job) finish(st Status) {
+// onDisk reports that the result now lives in the job's cache entry: the
+// lines are dropped, and result reads go to the entry.
+func (j *Job) finish(st Status, onDisk bool) {
 	j.mu.Lock()
 	j.state = st.State
 	j.status = st
+	if onDisk {
+		j.lines = nil
+	}
 	j.broadcast()
 	j.mu.Unlock()
 }

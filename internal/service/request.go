@@ -1,6 +1,7 @@
 package service
 
 import (
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -200,21 +201,23 @@ func (r *JobRequest) coreConfig() (core.Config, *topology.Grid) {
 	}, grid
 }
 
-// Key derives the request's content-addressed result identity:
-// core.ConfigDigest over the full engine configuration (topology
-// wiring, protocol knobs, fault model — seed and round budget
-// included), restated with the seed and round budget in the clear so a
-// cache directory is inspectable. Two requests with equal keys name the
-// same simulation; the canonical request JSON is stored alongside each
-// cache entry to rule out serving across a digest collision (see
-// Cache.Get).
+// Key derives the request's content-addressed result identity: the seed
+// and round budget in the clear, so a cache directory is inspectable,
+// then the first 128 bits of the SHA-256 of the canonical request JSON.
+// That JSON holds every field that decides the result — fabric,
+// protocol knobs, fault model, payload size — so requests that differ
+// in any of them never share a cache entry or a singleflight slot. The
+// canonical JSON is also stored in each cache entry and compared on
+// every read, so even a hash collision costs a re-simulation, never a
+// cross-served result (see Cache.Get).
 func (r *JobRequest) Key() string {
-	cfg, _ := r.coreConfig()
-	return fmt.Sprintf("%08x-%016x-r%d", core.ConfigDigest(&cfg), r.Seed, r.MaxRounds)
+	sum := sha256.Sum256(r.canonical())
+	return fmt.Sprintf("%016x-r%d-%x", r.Seed, r.MaxRounds, sum[:16])
 }
 
 // canonical renders the normalized request as its canonical JSON — the
-// byte identity used by the cache's anti-cross-serve guard.
+// byte identity the cache key hashes and the cache's anti-cross-serve
+// guard compares.
 // encoding/json renders struct fields in declaration order, so equal
 // requests render equal bytes. Priority is excluded: it is a
 // scheduling class, not part of the simulation's identity, and a

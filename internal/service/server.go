@@ -12,8 +12,8 @@
 //     finished JSONL artifact (metrics.Streamer);
 //   - long batch jobs yield to interactive traffic at round barriers
 //     via sim.Checkpointer and resume bit-identically (sim.Loop);
-//   - results are stored in an on-disk cache keyed by
-//     core.ConfigDigest + seed + round budget, so identical requests
+//   - results are stored in an on-disk cache keyed by a hash of the
+//     canonical request (JobRequest.Key), so identical requests
 //     are served from disk instead of re-simulated, with singleflight
 //     deduplication of concurrent identical submissions.
 //
@@ -272,7 +272,7 @@ func (s *Server) worker() {
 func (s *Server) finishCanceled(j *Job) {
 	st := j.currentStatus()
 	st.State = StateCanceled
-	j.finish(st)
+	j.finish(st, false)
 	s.canceled.Add(1)
 	s.unindex(j)
 	s.sched.release(j)
@@ -386,11 +386,13 @@ func (s *Server) runJob(j *Job, resume bool) {
 			EnergyJ:       c.Energy.EnergyJ(energy.NoCLink025),
 			Preempts:      j.currentStatus().Preempts,
 		}
-		// A failed cache write is not a failed job; the result is still
-		// served from memory, so the error is deliberately dropped.
-		s.cache.Put(j.key, j.canon, j.result(), status)
+		// Once the entry is written it is the result's only copy. A failed
+		// cache write is not a failed job: the result is then served from
+		// memory, so the error is deliberately dropped.
+		lines, _, _ := j.snapshot(0)
+		onDisk := s.cache != nil && s.cache.put(j.key, j.canon, status, lines...) == nil
 		s.ck.Remove(j.num)
-		j.finish(status)
+		j.finish(status, onDisk)
 		s.completed.Add(1)
 		s.unindex(j)
 		s.ck.Sweep(time.Now())
@@ -402,7 +404,7 @@ func (s *Server) fail(j *Job, err *APIError) {
 	st := j.currentStatus()
 	st.State = StateFailed
 	st.Error = err
-	j.finish(st)
+	j.finish(st, false)
 	s.failed.Add(1)
 	s.unindex(j)
 	s.ck.Remove(j.num)
@@ -423,17 +425,20 @@ func (s *Server) submit(req JobRequest) (j *Job, how string, err *APIError) {
 	}
 	s.mu.Unlock()
 
-	if payload, status, ok := s.cache.Get(key, canon); ok {
+	// The payload is not kept: the job's result reads go to the entry.
+	buf := entryBuffers.Get().(*[]byte)
+	_, status, ok := s.cache.lookup(key, canon, buf)
+	entryBuffers.Put(buf)
+	if ok {
 		s.cacheHits.Add(1)
 		j := s.register(req, key, canon)
-		j.setLines(payload)
 		status.ID = j.ID
 		status.CacheHit = true
 		status.Priority = req.Priority
 		j.mu.Lock()
 		j.cacheHit = true
 		j.mu.Unlock()
-		j.finish(status)
+		j.finish(status, true)
 		s.completed.Add(1)
 		s.unindex(j)
 		return j, "cache", nil
@@ -573,6 +578,7 @@ const (
 	sseData    = "data: "
 	eventRound = "round" // data: one round's JSONL record, without its newline
 	eventDone  = "done"  // data: the terminal Status; the stream ends
+	eventError = "error" // data: an APIError; the stream ends without done
 )
 
 // writeEvent writes one server-sent event.
@@ -587,8 +593,11 @@ func writeEvent(w io.Writer, name string, data []byte) error {
 // concatenating the data payloads reproduces GET /v1/jobs/{id}/result
 // byte for byte. A terminal "event: done" carries the final Status and
 // closes the stream. For finished jobs (including cache hits) the whole
-// series replays immediately. A failed write or flush ends the handler,
-// so a vanished client does not hold it until the job ends.
+// series replays immediately. Once a job's result has moved to its cache
+// entry, the rounds not yet sent are read from there; if the entry no
+// longer holds them, an "event: error" carrying the internal APIError
+// ends the stream instead. A failed write or flush ends the handler, so
+// a vanished client does not hold it until the job ends.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, j *Job) {
 	h := w.Header()
 	h.Set("Content-Type", "text/event-stream")
@@ -608,7 +617,30 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, j *Job) {
 		}
 		sent += len(lines)
 		if state.Terminal() {
-			st, _ := json.Marshal(j.currentStatus())
+			final := j.currentStatus()
+			// A done series has Rounds+1 lines (line 0 is round 0), all in
+			// memory unless the job dropped them for its cache entry: then
+			// the ones not sent yet are read from there.
+			if state == StateDone && sent <= final.Rounds {
+				buf := entryBuffers.Get().(*[]byte)
+				defer entryBuffers.Put(buf)
+				res, aerr := s.readBack(j, buf)
+				if aerr != nil {
+					ev, _ := json.Marshal(aerr)
+					if writeEvent(w, eventError, ev) == nil {
+						rc.Flush()
+					}
+					return
+				}
+				for n := 0; len(res) > 0; n++ {
+					var line []byte
+					line, res, _ = bytes.Cut(res, []byte("\n"))
+					if n >= sent && writeEvent(w, eventRound, line) != nil {
+						return
+					}
+				}
+			}
+			st, _ := json.Marshal(final)
 			if writeEvent(w, eventDone, st) == nil {
 				rc.Flush()
 			}
@@ -629,13 +661,34 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, j *Job) {
 // finished job — byte-identical to the concatenated stream, and to the
 // cached artifact identical future submissions are served from.
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request, j *Job) {
-	st := j.currentStatus()
-	if st.State != StateDone {
-		writeError(w, apiErrorf(ErrConflict, "job %s is %s, result requires done", j.ID, st.State))
+	lines, state, _ := j.snapshot(0)
+	if state != StateDone {
+		writeError(w, apiErrorf(ErrConflict, "job %s is %s, result requires done", j.ID, state))
 		return
 	}
+	res := bytes.Join(lines, nil)
+	if len(lines) == 0 { // a done job without line 0 holds its result on disk
+		buf := entryBuffers.Get().(*[]byte)
+		defer entryBuffers.Put(buf)
+		var aerr *APIError
+		if res, aerr = s.readBack(j, buf); aerr != nil {
+			writeError(w, aerr)
+			return
+		}
+	}
 	w.Header().Set("Content-Type", "application/jsonl")
-	w.Write(j.result())
+	w.Write(res)
+}
+
+// readBack reads a done job's result from its cache entry into *buf,
+// which the result aliases. The entry must still hold the job's own request: an
+// entry that is gone, does not decode, or was overwritten by a colliding
+// request is an internal error, never other bytes.
+func (s *Server) readBack(j *Job, buf *[]byte) ([]byte, *APIError) {
+	if res, ok := s.cache.read(j.key, j.canon, buf, nil); ok {
+		return res, nil
+	}
+	return nil, apiErrorf(ErrInternal, "job %s: result no longer on disk", j.ID)
 }
 
 // handleCancel is DELETE /v1/jobs/{id}.

@@ -64,11 +64,16 @@ func encodeCheckpoint(enc *snapshot.Encoder, meta CheckpointMeta, net *core.Netw
 // cannot satisfy a non-nil rec and is rejected rather than silently
 // losing the already-recorded rounds.
 func ReadCheckpoint(r io.Reader, cfg core.Config, rec *metrics.Recorder) (*core.Network, CheckpointMeta, error) {
-	var meta CheckpointMeta
 	dec, err := snapshot.NewDecoder(r)
 	if err != nil {
-		return nil, meta, err
+		return nil, CheckpointMeta{}, err
 	}
+	return decodeCheckpoint(dec, cfg, rec)
+}
+
+// decodeCheckpoint is ReadCheckpoint over an already validated container.
+func decodeCheckpoint(dec *snapshot.Decoder, cfg core.Config, rec *metrics.Recorder) (*core.Network, CheckpointMeta, error) {
+	var meta CheckpointMeta
 	ms, err := dec.Section(snapshot.SecSim)
 	if err != nil {
 		return nil, meta, err
@@ -219,15 +224,15 @@ func (c *Checkpointer) Sweep(now time.Time) (int, error) {
 // against the expected identity.
 func LoadReplica(dir string, want CheckpointMeta, cfg core.Config, rec *metrics.Recorder) (*core.Network, bool, error) {
 	path := CheckpointPath(dir, want.Replica)
-	f, err := os.Open(path)
+	dec, err := snapshot.ReadFile(path, new([]byte))
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil, false, nil
 	}
-	if err != nil {
-		return nil, false, fmt.Errorf("sim: resume: %w", err)
+	var net *core.Network
+	var meta CheckpointMeta
+	if err == nil {
+		net, meta, err = decodeCheckpoint(dec, cfg, rec)
 	}
-	defer f.Close()
-	net, meta, err := ReadCheckpoint(f, cfg, rec)
 	if err != nil {
 		return nil, false, fmt.Errorf("sim: resume %s: %w", path, err)
 	}

@@ -14,11 +14,15 @@
 //	section: id uvarint | length uvarint | payload
 //
 // Each subsystem owns one section and encodes its payload with the
-// primitive codec below. The trailing CRC-32 — the repository's own
-// internal/crc implementation, the same code that guards packets on the
-// wire — covers every preceding byte, so a truncated or bit-flipped file
-// is rejected before any section is interpreted. Both kinds of file are
-// written by WriteFile and read by Decode.
+// primitive codec below. The trailing CRC-32 (IEEE 802.3, computed by
+// crc.Checksum32, which is hash/crc32's code and so runs at memory speed)
+// covers every preceding byte, so a truncated or bit-flipped file is
+// rejected before any section is interpreted. Both kinds of file are
+// written by WriteFile and read by ReadFile. Neither copies a container
+// more than once: Encoder.Close streams the sections out as they are,
+// ReadFile reads a file into one buffer of its size, and
+// Reader.ReadBytesNoCopy lets a reader take a byte string out of that
+// buffer without a copy.
 //
 // Decoding is hardened against hostile input (FuzzRestore): every length
 // and count field is validated against the bytes actually present before
@@ -34,6 +38,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"repro/internal/crc"
 )
@@ -104,6 +109,10 @@ func NewWriter() *Writer { return &Writer{} }
 // buffer and is invalidated by further writes.
 func (w *Writer) Bytes() []byte { return w.buf }
 
+// Grow reserves room for n more bytes, so a payload of known size is
+// written with one allocation.
+func (w *Writer) Grow(n int) { w.buf = slices.Grow(w.buf, n) }
+
 // U8 appends one byte.
 func (w *Writer) U8(v uint8) { w.buf = append(w.buf, v) }
 
@@ -150,7 +159,9 @@ func (w *Writer) WriteBytes(b []byte) {
 
 // WriteRaw appends b verbatim, with no length prefix. It exists for
 // callers that splice an already-encoded payload into a section (tests,
-// checkpoint repair tools); normal encoding should use WriteBytes.
+// checkpoint repair tools) or write one byte string in pieces after its
+// Uvarint length (the result cache); normal encoding should use
+// WriteBytes.
 func (w *Writer) WriteRaw(b []byte) { w.buf = append(w.buf, b...) }
 
 // Encoder writes one container to an io.Writer. Sections are appended
@@ -188,18 +199,29 @@ func (e *Encoder) Section(id SectionID) *Writer {
 	return sw
 }
 
-// Close assembles the container and writes it to the underlying
-// io.Writer in one call.
+// Close writes the container to the underlying io.Writer: the header and
+// each section's id and length from one small buffer, each payload
+// straight from its section Writer, and the CRC, computed along the way.
+// The container is never assembled in memory.
 func (e *Encoder) Close() error {
-	body := NewWriter()
-	body.buf = append(body.buf, magic[:]...)
-	body.U16(Version)
+	var sum uint32
+	head := append(make([]byte, 0, len(magic)+2+2*binary.MaxVarintLen64), magic[:]...)
+	head = binary.BigEndian.AppendUint16(head, Version)
 	for _, s := range e.sections {
-		body.Uvarint(uint64(s.id))
-		body.WriteBytes(s.sw.Bytes())
+		head = binary.AppendUvarint(head, uint64(s.id))
+		head = binary.AppendUvarint(head, uint64(len(s.sw.buf)))
+		for _, b := range [][]byte{head, s.sw.buf} {
+			sum = crc.Update32(sum, b)
+			if _, err := e.w.Write(b); err != nil {
+				return err
+			}
+		}
+		head = head[:0]
 	}
-	body.U32(crc.Checksum32(body.Bytes()))
-	_, err := e.w.Write(body.Bytes())
+	// What is left of head (all of it, for a container without sections)
+	// goes out with the CRC.
+	sum = crc.Update32(sum, head)
+	_, err := e.w.Write(binary.BigEndian.AppendUint32(head, sum))
 	return err
 }
 
@@ -243,8 +265,37 @@ func NewDecoder(r io.Reader) (*Decoder, error) {
 	return Decode(data)
 }
 
+// ReadFile reads the container file at path, the counterpart of WriteFile,
+// and validates its envelope like NewDecoder. The file is read into *buf
+// in one read, and *buf is grown only if the file does not fit, so a
+// caller reading many files can recycle one buffer; the sections alias
+// it. A file longer than MaxLen is not read in full. A file that cannot
+// be read is an *fs.PathError, one that does not decode wraps ErrCorrupt
+// or ErrVersion.
+func ReadFile(path string, buf *[]byte) (*Decoder, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	n := int(min(fi.Size(), MaxLen)) + 1 // one more byte: room to see EOF
+	if cap(*buf) < n {
+		*buf = make([]byte, n)
+	}
+	data := (*buf)[:n]
+	m, err := io.ReadFull(f, data)
+	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+		return nil, err
+	}
+	return Decode(data[:m])
+}
+
 // Decode parses a complete in-memory container (the io.Reader-free form
-// NewDecoder and the fuzz harness share).
+// NewDecoder, ReadFile and the fuzz harness share).
 func Decode(data []byte) (*Decoder, error) {
 	if len(data) > MaxLen {
 		return nil, corruptf("container exceeds MaxLen (%d bytes)", len(data))
@@ -460,10 +511,14 @@ func (r *Reader) Bool() bool {
 // ReadBytes reads a length-prefixed byte string written by WriteBytes,
 // returning a copy that does not alias the container buffer.
 func (r *Reader) ReadBytes() []byte {
-	n := r.Count(1)
-	b := r.take(n)
+	b := r.ReadBytesNoCopy()
 	if b == nil {
 		return nil
 	}
 	return append([]byte(nil), b...)
 }
+
+// ReadBytesNoCopy is ReadBytes without the copy: the returned slice
+// aliases the buffer the Reader decodes, stays valid as long as that
+// buffer does, and must not be modified.
+func (r *Reader) ReadBytesNoCopy() []byte { return r.take(r.Count(1)) }

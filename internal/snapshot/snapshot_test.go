@@ -2,8 +2,12 @@ package snapshot
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"io/fs"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/crc"
@@ -83,6 +87,115 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	if err := m.Finish(); err != nil {
 		t.Fatalf("Finish(metrics): %v", err)
+	}
+}
+
+// TestSnapshotLayout pins the bytes Close streams out against the format
+// written out by hand, for a container with sections and one without.
+func TestSnapshotLayout(t *testing.T) {
+	var sections []byte
+	for _, s := range []struct {
+		id      byte
+		payload []byte
+	}{
+		{byte(SecCore), []byte{7, 0xbe, 0xef, 0xde, 0xad, 0xbe, 0xef, 0x10, 0, 0, 0, 0, 0, 0, 0, 0xac, 0x02, 42,
+			0x40, 0x09, 0x21, 0xfb, 0x54, 0x44, 0x2d, 0x18, 1, 7, 'p', 'a', 'y', 'l', 'o', 'a', 'd'}},
+		{byte(SecMetrics), []byte{0}},
+	} {
+		sections = append(append(sections, s.id, byte(len(s.payload))), s.payload...)
+	}
+	for _, c := range []struct {
+		name      string
+		got, body []byte
+	}{
+		{"two sections", encode(t), append([]byte("SNOC\x00\x01"), sections...)},
+		{"no sections", func() []byte {
+			var buf bytes.Buffer
+			if err := NewEncoder(&buf).Close(); err != nil {
+				t.Fatal(err)
+			}
+			return buf.Bytes()
+		}(), []byte("SNOC\x00\x01")},
+	} {
+		want := binary.BigEndian.AppendUint32(c.body, crc.ChecksumSerial32(c.body))
+		if !bytes.Equal(c.got, want) {
+			t.Errorf("%s: Close wrote\n%x, want\n%x", c.name, c.got, want)
+		}
+	}
+}
+
+// TestSnapshotReadFile reads a WriteFile container back into a recycled
+// buffer, and tells a missing file (an *fs.PathError) from a corrupt one.
+func TestSnapshotReadFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "c")
+	if err := WriteFile(path, func(enc *Encoder) { enc.Section(SecSim).WriteBytes([]byte("payload")) }); err != nil {
+		t.Fatal(err)
+	}
+	var buf []byte
+	for i := 0; i < 2; i++ {
+		dec, err := ReadFile(path, &buf)
+		if err != nil {
+			t.Fatalf("read %d: %v", i, err)
+		}
+		r, err := dec.Section(SecSim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := r.ReadBytesNoCopy(); string(got) != "payload" || &got[0] != &buf[9] {
+			t.Fatalf("read %d: %q, want \"payload\" aliasing the buffer", i, got)
+		}
+	}
+	raw := readRaw(t, path)
+	if len(buf) != len(raw)+1 {
+		t.Fatalf("buffer of %d bytes for a %d-byte file, want the file and one byte to see its end", len(buf), len(raw))
+	}
+
+	var pe *fs.PathError
+	if _, err := ReadFile(path+".missing", &buf); !errors.As(err, &pe) || !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("missing file: %v, want an *fs.PathError for a missing file", err)
+	}
+	raw[len(raw)/2] ^= 1
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadFile(path, &buf); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("flipped byte: %v, want ErrCorrupt", err)
+	}
+}
+
+// readRaw returns the bytes of the file at path.
+func readRaw(t *testing.T, path string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// TestReadBytesNoCopyAliases pins the copy-free read: the same bytes as
+// ReadBytes, taken out of the decoded buffer itself, with the same
+// sticky-error guard on a length the input cannot hold.
+func TestReadBytesNoCopyAliases(t *testing.T) {
+	w := NewWriter()
+	w.Grow(16)
+	w.WriteBytes([]byte("payload"))
+	w.WriteBytes(nil)
+	data := w.Bytes()
+	r := NewReader(data)
+	got := r.ReadBytesNoCopy()
+	if string(got) != "payload" || &got[0] != &data[1] {
+		t.Fatalf("ReadBytesNoCopy = %q, want \"payload\" aliasing the input", got)
+	}
+	if got := r.ReadBytesNoCopy(); len(got) != 0 {
+		t.Fatalf("empty string decoded to %q", got)
+	}
+	if err := r.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	r = NewReader([]byte{5, 'a'}) // declares 5 bytes, holds 1
+	if got := r.ReadBytesNoCopy(); got != nil || r.Err() == nil {
+		t.Fatalf("short string: got %q, err %v", got, r.Err())
 	}
 }
 
