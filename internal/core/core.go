@@ -98,16 +98,17 @@ type Config struct {
 	Seed uint64
 	// Shards partitions the tiles into this many contiguous shards and
 	// runs the per-tile phases of every round shard-parallel; 0 or 1
-	// selects the sequential engine. Results are bit-identical at any
-	// shard count (see DESIGN.md, "Sharded engine") — Shards is purely a
-	// wall-clock knob for large meshes. The count is clamped to the mesh's
-	// whole 64-tile words (a shard owns whole words of the tile bitmaps);
-	// below 128 tiles the sequential engine runs. Network.Shards reports
-	// the count in effect. One behavioural caveat: observer hooks (OnEvent,
-	// OnDeliver) fire after the phase barrier instead of mid-phase, so a
-	// hook that reads network state (Aware, Counters) sees end-of-phase
-	// values; hooks that only record their arguments — every hook in
-	// this repository — are unaffected. PortWeight and SetRouter
+	// selects the sequential engine (one lane over every tile). Results
+	// are bit-identical at any shard count (see DESIGN.md, "Sharded
+	// engine") — Shards is purely a wall-clock knob for large meshes. The
+	// count is clamped to the mesh's whole 64-tile words (a shard owns
+	// whole words of the tile bitmaps); below 128 tiles the sequential
+	// engine runs. Network.Shards reports the count in effect. One
+	// behavioural caveat: with more than one shard in effect, observer
+	// hooks (OnEvent, OnDeliver) fire after the phase barrier instead of
+	// mid-phase, so a hook that reads network state (Aware, Counters) sees
+	// end-of-phase values; hooks that only record their arguments — every
+	// hook in this repository — are unaffected. PortWeight and SetRouter
 	// functions must be pure (they already must be) and are called
 	// concurrently when Shards > 1.
 	Shards int
@@ -403,22 +404,21 @@ type Network struct {
 	// procsDirty, so phase 1 visits only them.
 	procTiles []*tile
 
-	// seqLane is the direct execution lane covering every tile: the
-	// whole sequential engine runs on it, and in sharded mode so do
-	// phase 1 and the order-dependent phase-4 fallback (shard.go).
-	seqLane lane
-	// lanes holds one lane per shard; empty for the sequential engine.
+	// lanes holds one lane per shard, contiguous and ascending; the
+	// sequential engine is the one-lane case (shard.go).
 	lanes []lane
 	// par is true while shard goroutines are live; per-message
-	// aware-count updates switch to atomics under it. It is only
-	// written by the stepping goroutine between barriers.
+	// aware-count updates switch to atomics under it, and lanes stage
+	// their callbacks and transmissions instead of running direct. It is
+	// only written by the stepping goroutine between barriers, and never
+	// set on a one-lane network.
 	par bool
 	// laneBase/laneRem record the initLanes partition arithmetic (64-tile
 	// words per lane) so laneFor can invert tile→lane without a lookup
 	// table.
 	laneBase, laneRem int
 	// hasReceiver caches whether any attached process implements
-	// Receiver (recomputed when procsDirty; consulted by stepShards).
+	// Receiver (recomputed when procsDirty; consulted by stepLanes).
 	hasReceiver bool
 	procsDirty  bool
 
@@ -471,23 +471,16 @@ func New(cfg Config) (*Network, error) {
 			n.portAlive[t.portOff+j] = inj.LinkAlive(t.id, nb)
 		}
 	}
-	n.seqLane = lane{net: n, lo: 0, hi: len(n.tiles), direct: true, cnt: &n.cnt}
-	// A lane owns whole 64-tile words (initLanes), so a mesh carries at most
-	// one shard per whole word; with fewer than two the sequential engine —
-	// bit-identical by the sharding contract — runs.
-	if s := min(cfg.Shards, len(n.tiles)/64); s > 1 {
-		n.initLanes(s)
-	}
 	// Without synchronization skew every copy arrives in the round it was
 	// sent, so one recycled arrival bucket per tile covers all traffic.
 	ringLen := 1
 	if cfg.Fault.SigmaSync > 0 {
 		ringLen = ringInitLen
 	}
-	n.seqLane.rings.initLen = ringLen
-	for i := range n.lanes {
-		n.lanes[i].rings.initLen = ringLen
-	}
+	// A lane owns whole 64-tile words (initLanes), so a mesh carries at most
+	// one lane per whole word, and always at least one: with one the
+	// sequential engine — bit-identical by the sharding contract — runs.
+	n.initLanes(max(1, min(cfg.Shards, len(n.tiles)/64)), ringLen)
 	return n, nil
 }
 
@@ -509,7 +502,7 @@ func (n *Network) Attach(t packet.TileID, proc Process) {
 }
 
 // refreshProcs rebuilds the process-bearing tile list (and the Receiver
-// flag stepShards consults) when Attach has run since the last rebuild.
+// flag stepLanes consults) when Attach has run since the last rebuild.
 // Phase 1 and Completed iterate procTiles instead of the whole mesh — on
 // a mega-mesh with a handful of processes that is the difference between
 // a few pointer loads and a quarter-million per round. Attachments made
@@ -617,8 +610,9 @@ func (n *Network) Counters() Counters { return n.cnt }
 func (n *Network) Topology() topology.Topology { return n.topo }
 
 // Shards returns the shard count the engine runs with: Config.Shards after
-// New's clamp to whole 64-tile words, 1 for the sequential engine.
-func (n *Network) Shards() int { return max(1, len(n.lanes)) }
+// New's clamp to whole 64-tile words, 1 for the sequential engine — the
+// number of lanes.
+func (n *Network) Shards() int { return len(n.lanes) }
 
 // Inject creates a new message originating at tile src before the
 // simulation starts (or between rounds), bypassing any Process. It is the
@@ -646,7 +640,7 @@ func (n *Network) Inject(src, dst packet.TileID, kind packet.Kind, payload []byt
 	// The originator knows its own rumor: never deliver it back to src.
 	n.setSeen(&n.tiles[src], id)
 	n.emit(EvCreated, src, src, id)
-	n.enqueue(&n.seqLane, &n.tiles[src], &packet.Packet{
+	n.enqueue(n.laneOf(src), &n.tiles[src], &packet.Packet{
 		ID: id, Src: src, Dst: dst, Kind: kind, TTL: n.cfg.TTL, Payload: payload,
 	})
 	return id, nil
@@ -665,12 +659,10 @@ func (n *Network) emit(kind EventKind, tile, peer packet.TileID, msg packet.MsgI
 // message is delivered at round = Manhattan distance, matching the
 // Fig. 3-3 walkthrough.
 //
-// The round body is split into phase functions (phase.go) so the
-// sequential engine and the sharded engine (shard.go) share one
-// implementation: sequential mode runs phases 2-4 on the network-wide
-// direct lane; sharded mode runs them per-shard between barriers. Phase 1
-// always runs sequentially — it allocates message IDs, whose order is
-// observable.
+// The round body is split into phase functions (phase.go). Phase 1 always
+// runs sequentially — it allocates message IDs, whose order is observable;
+// phases 2-4 run on the lanes (shard.go): inline on a one-lane network,
+// per lane between barriers on a sharded one.
 func (n *Network) Step() {
 	if !n.started {
 		n.started = true
@@ -684,13 +676,7 @@ func (n *Network) Step() {
 	n.round++
 
 	n.phaseCompute()
-	if len(n.lanes) > 0 {
-		n.stepShards()
-	} else {
-		n.phaseAge(&n.seqLane)
-		n.phaseForward(&n.seqLane)
-		n.phaseReceive(&n.seqLane)
-	}
+	n.stepLanes()
 	// Round barrier: no phase is executing and nothing is staged.
 	n.trimPools()
 	if n.recycle {
@@ -830,9 +816,8 @@ func (c *Ctx) Send(dst packet.TileID, kind packet.Kind, payload []byte) (packet.
 	c.net.setSeen(c.tile, id)
 	c.net.emit(EvCreated, c.tile.id, c.tile.id, id)
 	// Send only runs on the stepping goroutine (phase 1, or a Receiver
-	// during the sequential phase-4 fallback), so the direct lane is
-	// always the executing lane here.
-	c.net.enqueue(&c.net.seqLane, c.tile, &packet.Packet{
+	// during the sequential phase-4 fallback), so no lane runs in parallel.
+	c.net.enqueue(c.net.laneOf(c.tile.id), c.tile, &packet.Packet{
 		ID: id, Src: c.tile.id, Dst: dst, Kind: kind,
 		TTL: c.net.cfg.TTL, Payload: payload,
 	})

@@ -56,18 +56,9 @@ func churnNet(tb testing.TB, side, perRound, shards int) (*Network, func()) {
 // buffer, that only hot tiles hold a ring, and that Mem reports the sums.
 func checkPoolAccounting(tb testing.TB, n *Network) {
 	tb.Helper()
-	lanes := []*lane{&n.seqLane}
-	if len(n.lanes) > 0 {
-		if a, b := n.seqLane.rings.armed, n.seqLane.bufs.armed; a != 0 || b != 0 {
-			tb.Fatalf("round %d: direct lane of a sharded network holds armed counts %d/%d", n.Round(), a, b)
-		}
-		lanes = lanes[:0]
-		for i := range n.lanes {
-			lanes = append(lanes, &n.lanes[i])
-		}
-	}
 	var armed, pooledRings, pooledBufs int
-	for li, ln := range lanes {
+	for li := range n.lanes {
+		ln := &n.lanes[li]
 		rings, bufs := 0, 0
 		for i := ln.lo; i < ln.hi; i++ {
 			t := &n.tiles[i]

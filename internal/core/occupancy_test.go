@@ -14,12 +14,15 @@ import (
 // words, the last one possibly cut short by the mesh end: ascending tile
 // order, words outside [lo, hi) never visited even when they share a
 // summary word with the range, empty ranges visit nothing, and the summary
-// stays exact through the drains, with and without the summary CAS path
-// (n.par). The sweep is observed through the aging phase: every occupied
-// tile buffers one TTL-1 copy, so each visit is one EvExpire, in visit
-// order, and drains the tile. The 70×70 mesh spans two summary words (its
-// tile word 64 opens the second), so the two-level walk and the
-// summary-level range masks are exercised.
+// stays exact through the drains. The sweep runs through a real lane, its
+// range set to the case's: the lane of a one-lane network (direct), and a
+// lane of a four-lane network both direct (the phase-4 fallback) and in
+// parallel mode (n.par: staged callbacks, the summary CAS path). The sweep
+// is observed through the aging phase: every occupied tile buffers one
+// TTL-1 copy, so each visit is one EvExpire, in visit order, and drains the
+// tile. The 70×70 mesh spans two summary words (its tile word 64 opens the
+// second), so the two-level walk and the summary-level range masks are
+// exercised.
 func TestForOccupiedIteration(t *testing.T) {
 	set := []int{0, 1, 63, 64, 100, 127, 128, 199, 4095, 4096, 4100, 4899}
 	cases := []struct {
@@ -36,25 +39,35 @@ func TestForOccupiedIteration(t *testing.T) {
 		{192, 192, nil},                                // empty range
 		{256, 4032, nil},                               // 59 idle words between occupied ones
 	}
+	modes := []struct {
+		shards int
+		par    bool
+	}{{0, false}, {4, false}, {4, true}}
 	for _, c := range cases {
-		for _, par := range []bool{false, true} {
+		for _, m := range modes {
 			var got []int
 			n := mustNet(t, Config{
-				Topo: topology.NewGrid(70, 70), P: 0, TTL: 1, MaxRounds: 10, Seed: 1,
+				Topo: topology.NewGrid(70, 70), P: 0, TTL: 1, MaxRounds: 10, Seed: 1, Shards: m.shards,
 				OnEvent: func(ev Event) {
 					if ev.Kind == EvExpire {
 						got = append(got, int(ev.Tile))
 					}
 				},
 			})
+			if want := max(1, m.shards); n.Shards() != want {
+				t.Fatalf("Shards: 70×70 runs %d lanes, want %d", n.Shards(), want)
+			}
 			for _, ti := range set {
 				mustInject(t, n, packet.TileID(ti), packet.Broadcast, 0, nil)
 			}
-			n.par = par
-			n.sweep(&lane{net: n, lo: c.lo, hi: c.hi, direct: true, cnt: &n.cnt}, sweepAge)
+			ln := n.laneOf(packet.TileID(c.lo))
+			ln.lo, ln.hi = c.lo, c.hi
+			n.par = m.par
+			n.sweep(ln, sweepAge)
 			n.par = false
+			n.flushActions()
 			if !reflect.DeepEqual(got, c.want) {
-				t.Fatalf("sweep[%d,%d) par=%v visited %v, want %v", c.lo, c.hi, par, got, c.want)
+				t.Fatalf("sweep[%d,%d) shards=%d par=%v visited %v, want %v", c.lo, c.hi, m.shards, m.par, got, c.want)
 			}
 			// Every visited tile drained; the summary must have followed,
 			// word by word, and nothing outside the range may have moved.
@@ -62,11 +75,11 @@ func TestForOccupiedIteration(t *testing.T) {
 			for _, ti := range set {
 				inRange := c.lo <= ti && ti < c.hi
 				if occupied := n.bufOcc.bits[ti>>6]&(1<<(uint(ti)&63)) != 0; occupied == inRange {
-					t.Fatalf("sweep[%d,%d) par=%v: tile %d occupied=%v after the sweep", c.lo, c.hi, par, ti, occupied)
+					t.Fatalf("sweep[%d,%d) shards=%d par=%v: tile %d occupied=%v after the sweep", c.lo, c.hi, m.shards, m.par, ti, occupied)
 				}
 			}
 			if whole := c.lo == 0 && c.hi == 4900; n.bufOcc.empty() != whole {
-				t.Fatalf("sweep[%d,%d) par=%v: empty() = %v", c.lo, c.hi, par, !whole)
+				t.Fatalf("sweep[%d,%d) shards=%d par=%v: empty() = %v", c.lo, c.hi, m.shards, m.par, !whole)
 			}
 		}
 	}

@@ -12,9 +12,9 @@ import (
 // This file holds the four phases of a round (Fig. 3-4): computation on
 // the process-bearing tiles, then aging, forwarding and reception as one
 // per-tile body each, driven over the occupied tiles of a lane's range by
-// a single frontier sweep. The sequential engine runs the sweeps on the
-// network-wide direct lane; the sharded engine (shard.go) runs the same
-// sweeps per lane between barriers.
+// a single frontier sweep. Phases 2-4 run on the network's lanes
+// (shard.go): inline on a one-lane network, per lane between barriers on a
+// sharded one.
 
 // phaseCompute is phase 1 — computation: run the IP cores; they read the
 // mailbox filled during the previous round and may create new messages.
@@ -152,11 +152,10 @@ func (n *Network) ageTile(ln *lane, t *tile) {
 	t.sendBuf = kept
 	if len(kept) == 0 {
 		n.occClear(&n.bufOcc, uint32(t.id)) // buffer drained
-		pl := n.poolLane(ln, t.id)
-		pl.bufs.put(t.sendBuf)
+		ln.bufs.put(t.sendBuf)
 		t.sendBuf = nil
 		if t.ring.count == 0 {
-			pl.rings.detach(&t.ring) // nothing in flight either: the tile went cold
+			ln.rings.detach(&t.ring) // nothing in flight either: the tile went cold
 		}
 	}
 }
@@ -237,8 +236,8 @@ func (n *Network) forwardTile(ln *lane, t *tile) {
 // when the copy is lost downstream. The copy travels by value (analytic
 // path) or as a pooled encoded frame (literal path); either way the
 // steady state allocates nothing per transmission. The arrival reaches
-// the destination ring through ln.send: directly on a direct lane, via
-// the post-phase outbox merge otherwise. linkUp is the cached
+// the destination ring through ln.send: directly when the lane runs
+// direct, via the post-phase outbox merge otherwise. linkUp is the cached
 // inj.LinkAlive(t.id, nb) verdict — precomputed per port at New on the
 // gossip paths, looked up per call on the (cold) router path.
 func (n *Network) transmit(ln *lane, t *tile, nb packet.TileID, p *packet.Packet, linkUp bool) {
@@ -333,7 +332,7 @@ func (n *Network) receiveTile(ln *lane, t *tile) {
 			// Nothing was kept either (every arrival was a reject): the
 			// tile went cold. A tile that still buffers a copy keeps its
 			// ring for the arrivals its neighbours send next round.
-			n.poolLane(ln, t.id).rings.detach(&t.ring)
+			ln.rings.detach(&t.ring)
 		}
 	}
 }
@@ -374,10 +373,10 @@ func (n *Network) decodeArrival(ln *lane, t *tile, a *arrival) *packet.Packet {
 // mailbox, and Receive when it is a Receiver) and the OnDeliver hook. They
 // share one heap copy, so the ring slot or buffer entry backing *p can be
 // recycled freely afterwards; a tile with neither — no IP core, nobody
-// watching — is counted and flagged but stores nothing. On a non-direct
-// lane the OnDeliver callback is staged for the post-barrier flush;
-// Receiver processes never reach a non-direct lane (their presence forces
-// the sequential phase-4 fallback in stepShards).
+// watching — is counted and flagged but stores nothing. While lanes run in
+// parallel the OnDeliver callback is staged for the post-barrier flush;
+// Receiver processes never see a parallel phase 4 (their presence forces
+// the sequential fallback in stepLanes).
 func (n *Network) deliver(ln *lane, t *tile, p *packet.Packet) {
 	if p.Dst != t.id && p.Dst != packet.Broadcast {
 		return
@@ -404,7 +403,7 @@ func (n *Network) deliver(ln *lane, t *tile, p *packet.Packet) {
 	if proc != nil {
 		t.cold.mailbox = append(t.cold.mailbox, q)
 	}
-	if ln.direct {
+	if !n.par {
 		if n.cfg.OnDeliver != nil {
 			n.cfg.OnDeliver(t.id, q, n.round)
 		}
@@ -423,7 +422,7 @@ func (n *Network) deliver(ln *lane, t *tile, p *packet.Packet) {
 
 // enqueue inserts *p into t's send buffer, enforcing dedup and capacity.
 // The packet is copied by value; the caller keeps ownership of *p. Counts
-// and events go through the executing lane.
+// and events go through ln, which must own t (Network.laneOf).
 func (n *Network) enqueue(ln *lane, t *tile, p *packet.Packet) {
 	if !n.cfg.DisableDedup && rowBit(n.tbl.present[msgSlot(p.ID)], t.id) {
 		ln.cnt.Duplicates++
@@ -441,7 +440,7 @@ func (n *Network) enqueue(ln *lane, t *tile, p *packet.Packet) {
 		ln.unshare(p)
 	}
 	if t.sendBuf == nil {
-		t.sendBuf, _ = n.poolLane(ln, t.id).bufs.get() // re-arm from the lane pool; dry = nil, append allocates
+		t.sendBuf, _ = ln.bufs.get() // re-arm from the lane pool; dry = nil, append allocates
 	}
 	t.sendBuf = append(t.sendBuf, *p)
 	if len(t.sendBuf) == 1 {

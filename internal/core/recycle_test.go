@@ -240,7 +240,7 @@ func TestRecycleStaleGenerationGhostFrame(t *testing.T) {
 	}
 	base := n.Counters()
 	events = nil
-	n.tiles[1].ring.schedule(n.Round(), n.Round()+1, arrival{frame: frame, pkt: packet.Packet{ID: first}}, &n.seqLane.rings)
+	n.tiles[1].ring.schedule(n.Round(), n.Round()+1, arrival{frame: frame, pkt: packet.Packet{ID: first}}, &n.lanes[0].rings)
 	n.rebuildOccupancy() // white-box ring injection bypasses the occupancy upkeep
 	n.Step()
 

@@ -116,7 +116,7 @@ func (r *arrivalRing) release(now int) {
 }
 
 // ringPool recycles the bucket arrays of cold tiles' arrival rings. Pools
-// are per-lane and a tile only ever uses its own lane's (Network.poolLane),
+// are per-lane and a tile only ever uses its own lane's (Network.laneOf),
 // so arm/detach never contend and the exchange is behavior-free — every
 // pooled bucket is empty and zeroed (release truncates and zeroes before
 // detach is possible). A pooled array may be longer than initLen (it may

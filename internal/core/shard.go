@@ -6,17 +6,17 @@ import (
 	"repro/internal/packet"
 )
 
-// This file holds the sharded execution mode of the round engine
-// (Config.Shards > 1): tiles are partitioned into contiguous shards and
-// the per-tile phases of Step run shard-parallel between barriers,
-// bit-identical to the sequential engine at any shard count. See
-// DESIGN.md, "Sharded engine".
+// This file holds the lanes the round engine runs phases 2-4 on. Every
+// network has at least one: the sequential engine is the one-lane case, and
+// Config.Shards > 1 partitions the tiles into contiguous lanes whose
+// per-tile phases run shard-parallel between barriers, bit-identical to
+// one lane at any count. See DESIGN.md, "Sharded engine".
 //
 // The determinism argument, in one paragraph: every source of randomness
 // is a per-tile stream consumed only by phases running on that tile's
-// shard, so parallel execution draws exactly the sequential values. The
+// lane, so parallel execution draws exactly the sequential values. The
 // only cross-tile writes are (a) phase-3 transmissions into destination
-// arrival rings — staged in per-shard outboxes and merged in
+// arrival rings — staged in per-lane outboxes and merged in
 // sending-tile-ID order, reproducing the sequential insertion order of
 // every ring; (b) the per-message aware counters — commutative ±1
 // transitions applied atomically, so the final counts are
@@ -29,22 +29,22 @@ import (
 // can create messages — phase 1 always, phase 4 when a Receiver or
 // StopSpreadOnDelivery is present — run sequentially.
 
-// lane is one execution context of the round engine. The sequential
-// engine (and phase 1, and the sequential phase-4 fallback) runs on the
-// network's direct lane, which covers every tile, fires callbacks
-// inline, and counts straight into Network.cnt. Sharded mode adds one
-// non-direct lane per shard, each owning a contiguous tile range, a
-// private Counters delta, a private frame pool, a staged-callback buffer
-// and a transmission outbox; everything a lane stages is merged or
-// flushed in lane order (= tile-ID order) after the phase barrier.
+// lane is one execution context of the round engine: a contiguous tile
+// range with its own frame, ring and buffer pools, a private Counters
+// delta, a staged-callback buffer and a transmission outbox. A lane runs
+// direct — callbacks fire inline, transmissions go straight into the
+// arrival rings, counts go straight into Network.cnt — whenever no shard
+// goroutine is live (!Network.par): always on a one-lane network, and in
+// the sequential phase-4 fallback. While lanes run in parallel everything
+// a lane stages is merged or flushed in lane order (= tile-ID order) after
+// the phase barrier.
 type lane struct {
 	net    *Network
-	idx    int  // position in Network.lanes (outbox bucket index)
-	lo, hi int  // tile-index range [lo, hi) this lane executes
-	direct bool // fire callbacks inline and write rings/counters directly
+	idx    int // position in Network.lanes (outbox bucket index)
+	lo, hi int // tile-index range [lo, hi) this lane executes
 
-	cnt   *Counters // direct: &net.cnt; sharded: &delta
-	delta Counters  // per-phase counter deltas (sharded lanes only)
+	cnt   *Counters // &net.cnt; &delta while lanes run in parallel
+	delta Counters  // per-phase counter deltas of a parallel phase
 
 	pool framePool // recycled wire frames for the literal-upset path
 
@@ -58,7 +58,7 @@ type lane struct {
 	// processes and OnDeliver are carved from a chunked arena. All of it
 	// is behavior-invisible (capacity and address reuse only) and
 	// contention-free (a tile only ever uses the pools of the lane that
-	// owns it, see Network.poolLane).
+	// owns it, see Network.laneOf).
 	rings ringPool
 	bufs  bufPool
 	pkts  pktArena
@@ -209,11 +209,11 @@ func (a *pktArena) get() *packet.Packet {
 	return p
 }
 
-// emit publishes a protocol event: immediately on a direct lane, staged
-// for the post-barrier flush otherwise.
+// emit publishes a protocol event: immediately when the lane runs direct,
+// staged for the post-barrier flush otherwise.
 func (ln *lane) emit(kind EventKind, tile, peer packet.TileID, msg packet.MsgID) {
 	n := ln.net
-	if ln.direct {
+	if !n.par {
 		n.emit(kind, tile, peer, msg)
 		return
 	}
@@ -226,18 +226,18 @@ func (ln *lane) emit(kind EventKind, tile, peer packet.TileID, msg packet.MsgID)
 }
 
 // send hands one in-flight arrival to its destination tile: directly
-// into the arrival ring on a direct lane, staged in the destination
-// lane's outbox bucket (merged in sending-tile order after the phase-3
-// barrier) otherwise. Either way the copy is now committed to arrive, so
-// the in-flight count of its message rises here — exactly once per
-// arrival, since every staged outbound is scheduled by the merge.
+// into the arrival ring when the lane runs direct, staged in the
+// destination lane's outbox bucket (merged in sending-tile order after the
+// phase-3 barrier) otherwise. Either way the copy is now committed to
+// arrive, so the in-flight count of its message rises here — exactly once
+// per arrival, since every staged outbound is scheduled by the merge.
 func (ln *lane) send(dst packet.TileID, when int, a arrival) {
 	if ln.net.recycle {
 		ln.net.addInflight(msgSlot(a.pkt.ID), 1)
 	}
-	if ln.direct {
-		// Phase 3 only runs on the direct lane in sequential mode, where
-		// it is every tile's pool lane.
+	if !ln.net.par {
+		// Phase 3 runs direct only on a one-lane network, whose lane owns
+		// every tile.
 		ln.net.tiles[dst].ring.schedule(ln.net.round, when, a, &ln.rings)
 		ln.net.occSet(&ln.net.rcvOcc, uint32(dst))
 		return
@@ -262,13 +262,13 @@ func (ln *lane) unshare(p *packet.Packet) {
 
 // initLanes partitions the tiles into shards contiguous tile-ID ranges and
 // builds their lanes. Every lane owns whole 64-tile words — New clamps
-// shards to [2, tiles/64] — so no two lanes share any 64-bit word of the
-// tile bitmaps (message present/seen rows, occupancy) and the per-bit
-// flips are plain loads and stores even while shard goroutines are live.
-// Only the last lane's last word can be partial (the mesh end). The
+// shards to [1, max(1, tiles/64)] — so no two lanes share any 64-bit word
+// of the tile bitmaps (message present/seen rows, occupancy) and the
+// per-bit flips are plain loads and stores even while shard goroutines are
+// live. Only the last lane's last word can be partial (the mesh end). The
 // geometry is invisible to results — sharding is bit-identical at any
 // shard count.
-func (n *Network) initLanes(shards int) {
+func (n *Network) initLanes(shards, ringLen int) {
 	n.lanes = make([]lane, shards)
 	tiles := len(n.tiles)
 	words := occWords(tiles)
@@ -283,32 +283,26 @@ func (n *Network) initLanes(shards int) {
 		ln.net = n
 		ln.idx = i
 		ln.lo, ln.hi = lo, min(lo+spanW*64, tiles)
-		ln.cnt = &ln.delta
+		ln.cnt = &n.cnt
 		ln.outbox = make([][]outbound, shards)
+		ln.rings.initLen = ringLen
 		lo = ln.hi
 	}
 }
 
-// poolLane returns the lane whose ring and buffer pools serve tile t: the
-// executing lane — except that the direct lane of a sharded network
-// (Inject, phase 1, the sequential phase-4 fallback, Restore) borrows the
-// pools of the shard that owns t. Every ring and buffer therefore goes back
-// to the pool it was drawn from, which keeps each pool's armed count the
-// exact number of its lane's tiles holding one. The direct lane only
-// executes while no shard goroutine is live, so the borrowing is
-// race-free.
-func (n *Network) poolLane(ln *lane, t packet.TileID) *lane {
-	if ln.direct && len(n.lanes) > 0 {
-		return &n.lanes[n.laneFor(t)]
-	}
-	return ln
+// laneOf returns the lane owning tile t, whose ring and buffer pools serve
+// it. Inside phases 2-4 that is always the executing lane; Inject, phase 1
+// and Restore, which run on no lane, look it up here. Every ring and
+// buffer therefore goes back to the pool it was drawn from, which keeps
+// each pool's armed count the exact number of its lane's tiles holding
+// one.
+func (n *Network) laneOf(t packet.TileID) *lane {
+	return &n.lanes[n.laneFor(t)]
 }
 
 // trimPools is the round-barrier half of the pool policy (see pool): each
 // lane's free lists are cut back to its armed count.
 func (n *Network) trimPools() {
-	n.seqLane.rings.trim()
-	n.seqLane.bufs.trim()
 	for i := range n.lanes {
 		n.lanes[i].rings.trim()
 		n.lanes[i].bufs.trim()
@@ -327,47 +321,65 @@ func (n *Network) laneFor(t packet.TileID) int {
 	}
 }
 
-// runShards executes phase once per lane, concurrently, and waits for
-// the barrier. Lane 0 runs on the stepping goroutine itself — one fewer
-// goroutine handoff per barrier, which is most of the sharding overhead
-// on small meshes. Per-message aware-count updates switch to atomics
-// while shard goroutines are live (n.par); everything else a phase
-// touches is tile-local, lane-local, or read-only (see the file comment).
-func (n *Network) runShards(phase func(*lane)) {
+// runShards executes phase once per lane and folds the lanes' counter
+// deltas into the network totals. A one-lane network runs its lane inline,
+// direct: no goroutine, no barrier. With more lanes they run concurrently
+// and the call waits for the barrier; lane 0 runs on the stepping
+// goroutine itself — one fewer goroutine handoff per barrier, which is
+// most of the sharding overhead on small meshes. While shard goroutines
+// are live (n.par) per-message aware-count updates switch to atomics and
+// each lane counts into its private delta, so Counters is exact again the
+// moment the barrier passes; everything else a phase touches is
+// tile-local, lane-local, or read-only (see the file comment). phase is a
+// method expression, not a bound method value, so the one-lane path
+// allocates nothing.
+func (n *Network) runShards(phase func(*Network, *lane)) {
+	if len(n.lanes) == 1 {
+		phase(n, &n.lanes[0])
+		return
+	}
 	n.par = true
+	for i := range n.lanes {
+		n.lanes[i].cnt = &n.lanes[i].delta
+	}
 	var wg sync.WaitGroup
 	wg.Add(len(n.lanes) - 1)
 	for i := 1; i < len(n.lanes); i++ {
 		ln := &n.lanes[i]
 		go func() {
 			defer wg.Done()
-			phase(ln)
+			phase(n, ln)
 		}()
 	}
-	phase(&n.lanes[0])
+	phase(n, &n.lanes[0])
 	wg.Wait()
 	n.par = false
+	for i := range n.lanes {
+		ln := &n.lanes[i]
+		n.cnt.add(&ln.delta)
+		ln.delta = Counters{}
+		ln.cnt = &n.cnt
+	}
 }
 
-// stepShards is the sharded-mode body of Step for phases 2-4: phase 1
-// (computation) already ran sequentially — it allocates message IDs,
-// whose order is observable. Barrier order matters: counters merge and
-// staged callbacks flush before the next phase so that an observer sees
-// the same event sequence, phase by phase, as the sequential engine;
-// outboxes merge before phase 4 so every arrival ring holds its
-// sequential contents in sequential order.
-func (n *Network) stepShards() {
+// stepLanes is phases 2-4 of Step: phase 1 (computation) already ran
+// sequentially — it allocates message IDs, whose order is observable.
+// Barrier order matters: counters merge and staged callbacks flush before
+// the next phase so that an observer sees the same event sequence, phase
+// by phase, as a one-lane run; outboxes merge before phase 4 so every
+// arrival ring holds its sequential contents in sequential order. On a
+// one-lane network nothing is staged and the merges are no-ops.
+func (n *Network) stepLanes() {
 	n.refreshProcs()
 
 	// Phase 2 — aging (tile-local; expiry events staged).
-	n.runShards(n.phaseAge)
+	n.runShards((*Network).phaseAge)
 	n.flushActions()
 
 	// Phase 3 — forwarding into private outboxes. Each lane clears its
 	// own (already merged) outbox of the previous round at entry, which
 	// is what lets the dedicated clearing barrier disappear.
-	n.runShards(n.phaseForward)
-	n.mergeLaneCounters()
+	n.runShards((*Network).phaseForward)
 	n.flushActions()
 
 	// Phase 4 — reception, fused with the outbox merge: every lane drains
@@ -380,15 +392,17 @@ func (n *Network) stepShards() {
 	// barrier. A Receiver process can create messages at delivery time
 	// and StopSpreadOnDelivery writes cross-tile tombstones that later
 	// tiles of the same round must observe; both are order-dependent, so
-	// reception then falls back to the sequential direct lane (the merge
-	// still runs shard-parallel).
+	// reception then runs every lane in turn, direct, in lane order — the
+	// ascending tile order of one lane (the merge still runs
+	// shard-parallel).
 	if n.cfg.StopSpreadOnDelivery || n.hasReceiver {
-		n.runShards(n.mergeInbound)
-		n.phaseReceive(&n.seqLane)
+		n.runShards((*Network).mergeInbound)
+		for i := range n.lanes {
+			n.phaseReceive(&n.lanes[i])
+		}
 		return
 	}
-	n.runShards(n.mergeAndReceive)
-	n.mergeLaneCounters()
+	n.runShards((*Network).mergeAndReceive)
 	n.flushActions()
 }
 
@@ -448,17 +462,6 @@ func (n *Network) flushActions() {
 			ln.actions[i] = action{}
 		}
 		ln.actions = ln.actions[:0]
-	}
-}
-
-// mergeLaneCounters folds every lane's counter delta into the network
-// totals. All fields are integer sums, so the result is exactly the
-// sequential engine's counters regardless of execution order.
-func (n *Network) mergeLaneCounters() {
-	for i := range n.lanes {
-		d := &n.lanes[i].delta
-		n.cnt.add(d)
-		*d = Counters{}
 	}
 }
 

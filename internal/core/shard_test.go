@@ -524,3 +524,72 @@ func TestShardsClampedToWords(t *testing.T) {
 		}
 	}
 }
+
+// TestCountersExactBetweenRounds pins Counters between rounds: a count
+// taken by Inject, outside any phase, must be visible at once whatever the
+// lane count. Two injections at one source of a BufferCap-1 network evict
+// the first (one hard overflow), on a two-lane 16×16 mesh and on an 8×8
+// mesh whose four requested shards clamp to one lane; both must report the
+// drop before any Step and then match their sequential twins round by
+// round.
+func TestCountersExactBetweenRounds(t *testing.T) {
+	for _, c := range []struct{ side, shards, lanes int }{{16, 2, 2}, {8, 4, 1}} {
+		build := func(shards int) *Network {
+			n := mustNet(t, Config{
+				Topo: topology.NewGrid(c.side, c.side), P: 0.6, TTL: 6, BufferCap: 1,
+				MaxRounds: 100, Seed: 0xC0DE, Shards: shards,
+			})
+			mustInject(t, n, 5, packet.Broadcast, 0, []byte("first"))
+			mustInject(t, n, 5, packet.Broadcast, 0, []byte("second"))
+			return n
+		}
+		seq, got := build(0), build(c.shards)
+		if got.Shards() != c.lanes {
+			t.Fatalf("%dx%d Shards=%d: runs %d lanes, want %d", c.side, c.side, c.shards, got.Shards(), c.lanes)
+		}
+		if d := got.Counters().OverflowDrops; d != 1 {
+			t.Fatalf("%dx%d Shards=%d: OverflowDrops = %d before any Step, want 1", c.side, c.side, c.shards, d)
+		}
+		for r := 0; r <= 10; r++ {
+			if got.Counters() != seq.Counters() {
+				t.Fatalf("%dx%d Shards=%d after %d rounds: counters %+v, sequential twin %+v",
+					c.side, c.side, c.shards, r, got.Counters(), seq.Counters())
+			}
+			seq.Step()
+			got.Step()
+		}
+	}
+}
+
+// TestOneLaneHooksSeeLiveState pins the contract Config.Shards states by
+// contrast with the sharded case: on a one-lane network hooks fire
+// mid-phase, so a hook reading network state sees it live. A P=1 broadcast
+// from a corner reaches its two neighbours in round 1; the OnEvent hook
+// reads Aware and Counters at each delivery and must see the count rise
+// between them (2 then 3 aware tiles, 1 then 2 deliveries), both for
+// Shards 0 and for a request clamped to one lane.
+func TestOneLaneHooksSeeLiveState(t *testing.T) {
+	for _, shards := range []int{0, 4} {
+		var n *Network
+		var id packet.MsgID
+		var aware, delivered []int
+		n = mustNet(t, Config{
+			Topo: topology.NewGrid(8, 8), P: 1, TTL: 4, MaxRounds: 10, Seed: 3, Shards: shards,
+			OnEvent: func(ev Event) {
+				if ev.Kind == EvDeliver && ev.Round == 1 {
+					aware = append(aware, n.Aware(id))
+					delivered = append(delivered, n.Counters().Deliveries)
+				}
+			},
+		})
+		if n.Shards() != 1 {
+			t.Fatalf("Shards=%d on 8×8: runs %d lanes, want 1", shards, n.Shards())
+		}
+		id = mustInject(t, n, 0, packet.Broadcast, 0, nil)
+		n.Step()
+		if !reflect.DeepEqual(aware, []int{2, 3}) || !reflect.DeepEqual(delivered, []int{1, 2}) {
+			t.Fatalf("Shards=%d: round-1 delivery hooks saw Aware %v and Deliveries %v, want live [2 3] and [1 2]",
+				shards, aware, delivered)
+		}
+	}
+}

@@ -480,10 +480,10 @@ func restoreTileScalars(sec *snapshot.Reader, n *Network, t *tile) error {
 
 // restoreTileTraffic decodes a tile's send buffer, mailbox and arrival
 // ring, recomputing the buffered-copy counts recycling retires on. Buffer
-// and ring are armed through the tile's pool lane, so the pools' armed
+// and ring are armed through the lane owning the tile, so the pools' armed
 // counts cover restored tiles like any other.
 func restoreTileTraffic(sec *snapshot.Reader, n *Network, t *tile) error {
-	pl := n.poolLane(&n.seqLane, t.id)
+	pl := n.laneOf(t.id)
 	nbuf := sec.Count(1)
 	if nbuf > 0 {
 		buf, _ := pl.bufs.get() // dry after New: counts the buffer as armed

@@ -477,14 +477,11 @@ func (n *Network) Mem() MemStats {
 		RetiredLedger: len(tb.retired),
 		TableBytes:    bytes,
 	}
-	pools := func(ln *lane) {
+	for i := range n.lanes {
+		ln := &n.lanes[i]
 		m.ArmedRings += ln.rings.armed
 		m.PooledRings += len(ln.rings.free)
 		m.PooledBufs += len(ln.bufs.free)
-	}
-	pools(&n.seqLane)
-	for i := range n.lanes {
-		pools(&n.lanes[i])
 	}
 	return m
 }
