@@ -186,19 +186,7 @@ func exportMetrics(path string) error {
 	if err != nil {
 		return err
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if strings.HasSuffix(path, ".csv") {
-		err = metrics.WriteCSV(f, agg)
-	} else {
-		err = metrics.WriteJSONL(f, agg)
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return metrics.WriteFile(path, agg)
 }
 
 func table(header string, rows func(w *tabwriter.Writer)) {

@@ -58,7 +58,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/energy"
@@ -109,40 +108,14 @@ func main() {
 	log.SetPrefix("nocsim: ")
 	flag.Parse()
 
-	grid := topology.NewGrid(*width, *height)
+	sc := scenario()
+	grid := sc.Config.Topo.(*topology.Grid)
 	if *src < 0 || *src >= grid.Tiles() || *dst < 0 || *dst >= grid.Tiles() {
 		log.Fatalf("src/dst out of range for a %dx%d grid", *width, *height)
 	}
-	// One fabric description for both modes; -check replicates it under
-	// derived seeds (smc ignores Seed), plain mode adds its hooks.
-	cfg := core.Config{
-		Topo: grid, P: *p, TTL: uint8(*ttl), MaxRounds: *maxR, Seed: *seed,
-		Shards: *shards,
-		Fault: fault.Model{
-			DeadTiles: *deadT, DeadLinks: *deadL,
-			PUpset: *upset, POverflow: *overflow, SigmaSync: *sigma,
-			LiteralUpsets: *literal,
-			Protect:       []packet.TileID{packet.TileID(*src), packet.TileID(*dst)},
-		},
-	}
 	if *checkProp != "" {
-		runCheck(cfg)
+		runCheck(sc)
 		return
-	}
-	deliveryRound := -1
-	cfg.OnDeliver = func(t packet.TileID, pk *packet.Packet, round int) {
-		if t == packet.TileID(*dst) && deliveryRound < 0 {
-			deliveryRound = round
-		}
-	}
-	col := &trace.Collector{}
-	if *showTrace {
-		cfg.OnEvent = col.Hook()
-	}
-	var rec *metrics.Recorder
-	if *metricsOut != "" {
-		rec = metrics.NewRecorder(metrics.Config{Rounds: *maxR, Tech: energy.NoCLink025})
-		rec.Install(&cfg)
 	}
 	if *ckptEvery > 0 && *ckptFile == "" {
 		log.Fatal("-checkpoint-every needs -checkpoint-file")
@@ -150,90 +123,106 @@ func main() {
 	if *resumeFrom != "" && *showTrace {
 		log.Fatal("-trace cannot span a resume; drop one of -trace / -resume-from")
 	}
-	meta := sim.CheckpointMeta{Replica: 0, Seed: *seed}
-	var net *core.Network
-	var id packet.MsgID
-	deliveredBeforeResume := false
+	col := &trace.Collector{}
+	if *showTrace {
+		sc.Config.OnEvent = col.Hook()
+	}
+	from := 0 // the round the run starts at: > 0 after a resume
+	h := sim.Hooks{
+		Record: *metricsOut != "",
+		Start: func(t *sim.Trial) {
+			fmt.Printf("gossiping tile %d -> tile %d on a %dx%d NoC (p=%.2f, TTL=%d, Manhattan=%d)\n",
+				*src, *dst, *width, *height, *p, *ttl, grid.Manhattan(sc.Src, sc.Dst))
+			if from = t.Net.Round(); from > 0 {
+				fmt.Printf("resumed from %s at round %d\n", *resumeFrom, from)
+			}
+			if *showViz {
+				fmt.Println(viz.Legend())
+			}
+		},
+		OnRound: func(t *sim.Trial) error {
+			fmt.Printf("round %3d: %2d/%d tiles aware\n", t.Net.Round(), t.Net.Aware(t.Msg), grid.Tiles())
+			if *showViz {
+				fmt.Print(viz.Frame(t.Net, grid, t.Msg, sc.Src, sc.Dst))
+			}
+			if *ckptEvery > 0 && t.Net.Round()%*ckptEvery == 0 {
+				// Engine plus recorder, when one is attached; atomic, so an
+				// interruption mid-save never leaves a torn file.
+				return sim.SaveCheckpoint(*ckptFile, sim.CheckpointMeta{Seed: *seed}, t.Net, t.Rec)
+			}
+			return nil
+		},
+	}
 	if *resumeFrom != "" {
-		f, err := os.Open(*resumeFrom)
-		if err != nil {
-			log.Fatalf("resume: %v", err)
+		h.Resume = func(cfg core.Config, rec *metrics.Recorder) (*core.Network, bool, error) {
+			f, err := os.Open(*resumeFrom)
+			if err != nil {
+				return nil, false, fmt.Errorf("resume: %w", err)
+			}
+			defer f.Close()
+			net, _, err := sim.ReadCheckpoint(f, cfg, rec)
+			if err != nil {
+				return nil, false, fmt.Errorf("resume %s: %w", *resumeFrom, err)
+			}
+			return net, true, nil
 		}
-		net, _, err = sim.ReadCheckpoint(f, cfg, rec)
-		f.Close()
-		if err != nil {
-			log.Fatalf("resume %s: %v", *resumeFrom, err)
-		}
-		// nocsim injects exactly one message before round 1, so the
-		// checkpointed run's message is always ID 1. A delivery that
-		// happened before the checkpoint is visible as destination
-		// awareness, but its round is not replayed.
-		id = 1
-		deliveredBeforeResume = net.AwareAt(id, packet.TileID(*dst))
-	} else {
-		var err error
-		net, err = core.New(cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		id, err = net.Inject(packet.TileID(*src), packet.TileID(*dst), 1, make([]byte, *payload))
-		if err != nil {
-			log.Fatal(err)
-		}
-		if rec != nil {
-			rec.Watch(id)
-		}
+	}
+	t, err := sc.Run(h)
+	if err != nil {
+		log.Fatal(err)
 	}
 
-	fmt.Printf("gossiping tile %d -> tile %d on a %dx%d NoC (p=%.2f, TTL=%d, Manhattan=%d)\n",
-		*src, *dst, *width, *height, *p, *ttl, grid.Manhattan(packet.TileID(*src), packet.TileID(*dst)))
-	if net.Round() > 0 {
-		fmt.Printf("resumed from %s at round %d\n", *resumeFrom, net.Round())
-	}
-	if *showViz {
-		fmt.Println(viz.Legend())
-	}
-	for net.Round() < *maxR && deliveryRound < 0 && !deliveredBeforeResume {
-		net.Step()
-		fmt.Printf("round %3d: %2d/%d tiles aware\n", net.Round(), net.Aware(id), grid.Tiles())
-		if *showViz {
-			fmt.Print(viz.Frame(net, grid, id, packet.TileID(*src), packet.TileID(*dst)))
-		}
-		if *ckptEvery > 0 && net.Round()%*ckptEvery == 0 {
-			// Engine plus recorder, when one is attached; atomic, so an
-			// interruption mid-save never leaves a torn file.
-			if err := sim.SaveCheckpoint(*ckptFile, meta, net, rec); err != nil {
-				log.Fatal(err)
-			}
-		}
-		if net.Quiescent() {
-			break
-		}
-	}
-	c := net.Counters()
+	c := t.Net.Counters()
 	switch {
-	case deliveredBeforeResume:
+	case t.Resumed && t.Delivered == from:
 		fmt.Println("result: delivered before the resume point (round not replayed)")
-	case deliveryRound < 0:
+	case t.Delivered < 0:
 		fmt.Println("result: NOT DELIVERED (every copy was lost or expired)")
 	default:
-		fmt.Printf("result: delivered in round %d\n", deliveryRound)
+		fmt.Printf("result: delivered in round %d\n", t.Delivered)
 	}
 	fmt.Printf("traffic: %d transmissions, %d bits\n", c.Energy.Transmissions, c.Energy.Bits)
-	fmt.Printf("energy (0.25um link): %.3g J\n", c.Energy.EnergyJ(energy.NoCLink025))
+	fmt.Printf("energy (0.25um link): %.3g J\n", c.Energy.EnergyJ(sc.Tech))
 	fmt.Printf("faults: %d upsets detected, %d overflow drops, %d slipped deliveries\n",
 		c.UpsetsDetected, c.OverflowDrops, c.SlippedDeliveries)
 	if *showTrace {
-		fmt.Print(col.Timeline(id))
+		fmt.Print(col.Timeline(t.Msg))
 		if v := col.CheckInvariants(); len(v) > 0 {
 			log.Fatalf("trace invariant violations: %v", v)
 		}
 	}
-	if rec != nil {
-		if err := writeMetrics(*metricsOut, rec); err != nil {
+	if t.Rec != nil {
+		// A one-replica merge: mean = the run's value, n = 1 per round.
+		agg, err := metrics.Merge([]*metrics.TimeSeries{t.Rec.Series()})
+		if err == nil {
+			err = metrics.WriteFile(*metricsOut, agg)
+		}
+		if err != nil {
 			log.Fatalf("metrics: %v", err)
 		}
 		fmt.Printf("metrics: per-round series written to %s\n", *metricsOut)
+	}
+}
+
+// scenario maps the flags onto the experiment they name: the same
+// sim.Scenario a service.JobRequest with the same values gives
+// (TestFlagsMatchJobRequest), plus -shards and -literal-upsets, which a
+// request cannot set.
+func scenario() sim.Scenario {
+	s, d := packet.TileID(*src), packet.TileID(*dst)
+	return sim.Scenario{
+		Config: core.Config{
+			Topo: topology.NewGrid(*width, *height), P: *p, TTL: uint8(*ttl), MaxRounds: *maxR, Seed: *seed,
+			Shards: *shards,
+			Fault: fault.Model{
+				DeadTiles: *deadT, DeadLinks: *deadL,
+				PUpset: *upset, POverflow: *overflow, SigmaSync: *sigma,
+				LiteralUpsets: *literal,
+				Protect:       []packet.TileID{s, d},
+			},
+		},
+		Src: s, Dst: d, Kind: 1, Payload: *payload, Rounds: *maxR,
+		Tech: energy.NoCLink025, StopAtDelivery: true,
 	}
 }
 
@@ -244,7 +233,7 @@ func main() {
 // language, decision procedure and error guarantees are documented in
 // docs/SMC.md). The verdict maps onto the exit status — 0 ACCEPT,
 // 1 REJECT, 2 UNDECIDED — so properties can gate scripts and CI.
-func runCheck(cfg core.Config) {
+func runCheck(sc sim.Scenario) {
 	for name, set := range map[string]bool{
 		"-trace":            *showTrace,
 		"-viz":              *showViz,
@@ -260,14 +249,10 @@ func runCheck(cfg core.Config) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	model := smc.Model{
-		Config:       cfg,
-		Source:       packet.TileID(*src),
-		Dest:         packet.TileID(*dst),
-		Tech:         energy.NoCLink025,
-		PayloadBytes: *payload,
-	}
-	rep, err := smc.Check(prop, model.Replica(prop), smc.CheckConfig{
+	// smc replicates the scenario under derived seeds (it ignores Seed),
+	// injecting kind 0 and running each replica past its delivery.
+	sc.Kind, sc.StopAtDelivery = 0, false
+	rep, err := smc.Check(prop, smc.Model{Scenario: sc}.Replica(prop), smc.CheckConfig{
 		Theta: *theta, Delta: *delta, Alpha: *alpha, Beta: *beta,
 		MaxReplicas: *maxReps, Workers: *workers, Seed: *seed,
 	})
@@ -285,26 +270,4 @@ func runCheck(cfg core.Config) {
 	default:
 		os.Exit(2)
 	}
-}
-
-// writeMetrics exports the single run's series (a one-replica merge, so
-// mean = the run's value and n = 1 per round).
-func writeMetrics(path string, rec *metrics.Recorder) error {
-	agg, err := metrics.Merge([]*metrics.TimeSeries{rec.Series()})
-	if err != nil {
-		return err
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if strings.HasSuffix(path, ".csv") {
-		err = metrics.WriteCSV(f, agg)
-	} else {
-		err = metrics.WriteJSONL(f, agg)
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }

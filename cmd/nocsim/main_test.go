@@ -3,8 +3,11 @@ package main
 import (
 	"flag"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/service"
 )
 
 // flagNames collects every flag registered on the default FlagSet —
@@ -71,5 +74,73 @@ func TestREADMEFlagTableListsEveryFlag(t *testing.T) {
 		if !strings.Contains(table, "`-"+name+"`") {
 			t.Errorf("flag -%s is missing from the README nocsim flag table", name)
 		}
+	}
+}
+
+// setFlags resets every flag to its default and parses args, as a fresh
+// invocation would; the cleanup restores the defaults.
+func setFlags(t *testing.T, args ...string) {
+	t.Helper()
+	reset := func() {
+		flag.CommandLine.VisitAll(func(f *flag.Flag) {
+			if !strings.HasPrefix(f.Name, "test.") {
+				f.Value.Set(f.DefValue)
+			}
+		})
+	}
+	reset()
+	t.Cleanup(reset)
+	if err := flag.CommandLine.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFlagsMatchJobRequest pins that nocsim's flags and a nocsimd
+// JobRequest with the same values name one sim.Scenario — defaults
+// included — so a job is the experiment nocsim runs by construction
+// (service's TestLocalRunEqualsServed pins that the runner then gives
+// the served bytes).
+func TestFlagsMatchJobRequest(t *testing.T) {
+	base := service.JobRequest{Width: 4, Height: 4, Src: 5, Dst: 11, P: 0.5, Seed: 1}
+	with := func(mut func(r *service.JobRequest)) service.JobRequest {
+		r := base
+		mut(&r)
+		return r
+	}
+	cases := []struct {
+		name string
+		args []string
+		req  service.JobRequest
+	}{
+		{"defaults", nil, base},
+		{"dead tiles", []string{"-dead-tiles", "3"}, with(func(r *service.JobRequest) { r.Fault.DeadTiles = 3 })},
+		{"dead links", []string{"-dead-links", "2"}, with(func(r *service.JobRequest) { r.Fault.DeadLinks = 2 })},
+		{"upset", []string{"-upset", "0.1"}, with(func(r *service.JobRequest) { r.Fault.Upset = 0.1 })},
+		{"overflow", []string{"-overflow", "0.05"}, with(func(r *service.JobRequest) { r.Fault.Overflow = 0.05 })},
+		{"sigma", []string{"-sigma", "0.5"}, with(func(r *service.JobRequest) { r.Fault.Sigma = 0.5 })},
+		{"payload", []string{"-payload", "40"}, with(func(r *service.JobRequest) { r.Payload = 40 })},
+		{"max rounds", []string{"-max-rounds", "500"}, with(func(r *service.JobRequest) { r.MaxRounds = 500 })},
+		{"fabric and protocol", []string{"-width", "8", "-height", "8", "-src", "0", "-dst", "63", "-p", "0.3", "-ttl", "64", "-seed", "2003"},
+			service.JobRequest{Width: 8, Height: 8, Src: 0, Dst: 63, P: 0.3, TTL: 64, Seed: 2003}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			setFlags(t, tc.args...)
+			if got, want := scenario(), tc.req.Scenario(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("flags %q give\n%+v\nthe request gives\n%+v", tc.args, got, want)
+			}
+		})
+	}
+
+	// -literal-upsets and -shards have no request field: each changes
+	// only its own Config field.
+	setFlags(t, "-literal-upsets", "-shards", "4")
+	got := scenario()
+	if !got.Config.Fault.LiteralUpsets || got.Config.Shards != 4 {
+		t.Fatalf("-literal-upsets -shards 4 give %+v", got.Config)
+	}
+	got.Config.Fault.LiteralUpsets, got.Config.Shards = false, 0
+	if want := base.Scenario(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("-literal-upsets -shards 4 changed more than their own fields:\n%+v\nwant\n%+v", got, want)
 	}
 }

@@ -109,14 +109,36 @@ func main() {
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	log.Print("draining: rejecting new jobs, finishing accepted ones")
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	shutdown(srv, httpSrv, drainTimeout, shutdownGrace)
+	log.Print("drained; bye")
+}
+
+// The shutdown sequence's bounds: accepted jobs get drainTimeout to
+// finish, and open connections shutdownGrace after that.
+const (
+	drainTimeout  = time.Minute
+	shutdownGrace = 5 * time.Second
+)
+
+// shutdown stops the daemon within drain + grace: it drains accepted jobs
+// until the drain deadline, closes srv (canceling the jobs still queued or
+// running), lets open connections finish for grace, and then closes the
+// ones left. A stream of a job that never ends — one still queued when srv
+// closed — holds its connection until that last step: http.Server.Shutdown
+// does not cancel request contexts.
+func shutdown(srv *service.Server, httpSrv *http.Server, drain, grace time.Duration) {
+	ctx, cancel := context.WithTimeout(context.Background(), drain)
 	defer cancel()
 	if err := srv.Drain(ctx); err != nil {
 		log.Printf("drain: %v", err)
 	}
-	httpSrv.Shutdown(context.Background())
 	srv.Close()
-	log.Print("drained; bye")
+	ctx, cancel = context.WithTimeout(context.Background(), grace)
+	defer cancel()
+	if err := httpSrv.Shutdown(ctx); err != nil {
+		log.Printf("shutdown: %v", err)
+	}
+	httpSrv.Close()
 }
 
 // newHTTPServer fronts srv with connection limits. It sets no
@@ -143,10 +165,7 @@ func runLoadtest(srv *service.Server) int {
 	}
 	httpSrv := newHTTPServer(srv)
 	go httpSrv.Serve(ln)
-	defer func() {
-		httpSrv.Shutdown(context.Background())
-		srv.Close()
-	}()
+	defer shutdown(srv, httpSrv, drainTimeout, shutdownGrace)
 
 	rep, err := service.RunLoad(srv, "http://"+ln.Addr().String(), service.LoadConfig{
 		Duration:      *loadDuration,

@@ -1,10 +1,16 @@
 package main
 
 import (
+	"context"
 	"flag"
+	"net"
+	"net/http"
 	"os"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/service"
 )
 
 // flagNames collects every flag registered on the default FlagSet —
@@ -82,5 +88,69 @@ func TestServiceDocExists(t *testing.T) {
 	}
 	if _, err := os.Stat("../../docs/SERVICE.md"); err != nil {
 		t.Fatalf("main.go references docs/SERVICE.md: %v", err)
+	}
+}
+
+// TestShutdownBoundedWithOpenStreams pins the shutdown sequence's bound:
+// with streams open on a running job and on a queued one, both outliving
+// the drain deadline, shutdown returns within drain + grace and every
+// stream ends. The queued job's stream is the hard case: closing the
+// server cancels the job but never starts it, so its handler waits until
+// its connection is closed.
+func TestShutdownBoundedWithOpenStreams(t *testing.T) {
+	srv, err := service.New(service.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	httpSrv := newHTTPServer(srv)
+	streaming := make(chan struct{})
+	h := httpSrv.Handler
+	httpSrv.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasSuffix(r.URL.Path, "/stream") {
+			streaming <- struct{}{}
+		}
+		h.ServeHTTP(w, r)
+	})
+	go httpSrv.Serve(ln)
+
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	c := service.NewClient("http://"+ln.Addr().String(), nil)
+	ended := make(chan error, 2)
+	for seed := uint64(1); seed <= 2; seed++ {
+		// A message addressed to its own source is never delivered: the
+		// 256x256 flood runs until its TTL runs out: seconds, not the
+		// milliseconds of the drain deadline.
+		sub, err := c.Submit(ctx, service.JobRequest{
+			Width: 256, Height: 256, Src: 32896, Dst: 32896, P: 0.5, TTL: 255, Seed: seed,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() {
+			_, err := c.Stream(ctx, sub.ID, func([]byte) {})
+			ended <- err
+		}()
+		<-streaming
+	}
+
+	const drain, grace = 20 * time.Millisecond, 200 * time.Millisecond
+	t0 := time.Now()
+	shutdown(srv, httpSrv, drain, grace)
+	// The slack covers the running job's last round before it sees the
+	// cancel at its barrier.
+	if took := time.Since(t0); took > drain+grace+time.Second {
+		t.Fatalf("shutdown took %v, want within drain %v + grace %v", took, drain, grace)
+	}
+	for i := 0; i < 2; i++ {
+		select {
+		case <-ended:
+		case <-time.After(5 * time.Second):
+			t.Fatal("a stream is still open after shutdown")
+		}
 	}
 }

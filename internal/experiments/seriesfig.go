@@ -34,57 +34,38 @@ type BroadcastCheckpoints struct {
 
 // broadcastSeriesReplica runs one replica of the canonical broadcast and
 // returns its recorded TimeSeries next to the engine's own Counters, so
-// tests can reconcile the two tallies event for event. With checkpoints
-// configured the replica saves its state periodically and resumes from a
-// prior save; the engine's bit-identical restore guarantees the returned
-// series is the same either way.
+// tests can reconcile the two tallies event for event. The run drains
+// fully (every copy expired), so the TTL-expiry tail is recorded. With
+// checkpoints configured the replica saves its state periodically and
+// resumes from a prior save; the engine's bit-identical restore
+// guarantees the returned series is the same either way.
 func broadcastSeriesReplica(replica int, seed uint64, shards int, ck BroadcastCheckpoints) (*metrics.TimeSeries, core.Counters, error) {
 	g := topology.NewGrid(broadcastSide, broadcastSide)
 	center := g.ID(broadcastSide/2, broadcastSide/2)
-	rec := metrics.NewRecorder(metrics.Config{
-		Rounds: broadcastMaxRounds,
-		Tech:   energy.NoCLink025,
-	})
-	cfg := core.Config{
-		Topo: g, P: 0.5, TTL: broadcastTTL, MaxRounds: broadcastMaxRounds,
-		Seed: seed, Shards: shards,
-		Fault: fault.Model{PUpset: 0.1, POverflow: 0.05, Protect: []packet.TileID{center}},
+	sc := sim.Scenario{
+		Config: core.Config{
+			Topo: g, P: 0.5, TTL: broadcastTTL, MaxRounds: broadcastMaxRounds,
+			Seed: seed, Shards: shards,
+			Fault: fault.Model{PUpset: 0.1, POverflow: 0.05, Protect: []packet.TileID{center}},
+		},
+		Src: center, Dst: packet.Broadcast, Payload: 16,
+		Rounds: broadcastMaxRounds, Tech: energy.NoCLink025,
 	}
-	rec.Install(&cfg)
 	meta := sim.CheckpointMeta{Replica: replica, Seed: seed}
-
-	var net *core.Network
-	resumed := false
+	h := sim.Hooks{
+		Record:  true,
+		OnRound: func(t *sim.Trial) error { return ck.Save.MaybeSave(meta, t.Net, t.Rec) },
+	}
 	if ck.ResumeDir != "" {
-		var err error
-		net, resumed, err = sim.LoadReplica(ck.ResumeDir, meta, cfg, rec)
-		if err != nil {
-			return nil, core.Counters{}, err
+		h.Resume = func(cfg core.Config, rec *metrics.Recorder) (*core.Network, bool, error) {
+			return sim.LoadReplica(ck.ResumeDir, meta, cfg, rec)
 		}
 	}
-	if !resumed {
-		var err error
-		net, err = core.New(cfg)
-		if err != nil {
-			return nil, core.Counters{}, err
-		}
-		id, err := net.Inject(center, packet.Broadcast, 0, make([]byte, 16))
-		if err != nil {
-			return nil, core.Counters{}, err
-		}
-		rec.Watch(id)
+	t, err := sc.Run(h)
+	if err != nil {
+		return nil, core.Counters{}, err
 	}
-	// Run until the broadcast has fully drained (every copy expired), so
-	// the TTL-expiry tail is part of the recorded trajectory. The loop is
-	// Drain(broadcastMaxRounds) unrolled so each round barrier can
-	// checkpoint — and, on resume, it continues from the restored round.
-	for net.Round() < broadcastMaxRounds && !net.Quiescent() {
-		net.Step()
-		if err := ck.Save.MaybeSave(meta, net, rec); err != nil {
-			return nil, core.Counters{}, err
-		}
-	}
-	return rec.Series(), net.Counters(), nil
+	return t.Rec.Series(), t.Net.Counters(), nil
 }
 
 // BroadcastMetrics records the canonical 8×8 broadcast over mc.Replicas

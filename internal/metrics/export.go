@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"os"
 	"strconv"
+	"strings"
 )
 
 // This file holds the exporters. Both formats are byte-stable: series
@@ -13,6 +15,24 @@ import (
 // form), and the merged input is itself deterministic in (Replicas,
 // Seed) — so a JSONL/CSV artifact regenerates byte-identically at any
 // worker count (pinned by TestMetricsExportGolden).
+
+// WriteFile writes a to the file at path: CSV when path ends in .csv,
+// JSONL otherwise.
+func WriteFile(path string, a *Aggregate) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if strings.HasSuffix(path, ".csv") {
+		err = WriteCSV(f, a)
+	} else {
+		err = WriteJSONL(f, a)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
 
 // fmtF renders a float byte-stably.
 func fmtF(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }

@@ -47,8 +47,7 @@ var containerStatus = Status{ID: "j-000001", State: StateDone, Rounds: 1, Delive
 func checkpointFile(t *testing.T) []byte {
 	t.Helper()
 	req := smallJob(1)
-	cfg, _ := req.coreConfig()
-	net, err := core.New(cfg)
+	net, err := core.New(req.Scenario().Config)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,8 +7,10 @@ import (
 	"net/http"
 
 	"repro/internal/core"
+	"repro/internal/energy"
 	"repro/internal/fault"
 	"repro/internal/packet"
+	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
@@ -99,8 +101,8 @@ const (
 )
 
 // JobRequest is the JSON body of POST /v1/jobs: one src→dst gossip
-// simulation on a W×H mesh, the same experiment cmd/nocsim runs once
-// from the command line. Zero-valued optional fields take the
+// simulation on a W×H mesh, the experiment cmd/nocsim runs once from the
+// command line (see Scenario). Zero-valued optional fields take the
 // documented defaults during normalization.
 type JobRequest struct {
 	// Width is the mesh width in tiles (required, >= 1).
@@ -158,9 +160,6 @@ func (r *JobRequest) validate(maxTiles, maxRounds int) *APIError {
 	if r.Src < 0 || r.Src >= tiles || r.Dst < 0 || r.Dst >= tiles {
 		return apiErrorf(ErrInvalidConfig, "src/dst out of range for a %dx%d grid", r.Width, r.Height)
 	}
-	if r.P < 0 || r.P > 1 {
-		return apiErrorf(ErrInvalidConfig, "p = %v out of [0,1]", r.P)
-	}
 	if r.TTL > 255 {
 		return apiErrorf(ErrInvalidConfig, "ttl = %d exceeds 255", r.TTL)
 	}
@@ -173,32 +172,31 @@ func (r *JobRequest) validate(maxTiles, maxRounds int) *APIError {
 	if r.Priority != PriorityInteractive && r.Priority != PriorityBatch {
 		return apiErrorf(ErrInvalidConfig, "priority must be %q or %q", PriorityInteractive, PriorityBatch)
 	}
-	f := r.Fault
-	if f.Upset < 0 || f.Upset > 1 || f.Overflow < 0 || f.Overflow > 1 || f.Sigma < 0 {
-		return apiErrorf(ErrInvalidConfig, "fault probabilities out of range")
-	}
-	if f.DeadTiles < 0 || f.DeadLinks < 0 {
-		return apiErrorf(ErrInvalidConfig, "negative fault counts")
-	}
-	cfg, _ := r.coreConfig()
+	cfg := r.Scenario().Config // checks p and the fault model
 	if err := cfg.Validate(); err != nil {
 		return apiErrorf(ErrInvalidConfig, "%v", err)
 	}
 	return nil
 }
 
-// coreConfig builds the engine configuration the request names. Hooks
-// are left nil — each run (and each resume) installs fresh ones.
-func (r *JobRequest) coreConfig() (core.Config, *topology.Grid) {
-	grid := topology.NewGrid(r.Width, r.Height)
-	return core.Config{
-		Topo: grid, P: r.P, TTL: uint8(r.TTL), MaxRounds: r.MaxRounds, Seed: r.Seed,
-		Fault: fault.Model{
-			DeadTiles: r.Fault.DeadTiles, DeadLinks: r.Fault.DeadLinks,
-			PUpset: r.Fault.Upset, POverflow: r.Fault.Overflow, SigmaSync: r.Fault.Sigma,
-			Protect: []packet.TileID{packet.TileID(r.Src), packet.TileID(r.Dst)},
+// Scenario is the experiment the request names, defaults filled: the
+// sim.Scenario cmd/nocsim builds from the same flag values.
+func (r *JobRequest) Scenario() sim.Scenario {
+	c := *r
+	c.normalize()
+	src, dst := packet.TileID(c.Src), packet.TileID(c.Dst)
+	return sim.Scenario{
+		Config: core.Config{
+			Topo: topology.NewGrid(c.Width, c.Height), P: c.P, TTL: uint8(c.TTL), MaxRounds: c.MaxRounds, Seed: c.Seed,
+			Fault: fault.Model{
+				DeadTiles: c.Fault.DeadTiles, DeadLinks: c.Fault.DeadLinks,
+				PUpset: c.Fault.Upset, POverflow: c.Fault.Overflow, SigmaSync: c.Fault.Sigma,
+				Protect: []packet.TileID{src, dst},
+			},
 		},
-	}, grid
+		Src: src, Dst: dst, Kind: 1, Payload: c.Payload, Rounds: c.MaxRounds,
+		Tech: energy.NoCLink025, StopAtDelivery: true,
+	}
 }
 
 // Key derives the request's content-addressed result identity: the seed

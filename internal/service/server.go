@@ -35,9 +35,7 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/energy"
 	"repro/internal/metrics"
-	"repro/internal/packet"
 	"repro/internal/sim"
 )
 
@@ -288,65 +286,26 @@ func (s *Server) unindex(j *Job) {
 	s.mu.Unlock()
 }
 
-// runJob executes (or resumes) one job on the calling worker until it
-// completes, is canceled, or yields to preemption.
+// runJob runs (or resumes) the job's sim.Scenario on the calling worker
+// until it completes, is canceled, or yields to preemption.
 func (s *Server) runJob(j *Job, resume bool) {
-	req := j.Req
-	cfg, _ := req.coreConfig()
-	delivered := -1
-	cfg.OnDeliver = func(t packet.TileID, p *packet.Packet, round int) {
-		if t == packet.TileID(req.Dst) && delivered < 0 {
-			delivered = round
-		}
-	}
-	rec := metrics.NewRecorder(metrics.Config{Rounds: req.MaxRounds, Tech: energy.NoCLink025})
-	rec.Install(&cfg)
-	meta := sim.CheckpointMeta{Replica: j.num, Seed: req.Seed}
-
-	var net *core.Network
-	if resume {
-		n, ok, err := sim.LoadReplica(s.ck.Dir, meta, cfg, rec)
-		if err != nil {
-			s.fail(j, apiErrorf(ErrInternal, "resume: %v", err))
-			return
-		}
-		if ok {
-			net = n
-			s.resumes.Add(1)
-			// The watched message is always ID 1 (one Inject before round
-			// 1). Its delivery cannot predate the checkpoint — the loop
-			// checks completion before it ever yields — but guard anyway.
-			if net.AwareAt(1, packet.TileID(req.Dst)) {
-				delivered = net.Round()
+	meta := sim.CheckpointMeta{Replica: j.num, Seed: j.Req.Seed}
+	var str *metrics.Streamer
+	h := sim.Hooks{
+		Record: true,
+		Start: func(t *sim.Trial) {
+			if t.Resumed {
+				s.resumes.Add(1)
+			} else {
+				s.simulations.Add(1)
 			}
-		}
-	}
-	if net == nil {
-		n, err := core.New(cfg)
-		if err != nil {
-			s.fail(j, apiErrorf(ErrInternal, "engine: %v", err))
-			return
-		}
-		id, err := n.Inject(packet.TileID(req.Src), packet.TileID(req.Dst), 1, make([]byte, req.Payload))
-		if err != nil {
-			s.fail(j, apiErrorf(ErrInternal, "inject: %v", err))
-			return
-		}
-		rec.Watch(id)
-		net = n
-		s.simulations.Add(1)
-	}
-
-	str := metrics.NewStreamer(rec)
-	if !resume {
-		j.appendLine(str.RoundLine(0)) // round 0: the pre-run injection
-	}
-	loop := sim.Loop{
-		Net: net, MaxRounds: req.MaxRounds,
-		Done: func(*core.Network) bool { return delivered >= 0 },
+			str = metrics.NewStreamer(t.Rec)
+			if !resume {
+				j.appendLine(str.RoundLine(0)) // round 0: the pre-run injection
+			}
+		},
 		Barrier: func(*core.Network) sim.BarrierOp {
-			cancel, yield := j.ctl()
-			switch {
+			switch cancel, yield := j.ctl(); {
 			case cancel:
 				return sim.OpCancel
 			case yield:
@@ -354,17 +313,29 @@ func (s *Server) runJob(j *Job, resume bool) {
 			}
 			return sim.OpContinue
 		},
-		OnRound: func(n *core.Network) {
-			j.appendLine(str.RoundLine(n.Round()))
+		OnRound: func(t *sim.Trial) error {
+			j.appendLine(str.RoundLine(t.Net.Round()))
 			if h := s.opts.roundHook; h != nil {
-				h(j.ID, n.Round())
+				h(j.ID, t.Net.Round())
 			}
+			return nil
 		},
 	}
+	if resume {
+		h.Resume = func(cfg core.Config, rec *metrics.Recorder) (*core.Network, bool, error) {
+			return sim.LoadReplica(s.ck.Dir, meta, cfg, rec)
+		}
+	}
+	sc := j.Req.Scenario()
+	t, err := sc.Run(h)
+	if err != nil {
+		s.fail(j, apiErrorf(ErrInternal, "run: %v", err))
+		return
+	}
 
-	switch st := loop.Run(); st {
+	switch t.Status {
 	case sim.LoopYielded:
-		if err := s.ck.Save(meta, net, rec); err != nil {
+		if err := s.ck.Save(meta, t.Net, t.Rec); err != nil {
 			s.fail(j, apiErrorf(ErrInternal, "preempt checkpoint: %v", err))
 			return
 		}
@@ -378,12 +349,12 @@ func (s *Server) runJob(j *Job, resume bool) {
 		s.ck.Remove(j.num)
 		s.finishCanceled(j)
 	default: // LoopDone, LoopBudget, LoopQuiescent: a terminal run outcome
-		c := net.Counters()
+		c := t.Net.Counters()
 		status := Status{
-			ID: j.ID, State: StateDone, Priority: req.Priority,
-			Rounds: net.Round(), DeliveredRound: delivered,
+			ID: j.ID, State: StateDone, Priority: j.Req.Priority,
+			Rounds: t.Net.Round(), DeliveredRound: t.Delivered,
 			Transmissions: c.Energy.Transmissions,
-			EnergyJ:       c.Energy.EnergyJ(energy.NoCLink025),
+			EnergyJ:       c.Energy.EnergyJ(sc.Tech),
 			Preempts:      j.currentStatus().Preempts,
 		}
 		// Once the entry is written it is the result's only copy. A failed

@@ -1,0 +1,128 @@
+package sim
+
+import (
+	"repro/internal/core"
+	"repro/internal/energy"
+	"repro/internal/metrics"
+	"repro/internal/packet"
+)
+
+// Scenario is the paper's basic experiment: one message gossiped from Src
+// to Dst under the Chapter 2 fault model. cmd/nocsim, the nocsimd job
+// runner, smc.Model and the Fig. 3-3 metrics study all run it through
+// Run; the values they differ in are fields.
+type Scenario struct {
+	// Config is the fabric, protocol knobs, fault model and seed. Its
+	// hooks stay (the recorder chains after them) but for OnDeliver.
+	Config core.Config
+	// Src and Dst are the injecting tile and the destination tile (or
+	// packet.Broadcast).
+	Src, Dst packet.TileID
+	// Kind is the injected message's kind.
+	Kind packet.Kind
+	// Payload is the payload size in bytes.
+	Payload int
+	// Rounds is the round budget and the recorder's preallocation; unlike
+	// Config.MaxRounds it is not part of the checkpoint digest.
+	Rounds int
+	// Tech prices the recorder's energy series.
+	Tech energy.Technology
+	// StopAtDelivery ends the run at the first delivery to Dst. Only then
+	// is a delivery watch installed: an OnDeliver hook costs a heap copy
+	// per delivery.
+	StopAtDelivery bool
+}
+
+// Hooks are what one Run adds to a Scenario. The zero value runs it bare.
+type Hooks struct {
+	// Record attaches a metrics.Recorder watching the message.
+	Record bool
+	// Resume, if set, restores the run from a checkpoint (cfg and rec as
+	// LoadReplica takes them); ok = false starts it fresh.
+	Resume func(cfg core.Config, rec *metrics.Recorder) (net *core.Network, ok bool, err error)
+	// Start, if set, sees the trial once it is built or restored.
+	Start func(t *Trial)
+	// Barrier, if set, is the Loop's control check.
+	Barrier func(n *core.Network) BarrierOp
+	// OnRound, if set, runs after every round; an error ends the run and
+	// is returned by Run.
+	OnRound func(t *Trial) error
+}
+
+// Trial is one run of a Scenario.
+type Trial struct {
+	// Net is the network, at the barrier where the run stopped.
+	Net *core.Network
+	// Rec is the recorder, nil without Hooks.Record.
+	Rec *metrics.Recorder
+	// Msg is the message under study.
+	Msg packet.MsgID
+	// Resumed reports a run continued from a checkpoint.
+	Resumed bool
+	// Delivered is the first delivery round at Dst, or -1; watched only
+	// with StopAtDelivery.
+	Delivered int
+	// Status is why the run stopped.
+	Status LoopStatus
+}
+
+// Run builds the network and recorder, injects the message or resumes it
+// through h.Resume, and drives it with a Loop. A fresh network that is
+// quiescent before its first round (a dead source) stops there with
+// LoopQuiescent, where the Loop alone would run one round.
+func (s Scenario) Run(h Hooks) (*Trial, error) {
+	t := &Trial{Delivered: -1}
+	cfg := s.Config
+	if s.StopAtDelivery {
+		cfg.OnDeliver = func(tile packet.TileID, _ *packet.Packet, round int) {
+			if tile == s.Dst && t.Delivered < 0 {
+				t.Delivered = round
+			}
+		}
+	}
+	if h.Record {
+		t.Rec = metrics.NewRecorder(metrics.Config{Rounds: s.Rounds, Tech: s.Tech})
+		t.Rec.Install(&cfg)
+	}
+	var err error
+	ok := false
+	if h.Resume != nil {
+		if t.Net, ok, err = h.Resume(cfg, t.Rec); err != nil {
+			return nil, err
+		}
+	}
+	if ok {
+		// One message is injected before round 1: ID 1. A delivery before the
+		// checkpoint shows as Dst's awareness (the source's needs none).
+		t.Msg, t.Resumed = 1, true
+		if s.StopAtDelivery && s.Src != s.Dst && t.Net.AwareAt(t.Msg, s.Dst) {
+			t.Delivered = t.Net.Round()
+		}
+	} else {
+		if t.Net, err = core.New(cfg); err != nil {
+			return nil, err
+		}
+		if t.Msg, err = t.Net.Inject(s.Src, s.Dst, s.Kind, make([]byte, s.Payload)); err != nil {
+			return nil, err
+		}
+		if t.Rec != nil {
+			t.Rec.Watch(t.Msg)
+		}
+	}
+	if h.Start != nil {
+		h.Start(t)
+	}
+	if t.Net.Round() == 0 && t.Net.Quiescent() {
+		t.Status = LoopQuiescent
+		return t, nil
+	}
+	loop := Loop{
+		Net: t.Net, MaxRounds: s.Rounds, Barrier: h.Barrier,
+		Done: func(*core.Network) bool { return t.Delivered >= 0 || err != nil },
+	}
+	if h.OnRound != nil {
+		loop.OnRound = func(*core.Network) { err = h.OnRound(t) }
+	}
+	t.Status = loop.Run()
+	return t, err
+}

@@ -1,0 +1,179 @@
+package sim
+
+import (
+	"bytes"
+	"errors"
+	"reflect"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/energy"
+	"repro/internal/fault"
+	"repro/internal/metrics"
+	"repro/internal/packet"
+	"repro/internal/topology"
+)
+
+// unicastScenario is nocsim's default experiment on an 8x8 mesh: corner
+// to corner, kind 1, stopping at delivery.
+func unicastScenario(seed uint64) Scenario {
+	return Scenario{
+		Config: core.Config{
+			Topo: topology.NewGrid(8, 8), P: 0.4, TTL: 64, MaxRounds: 200, Seed: seed,
+			Fault: fault.Model{PUpset: 0.1, Protect: []packet.TileID{0, 63}},
+		},
+		Src: 0, Dst: 63, Kind: 1, Payload: 16, Rounds: 200,
+		Tech: energy.NoCLink025, StopAtDelivery: true,
+	}
+}
+
+func TestScenarioStopsAtDelivery(t *testing.T) {
+	tr, err := unicastScenario(3).Run(Hooks{Record: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Status != LoopDone || tr.Delivered != tr.Net.Round() || tr.Delivered < 14 {
+		t.Fatalf("status %v, delivered %d at round %d; want done in the delivery round, >= 14 hops",
+			tr.Status, tr.Delivered, tr.Net.Round())
+	}
+	if tr.Msg != 1 || tr.Resumed || tr.Rec.Rounds() != tr.Net.Round() {
+		t.Fatalf("msg %d, resumed %v, recorded %d rounds of %d", tr.Msg, tr.Resumed, tr.Rec.Rounds(), tr.Net.Round())
+	}
+}
+
+// TestScenarioRunsPastDeliveryUnlessStopping pins the other half of
+// StopAtDelivery: without it no delivery watch is installed (Delivered
+// stays -1) and the run goes on to quiescence.
+func TestScenarioRunsPastDeliveryUnlessStopping(t *testing.T) {
+	sc := unicastScenario(3)
+	sc.StopAtDelivery = false
+	tr, err := sc.Run(Hooks{Record: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Status != LoopQuiescent || tr.Delivered != -1 {
+		t.Fatalf("status %v, delivered %d; want quiescent and -1", tr.Status, tr.Delivered)
+	}
+	if d := tr.Rec.Total(metrics.Deliveries); d != 1 {
+		t.Fatalf("recorded %d deliveries, want 1", d)
+	}
+}
+
+// TestScenarioDeadSourceQuiescentAtRoundZero: Loop checks quiescence
+// only after a round, so Run stops a fresh network with nothing to run
+// itself — no round executes.
+func TestScenarioDeadSourceQuiescentAtRoundZero(t *testing.T) {
+	sc := unicastScenario(1)
+	sc.Config.Fault = fault.Model{PTileCrash: 1} // the source too: nothing protected
+	rounds := 0
+	tr, err := sc.Run(Hooks{Record: true, OnRound: func(*Trial) error { rounds++; return nil }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Status != LoopQuiescent || tr.Net.Round() != 0 || rounds != 0 {
+		t.Fatalf("status %v at round %d after %d hooks, want quiescent at round 0", tr.Status, tr.Net.Round(), rounds)
+	}
+}
+
+// TestScenarioResumeByteIdentical yields a run at a barrier, checkpoints
+// it, resumes it through Hooks.Resume and compares it with the straight
+// run: same recorder state, same counters, same delivery round.
+func TestScenarioResumeByteIdentical(t *testing.T) {
+	sc := unicastScenario(5)
+	straight, err := sc.Run(Hooks{Record: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	yield := Hooks{Record: true, Barrier: func(n *core.Network) BarrierOp {
+		if n.Round() == 6 {
+			return OpYield
+		}
+		return OpContinue
+	}}
+	first, err := sc.Run(yield)
+	if err != nil || first.Status != LoopYielded {
+		t.Fatalf("status %v (err %v), want yielded", first.Status, err)
+	}
+	var ckpt bytes.Buffer
+	if err := WriteCheckpoint(&ckpt, CheckpointMeta{Seed: 5}, first.Net, first.Rec); err != nil {
+		t.Fatal(err)
+	}
+	var started int
+	resumed, err := sc.Run(Hooks{
+		Record: true,
+		Resume: func(cfg core.Config, rec *metrics.Recorder) (*core.Network, bool, error) {
+			net, _, err := ReadCheckpoint(&ckpt, cfg, rec)
+			return net, err == nil, err
+		},
+		Start: func(tr *Trial) { started = tr.Net.Round() },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !resumed.Resumed || started != 6 || resumed.Msg != 1 {
+		t.Fatalf("resumed %v at round %d, msg %d; want a resume at round 6 of message 1", resumed.Resumed, started, resumed.Msg)
+	}
+	if resumed.Delivered != straight.Delivered || resumed.Net.Counters() != straight.Net.Counters() {
+		t.Fatalf("resumed run delivered %d with %+v; straight %d with %+v",
+			resumed.Delivered, resumed.Net.Counters(), straight.Delivered, straight.Net.Counters())
+	}
+	if !reflect.DeepEqual(resumed.Rec.Series(), straight.Rec.Series()) {
+		t.Fatal("resumed series differs from the straight run's")
+	}
+}
+
+// TestScenarioResumeDeliveredBeforeCheckpoint: a delivery the
+// checkpoint already holds ends the resumed run at once, reported at the
+// checkpoint's round — unless Dst is the source, which knows its own
+// message without a delivery.
+func TestScenarioResumeDeliveredBeforeCheckpoint(t *testing.T) {
+	for _, self := range []bool{false, true} {
+		sc := unicastScenario(5)
+		if self {
+			sc.Dst = sc.Src
+			sc.Config.Fault.Protect = []packet.TileID{sc.Src}
+		}
+		straight, err := sc.Run(Hooks{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if self && straight.Delivered != -1 {
+			t.Fatalf("self-addressed run delivered at round %d", straight.Delivered)
+		}
+		var ckpt bytes.Buffer
+		end := straight.Net.Round()
+		if err := WriteCheckpoint(&ckpt, CheckpointMeta{}, straight.Net, nil); err != nil {
+			t.Fatal(err)
+		}
+		sc.Rounds = end + 10
+		resumed, err := sc.Run(Hooks{Resume: func(cfg core.Config, _ *metrics.Recorder) (*core.Network, bool, error) {
+			net, _, err := ReadCheckpoint(&ckpt, cfg, nil)
+			return net, err == nil, err
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case !self && (resumed.Status != LoopDone || resumed.Delivered != end || resumed.Net.Round() != end):
+			t.Fatalf("status %v, delivered %d at round %d; want done, delivered at the checkpoint's round %d",
+				resumed.Status, resumed.Delivered, resumed.Net.Round(), end)
+		case self && (resumed.Delivered != -1 || resumed.Status == LoopDone):
+			t.Fatalf("self-addressed resume: status %v, delivered %d; want never delivered", resumed.Status, resumed.Delivered)
+		}
+	}
+}
+
+// TestScenarioOnRoundErrorStops: an OnRound error ends the run at that
+// round's barrier and is returned.
+func TestScenarioOnRoundErrorStops(t *testing.T) {
+	boom := errors.New("boom")
+	tr, err := unicastScenario(2).Run(Hooks{OnRound: func(tr *Trial) error {
+		if tr.Net.Round() == 3 {
+			return boom
+		}
+		return nil
+	}})
+	if !errors.Is(err, boom) || tr.Net.Round() != 3 {
+		t.Fatalf("err %v at round %d; want boom at round 3", err, tr.Net.Round())
+	}
+}

@@ -7,48 +7,42 @@ import (
 	"repro/internal/energy"
 	"repro/internal/metrics"
 	"repro/internal/packet"
+	"repro/internal/sim"
 )
 
-// Model describes the simulated system a property is checked against:
-// one message injected into a configured fabric, its trajectory
-// recorded round by round with a metrics.Recorder. Model.Replica turns
-// it into the Replica function Check and the CLI drive.
+// Model is the simulated system a property is checked against: a
+// sim.Scenario run once per replica, its trajectory recorded round by
+// round. Model.Replica turns it into the Replica function Check and the
+// CLI drive.
 type Model struct {
-	// Config is the engine configuration shared by every replica. Its
-	// Seed is ignored — each replica runs under its own derived seed —
-	// and its hook fields must be nil (the model installs the metrics
-	// recorder; replicas sharing user hooks would race).
-	Config core.Config
-	// Source is the tile the message is injected at.
-	Source packet.TileID
-	// Dest is the destination: packet.Broadcast for a broadcast (the
-	// aware(f) predicates), or a concrete tile for unicast (the
-	// delivered predicates).
-	Dest packet.TileID
-	// Tech supplies the J/bit constant for the energy predicate; the
-	// zero value records zero joules.
-	Tech energy.Technology
-	// PayloadBytes sizes the injected payload; 0 defaults to 16 (the
-	// canonical instrumented-broadcast payload).
-	PayloadBytes int
+	// Scenario is the experiment: Config.Seed is ignored (each replica
+	// has its own), hooks must be nil (replicas would race), and Rounds
+	// bounds the properties without a horizon. Broadcast feeds aware(f),
+	// a unicast Dst the delivered predicates; models inject kind 0 and run
+	// past the delivery, so the properties see the whole trajectory.
+	Scenario sim.Scenario
 }
 
-// BroadcastModel is the common case: a broadcast injected at source
-// into an otherwise default-hooked fabric.
+// BroadcastModel is the common case: a 16-byte broadcast injected at
+// source, bounded by cfg.MaxRounds (the engine's 10 000 when zero).
 func BroadcastModel(cfg core.Config, source packet.TileID, tech energy.Technology) Model {
-	return Model{Config: cfg, Source: source, Dest: packet.Broadcast, Tech: tech}
+	rounds := cfg.MaxRounds
+	if rounds <= 0 {
+		rounds = 10000 // the engine's own MaxRounds default
+	}
+	return Model{sim.Scenario{Config: cfg, Src: source, Dst: packet.Broadcast, Payload: 16, Rounds: rounds, Tech: tech}}
 }
 
 // Replica builds the per-trajectory evaluator for prop: each call
 // simulates one fresh network under the given seed up to the property's
-// horizon (or to quiescence / Config.MaxRounds for unbounded
+// horizon (or to quiescence / Scenario.Rounds for unbounded
 // properties) and evaluates prop on the recorded series. The returned
 // function is safe for concurrent calls — every invocation builds its
 // own network and recorder.
 func (m Model) Replica(prop Property) Replica {
 	horizon := prop.Horizon()
 	return func(_ int, seed uint64) (bool, error) {
-		ts, err := m.run(seed, horizon)
+		ts, err := m.Run(seed, horizon)
 		if err != nil {
 			return false, err
 		}
@@ -57,41 +51,24 @@ func (m Model) Replica(prop Property) Replica {
 }
 
 // Run simulates a single trajectory under seed up to horizon rounds
-// (NoHorizon: to quiescence or Config.MaxRounds) and returns its
+// (NoHorizon: to quiescence or Scenario.Rounds) and returns its
 // recorded series — the raw material Property.Eval consumes. Round 0 of
 // every series is the pre-run state; the engine's rounds land at
 // indices 1… .
 func (m Model) Run(seed uint64, horizon int) (*metrics.TimeSeries, error) {
-	return m.run(seed, horizon)
+	t, err := m.scenario(seed, horizon).Run(sim.Hooks{Record: true})
+	if err != nil {
+		return nil, fmt.Errorf("smc: model: %w", err)
+	}
+	return t.Rec.Series(), nil
 }
 
-func (m Model) run(seed uint64, horizon int) (*metrics.TimeSeries, error) {
-	cfg := m.Config
-	cfg.Seed = seed
-	bound := cfg.MaxRounds
-	if bound <= 0 {
-		bound = 10000 // the engine's own MaxRounds default
+// scenario is the model's experiment under seed, bounded by horizon.
+func (m Model) scenario(seed uint64, horizon int) sim.Scenario {
+	s := m.Scenario
+	s.Config.Seed = seed
+	if horizon != NoHorizon && horizon < s.Rounds {
+		s.Rounds = horizon
 	}
-	if horizon != NoHorizon && horizon < bound {
-		bound = horizon
-	}
-	rec := metrics.NewRecorder(metrics.Config{Rounds: bound, Tech: m.Tech})
-	rec.Install(&cfg)
-	net, err := core.New(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("smc: model: %w", err)
-	}
-	payload := m.PayloadBytes
-	if payload <= 0 {
-		payload = 16
-	}
-	id, err := net.Inject(m.Source, m.Dest, 0, make([]byte, payload))
-	if err != nil {
-		return nil, fmt.Errorf("smc: model: %w", err)
-	}
-	rec.Watch(id)
-	for net.Round() < bound && !net.Quiescent() {
-		net.Step()
-	}
-	return rec.Series(), nil
+	return s
 }

@@ -5,8 +5,10 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/packet"
 	"repro/internal/rng"
+	"repro/internal/sim"
 )
 
 // Score maps a running trajectory to its progress toward the rare
@@ -37,7 +39,7 @@ type SplitConfig struct {
 	Effort int
 	// Horizon is the round budget per trajectory; a trajectory that
 	// neither crosses the next level nor can still progress (quiescent)
-	// within it counts as a miss. 0 defaults to the model's MaxRounds.
+	// within it counts as a miss. 0 defaults to the model's Rounds.
 	Horizon int
 	// Seed is the master seed. The estimate is deterministic in Seed
 	// and the configuration: stage seeds and fork seeds all derive from
@@ -75,7 +77,6 @@ func (r SplitResult) String() string {
 type branch struct {
 	state    []byte
 	rootSeed uint64
-	msg      packet.MsgID
 }
 
 // Split estimates the probability of a rare trajectory event by
@@ -109,10 +110,7 @@ func Split(model Model, score Score, cfg SplitConfig) (SplitResult, error) {
 	}
 	horizon := cfg.Horizon
 	if horizon <= 0 {
-		horizon = model.Config.MaxRounds
-	}
-	if horizon <= 0 {
-		horizon = 10000
+		horizon = model.Scenario.Rounds
 	}
 
 	res := SplitResult{
@@ -126,17 +124,11 @@ func Split(model Model, score Score, cfg SplitConfig) (SplitResult, error) {
 		stage := root.Split(uint64(l) + 1)
 		var crossed []branch
 		for j := 0; j < effort; j++ {
-			seed := stage.Split(uint64(j) + 1).Uint64()
-			var (
-				b   branch
-				hit bool
-				err error
-			)
-			if l == 0 {
-				b, hit, err = model.rootTrajectory(seed, score, level, horizon)
-			} else {
-				b, hit, err = model.forkTrajectory(parents[j%len(parents)], seed, score, level, horizon)
+			var parent *branch
+			if l > 0 {
+				parent = &parents[j%len(parents)]
 			}
+			b, hit, err := model.trajectory(parent, stage.Split(uint64(j)+1).Uint64(), score, level, horizon)
 			if err != nil {
 				return SplitResult{}, err
 			}
@@ -157,47 +149,36 @@ func Split(model Model, score Score, cfg SplitConfig) (SplitResult, error) {
 	return res, nil
 }
 
-// rootTrajectory starts a fresh stage-0 trajectory under seed and runs
-// it toward level.
-func (m Model) rootTrajectory(seed uint64, sc Score, level float64, horizon int) (branch, bool, error) {
-	cfg := m.Config
-	cfg.Seed = seed
-	net, err := core.New(cfg)
+// trajectory runs a fresh root under seed, or a fork of parent reseeded
+// with seed, toward level. The scenario runs no round itself (a zero
+// budget): advance, which stops on a score crossing, steps it.
+func (m Model) trajectory(parent *branch, seed uint64, sc Score, level float64, horizon int) (branch, bool, error) {
+	b, h := branch{rootSeed: seed}, sim.Hooks{}
+	if parent != nil {
+		b.rootSeed = parent.rootSeed
+		h.Resume = func(cfg core.Config, _ *metrics.Recorder) (*core.Network, bool, error) {
+			net, err := core.Restore(bytes.NewReader(parent.state), cfg)
+			return net, err == nil, err
+		}
+	}
+	t, err := m.scenario(b.rootSeed, 0).Run(h)
 	if err != nil {
 		return branch{}, false, fmt.Errorf("smc: split: %w", err)
 	}
-	payload := m.PayloadBytes
-	if payload <= 0 {
-		payload = 16
+	if parent != nil {
+		t.Net.Reseed(seed)
 	}
-	msg, err := net.Inject(m.Source, m.Dest, 0, make([]byte, payload))
-	if err != nil {
-		return branch{}, false, fmt.Errorf("smc: split: %w", err)
-	}
-	return m.advance(net, branch{rootSeed: seed, msg: msg}, level, horizon, sc)
-}
-
-// forkTrajectory restores a parent crossing and continues it under a
-// fresh fork seed toward level.
-func (m Model) forkTrajectory(parent branch, forkSeed uint64, sc Score, level float64, horizon int) (branch, bool, error) {
-	cfg := m.Config
-	cfg.Seed = parent.rootSeed
-	net, err := core.Restore(bytes.NewReader(parent.state), cfg)
-	if err != nil {
-		return branch{}, false, fmt.Errorf("smc: split: restore fork: %w", err)
-	}
-	net.Reseed(forkSeed)
-	return m.advance(net, branch{rootSeed: parent.rootSeed, msg: parent.msg}, level, horizon, sc)
+	return m.advance(t.Net, t.Msg, b, level, horizon, sc)
 }
 
 // advance steps net until its score reaches level (snapshotting the
 // crossing state into b) or the horizon/quiescence ends the trajectory.
-func (m Model) advance(net *core.Network, b branch, level float64, horizon int, sc Score) (branch, bool, error) {
+func (m Model) advance(net *core.Network, msg packet.MsgID, b branch, level float64, horizon int, sc Score) (branch, bool, error) {
 	if sc == nil {
 		sc = AwareScore
 	}
 	for {
-		if sc(net, b.msg) >= level {
+		if sc(net, msg) >= level {
 			var buf bytes.Buffer
 			if err := net.Snapshot(&buf); err != nil {
 				return branch{}, false, fmt.Errorf("smc: split: snapshot: %w", err)
