@@ -167,15 +167,12 @@ type Config struct {
 	// expiries) — the hook packages trace and metrics build timelines and
 	// per-round series on. Leaving it nil costs nothing.
 	OnEvent func(Event)
-	// Observer, if set, is called at the end of every round. It is the
-	// application-level hook (completion predicates, ad-hoc probes);
-	// instrumentation should use OnRoundEnd so both can coexist.
-	Observer func(round int, n *Network)
 	// OnRoundEnd, if set, is called as the very last action of every
-	// Step, after Observer — the per-round flush hook the metrics
+	// Step, at the round barrier — the per-round flush hook the metrics
 	// recorder samples end-of-round state on (aware-tile counts, energy
-	// deltas). round is the 1-based index of the round that just
-	// executed. Leaving it nil costs nothing.
+	// deltas); metrics.Recorder.Install chains it after any hook already
+	// set. round is the 1-based index of the round that just executed.
+	// Leaving it nil costs nothing.
 	OnRoundEnd func(round int, n *Network)
 }
 
@@ -600,7 +597,7 @@ func (n *Network) Process(t packet.TileID) Process { return n.tiles[t].process()
 func (n *Network) Injector() *fault.Injector { return n.inj }
 
 // Round returns the index of the round about to execute (or just
-// executed, from within an Observer).
+// executed, from within OnRoundEnd).
 func (n *Network) Round() int { return n.round }
 
 // Counters returns a snapshot of the run's counters.
@@ -683,9 +680,6 @@ func (n *Network) Step() {
 		// Expired-everywhere messages can be retired before observers
 		// sample the round (they see ledgered Aware counts, same values).
 		n.retireExpired()
-	}
-	if n.cfg.Observer != nil {
-		n.cfg.Observer(n.round, n)
 	}
 	if n.cfg.OnRoundEnd != nil {
 		n.cfg.OnRoundEnd(n.round, n)

@@ -515,37 +515,15 @@ func TestDeliveryExactlyOnce(t *testing.T) {
 	}
 }
 
-func TestObserverCalledEveryRound(t *testing.T) {
-	g := topology.NewGrid(2, 2)
-	calls := 0
-	cfg := baseCfg(g, 0.5)
-	cfg.Observer = func(round int, n *Network) {
-		calls++
-		if round != calls {
-			t.Fatalf("observer round %d on call %d", round, calls)
-		}
-	}
-	n := mustNet(t, cfg)
-	for i := 0; i < 4; i++ {
-		n.Step()
-	}
-	if calls != 4 {
-		t.Fatalf("observer called %d times", calls)
-	}
-}
-
 func TestOnRoundEndCalledEveryRound(t *testing.T) {
 	g := topology.NewGrid(2, 2)
 	calls := 0
 	cfg := baseCfg(g, 0.5)
-	order := []string{}
-	cfg.Observer = func(round int, n *Network) { order = append(order, "observer") }
 	cfg.OnRoundEnd = func(round int, n *Network) {
 		calls++
-		if round != calls {
-			t.Fatalf("OnRoundEnd round %d on call %d", round, calls)
+		if round != calls || n.Round() != round {
+			t.Fatalf("OnRoundEnd round %d (network at %d) on call %d", round, n.Round(), calls)
 		}
-		order = append(order, "roundEnd")
 	}
 	n := mustNet(t, cfg)
 	for i := 0; i < 4; i++ {
@@ -553,13 +531,6 @@ func TestOnRoundEndCalledEveryRound(t *testing.T) {
 	}
 	if calls != 4 {
 		t.Fatalf("OnRoundEnd called %d times", calls)
-	}
-	// OnRoundEnd is the very last action of Step: it must run after the
-	// application-level Observer every round.
-	for i := 0; i < len(order); i += 2 {
-		if order[i] != "observer" || order[i+1] != "roundEnd" {
-			t.Fatalf("hook order %v: want Observer then OnRoundEnd each round", order)
-		}
 	}
 }
 

@@ -78,11 +78,12 @@ func TestPackagesHaveDocComment(t *testing.T) {
 
 // docIdentRe matches qualified identifier citations in the docs —
 // `pkg.Exported` with an optional method or field selector.
-var docIdentRe = regexp.MustCompile(`\b(core|sim|metrics|trace|smc|stats|gossip|rng|packet|topology|energy|fault|service)\.([A-Z][A-Za-z0-9]*)`)
+var docIdentRe = regexp.MustCompile(`\b(core|sim|metrics|trace|smc|stats|gossip|rng|packet|topology|energy|fault|service)\.([A-Z][A-Za-z0-9]*)(?:\.([A-Za-z_][A-Za-z0-9_]*))?`)
 
 // TestSMCDocReferencesExist cross-checks docs/SMC.md against the code:
 // every `pkg.Identifier` the document cites must exist as an exported
-// declaration of that package, so the reference cannot rot silently
+// declaration of that package, and every `pkg.Type.Member` must name a
+// field or method of that type, so the reference cannot rot silently
 // when an API is renamed.
 func TestSMCDocReferencesExist(t *testing.T) {
 	auditDocReferences(t, "../../docs/SMC.md")
@@ -94,32 +95,88 @@ func TestServiceDocReferencesExist(t *testing.T) {
 	auditDocReferences(t, "../../docs/SERVICE.md")
 }
 
+// TestObservabilityDocReferencesExist applies the same link check to
+// docs/OBSERVABILITY.md, the hook and recorder reference.
+func TestObservabilityDocReferencesExist(t *testing.T) {
+	auditDocReferences(t, "../../docs/OBSERVABILITY.md")
+}
+
 // auditDocReferences fails for every `pkg.Identifier` citation in doc
-// that does not exist as an exported declaration of internal/<pkg>.
+// that does not exist as an exported declaration of internal/<pkg>, and
+// for every `pkg.Type.Member` citation whose Type has no such field or
+// method. A member of a non-type identifier (a variable's field) is not
+// checked.
 func auditDocReferences(t *testing.T, doc string) {
 	t.Helper()
 	text, err := os.ReadFile(doc)
 	if err != nil {
 		t.Fatalf("read %s: %v", doc, err)
 	}
-	exports := map[string]map[string]bool{}
+	apis := map[string]*pkgAPI{}
 	for _, m := range docIdentRe.FindAllStringSubmatch(string(text), -1) {
-		pkg, ident := m[1], m[2]
-		if exports[pkg] == nil {
-			exports[pkg] = exportedIdents(t, "../"+pkg)
+		pkg, ident, member := m[1], m[2], m[3]
+		if apis[pkg] == nil {
+			apis[pkg] = parseAPI(t, "../"+pkg)
 		}
-		if !exports[pkg][ident] {
+		api := apis[pkg]
+		if !api.exported[ident] {
 			t.Errorf("%s references %s.%s, which does not exist in internal/%s", doc, pkg, ident, pkg)
+			continue
+		}
+		if ms := api.members(ident); member != "" && ms != nil && !ms[member] {
+			t.Errorf("%s references %s.%s.%s, which is not a field or method of %s.%s", doc, pkg, ident, member, pkg, ident)
 		}
 	}
-	if len(exports) == 0 {
+	if len(apis) == 0 {
 		t.Fatalf("%s cites no qualified identifiers — the link check is vacuous", doc)
 	}
 }
 
-// exportedIdents collects the exported top-level identifiers (types,
-// funcs, consts, vars) of the package in dir.
-func exportedIdents(t *testing.T, dir string) map[string]bool {
+// pkgAPI is what the doc link check knows of one package.
+type pkgAPI struct {
+	// exported holds the exported top-level identifiers (types, funcs,
+	// consts, vars).
+	exported map[string]bool
+	// own maps each type to its declared fields and methods.
+	own map[string]map[string]bool
+	// embeds maps each type to the types it embeds: a type name, or ""
+	// for a foreign type.
+	embeds map[string][]string
+}
+
+// members returns the fields and methods of type name, promoted ones
+// included, or nil when name is not a type of the package or its set
+// cannot be known here (the type embeds a foreign type).
+func (a *pkgAPI) members(name string) map[string]bool {
+	out := map[string]bool{}
+	seen := map[string]bool{}
+	var walk func(string) bool
+	walk = func(n string) bool {
+		if _, local := a.own[n]; !local {
+			return false // a builtin or foreign type: members unknown
+		}
+		if seen[n] {
+			return true
+		}
+		seen[n] = true
+		for m := range a.own[n] {
+			out[m] = true
+		}
+		for _, e := range a.embeds[n] {
+			if !walk(e) {
+				return false
+			}
+		}
+		return true
+	}
+	if !walk(name) {
+		return nil
+	}
+	return out
+}
+
+// parseAPI collects the pkgAPI of the package in dir (non-test files).
+func parseAPI(t *testing.T, dir string) *pkgAPI {
 	t.Helper()
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool {
@@ -128,26 +185,35 @@ func exportedIdents(t *testing.T, dir string) map[string]bool {
 	if err != nil {
 		t.Fatalf("parse %s: %v", dir, err)
 	}
-	out := map[string]bool{}
+	a := &pkgAPI{exported: map[string]bool{}, own: map[string]map[string]bool{}, embeds: map[string][]string{}}
+	ownOf := func(typ string) map[string]bool {
+		if a.own[typ] == nil {
+			a.own[typ] = map[string]bool{}
+		}
+		return a.own[typ]
+	}
 	for _, pkg := range pkgs {
 		for _, file := range pkg.Files {
 			for _, decl := range file.Decls {
 				switch d := decl.(type) {
 				case *ast.FuncDecl:
-					if d.Recv == nil && d.Name.IsExported() {
-						out[d.Name.Name] = true
+					if recv := recvType(d); recv != "" {
+						ownOf(recv)[d.Name.Name] = true
+					} else if d.Name.IsExported() {
+						a.exported[d.Name.Name] = true
 					}
 				case *ast.GenDecl:
 					for _, spec := range d.Specs {
 						switch s := spec.(type) {
 						case *ast.TypeSpec:
 							if s.Name.IsExported() {
-								out[s.Name.Name] = true
+								a.exported[s.Name.Name] = true
 							}
+							a.addType(s, ownOf(s.Name.Name))
 						case *ast.ValueSpec:
 							for _, name := range s.Names {
 								if name.IsExported() {
-									out[name.Name] = true
+									a.exported[name.Name] = true
 								}
 							}
 						}
@@ -156,7 +222,43 @@ func exportedIdents(t *testing.T, dir string) map[string]bool {
 			}
 		}
 	}
-	return out
+	return a
+}
+
+// addType records the fields (struct), methods (interface) and embedded
+// types of one type declaration.
+func (a *pkgAPI) addType(s *ast.TypeSpec, own map[string]bool) {
+	var fields *ast.FieldList
+	switch v := s.Type.(type) {
+	case *ast.StructType:
+		fields = v.Fields
+	case *ast.InterfaceType:
+		fields = v.Methods
+	default:
+		return
+	}
+	for _, f := range fields.List {
+		for _, n := range f.Names {
+			own[n.Name] = true
+		}
+		if len(f.Names) == 0 {
+			embedded := localType(f.Type)
+			own[embedded] = true // an embedded field is named by its type
+			a.embeds[s.Name.Name] = append(a.embeds[s.Name.Name], embedded)
+		}
+	}
+}
+
+// localType returns the name an embedded type has if it is declared in
+// this package, or "" for a foreign one.
+func localType(e ast.Expr) string {
+	if s, ok := e.(*ast.StarExpr); ok {
+		e = s.X
+	}
+	if id, ok := e.(*ast.Ident); ok {
+		return id.Name
+	}
+	return ""
 }
 
 // auditDir returns one "file:line: <what> is undocumented" string per
@@ -241,11 +343,11 @@ func auditFields(typeName string, st *ast.StructType, report func(token.Pos, str
 	}
 }
 
-// exportedRecv reports whether a method's receiver type is exported
-// (methods on unexported types are not part of the API surface).
-func exportedRecv(d *ast.FuncDecl) bool {
+// recvType returns the base type name of a method's receiver, or "" for
+// a plain function.
+func recvType(d *ast.FuncDecl) string {
 	if d.Recv == nil || len(d.Recv.List) == 0 {
-		return true
+		return ""
 	}
 	t := d.Recv.List[0].Type
 	for {
@@ -254,25 +356,27 @@ func exportedRecv(d *ast.FuncDecl) bool {
 			t = v.X
 		case *ast.IndexExpr:
 			t = v.X
+		case *ast.IndexListExpr:
+			t = v.X
 		case *ast.Ident:
-			return v.IsExported()
+			return v.Name
 		default:
-			return true
+			return ""
 		}
 	}
 }
 
+// exportedRecv reports whether a method's receiver type is exported
+// (methods on unexported types are not part of the API surface).
+func exportedRecv(d *ast.FuncDecl) bool {
+	recv := recvType(d)
+	return recv == "" || ast.IsExported(recv)
+}
+
 // funcName renders "Name" or "(Recv).Name" for failure messages.
 func funcName(d *ast.FuncDecl) string {
-	if d.Recv == nil || len(d.Recv.List) == 0 {
-		return d.Name.Name
-	}
-	t := d.Recv.List[0].Type
-	if s, ok := t.(*ast.StarExpr); ok {
-		t = s.X
-	}
-	if id, ok := t.(*ast.Ident); ok {
-		return "(" + id.Name + ")." + d.Name.Name
+	if recv := recvType(d); recv != "" {
+		return "(" + recv + ")." + d.Name.Name
 	}
 	return d.Name.Name
 }

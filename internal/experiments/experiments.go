@@ -145,7 +145,7 @@ func runCase(app CaseApp, cfg core.Config, seed uint64) (sim.Metrics, error) {
 	// bandwidth cost, so drain the network until every message copy has
 	// expired before reading the accounting.
 	net.Drain(4 * int(cfg.TTL))
-	return sim.MeasureSeries(net, res, energy.NoCLink025, rec), nil
+	return sim.Measure(net, res, energy.NoCLink025, rec), nil
 }
 
 // Repeated aggregates a case study's per-replica metrics: latency and

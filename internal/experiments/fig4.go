@@ -19,41 +19,29 @@ import (
 // the Consumer on tile 12 = 0-based tile 11. The awareness trajectory
 // comes from the metrics recorder's AwareTiles series (flushed by the
 // engine's OnRoundEnd hook every round) rather than a hand-rolled tally.
+// The run is fault-free, so only the payload's length (it prices
+// energy) can reach an output, never its contents.
 func producerConsumerTrace(seed uint64, p float64) (Fig33Result, error) {
 	grid := topology.NewGrid(4, 4)
-	deliveryRound := -1
-	rec := metrics.NewRecorder(metrics.Config{Rounds: 100})
-	cfg := core.Config{
-		Topo: grid, P: p, TTL: core.DefaultTTL, MaxRounds: 100, Seed: seed,
-		OnDeliver: func(t packet.TileID, pk *packet.Packet, round int) {
-			if t == 11 && deliveryRound < 0 {
-				deliveryRound = round
-			}
-		},
+	sc := sim.Scenario{
+		Config: core.Config{Topo: grid, P: p, TTL: core.DefaultTTL, MaxRounds: 100, Seed: seed},
+		Src:    5, Dst: 11, Kind: prodcons.KindData, Payload: 5,
+		Rounds: 100, StopAtDelivery: true,
 	}
-	rec.Install(&cfg)
-	net, err := core.New(cfg)
+	t, err := sc.Run(sim.Hooks{Record: true})
 	if err != nil {
 		return Fig33Result{}, err
 	}
-	id, err := net.Inject(5, 11, prodcons.KindData, []byte("rumor"))
-	if err != nil {
-		return Fig33Result{}, err
-	}
-	rec.Watch(id)
-	for round := 0; round < 100 && deliveryRound < 0; round++ {
-		net.Step()
-	}
-	if deliveryRound < 0 {
+	if t.Delivered < 0 {
 		return Fig33Result{}, fmt.Errorf("experiments: producer-consumer run did not deliver")
 	}
-	aware := rec.Series().Int(metrics.AwareTiles)
-	perRound := make([]int, net.Round())
-	for r := 1; r <= net.Round(); r++ {
+	aware := t.Rec.Series().Int(metrics.AwareTiles)
+	perRound := make([]int, t.Net.Round())
+	for r := 1; r <= t.Net.Round(); r++ {
 		perRound[r-1] = int(aware[r])
 	}
 	return Fig33Result{
-		DeliveryRound:     deliveryRound,
+		DeliveryRound:     t.Delivered,
 		AwarePerRound:     perRound,
 		ManhattanDistance: grid.Manhattan(5, 11),
 	}, nil

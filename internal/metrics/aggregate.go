@@ -2,8 +2,8 @@ package metrics
 
 import (
 	"errors"
-	"fmt"
-	"math"
+
+	"repro/internal/stats"
 )
 
 // RoundStat is the cross-replica statistic of one series at one round.
@@ -29,17 +29,15 @@ type RoundStat struct {
 // Monte Carlo replicas that reached that round. Produced by Merge
 // (usually via sim.RunSeries) and consumed by the exporters.
 type Aggregate struct {
-	// Reg names the series.
-	Reg *Registry
 	// Replicas is how many runs were merged.
 	Replicas int
 	// Rounds is the longest run's highest round; every series has
 	// Rounds+1 entries.
 	Rounds int
 	// Ints holds the merged integer series, indexed [IntID][round].
-	Ints [][]RoundStat
+	Ints [numInts][]RoundStat
 	// Floats holds the merged float series, indexed [FloatID][round].
-	Floats [][]RoundStat
+	Floats [numFloats][]RoundStat
 }
 
 // Int returns one merged integer series (length Rounds+1, index=round).
@@ -49,8 +47,7 @@ func (a *Aggregate) Int(id IntID) []RoundStat { return a.Ints[id] }
 func (a *Aggregate) Float(id FloatID) []RoundStat { return a.Floats[id] }
 
 // Merge folds replicas' TimeSeries into per-round cross-replica
-// statistics. All runs must share one registry definition (same series,
-// same order). The fold visits replicas in slice order, so the result is
+// statistics. The fold visits replicas in slice order, so the result is
 // a pure function of the input slice — the internal/sim runner hands
 // replicas over in replica-index order, making the merged output
 // invariant under worker count and scheduling (Welford accumulation is
@@ -60,78 +57,48 @@ func Merge(runs []*TimeSeries) (*Aggregate, error) {
 	if len(runs) == 0 {
 		return nil, errors.New("metrics: Merge of zero runs")
 	}
-	reg := runs[0].Reg
 	rounds := 0
-	for i, ts := range runs {
-		if !reg.same(ts.Reg) {
-			return nil, fmt.Errorf("metrics: Merge: replica %d recorded a different series registry", i)
-		}
+	for _, ts := range runs {
 		if ts.Rounds > rounds {
 			rounds = ts.Rounds
 		}
 	}
-	a := &Aggregate{
-		Reg:      reg,
-		Replicas: len(runs),
-		Rounds:   rounds,
-		Ints:     make([][]RoundStat, reg.NumInt()),
-		Floats:   make([][]RoundStat, reg.NumFloat()),
-	}
+	a := &Aggregate{Replicas: len(runs), Rounds: rounds}
 	for id := range a.Ints {
 		a.Ints[id] = make([]RoundStat, rounds+1)
-		for r := 0; r <= rounds; r++ {
-			var w welford
+		for r := range a.Ints[id] {
+			var o stats.Online
+			var sum float64
 			for _, ts := range runs {
 				if r <= ts.Rounds {
-					w.add(float64(ts.Ints[id][r]))
+					x := float64(ts.Ints[id][r])
+					o.Add(x)
+					sum += x
 				}
 			}
-			a.Ints[id][r] = w.stat()
+			a.Ints[id][r] = roundStat(&o, sum)
 		}
 	}
 	for id := range a.Floats {
 		a.Floats[id] = make([]RoundStat, rounds+1)
-		for r := 0; r <= rounds; r++ {
-			var w welford
+		for r := range a.Floats[id] {
+			var o stats.Online
+			var sum float64
 			for _, ts := range runs {
 				if r <= ts.Rounds {
-					w.add(ts.Floats[id][r])
+					x := ts.Floats[id][r]
+					o.Add(x)
+					sum += x
 				}
 			}
-			a.Floats[id][r] = w.stat()
+			a.Floats[id][r] = roundStat(&o, sum)
 		}
 	}
 	return a, nil
 }
 
-// welford is a minimal order-deterministic mean/variance accumulator
-// (same algorithm as internal/stats.Online; duplicated here to keep the
-// RoundStat fold self-contained and the Sum field exact).
-type welford struct {
-	n             int
-	mean, m2, sum float64
-	min, max      float64
-}
-
-func (w *welford) add(x float64) {
-	w.n++
-	w.sum += x
-	delta := x - w.mean
-	w.mean += delta / float64(w.n)
-	w.m2 += delta * (x - w.mean)
-	if w.n == 1 || x < w.min {
-		w.min = x
-	}
-	if w.n == 1 || x > w.max {
-		w.max = x
-	}
-}
-
-func (w *welford) stat() RoundStat {
-	s := RoundStat{N: w.n, Sum: w.sum, Mean: w.mean, Min: w.min, Max: w.max}
-	if w.n >= 2 {
-		sd := math.Sqrt(w.m2 / float64(w.n-1))
-		s.CI95 = 1.96 * sd / math.Sqrt(float64(w.n))
-	}
-	return s
+// roundStat reads one round's fold. Sum is kept beside the accumulator
+// because the running mean cannot give it back exactly.
+func roundStat(o *stats.Online, sum float64) RoundStat {
+	return RoundStat{N: o.N(), Sum: sum, Mean: o.Mean(), Min: o.Min(), Max: o.Max(), CI95: o.CI95()}
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // This file holds the exporters. Both formats are byte-stable: series
-// appear in registry order (never map order), floats are rendered with
+// appear in IntID/FloatID order (never map order), floats are rendered with
 // strconv.FormatFloat(v, 'g', -1, 64) (the shortest round-tripping
 // form), and the merged input is itself deterministic in (Replicas,
 // Seed) — so a JSONL/CSV artifact regenerates byte-identically at any
@@ -41,7 +41,7 @@ func fmtF(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 //
 //	{"round":R,"replicas":N,"series":{"<name>":{"n":…,"sum":…,"mean":…,"min":…,"max":…,"ci95":…},…}}
 //
-// with integer series first, then float series, each in registry order.
+// with integer series first, then float series, each in IntID/FloatID order.
 // The per-round "sum" fields of the event-count series reconcile
 // exactly, summed over rounds, with the core.Counters totals summed
 // over replicas.
@@ -51,10 +51,10 @@ func WriteJSONL(w io.Writer, a *Aggregate) error {
 		fmt.Fprintf(bw, `{"round":%d,"replicas":%d,"series":{`, r, a.Replicas)
 		first := true
 		for id := range a.Ints {
-			writeJSONStat(bw, &first, a.Reg.IntName(IntID(id)), a.Ints[id][r])
+			writeJSONStat(bw, &first, intNames[id], a.Ints[id][r])
 		}
 		for id := range a.Floats {
-			writeJSONStat(bw, &first, a.Reg.FloatName(FloatID(id)), a.Floats[id][r])
+			writeJSONStat(bw, &first, floatNames[id], a.Floats[id][r])
 		}
 		if _, err := bw.WriteString("}}\n"); err != nil {
 			return err
@@ -77,7 +77,7 @@ func writeJSONStat(bw *bufio.Writer, first *bool, name string, s RoundStat) {
 //
 //	round,series,n,sum,mean,min,max,ci95
 //
-// with integer series first, then float series, each in registry order
+// with integer series first, then float series, each in IntID/FloatID order
 // within every round.
 func WriteCSV(w io.Writer, a *Aggregate) error {
 	bw := bufio.NewWriter(w)
@@ -86,10 +86,10 @@ func WriteCSV(w io.Writer, a *Aggregate) error {
 	}
 	for r := 0; r <= a.Rounds; r++ {
 		for id := range a.Ints {
-			writeCSVStat(bw, r, a.Reg.IntName(IntID(id)), a.Ints[id][r])
+			writeCSVStat(bw, r, intNames[id], a.Ints[id][r])
 		}
 		for id := range a.Floats {
-			writeCSVStat(bw, r, a.Reg.FloatName(FloatID(id)), a.Floats[id][r])
+			writeCSVStat(bw, r, floatNames[id], a.Floats[id][r])
 		}
 	}
 	return bw.Flush()

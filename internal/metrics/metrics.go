@@ -30,17 +30,16 @@ import (
 	"repro/internal/packet"
 )
 
-// IntID names one integer-valued per-round series in a Registry.
-// Integer series are counters: events per round (transmissions,
-// deliveries, ...) or end-of-round gauges (aware tiles).
+// IntID names one integer-valued per-round series. Integer series are
+// counters: events per round (transmissions, deliveries, ...) or
+// end-of-round gauges (aware tiles).
 type IntID int
 
-// FloatID names one float-valued per-round series in a Registry
-// (fractions, joules).
+// FloatID names one float-valued per-round series (fractions, joules).
 type FloatID int
 
-// The built-in integer series, in registry order. All are per-round
-// event counts except AwareTiles, an end-of-round gauge.
+// The integer series, in export order. All are per-round event counts
+// except AwareTiles, an end-of-round gauge.
 const (
 	// Created counts messages entering their origin tile's send buffer
 	// (core.EvCreated) in each round.
@@ -65,11 +64,11 @@ const (
 	// tiles of the Fig. 3-3 walkthrough. Zero when nothing is watched.
 	AwareTiles
 
-	numBuiltinInts = int(AwareTiles) + 1
+	numInts = int(AwareTiles) + 1
 )
 
-// The built-in float series, in registry order. Both are end-of-round
-// values written by the OnRoundEnd flush.
+// The float series, in export order. Both are end-of-round values
+// written by the OnRoundEnd flush.
 const (
 	// AwareFraction is AwareTiles divided by the tile count — the
 	// dissemination trajectory of Fig. 3-3 as a fraction in [0, 1].
@@ -80,72 +79,17 @@ const (
 	// was built without a Technology.
 	EnergyJ
 
-	numBuiltinFloats = int(EnergyJ) + 1
+	numFloats = int(EnergyJ) + 1
 )
 
-// Registry names the series a Recorder records. NewRegistry preloads the
-// built-in series above; AddInt/AddFloat extend it with custom series
-// (register everything before building the Recorder — a Recorder sizes
-// its tables from the registry at construction). Names must be unique;
-// they key the exporter output, so keep them lower_snake_case.
-type Registry struct {
-	ints   []string
-	floats []string
-}
-
-// NewRegistry returns a registry holding exactly the built-in series.
-func NewRegistry() *Registry {
-	return &Registry{
-		ints: []string{
-			"created", "transmissions", "crc_rejects", "overflow_drops",
-			"deliveries", "ttl_expiries", "aware_tiles",
-		},
-		floats: []string{"aware_fraction", "energy_j"},
+// The series names key the exporter output, in IntID/FloatID order.
+var (
+	intNames = [numInts]string{
+		"created", "transmissions", "crc_rejects", "overflow_drops",
+		"deliveries", "ttl_expiries", "aware_tiles",
 	}
-}
-
-// AddInt registers a custom integer series and returns its handle.
-func (g *Registry) AddInt(name string) IntID {
-	g.ints = append(g.ints, name)
-	return IntID(len(g.ints) - 1)
-}
-
-// AddFloat registers a custom float series and returns its handle.
-func (g *Registry) AddFloat(name string) FloatID {
-	g.floats = append(g.floats, name)
-	return FloatID(len(g.floats) - 1)
-}
-
-// NumInt returns the number of integer series.
-func (g *Registry) NumInt() int { return len(g.ints) }
-
-// NumFloat returns the number of float series.
-func (g *Registry) NumFloat() int { return len(g.floats) }
-
-// IntName returns the name of integer series id.
-func (g *Registry) IntName(id IntID) string { return g.ints[id] }
-
-// FloatName returns the name of float series id.
-func (g *Registry) FloatName(id FloatID) string { return g.floats[id] }
-
-// same reports whether two registries define identical series — the
-// precondition for merging their recorders' output.
-func (g *Registry) same(o *Registry) bool {
-	if len(g.ints) != len(o.ints) || len(g.floats) != len(o.floats) {
-		return false
-	}
-	for i, n := range g.ints {
-		if o.ints[i] != n {
-			return false
-		}
-	}
-	for i, n := range g.floats {
-		if o.floats[i] != n {
-			return false
-		}
-	}
-	return true
-}
+	floatNames = [numFloats]string{"aware_fraction", "energy_j"}
+)
 
 // Config parameterizes one Recorder.
 type Config struct {
@@ -159,9 +103,6 @@ type Config struct {
 	// Tech supplies the J/bit constant for the EnergyJ series (e.g.
 	// energy.NoCLink025). The zero value records zero joules.
 	Tech energy.Technology
-	// Registry names the recorded series; nil uses NewRegistry().
-	// Register custom series before handing the registry over.
-	Registry *Registry
 }
 
 // Recorder accumulates dense per-round series from one network run.
@@ -171,11 +112,10 @@ type Config struct {
 // Config.Rounds bound) recording performs no allocation: every series
 // slot exists before the run starts.
 type Recorder struct {
-	reg      *Registry
-	ints     [][]int64   // [IntID][round]
-	floats   [][]float64 // [FloatID][round]
-	span     int         // allocated rounds: series cover [0, span)
-	last     int         // highest round recorded so far
+	ints     [numInts][]int64     // [IntID][round]
+	floats   [numFloats][]float64 // [FloatID][round]
+	span     int                  // allocated rounds: series cover [0, span)
+	last     int                  // highest round recorded so far
 	watch    packet.MsgID
 	jPerBit  float64
 	prevBits int
@@ -185,18 +125,11 @@ type Recorder struct {
 // NewRecorder builds a Recorder with every series preallocated over
 // [0, cfg.Rounds].
 func NewRecorder(cfg Config) *Recorder {
-	reg := cfg.Registry
-	if reg == nil {
-		reg = NewRegistry()
-	}
 	rounds := cfg.Rounds
 	if rounds <= 0 {
 		rounds = 256
 	}
 	r := &Recorder{
-		reg:     reg,
-		ints:    make([][]int64, reg.NumInt()),
-		floats:  make([][]float64, reg.NumFloat()),
 		span:    rounds + 1,
 		jPerBit: cfg.Tech.JoulePerBit,
 	}
@@ -208,9 +141,6 @@ func NewRecorder(cfg Config) *Recorder {
 	}
 	return r
 }
-
-// Registry returns the recorder's series registry.
-func (r *Recorder) Registry() *Registry { return r.reg }
 
 // Watch selects the message whose awareness trajectory the AwareTiles /
 // AwareFraction series record (typically the broadcast under study).
@@ -269,7 +199,7 @@ func (r *Recorder) grow(round int) {
 	r.span = span
 }
 
-// The recorder maps event kinds onto the built-in series by value: the
+// The recorder maps event kinds onto the integer series by value: the
 // two enums are declared in the same order, so the translation on the
 // hot path is a bounds guard plus an index. These compile-time
 // assertions pin the alignment — reordering either enum fails the build
@@ -332,20 +262,6 @@ func (r *Recorder) OnRoundEnd(round int, n *core.Network) {
 	r.prevBits = bits
 }
 
-// AddInt adds delta to a custom integer series at round (and to its
-// cumulative total). Use it from an Observer or application hook for
-// workload-specific counters.
-func (r *Recorder) AddInt(id IntID, round int, delta int64) {
-	r.ensure(round)
-	r.ints[id][round] += delta
-}
-
-// SetFloat sets a custom float series at round.
-func (r *Recorder) SetFloat(id FloatID, round int, v float64) {
-	r.ensure(round)
-	r.floats[id][round] = v
-}
-
 // Total returns the cumulative value of an integer series over the whole
 // run (the per-round values summed on demand — the hot path records only
 // the per-round slot). For the event-count series these reconcile
@@ -370,12 +286,7 @@ func (r *Recorder) Rounds() int { return r.last }
 // snapshot survives further recording; call it once, after the run.
 func (r *Recorder) Series() *TimeSeries {
 	n := r.last + 1
-	ts := &TimeSeries{
-		Reg:    r.reg,
-		Rounds: r.last,
-		Ints:   make([][]int64, len(r.ints)),
-		Floats: make([][]float64, len(r.floats)),
-	}
+	ts := &TimeSeries{Rounds: r.last}
 	for i, s := range r.ints {
 		ts.Ints[i] = append([]int64(nil), s[:n]...)
 	}
@@ -389,15 +300,13 @@ func (r *Recorder) Series() *TimeSeries {
 // dense over rounds [0, Rounds] (index = round; round 0 holds pre-run
 // injections).
 type TimeSeries struct {
-	// Reg names the series.
-	Reg *Registry
 	// Rounds is the highest recorded round; every series has
 	// Rounds+1 entries.
 	Rounds int
 	// Ints holds the integer series, indexed [IntID][round].
-	Ints [][]int64
+	Ints [numInts][]int64
 	// Floats holds the float series, indexed [FloatID][round].
-	Floats [][]float64
+	Floats [numFloats][]float64
 }
 
 // Int returns one integer series (length Rounds+1, index = round).

@@ -67,8 +67,8 @@ func TestMetricsRecorderTotalsMatchCounters(t *testing.T) {
 		metrics.TTLExpiries:   core.EvExpire,
 	} {
 		if got, want := rec.Total(id), int64(independent[kind]); got != want {
-			t.Errorf("%s: recorder %d, independent hook %d",
-				rec.Registry().IntName(id), got, want)
+			t.Errorf("int series %d: recorder %d, independent hook %d",
+				id, got, want)
 		}
 	}
 	if rec.Total(metrics.Transmissions) == 0 || rec.Total(metrics.CRCRejects) == 0 ||
@@ -87,7 +87,7 @@ func TestMetricsRecorderTotalsMatchCounters(t *testing.T) {
 			sum += v
 		}
 		if sum != rec.Total(id) {
-			t.Errorf("%s: per-round sum %d != total %d", rec.Registry().IntName(id), sum, rec.Total(id))
+			t.Errorf("int series %d: per-round sum %d != total %d", id, sum, rec.Total(id))
 		}
 	}
 	var joules float64
@@ -149,13 +149,8 @@ func TestMetricsInstallChains(t *testing.T) {
 
 // flatSeries builds a TimeSeries whose Transmissions series is vals and
 // every other series is zero, for exercising Merge arithmetic directly.
-func flatSeries(reg *metrics.Registry, vals []int64) *metrics.TimeSeries {
-	ts := &metrics.TimeSeries{
-		Reg:    reg,
-		Rounds: len(vals) - 1,
-		Ints:   make([][]int64, reg.NumInt()),
-		Floats: make([][]float64, reg.NumFloat()),
-	}
+func flatSeries(vals []int64) *metrics.TimeSeries {
+	ts := &metrics.TimeSeries{Rounds: len(vals) - 1}
 	for i := range ts.Ints {
 		ts.Ints[i] = make([]int64, len(vals))
 	}
@@ -170,10 +165,9 @@ func flatSeries(reg *metrics.Registry, vals []int64) *metrics.TimeSeries {
 // mean/min/max, the CI half-width, and the ragged-tail rule (replicas
 // that stopped early drop out of later rounds' statistics).
 func TestMetricsMergeStats(t *testing.T) {
-	reg := metrics.NewRegistry()
 	a, err := metrics.Merge([]*metrics.TimeSeries{
-		flatSeries(reg, []int64{0, 2, 4}),
-		flatSeries(reg, []int64{0, 4, 8, 6}),
+		flatSeries([]int64{0, 2, 4}),
+		flatSeries([]int64{0, 4, 8, 6}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -197,49 +191,10 @@ func TestMetricsMergeStats(t *testing.T) {
 	}
 }
 
-// TestMetricsMergeValidation checks Merge rejects empty input and
-// replicas recorded under different registry definitions.
+// TestMetricsMergeValidation checks Merge rejects empty input.
 func TestMetricsMergeValidation(t *testing.T) {
 	if _, err := metrics.Merge(nil); err == nil {
 		t.Error("Merge(nil) succeeded, want error")
-	}
-	other := metrics.NewRegistry()
-	other.AddInt("retries")
-	_, err := metrics.Merge([]*metrics.TimeSeries{
-		flatSeries(metrics.NewRegistry(), []int64{0, 1}),
-		flatSeries(other, []int64{0, 1}),
-	})
-	if err == nil {
-		t.Error("Merge across mismatched registries succeeded, want error")
-	}
-}
-
-// TestMetricsCustomSeries exercises registry extension and the manual
-// AddInt/SetFloat recording path.
-func TestMetricsCustomSeries(t *testing.T) {
-	reg := metrics.NewRegistry()
-	retries := reg.AddInt("retries")
-	load := reg.AddFloat("load")
-	if reg.IntName(retries) != "retries" || reg.FloatName(load) != "load" {
-		t.Fatalf("registry names %q/%q, want retries/load",
-			reg.IntName(retries), reg.FloatName(load))
-	}
-	rec := metrics.NewRecorder(metrics.Config{Rounds: 8, Registry: reg})
-	rec.AddInt(retries, 3, 2)
-	rec.AddInt(retries, 5, 1)
-	rec.SetFloat(load, 5, 0.75)
-	if rec.Total(retries) != 3 {
-		t.Errorf("custom series total %d, want 3", rec.Total(retries))
-	}
-	ts := rec.Series()
-	if ts.Rounds != 5 {
-		t.Fatalf("recorded rounds %d, want 5", ts.Rounds)
-	}
-	if got := ts.Int(retries); got[3] != 2 || got[5] != 1 {
-		t.Errorf("custom int series %v, want 2 at round 3 and 1 at round 5", got)
-	}
-	if got := ts.Float(load)[5]; got != 0.75 {
-		t.Errorf("custom float series at round 5 = %g, want 0.75", got)
 	}
 }
 

@@ -11,10 +11,10 @@ import (
 // resumable state (interrupting a replica must not cost the rounds
 // already recorded), so the Recorder serializes into the same container
 // files as the engine — its payload rides in snapshot.SecMetrics next to
-// the engine's SecCore. The registry itself is not serialized: it is
-// configuration, re-created by the caller; the payload pins only the
-// series *counts* so a checkpoint cannot silently restore into a
-// recorder with a different shape.
+// the engine's SecCore. The series names are not serialized: they are
+// fixed by this package; the payload pins only the series *counts*, so a
+// checkpoint written with a different schema is refused rather than
+// misread.
 
 // payloadVersion versions the SecMetrics payload layout.
 const payloadVersion = 1
@@ -25,8 +25,8 @@ const payloadVersion = 1
 // Rounds() are omitted: they are zero by construction on both sides.
 func (r *Recorder) EncodeState(w *snapshot.Writer) {
 	w.Int(payloadVersion)
-	w.Int(r.reg.NumInt())
-	w.Int(r.reg.NumFloat())
+	w.Int(numInts)
+	w.Int(numFloats)
 	w.Int(r.last)
 	w.Uvarint(uint64(r.watch))
 	w.Int(r.prevBits)
@@ -34,7 +34,7 @@ func (r *Recorder) EncodeState(w *snapshot.Writer) {
 	n := r.last + 1
 	for _, s := range r.ints {
 		for _, v := range s[:n] {
-			w.U64(uint64(v)) // two's complement: custom series may go negative
+			w.U64(uint64(v))
 		}
 	}
 	for _, s := range r.floats {
@@ -45,9 +45,9 @@ func (r *Recorder) EncodeState(w *snapshot.Writer) {
 }
 
 // RestoreState overwrites the recorder's state with one captured by
-// EncodeState. The receiver must be freshly built from the same Config —
-// in particular the same registry shape (validated) and Technology (not
-// serialized; it is configuration, like the engine's Config). The reader
+// EncodeState. The receiver must be built from the same Config — in
+// particular the same Technology (not serialized; it is configuration,
+// like the engine's Config). The series counts are validated. The reader
 // is fully consumed.
 func (r *Recorder) RestoreState(sec *snapshot.Reader) error {
 	if v := sec.Int(); sec.Err() == nil && v != payloadVersion {
@@ -55,16 +55,15 @@ func (r *Recorder) RestoreState(sec *snapshot.Reader) error {
 	}
 	nInts := sec.Int()
 	nFloats := sec.Int()
-	if sec.Err() == nil && (nInts != r.reg.NumInt() || nFloats != r.reg.NumFloat()) {
-		return fmt.Errorf("metrics: checkpoint holds %d int + %d float series, registry defines %d + %d",
-			nInts, nFloats, r.reg.NumInt(), r.reg.NumFloat())
+	if sec.Err() == nil && (nInts != numInts || nFloats != numFloats) {
+		return fmt.Errorf("metrics: checkpoint holds %d int + %d float series, this build records %d + %d",
+			nInts, nFloats, numInts, numFloats)
 	}
 	last := sec.Int()
 	// Each recorded round contributes 8 bytes to every series; bounding
 	// last by the remaining payload keeps a hostile value from sizing a
 	// huge allocation in ensure.
-	if perRound := (nInts + nFloats) * 8; sec.Err() == nil && perRound > 0 &&
-		uint64(last) > uint64(sec.Remaining())/uint64(perRound) {
+	if sec.Err() == nil && uint64(last) > uint64(sec.Remaining())/uint64((numInts+numFloats)*8) {
 		return fmt.Errorf("metrics: checkpoint claims %d rounds, payload holds %d bytes", last, sec.Remaining())
 	}
 	watch := sec.Uvarint()

@@ -7,35 +7,35 @@ import (
 	"repro/internal/snapshot"
 )
 
-// buildRecorder records a small synthetic workload: a few rounds of
-// custom-series writes, so every mutable field of the Recorder is
-// non-zero before the round trip.
-func buildRecorder(reg *Registry, custom IntID) *Recorder {
-	r := NewRecorder(Config{Rounds: 16, Registry: reg})
+// add records delta into integer series id at round, as OnEvent and
+// OnRoundEnd do.
+func add(r *Recorder, id IntID, round int, delta int64) {
+	r.ensure(round)
+	r.ints[id][round] += delta
+}
+
+// buildRecorder records a small synthetic workload, so every mutable
+// field of the Recorder is non-zero before the round trip.
+func buildRecorder() *Recorder {
+	r := NewRecorder(Config{Rounds: 16})
 	r.Watch(42)
 	r.prevBits = 1234
 	r.tiles = 64
 	for round := 0; round <= 9; round++ {
-		r.AddInt(Created, round, int64(round))
-		r.AddInt(custom, round, int64(-round)) // negative: two's complement path
-		r.SetFloat(EnergyJ, round, float64(round)*0.5)
+		add(r, Created, round, int64(round))
+		add(r, AwareTiles, round, int64(2*round))
+		r.floats[EnergyJ][round] = float64(round) * 0.5
 	}
 	return r
 }
 
 func TestRecorderStateRoundTrip(t *testing.T) {
-	mkReg := func() (*Registry, IntID) {
-		reg := NewRegistry()
-		return reg, reg.AddInt("custom_counter")
-	}
-	reg, custom := mkReg()
-	orig := buildRecorder(reg, custom)
+	orig := buildRecorder()
 
 	w := snapshot.NewWriter()
 	orig.EncodeState(w)
 
-	reg2, custom2 := mkReg()
-	got := NewRecorder(Config{Rounds: 16, Registry: reg2})
+	got := NewRecorder(Config{Rounds: 16})
 	if err := got.RestoreState(snapshot.NewReader(w.Bytes())); err != nil {
 		t.Fatalf("RestoreState: %v", err)
 	}
@@ -47,24 +47,19 @@ func TestRecorderStateRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got.Series(), orig.Series()) {
 		t.Fatal("series did not round-trip")
 	}
-	if got.Total(custom2) != orig.Total(custom) {
-		t.Fatal("custom (negative) series total did not round-trip")
-	}
 }
 
 func TestRecorderRestoreClearsStaleRounds(t *testing.T) {
-	reg, custom := NewRegistry(), IntID(0)
-	_ = custom
-	short := NewRecorder(Config{Rounds: 16, Registry: reg})
-	short.AddInt(Created, 3, 7) // last = 3
+	short := NewRecorder(Config{Rounds: 16})
+	add(short, Created, 3, 7) // last = 3
 
 	w := snapshot.NewWriter()
 	short.EncodeState(w)
 
 	// Restore into a recorder that already holds data beyond round 3:
 	// those rounds must come back zero, not survive as ghosts.
-	dirty := NewRecorder(Config{Rounds: 16, Registry: NewRegistry()})
-	dirty.AddInt(Created, 10, 99)
+	dirty := NewRecorder(Config{Rounds: 16})
+	add(dirty, Created, 10, 99)
 	if err := dirty.RestoreState(snapshot.NewReader(w.Bytes())); err != nil {
 		t.Fatalf("RestoreState: %v", err)
 	}
@@ -76,16 +71,31 @@ func TestRecorderRestoreClearsStaleRounds(t *testing.T) {
 	}
 }
 
+// TestRecorderRestoreRejectsShapeMismatch feeds hand-built SecMetrics
+// payloads whose series counts differ from the recorder's schema: a
+// checkpoint is outside input, so a file written under another schema
+// must be refused, not misread.
 func TestRecorderRestoreRejectsShapeMismatch(t *testing.T) {
-	reg := NewRegistry()
-	reg.AddInt("extra")
-	orig := NewRecorder(Config{Rounds: 8, Registry: reg})
-	w := snapshot.NewWriter()
-	orig.EncodeState(w)
-
-	plain := NewRecorder(Config{Rounds: 8}) // built-in registry only
-	if err := plain.RestoreState(snapshot.NewReader(w.Bytes())); err == nil {
-		t.Fatal("restore into a recorder with fewer series succeeded")
+	for _, shape := range [][2]int{
+		{numInts + 1, numFloats},
+		{numInts, numFloats - 1},
+		{numInts + 1, numFloats - 1}, // same payload size: only the counts tell
+	} {
+		w := snapshot.NewWriter()
+		w.Int(payloadVersion)
+		w.Int(shape[0])
+		w.Int(shape[1])
+		w.Int(0) // last
+		w.Uvarint(0)
+		w.Int(0)
+		w.Int(0)
+		for i := 0; i < shape[0]+shape[1]; i++ {
+			w.U64(0) // round 0 of every series the payload claims
+		}
+		r := NewRecorder(Config{Rounds: 8})
+		if err := r.RestoreState(snapshot.NewReader(w.Bytes())); err == nil {
+			t.Errorf("payload with %d int + %d float series accepted", shape[0], shape[1])
+		}
 	}
 }
 
@@ -94,8 +104,8 @@ func TestRecorderRestoreRejectsOversizedRoundClaim(t *testing.T) {
 	// must fail before ensure() sizes tables from the claim.
 	w := snapshot.NewWriter()
 	w.Int(payloadVersion)
-	w.Int(numBuiltinInts)
-	w.Int(numBuiltinFloats)
+	w.Int(numInts)
+	w.Int(numFloats)
 	w.Uvarint(1 << 40) // last: Int's encoding, at a value 32-bit int cannot hold
 	w.Uvarint(0)
 	w.Int(0)

@@ -19,7 +19,7 @@ import (
 // JSON Lines. RoundLine(r) returns the identical bytes line r of
 // WriteJSONL(Merge([rec.Series()])) will hold once the run finishes:
 // a single-replica round statistic (n=1, sum=mean=min=max=value,
-// ci95=0) per series, in registry order, floats in the shortest
+// ci95=0) per series, in IntID/FloatID order, floats in the shortest
 // round-tripping form. A round's values are final at its round
 // barrier — the engine only ever writes into the current round — so
 // streaming a line after each core.Network.Step is safe.
@@ -45,11 +45,11 @@ func (s *Streamer) RoundLine(round int) []byte {
 	b = strconv.AppendInt(b, int64(round), 10)
 	b = append(b, `,"replicas":1,"series":{`...)
 	first := true
-	for id, vals := range s.rec.ints {
-		b = appendSingleStat(b, &first, s.rec.reg.IntName(IntID(id)), float64(vals[round]))
+	for id, vals := range &s.rec.ints {
+		b = appendSingleStat(b, &first, intNames[id], float64(vals[round]))
 	}
-	for id, vals := range s.rec.floats {
-		b = appendSingleStat(b, &first, s.rec.reg.FloatName(FloatID(id)), vals[round])
+	for id, vals := range &s.rec.floats {
+		b = appendSingleStat(b, &first, floatNames[id], vals[round])
 	}
 	b = append(b, "}}\n"...)
 	s.buf = b

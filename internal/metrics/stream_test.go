@@ -60,8 +60,8 @@ func TestStreamerMatchesBatchExport(t *testing.T) {
 // retaining a line requires a copy.
 func TestStreamerLineReuse(t *testing.T) {
 	rec := NewRecorder(Config{Rounds: 8})
-	rec.AddInt(Created, 0, 1)
-	rec.AddInt(Created, 1, 2)
+	add(rec, Created, 0, 1)
+	add(rec, Created, 1, 2)
 	str := NewStreamer(rec)
 	l0 := append([]byte(nil), str.RoundLine(0)...)
 	l1 := str.RoundLine(1)
@@ -77,7 +77,7 @@ func TestStreamerLineReuse(t *testing.T) {
 // recorded rounds ([0, Rounds()]) can be rendered.
 func TestStreamerRejectsUnrecordedRound(t *testing.T) {
 	rec := NewRecorder(Config{Rounds: 8})
-	rec.AddInt(Created, 2, 1)
+	add(rec, Created, 2, 1)
 	str := NewStreamer(rec)
 	for _, r := range []int{-1, 3} {
 		func() {

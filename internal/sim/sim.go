@@ -118,6 +118,20 @@ func Seeds(master uint64, n int) []uint64 {
 	return out
 }
 
+// Run executes cfg.Replicas independent calls of body across the worker
+// pool and returns their results in replica order. body receives the
+// replica index and that replica's derived seed; it must not share
+// mutable state with other replicas. Run is RunOffset's window at
+// offset 0.
+//
+// Results are deterministic in (cfg.Replicas, cfg.Seed) alone: worker
+// count and scheduling cannot change them. If any replica fails, Run
+// reports the error of the lowest-indexed failing replica — again
+// independent of scheduling — and discards the results.
+func Run[T any](cfg Config, body func(replica int, seed uint64) (T, error)) ([]T, error) {
+	return RunOffset(cfg, 0, body)
+}
+
 // RunOffset executes one window [offset, offset+cfg.Replicas) of a
 // conceptually unbounded replica sequence across the worker pool: body
 // receives global replica indices, and replica r's seed is the one
@@ -127,39 +141,27 @@ func Seeds(master uint64, n int) []uint64 {
 // (smc.Check) are built on this: they consume replicas wave by wave,
 // stopping as soon as a verdict settles, yet every replica they ever
 // schedule has the same seed a single monolithic Run would have given
-// it. Results arrive in window order with Run's determinism contract.
+// it. Results arrive in window order with Run's determinism contract;
+// an error names the lowest failing global index.
 func RunOffset[T any](cfg Config, offset int, body func(replica int, seed uint64) (T, error)) ([]T, error) {
-	if offset < 0 {
-		return nil, fmt.Errorf("sim: RunOffset offset = %d, need >= 0", offset)
-	}
-	root := rng.New(cfg.Seed)
-	return Run(cfg, func(r int, _ uint64) (T, error) {
-		g := offset + r
-		return body(g, root.Split(uint64(g)).Uint64())
-	})
-}
-
-// Run executes cfg.Replicas independent calls of body across the worker
-// pool and returns their results in replica order. body receives the
-// replica index and that replica's derived seed; it must not share
-// mutable state with other replicas.
-//
-// Results are deterministic in (cfg.Replicas, cfg.Seed) alone: worker
-// count and scheduling cannot change them. If any replica fails, Run
-// reports the error of the lowest-indexed failing replica — again
-// independent of scheduling — and discards the results.
-func Run[T any](cfg Config, body func(replica int, seed uint64) (T, error)) ([]T, error) {
 	n := cfg.Replicas
 	if n <= 0 {
 		return nil, fmt.Errorf("sim: Config.Replicas = %d, need > 0", n)
 	}
-	seeds := Seeds(cfg.Seed, n)
+	if offset < 0 {
+		return nil, fmt.Errorf("sim: RunOffset offset = %d, need >= 0", offset)
+	}
+	root := rng.New(cfg.Seed)
 	results := make([]T, n)
 	errs := make([]error, n)
+	one := func(r int) {
+		g := offset + r
+		results[r], errs[r] = body(g, root.Split(uint64(g)).Uint64())
+	}
 
 	if w := cfg.workers(); w == 1 {
 		for r := 0; r < n; r++ {
-			results[r], errs[r] = body(r, seeds[r])
+			one(r)
 		}
 	} else {
 		var next atomic.Int64
@@ -173,7 +175,7 @@ func Run[T any](cfg Config, body func(replica int, seed uint64) (T, error)) ([]T
 					if r >= n {
 						return
 					}
-					results[r], errs[r] = body(r, seeds[r])
+					one(r)
 				}
 			}()
 		}
@@ -182,7 +184,7 @@ func Run[T any](cfg Config, body func(replica int, seed uint64) (T, error)) ([]T
 
 	for r, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("sim: replica %d: %w", r, err)
+			return nil, fmt.Errorf("sim: replica %d: %w", offset+r, err)
 		}
 	}
 	return results, nil

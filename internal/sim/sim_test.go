@@ -11,6 +11,7 @@ import (
 	"repro/internal/diversity"
 	"repro/internal/energy"
 	"repro/internal/fault"
+	"repro/internal/metrics"
 	"repro/internal/packet"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -34,16 +35,17 @@ func TestSeedsPrefixStable(t *testing.T) {
 }
 
 // coreReplica is one full round-engine run — broadcast over a faulty
-// 4x4 grid with the event collector attached — returning the standard
+// 4x4 grid with a metrics recorder attached — returning the standard
 // metrics record. This is the body shape every figure runner uses.
 func coreReplica(_ int, seed uint64) (sim.Metrics, error) {
-	var col sim.Collector
-	net, err := core.New(core.Config{
+	rec := metrics.NewRecorder(metrics.Config{Rounds: 60})
+	cfg := core.Config{
 		Topo: topology.NewGrid(4, 4), P: 0.6, TTL: 10, MaxRounds: 60,
-		Seed:    seed,
-		Fault:   fault.Model{PUpset: 0.2, POverflow: 0.1},
-		OnEvent: col.OnEvent,
-	})
+		Seed:  seed,
+		Fault: fault.Model{PUpset: 0.2, POverflow: 0.1},
+	}
+	rec.Install(&cfg)
+	net, err := core.New(cfg)
 	if err != nil {
 		return sim.Metrics{}, err
 	}
@@ -52,7 +54,7 @@ func coreReplica(_ int, seed uint64) (sim.Metrics, error) {
 		net.Step()
 	}
 	res := core.Result{Completed: true, Rounds: net.Round()}
-	return sim.Measure(net, res, energy.NoCLink025, &col), nil
+	return sim.Measure(net, res, energy.NoCLink025, rec), nil
 }
 
 // TestRunDeterministicAcrossWorkers is the regression gate for the
@@ -91,13 +93,14 @@ func TestRunDeterministicAcrossWorkersWithSlip(t *testing.T) {
 	const replicas, seed = 12, 42
 	var slipped atomic.Int64 // summed across replicas: order-independent
 	slipReplica := func(_ int, s uint64) (sim.Metrics, error) {
-		var col sim.Collector
-		net, err := core.New(core.Config{
+		rec := metrics.NewRecorder(metrics.Config{Rounds: 80})
+		cfg := core.Config{
 			Topo: topology.NewGrid(4, 4), P: 0.6, TTL: 10, MaxRounds: 80,
-			Seed:    s,
-			Fault:   fault.Model{SigmaSync: 1.5, PUpset: 0.1},
-			OnEvent: col.OnEvent,
-		})
+			Seed:  s,
+			Fault: fault.Model{SigmaSync: 1.5, PUpset: 0.1},
+		}
+		rec.Install(&cfg)
+		net, err := core.New(cfg)
 		if err != nil {
 			return sim.Metrics{}, err
 		}
@@ -107,7 +110,7 @@ func TestRunDeterministicAcrossWorkersWithSlip(t *testing.T) {
 		}
 		slipped.Add(int64(net.Counters().SlippedDeliveries))
 		res := core.Result{Completed: true, Rounds: net.Round()}
-		return sim.Measure(net, res, energy.NoCLink025, &col), nil
+		return sim.Measure(net, res, energy.NoCLink025, rec), nil
 	}
 	run := func(workers int) sim.Aggregate {
 		agg, err := sim.RunMetrics(
@@ -183,32 +186,34 @@ func TestRunRejectsNonPositiveReplicas(t *testing.T) {
 	}
 }
 
-// TestCollectorAgreesWithCounters cross-checks the event stream against
-// the engine's own counters on the quantities both observe.
-func TestCollectorAgreesWithCounters(t *testing.T) {
-	var col sim.Collector
-	net, err := core.New(core.Config{
-		Topo: topology.NewGrid(4, 4), P: 0.75, TTL: 10, MaxRounds: 60,
-		Seed:    3,
-		Fault:   fault.Model{PUpset: 0.25},
-		OnEvent: col.OnEvent,
-	})
+// TestMeasureCountsAreRecorderTotals pins Measure's field mapping: each
+// Counts field is the run total of its recorder series, so the fields
+// the engine also counts match core.Counters.
+func TestMeasureCountsAreRecorderTotals(t *testing.T) {
+	rec := metrics.NewRecorder(metrics.Config{Rounds: 60})
+	cfg := core.Config{
+		Topo: topology.NewGrid(4, 4), P: 0.75, TTL: 10, MaxRounds: 60, Seed: 3,
+		Fault: fault.Model{PUpset: 0.25, POverflow: 0.1},
+	}
+	rec.Install(&cfg)
+	net, err := core.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	net.Inject(0, packet.Broadcast, 0, make([]byte, 16))
-	for r := 0; r < 40 && !net.Quiescent(); r++ {
-		net.Step()
-	}
+	net.Drain(60)
+	got := sim.Measure(net, core.Result{}, energy.NoCLink025, rec).Counts
 	c := net.Counters()
-	if col.Counts.Transmissions != c.Energy.Transmissions {
-		t.Fatalf("collector tx %d vs counters %d", col.Counts.Transmissions, c.Energy.Transmissions)
+	want := sim.Counts{
+		Created: 1, Transmissions: c.Energy.Transmissions, CRCRejects: c.UpsetsDetected,
+		OverflowDrops: c.OverflowDrops, Deliveries: c.Deliveries,
+		TTLExpiries: int(rec.Total(metrics.TTLExpiries)),
 	}
-	if col.Counts.Deliveries != c.Deliveries {
-		t.Fatalf("collector deliveries %d vs counters %d", col.Counts.Deliveries, c.Deliveries)
+	if got != want {
+		t.Fatalf("Measure counts %+v, want %+v", got, want)
 	}
-	if col.Counts.Transmissions == 0 || col.Counts.Deliveries == 0 {
-		t.Fatal("broadcast produced no observable events")
+	if got.CRCRejects == 0 || got.OverflowDrops == 0 || got.TTLExpiries == 0 {
+		t.Fatalf("degenerate run: %+v", got)
 	}
 }
 

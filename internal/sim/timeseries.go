@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"repro/internal/core"
-	"repro/internal/energy"
-	"repro/internal/metrics"
-)
+import "repro/internal/metrics"
 
 // RunSeries executes cfg.Replicas independent replicas that each record
 // a metrics.TimeSeries and merges them into per-round cross-replica
@@ -19,24 +15,4 @@ func RunSeries(cfg Config, body func(replica int, seed uint64) (*metrics.TimeSer
 		return nil, err
 	}
 	return metrics.Merge(runs)
-}
-
-// MeasureSeries is Measure for replicas instrumented with a
-// metrics.Recorder instead of a Collector: it extracts the standard
-// per-replica Metrics (completion, rounds, joules) and fills Counts from
-// the recorder's cumulative event totals. rec may be nil when no
-// recorder was attached.
-func MeasureSeries(net *core.Network, res core.Result, tech energy.Technology, rec *metrics.Recorder) Metrics {
-	m := Measure(net, res, tech, nil)
-	if rec != nil {
-		m.Counts = Counts{
-			Created:       int(rec.Total(metrics.Created)),
-			Transmissions: int(rec.Total(metrics.Transmissions)),
-			CRCRejects:    int(rec.Total(metrics.CRCRejects)),
-			OverflowDrops: int(rec.Total(metrics.OverflowDrops)),
-			Deliveries:    int(rec.Total(metrics.Deliveries)),
-			TTLExpiries:   int(rec.Total(metrics.TTLExpiries)),
-		}
-	}
-	return m
 }

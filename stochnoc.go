@@ -120,10 +120,9 @@ type (
 type (
 	// SimConfig sizes a Monte Carlo batch (Replicas, Workers, Seed).
 	SimConfig = sim.Config
-	// SimCounts tallies the observable per-replica events.
+	// SimCounts holds one replica's protocol event totals, one field
+	// per event kind (Config.OnEvent).
 	SimCounts = sim.Counts
-	// SimCollector is a reusable OnEvent hook feeding SimCounts.
-	SimCollector = sim.Collector
 	// ReplicaMetrics is one replica's standard measurement record.
 	ReplicaMetrics = sim.Metrics
 	// SimAggregate summarizes ReplicaMetrics across a batch.
