@@ -21,7 +21,9 @@
 // steady state allocates (almost) nothing: per-message state lives in
 // slot-major bitset tables indexed by the slot half of the MsgID
 // (table.go), in-flight copies travel by value through small per-tile
-// arrival rings (ring.go), and the per-tile state every sweep touches is
+// arrival rings (ring.go) — except the copies the far end could only drop
+// as duplicates, which transmit settles at the sender without scheduling
+// them (phase.go) — and the per-tile state every sweep touches is
 // one flat array built once at New (the IP-core side of a tile exists only
 // where a Process, router or forward limit was attached). With
 // Config.Recycle the tables are additionally bounded by the *live* message
@@ -287,7 +289,11 @@ type Counters struct {
 	// DeliveredPayloadBits is the useful payload delivered, for the
 	// J-per-useful-bit metric.
 	DeliveredPayloadBits int
-	// Duplicates counts received copies suppressed by dedup.
+	// Duplicates counts copies suppressed by dedup: received copies of a
+	// message the tile already buffers, plus the copies settled at the
+	// sender because the far end already buffered the message (they are
+	// counted in the round they were sent, the round they would have
+	// arrived).
 	Duplicates int
 	// Retired counts messages whose table slot was reclaimed by ID
 	// recycling (Config.Recycle); always 0 with recycling off.
@@ -381,6 +387,12 @@ type Network struct {
 	// sit behind a call).
 	upsetT    rng.Threshold
 	overflowT rng.Threshold
+	// elideDup lets transmit settle a copy at the sender when phase 4
+	// could only count it as a duplicate (see transmit). It holds exactly
+	// when reception of a clean, on-time copy at a tile already buffering
+	// the message is a pure dedup hit: dedup on, no hard buffer cap (no
+	// eviction), no tombstones, no wire frames and no overflow draw.
+	elideDup bool
 	// recycle caches cfg.Recycle for the hot paths (inflight/copy
 	// accounting and the per-Step retirement barrier run only under it).
 	recycle bool
@@ -443,6 +455,8 @@ func New(cfg Config) (*Network, error) {
 		batch: cfg.BatchDraws, batchT16: maskThreshold16(cfg.P),
 		invLn1mP: skipConstant(cfg.P),
 	}
+	n.elideDup = !cfg.DisableDedup && cfg.BufferCap == 0 && !cfg.StopSpreadOnDelivery &&
+		!cfg.Fault.LiteralUpsets && n.overflowT == 0
 	n.bufOcc.initOcc(cfg.Topo.Tiles())
 	n.rcvOcc.initOcc(cfg.Topo.Tiles())
 	n.tbl.initTable(cfg.Topo.Tiles())

@@ -1,0 +1,201 @@
+package core
+
+import (
+	"bytes"
+	"fmt"
+	"reflect"
+	"testing"
+
+	"repro/internal/packet"
+	"repro/internal/rng"
+	"repro/internal/topology"
+)
+
+// presentImpliesSeen checks the precondition sender-side duplicate
+// elision (transmit) rests on: a tile that buffers message m and is
+// addressed by m has m's seen bit set, so deliver is a no-op for every
+// later copy of m there. Round barriers only.
+func presentImpliesSeen(n *Network) error {
+	for i := range n.tiles {
+		t := &n.tiles[i]
+		for j := range t.sendBuf {
+			p := &t.sendBuf[j]
+			if (p.Dst == t.id || p.Dst == packet.Broadcast) && !rowBit(n.tbl.seen[msgSlot(p.ID)], t.id) {
+				return fmt.Errorf("round %d: tile %d buffers message %#x, which addresses it, but has not seen it",
+					n.round, t.id, p.ID)
+			}
+		}
+	}
+	return nil
+}
+
+// TestPresentImpliesSeenCatchesPlant plants the bug the helper exists to
+// catch: an Inject that buffers its message at the source (setPresent)
+// without marking it seen there.
+func TestPresentImpliesSeenCatchesPlant(t *testing.T) {
+	n := mustNet(t, Config{Topo: topology.NewGrid(4, 4), P: 0.5, TTL: 4, MaxRounds: 10, Seed: 1})
+	mustInject(t, n, 3, packet.Broadcast, 0, nil)
+	if err := presentImpliesSeen(n); err != nil {
+		t.Fatalf("a correct Inject trips the check: %v", err)
+	}
+	const src = 5
+	id := n.newMsgID()
+	n.enqueue(n.laneOf(src), &n.tiles[src], &packet.Packet{ID: id, Src: src, Dst: packet.Broadcast, TTL: 4})
+	if err := presentImpliesSeen(n); err == nil {
+		t.Fatal("a message buffered at its source without its seen bit passed the check")
+	}
+}
+
+// elisionRecord is everything TestDuplicateElisionInvisible compares: the
+// full observable record of a run, plus the snapshot bytes and per-tile
+// RNG states at the checkpoint round.
+type elisionRecord struct {
+	run   shardSnapshot
+	ckpt  []byte
+	rngs  []rng.Stream
+	gated bool // elision was enabled for the run's config
+}
+
+// runElision replays sc with the elision gate as New computed it (elide)
+// or cleared, recording the checkpoint-round state from OnRoundEnd, the
+// round barrier.
+func runElision(tb testing.TB, sc shardScenario, shards, k int, elide bool) elisionRecord {
+	tb.Helper()
+	var rec elisionRecord
+	cfg, setup := sc.cfg, sc.setup
+	sc.cfg = func() Config {
+		c := cfg()
+		c.OnRoundEnd = func(round int, n *Network) {
+			if round != k {
+				return
+			}
+			rec.ckpt = snapshotBytes(tb, n)
+			for i := range n.tiles {
+				rec.rngs = append(rec.rngs, n.tiles[i].rnd)
+			}
+		}
+		return c
+	}
+	sc.setup = func(n *Network) {
+		if setup != nil {
+			setup(n)
+		}
+		rec.gated = n.elideDup
+		n.elideDup = n.elideDup && elide
+	}
+	rec.run = runShardScenario(tb, sc, shards)
+	return rec
+}
+
+// TestDuplicateElisionInvisible pins sender-side duplicate elision as a
+// pure optimisation. Every case of the randomized differential population
+// and every shard scenario runs twice, once with the engine's elision gate
+// as New computed it and once with it cleared, and both runs must agree
+// on the event log, the delivery log, the counters, the aware tables and,
+// at a checkpoint round, the snapshot bytes and every tile's RNG state.
+// Each pair runs sequentially and at two shards, where phase 3 reads
+// present rows owned by other lanes (CI runs this under -race).
+func TestDuplicateElisionInvisible(t *testing.T) {
+	type elisionCase struct {
+		sc shardScenario
+		k  int
+	}
+	var cases []elisionCase
+	count := diffCases
+	if testing.Short() {
+		count = diffCasesShort
+	}
+	for idx := 0; idx < count; idx++ {
+		dc := genCase(idx)
+		cases = append(cases, elisionCase{dc.sc, dc.resumeK})
+	}
+	for _, sc := range shardScenarios() {
+		cases = append(cases, elisionCase{sc, sc.rounds / 2})
+	}
+	for _, c := range elisionCases() {
+		cases = append(cases, elisionCase{c, c.rounds / 2})
+	}
+	elided := 0
+	for _, c := range cases {
+		t.Run(c.sc.name, func(t *testing.T) {
+			for _, shards := range []int{1, 2} {
+				want := runElision(t, c.sc, shards, c.k, false)
+				got := runElision(t, c.sc, shards, c.k, true)
+				switch {
+				case want.ckpt == nil || got.ckpt == nil:
+					t.Fatalf("shards=%d: checkpoint round %d never reached", shards, c.k)
+				case !reflect.DeepEqual(got.run.events, want.run.events):
+					t.Fatalf("shards=%d: event log moved: %s", shards, firstEventDiff(want.run.events, got.run.events))
+				case got.run.cnt != want.run.cnt:
+					t.Fatalf("shards=%d: counters moved\nring:   %+v\nelided: %+v", shards, want.run.cnt, got.run.cnt)
+				case !reflect.DeepEqual(got.run, want.run):
+					t.Fatalf("shards=%d: deliveries, aware tables or rounds moved", shards)
+				case !bytes.Equal(got.ckpt, want.ckpt):
+					t.Fatalf("shards=%d: snapshot at round %d moved", shards, c.k)
+				case !reflect.DeepEqual(got.rngs, want.rngs):
+					t.Fatalf("shards=%d: tile RNG states at round %d moved", shards, c.k)
+				}
+				if shards == 1 && got.gated && got.run.cnt.Duplicates > 0 {
+					elided++
+				}
+			}
+		})
+	}
+	// A population in which the gate never opens on duplicate traffic
+	// would compare the ring path with itself.
+	t.Logf("%d of %d cases ran the elision gate open with duplicates", elided, len(cases))
+	if want := len(cases) / 4; elided < want {
+		t.Fatalf("only %d of %d cases ran the elision gate open with duplicates, want >= %d", elided, len(cases), want)
+	}
+}
+
+// elisionCases are the configurations that sit next to the elision gate:
+// each keeps elision off through exactly one gate term (or through the
+// slip and upset tests in transmit), on traffic dense enough that a copy
+// wrongly settled at the sender changes the record.
+func elisionCases() []shardScenario {
+	dense := func(name string, mod func(*Config), inject ...injection) shardScenario {
+		return shardScenario{
+			name: "elide-" + name,
+			cfg: func() Config {
+				cfg := Config{Topo: topology.NewGrid(16, 8), P: 0.6, TTL: 14, MaxRounds: 1000, Seed: 0xe1}
+				mod(&cfg)
+				return cfg
+			},
+			inject: inject,
+			rounds: 30,
+		}
+	}
+	bcast := []injection{
+		{beforeRound: 0, src: 0, dst: packet.Broadcast, payload: "a"},
+		{beforeRound: 0, src: 64, dst: packet.Broadcast, payload: "b"},
+		{beforeRound: 2, src: 127, dst: packet.Broadcast},
+	}
+	return []shardScenario{
+		// Without dedup a copy reaching a tile that buffers the message
+		// is a second buffered copy; TTL 5 keeps the uncapped copy
+		// population small.
+		dense("dedup-off", func(c *Config) { c.DisableDedup = true; c.TTL = 5 }, bcast...),
+		// Three broadcasts into one-slot buffers: eviction clears a
+		// present bit in phase 4, after a copy of the evicted message may
+		// already have been sent.
+		dense("buffer-full", func(c *Config) { c.BufferCap = 1 }, bcast...),
+		// A delivered unicast is tombstoned mid-phase 4; its later copies
+		// that round must be dropped uncounted, not counted as duplicates.
+		dense("stop-spread", func(c *Config) { c.StopSpreadOnDelivery = true; c.P = 0.9 },
+			injection{beforeRound: 0, src: 0, dst: 36, kind: 1},
+			injection{beforeRound: 0, src: 127, dst: 94, kind: 1},
+			injection{beforeRound: 3, src: 64, dst: 19, kind: 1}),
+		// Every reception draws the overflow loss from the receiver's
+		// stream.
+		dense("overflow", func(c *Config) { c.Fault.POverflow = 0.1 }, bcast...),
+		// A slipped copy lands in a later round, when the far end may have
+		// dropped the message.
+		dense("sync-skew", func(c *Config) { c.Fault.SigmaSync = 1.2; c.TTL = 6 }, bcast...),
+		// An upset copy is a detected CRC failure at the far end, with its
+		// own event.
+		dense("upsets", func(c *Config) { c.Fault.PUpset = 0.2 }, bcast...),
+		// Wire frames: elision stays on the analytic path.
+		dense("literal", func(c *Config) { c.Fault.LiteralUpsets = true; c.Fault.PUpset = 0.2 }, bcast...),
+	}
+}

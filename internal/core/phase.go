@@ -237,7 +237,10 @@ func (n *Network) forwardTile(ln *lane, t *tile) {
 // path) or as a pooled encoded frame (literal path); either way the
 // steady state allocates nothing per transmission. The arrival reaches
 // the destination ring through ln.send: directly when the lane runs
-// direct, via the post-phase outbox merge otherwise. linkUp is the cached
+// direct, via the post-phase outbox merge otherwise — unless the far end
+// could only drop it as a duplicate, in which case it is counted here and
+// never scheduled (Network.elideDup; DESIGN.md "Duplicate elision at the
+// sender"). linkUp is the cached
 // inj.LinkAlive(t.id, nb) verdict — precomputed per port at New on the
 // gossip paths, looked up per call on the (cold) router path.
 func (n *Network) transmit(ln *lane, t *tile, nb packet.TileID, p *packet.Packet, linkUp bool) {
@@ -268,12 +271,20 @@ func (n *Network) transmit(ln *lane, t *tile, nb packet.TileID, p *packet.Packet
 		// accounting — the frame itself may be corrupted beyond trust.
 		ln.send(nb, when, arrival{frame: frame, pkt: packet.Packet{ID: p.ID}})
 	} else {
-		a := arrival{pkt: *p}
-		if t.rnd.BoolT(n.upsetT) {
-			a.upset = true
+		upset := t.rnd.BoolT(n.upsetT)
+		if upset {
 			ln.cnt.UpsetsInjected++
+		} else if slip == 0 && n.elideDup && rowBit(n.tbl.present[msgSlot(p.ID)], nb) {
+			// Settled at the sender: a clean copy arriving this round at
+			// a tile that already buffers the message is, in phase 4, a
+			// dedup hit and nothing else — no draw, no event, and no
+			// delivery (present implies seen at an addressed tile). Phase
+			// 3 writes no present bit on any lane, so the row is stable
+			// here and reading another lane's word is race-free.
+			ln.cnt.Duplicates++
+			return
 		}
-		ln.send(nb, when, a)
+		ln.send(nb, when, arrival{pkt: *p, upset: upset})
 	}
 }
 

@@ -24,10 +24,14 @@ type arrival struct {
 // (≤ 2·T_R) slips beyond 7 rounds are ≈4σ events.
 const ringInitLen = 8
 
-// ringInitCap is the arrival capacity pre-carved per bucket at first use,
-// sized for the common per-round fan-in of a mesh tile (4 ports); buckets
-// that overflow it grow individually by append.
-const ringInitCap = 4
+// ringInitCap is the arrival capacity pre-carved per bucket at first use;
+// buckets that overflow it grow individually by append. It is sized for
+// the burst that reaches a tile in the round it first receives a message
+// (one or two of its neighbours holding it), not for the 4-port fan-in of
+// a saturated gossip: those copies are duplicates, which transmit settles
+// at the sender. Every tile a broadcast reaches arms a ring, so on a
+// fresh network this capacity is most of the per-replica garbage.
+const ringInitCap = 2
 
 // arrivalRing schedules in-flight arrivals by absolute round. It replaces
 // the per-tile pending map: because a copy transmitted in round r arrives

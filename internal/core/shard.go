@@ -249,8 +249,9 @@ func (ln *lane) send(dst packet.TileID, when int, a arrival) {
 // unshare replaces a frame-aliased payload with a private copy at the
 // moment a literal-path packet is first stored; clearing borrowed lets
 // deliver and enqueue share that one copy, exactly as Decode used to
-// provide. Steady-state duplicates never reach this point, so they cost
-// no payload copy at all.
+// provide. A duplicate never reaches this point (enqueue drops it first;
+// on the analytic path most are settled at the sender), so it costs no
+// payload copy at all.
 func (ln *lane) unshare(p *packet.Packet) {
 	if len(p.Payload) > 0 {
 		owned := make([]byte, len(p.Payload))

@@ -356,7 +356,8 @@ func checkLanes(tb testing.TB, sc shardScenario, n *Network, shards int) {
 }
 
 // runShardScenario executes one scenario at the given shard count and
-// returns the full observable record.
+// returns the full observable record. Every round barrier is checked
+// against presentImpliesSeen.
 func runShardScenario(tb testing.TB, sc shardScenario, shards int) shardSnapshot {
 	tb.Helper()
 	var snap shardSnapshot
@@ -389,6 +390,9 @@ func runShardScenario(tb testing.TB, sc shardScenario, shards int) shardSnapshot
 			ids = append(ids, mustInject(tb, n, in.src, in.dst, in.kind, payload))
 		}
 		n.Step()
+		if err := presentImpliesSeen(n); err != nil {
+			tb.Fatalf("%s/shards=%d: %v", sc.name, shards, err)
+		}
 	}
 	snap.cnt = n.Counters()
 	snap.rounds = n.Round()
