@@ -172,35 +172,6 @@ func broadcastRun(b *testing.B, cfg core.Config) int {
 	return net.Counters().Energy.Transmissions
 }
 
-// Ablation: send-buffer deduplication on vs off. Dedup is what keeps the
-// gossip's bandwidth bounded.
-func BenchmarkAblationDedupOn(b *testing.B) {
-	var tx float64
-	for i := 0; i < b.N; i++ {
-		tx += float64(broadcastRun(b, core.Config{P: 0.75, Seed: uint64(i)}))
-	}
-	b.ReportMetric(tx/float64(b.N), "transmissions")
-}
-
-func BenchmarkAblationDedupOff(b *testing.B) {
-	// Without dedup the copy count explodes combinatorially; TTL 6 keeps
-	// the blow-up bounded while still showing the orders-of-magnitude
-	// penalty next to DedupOn at the same TTL.
-	var tx float64
-	for i := 0; i < b.N; i++ {
-		tx += float64(broadcastRun(b, core.Config{P: 0.75, TTL: 6, Seed: uint64(i), DisableDedup: true}))
-	}
-	b.ReportMetric(tx/float64(b.N), "transmissions")
-}
-
-func BenchmarkAblationDedupOnTTL6(b *testing.B) {
-	var tx float64
-	for i := 0; i < b.N; i++ {
-		tx += float64(broadcastRun(b, core.Config{P: 0.75, TTL: 6, Seed: uint64(i)}))
-	}
-	b.ReportMetric(tx/float64(b.N), "transmissions")
-}
-
 // Ablation: literal bit-flip upsets (encode + corrupt + CRC per hop) vs
 // the analytic drop model — the cost of hardware-faithful simulation.
 func BenchmarkAblationUpsetsAnalytic(b *testing.B) {

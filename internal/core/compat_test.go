@@ -30,10 +30,14 @@ import (
 )
 
 // compatCfg is the configuration of the run that wrote the frozen
-// checkpoint. It must never change: the embedded digest pins it.
+// checkpoint, minus the Config fields deleted since (a hard send-buffer
+// cap of 4, which never bound in the frozen continuation). The embedded
+// digest pins it:
+// deleting a field re-stamps the checkpoint — patch in the new digest,
+// restore, re-snapshot — and only the four digest bytes move.
 func compatCfg() Config {
 	return Config{
-		Topo: topology.NewGrid(6, 6), P: 0.5, TTL: 8, BufferCap: 4,
+		Topo: topology.NewGrid(6, 6), P: 0.5, TTL: 8,
 		MaxRounds: 1000, Seed: 0xC0FFEE,
 		Fault: fault.Model{
 			PUpset: 0.12, LiteralUpsets: true, SigmaSync: 0.8,

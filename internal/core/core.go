@@ -90,9 +90,6 @@ type Config struct {
 	// rounds: each buffered copy ages once per round and is
 	// garbage-collected at zero (§3.2.2).
 	TTL uint8
-	// BufferCap bounds the send buffer; 0 means unbounded. On overflow
-	// the oldest buffered message is dropped (§4.2).
-	BufferCap int
 	// MaxRounds is the round budget: a run that has not completed after
 	// this many rounds is aborted (defaults to 10000).
 	MaxRounds int
@@ -145,9 +142,6 @@ type Config struct {
 	// the kernel; the snapshot payload records the choice and Restore
 	// refuses a mismatch.
 	BatchDraws bool
-	// DisableDedup turns off duplicate suppression in the send buffer,
-	// for the ablation study (the thesis keeps exactly one copy).
-	DisableDedup bool
 	// StopSpreadOnDelivery garbage-collects a unicast message everywhere
 	// once its destination has received it — the idealized spread
 	// termination §3.2.2 alludes to ("the spread could be terminated even
@@ -252,9 +246,6 @@ func (c *Config) Validate() error {
 	if c.TTL == 0 {
 		return errors.New("core: TTL must be >= 1")
 	}
-	if c.BufferCap < 0 {
-		return errors.New("core: negative BufferCap")
-	}
 	if c.Shards < 0 {
 		return errors.New("core: negative Shards")
 	}
@@ -279,7 +270,8 @@ type Counters struct {
 	// analytic path this equals the injected upsets that reached a live
 	// receiver).
 	UpsetsDetected int
-	// OverflowDrops counts messages lost to buffer overflow.
+	// OverflowDrops counts receptions lost to buffer overflow (the
+	// Chapter 2 p_overflow, Fault.POverflow).
 	OverflowDrops int
 	// SlippedDeliveries counts receptions delayed by synchronization
 	// skew.
@@ -289,11 +281,11 @@ type Counters struct {
 	// DeliveredPayloadBits is the useful payload delivered, for the
 	// J-per-useful-bit metric.
 	DeliveredPayloadBits int
-	// Duplicates counts copies suppressed by dedup: received copies of a
-	// message the tile already buffers, plus the copies settled at the
-	// sender because the far end already buffered the message (they are
-	// counted in the round they were sent, the round they would have
-	// arrived).
+	// Duplicates counts copies of a message that reached a tile already
+	// buffering it, which the set-valued send buffer (Fig. 3-4) drops:
+	// received copies, plus the copies settled at the sender because the
+	// far end already buffered the message (they are counted in the round
+	// they were sent, the round they would have arrived).
 	Duplicates int
 	// Retired counts messages whose table slot was reclaimed by ID
 	// recycling (Config.Recycle); always 0 with recycling off.
@@ -390,8 +382,8 @@ type Network struct {
 	// elideDup lets transmit settle a copy at the sender when phase 4
 	// could only count it as a duplicate (see transmit). It holds exactly
 	// when reception of a clean, on-time copy at a tile already buffering
-	// the message is a pure dedup hit: dedup on, no hard buffer cap (no
-	// eviction), no tombstones, no wire frames and no overflow draw.
+	// the message is a pure dedup hit: no tombstones, no wire frames and
+	// no overflow draw.
 	elideDup bool
 	// recycle caches cfg.Recycle for the hot paths (inflight/copy
 	// accounting and the per-Step retirement barrier run only under it).
@@ -455,8 +447,7 @@ func New(cfg Config) (*Network, error) {
 		batch: cfg.BatchDraws, batchT16: maskThreshold16(cfg.P),
 		invLn1mP: skipConstant(cfg.P),
 	}
-	n.elideDup = !cfg.DisableDedup && cfg.BufferCap == 0 && !cfg.StopSpreadOnDelivery &&
-		!cfg.Fault.LiteralUpsets && n.overflowT == 0
+	n.elideDup = !cfg.StopSpreadOnDelivery && !cfg.Fault.LiteralUpsets && n.overflowT == 0
 	n.bufOcc.initOcc(cfg.Topo.Tiles())
 	n.rcvOcc.initOcc(cfg.Topo.Tiles())
 	n.tbl.initTable(cfg.Topo.Tiles())

@@ -197,29 +197,6 @@ func TestDedupSuppressesDuplicates(t *testing.T) {
 	}
 }
 
-func TestDisableDedupIncreasesTraffic(t *testing.T) {
-	run := func(disable bool) int {
-		g := topology.NewGrid(3, 3)
-		cfg := baseCfg(g, 1)
-		cfg.TTL = 5
-		cfg.DisableDedup = disable
-		n, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n.Inject(0, packet.Broadcast, 0, nil)
-		for i := 0; i < 6; i++ {
-			n.Step()
-		}
-		return n.Counters().Energy.Transmissions
-	}
-	with := run(false)
-	without := run(true)
-	if without <= with {
-		t.Fatalf("dedup off (%d tx) not more traffic than on (%d tx)", without, with)
-	}
-}
-
 func TestDeadTileBlocksLine(t *testing.T) {
 	// 0-1-2: tile 1 dead => 2 unreachable no matter how long we run.
 	g := topology.NewGrid(3, 1)
@@ -299,26 +276,6 @@ func TestLiteralUpsetsDetectedByCRC(t *testing.T) {
 	// caught.
 	if c.UpsetsDetected > c.UpsetsInjected {
 		t.Fatalf("detected %d > injected %d", c.UpsetsDetected, c.UpsetsInjected)
-	}
-}
-
-func TestBufferCapDropsOldest(t *testing.T) {
-	g := topology.NewGrid(2, 1)
-	cfg := baseCfg(g, 0)
-	cfg.BufferCap = 2
-	cfg.TTL = 100
-	n := mustNet(t, cfg)
-	id1, _ := n.Inject(0, 1, 0, []byte("a"))
-	n.Inject(0, 1, 0, []byte("b"))
-	n.Inject(0, 1, 0, []byte("c"))
-	if got := len(n.tiles[0].sendBuf); got != 2 {
-		t.Fatalf("buffer holds %d, cap 2", got)
-	}
-	if n.flagsOf(&n.tiles[0], id1)&flagPresent != 0 {
-		t.Fatal("oldest message not the one dropped")
-	}
-	if n.Counters().OverflowDrops != 1 {
-		t.Fatalf("OverflowDrops = %d", n.Counters().OverflowDrops)
 	}
 }
 
@@ -452,7 +409,6 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{Topo: g, P: -1, TTL: 5},
 		{Topo: g, P: 2, TTL: 5},
 		{Topo: g, P: 0.5, TTL: 0},
-		{Topo: g, P: 0.5, TTL: 5, BufferCap: -1},
 		{Topo: g, P: 0.5, TTL: 5, Fault: fault.Model{PUpset: 3}},
 	}
 	for i, cfg := range bad {

@@ -132,29 +132,12 @@ func genCase(idx int) diffConfig {
 		MaxRounds:            1000,
 		Seed:                 g.Uint64(),
 		Fault:                genFault(g, tiles),
-		DisableDedup:         g.Bool(0.15),
 		StopSpreadOnDelivery: g.Bool(0.15),
 		// A third of the population runs the batch forwarding kernel, so
 		// its samplers (mask lanes, geometric skip, high-degree fallback
 		// — which one runs depends on the fabric's degree and P) face
 		// the same seq == sharded == resumed oracle as the default path.
 		BatchDraws: g.Bool(0.35),
-	}
-	if g.Bool(0.2) {
-		cfgTemplate.BufferCap = 1 + g.Intn(4)
-	}
-	// Without dedup, copies multiply by ~degree·P per round; on the
-	// high-fan-out fabrics an uncapped buffer and a long TTL make the
-	// copy population (and the event log) grow geometrically. Keep those
-	// cases finite: they still exercise the no-dedup code paths, just
-	// not at astronomical copy counts.
-	if cfgTemplate.DisableDedup {
-		if cfgTemplate.BufferCap == 0 {
-			cfgTemplate.BufferCap = 1 + g.Intn(4)
-		}
-		if cfgTemplate.TTL > 6 {
-			cfgTemplate.TTL = 3 + cfgTemplate.TTL%4
-		}
 	}
 
 	// Routers and forward limits on a few random tiles. The route tables

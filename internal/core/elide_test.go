@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"math/bits"
 	"reflect"
 	"testing"
 
@@ -43,6 +44,73 @@ func TestPresentImpliesSeenCatchesPlant(t *testing.T) {
 	n.enqueue(n.laneOf(src), &n.tiles[src], &packet.Packet{ID: id, Src: src, Dst: packet.Broadcast, TTL: 4})
 	if err := presentImpliesSeen(n); err == nil {
 		t.Fatal("a message buffered at its source without its seen bit passed the check")
+	}
+}
+
+// presentIsOneCopy checks the invariant enqueue keeps and Restore
+// enforces: tile t's present bit for message m is set exactly when t's
+// send buffer holds one copy of m — never two, never none. With
+// recycling on, each slot's copy count must also equal its present bits.
+// Round barriers only.
+func presentIsOneCopy(n *Network) error {
+	copies := make([]int, len(n.tbl.gens))
+	for i := range n.tiles {
+		t := &n.tiles[i]
+		for j := range t.sendBuf {
+			p := &t.sendBuf[j]
+			s := msgSlot(p.ID)
+			if !rowBit(n.tbl.present[s], t.id) {
+				return fmt.Errorf("round %d: tile %d buffers message %#x without its present bit", n.round, t.id, p.ID)
+			}
+			for k := range j {
+				if t.sendBuf[k].ID == p.ID {
+					return fmt.Errorf("round %d: tile %d buffers message %#x twice", n.round, t.id, p.ID)
+				}
+			}
+			copies[s]++
+		}
+	}
+	for s := 1; s < len(copies); s++ {
+		present := 0
+		for _, w := range n.tbl.present[s] {
+			present += bits.OnesCount64(w)
+		}
+		if present != copies[s] {
+			return fmt.Errorf("round %d: slot %d present at %d tiles, buffered at %d", n.round, s, present, copies[s])
+		}
+		if n.recycle && int(n.tbl.copies[s]) != copies[s] {
+			return fmt.Errorf("round %d: slot %d copy count %d, buffered at %d", n.round, s, n.tbl.copies[s], copies[s])
+		}
+	}
+	return nil
+}
+
+// TestPresentIsOneCopyCatchesPlants plants the two ways the invariant can
+// break: an enqueue that skips the dedup check (a second copy behind one
+// present bit) and an expiry that drops a copy without clearing its bit.
+func TestPresentIsOneCopyCatchesPlants(t *testing.T) {
+	for _, recycle := range []bool{false, true} {
+		build := func() *Network {
+			n := mustNet(t, Config{Topo: topology.NewGrid(4, 4), P: 0.5, TTL: 4, MaxRounds: 10, Seed: 1, Recycle: recycle})
+			mustInject(t, n, 3, packet.Broadcast, 0, nil)
+			n.Step()
+			if err := presentIsOneCopy(n); err != nil {
+				t.Fatalf("recycle=%v: a correct run trips the check: %v", recycle, err)
+			}
+			return n
+		}
+		n := build()
+		src := &n.tiles[3]
+		src.sendBuf = append(src.sendBuf, src.sendBuf[0])
+		if err := presentIsOneCopy(n); err == nil {
+			t.Errorf("recycle=%v: a tile buffering a message twice passed the check", recycle)
+		}
+		n = build()
+		src = &n.tiles[3]
+		src.sendBuf = src.sendBuf[:0]
+		if err := presentIsOneCopy(n); err == nil {
+			t.Errorf("recycle=%v: a present bit without a buffered copy passed the check", recycle)
+		}
 	}
 }
 
@@ -172,14 +240,6 @@ func elisionCases() []shardScenario {
 		{beforeRound: 2, src: 127, dst: packet.Broadcast},
 	}
 	return []shardScenario{
-		// Without dedup a copy reaching a tile that buffers the message
-		// is a second buffered copy; TTL 5 keeps the uncapped copy
-		// population small.
-		dense("dedup-off", func(c *Config) { c.DisableDedup = true; c.TTL = 5 }, bcast...),
-		// Three broadcasts into one-slot buffers: eviction clears a
-		// present bit in phase 4, after a copy of the evicted message may
-		// already have been sent.
-		dense("buffer-full", func(c *Config) { c.BufferCap = 1 }, bcast...),
 		// A delivered unicast is tombstoned mid-phase 4; its later copies
 		// that round must be dropped uncounted, not counted as duplicates.
 		dense("stop-spread", func(c *Config) { c.StopSpreadOnDelivery = true; c.P = 0.9 },

@@ -136,9 +136,6 @@ func (n *Network) ageTile(ln *lane, t *tile) {
 	for i := range t.sendBuf {
 		p := &t.sendBuf[i]
 		if p.TTL == 0 || (checkDead && n.isDead(p.ID)) {
-			if n.recycle {
-				n.addCopies(msgSlot(p.ID), -1)
-			}
 			n.clearPresent(t, p.ID)
 			ln.emit(EvExpire, t.id, t.id, p.ID)
 			continue
@@ -316,10 +313,10 @@ func (n *Network) receiveTile(ln *lane, t *tile) {
 			p = &a.pkt
 		}
 		if !n.isDead(p.ID) {
-			// Analytic overflow: with probability POverflow the incoming
-			// packet finds no buffer space and is lost — the "% dropped
-			// packets" swept by Figs. 4-10/4-11. (Oldest-first eviction
-			// applies on the hard-capacity path in enqueue, per §4.2.)
+			// Overflow: with probability POverflow the incoming packet
+			// finds no buffer space and is lost — the Chapter 2
+			// p_overflow, the "% dropped packets" swept by Figs.
+			// 4-10/4-11. It is the engine's only buffer-capacity model.
 			if t.rnd.BoolT(n.overflowT) {
 				ln.cnt.OverflowDrops++
 				ln.emit(EvOverflow, t.id, t.id, p.ID)
@@ -431,21 +428,16 @@ func (n *Network) deliver(ln *lane, t *tile, p *packet.Packet) {
 	}
 }
 
-// enqueue inserts *p into t's send buffer, enforcing dedup and capacity.
-// The packet is copied by value; the caller keeps ownership of *p. Counts
-// and events go through ln, which must own t (Network.laneOf).
+// enqueue merges *p into t's send buffer, which is a set (Fig. 3-4:
+// send_buffer ∪ {m}): a message t already buffers is counted as a
+// duplicate and dropped, so t holds at most one copy of each message and
+// its present bit says exactly whether it holds that copy. The packet is
+// copied by value; the caller keeps ownership of *p. Counts and events go
+// through ln, which must own t (Network.laneOf).
 func (n *Network) enqueue(ln *lane, t *tile, p *packet.Packet) {
-	if !n.cfg.DisableDedup && rowBit(n.tbl.present[msgSlot(p.ID)], t.id) {
+	if rowBit(n.tbl.present[msgSlot(p.ID)], t.id) {
 		ln.cnt.Duplicates++
 		return
-	}
-	if n.cfg.BufferCap > 0 && len(t.sendBuf) >= n.cfg.BufferCap {
-		// Hard overflow: oldest dropped first (§4.2).
-		if len(t.sendBuf) > 0 {
-			ln.emit(EvOverflow, t.id, t.id, t.sendBuf[0].ID)
-		}
-		n.dropOldest(t)
-		ln.cnt.OverflowDrops++
 	}
 	if ln.borrowed == p {
 		ln.unshare(p)
@@ -457,22 +449,5 @@ func (n *Network) enqueue(ln *lane, t *tile, p *packet.Packet) {
 	if len(t.sendBuf) == 1 {
 		n.occSet(&n.bufOcc, uint32(t.id)) // buffer went non-empty
 	}
-	if n.recycle {
-		n.addCopies(msgSlot(p.ID), 1)
-	}
 	n.setPresent(t, p.ID)
-}
-
-func (n *Network) dropOldest(t *tile) {
-	if len(t.sendBuf) == 0 {
-		return
-	}
-	id := t.sendBuf[0].ID
-	copy(t.sendBuf, t.sendBuf[1:])
-	t.sendBuf[len(t.sendBuf)-1] = packet.Packet{}
-	t.sendBuf = t.sendBuf[:len(t.sendBuf)-1]
-	if n.recycle {
-		n.addCopies(msgSlot(id), -1)
-	}
-	n.clearPresent(t, id)
 }

@@ -48,12 +48,8 @@ func genRecycleCase(idx int) diffConfig {
 		MaxRounds:            1000,
 		Seed:                 g.Uint64(),
 		Fault:                genFault(g, tiles),
-		DisableDedup:         g.Bool(0.15),
 		StopSpreadOnDelivery: g.Bool(0.15),
 		Recycle:              true,
-	}
-	if cfgTemplate.DisableDedup || g.Bool(0.2) {
-		cfgTemplate.BufferCap = 1 + g.Intn(4)
 	}
 
 	rounds := 30 + g.Intn(30)

@@ -147,13 +147,15 @@ func shardScenarios() []shardScenario {
 			rounds: 40,
 		},
 		{
-			// PortWeight biasing plus a hard buffer cap: overflow events
-			// and weighted RNG draws must replay exactly.
+			// PortWeight biasing plus the buffer-capacity fault
+			// (POverflow, the Chapter 2 p_overflow): overflow events and
+			// weighted RNG draws must replay exactly.
 			name: "torus-portweight-bufcap",
 			cfg: func() Config {
 				return Config{
 					Topo: topology.NewTorus(16, 16), P: 0.8, TTL: 12,
-					BufferCap: 2, MaxRounds: 1000, Seed: 5,
+					MaxRounds: 1000, Seed: 5,
+					Fault: fault.Model{POverflow: 0.1},
 					PortWeight: func(from, to packet.TileID, p *packet.Packet) float64 {
 						if to < from {
 							return 0.5
@@ -170,13 +172,14 @@ func shardScenarios() []shardScenario {
 			rounds: 30,
 		},
 		{
-			// Dedup disabled: duplicate copies accumulate, stressing the
-			// aging and overflow paths with larger buffers.
-			name: "grid-dedup-off",
+			// Three crossing broadcasts at TTL 5: most receptions are
+			// dedup hits, and copies expire while duplicates of them are
+			// still arriving.
+			name: "grid-dedup-hits",
 			cfg: func() Config {
 				return Config{
 					Topo: topology.NewGrid(12, 12), P: 0.5, TTL: 5,
-					BufferCap: 3, DisableDedup: true, MaxRounds: 1000, Seed: 3,
+					MaxRounds: 1000, Seed: 3,
 				}
 			},
 			inject: []injection{
@@ -357,7 +360,7 @@ func checkLanes(tb testing.TB, sc shardScenario, n *Network, shards int) {
 
 // runShardScenario executes one scenario at the given shard count and
 // returns the full observable record. Every round barrier is checked
-// against presentImpliesSeen.
+// against presentImpliesSeen and presentIsOneCopy.
 func runShardScenario(tb testing.TB, sc shardScenario, shards int) shardSnapshot {
 	tb.Helper()
 	var snap shardSnapshot
@@ -391,6 +394,9 @@ func runShardScenario(tb testing.TB, sc shardScenario, shards int) shardSnapshot
 		}
 		n.Step()
 		if err := presentImpliesSeen(n); err != nil {
+			tb.Fatalf("%s/shards=%d: %v", sc.name, shards, err)
+		}
+		if err := presentIsOneCopy(n); err != nil {
 			tb.Fatalf("%s/shards=%d: %v", sc.name, shards, err)
 		}
 	}
@@ -529,18 +535,17 @@ func TestShardsClampedToWords(t *testing.T) {
 	}
 }
 
-// TestCountersExactBetweenRounds pins Counters between rounds: a count
-// taken by Inject, outside any phase, must be visible at once whatever the
-// lane count. Two injections at one source of a BufferCap-1 network evict
-// the first (one hard overflow), on a two-lane 16×16 mesh and on an 8×8
-// mesh whose four requested shards clamp to one lane; both must report the
-// drop before any Step and then match their sequential twins round by
-// round.
+// TestCountersExactBetweenRounds pins Counters between rounds: whatever
+// the lane count, what Counters reports outside any phase must be exact.
+// Two injections at one source, on a two-lane 16×16 mesh and on an 8×8
+// mesh whose four requested shards clamp to one lane, count nothing — an
+// Inject is no transmission — and each network must then match its
+// sequential twin round by round.
 func TestCountersExactBetweenRounds(t *testing.T) {
 	for _, c := range []struct{ side, shards, lanes int }{{16, 2, 2}, {8, 4, 1}} {
 		build := func(shards int) *Network {
 			n := mustNet(t, Config{
-				Topo: topology.NewGrid(c.side, c.side), P: 0.6, TTL: 6, BufferCap: 1,
+				Topo: topology.NewGrid(c.side, c.side), P: 0.6, TTL: 6,
 				MaxRounds: 100, Seed: 0xC0DE, Shards: shards,
 			})
 			mustInject(t, n, 5, packet.Broadcast, 0, []byte("first"))
@@ -551,8 +556,8 @@ func TestCountersExactBetweenRounds(t *testing.T) {
 		if got.Shards() != c.lanes {
 			t.Fatalf("%dx%d Shards=%d: runs %d lanes, want %d", c.side, c.side, c.shards, got.Shards(), c.lanes)
 		}
-		if d := got.Counters().OverflowDrops; d != 1 {
-			t.Fatalf("%dx%d Shards=%d: OverflowDrops = %d before any Step, want 1", c.side, c.side, c.shards, d)
+		if cnt := got.Counters(); cnt != (Counters{}) {
+			t.Fatalf("%dx%d Shards=%d: counters %+v before any Step, want zero", c.side, c.side, c.shards, cnt)
 		}
 		for r := 0; r <= 10; r++ {
 			if got.Counters() != seq.Counters() {

@@ -89,10 +89,8 @@ func ConfigDigest(cfg *Config) uint32 {
 	}
 	w.F64(cfg.P)
 	w.U8(cfg.TTL)
-	w.Int(cfg.BufferCap)
 	w.Int(cfg.MaxRounds)
 	w.U64(cfg.Seed)
-	w.Bool(cfg.DisableDedup)
 	w.Bool(cfg.StopSpreadOnDelivery)
 	f := &cfg.Fault
 	w.F64(f.PTileCrash)
@@ -441,7 +439,12 @@ func RestoreSection(sec *snapshot.Reader, cfg Config) (*Network, error) {
 	return n, n.crossCheckAware()
 }
 
-// restoreTiles decodes the per-tile array.
+// restoreTiles decodes the per-tile array and checks the invariant
+// enqueue keeps: a tile's present bit for a message is set exactly when
+// its send buffer holds one copy. Decoding takes each buffered copy's
+// bit and counts the copy (recycling retires on the counts); a copy that
+// finds no bit to take is a repeat or was never flagged, and a bit left
+// over has no copy. The bits are then put back.
 func restoreTiles(sec *snapshot.Reader, n *Network) error {
 	if tiles := sec.Count(1); sec.Err() == nil && tiles != len(n.tiles) {
 		return fmt.Errorf("core: checkpoint holds %d tiles, topology has %d", tiles, len(n.tiles))
@@ -453,6 +456,17 @@ func restoreTiles(sec *snapshot.Reader, n *Network) error {
 		}
 		if err := restoreTileTraffic(sec, n, t); err != nil {
 			return err
+		}
+	}
+	for s := 1; s < len(n.tbl.present); s++ {
+		if slices.ContainsFunc(n.tbl.present[s], func(w uint64) bool { return w != 0 }) {
+			return fmt.Errorf("core: slot %d present at a tile that buffers no copy of it", s)
+		}
+	}
+	for i := range n.tiles {
+		t := &n.tiles[i]
+		for j := range t.sendBuf {
+			rowSet(n.tbl.present[msgSlot(t.sendBuf[j].ID)], t.id)
 		}
 	}
 	return nil
@@ -479,9 +493,9 @@ func restoreTileScalars(sec *snapshot.Reader, n *Network, t *tile) error {
 }
 
 // restoreTileTraffic decodes a tile's send buffer, mailbox and arrival
-// ring, recomputing the buffered-copy counts recycling retires on. Buffer
-// and ring are armed through the lane owning the tile, so the pools' armed
-// counts cover restored tiles like any other.
+// ring, taking each buffered copy's present bit (see restoreTiles). Buffer
+// and ring are armed through the lane owning the tile, so the pools'
+// armed counts cover restored tiles like any other.
 func restoreTileTraffic(sec *snapshot.Reader, n *Network, t *tile) error {
 	pl := n.laneOf(t.id)
 	nbuf := sec.Count(1)
@@ -494,10 +508,11 @@ func restoreTileTraffic(sec *snapshot.Reader, n *Network, t *tile) error {
 		if err != nil {
 			return fmt.Errorf("core: tile %d send buffer: %w", t.id, err)
 		}
-		t.sendBuf = append(t.sendBuf, p)
-		if n.recycle {
-			n.addCopies(msgSlot(p.ID), 1)
+		if !rowClear(n.tbl.present[msgSlot(p.ID)], t.id) {
+			return fmt.Errorf("core: tile %d buffers message %d twice or without its present bit", t.id, p.ID)
 		}
+		n.addCopies(msgSlot(p.ID), 1)
+		t.sendBuf = append(t.sendBuf, p)
 	}
 	nmail := sec.Count(1)
 	for i := 0; i < nmail; i++ {

@@ -24,16 +24,16 @@ import (
 // arrivals and RNG streams included).
 
 // everythingScenario enables every fault knob at once — literal upsets
-// with a burst error model, overflow, link and tile crashes with a
-// protect list, synchronization skew — plus a buffer cap, so a resumed
-// run has to replay every code path the engine has.
+// with the random-bit error model, overflow, link and tile crashes with a
+// protect list, synchronization skew — so a resumed run has to replay
+// every code path the engine has.
 func everythingScenario() shardScenario {
 	return shardScenario{
 		name: "everything",
 		cfg: func() Config {
 			return Config{
 				Topo: topology.NewGrid(12, 12), P: 0.55, TTL: 10,
-				BufferCap: 4, MaxRounds: 1000, Seed: 99,
+				MaxRounds: 1000, Seed: 99,
 				Fault: fault.Model{
 					PUpset: 0.12, POverflow: 0.06, PLinkCrash: 0.04,
 					DeadTiles: 8, SigmaSync: 0.8,
@@ -297,7 +297,6 @@ func TestRestoreRejectsDifferentConfig(t *testing.T) {
 		"ttl":      func(c *Config) { c.TTL = 9 },
 		"topology": func(c *Config) { c.Topo = topology.NewGrid(4, 5) },
 		"fault":    func(c *Config) { c.Fault.PUpset = 0.1 },
-		"dedup":    func(c *Config) { c.DisableDedup = true },
 	}
 	for name, mutate := range mutations {
 		cfg := base
@@ -373,12 +372,55 @@ func TestRestoreRejectsInconsistentState(t *testing.T) {
 	}
 }
 
+// TestRestoreRefusesBufferNotASet pins the send-buffer invariant on the
+// restore side: a tile's present bit for a message is set exactly when it
+// buffers one copy. Each edit doctors a live network in a way its aware
+// counts cannot see (the doctored tile is the source, whose seen bit is
+// set) and snapshots it; Restore must refuse the payload with an error —
+// a repeated message ID, a present bit without a copy, a copy without its
+// present bit — with recycling off and on.
+func TestRestoreRefusesBufferNotASet(t *testing.T) {
+	edits := []struct {
+		name, want string
+		edit       func(n *Network, src *tile)
+	}{
+		{"repeated-id", "twice", func(n *Network, src *tile) {
+			src.sendBuf = append(src.sendBuf, src.sendBuf[0])
+		}},
+		{"present-without-copy", "present at", func(n *Network, src *tile) {
+			src.sendBuf = src.sendBuf[:0]
+		}},
+		{"copy-without-present", "without its present bit", func(n *Network, src *tile) {
+			rowClear(n.tbl.present[msgSlot(src.sendBuf[0].ID)], src.id)
+		}},
+	}
+	for _, recycle := range []bool{false, true} {
+		for _, e := range edits {
+			cfg := Config{Topo: topology.NewGrid(4, 4), P: 0.6, TTL: 8, MaxRounds: 100, Seed: 5, Recycle: recycle}
+			n := mustNet(t, cfg)
+			mustInject(t, n, 5, packet.Broadcast, 0, []byte("x"))
+			n.Step()
+			src := &n.tiles[5]
+			if len(src.sendBuf) != 1 {
+				t.Fatalf("source tile buffers %d copies, want 1 to doctor", len(src.sendBuf))
+			}
+			if _, err := Restore(bytes.NewReader(snapshotBytes(t, n)), cfg); err != nil {
+				t.Fatalf("recycle=%v: undoctored checkpoint refused: %v", recycle, err)
+			}
+			e.edit(n, src)
+			_, err := Restore(bytes.NewReader(snapshotBytes(t, n)), cfg)
+			if err == nil || !strings.Contains(err.Error(), e.want) {
+				t.Errorf("recycle=%v, %s: err = %v, want one naming %q", recycle, e.name, err, e.want)
+			}
+		}
+	}
+}
+
 // TestRestoreZeroTTLOnlyUnderLiteralUpsets pins the one buffered TTL of
 // zero a consistent engine can hold. A wire frame's TTL byte is outside
 // the CRC, so under LiteralUpsets a bit flip can land a copy in a send
 // buffer at TTL 0 (the next aging wraps it); a checkpoint taken in between
-// must restore and continue bit-identically (recycle-010 of the generated
-// population resumes at exactly such a round). With analytic upsets no
+// must restore and continue bit-identically. With analytic upsets no
 // frame exists to flip, and the same bytes are corruption.
 func TestRestoreZeroTTLOnlyUnderLiteralUpsets(t *testing.T) {
 	for _, literal := range []bool{true, false} {

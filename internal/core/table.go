@@ -84,7 +84,7 @@ type msgTable struct {
 
 	gens     []uint32   // generation currently bound to each slot
 	aware    []int32    // tiles aware (present|seen non-empty); atomic under par
-	copies   []int32    // buffered copies network-wide (recycle only); atomic under par
+	copies   []int32    // buffered copies network-wide = popcount(present[s]) (recycle only); atomic under par
 	inflight []int32    // copies scheduled in arrival rings (recycle only); atomic under par
 	dead     []bool     // spread-stop tombstone
 	occ      []bool     // slot currently bound to a live message
@@ -358,10 +358,10 @@ func (n *Network) addAware(s uint32, delta int32) {
 	n.tbl.aware[s] += delta
 }
 
-// addCopies adjusts the buffered-copy count of slot s; recycle only.
-// Unlike the present flag (one bit per tile however many copies the
-// no-dedup ablation buffers), this counts actual send-buffer entries, so
-// a slot retires only when no copy exists anywhere.
+// addCopies adjusts the buffered-copy count of slot s; recycle only. A
+// tile buffers at most one copy of a message (enqueue), so the count is
+// the popcount of the slot's present row, kept up on the row's bit
+// transitions (setPresent, clearPresent) so retireExpired need not scan.
 func (n *Network) addCopies(s uint32, delta int32) {
 	if n.tbl.copies == nil {
 		return
@@ -388,26 +388,28 @@ func (n *Network) addInflight(s uint32, delta int32) {
 	n.tbl.inflight[s] += delta
 }
 
-// setPresent marks a buffered copy of id at t, updating the aware count
-// on the unaware -> aware transition.
+// setPresent marks the buffered copy of id at t, counting the copy and
+// updating the aware count on the unaware -> aware transition.
 func (n *Network) setPresent(t *tile, id packet.MsgID) {
 	s := msgSlot(id)
 	if rowSet(n.tbl.present[s], t.id) {
 		return
 	}
+	n.addCopies(s, 1)
 	if !rowBit(n.tbl.seen[s], t.id) {
 		n.addAware(s, 1)
 	}
 }
 
-// clearPresent removes the buffered-copy mark, decrementing the aware
-// count if the tile has also never taken delivery — the same instant the
-// scanning Aware() stopped counting the tile.
+// clearPresent removes the buffered-copy mark and uncounts the copy,
+// decrementing the aware count if the tile has also never taken delivery
+// — the same instant the scanning Aware() stopped counting the tile.
 func (n *Network) clearPresent(t *tile, id packet.MsgID) {
 	s := msgSlot(id)
 	if !rowClear(n.tbl.present[s], t.id) {
 		return
 	}
+	n.addCopies(s, -1)
 	if !rowBit(n.tbl.seen[s], t.id) {
 		n.addAware(s, -1)
 	}

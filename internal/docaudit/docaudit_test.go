@@ -8,7 +8,9 @@
 // state units (rounds, bits, joules) and cite the thesis section they
 // reproduce; this gate can only enforce presence, so the units rule is
 // enforced by review — but an undocumented export fails CI here rather
-// than slipping through.
+// than slipping through. The same job runs the knob census
+// (knobs_test.go): a core.Config field nothing outside the engine sets
+// fails it too.
 package docaudit
 
 import (
