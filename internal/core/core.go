@@ -22,8 +22,9 @@
 // slot-major bitset tables indexed by the slot half of the MsgID
 // (table.go), in-flight copies travel by value through small per-tile
 // arrival rings (ring.go) — except the copies the far end could only drop
-// as duplicates, which transmit settles at the sender without scheduling
-// them (phase.go) — and the per-tile state every sweep touches is
+// as duplicates (or, with no OnEvent listener, as upsets), which transmit
+// settles at the sender without scheduling them (phase.go) — and the
+// per-tile state every sweep touches is
 // one flat array built once at New (the IP-core side of a tile exists only
 // where a Process, router or forward limit was attached). With
 // Config.Recycle the tables are additionally bounded by the *live* message
@@ -161,7 +162,9 @@ type Config struct {
 	// OnEvent, if set, receives every protocol event (message creation,
 	// transmissions, CRC rejections, overflow drops, deliveries, TTL
 	// expiries) — the hook packages trace and metrics build timelines and
-	// per-round series on. Leaving it nil costs nothing.
+	// per-round series on. Leaving it nil costs nothing and lets the
+	// engine settle upsets at the sender (DESIGN.md, "Settlement at the
+	// sender"); Network.Tally and Counters still count every event kind.
 	OnEvent func(Event)
 	// OnRoundEnd, if set, is called as the very last action of every
 	// Step, at the round barrier — the per-round flush hook the metrics
@@ -268,7 +271,9 @@ type Counters struct {
 	UpsetsInjected int
 	// UpsetsDetected counts receptions discarded by the CRC check (on the
 	// analytic path this equals the injected upsets that reached a live
-	// receiver).
+	// receiver). With no OnEvent listener an on-time analytic upset is
+	// settled at the sender: it counts here in the round it was sent, the
+	// round it would have arrived, and never enters the arrival ring.
 	UpsetsDetected int
 	// OverflowDrops counts receptions lost to buffer overflow (the
 	// Chapter 2 p_overflow, Fault.POverflow).
@@ -385,6 +390,16 @@ type Network struct {
 	// the message is a pure dedup hit: no tombstones, no wire frames and
 	// no overflow draw.
 	elideDup bool
+	// settleUpsets lets transmit settle an on-time analytic upset at the
+	// sender: phase 4 would only count it as detected and emit EvUpset,
+	// so with no OnEvent listener nothing can tell the difference.
+	settleUpsets bool
+	// skew caches Fault.SigmaSync > 0: without it SyncSlip draws nothing
+	// and always returns 0, so transmit skips the call.
+	skew bool
+	// created tallies EvCreated emissions since New (or Restore); each
+	// lane tallies its EvExpire emissions (lane.expired). See Tally.
+	created int
 	// recycle caches cfg.Recycle for the hot paths (inflight/copy
 	// accounting and the per-Step retirement barrier run only under it).
 	recycle bool
@@ -448,6 +463,8 @@ func New(cfg Config) (*Network, error) {
 		invLn1mP: skipConstant(cfg.P),
 	}
 	n.elideDup = !cfg.StopSpreadOnDelivery && !cfg.Fault.LiteralUpsets && n.overflowT == 0
+	n.settleUpsets = cfg.OnEvent == nil
+	n.skew = cfg.Fault.SigmaSync > 0
 	n.bufOcc.initOcc(cfg.Topo.Tiles())
 	n.rcvOcc.initOcc(cfg.Topo.Tiles())
 	n.tbl.initTable(cfg.Topo.Tiles())
@@ -608,6 +625,19 @@ func (n *Network) Round() int { return n.round }
 // Counters returns a snapshot of the run's counters.
 func (n *Network) Counters() Counters { return n.cnt }
 
+// Tally returns how many EvCreated and EvExpire events this Network value
+// has emitted — counted whether or not Config.OnEvent is set, and from New
+// or Restore on, exactly as a hook attached there would see them. Unlike
+// Counters it is not part of a snapshot: a restored network starts its
+// tally at zero. Together with Counters (Energy.Transmissions,
+// UpsetsDetected, OverflowDrops, Deliveries) it counts every event kind.
+func (n *Network) Tally() (created, expired int) {
+	for i := range n.lanes {
+		expired += n.lanes[i].expired
+	}
+	return n.created, expired
+}
+
 // Topology returns the fabric.
 func (n *Network) Topology() topology.Topology { return n.topo }
 
@@ -641,6 +671,7 @@ func (n *Network) Inject(src, dst packet.TileID, kind packet.Kind, payload []byt
 	}
 	// The originator knows its own rumor: never deliver it back to src.
 	n.setSeen(&n.tiles[src], id)
+	n.created++
 	n.emit(EvCreated, src, src, id)
 	n.enqueue(n.laneOf(src), &n.tiles[src], &packet.Packet{
 		ID: id, Src: src, Dst: dst, Kind: kind, TTL: n.cfg.TTL, Payload: payload,
@@ -813,6 +844,7 @@ func (c *Ctx) Send(dst packet.TileID, kind packet.Kind, payload []byte) (packet.
 	id := c.net.newMsgID()
 	// The originator knows its own rumor: never deliver it back.
 	c.net.setSeen(c.tile, id)
+	c.net.created++
 	c.net.emit(EvCreated, c.tile.id, c.tile.id, id)
 	// Send only runs on the stepping goroutine (phase 1, or a Receiver
 	// during the sequential phase-4 fallback), so no lane runs in parallel.

@@ -114,26 +114,32 @@ func TestPresentIsOneCopyCatchesPlants(t *testing.T) {
 	}
 }
 
-// elisionRecord is everything TestDuplicateElisionInvisible compares: the
-// full observable record of a run, plus the snapshot bytes and per-tile
-// RNG states at the checkpoint round.
+// elisionRecord is everything the settlement tests compare: the full
+// observable record of a run, the counters at every round barrier, and
+// the snapshot bytes and per-tile RNG states at the checkpoint round.
 type elisionRecord struct {
-	run   shardSnapshot
-	ckpt  []byte
-	rngs  []rng.Stream
-	gated bool // elision was enabled for the run's config
+	run      shardSnapshot
+	barriers []Counters
+	ckpt     []byte
+	rngs     []rng.Stream
+	gated    bool // the settlement gate was open for the run's config
 }
 
-// runElision replays sc with the elision gate as New computed it (elide)
-// or cleared, recording the checkpoint-round state from OnRoundEnd, the
-// round barrier.
-func runElision(tb testing.TB, sc shardScenario, shards, k int, elide bool) elisionRecord {
+// The sender-side settlement gates the tests open and clear.
+func dupGate(n *Network) *bool   { return &n.elideDup }
+func upsetGate(n *Network) *bool { return &n.settleUpsets }
+
+// runElision replays sc with the settlement gate picked by gate as New
+// computed it (open) or cleared, recording the counters at every round
+// barrier and the checkpoint-round state from OnRoundEnd.
+func runElision(tb testing.TB, sc shardScenario, shards, k int, gate func(*Network) *bool, open bool) elisionRecord {
 	tb.Helper()
 	var rec elisionRecord
 	cfg, setup := sc.cfg, sc.setup
 	sc.cfg = func() Config {
 		c := cfg()
 		c.OnRoundEnd = func(round int, n *Network) {
+			rec.barriers = append(rec.barriers, n.Counters())
 			if round != k {
 				return
 			}
@@ -148,61 +154,87 @@ func runElision(tb testing.TB, sc shardScenario, shards, k int, elide bool) elis
 		if setup != nil {
 			setup(n)
 		}
-		rec.gated = n.elideDup
-		n.elideDup = n.elideDup && elide
+		g := gate(n)
+		rec.gated = *g
+		*g = *g && open
 	}
 	rec.run = runShardScenario(tb, sc, shards)
 	return rec
 }
 
-// TestDuplicateElisionInvisible pins sender-side duplicate elision as a
-// pure optimisation. Every case of the randomized differential population
-// and every shard scenario runs twice, once with the engine's elision gate
-// as New computed it and once with it cleared, and both runs must agree
-// on the event log, the delivery log, the counters, the aware tables and,
-// at a checkpoint round, the snapshot bytes and every tile's RNG state.
-// Each pair runs sequentially and at two shards, where phase 3 reads
-// present rows owned by other lanes (CI runs this under -race).
-func TestDuplicateElisionInvisible(t *testing.T) {
-	type elisionCase struct {
-		sc shardScenario
-		k  int
+// compareElision fails tb unless the run with the gate open (got) left
+// the same record as the run with it cleared (want).
+func compareElision(tb testing.TB, shards, k int, want, got elisionRecord) {
+	tb.Helper()
+	switch {
+	case want.ckpt == nil || got.ckpt == nil:
+		tb.Fatalf("shards=%d: checkpoint round %d never reached", shards, k)
+	case !reflect.DeepEqual(got.run.events, want.run.events):
+		tb.Fatalf("shards=%d: event log moved: %s", shards, firstEventDiff(want.run.events, got.run.events))
+	case !reflect.DeepEqual(got.barriers, want.barriers):
+		for r := range min(len(got.barriers), len(want.barriers)) {
+			if got.barriers[r] != want.barriers[r] {
+				tb.Fatalf("shards=%d: counters moved at the end of round %d\nring:    %+v\nsettled: %+v",
+					shards, r+1, want.barriers[r], got.barriers[r])
+			}
+		}
+		tb.Fatalf("shards=%d: %d round barriers, want %d", shards, len(got.barriers), len(want.barriers))
+	case !reflect.DeepEqual(got.run, want.run):
+		tb.Fatalf("shards=%d: deliveries, aware tables or rounds moved", shards)
+	case !bytes.Equal(got.ckpt, want.ckpt):
+		tb.Fatalf("shards=%d: snapshot at round %d moved", shards, k)
+	case !reflect.DeepEqual(got.rngs, want.rngs):
+		tb.Fatalf("shards=%d: tile RNG states at round %d moved", shards, k)
 	}
-	var cases []elisionCase
+}
+
+// settlementCase is one scenario of the settlement tests, with the round
+// at which they compare snapshots.
+type settlementCase struct {
+	sc shardScenario
+	k  int
+}
+
+// settlementCases is the population both settlement tests run: the
+// randomized differential cases, every shard scenario and the elision
+// cases.
+func settlementCases() []settlementCase {
+	var cases []settlementCase
 	count := diffCases
 	if testing.Short() {
 		count = diffCasesShort
 	}
 	for idx := 0; idx < count; idx++ {
 		dc := genCase(idx)
-		cases = append(cases, elisionCase{dc.sc, dc.resumeK})
+		cases = append(cases, settlementCase{dc.sc, dc.resumeK})
 	}
 	for _, sc := range shardScenarios() {
-		cases = append(cases, elisionCase{sc, sc.rounds / 2})
+		cases = append(cases, settlementCase{sc, sc.rounds / 2})
 	}
 	for _, c := range elisionCases() {
-		cases = append(cases, elisionCase{c, c.rounds / 2})
+		cases = append(cases, settlementCase{c, c.rounds / 2})
 	}
+	return cases
+}
+
+// TestDuplicateElisionInvisible pins sender-side duplicate elision as a
+// pure optimisation. Every case of the randomized differential population
+// and every shard scenario runs twice, once with the engine's elision gate
+// as New computed it and once with it cleared, and both runs must agree
+// on the event log, the delivery log, the counters at every round
+// barrier, the aware tables and, at a checkpoint round, the snapshot
+// bytes and every tile's RNG state. Each pair runs sequentially and at
+// two shards, where phase 3 reads present rows owned by other lanes (CI
+// runs this under -race).
+func TestDuplicateElisionInvisible(t *testing.T) {
+	cases := settlementCases()
 	elided := 0
 	for _, c := range cases {
 		t.Run(c.sc.name, func(t *testing.T) {
 			for _, shards := range []int{1, 2} {
-				want := runElision(t, c.sc, shards, c.k, false)
-				got := runElision(t, c.sc, shards, c.k, true)
-				switch {
-				case want.ckpt == nil || got.ckpt == nil:
-					t.Fatalf("shards=%d: checkpoint round %d never reached", shards, c.k)
-				case !reflect.DeepEqual(got.run.events, want.run.events):
-					t.Fatalf("shards=%d: event log moved: %s", shards, firstEventDiff(want.run.events, got.run.events))
-				case got.run.cnt != want.run.cnt:
-					t.Fatalf("shards=%d: counters moved\nring:   %+v\nelided: %+v", shards, want.run.cnt, got.run.cnt)
-				case !reflect.DeepEqual(got.run, want.run):
-					t.Fatalf("shards=%d: deliveries, aware tables or rounds moved", shards)
-				case !bytes.Equal(got.ckpt, want.ckpt):
-					t.Fatalf("shards=%d: snapshot at round %d moved", shards, c.k)
-				case !reflect.DeepEqual(got.rngs, want.rngs):
-					t.Fatalf("shards=%d: tile RNG states at round %d moved", shards, c.k)
-				}
+				want := runElision(t, c.sc, shards, c.k, dupGate, false)
+				got := runElision(t, c.sc, shards, c.k, dupGate, true)
+				compareElision(t, shards, c.k, want, got)
 				if shards == 1 && got.gated && got.run.cnt.Duplicates > 0 {
 					elided++
 				}
@@ -217,10 +249,63 @@ func TestDuplicateElisionInvisible(t *testing.T) {
 	}
 }
 
-// elisionCases are the configurations that sit next to the elision gate:
-// each keeps elision off through exactly one gate term (or through the
-// slip and upset tests in transmit), on traffic dense enough that a copy
-// wrongly settled at the sender changes the record.
+// onTimeUpsets reports whether some round's transmissions, read from the
+// counters at its barriers, must have included an upset copy that arrived
+// on time: more upsets than slipped copies in one round. A lower bound —
+// a round can settle an upset and still slip more copies than it upsets.
+func onTimeUpsets(barriers []Counters) bool {
+	var prev Counters
+	for _, c := range barriers {
+		if c.UpsetsInjected-prev.UpsetsInjected > c.SlippedDeliveries-prev.SlippedDeliveries {
+			return true
+		}
+		prev = c
+	}
+	return false
+}
+
+// TestUpsetSettlementInvisible pins sender-side upset settlement as a
+// pure optimisation, over the population of TestDuplicateElisionInvisible.
+// Each case runs with no OnEvent listener, once with the settlement gate
+// as New computed it and once with it cleared, sequentially and at two
+// shards; both runs must agree on the delivery log, the counters at every
+// round barrier, the aware tables and the checkpoint-round snapshot bytes
+// and RNG states. The same pair then runs with the event hook attached,
+// where the gate must stay shut: the event logs must agree too.
+func TestUpsetSettlementInvisible(t *testing.T) {
+	cases := settlementCases()
+	settled := 0
+	for _, c := range cases {
+		t.Run(c.sc.name, func(t *testing.T) {
+			for _, quiet := range []bool{true, false} {
+				sc := c.sc
+				sc.quiet = quiet
+				for _, shards := range []int{1, 2} {
+					want := runElision(t, sc, shards, c.k, upsetGate, false)
+					got := runElision(t, sc, shards, c.k, upsetGate, true)
+					compareElision(t, shards, c.k, want, got)
+					if !quiet {
+						continue
+					}
+					if shards == 1 && got.gated && !sc.cfg().Fault.LiteralUpsets && onTimeUpsets(got.barriers) {
+						settled++
+					}
+				}
+			}
+		})
+	}
+	t.Logf("%d of %d cases settled upsets at the sender", settled, len(cases))
+	if want := len(cases) / 4; settled < want {
+		t.Fatalf("only %d of %d cases settled upsets at the sender, want >= %d", settled, len(cases), want)
+	}
+}
+
+// elisionCases are the configurations that sit next to the settlement
+// gates: each keeps duplicate elision off through exactly one gate term
+// (or through the slip and upset tests in transmit), and the upset cases
+// sit next to the upset settlement's slip and analytic-path terms, on
+// traffic dense enough that a copy wrongly settled at the sender changes
+// the record.
 func elisionCases() []shardScenario {
 	dense := func(name string, mod func(*Config), inject ...injection) shardScenario {
 		return shardScenario{
@@ -253,8 +338,12 @@ func elisionCases() []shardScenario {
 		// dropped the message.
 		dense("sync-skew", func(c *Config) { c.Fault.SigmaSync = 1.2; c.TTL = 6 }, bcast...),
 		// An upset copy is a detected CRC failure at the far end, with its
-		// own event.
+		// own event: never elided as a duplicate, and settled at the
+		// sender only when no listener would see that event.
 		dense("upsets", func(c *Config) { c.Fault.PUpset = 0.2 }, bcast...),
+		// A slipped upset lands in a later round: it stays on the ring
+		// path, so it is detected (and counted) when it arrives.
+		dense("upsets-skew", func(c *Config) { c.Fault.PUpset = 0.2; c.Fault.SigmaSync = 1.2; c.TTL = 6 }, bcast...),
 		// Wire frames: elision stays on the analytic path.
 		dense("literal", func(c *Config) { c.Fault.LiteralUpsets = true; c.Fault.PUpset = 0.2 }, bcast...),
 	}

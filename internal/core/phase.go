@@ -137,6 +137,7 @@ func (n *Network) ageTile(ln *lane, t *tile) {
 		p := &t.sendBuf[i]
 		if p.TTL == 0 || (checkDead && n.isDead(p.ID)) {
 			n.clearPresent(t, p.ID)
+			ln.expired++
 			ln.emit(EvExpire, t.id, t.id, p.ID)
 			continue
 		}
@@ -235,20 +236,25 @@ func (n *Network) forwardTile(ln *lane, t *tile) {
 // steady state allocates nothing per transmission. The arrival reaches
 // the destination ring through ln.send: directly when the lane runs
 // direct, via the post-phase outbox merge otherwise — unless the far end
-// could only drop it as a duplicate, in which case it is counted here and
-// never scheduled (Network.elideDup; DESIGN.md "Duplicate elision at the
+// could only drop it as a duplicate or, with no OnEvent listener, as an
+// upset, in which case it is counted here and never scheduled
+// (Network.elideDup, Network.settleUpsets; DESIGN.md "Settlement at the
 // sender"). linkUp is the cached
 // inj.LinkAlive(t.id, nb) verdict — precomputed per port at New on the
 // gossip paths, looked up per call on the (cold) router path.
 func (n *Network) transmit(ln *lane, t *tile, nb packet.TileID, p *packet.Packet, linkUp bool) {
 	ln.cnt.Energy.AddTransmission(p.SizeBits())
-	ln.emit(EvTransmit, t.id, nb, p.ID)
+	if n.cfg.OnEvent != nil {
+		ln.emit(EvTransmit, t.id, nb, p.ID)
+	}
 	if !linkUp {
 		return // crashed link or dead far-end tile: copy vanishes
 	}
-	slip := n.inj.SyncSlip(&t.rnd)
-	if slip > 0 {
-		ln.cnt.SlippedDeliveries++
+	slip := 0
+	if n.skew {
+		if slip = n.inj.SyncSlip(&t.rnd); slip > 0 {
+			ln.cnt.SlippedDeliveries++
+		}
 	}
 	when := n.round + slip
 
@@ -271,6 +277,14 @@ func (n *Network) transmit(ln *lane, t *tile, nb packet.TileID, p *packet.Packet
 		upset := t.rnd.BoolT(n.upsetT)
 		if upset {
 			ln.cnt.UpsetsInjected++
+			if slip == 0 && n.settleUpsets {
+				// Settled at the sender: phase 4 would count this copy
+				// as a detected CRC failure and emit EvUpset, which
+				// nobody is listening for — no draw, no tombstone or
+				// overflow check, and it arrives this round.
+				ln.cnt.UpsetsDetected++
+				return
+			}
 		} else if slip == 0 && n.elideDup && rowBit(n.tbl.present[msgSlot(p.ID)], nb) {
 			// Settled at the sender: a clean copy arriving this round at
 			// a tile that already buffers the message is, in phase 4, a

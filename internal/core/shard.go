@@ -46,6 +46,8 @@ type lane struct {
 	cnt   *Counters // &net.cnt; &delta while lanes run in parallel
 	delta Counters  // per-phase counter deltas of a parallel phase
 
+	expired int // EvExpire emissions of this lane's tiles (Network.Tally)
+
 	pool framePool // recycled wire frames for the literal-upset path
 
 	// Frontier recycling: on a large mesh the active pocket wanders, so

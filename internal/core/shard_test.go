@@ -58,6 +58,10 @@ type shardScenario struct {
 	// mayClamp marks the clamp tests: asking for more shards than the
 	// fabric has whole words, down to the sequential engine, is their point.
 	mayClamp bool
+	// quiet runs the scenario with no OnEvent listener, so the record's
+	// event log stays empty and the engine may settle at the sender what
+	// only a listener would see.
+	quiet bool
 }
 
 // clusterTopo builds the Chapter 5 style two-cluster fabric: two
@@ -366,7 +370,9 @@ func runShardScenario(tb testing.TB, sc shardScenario, shards int) shardSnapshot
 	var snap shardSnapshot
 	cfg := sc.cfg()
 	cfg.Shards = shards
-	cfg.OnEvent = func(ev Event) { snap.events = append(snap.events, ev) }
+	if !sc.quiet {
+		cfg.OnEvent = func(ev Event) { snap.events = append(snap.events, ev) }
+	}
 	cfg.OnDeliver = func(tl packet.TileID, p *packet.Packet, round int) {
 		snap.delivers = append(snap.delivers, deliverRec{
 			tile: tl, round: round, id: p.ID, payload: string(p.Payload),

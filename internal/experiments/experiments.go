@@ -19,7 +19,6 @@ import (
 	"repro/internal/apps/pisum"
 	"repro/internal/core"
 	"repro/internal/energy"
-	"repro/internal/metrics"
 	"repro/internal/packet"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -113,18 +112,15 @@ const (
 	FFT2        CaseApp = "fft2"
 )
 
-// runCase executes one case study replica and reports its metrics. The
-// replica is instrumented with a metrics.Recorder (the same per-round
-// observability layer cmd/figures -metrics exports), and its cumulative
-// event totals feed the replica's Counts — one tally path for figures
-// and time series alike.
+// runCase executes one case study replica and reports its metrics. It
+// installs no hook: the replica's Counts come from the engine's own
+// counts (sim.Measure), so with no OnEvent listener the engine settles
+// upsets at the sender.
 func runCase(app CaseApp, cfg core.Config, seed uint64) (sim.Metrics, error) {
 	cfg.Seed = seed
 	if cfg.MaxRounds == 0 {
 		cfg.MaxRounds = 10000
 	}
-	rec := metrics.NewRecorder(metrics.Config{Rounds: cfg.MaxRounds + 4*int(cfg.TTL)})
-	rec.Install(&cfg)
 	var (
 		net *core.Network
 		err error
@@ -145,7 +141,7 @@ func runCase(app CaseApp, cfg core.Config, seed uint64) (sim.Metrics, error) {
 	// bandwidth cost, so drain the network until every message copy has
 	// expired before reading the accounting.
 	net.Drain(4 * int(cfg.TTL))
-	return sim.Measure(net, res, energy.NoCLink025, rec), nil
+	return sim.Measure(net, res, energy.NoCLink025), nil
 }
 
 // Repeated aggregates a case study's per-replica metrics: latency and

@@ -265,9 +265,11 @@ func (r *Recorder) OnRoundEnd(round int, n *core.Network) {
 // Total returns the cumulative value of an integer series over the whole
 // run (the per-round values summed on demand — the hot path records only
 // the per-round slot). For the event-count series these reconcile
-// exactly with the engine's core.Counters totals (Transmissions ↔
-// Counters.Energy.Transmissions, CRCRejects ↔ UpsetsDetected, and so on
-// — pinned by TestMetricsRecorderTotalsMatchCounters). For the
+// exactly with the engine's own counts (Transmissions ↔
+// Counters.Energy.Transmissions, CRCRejects ↔ UpsetsDetected, and so on;
+// Created and TTLExpiries ↔ Network.Tally — pinned by
+// TestMetricsRecorderTotalsMatchCounters and sim's
+// TestMeasureMatchesRecorder). For the
 // AwareTiles gauge the cumulative value is meaningless; read its
 // trajectory from Series().
 func (r *Recorder) Total(id IntID) int64 {

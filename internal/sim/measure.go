@@ -3,13 +3,13 @@ package sim
 import (
 	"repro/internal/core"
 	"repro/internal/energy"
-	"repro/internal/metrics"
 	"repro/internal/stats"
 )
 
 // Counts tallies the protocol events of one replica, one field per
-// core.EventKind: the run totals of the metrics.Recorder's event-count
-// series.
+// core.EventKind, from the engine's own counts (core.Counters and
+// Network.Tally): the run totals a metrics.Recorder's event-count series
+// would show, with no recorder installed.
 type Counts struct {
 	// Created counts messages entering a send buffer (EvCreated).
 	Created int
@@ -43,27 +43,27 @@ type Metrics struct {
 }
 
 // Measure extracts Metrics from a finished run: the result, the
-// network's energy accounting under tech, and the cumulative event
-// totals of rec (nil when no recorder was attached; Counts stay zero).
-func Measure(net *core.Network, res core.Result, tech energy.Technology, rec *metrics.Recorder) Metrics {
+// network's energy accounting under tech, and its event counts from
+// core.Counters and Network.Tally — no recorder or OnEvent hook needed.
+// On a restored network Created and TTLExpiries count from Restore (as
+// Tally does) while the other counts, like Counters, cover the whole run.
+func Measure(net *core.Network, res core.Result, tech energy.Technology) Metrics {
 	c := net.Counters()
-	m := Metrics{
+	created, expired := net.Tally()
+	return Metrics{
 		Completed:     res.Completed,
 		Rounds:        res.Rounds,
 		EnergyJ:       c.Energy.EnergyJ(tech),
 		EnergyPerBitJ: c.Energy.EnergyPerBitJ(tech, c.DeliveredPayloadBits),
+		Counts: Counts{
+			Created:       created,
+			Transmissions: c.Energy.Transmissions,
+			CRCRejects:    c.UpsetsDetected,
+			OverflowDrops: c.OverflowDrops,
+			Deliveries:    c.Deliveries,
+			TTLExpiries:   expired,
+		},
 	}
-	if rec != nil {
-		m.Counts = Counts{
-			Created:       int(rec.Total(metrics.Created)),
-			Transmissions: int(rec.Total(metrics.Transmissions)),
-			CRCRejects:    int(rec.Total(metrics.CRCRejects)),
-			OverflowDrops: int(rec.Total(metrics.OverflowDrops)),
-			Deliveries:    int(rec.Total(metrics.Deliveries)),
-			TTLExpiries:   int(rec.Total(metrics.TTLExpiries)),
-		}
-	}
-	return m
 }
 
 // Aggregate summarizes per-replica Metrics. Rounds and the energy

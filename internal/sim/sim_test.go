@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"bytes"
 	"errors"
 	"reflect"
 	"strings"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/metrics"
 	"repro/internal/packet"
+	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
@@ -35,16 +37,14 @@ func TestSeedsPrefixStable(t *testing.T) {
 }
 
 // coreReplica is one full round-engine run — broadcast over a faulty
-// 4x4 grid with a metrics recorder attached — returning the standard
-// metrics record. This is the body shape every figure runner uses.
+// 4x4 grid with no hook attached — returning the standard metrics
+// record. This is the body shape every figure runner uses.
 func coreReplica(_ int, seed uint64) (sim.Metrics, error) {
-	rec := metrics.NewRecorder(metrics.Config{Rounds: 60})
 	cfg := core.Config{
 		Topo: topology.NewGrid(4, 4), P: 0.6, TTL: 10, MaxRounds: 60,
 		Seed:  seed,
 		Fault: fault.Model{PUpset: 0.2, POverflow: 0.1},
 	}
-	rec.Install(&cfg)
 	net, err := core.New(cfg)
 	if err != nil {
 		return sim.Metrics{}, err
@@ -54,7 +54,7 @@ func coreReplica(_ int, seed uint64) (sim.Metrics, error) {
 		net.Step()
 	}
 	res := core.Result{Completed: true, Rounds: net.Round()}
-	return sim.Measure(net, res, energy.NoCLink025, rec), nil
+	return sim.Measure(net, res, energy.NoCLink025), nil
 }
 
 // TestRunDeterministicAcrossWorkers is the regression gate for the
@@ -93,13 +93,11 @@ func TestRunDeterministicAcrossWorkersWithSlip(t *testing.T) {
 	const replicas, seed = 12, 42
 	var slipped atomic.Int64 // summed across replicas: order-independent
 	slipReplica := func(_ int, s uint64) (sim.Metrics, error) {
-		rec := metrics.NewRecorder(metrics.Config{Rounds: 80})
 		cfg := core.Config{
 			Topo: topology.NewGrid(4, 4), P: 0.6, TTL: 10, MaxRounds: 80,
 			Seed:  s,
 			Fault: fault.Model{SigmaSync: 1.5, PUpset: 0.1},
 		}
-		rec.Install(&cfg)
 		net, err := core.New(cfg)
 		if err != nil {
 			return sim.Metrics{}, err
@@ -110,7 +108,7 @@ func TestRunDeterministicAcrossWorkersWithSlip(t *testing.T) {
 		}
 		slipped.Add(int64(net.Counters().SlippedDeliveries))
 		res := core.Result{Completed: true, Rounds: net.Round()}
-		return sim.Measure(net, res, energy.NoCLink025, rec), nil
+		return sim.Measure(net, res, energy.NoCLink025), nil
 	}
 	run := func(workers int) sim.Aggregate {
 		agg, err := sim.RunMetrics(
@@ -186,35 +184,219 @@ func TestRunRejectsNonPositiveReplicas(t *testing.T) {
 	}
 }
 
-// TestMeasureCountsAreRecorderTotals pins Measure's field mapping: each
-// Counts field is the run total of its recorder series, so the fields
-// the engine also counts match core.Counters.
-func TestMeasureCountsAreRecorderTotals(t *testing.T) {
-	rec := metrics.NewRecorder(metrics.Config{Rounds: 60})
-	cfg := core.Config{
-		Topo: topology.NewGrid(4, 4), P: 0.75, TTL: 10, MaxRounds: 60, Seed: 3,
-		Fault: fault.Model{PUpset: 0.25, POverflow: 0.1},
+// measureCase is one engine configuration of TestMeasureMatchesRecorder:
+// a fault mix, a shard count, broadcasts and unicasts injected before
+// given rounds, and optionally a process that creates a message mid-run
+// (Ctx.Send, the other creation site).
+type measureCase struct {
+	cfg    core.Config
+	inject []measureInjection
+	sender bool // attach broadcastAt to tile 1
+	rounds int
+}
+
+type measureInjection struct {
+	before   int
+	src, dst packet.TileID
+}
+
+// broadcastAt broadcasts one message from its tile in round 3.
+type broadcastAt struct{}
+
+func (broadcastAt) Init(*core.Ctx) {}
+
+func (broadcastAt) Round(ctx *core.Ctx) {
+	if ctx.Round() == 3 {
+		ctx.Broadcast(0, []byte("mid-run"))
 	}
-	rec.Install(&cfg)
+}
+
+// genMeasureCase draws case idx: every fault of the analytic and literal
+// paths, StopSpreadOnDelivery, and 1 or 2 shards (a two-shard case gets
+// at least two whole 64-tile words, so it really runs two lanes).
+func genMeasureCase(idx int) measureCase {
+	g := rng.New(0x3ea5).Split(uint64(idx))
+	shards := 1 + g.Intn(2)
+	side := 4 + g.Intn(6)
+	if shards == 2 {
+		side = 12 + g.Intn(5)
+	}
+	tiles := side * side
+	c := measureCase{
+		cfg: core.Config{
+			Topo: topology.NewGrid(side, side), P: 0.3 + 0.6*g.Float64(),
+			TTL: uint8(3 + g.Intn(10)), MaxRounds: 1000, Seed: g.Uint64(),
+			Shards: shards, StopSpreadOnDelivery: g.Bool(0.2),
+		},
+		sender: g.Bool(0.3),
+		rounds: 10 + g.Intn(30),
+	}
+	f := &c.cfg.Fault
+	if g.Bool(0.7) {
+		f.PUpset = 0.3 * g.Float64()
+		f.LiteralUpsets = g.Bool(0.25)
+	}
+	if g.Bool(0.4) {
+		f.POverflow = 0.2 * g.Float64()
+	}
+	if g.Bool(0.4) {
+		f.SigmaSync = 1.5 * g.Float64()
+	}
+	for i, k := 0, 1+g.Intn(3); i < k; i++ {
+		in := measureInjection{
+			before: g.Intn(c.rounds / 2), src: packet.TileID(g.Intn(tiles)), dst: packet.Broadcast,
+		}
+		if g.Bool(0.4) {
+			in.dst = packet.TileID(g.Intn(tiles))
+		}
+		c.inject = append(c.inject, in)
+	}
+	return c
+}
+
+// build returns the case's network, with rec installed when non-nil.
+func (c measureCase) build(tb testing.TB, rec *metrics.Recorder) *core.Network {
+	tb.Helper()
+	cfg := c.cfg
+	if rec != nil {
+		rec.Install(&cfg)
+	}
 	net, err := core.New(cfg)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	net.Inject(0, packet.Broadcast, 0, make([]byte, 16))
-	net.Drain(60)
-	got := sim.Measure(net, core.Result{}, energy.NoCLink025, rec).Counts
-	c := net.Counters()
-	want := sim.Counts{
-		Created: 1, Transmissions: c.Energy.Transmissions, CRCRejects: c.UpsetsDetected,
-		OverflowDrops: c.OverflowDrops, Deliveries: c.Deliveries,
-		TTLExpiries: int(rec.Total(metrics.TTLExpiries)),
+	if c.sender {
+		net.Attach(1, broadcastAt{})
 	}
-	if got != want {
-		t.Fatalf("Measure counts %+v, want %+v", got, want)
+	return net
+}
+
+// stepTo steps net from its current round to round until, injecting on
+// schedule.
+func (c measureCase) stepTo(tb testing.TB, net *core.Network, until int) {
+	tb.Helper()
+	for r := net.Round(); r < until; r++ {
+		for _, in := range c.inject {
+			if in.before == r {
+				if _, err := net.Inject(in.src, in.dst, 0, []byte("m")); err != nil {
+					tb.Fatal(err)
+				}
+			}
+		}
+		net.Step()
 	}
-	if got.CRCRejects == 0 || got.OverflowDrops == 0 || got.TTLExpiries == 0 {
-		t.Fatalf("degenerate run: %+v", got)
+}
+
+// run finishes the case on net: the remaining rounds, then a drain.
+func (c measureCase) run(tb testing.TB, net *core.Network) {
+	tb.Helper()
+	c.stepTo(tb, net, c.rounds)
+	net.Drain(4 * int(c.cfg.TTL))
+}
+
+// recorderCounts reads rec's run totals in Counts' field order.
+func recorderCounts(rec *metrics.Recorder) sim.Counts {
+	return sim.Counts{
+		Created:       int(rec.Total(metrics.Created)),
+		Transmissions: int(rec.Total(metrics.Transmissions)),
+		CRCRejects:    int(rec.Total(metrics.CRCRejects)),
+		OverflowDrops: int(rec.Total(metrics.OverflowDrops)),
+		Deliveries:    int(rec.Total(metrics.Deliveries)),
+		TTLExpiries:   int(rec.Total(metrics.TTLExpiries)),
 	}
+}
+
+// TestMeasureMatchesRecorder pins Measure's engine-side counts against
+// the recorder's event tallies. Each generated case runs twice from one
+// seed: with no hook, so the engine settles upsets at the sender and
+// Measure reads only Counters and Tally, and with a metrics.Recorder
+// installed, whose OnEvent hook keeps every upset on the ring path. The
+// counts must be equal field for field. The resumed case checks that
+// Tally, like a hook, restarts at Restore while Counters carry the
+// snapshot's totals.
+func TestMeasureMatchesRecorder(t *testing.T) {
+	cases := 60
+	if testing.Short() {
+		cases = 20
+	}
+	var total sim.Counts
+	sharded := 0
+	for idx := 0; idx < cases; idx++ {
+		c := genMeasureCase(idx)
+		net := c.build(t, nil)
+		c.run(t, net)
+		got := sim.Measure(net, core.Result{}, energy.NoCLink025).Counts
+		rec := metrics.NewRecorder(metrics.Config{Rounds: 60})
+		c.run(t, c.build(t, rec))
+		if want := recorderCounts(rec); got != want {
+			t.Fatalf("case %d (%+v): Measure counts %+v, recorder totals %+v", idx, c.cfg, got, want)
+		}
+		if net.Shards() > 1 {
+			sharded++
+		}
+		total.Created += got.Created
+		total.CRCRejects += got.CRCRejects
+		total.OverflowDrops += got.OverflowDrops
+		total.TTLExpiries += got.TTLExpiries
+	}
+	if sharded == 0 || total.Created == 0 || total.CRCRejects == 0 || total.OverflowDrops == 0 || total.TTLExpiries == 0 {
+		t.Fatalf("degenerate population: %d sharded cases, totals %+v", sharded, total)
+	}
+
+	t.Run("resumed", func(t *testing.T) {
+		// A hook-free run is checkpointed mid-run and restored twice, with
+		// no hook and with a fresh recorder. The resumed Measure counts
+		// must be the recorder's post-restore totals plus, for the fields
+		// Counters backs, the counts at the checkpoint.
+		c := measureCase{
+			cfg: core.Config{
+				Topo: topology.NewGrid(6, 6), P: 0.6, TTL: 8, MaxRounds: 1000, Seed: 9,
+				Fault: fault.Model{PUpset: 0.2, POverflow: 0.1, SigmaSync: 0.7},
+			},
+			inject: []measureInjection{{0, 0, packet.Broadcast}, {6, 35, 7}},
+			sender: true,
+			rounds: 20,
+		}
+		const k = 8
+		net := c.build(t, nil)
+		c.stepTo(t, net, k)
+		var buf bytes.Buffer
+		if err := net.Snapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		at := sim.Measure(net, core.Result{}, energy.NoCLink025).Counts
+		if at.Created == 0 || at.TTLExpiries == 0 {
+			t.Fatalf("checkpoint round %d precedes the events it should split: %+v", k, at)
+		}
+		restore := func(rec *metrics.Recorder) *core.Network {
+			cfg := c.cfg
+			if rec != nil {
+				rec.Install(&cfg)
+			}
+			n, err := core.Restore(bytes.NewReader(buf.Bytes()), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n.Attach(1, broadcastAt{})
+			return n
+		}
+		resumed := restore(nil)
+		if created, expired := resumed.Tally(); created != 0 || expired != 0 {
+			t.Fatalf("restored tally = (%d, %d), want (0, 0)", created, expired)
+		}
+		c.run(t, resumed)
+		got := sim.Measure(resumed, core.Result{}, energy.NoCLink025).Counts
+		rec := metrics.NewRecorder(metrics.Config{Rounds: 60})
+		c.run(t, restore(rec))
+		want := recorderCounts(rec)
+		want.Transmissions += at.Transmissions
+		want.CRCRejects += at.CRCRejects
+		want.OverflowDrops += at.OverflowDrops
+		want.Deliveries += at.Deliveries
+		if got != want {
+			t.Fatalf("resumed Measure counts %+v, want %+v", got, want)
+		}
+	})
 }
 
 func TestSummarizeSplitsCompletedFromEventStats(t *testing.T) {

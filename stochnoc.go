@@ -121,7 +121,8 @@ type (
 	// SimConfig sizes a Monte Carlo batch (Replicas, Workers, Seed).
 	SimConfig = sim.Config
 	// SimCounts holds one replica's protocol event totals, one field
-	// per event kind (Config.OnEvent).
+	// per event kind, counted by the engine itself: no Config.OnEvent
+	// hook is needed to fill them.
 	SimCounts = sim.Counts
 	// ReplicaMetrics is one replica's standard measurement record.
 	ReplicaMetrics = sim.Metrics
