@@ -22,7 +22,8 @@
 // results are bit-identical at any shard count, so it is purely a
 // wall-clock knob for large grids (see DESIGN.md, "Sharded engine"). A
 // lane owns whole 64-tile words, so K is clamped to tiles/64 and a grid
-// under 128 tiles runs the sequential engine whatever K says.
+// under 128 tiles runs the sequential engine whatever K says. -trace
+// listens to every protocol event, which runs the engine on one lane.
 //
 // -metrics FILE records the run through the internal/metrics per-round
 // recorder and writes the series (transmissions, CRC rejects, drops,
@@ -79,7 +80,7 @@ var (
 	p          = flag.Float64("p", 0.5, "forwarding probability")
 	ttl        = flag.Int("ttl", core.DefaultTTL, "message TTL in rounds")
 	seed       = flag.Uint64("seed", 1, "simulation seed")
-	shards     = flag.Int("shards", 0, "engine shards (0/1 = sequential; clamped to one per 64 tiles; results identical at any count)")
+	shards     = flag.Int("shards", 0, "engine shards (0/1 = sequential; clamped to one per 64 tiles, one with -trace; results identical at any count)")
 	deadT      = flag.Int("dead-tiles", 0, "tiles to crash")
 	deadL      = flag.Int("dead-links", 0, "links to crash")
 	upset      = flag.Float64("upset", 0, "per-transmission data-upset probability")

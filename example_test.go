@@ -10,24 +10,19 @@ import (
 // across a 4×4 NoC and watch it arrive in exactly its Manhattan distance.
 func ExampleNew() {
 	grid := stochnoc.NewGrid(4, 4)
-	arrived := -1
 	net, err := stochnoc.New(stochnoc.Config{
 		Topo: grid, P: 1, TTL: stochnoc.DefaultTTL, MaxRounds: 50, Seed: 1,
-		OnDeliver: func(t stochnoc.TileID, p *stochnoc.Packet, round int) {
-			if t == 11 && arrived < 0 {
-				arrived = round
-			}
-		},
 	})
 	if err != nil {
 		panic(err)
 	}
-	net.Inject(5, 11, 1, []byte("rumor"))
-	for arrived < 0 {
+	id, _ := net.Inject(5, 11, 1, []byte("rumor"))
+	// Tile 11 knows the rumor from the round it is delivered there.
+	for !net.AwareAt(id, 11) {
 		net.Step()
 	}
 	fmt.Printf("Manhattan distance %d, delivered in round %d\n",
-		grid.Manhattan(5, 11), arrived)
+		grid.Manhattan(5, 11), net.Round())
 	// Output: Manhattan distance 3, delivered in round 3
 }
 
@@ -36,21 +31,17 @@ func ExampleNew() {
 // scrambled — the CRC discards bad copies, redundancy supplies good ones.
 func ExampleNetwork_Inject() {
 	grid := stochnoc.NewGrid(4, 4)
-	delivered := false
 	net, err := stochnoc.New(stochnoc.Config{
 		Topo: grid, P: 0.75, TTL: 16, MaxRounds: 100, Seed: 3,
 		Fault: stochnoc.FaultModel{PUpset: 0.3, LiteralUpsets: true},
-		OnDeliver: func(t stochnoc.TileID, p *stochnoc.Packet, round int) {
-			delivered = true
-		},
 	})
 	if err != nil {
 		panic(err)
 	}
-	net.Inject(0, 15, 1, []byte("payload"))
+	id, _ := net.Inject(0, 15, 1, []byte("payload"))
 	net.Drain(100)
 	fmt.Printf("delivered: %v, CRC caught upsets: %v\n",
-		delivered, net.Counters().UpsetsDetected > 0)
+		net.AwareAt(id, 15), net.Counters().UpsetsDetected > 0)
 	// Output: delivered: true, CRC caught upsets: true
 }
 

@@ -55,9 +55,22 @@ func readCompatFile(t *testing.T, name string) []byte {
 	return b
 }
 
+// goldenReceiver writes each delivery it is handed as a golden "deliver"
+// line: what the delivery hook of the engine that recorded the golden
+// wrote, at the same point of the event sequence (right after EvDeliver).
+type goldenReceiver struct{ w *strings.Builder }
+
+func (goldenReceiver) Init(*Ctx)  {}
+func (goldenReceiver) Round(*Ctx) {}
+
+func (r goldenReceiver) Receive(ctx *Ctx, p *packet.Packet) {
+	fmt.Fprintf(r.w, "deliver %d %d %d %q\n", ctx.Round(), ctx.Self(), p.ID, p.Payload)
+}
+
 // TestRestoreV1Golden restores the state the version-1 engine froze
 // (carried forward to the current layout) and replays its recorded
-// 8-round continuation: every event, delivery, the final counters and the
+// 8-round continuation: every event, delivery (payload included, read by
+// a recording Receiver on every tile), the final counters and the
 // awareness state of all four injected messages must match what the
 // dense-flags engine produced.
 func TestRestoreV1Golden(t *testing.T) {
@@ -69,14 +82,14 @@ func TestRestoreV1Golden(t *testing.T) {
 	cfg.OnEvent = func(ev Event) {
 		fmt.Fprintf(&rec, "event %d %d %d %d %d\n", ev.Round, ev.Kind, ev.Tile, ev.Peer, ev.Msg)
 	}
-	cfg.OnDeliver = func(tl packet.TileID, p *packet.Packet, round int) {
-		fmt.Fprintf(&rec, "deliver %d %d %d %q\n", round, tl, p.ID, p.Payload)
-	}
 	n, err := RestoreSection(snapshot.NewReader(ckpt), cfg)
 	if err != nil {
 		t.Fatalf("frozen checkpoint no longer restores: %v", err)
 	}
 	n.SetForwardLimit(14, 1) // routers/limits are re-applied by the caller, as documented
+	for ti := 0; ti < n.Topology().Tiles(); ti++ {
+		n.Attach(packet.TileID(ti), goldenReceiver{&rec})
+	}
 	for i := 0; i < 8; i++ {
 		n.Step()
 	}

@@ -53,8 +53,8 @@ import (
 // The mailbox belongs to the Process: a tile keeps the packets delivered
 // to it only while a Process is attached to drain them. A tile without one
 // has no IP core to hand packets to — its deliveries still count
-// (Counters.Deliveries, EvDeliver, OnDeliver, the delivered-once filter)
-// but nothing is stored.
+// (Counters.Deliveries, EvDeliver, the delivered-once filter) but nothing
+// is stored.
 type Process interface {
 	// Init is called once before round 0.
 	Init(ctx *Ctx)
@@ -102,15 +102,11 @@ type Config struct {
 	// are bit-identical at any shard count (see DESIGN.md, "Sharded
 	// engine") — Shards is purely a wall-clock knob for large meshes. The
 	// count is clamped to the mesh's whole 64-tile words (a shard owns
-	// whole words of the tile bitmaps); below 128 tiles the sequential
-	// engine runs. Network.Shards reports the count in effect. One
-	// behavioural caveat: with more than one shard in effect, observer
-	// hooks (OnEvent, OnDeliver) fire after the phase barrier instead of
-	// mid-phase, so a hook that reads network state (Aware, Counters) sees
-	// end-of-phase values; hooks that only record their arguments — every
-	// hook in this repository — are unaffected. PortWeight and SetRouter
-	// functions must be pure (they already must be) and are called
-	// concurrently when Shards > 1.
+	// whole words of the tile bitmaps); below 128 tiles, and with an
+	// OnEvent listener, the sequential engine runs. Network.Shards
+	// reports the count in effect. PortWeight and SetRouter functions
+	// must be pure (they already must be) and are called concurrently
+	// when Shards > 1.
 	Shards int
 	// Recycle bounds the message tables by the live message population
 	// instead of the ever-issued one: a message whose buffered copies have
@@ -156,15 +152,15 @@ type Config struct {
 	// package directed) without touching the protocol loop; nil keeps
 	// the thesis' uniform ports.
 	PortWeight func(from, to packet.TileID, p *packet.Packet) float64
-	// OnDeliver, if set, observes every first-time delivery of a message
-	// to a tile that it addresses (or any tile, for broadcasts).
-	OnDeliver func(t packet.TileID, p *packet.Packet, round int)
 	// OnEvent, if set, receives every protocol event (message creation,
 	// transmissions, CRC rejections, overflow drops, deliveries, TTL
-	// expiries) — the hook packages trace and metrics build timelines and
-	// per-round series on. Leaving it nil costs nothing and lets the
-	// engine settle upsets at the sender (DESIGN.md, "Settlement at the
-	// sender"); Network.Tally and Counters still count every event kind.
+	// expiries), in the order the engine makes them — the hook package
+	// trace builds its timelines on. A listener runs the network on one
+	// lane (Shards is ignored) and is called mid-phase, so it sees live
+	// state. Leaving it nil costs nothing and lets the engine settle
+	// upsets at the sender (DESIGN.md, "Settlement at the sender");
+	// Network.Tally and Counters still count every event kind, and the
+	// metrics recorder reads its series from them.
 	OnEvent func(Event)
 	// OnRoundEnd, if set, is called as the very last action of every
 	// Step, at the round barrier — the per-round flush hook the metrics
@@ -397,9 +393,11 @@ type Network struct {
 	// skew caches Fault.SigmaSync > 0: without it SyncSlip draws nothing
 	// and always returns 0, so transmit skips the call.
 	skew bool
-	// created tallies EvCreated emissions since New (or Restore); each
-	// lane tallies its EvExpire emissions (lane.expired). See Tally.
-	created int
+	// created tallies EvCreated emissions since New (or Restore), and
+	// stepCreated is created as the latest Step found it before its round
+	// began; each lane tallies its EvExpire emissions (lane.expired). See
+	// Tally.
+	created, stepCreated int
 	// recycle caches cfg.Recycle for the hot paths (inflight/copy
 	// accounting and the per-Step retirement barrier run only under it).
 	recycle bool
@@ -425,9 +423,10 @@ type Network struct {
 	lanes []lane
 	// par is true while shard goroutines are live; per-message
 	// aware-count updates switch to atomics under it, and lanes stage
-	// their callbacks and transmissions instead of running direct. It is
-	// only written by the stepping goroutine between barriers, and never
-	// set on a one-lane network.
+	// their transmissions instead of running direct. It is only written
+	// by the stepping goroutine between barriers, and never set on a
+	// one-lane network — which a network with an OnEvent listener always
+	// is, so events are never emitted while it is set.
 	par bool
 	// laneBase/laneRem record the initLanes partition arithmetic (64-tile
 	// words per lane) so laneFor can invert tile→lane without a lookup
@@ -499,7 +498,13 @@ func New(cfg Config) (*Network, error) {
 	// A lane owns whole 64-tile words (initLanes), so a mesh carries at most
 	// one lane per whole word, and always at least one: with one the
 	// sequential engine — bit-identical by the sharding contract — runs.
-	n.initLanes(max(1, min(cfg.Shards, len(n.tiles)/64)), ringLen)
+	// An OnEvent listener hears every event in engine order, live, so it
+	// holds the network to one lane.
+	shards := cfg.Shards
+	if cfg.OnEvent != nil {
+		shards = 1
+	}
+	n.initLanes(max(1, min(shards, len(n.tiles)/64)), ringLen)
 	return n, nil
 }
 
@@ -627,23 +632,26 @@ func (n *Network) Counters() Counters { return n.cnt }
 
 // Tally returns how many EvCreated and EvExpire events this Network value
 // has emitted — counted whether or not Config.OnEvent is set, and from New
-// or Restore on, exactly as a hook attached there would see them. Unlike
-// Counters it is not part of a snapshot: a restored network starts its
-// tally at zero. Together with Counters (Energy.Transmissions,
+// or Restore on, exactly as a hook attached there would see them. atStep
+// is created as the latest Step found it before its round began: the
+// creations it counts carry earlier rounds (an Inject between rounds is
+// labelled with the round just run), those after it the latest Step's
+// round. Unlike Counters the tally is not part of a snapshot: a restored
+// network starts it at zero. Together with Counters (Energy.Transmissions,
 // UpsetsDetected, OverflowDrops, Deliveries) it counts every event kind.
-func (n *Network) Tally() (created, expired int) {
+func (n *Network) Tally() (created, expired, atStep int) {
 	for i := range n.lanes {
 		expired += n.lanes[i].expired
 	}
-	return n.created, expired
+	return n.created, expired, n.stepCreated
 }
 
 // Topology returns the fabric.
 func (n *Network) Topology() topology.Topology { return n.topo }
 
 // Shards returns the shard count the engine runs with: Config.Shards after
-// New's clamp to whole 64-tile words, 1 for the sequential engine — the
-// number of lanes.
+// New's clamp to whole 64-tile words, 1 for the sequential engine (and so
+// with an OnEvent listener) — the number of lanes.
 func (n *Network) Shards() int { return len(n.lanes) }
 
 // Inject creates a new message originating at tile src before the
@@ -706,6 +714,7 @@ func (n *Network) Step() {
 		}
 	}
 	n.refreshProcs()
+	n.stepCreated = n.created
 	n.round++
 
 	n.phaseCompute()

@@ -83,11 +83,21 @@ func TestFloodingLatencyIsManhattan(t *testing.T) {
 	}
 }
 
+// deliveries adapts fn to an OnEvent hook that passes on only first-time
+// deliveries: the tile, the message and the round.
+func deliveries(fn func(tl packet.TileID, id packet.MsgID, round int)) func(Event) {
+	return func(ev Event) {
+		if ev.Kind == EvDeliver {
+			fn(ev.Tile, ev.Msg, ev.Round)
+		}
+	}
+}
+
 func TestFloodingReachesEveryTile(t *testing.T) {
 	g := topology.NewGrid(5, 5)
 	reached := map[packet.TileID]int{}
 	cfg := baseCfg(g, 1)
-	cfg.OnDeliver = func(tl packet.TileID, p *packet.Packet, round int) { reached[tl] = round }
+	cfg.OnEvent = deliveries(func(tl packet.TileID, _ packet.MsgID, round int) { reached[tl] = round })
 	n := mustNet(t, cfg)
 	n.Inject(g.ID(0, 0), packet.Broadcast, 0, []byte("b"))
 	for i := 0; i < 10; i++ {
@@ -153,7 +163,7 @@ func TestTTLExpiryStopsSpread(t *testing.T) {
 	cfg := baseCfg(g, 1)
 	cfg.TTL = 2
 	reached := map[packet.TileID]bool{}
-	cfg.OnDeliver = func(tl packet.TileID, p *packet.Packet, r int) { reached[tl] = true }
+	cfg.OnEvent = deliveries(func(tl packet.TileID, _ packet.MsgID, _ int) { reached[tl] = true })
 	n := mustNet(t, cfg)
 	n.Inject(0, packet.Broadcast, 0, nil)
 	for i := 0; i < 30; i++ {
@@ -379,7 +389,7 @@ func TestRunWhile(t *testing.T) {
 	g := topology.NewGrid(4, 4)
 	reached := map[packet.TileID]bool{}
 	cfg := baseCfg(g, 1)
-	cfg.OnDeliver = func(tl packet.TileID, p *packet.Packet, r int) { reached[tl] = true }
+	cfg.OnEvent = deliveries(func(tl packet.TileID, _ packet.MsgID, _ int) { reached[tl] = true })
 	n := mustNet(t, cfg)
 	n.Inject(0, packet.Broadcast, 0, nil)
 	res := n.RunWhile(func(*Network) bool { return len(reached) < g.Tiles()-1 })
@@ -451,11 +461,11 @@ func TestDeliveryExactlyOnce(t *testing.T) {
 	count := map[packet.MsgID]int{}
 	cfg := baseCfg(g, 1)
 	cfg.TTL = 20
-	cfg.OnDeliver = func(tl packet.TileID, p *packet.Packet, r int) {
+	cfg.OnEvent = deliveries(func(tl packet.TileID, id packet.MsgID, _ int) {
 		if tl == 8 {
-			count[p.ID]++
+			count[id]++
 		}
-	}
+	})
 	n := mustNet(t, cfg)
 	n.Inject(0, 8, 0, nil)
 	for i := 0; i < 25; i++ {
@@ -492,9 +502,10 @@ func TestOnRoundEndCalledEveryRound(t *testing.T) {
 
 func TestBroadcastHelper(t *testing.T) {
 	g := topology.NewGrid(2, 2)
-	n := mustNet(t, baseCfg(g, 1))
 	got := map[packet.TileID]bool{}
-	n.cfg.OnDeliver = func(tl packet.TileID, p *packet.Packet, r int) { got[tl] = true }
+	cfg := baseCfg(g, 1)
+	cfg.OnEvent = deliveries(func(tl packet.TileID, _ packet.MsgID, _ int) { got[tl] = true })
+	n := mustNet(t, cfg)
 
 	bcast := &broadcastOnce{}
 	n.Attach(0, bcast)
@@ -532,11 +543,11 @@ func TestStopSpreadOnDelivery(t *testing.T) {
 		cfg := baseCfg(g, 0.75)
 		cfg.TTL = 20
 		cfg.StopSpreadOnDelivery = stop
-		cfg.OnDeliver = func(tl packet.TileID, p *packet.Packet, r int) {
+		cfg.OnEvent = deliveries(func(tl packet.TileID, _ packet.MsgID, _ int) {
 			if tl == g.ID(4, 4) {
 				gotIt = true
 			}
-		}
+		})
 		n := mustNet(t, cfg)
 		n.Inject(0, g.ID(4, 4), 0, nil)
 		for i := 0; i < 60 && !n.Quiescent(); i++ {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
 
 	"repro/internal/fault"
@@ -207,9 +206,10 @@ func genCase(idx int) diffConfig {
 // TestDifferentialRandomConfigs is the randomized differential pass. For
 // each generated case the sequential run is the reference; sharded runs
 // (2 and 5 shards) and a snapshot-resumed run (interrupt at a random
-// round, resume, finish) must reproduce it event-for-event. CI runs this
-// under -race as well, which turns every case into a concurrency probe
-// of the sharded engine.
+// round, resume, finish) must reproduce its record (compareRuns): the
+// state at every round barrier, and the event log between the one-lane
+// runs. CI runs this under -race as well, which turns every case into a
+// concurrency probe of the sharded engine.
 func TestDifferentialRandomConfigs(t *testing.T) {
 	cases := diffCases
 	if testing.Short() {
@@ -220,17 +220,9 @@ func TestDifferentialRandomConfigs(t *testing.T) {
 		t.Run(dc.sc.name, func(t *testing.T) {
 			want := runShardScenario(t, dc.sc, 1)
 			for _, shards := range []int{2, 5} {
-				got := runShardScenario(t, dc.sc, shards)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("shards=%d diverged from sequential: %s",
-						shards, firstEventDiff(want.events, got.events))
-				}
+				compareRuns(t, fmt.Sprintf("shards=%d", shards), want, runShardScenario(t, dc.sc, shards))
 			}
-			got, _ := runResumedScenario(t, dc.sc, dc.resumeK, 1, 1)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("snapshot-resume at k=%d diverged from straight run: %s",
-					dc.resumeK, firstEventDiff(want.events, got.events))
-			}
+			compareRuns(t, fmt.Sprintf("snapshot-resume at k=%d", dc.resumeK), want, runResumedScenario(t, dc.sc, dc.resumeK, 1, 1))
 		})
 	}
 }

@@ -1,14 +1,11 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"math/bits"
-	"reflect"
 	"testing"
 
 	"repro/internal/packet"
-	"repro/internal/rng"
 	"repro/internal/topology"
 )
 
@@ -114,128 +111,61 @@ func TestPresentIsOneCopyCatchesPlants(t *testing.T) {
 	}
 }
 
-// elisionRecord is everything the settlement tests compare: the full
-// observable record of a run, the counters at every round barrier, and
-// the snapshot bytes and per-tile RNG states at the checkpoint round.
-type elisionRecord struct {
-	run      shardSnapshot
-	barriers []Counters
-	ckpt     []byte
-	rngs     []rng.Stream
-	gated    bool // the settlement gate was open for the run's config
-}
-
 // The sender-side settlement gates the tests open and clear.
 func dupGate(n *Network) *bool   { return &n.elideDup }
 func upsetGate(n *Network) *bool { return &n.settleUpsets }
 
 // runElision replays sc with the settlement gate picked by gate as New
-// computed it (open) or cleared, recording the counters at every round
-// barrier and the checkpoint-round state from OnRoundEnd.
-func runElision(tb testing.TB, sc shardScenario, shards, k int, gate func(*Network) *bool, open bool) elisionRecord {
+// computed it (open) or cleared; gated reports whether New opened it.
+func runElision(tb testing.TB, sc shardScenario, shards int, gate func(*Network) *bool, open bool) (run shardSnapshot, gated bool) {
 	tb.Helper()
-	var rec elisionRecord
-	cfg, setup := sc.cfg, sc.setup
-	sc.cfg = func() Config {
-		c := cfg()
-		c.OnRoundEnd = func(round int, n *Network) {
-			rec.barriers = append(rec.barriers, n.Counters())
-			if round != k {
-				return
-			}
-			rec.ckpt = snapshotBytes(tb, n)
-			for i := range n.tiles {
-				rec.rngs = append(rec.rngs, n.tiles[i].rnd)
-			}
-		}
-		return c
-	}
+	setup := sc.setup
 	sc.setup = func(n *Network) {
 		if setup != nil {
 			setup(n)
 		}
 		g := gate(n)
-		rec.gated = *g
+		gated = *g
 		*g = *g && open
 	}
-	rec.run = runShardScenario(tb, sc, shards)
-	return rec
-}
-
-// compareElision fails tb unless the run with the gate open (got) left
-// the same record as the run with it cleared (want).
-func compareElision(tb testing.TB, shards, k int, want, got elisionRecord) {
-	tb.Helper()
-	switch {
-	case want.ckpt == nil || got.ckpt == nil:
-		tb.Fatalf("shards=%d: checkpoint round %d never reached", shards, k)
-	case !reflect.DeepEqual(got.run.events, want.run.events):
-		tb.Fatalf("shards=%d: event log moved: %s", shards, firstEventDiff(want.run.events, got.run.events))
-	case !reflect.DeepEqual(got.barriers, want.barriers):
-		for r := range min(len(got.barriers), len(want.barriers)) {
-			if got.barriers[r] != want.barriers[r] {
-				tb.Fatalf("shards=%d: counters moved at the end of round %d\nring:    %+v\nsettled: %+v",
-					shards, r+1, want.barriers[r], got.barriers[r])
-			}
-		}
-		tb.Fatalf("shards=%d: %d round barriers, want %d", shards, len(got.barriers), len(want.barriers))
-	case !reflect.DeepEqual(got.run, want.run):
-		tb.Fatalf("shards=%d: deliveries, aware tables or rounds moved", shards)
-	case !bytes.Equal(got.ckpt, want.ckpt):
-		tb.Fatalf("shards=%d: snapshot at round %d moved", shards, k)
-	case !reflect.DeepEqual(got.rngs, want.rngs):
-		tb.Fatalf("shards=%d: tile RNG states at round %d moved", shards, k)
-	}
-}
-
-// settlementCase is one scenario of the settlement tests, with the round
-// at which they compare snapshots.
-type settlementCase struct {
-	sc shardScenario
-	k  int
+	return runShardScenario(tb, sc, shards), gated
 }
 
 // settlementCases is the population both settlement tests run: the
 // randomized differential cases, every shard scenario and the elision
 // cases.
-func settlementCases() []settlementCase {
-	var cases []settlementCase
+func settlementCases() []shardScenario {
+	var cases []shardScenario
 	count := diffCases
 	if testing.Short() {
 		count = diffCasesShort
 	}
 	for idx := 0; idx < count; idx++ {
-		dc := genCase(idx)
-		cases = append(cases, settlementCase{dc.sc, dc.resumeK})
+		cases = append(cases, genCase(idx).sc)
 	}
-	for _, sc := range shardScenarios() {
-		cases = append(cases, settlementCase{sc, sc.rounds / 2})
-	}
-	for _, c := range elisionCases() {
-		cases = append(cases, settlementCase{c, c.rounds / 2})
-	}
-	return cases
+	cases = append(cases, shardScenarios()...)
+	return append(cases, elisionCases()...)
 }
 
 // TestDuplicateElisionInvisible pins sender-side duplicate elision as a
 // pure optimisation. Every case of the randomized differential population
 // and every shard scenario runs twice, once with the engine's elision gate
-// as New computed it and once with it cleared, and both runs must agree
-// on the event log, the delivery log, the counters at every round
-// barrier, the aware tables and, at a checkpoint round, the snapshot
-// bytes and every tile's RNG state. Each pair runs sequentially and at
-// two shards, where phase 3 reads present rows owned by other lanes (CI
-// runs this under -race).
+// as New computed it and once with it cleared, and both runs must leave
+// the same record (compareRuns): counters, tallies and snapshot bytes —
+// RNG states included — at every round barrier, mailbox contents, aware
+// tables and, on one lane, the event log. Each pair runs sequentially and
+// at two shards, where phase 3 reads present rows owned by other lanes
+// (CI runs this under -race).
 func TestDuplicateElisionInvisible(t *testing.T) {
 	cases := settlementCases()
 	elided := 0
-	for _, c := range cases {
-		t.Run(c.sc.name, func(t *testing.T) {
+	for _, sc := range cases {
+		t.Run(sc.name, func(t *testing.T) {
 			for _, shards := range []int{1, 2} {
-				want := runElision(t, c.sc, shards, c.k, dupGate, false)
-				got := runElision(t, c.sc, shards, c.k, dupGate, true)
-				compareElision(t, shards, c.k, want, got)
-				if shards == 1 && got.gated && got.run.cnt.Duplicates > 0 {
+				want, _ := runElision(t, sc, shards, dupGate, false)
+				got, gated := runElision(t, sc, shards, dupGate, true)
+				compareRuns(t, fmt.Sprintf("shards=%d", shards), want, got)
+				if shards == 1 && gated && got.cnt.Duplicates > 0 {
 					elided++
 				}
 			}
@@ -253,9 +183,10 @@ func TestDuplicateElisionInvisible(t *testing.T) {
 // counters at its barriers, must have included an upset copy that arrived
 // on time: more upsets than slipped copies in one round. A lower bound —
 // a round can settle an upset and still slip more copies than it upsets.
-func onTimeUpsets(barriers []Counters) bool {
+func onTimeUpsets(barriers []barrierRec) bool {
 	var prev Counters
-	for _, c := range barriers {
+	for _, b := range barriers {
+		c := b.cnt
 		if c.UpsetsInjected-prev.UpsetsInjected > c.SlippedDeliveries-prev.SlippedDeliveries {
 			return true
 		}
@@ -268,26 +199,31 @@ func onTimeUpsets(barriers []Counters) bool {
 // pure optimisation, over the population of TestDuplicateElisionInvisible.
 // Each case runs with no OnEvent listener, once with the settlement gate
 // as New computed it and once with it cleared, sequentially and at two
-// shards; both runs must agree on the delivery log, the counters at every
-// round barrier, the aware tables and the checkpoint-round snapshot bytes
-// and RNG states. The same pair then runs with the event hook attached,
-// where the gate must stay shut: the event logs must agree too.
+// shards; both runs must leave the same record (compareRuns). The same
+// pair then runs on one lane with the event hook attached, where the gate
+// must stay shut: the event logs must agree too.
 func TestUpsetSettlementInvisible(t *testing.T) {
 	cases := settlementCases()
 	settled := 0
 	for _, c := range cases {
-		t.Run(c.sc.name, func(t *testing.T) {
+		t.Run(c.name, func(t *testing.T) {
 			for _, quiet := range []bool{true, false} {
-				sc := c.sc
+				sc := c
 				sc.quiet = quiet
 				for _, shards := range []int{1, 2} {
-					want := runElision(t, sc, shards, c.k, upsetGate, false)
-					got := runElision(t, sc, shards, c.k, upsetGate, true)
-					compareElision(t, shards, c.k, want, got)
+					if !quiet && shards > 1 {
+						continue // a listener holds the network to one lane
+					}
+					want, _ := runElision(t, sc, shards, upsetGate, false)
+					got, gated := runElision(t, sc, shards, upsetGate, true)
+					compareRuns(t, fmt.Sprintf("quiet=%v/shards=%d", quiet, shards), want, got)
 					if !quiet {
+						if gated {
+							t.Fatal("the settlement gate opened under a listener")
+						}
 						continue
 					}
-					if shards == 1 && got.gated && !sc.cfg().Fault.LiteralUpsets && onTimeUpsets(got.barriers) {
+					if shards == 1 && gated && !sc.cfg().Fault.LiteralUpsets && onTimeUpsets(got.barriers) {
 						settled++
 					}
 				}

@@ -138,7 +138,7 @@ func (n *Network) ageTile(ln *lane, t *tile) {
 		if p.TTL == 0 || (checkDead && n.isDead(p.ID)) {
 			n.clearPresent(t, p.ID)
 			ln.expired++
-			ln.emit(EvExpire, t.id, t.id, p.ID)
+			n.emit(EvExpire, t.id, t.id, p.ID)
 			continue
 		}
 		kept = append(kept, *p)
@@ -244,9 +244,7 @@ func (n *Network) forwardTile(ln *lane, t *tile) {
 // gossip paths, looked up per call on the (cold) router path.
 func (n *Network) transmit(ln *lane, t *tile, nb packet.TileID, p *packet.Packet, linkUp bool) {
 	ln.cnt.Energy.AddTransmission(p.SizeBits())
-	if n.cfg.OnEvent != nil {
-		ln.emit(EvTransmit, t.id, nb, p.ID)
-	}
+	n.emit(EvTransmit, t.id, nb, p.ID)
 	if !linkUp {
 		return // crashed link or dead far-end tile: copy vanishes
 	}
@@ -321,7 +319,7 @@ func (n *Network) receiveTile(ln *lane, t *tile) {
 			ln.borrowed = p // payload still aliases the pooled frame
 		case a.upset:
 			ln.cnt.UpsetsDetected++
-			ln.emit(EvUpset, t.id, t.id, a.pkt.ID)
+			n.emit(EvUpset, t.id, t.id, a.pkt.ID)
 			continue
 		default:
 			p = &a.pkt
@@ -333,7 +331,7 @@ func (n *Network) receiveTile(ln *lane, t *tile) {
 			// 4-10/4-11. It is the engine's only buffer-capacity model.
 			if t.rnd.BoolT(n.overflowT) {
 				ln.cnt.OverflowDrops++
-				ln.emit(EvOverflow, t.id, t.id, p.ID)
+				n.emit(EvOverflow, t.id, t.id, p.ID)
 			} else {
 				n.deliver(ln, t, p)
 				n.enqueue(ln, t, p)
@@ -384,21 +382,19 @@ func (n *Network) decodeArrival(ln *lane, t *tile, a *arrival) *packet.Packet {
 		a.frame = nil
 		ln.cnt.UpsetsDetected++
 		// A scrambled frame's ID is untrustworthy: report Msg 0.
-		ln.emit(EvUpset, t.id, t.id, 0)
+		n.emit(EvUpset, t.id, t.id, 0)
 		return nil
 	}
 	return &a.pkt
 }
 
 // deliver records the first-time delivery of *p at t, if it addresses t,
-// and hands it to whoever is there to take it: the attached Process (its
-// mailbox, and Receive when it is a Receiver) and the OnDeliver hook. They
-// share one heap copy, so the ring slot or buffer entry backing *p can be
-// recycled freely afterwards; a tile with neither — no IP core, nobody
-// watching — is counted and flagged but stores nothing. While lanes run in
-// parallel the OnDeliver callback is staged for the post-barrier flush;
-// Receiver processes never see a parallel phase 4 (their presence forces
-// the sequential fallback in stepLanes).
+// and hands it to the attached Process, if any: its mailbox gets a heap
+// copy (so the ring slot or buffer entry backing *p can be recycled
+// freely afterwards), which a Receiver is handed at once. A tile with no
+// IP core is counted and flagged but stores nothing. Receiver processes
+// never see a parallel phase 4: their presence forces the sequential
+// fallback in stepLanes.
 func (n *Network) deliver(ln *lane, t *tile, p *packet.Packet) {
 	if p.Dst != t.id && p.Dst != packet.Broadcast {
 		return
@@ -412,9 +408,9 @@ func (n *Network) deliver(ln *lane, t *tile, p *packet.Packet) {
 	}
 	ln.cnt.Deliveries++
 	ln.cnt.DeliveredPayloadBits += 8 * len(p.Payload)
-	ln.emit(EvDeliver, t.id, p.Src, p.ID)
+	n.emit(EvDeliver, t.id, p.Src, p.ID)
 	proc := t.process()
-	if proc == nil && n.cfg.OnDeliver == nil {
+	if proc == nil {
 		return
 	}
 	if ln.borrowed == p {
@@ -422,23 +418,9 @@ func (n *Network) deliver(ln *lane, t *tile, p *packet.Packet) {
 	}
 	q := ln.pkts.get()
 	*q = *p
-	if proc != nil {
-		t.cold.mailbox = append(t.cold.mailbox, q)
-	}
-	if !n.par {
-		if n.cfg.OnDeliver != nil {
-			n.cfg.OnDeliver(t.id, q, n.round)
-		}
-		if rcv, ok := proc.(Receiver); ok {
-			rcv.Receive(&t.cold.ctx, q)
-		}
-		return
-	}
-	if n.cfg.OnDeliver != nil {
-		ln.actions = append(ln.actions, action{
-			ev:  Event{Round: n.round, Kind: EvDeliver, Tile: t.id, Peer: p.Src, Msg: p.ID},
-			pkt: q,
-		})
+	t.cold.mailbox = append(t.cold.mailbox, q)
+	if rcv, ok := proc.(Receiver); ok {
+		rcv.Receive(&t.cold.ctx, q)
 	}
 }
 

@@ -24,18 +24,13 @@ func TestQuickDeliveryRequiresReachability(t *testing.T) {
 			Topo: g, P: 1, TTL: uint8(4 * (w + h)), MaxRounds: 200, Seed: seed,
 			Fault: fault.Model{DeadTiles: dead, Protect: []packet.TileID{src, dst}},
 		}
-		delivered := false
-		cfg.OnDeliver = func(tl packet.TileID, p *packet.Packet, r int) {
-			if tl == dst {
-				delivered = true
-			}
-		}
 		n, err := New(cfg)
 		if err != nil {
 			return false
 		}
-		n.Inject(src, dst, 1, nil)
+		id, _ := n.Inject(src, dst, 1, nil)
 		n.Drain(200)
+		delivered := n.AwareAt(id, dst) // aware away from the source = delivered
 		alive, linkAlive := n.Injector().AliveFuncs()
 		reachable := topology.Reachable(g, src, dst, alive, linkAlive)
 		return delivered == reachable
@@ -121,23 +116,17 @@ func TestQuickLiteralAnalyticAgreement(t *testing.T) {
 		const runs = 60
 		for seed := uint64(0); seed < runs; seed++ {
 			g := topology.NewGrid(4, 4)
-			got := false
 			cfg := Config{
 				Topo: g, P: 0.75, TTL: 12, MaxRounds: 80, Seed: seed,
 				Fault: fault.Model{PUpset: 0.5, LiteralUpsets: literal},
-				OnDeliver: func(tl packet.TileID, p *packet.Packet, r int) {
-					if tl == 15 {
-						got = true
-					}
-				},
 			}
 			n, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			n.Inject(0, 15, 1, []byte("equivalence"))
+			id, _ := n.Inject(0, 15, 1, []byte("equivalence"))
 			n.Drain(80)
-			if got {
+			if n.AwareAt(id, 15) {
 				delivered++
 			}
 		}

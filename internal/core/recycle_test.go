@@ -15,7 +15,6 @@ package core
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
 
 	"repro/internal/fault"
@@ -98,17 +97,9 @@ func TestRecycleDifferentialRandomConfigs(t *testing.T) {
 			want := runShardScenario(t, dc.sc, 1)
 			totalRetired += want.cnt.Retired
 			for _, shards := range []int{2, 5} {
-				got := runShardScenario(t, dc.sc, shards)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("shards=%d diverged from sequential: %s",
-						shards, firstEventDiff(want.events, got.events))
-				}
+				compareRuns(t, fmt.Sprintf("shards=%d", shards), want, runShardScenario(t, dc.sc, shards))
 			}
-			got, _ := runResumedScenario(t, dc.sc, dc.resumeK, 1, 1)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("snapshot-resume at k=%d diverged from straight run: %s",
-					dc.resumeK, firstEventDiff(want.events, got.events))
-			}
+			compareRuns(t, fmt.Sprintf("snapshot-resume at k=%d", dc.resumeK), want, runResumedScenario(t, dc.sc, dc.resumeK, 1, 1))
 		})
 	}
 	if totalRetired == 0 {

@@ -126,12 +126,12 @@ func TestSlippedCopiesArriveInLaterRounds(t *testing.T) {
 		cfg.MaxRounds = 1000
 		cfg.Fault = fault.Model{SigmaSync: 3}
 		deliverRound := -1
-		cfg.OnDeliver = func(tl packet.TileID, p *packet.Packet, round int) {
-			deliverRound = round
-		}
 		expiresAtSink := 0
 		cfg.OnEvent = func(ev Event) {
-			if ev.Kind == EvExpire && ev.Tile == 1 {
+			switch {
+			case ev.Kind == EvDeliver:
+				deliverRound = ev.Round
+			case ev.Kind == EvExpire && ev.Tile == 1:
 				expiresAtSink++
 			}
 		}
@@ -187,9 +187,7 @@ func TestSlipDelaysUnicastBeyondDistance(t *testing.T) {
 		cfg.MaxRounds = 500
 		cfg.Fault = fault.Model{SigmaSync: 4}
 		deliverRound := -1
-		cfg.OnDeliver = func(tl packet.TileID, p *packet.Packet, round int) {
-			deliverRound = round
-		}
+		cfg.OnEvent = deliveries(func(_ packet.TileID, _ packet.MsgID, round int) { deliverRound = round })
 		n := mustNet(t, cfg)
 		muteTile(n, 1)
 		n.Inject(0, 1, 0, nil)

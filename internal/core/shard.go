@@ -20,24 +20,23 @@ import (
 // sending-tile-ID order, reproducing the sequential insertion order of
 // every ring; (b) the per-message aware counters — commutative ±1
 // transitions applied atomically, so the final counts are
-// order-independent; (c) Counters — integer deltas accumulated per lane
-// and summed after the barrier; and (d) observer callbacks — staged per
-// lane in per-tile order and flushed in tile-ID order after the barrier,
-// replaying the sequential callback sequence. Message-ID allocation is
-// the one operation whose *order* is observable and non-commutative
-// (IDs index the flat tables and appear in events), so the phases that
-// can create messages — phase 1 always, phase 4 when a Receiver or
+// order-independent; and (c) Counters and the expiry tally — integer
+// deltas accumulated per lane and summed after the barrier (or on
+// demand). Observer callbacks need no argument: an OnEvent listener
+// holds the network to one lane. Message-ID allocation is the one
+// operation whose *order* is observable and non-commutative (IDs index
+// the flat tables and appear in events), so the phases that can create
+// messages — phase 1 always, phase 4 when a Receiver or
 // StopSpreadOnDelivery is present — run sequentially.
 
 // lane is one execution context of the round engine: a contiguous tile
 // range with its own frame, ring and buffer pools, a private Counters
-// delta, a staged-callback buffer and a transmission outbox. A lane runs
-// direct — callbacks fire inline, transmissions go straight into the
-// arrival rings, counts go straight into Network.cnt — whenever no shard
-// goroutine is live (!Network.par): always on a one-lane network, and in
-// the sequential phase-4 fallback. While lanes run in parallel everything
-// a lane stages is merged or flushed in lane order (= tile-ID order) after
-// the phase barrier.
+// delta and a transmission outbox. A lane runs direct — transmissions go
+// straight into the arrival rings, counts go straight into Network.cnt —
+// whenever no shard goroutine is live (!Network.par): always on a
+// one-lane network, and in the sequential phase-4 fallback. While lanes
+// run in parallel everything a lane stages is merged in lane order
+// (= tile-ID order) after the phase barrier.
 type lane struct {
 	net    *Network
 	idx    int // position in Network.lanes (outbox bucket index)
@@ -57,7 +56,7 @@ type lane struct {
 	// cost in disguise. Per-lane recycling makes the steady state
 	// allocation-free: buffers return to the pool when they drain, rings
 	// when their tile goes cold, and the heap copies deliveries hand to
-	// processes and OnDeliver are carved from a chunked arena. All of it
+	// processes are carved from a chunked arena. All of it
 	// is behavior-invisible (capacity and address reuse only) and
 	// contention-free (a tile only ever uses the pools of the lane that
 	// owns it, see Network.laneOf).
@@ -70,17 +69,7 @@ type lane struct {
 	// (once, shared) the moment that packet is stored. Nil otherwise.
 	borrowed *packet.Packet
 
-	actions []action     // staged callbacks, flushed post-barrier in lane order
-	outbox  [][]outbound // staged transmissions, bucketed by destination lane
-}
-
-// action is one staged observer callback: an OnEvent emission, or (when
-// pkt is non-nil) an OnDeliver invocation for the delivered copy pkt.
-// Staging preserves the exact sequential callback order because each
-// lane appends in per-tile order and lanes flush in tile-ID order.
-type action struct {
-	ev  Event
-	pkt *packet.Packet
+	outbox [][]outbound // staged transmissions, bucketed by destination lane
 }
 
 // outbound is one phase-3 transmission staged in a lane's outbox bucket:
@@ -194,9 +183,9 @@ type bufPool = pool[[]packet.Packet]
 const pktArenaChunk = 256
 
 // pktArena hands out heap copies for delivered packets in chunks: the
-// copies live as long as a mailbox or an OnDeliver hook references them
-// either way, so carving them from a block only divides the allocation
-// count (and the GC's object count) by the chunk size.
+// copies live as long as a mailbox references them either way, so
+// carving them from a block only divides the allocation count (and the
+// GC's object count) by the chunk size.
 type pktArena struct {
 	chunk []packet.Packet
 }
@@ -209,22 +198,6 @@ func (a *pktArena) get() *packet.Packet {
 	p := &a.chunk[0]
 	a.chunk = a.chunk[1:]
 	return p
-}
-
-// emit publishes a protocol event: immediately when the lane runs direct,
-// staged for the post-barrier flush otherwise.
-func (ln *lane) emit(kind EventKind, tile, peer packet.TileID, msg packet.MsgID) {
-	n := ln.net
-	if !n.par {
-		n.emit(kind, tile, peer, msg)
-		return
-	}
-	if n.cfg.OnEvent == nil {
-		return
-	}
-	ln.actions = append(ln.actions, action{
-		ev: Event{Round: n.round, Kind: kind, Tile: tile, Peer: peer, Msg: msg},
-	})
 }
 
 // send hands one in-flight arrival to its destination tile: directly
@@ -367,23 +340,19 @@ func (n *Network) runShards(phase func(*Network, *lane)) {
 
 // stepLanes is phases 2-4 of Step: phase 1 (computation) already ran
 // sequentially — it allocates message IDs, whose order is observable.
-// Barrier order matters: counters merge and staged callbacks flush before
-// the next phase so that an observer sees the same event sequence, phase
-// by phase, as a one-lane run; outboxes merge before phase 4 so every
+// Counters merge at every barrier; outboxes merge before phase 4 so every
 // arrival ring holds its sequential contents in sequential order. On a
 // one-lane network nothing is staged and the merges are no-ops.
 func (n *Network) stepLanes() {
 	n.refreshProcs()
 
-	// Phase 2 — aging (tile-local; expiry events staged).
+	// Phase 2 — aging (tile-local).
 	n.runShards((*Network).phaseAge)
-	n.flushActions()
 
 	// Phase 3 — forwarding into private outboxes. Each lane clears its
 	// own (already merged) outbox of the previous round at entry, which
 	// is what lets the dedicated clearing barrier disappear.
 	n.runShards((*Network).phaseForward)
-	n.flushActions()
 
 	// Phase 4 — reception, fused with the outbox merge: every lane drains
 	// its own bucket of each outbox in lane order and schedules those
@@ -406,7 +375,6 @@ func (n *Network) stepLanes() {
 		return
 	}
 	n.runShards((*Network).mergeAndReceive)
-	n.flushActions()
 }
 
 // mergeAndReceive is the fused barrier body of phase 4: merge the staged
@@ -444,27 +412,6 @@ func clearOutbox(ln *lane) {
 			out[i] = outbound{}
 		}
 		ln.outbox[b] = out[:0]
-	}
-}
-
-// flushActions replays the staged observer callbacks in lane order
-// (= tile-ID order), reproducing the sequential callback sequence.
-// Callbacks run on the stepping goroutine, after the barrier: state
-// reads from a hook therefore see end-of-phase state, not the mid-phase
-// snapshots a sequential run would show (the documented Shards caveat).
-func (n *Network) flushActions() {
-	for li := range n.lanes {
-		ln := &n.lanes[li]
-		for i := range ln.actions {
-			a := &ln.actions[i]
-			if a.pkt == nil {
-				n.cfg.OnEvent(a.ev)
-			} else if n.cfg.OnDeliver != nil {
-				n.cfg.OnDeliver(a.ev.Tile, a.pkt, a.ev.Round)
-			}
-			ln.actions[i] = action{}
-		}
-		ln.actions = ln.actions[:0]
 	}
 }
 

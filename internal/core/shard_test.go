@@ -1,41 +1,118 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
+	"hash/fnv"
 	"reflect"
 	"testing"
 
 	"repro/internal/fault"
 	"repro/internal/packet"
+	"repro/internal/rng"
 	"repro/internal/topology"
 )
 
 // This file pins the sharded engine's one hard promise: Config.Shards is
 // bit-identical to the sequential engine at any shard count. Every
 // scenario below runs once sequentially and once per shard count, and the
-// complete observable record — event sequence, delivery sequence,
-// counters, aware tables — must match exactly. A shard owns whole 64-tile
-// words, so every fabric here has at least two of them (128 tiles), and
-// checkLanes refuses a run that asked for shards and got the sequential
-// engine.
+// complete observable record — counters, tallies and the whole-state
+// snapshot bytes at every round barrier, what recording processes were
+// handed (payloads included), aware tables and RNG states — must match
+// exactly. An OnEvent listener holds a network to one lane, so the
+// sharded runs are hook-free and the event log is compared between
+// one-lane runs only. A shard owns whole 64-tile words, so every fabric
+// here has at least two of them (128 tiles), and checkLanes refuses a run
+// that asked for shards and got the sequential engine.
 
-// deliverRec is one OnDeliver invocation, payload included so a sharded
-// run cannot get away with delivering the right ID with a corrupted body.
-type deliverRec struct {
+// mailRec is one packet a recording process was handed: its tile, the
+// round it read its mailbox in, and the message with its payload, so a
+// sharded run cannot get away with delivering the right ID with a
+// corrupted body.
+type mailRec struct {
 	tile    packet.TileID
 	round   int
 	id      packet.MsgID
 	payload string
 }
 
+// mailProc is a plain (non-Receiver) process that logs its mailbox every
+// round. The scenario runners attach one to every other tile that has no
+// process, so deliveries are read back without holding phase 4 to one
+// lane, and the tiles between keep the process-less delivery path.
+type mailProc struct{ log *[]mailRec }
+
+func (mailProc) Init(*Ctx) {}
+
+func (m mailProc) Round(ctx *Ctx) {
+	for _, p := range ctx.Delivered() {
+		*m.log = append(*m.log, mailRec{tile: ctx.Self(), round: ctx.Round(), id: p.ID, payload: string(p.Payload)})
+	}
+}
+
+// attachMail gives every even tile without a process a mailProc logging
+// into log.
+func attachMail(n *Network, log *[]mailRec) {
+	for i := 0; i < len(n.tiles); i += 2 {
+		if n.tiles[i].process() == nil {
+			n.Attach(packet.TileID(i), mailProc{log})
+		}
+	}
+}
+
+// barrierRec is a run's state at one round barrier: the counters, the
+// tally (continued across a restore) and a hash of the snapshot bytes.
+// Meshes beyond 64×64 hash their snapshot every eighth round and at the
+// last one only: encoding a quarter-million tiles every round would be
+// most of the sub-TTL suite's time.
+type barrierRec struct {
+	cnt              Counters
+	created, expired int
+	state            uint64
+}
+
 // shardSnapshot is the full observable outcome of one run.
 type shardSnapshot struct {
-	events   []Event
-	delivers []deliverRec
+	hooked   bool    // an OnEvent listener recorded events (one lane throughout)
+	events   []Event // the listener's log
+	mail     []mailRec
+	barriers []barrierRec
 	cnt      Counters
 	aware    []int
 	awareAt  []bool
+	rngs     []rng.Stream
 	rounds   int
+}
+
+// barrier appends n's state at the round barrier it stands at, last
+// being the run's final round; base is the tally of the network n was
+// restored from, if any.
+func (s *shardSnapshot) barrier(tb testing.TB, n *Network, last int, base barrierRec) {
+	tb.Helper()
+	created, expired, _ := n.Tally()
+	rec := barrierRec{cnt: n.Counters(), created: base.created + created, expired: base.expired + expired}
+	if r := n.Round(); len(n.tiles) <= 4096 || r%8 == 0 || r == last {
+		h := fnv.New64a()
+		h.Write(snapshotBytes(tb, n))
+		rec.state = h.Sum64()
+	}
+	s.barriers = append(s.barriers, rec)
+}
+
+// finish records n's final state: counters, round, the awareness of the
+// messages ids names, and every tile's RNG state.
+func (s *shardSnapshot) finish(n *Network, ids []packet.MsgID) {
+	s.cnt = n.Counters()
+	s.rounds = n.Round()
+	for _, id := range ids {
+		s.aware = append(s.aware, n.Aware(id))
+		for ti := range n.tiles {
+			s.awareAt = append(s.awareAt, n.AwareAt(id, packet.TileID(ti)))
+		}
+	}
+	for i := range n.tiles {
+		s.rngs = append(s.rngs, n.tiles[i].rnd)
+	}
 }
 
 // injection schedules one Inject call immediately before a given round.
@@ -58,10 +135,12 @@ type shardScenario struct {
 	// mayClamp marks the clamp tests: asking for more shards than the
 	// fabric has whole words, down to the sequential engine, is their point.
 	mayClamp bool
-	// quiet runs the scenario with no OnEvent listener, so the record's
-	// event log stays empty and the engine may settle at the sender what
-	// only a listener would see.
+	// quiet runs the scenario with no OnEvent listener even on one lane,
+	// so the engine may settle at the sender what only a listener would
+	// see.
 	quiet bool
+	// bare attaches no recording processes.
+	bare bool
 }
 
 // clusterTopo builds the Chapter 5 style two-cluster fabric: two
@@ -362,32 +441,43 @@ func checkLanes(tb testing.TB, sc shardScenario, n *Network, shards int) {
 	}
 }
 
-// runShardScenario executes one scenario at the given shard count and
-// returns the full observable record. Every round barrier is checked
-// against presentImpliesSeen and presentIsOneCopy.
-func runShardScenario(tb testing.TB, sc shardScenario, shards int) shardSnapshot {
+// build makes the scenario's network at the given shard count: with an
+// OnEvent listener recording into snap when hooked, its setup applied and
+// recording processes attached (unless bare). restore, if set, builds it
+// from a checkpoint instead of New.
+func (sc shardScenario) build(tb testing.TB, snap *shardSnapshot, shards int, restore []byte) *Network {
 	tb.Helper()
-	var snap shardSnapshot
 	cfg := sc.cfg()
 	cfg.Shards = shards
-	if !sc.quiet {
+	if snap.hooked {
 		cfg.OnEvent = func(ev Event) { snap.events = append(snap.events, ev) }
 	}
-	cfg.OnDeliver = func(tl packet.TileID, p *packet.Packet, round int) {
-		snap.delivers = append(snap.delivers, deliverRec{
-			tile: tl, round: round, id: p.ID, payload: string(p.Payload),
-		})
+	var n *Network
+	var err error
+	if restore == nil {
+		n, err = New(cfg)
+	} else {
+		n, err = Restore(bytes.NewReader(restore), cfg)
 	}
-	n, err := New(cfg)
 	if err != nil {
 		tb.Fatalf("%s/shards=%d: %v", sc.name, shards, err)
 	}
 	checkLanes(tb, sc, n, shards)
 	if sc.setup != nil {
-		sc.setup(n)
+		sc.setup(n) // routers and forward limits are the caller's to re-apply
 	}
-	var ids []packet.MsgID
-	for round := 0; round < sc.rounds; round++ {
+	if !sc.bare {
+		attachMail(n, &snap.mail)
+	}
+	return n
+}
+
+// step runs the scenario's rounds [n.Round(), until) on n, injecting on
+// schedule, and records every round barrier into snap, checked against
+// presentImpliesSeen and presentIsOneCopy.
+func (sc shardScenario) step(tb testing.TB, snap *shardSnapshot, n *Network, until int, base barrierRec, ids []packet.MsgID) []packet.MsgID {
+	tb.Helper()
+	for round := n.Round(); round < until; round++ {
 		for _, in := range sc.inject {
 			if in.beforeRound != round {
 				continue
@@ -400,63 +490,74 @@ func runShardScenario(tb testing.TB, sc shardScenario, shards int) shardSnapshot
 		}
 		n.Step()
 		if err := presentImpliesSeen(n); err != nil {
-			tb.Fatalf("%s/shards=%d: %v", sc.name, shards, err)
+			tb.Fatalf("%s/shards=%d: %v", sc.name, n.Shards(), err)
 		}
 		if err := presentIsOneCopy(n); err != nil {
-			tb.Fatalf("%s/shards=%d: %v", sc.name, shards, err)
+			tb.Fatalf("%s/shards=%d: %v", sc.name, n.Shards(), err)
 		}
+		snap.barrier(tb, n, sc.rounds, base)
 	}
-	snap.cnt = n.Counters()
-	snap.rounds = n.Round()
-	tiles := n.Topology().Tiles()
-	for _, id := range ids {
-		snap.aware = append(snap.aware, n.Aware(id))
-		for ti := 0; ti < tiles; ti++ {
-			snap.awareAt = append(snap.awareAt, n.AwareAt(id, packet.TileID(ti)))
-		}
-	}
+	return ids
+}
+
+// runShardScenario executes one scenario at the given shard count and
+// returns the full observable record. A run asked for one shard records
+// its events (unless quiet); more shards run hook-free.
+func runShardScenario(tb testing.TB, sc shardScenario, shards int) shardSnapshot {
+	tb.Helper()
+	snap := shardSnapshot{hooked: shards <= 1 && !sc.quiet}
+	n := sc.build(tb, &snap, shards, nil)
+	snap.finish(n, sc.step(tb, &snap, n, sc.rounds, barrierRec{}, nil))
 	return snap
+}
+
+// compareRuns fails tb unless got left the record want did; event logs
+// are compared when both runs recorded one.
+func compareRuns(tb testing.TB, label string, want, got shardSnapshot) {
+	tb.Helper()
+	switch {
+	case want.hooked && got.hooked && !reflect.DeepEqual(got.events, want.events):
+		tb.Fatalf("%s: event log diverged: %s", label, firstEventDiff(want.events, got.events))
+	case !reflect.DeepEqual(got.barriers, want.barriers):
+		for r := range min(len(got.barriers), len(want.barriers)) {
+			if got.barriers[r] != want.barriers[r] {
+				tb.Fatalf("%s: state diverged at the end of round %d\nwant: %+v\ngot:  %+v",
+					label, r+1, want.barriers[r], got.barriers[r])
+			}
+		}
+		tb.Fatalf("%s: %d round barriers, want %d", label, len(got.barriers), len(want.barriers))
+	case !reflect.DeepEqual(got.mail, want.mail):
+		tb.Fatalf("%s: mailbox log diverged\nwant: %v\ngot:  %v", label, want.mail, got.mail)
+	case got.cnt != want.cnt:
+		tb.Fatalf("%s: counters diverged\nwant: %+v\ngot:  %+v", label, want.cnt, got.cnt)
+	case !reflect.DeepEqual(got.aware, want.aware):
+		tb.Fatalf("%s: Aware counts diverged\nwant: %v\ngot:  %v", label, want.aware, got.aware)
+	case !reflect.DeepEqual(got.awareAt, want.awareAt):
+		tb.Fatalf("%s: AwareAt tables diverged", label)
+	case !reflect.DeepEqual(got.rngs, want.rngs):
+		tb.Fatalf("%s: tile RNG states diverged", label)
+	case got.rounds != want.rounds:
+		tb.Fatalf("%s: rounds %d != %d", label, got.rounds, want.rounds)
+	}
 }
 
 // TestShardCountInvariance is the sharded engine's contract test: for
 // every scenario, runs at shard counts 2, 4 and 7 (as many of them as the
 // fabric has whole words for, never fewer than two) must be bit-identical
-// to the sequential run — same event sequence, same delivery sequence
-// (payloads included), same counters, same aware tables, round by round.
-// CI runs this test under -race, which also exercises the engine's
-// synchronization claims (tile-local writes, atomic aware counts, barrier
-// ordering).
+// to the sequential run — same counters, tallies and snapshot bytes at
+// every round barrier, same mailbox contents (payloads included), same
+// aware tables and RNG states. CI runs this test under -race, which also
+// exercises the engine's synchronization claims (tile-local writes,
+// atomic aware counts, barrier ordering).
 func TestShardCountInvariance(t *testing.T) {
 	for _, sc := range shardScenarios() {
 		t.Run(sc.name, func(t *testing.T) {
 			want := runShardScenario(t, sc, 1)
-			if len(want.events) == 0 {
-				t.Fatalf("scenario produced no events — not a meaningful invariance check")
+			if len(want.events) == 0 || len(want.mail) == 0 {
+				t.Fatalf("scenario produced no events or no deliveries — not a meaningful invariance check")
 			}
 			for _, shards := range []int{2, 4, 7} {
-				got := runShardScenario(t, sc, shards)
-				if !reflect.DeepEqual(got.events, want.events) {
-					t.Fatalf("shards=%d: event log diverged: %s",
-						shards, firstEventDiff(want.events, got.events))
-				}
-				if !reflect.DeepEqual(got.delivers, want.delivers) {
-					t.Fatalf("shards=%d: delivery log diverged\nseq: %v\npar: %v",
-						shards, want.delivers, got.delivers)
-				}
-				if got.cnt != want.cnt {
-					t.Fatalf("shards=%d: counters diverged\nseq: %+v\npar: %+v",
-						shards, want.cnt, got.cnt)
-				}
-				if !reflect.DeepEqual(got.aware, want.aware) {
-					t.Fatalf("shards=%d: Aware counts diverged\nseq: %v\npar: %v",
-						shards, want.aware, got.aware)
-				}
-				if !reflect.DeepEqual(got.awareAt, want.awareAt) {
-					t.Fatalf("shards=%d: AwareAt tables diverged", shards)
-				}
-				if got.rounds != want.rounds {
-					t.Fatalf("shards=%d: rounds %d != %d", shards, got.rounds, want.rounds)
-				}
+				compareRuns(t, fmt.Sprintf("shards=%d", shards), want, runShardScenario(t, sc, shards))
 			}
 		})
 	}
@@ -488,11 +589,7 @@ func TestShardsClampedToTiles(t *testing.T) {
 		rounds:   8,
 		mayClamp: true,
 	}
-	want := runShardScenario(t, sc, 1)
-	got := runShardScenario(t, sc, 64) // 64 shards, 4 tiles
-	if !reflect.DeepEqual(got.events, want.events) || got.cnt != want.cnt {
-		t.Fatal("over-sharded run diverged from sequential")
-	}
+	compareRuns(t, "64 shards on 4 tiles", runShardScenario(t, sc, 1), runShardScenario(t, sc, 64))
 }
 
 // TestShardsClampedToWords pins the whole-word rule: a shard owns whole
@@ -533,10 +630,7 @@ func TestShardsClampedToWords(t *testing.T) {
 			if net.Shards() != c.want[i] {
 				t.Errorf("%d tiles, Shards=%d: engine runs %d shards, want %d", c.tiles, shards, net.Shards(), c.want[i])
 			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%d tiles, Shards=%d diverged from sequential: %s",
-					c.tiles, shards, firstEventDiff(want.events, got.events))
-			}
+			compareRuns(t, fmt.Sprintf("%d tiles, Shards=%d", c.tiles, shards), want, got)
 		}
 	}
 }
@@ -576,20 +670,21 @@ func TestCountersExactBetweenRounds(t *testing.T) {
 	}
 }
 
-// TestOneLaneHooksSeeLiveState pins the contract Config.Shards states by
-// contrast with the sharded case: on a one-lane network hooks fire
-// mid-phase, so a hook reading network state sees it live. A P=1 broadcast
-// from a corner reaches its two neighbours in round 1; the OnEvent hook
-// reads Aware and Counters at each delivery and must see the count rise
-// between them (2 then 3 aware tiles, 1 then 2 deliveries), both for
-// Shards 0 and for a request clamped to one lane.
+// TestOneLaneHooksSeeLiveState pins the contract Config.OnEvent states:
+// a listener holds the network to one lane and fires mid-phase, so a hook
+// reading network state sees it live. A P=1 broadcast from a corner
+// reaches its two neighbours in round 1; the OnEvent hook reads Aware and
+// Counters at each delivery and must see the count rise between them (2
+// then 3 aware tiles, 1 then 2 deliveries) — for Shards 0, for a request
+// clamped to one lane by the mesh size, and for a 16×16 mesh that would
+// run four lanes without the hook.
 func TestOneLaneHooksSeeLiveState(t *testing.T) {
-	for _, shards := range []int{0, 4} {
+	for _, c := range []struct{ side, shards int }{{8, 0}, {8, 4}, {16, 4}} {
 		var n *Network
 		var id packet.MsgID
 		var aware, delivered []int
 		n = mustNet(t, Config{
-			Topo: topology.NewGrid(8, 8), P: 1, TTL: 4, MaxRounds: 10, Seed: 3, Shards: shards,
+			Topo: topology.NewGrid(c.side, c.side), P: 1, TTL: 4, MaxRounds: 10, Seed: 3, Shards: c.shards,
 			OnEvent: func(ev Event) {
 				if ev.Kind == EvDeliver && ev.Round == 1 {
 					aware = append(aware, n.Aware(id))
@@ -598,13 +693,13 @@ func TestOneLaneHooksSeeLiveState(t *testing.T) {
 			},
 		})
 		if n.Shards() != 1 {
-			t.Fatalf("Shards=%d on 8×8: runs %d lanes, want 1", shards, n.Shards())
+			t.Fatalf("%dx%d Shards=%d with a hook: runs %d lanes, want 1", c.side, c.side, c.shards, n.Shards())
 		}
 		id = mustInject(t, n, 0, packet.Broadcast, 0, nil)
 		n.Step()
 		if !reflect.DeepEqual(aware, []int{2, 3}) || !reflect.DeepEqual(delivered, []int{1, 2}) {
-			t.Fatalf("Shards=%d: round-1 delivery hooks saw Aware %v and Deliveries %v, want live [2 3] and [1 2]",
-				shards, aware, delivered)
+			t.Fatalf("%dx%d Shards=%d: round-1 delivery hooks saw Aware %v and Deliveries %v, want live [2 3] and [1 2]",
+				c.side, c.side, c.shards, aware, delivered)
 		}
 	}
 }

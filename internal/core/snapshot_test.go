@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -12,16 +11,15 @@ import (
 	"repro/internal/topology"
 )
 
-// This file pins the checkpoint/resume contract (ISSUE 5 acceptance
-// criteria): Restore(Snapshot(run to round k)) → run to round n is
-// bit-identical to an uninterrupted n-round run — same event sequence,
-// same deliveries, same counters, same aware tables — for any k, any
-// shard count on either side of the checkpoint, and any fault-knob
-// combination. Two oracles enforce it: the observable record compared
-// with reflect.DeepEqual, and whole-state equality via the snapshot
-// bytes both runs produce at round n (two states that serialize
-// identically under a deterministic encoder ARE identical, in-flight
-// arrivals and RNG streams included).
+// This file pins the checkpoint/resume contract: Restore(Snapshot(run to
+// round k)) → run to round n is bit-identical to an uninterrupted n-round
+// run — same counters, tallies and mailbox contents, same aware tables
+// and, on one lane, the same event sequence — for any k, any shard count
+// on either side of the checkpoint, and any fault-knob combination. The
+// snapshot bytes both runs produce at every round barrier are the
+// whole-state oracle: two states that serialize identically under a
+// deterministic encoder ARE identical, in-flight arrivals and RNG streams
+// included.
 
 // everythingScenario enables every fault knob at once — literal upsets
 // with the random-bit error model, overflow, link and tile crashes with a
@@ -79,107 +77,22 @@ func snapshotBytes(tb testing.TB, n *Network) []byte {
 // runResumedScenario replays sc but interrupts it: it runs shardsBefore-
 // sharded to round k, snapshots, restores the snapshot into a fresh
 // shardsAfter-sharded network, and finishes the run there. The returned
-// record spans the whole run (events recorded on both sides of the
-// checkpoint concatenate), plus the final-state snapshot bytes for the
-// whole-state oracle.
-func runResumedScenario(tb testing.TB, sc shardScenario, k, shardsBefore, shardsAfter int) (shardSnapshot, []byte) {
+// record spans the whole run: round barriers, mailbox logs and (on one
+// lane throughout) event logs from both sides of the checkpoint
+// concatenate, and the tally continues across the restore.
+func runResumedScenario(tb testing.TB, sc shardScenario, k, shardsBefore, shardsAfter int) shardSnapshot {
 	tb.Helper()
-	var snap shardSnapshot
-	hook := func(cfg *Config) {
-		cfg.OnEvent = func(ev Event) { snap.events = append(snap.events, ev) }
-		cfg.OnDeliver = func(tl packet.TileID, p *packet.Packet, round int) {
-			snap.delivers = append(snap.delivers, deliverRec{
-				tile: tl, round: round, id: p.ID, payload: string(p.Payload),
-			})
-		}
-	}
-	inject := func(n *Network, round int, ids []packet.MsgID) []packet.MsgID {
-		for _, in := range sc.inject {
-			if in.beforeRound != round {
-				continue
-			}
-			var payload []byte
-			if in.payload != "" {
-				payload = []byte(in.payload)
-			}
-			ids = append(ids, mustInject(tb, n, in.src, in.dst, in.kind, payload))
-		}
-		return ids
-	}
-
-	cfg := sc.cfg()
-	cfg.Shards = shardsBefore
-	hook(&cfg)
-	n, err := New(cfg)
-	if err != nil {
-		tb.Fatalf("%s: New: %v", sc.name, err)
-	}
-	checkLanes(tb, sc, n, shardsBefore)
-	if sc.setup != nil {
-		sc.setup(n)
-	}
-	var ids []packet.MsgID
-	for round := 0; round < k; round++ {
-		ids = inject(n, round, ids)
-		n.Step()
-	}
-
-	ckpt := snapshotBytes(tb, n)
-
-	cfg2 := sc.cfg()
-	cfg2.Shards = shardsAfter
-	hook(&cfg2)
-	n2, err := Restore(bytes.NewReader(ckpt), cfg2)
-	if err != nil {
-		tb.Fatalf("%s: Restore at k=%d: %v", sc.name, k, err)
-	}
-	checkLanes(tb, sc, n2, shardsAfter)
-	if sc.setup != nil {
-		sc.setup(n2) // routers and forward limits are the caller's to re-apply
-	}
+	snap := shardSnapshot{hooked: shardsBefore <= 1 && shardsAfter <= 1 && !sc.quiet}
+	n := sc.build(tb, &snap, shardsBefore, nil)
+	ids := sc.step(tb, &snap, n, k, barrierRec{}, nil)
+	var base barrierRec
+	base.created, base.expired, _ = n.Tally()
+	n2 := sc.build(tb, &snap, shardsAfter, snapshotBytes(tb, n))
 	if n2.Round() != k {
 		tb.Fatalf("%s: restored network at round %d, want %d", sc.name, n2.Round(), k)
 	}
-	for round := k; round < sc.rounds; round++ {
-		ids = inject(n2, round, ids)
-		n2.Step()
-	}
-
-	snap.cnt = n2.Counters()
-	snap.rounds = n2.Round()
-	tiles := n2.Topology().Tiles()
-	for _, id := range ids {
-		snap.aware = append(snap.aware, n2.Aware(id))
-		for ti := 0; ti < tiles; ti++ {
-			snap.awareAt = append(snap.awareAt, n2.AwareAt(id, packet.TileID(ti)))
-		}
-	}
-	return snap, snapshotBytes(tb, n2)
-}
-
-// compareRuns asserts two full-run records are identical.
-func compareRuns(tb testing.TB, label string, want, got shardSnapshot) {
-	tb.Helper()
-	if !reflect.DeepEqual(got.events, want.events) {
-		tb.Fatalf("%s: event log diverged: %s", label, firstEventDiff(want.events, got.events))
-	}
-	if !reflect.DeepEqual(got.delivers, want.delivers) {
-		tb.Fatalf("%s: delivery log diverged\nstraight: %v\nresumed:  %v",
-			label, want.delivers, got.delivers)
-	}
-	if got.cnt != want.cnt {
-		tb.Fatalf("%s: counters diverged\nstraight: %+v\nresumed:  %+v", label, want.cnt, got.cnt)
-	}
-	if !reflect.DeepEqual(got.aware, want.aware) {
-		tb.Fatalf("%s: Aware counts diverged\nstraight: %v\nresumed:  %v",
-			label, want.aware, got.aware)
-	}
-	if !reflect.DeepEqual(got.awareAt, want.awareAt) {
-		tb.Fatalf("%s: AwareAt tables diverged", label)
-	}
-	if got.rounds != want.rounds {
-		tb.Fatalf("%s: rounds %d != %d", label, got.rounds, want.rounds)
-	}
+	snap.finish(n2, sc.step(tb, &snap, n2, sc.rounds, base, ids))
+	return snap
 }
 
 // TestSnapshotResumeBitIdentity is the acceptance-criteria test: for
@@ -187,7 +100,8 @@ func compareRuns(tb testing.TB, label string, want, got shardSnapshot) {
 // fault knobs enabled — interrupting at k ∈ {1, mid, n−1} and resuming
 // at shard counts {1, 4} (both sides of the checkpoint; 4 is clamped to
 // the 2 or 3 whole words of the smaller fabrics) reproduces the
-// straight-through run exactly, down to the final snapshot bytes.
+// straight-through run exactly, down to the snapshot bytes at every
+// round barrier.
 func TestSnapshotResumeBitIdentity(t *testing.T) {
 	for _, sc := range resumableScenarios() {
 		t.Run(sc.name, func(t *testing.T) {
@@ -195,40 +109,9 @@ func TestSnapshotResumeBitIdentity(t *testing.T) {
 			if len(straight.events) == 0 {
 				t.Fatal("scenario produced no events — not a meaningful resume check")
 			}
-			// Final-state bytes of the uninterrupted run, for the
-			// whole-state oracle.
-			wantBytes := func() []byte {
-				cfg := sc.cfg()
-				n, err := New(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if sc.setup != nil {
-					sc.setup(n)
-				}
-				for round := 0; round < sc.rounds; round++ {
-					for _, in := range sc.inject {
-						if in.beforeRound != round {
-							continue
-						}
-						var payload []byte
-						if in.payload != "" {
-							payload = []byte(in.payload)
-						}
-						mustInject(t, n, in.src, in.dst, in.kind, payload)
-					}
-					n.Step()
-				}
-				return snapshotBytes(t, n)
-			}()
 			for _, k := range []int{1, sc.rounds / 2, sc.rounds - 1} {
 				for _, shards := range [][2]int{{1, 1}, {1, 4}, {4, 1}, {4, 4}} {
-					got, gotBytes := runResumedScenario(t, sc, k, shards[0], shards[1])
-					label := sprintLabel(sc.name, k, shards)
-					compareRuns(t, label, straight, got)
-					if !bytes.Equal(gotBytes, wantBytes) {
-						t.Fatalf("%s: final snapshot bytes differ from straight run", label)
-					}
+					compareRuns(t, sprintLabel(sc.name, k, shards), straight, runResumedScenario(t, sc, k, shards[0], shards[1]))
 				}
 				if testing.Short() {
 					break // one k per scenario keeps -short fast

@@ -8,6 +8,7 @@ package core
 // property test pins the bounded retired ledger directly.
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -67,8 +68,8 @@ func subTTLScenarios() []shardScenario {
 
 // TestSubTTLDifferential runs each sub-TTL scenario sequentially, at
 // shard counts 2 and 5, and snapshot-resumed mid-spread, and requires
-// the full observable record — events, deliveries, counters, aware
-// tables — to be identical. This is the shard-invariance and
+// the full observable record (compareRuns) to be identical. This is the
+// shard-invariance and
 // resume-identity contract on the mesh sizes where the frontier
 // scheduler actually engages.
 func TestSubTTLDifferential(t *testing.T) {
@@ -83,18 +84,10 @@ func TestSubTTLDifferential(t *testing.T) {
 				t.Fatal("scenario retired nothing — sub-TTL churn is not exercising recycling")
 			}
 			for _, shards := range []int{2, 5} {
-				got := runShardScenario(t, sc, shards)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("shards=%d diverged from sequential: %s",
-						shards, firstEventDiff(want.events, got.events))
-				}
+				compareRuns(t, fmt.Sprintf("shards=%d", shards), want, runShardScenario(t, sc, shards))
 			}
 			// Resume at round 8: mid-spread, restoring into a sharded engine.
-			got, _ := runResumedScenario(t, sc, 8, 1, 2)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("snapshot-resume diverged from straight run: %s",
-					firstEventDiff(want.events, got.events))
-			}
+			compareRuns(t, "snapshot-resume", want, runResumedScenario(t, sc, 8, 1, 2))
 		})
 	}
 }

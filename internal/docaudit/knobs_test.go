@@ -18,6 +18,10 @@ var unsetKnobs = map[string]string{
 	"BatchDraws": "bench/ sets it by reflection (setKnob), so the benchmark builds whether or not the field exists; ROADMAP item 11 decides the kernel",
 }
 
+// configFieldCount is how many exported fields core.Config has: a field
+// added or deleted must move it, so a new knob is a visible decision.
+const configFieldCount = 13
+
 // TestEveryConfigFieldHasACaller is the knob census: every exported
 // core.Config field must be named — as a composite-literal key or on the
 // left of an assignment — in some non-test Go file outside internal/core
@@ -26,14 +30,63 @@ var unsetKnobs = map[string]string{
 // type: a same-named field of another struct also counts as a caller.
 func TestEveryConfigFieldHasACaller(t *testing.T) {
 	fields := configFields(t)
-	if len(fields) == 0 {
-		t.Fatal("found no core.Config fields — the census is vacuous")
+	if len(fields) != configFieldCount {
+		t.Fatalf("core.Config has %d exported fields, the census counts %d: %v", len(fields), configFieldCount, fields)
 	}
 	named := map[string]bool{}
+	walkNonTestGo(t, []string{filepath.Join("internal", "core"), "examples"}, func(_ string, file *ast.File) {
+		for name := range setFields(file) {
+			named[name] = true
+		}
+	})
+	for _, f := range fields {
+		_, allowed := unsetKnobs[f]
+		switch {
+		case !named[f] && !allowed:
+			t.Errorf("core.Config.%s is set by no non-test code outside internal/core and examples/: delete it, or list it in unsetKnobs with a reason", f)
+		case named[f] && allowed:
+			t.Errorf("core.Config.%s has a caller now: drop it from unsetKnobs", f)
+		}
+	}
+	for f := range unsetKnobs {
+		if !slices.Contains(fields, f) {
+			t.Errorf("unsetKnobs lists %s, which is not a core.Config field", f)
+		}
+	}
+}
+
+// TestOnlyTracesListenForEvents pins the premise of core.Config.OnEvent:
+// protocol events are for traces. Outside test files, the only code that
+// sets an OnEvent field (matched by name, as the census does) is
+// cmd/nocsim, for -trace; the metrics recorder and every measurement
+// count from the engine instead, and a listener would hold their
+// networks to one lane and turn off settlement at the sender.
+func TestOnlyTracesListenForEvents(t *testing.T) {
+	allowed := filepath.Join("cmd", "nocsim")
+	found := false
+	walkNonTestGo(t, nil, func(path string, file *ast.File) {
+		if !setFields(file)["OnEvent"] {
+			return
+		}
+		if filepath.Dir(path) != allowed {
+			t.Errorf("%s sets an OnEvent hook: only %s (-trace) may listen for protocol events", path, allowed)
+		}
+		found = true
+	})
+	if !found {
+		t.Fatalf("no file sets OnEvent, not even %s: the check is vacuous", allowed)
+	}
+}
+
+// walkNonTestGo parses every non-test Go file of the repository outside
+// the skipped directories (paths relative to the repository root), and
+// hands fn its root-relative path and syntax tree.
+func walkNonTestGo(t *testing.T, skipDirs []string, fn func(path string, file *ast.File)) {
+	t.Helper()
 	root := filepath.Join("..", "..")
-	skip := map[string]bool{
-		filepath.Join(root, "internal", "core"): true,
-		filepath.Join(root, "examples"):         true,
+	skip := map[string]bool{}
+	for _, d := range skipDirs {
+		skip[filepath.Join(root, d)] = true
 	}
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -52,40 +105,38 @@ func TestEveryConfigFieldHasACaller(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		ast.Inspect(file, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.KeyValueExpr:
-				if key, ok := n.Key.(*ast.Ident); ok {
-					named[key.Name] = true
-				}
-			case *ast.AssignStmt:
-				for _, lhs := range n.Lhs {
-					if sel, ok := lhs.(*ast.SelectorExpr); ok {
-						named[sel.Sel.Name] = true
-					}
-				}
-			}
-			return true
-		})
+		rel, err := filepath.Rel(root, path)
+		if err != nil {
+			return err
+		}
+		fn(rel, file)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range fields {
-		_, allowed := unsetKnobs[f]
-		switch {
-		case !named[f] && !allowed:
-			t.Errorf("core.Config.%s is set by no non-test code outside internal/core and examples/: delete it, or list it in unsetKnobs with a reason", f)
-		case named[f] && allowed:
-			t.Errorf("core.Config.%s has a caller now: drop it from unsetKnobs", f)
+}
+
+// setFields returns the names file sets: composite-literal keys and
+// selectors on the left of an assignment.
+func setFields(file *ast.File) map[string]bool {
+	named := map[string]bool{}
+	ast.Inspect(file, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.KeyValueExpr:
+			if key, ok := n.Key.(*ast.Ident); ok {
+				named[key.Name] = true
+			}
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				if sel, ok := lhs.(*ast.SelectorExpr); ok {
+					named[sel.Sel.Name] = true
+				}
+			}
 		}
-	}
-	for f := range unsetKnobs {
-		if !slices.Contains(fields, f) {
-			t.Errorf("unsetKnobs lists %s, which is not a core.Config field", f)
-		}
-	}
+		return true
+	})
+	return named
 }
 
 // configFields returns the exported field names of core.Config.

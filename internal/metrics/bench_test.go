@@ -35,8 +35,8 @@ func recorderNet(tb testing.TB) *core.Network {
 
 // BenchmarkStepGrid8x8Recorder is the instrumented twin of the engine
 // hot-loop microbench: one steady-state Step with the per-round recorder
-// counting every event and flushing every round. The acceptance bar is
-// 0 allocs/op and ≤5% latency over the bare engine (EXPERIMENTS.md
+// booking the engine's counts and flushing every round. The acceptance
+// bar is 0 allocs/op and ≤5% latency over the bare engine (EXPERIMENTS.md
 // keeps the before/after table).
 func BenchmarkStepGrid8x8Recorder(b *testing.B) {
 	n := recorderNet(b)

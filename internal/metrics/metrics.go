@@ -1,19 +1,20 @@
 // Package metrics is the per-round time-series observability layer of
 // the simulator. The thesis' whole argument is trajectory-shaped —
 // fraction of aware tiles, packet transmissions and energy *per round*
-// (§3.3, Figs. 3-3…3-6) — so the Recorder turns the engine's protocol
-// events (core.Config.OnEvent) and end-of-round state
-// (core.Config.OnRoundEnd) into dense per-round series, one slot per
-// round, preallocated up front so that recording costs zero allocations
-// in the engine's steady state (the same discipline as the flat tables
-// of internal/core).
+// (§3.3, Figs. 3-3…3-6) — so the Recorder turns the engine's own counts
+// (core.Counters, Network.Tally) and end-of-round state, sampled at every
+// round barrier (core.Config.OnRoundEnd), into dense per-round series,
+// one slot per round, preallocated up front so that recording costs zero
+// allocations in the engine's steady state (the same discipline as the
+// flat tables of internal/core). It installs no per-event hook: protocol
+// events (core.Config.OnEvent) are for traces.
 //
 // Data flow:
 //
-//	core.Event ──OnEvent──▶ Recorder ──Series()──▶ TimeSeries (one replica)
-//	                 │                                   │
-//	         OnRoundEnd flush                     Merge() across replicas
-//	    (aware tiles, energy ΔJ)                         │
+//	Counters, Tally, Aware ──OnRoundEnd──▶ Recorder ──Series()──▶ TimeSeries (one replica)
+//	  (per-round deltas, gauges, energy ΔJ)                          │
+//	                                                          Merge() across replicas
+//	                                                                 │
 //	                                              Aggregate ──WriteJSONL/WriteCSV──▶ files
 //
 // Cross-replica aggregation is driven by the internal/sim Monte Carlo
@@ -23,8 +24,6 @@
 package metrics
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/energy"
 	"repro/internal/packet"
@@ -38,26 +37,29 @@ type IntID int
 // FloatID names one float-valued per-round series (fractions, joules).
 type FloatID int
 
-// The integer series, in export order. All are per-round event counts
-// except AwareTiles, an end-of-round gauge.
+// The integer series, in export order. All are per-round event counts,
+// each the per-round delta of one engine count, except AwareTiles, an
+// end-of-round gauge. A round's events are the ones a core.Config.OnEvent
+// hook would see labelled with that round.
 const (
 	// Created counts messages entering their origin tile's send buffer
-	// (core.EvCreated) in each round.
+	// (core.EvCreated; Network.Tally) in each round.
 	Created IntID = iota
-	// Transmissions counts copies driven onto links (core.EvTransmit)
-	// in each round — the N_packets input of the Eq. 3 energy model.
+	// Transmissions counts copies driven onto links (core.EvTransmit;
+	// Counters.Energy.Transmissions) in each round — the N_packets input
+	// of the Eq. 3 energy model.
 	Transmissions
 	// CRCRejects counts receptions discarded as scrambled
-	// (core.EvUpset) in each round.
+	// (core.EvUpset; Counters.UpsetsDetected) in each round.
 	CRCRejects
 	// OverflowDrops counts messages lost to buffer overflow
-	// (core.EvOverflow) in each round.
+	// (core.EvOverflow; Counters.OverflowDrops) in each round.
 	OverflowDrops
 	// Deliveries counts first-time deliveries to addressed tiles
-	// (core.EvDeliver) in each round.
+	// (core.EvDeliver; Counters.Deliveries) in each round.
 	Deliveries
 	// TTLExpiries counts buffered copies garbage-collected at TTL zero
-	// (core.EvExpire) in each round.
+	// (core.EvExpire; Network.Tally) in each round.
 	TTLExpiries
 	// AwareTiles is an end-of-round gauge: how many tiles know the
 	// watched message (Recorder.Watch) after the round — the shaded
@@ -108,9 +110,11 @@ type Config struct {
 // Recorder accumulates dense per-round series from one network run.
 // Install wires it into a core.Config; one Recorder per network —
 // replicas must not share one (the round engine is single-threaded, and
-// so is the Recorder). In the engine's steady state (rounds within the
-// Config.Rounds bound) recording performs no allocation: every series
-// slot exists before the run starts.
+// so is the Recorder). The recorder must see its network from core.New
+// on, or be restored with it (RestoreState): the event series are
+// deltas of the engine's counts. In the engine's steady state (rounds
+// within the Config.Rounds bound) recording performs no allocation:
+// every series slot exists before the run starts.
 type Recorder struct {
 	ints     [numInts][]int64     // [IntID][round]
 	floats   [numFloats][]float64 // [FloatID][round]
@@ -120,6 +124,9 @@ type Recorder struct {
 	jPerBit  float64
 	prevBits int
 	tiles    int // topology size, cached on first OnRoundEnd
+	// booked holds, per event series, the engine count the series
+	// already hold: the next booking adds what the count gained since.
+	booked [AwareTiles]int
 }
 
 // NewRecorder builds a Recorder with every series preallocated over
@@ -148,14 +155,9 @@ func NewRecorder(cfg Config) *Recorder {
 // both series stay zero.
 func (r *Recorder) Watch(id packet.MsgID) { r.watch = id }
 
-// Install wires the recorder into cfg's OnEvent and OnRoundEnd hooks,
-// chaining (not replacing) any hooks already set. Call before core.New.
+// Install wires the recorder into cfg's OnRoundEnd hook, chaining (not
+// replacing) any hook already set. Call before core.New.
 func (r *Recorder) Install(cfg *core.Config) {
-	if prev := cfg.OnEvent; prev != nil {
-		cfg.OnEvent = func(e core.Event) { prev(e); r.OnEvent(e) }
-	} else {
-		cfg.OnEvent = r.OnEvent
-	}
 	if prev := cfg.OnRoundEnd; prev != nil {
 		cfg.OnRoundEnd = func(round int, n *core.Network) { prev(round, n); r.OnRoundEnd(round, n) }
 	} else {
@@ -199,53 +201,12 @@ func (r *Recorder) grow(round int) {
 	r.span = span
 }
 
-// The recorder maps event kinds onto the integer series by value: the
-// two enums are declared in the same order, so the translation on the
-// hot path is a bounds guard plus an index. These compile-time
-// assertions pin the alignment — reordering either enum fails the build
-// here instead of silently corrupting the series.
-var (
-	_ = [1]struct{}{}[IntID(core.EvCreated)-Created]
-	_ = [1]struct{}{}[IntID(core.EvTransmit)-Transmissions]
-	_ = [1]struct{}{}[IntID(core.EvUpset)-CRCRejects]
-	_ = [1]struct{}{}[IntID(core.EvOverflow)-OverflowDrops]
-	_ = [1]struct{}{}[IntID(core.EvDeliver)-Deliveries]
-	_ = [1]struct{}{}[IntID(core.EvExpire)-TTLExpiries]
-)
-
-// OnEvent counts one protocol event into its per-round series. It has
-// the core.Config.OnEvent signature and runs once per protocol event —
-// the recorder's hottest code. The mapping covers every core.EventKind;
-// an unknown kind is a programming error (a new event kind added to the
-// engine without a series mapping) and panics so it cannot silently
-// undercount.
-func (r *Recorder) OnEvent(e core.Event) {
-	if e.Kind > core.EvExpire {
-		badKind(e)
-	}
-	if e.Round >= r.span {
-		r.grow(e.Round)
-	}
-	if e.Round > r.last {
-		r.last = e.Round
-	}
-	r.ints[e.Kind][e.Round]++
-}
-
-// badKind reports an event kind with no series mapping; split out so the
-// formatting machinery stays off OnEvent's fast path.
-//
-//go:noinline
-func badKind(e core.Event) {
-	panic(fmt.Sprintf("metrics: Recorder.OnEvent: unhandled core.EventKind %v", e.Kind))
-}
-
-// OnRoundEnd is the per-round flush: it samples end-of-round state into
-// the gauge series (aware tiles/fraction of the watched message, the
-// round's energy in joules). It has the core.Config.OnRoundEnd
-// signature.
+// OnRoundEnd is the per-round flush: it books the round's events (Sync)
+// and samples end-of-round state into the gauge series (aware
+// tiles/fraction of the watched message, the round's energy in joules).
+// It has the core.Config.OnRoundEnd signature.
 func (r *Recorder) OnRoundEnd(round int, n *core.Network) {
-	r.ensure(round)
+	r.Sync(n)
 	aware := 0
 	if r.watch != 0 {
 		aware = n.Aware(r.watch)
@@ -262,15 +223,45 @@ func (r *Recorder) OnRoundEnd(round int, n *core.Network) {
 	r.prevBits = bits
 }
 
+// Sync books into the event series what n's counts gained since the
+// recorder last looked, at the round n has just run — except the
+// creations the latest Step had already counted when its round began:
+// those came between rounds and carry the round before, as their events
+// do. OnRoundEnd syncs every round; call Sync at a round barrier when
+// the series are read or checkpointed after an Inject between rounds and
+// before the next round ends (sim.Scenario does, after its pre-run
+// Inject).
+func (r *Recorder) Sync(n *core.Network) {
+	round := n.Round()
+	r.ensure(round)
+	created, expired, atStep := n.Tally()
+	if gap := atStep - r.booked[Created]; gap > 0 {
+		r.ints[Created][round-1] += int64(gap)
+		r.booked[Created] = atStep
+	}
+	c := n.Counters()
+	now := [AwareTiles]int{
+		Created:       created,
+		Transmissions: c.Energy.Transmissions,
+		CRCRejects:    c.UpsetsDetected,
+		OverflowDrops: c.OverflowDrops,
+		Deliveries:    c.Deliveries,
+		TTLExpiries:   expired,
+	}
+	for id, v := range now {
+		r.ints[id][round] += int64(v - r.booked[id])
+	}
+	r.booked = now
+}
+
 // Total returns the cumulative value of an integer series over the whole
 // run (the per-round values summed on demand — the hot path records only
-// the per-round slot). For the event-count series these reconcile
-// exactly with the engine's own counts (Transmissions ↔
-// Counters.Energy.Transmissions, CRCRejects ↔ UpsetsDetected, and so on;
-// Created and TTLExpiries ↔ Network.Tally — pinned by
-// TestMetricsRecorderTotalsMatchCounters and sim's
-// TestMeasureMatchesRecorder). For the
-// AwareTiles gauge the cumulative value is meaningless; read its
+// the per-round slot). For the event-count series these are the engine's
+// own counts (Transmissions ↔ Counters.Energy.Transmissions, CRCRejects
+// ↔ UpsetsDetected, and so on; Created and TTLExpiries ↔ Network.Tally),
+// and round by round they equal an OnEvent hook's tally of the events
+// labelled with each round (sim's TestRecorderMatchesEventsPerRound).
+// For the AwareTiles gauge the cumulative value is meaningless; read its
 // trajectory from Series().
 func (r *Recorder) Total(id IntID) int64 {
 	var sum int64
@@ -280,7 +271,8 @@ func (r *Recorder) Total(id IntID) int64 {
 	return sum
 }
 
-// Rounds returns the highest round recorded so far (0 before any event).
+// Rounds returns the highest round recorded so far (0 before the first
+// round).
 func (r *Recorder) Rounds() int { return r.last }
 
 // Series snapshots the recorded data as an immutable TimeSeries covering

@@ -100,19 +100,6 @@ func TestMetricsRecorderTotalsMatchCounters(t *testing.T) {
 	}
 }
 
-// TestMetricsOnEventUnknownKindPanics pins the exhaustive-switch
-// contract: an event kind with no series mapping is a programming error,
-// not a silent undercount.
-func TestMetricsOnEventUnknownKindPanics(t *testing.T) {
-	rec := metrics.NewRecorder(metrics.Config{})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Recorder.OnEvent swallowed an unknown core.EventKind")
-		}
-	}()
-	rec.OnEvent(core.Event{Kind: core.EventKind(250), Round: 1})
-}
-
 // TestMetricsInstallChains verifies Install composes with hooks the
 // application already set, rather than replacing them.
 func TestMetricsInstallChains(t *testing.T) {
@@ -140,7 +127,7 @@ func TestMetricsInstallChains(t *testing.T) {
 		t.Errorf("application OnRoundEnd hook called %d times, want 3", appRounds)
 	}
 	if rec.Total(metrics.Transmissions) == 0 {
-		t.Error("recorder saw no transmissions through the chained hook")
+		t.Error("recorder counted no transmissions behind the chained hook")
 	}
 	if rec.Rounds() != 3 {
 		t.Errorf("recorder highest round %d, want 3", rec.Rounds())
@@ -199,15 +186,28 @@ func TestMetricsMergeValidation(t *testing.T) {
 }
 
 // TestMetricsRecorderGrowth checks recording past the preallocated bound
-// grows the tables instead of dropping data.
+// grows the tables instead of dropping data: a recorder sized for 4
+// rounds follows a flood around a 2×2 ring for 100.
 func TestMetricsRecorderGrowth(t *testing.T) {
+	cfg := core.Config{Topo: topology.NewGrid(2, 2), P: 1, TTL: 255, MaxRounds: 200, Seed: 1}
 	rec := metrics.NewRecorder(metrics.Config{Rounds: 4})
-	rec.OnEvent(core.Event{Kind: core.EvTransmit, Round: 100})
+	rec.Install(&cfg)
+	net, err := core.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.Inject(0, packet.Broadcast, 0, nil)
+	for net.Round() < 99 {
+		net.Step()
+	}
+	before := net.Counters().Energy.Transmissions
+	net.Step()
 	if rec.Rounds() != 100 {
 		t.Fatalf("recorded rounds %d, want 100", rec.Rounds())
 	}
-	if got := rec.Series().Int(metrics.Transmissions)[100]; got != 1 {
-		t.Fatalf("series value after growth %d, want 1", got)
+	want := int64(net.Counters().Energy.Transmissions - before)
+	if got := rec.Series().Int(metrics.Transmissions)[100]; got != want || got == 0 {
+		t.Fatalf("round-100 transmissions after growth %d, want %d (non-zero)", got, want)
 	}
 }
 

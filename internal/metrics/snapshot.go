@@ -95,5 +95,12 @@ func (r *Recorder) RestoreState(sec *snapshot.Reader) error {
 			s[i] = 0
 		}
 	}
+	// The next booking counts from the restored network: its Counters
+	// carry the run's totals, which the restored series sum to, and its
+	// Tally restarts at zero.
+	r.booked = [AwareTiles]int{}
+	for _, id := range []IntID{Transmissions, CRCRejects, OverflowDrops, Deliveries} {
+		r.booked[id] = int(r.Total(id))
+	}
 	return sec.Finish()
 }

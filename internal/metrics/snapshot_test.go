@@ -7,8 +7,7 @@ import (
 	"repro/internal/snapshot"
 )
 
-// add records delta into integer series id at round, as OnEvent and
-// OnRoundEnd do.
+// add records delta into integer series id at round, as OnRoundEnd does.
 func add(r *Recorder, id IntID, round int, delta int64) {
 	r.ensure(round)
 	r.ints[id][round] += delta

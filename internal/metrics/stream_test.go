@@ -33,6 +33,7 @@ func TestStreamerMatchesBatchExport(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec.Watch(id)
+	rec.Sync(net) // book the injection before round 0 streams
 
 	var streamed bytes.Buffer
 	str := NewStreamer(rec)

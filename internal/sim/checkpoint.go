@@ -38,7 +38,9 @@ type CheckpointMeta struct {
 }
 
 // WriteCheckpoint serializes one replica's state to w. rec may be nil
-// for uninstrumented replicas.
+// for uninstrumented replicas; otherwise it first books the events of an
+// Inject since the last round (metrics.Recorder.Sync), which a restored
+// network no longer counts.
 func WriteCheckpoint(w io.Writer, meta CheckpointMeta, net *core.Network, rec *metrics.Recorder) error {
 	enc := snapshot.NewEncoder(w)
 	encodeCheckpoint(enc, meta, net, rec)
@@ -52,6 +54,7 @@ func encodeCheckpoint(enc *snapshot.Encoder, meta CheckpointMeta, net *core.Netw
 	sw.U64(meta.Seed)
 	net.EncodeState(enc.Section(snapshot.SecCore))
 	if rec != nil {
+		rec.Sync(net)
 		rec.EncodeState(enc.Section(snapshot.SecMetrics))
 	}
 }

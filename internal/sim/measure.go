@@ -49,7 +49,7 @@ type Metrics struct {
 // Tally does) while the other counts, like Counters, cover the whole run.
 func Measure(net *core.Network, res core.Result, tech energy.Technology) Metrics {
 	c := net.Counters()
-	created, expired := net.Tally()
+	created, expired, _ := net.Tally()
 	return Metrics{
 		Completed:     res.Completed,
 		Rounds:        res.Rounds,

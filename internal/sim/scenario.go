@@ -13,7 +13,7 @@ import (
 // all run it through Run; the values they differ in are fields.
 type Scenario struct {
 	// Config is the fabric, protocol knobs, fault model and seed. Its
-	// hooks stay (the recorder chains after them) but for OnDeliver.
+	// hooks stay (the recorder chains after them).
 	Config core.Config
 	// Src and Dst are the injecting tile and the destination tile (or
 	// packet.Broadcast).
@@ -27,9 +27,9 @@ type Scenario struct {
 	Rounds int
 	// Tech prices the recorder's energy series.
 	Tech energy.Technology
-	// StopAtDelivery ends the run at the first delivery to Dst. Only then
-	// is a delivery watch installed: an OnDeliver hook costs a heap copy
-	// per delivery.
+	// StopAtDelivery ends the run at the first delivery to Dst, which
+	// the run watches at every round barrier (Dst's awareness of the
+	// message) only then.
 	StopAtDelivery bool
 }
 
@@ -60,7 +60,7 @@ type Trial struct {
 	// Resumed reports a run continued from a checkpoint.
 	Resumed bool
 	// Delivered is the first delivery round at Dst, or -1; watched only
-	// with StopAtDelivery.
+	// with StopAtDelivery, and set before Hooks.OnRound sees the round.
 	Delivered int
 	// Status is why the run stopped.
 	Status LoopStatus
@@ -73,11 +73,13 @@ type Trial struct {
 func (s Scenario) Run(h Hooks) (*Trial, error) {
 	t := &Trial{Delivered: -1}
 	cfg := s.Config
-	if s.StopAtDelivery {
-		cfg.OnDeliver = func(tile packet.TileID, _ *packet.Packet, round int) {
-			if tile == s.Dst && t.Delivered < 0 {
-				t.Delivered = round
-			}
+	// Dst is aware of the message exactly when it has taken delivery:
+	// a copy reaching it is delivered and buffered together, and nothing
+	// else marks it aware — except at the source, which knows its own
+	// message and is never delivered it.
+	watch := func() {
+		if s.StopAtDelivery && t.Delivered < 0 && s.Src != s.Dst && t.Net.AwareAt(t.Msg, s.Dst) {
+			t.Delivered = t.Net.Round()
 		}
 	}
 	if h.Record {
@@ -95,9 +97,7 @@ func (s Scenario) Run(h Hooks) (*Trial, error) {
 		// One message is injected before round 1: ID 1. A delivery before the
 		// checkpoint shows as Dst's awareness (the source's needs none).
 		t.Msg, t.Resumed = 1, true
-		if s.StopAtDelivery && s.Src != s.Dst && t.Net.AwareAt(t.Msg, s.Dst) {
-			t.Delivered = t.Net.Round()
-		}
+		watch()
 	} else {
 		if t.Net, err = core.New(cfg); err != nil {
 			return nil, err
@@ -107,6 +107,7 @@ func (s Scenario) Run(h Hooks) (*Trial, error) {
 		}
 		if t.Rec != nil {
 			t.Rec.Watch(t.Msg)
+			t.Rec.Sync(t.Net) // round 0 holds the injection before any round ends
 		}
 	}
 	if h.Start != nil {
@@ -120,8 +121,11 @@ func (s Scenario) Run(h Hooks) (*Trial, error) {
 		Net: t.Net, MaxRounds: s.Rounds, Barrier: h.Barrier,
 		Done: func(*core.Network) bool { return t.Delivered >= 0 || err != nil },
 	}
-	if h.OnRound != nil {
-		loop.OnRound = func(*core.Network) { err = h.OnRound(t) }
+	loop.OnRound = func(*core.Network) {
+		watch()
+		if h.OnRound != nil {
+			err = h.OnRound(t)
+		}
 	}
 	t.Status = loop.Run()
 	return t, err

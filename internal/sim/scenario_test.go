@@ -11,6 +11,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/metrics"
 	"repro/internal/packet"
+	"repro/internal/rng"
 	"repro/internal/topology"
 )
 
@@ -175,5 +176,110 @@ func TestScenarioOnRoundErrorStops(t *testing.T) {
 	}})
 	if !errors.Is(err, boom) || tr.Net.Round() != 3 {
 		t.Fatalf("err %v at round %d; want boom at round 3", err, tr.Net.Round())
+	}
+}
+
+// TestScenarioDeliveryWatchMatchesEvents pins the delivery watch, which
+// reads Dst's awareness at every round barrier, against the engine's own
+// delivery events. Over generated scenarios — StopSpreadOnDelivery,
+// Recycle, literal upsets, overflow, skew, crashed tiles, a destination
+// that is the source or the broadcast address — Trial.Delivered must be
+// the round of the first EvDeliver at Dst a hooked twin sees, or -1 with
+// none. Each case is also checkpointed at a round barrier by a run that
+// does not stop at delivery, and resumed with the watch on: it reports
+// the same round, or the checkpoint's for a delivery the checkpoint
+// already holds.
+func TestScenarioDeliveryWatchMatchesEvents(t *testing.T) {
+	cases := 80
+	if testing.Short() {
+		cases = 20
+	}
+	delivered, early := 0, 0
+	for idx := 0; idx < cases; idx++ {
+		g := rng.New(0xde11).Split(uint64(idx))
+		side := 3 + g.Intn(8)
+		tiles := side * side
+		sc := Scenario{
+			Config: core.Config{
+				Topo: topology.NewGrid(side, side), P: 0.4 + 0.6*g.Float64(), TTL: uint8(4 + g.Intn(12)),
+				MaxRounds: 120, StopSpreadOnDelivery: g.Bool(0.3), Recycle: g.Bool(0.3),
+				Fault: fault.Model{POverflow: 0.2 * g.Float64(), SigmaSync: g.Float64()},
+			},
+			Src: packet.TileID(g.Intn(tiles)), Dst: packet.TileID(g.Intn(tiles)),
+			Payload: 8, Rounds: 120, StopAtDelivery: true,
+		}
+		sc.Config.Seed = g.Uint64()
+		f := &sc.Config.Fault
+		if g.Bool(0.6) {
+			f.PUpset, f.LiteralUpsets = 0.3*g.Float64(), g.Bool(0.4)
+		}
+		if g.Bool(0.3) {
+			f.DeadTiles = g.Intn(tiles / 4)
+		}
+		switch g.Intn(8) {
+		case 0:
+			sc.Dst = sc.Src
+		case 1:
+			sc.Dst = packet.Broadcast
+		}
+
+		first := -1
+		twin := sc
+		twin.Config.OnEvent = func(ev core.Event) {
+			if ev.Kind == core.EvDeliver && ev.Tile == sc.Dst && first < 0 {
+				first = ev.Round
+			}
+		}
+		if _, err := twin.Run(Hooks{}); err != nil {
+			t.Fatal(err)
+		}
+		tr, err := sc.Run(Hooks{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tr.Delivered != first {
+			t.Fatalf("case %d: watch reported delivery at round %d, the hooked twin's first EvDeliver at Dst is %d", idx, tr.Delivered, first)
+		}
+		if first >= 0 {
+			delivered++
+		}
+
+		k := 1 + g.Intn(12)
+		through := sc
+		through.StopAtDelivery = false
+		ck, err := through.Run(Hooks{Barrier: func(n *core.Network) BarrierOp {
+			if n.Round() == k {
+				return OpYield
+			}
+			return OpContinue
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ck.Status != LoopYielded {
+			continue // drained before round k
+		}
+		var buf bytes.Buffer
+		if err := WriteCheckpoint(&buf, CheckpointMeta{}, ck.Net, nil); err != nil {
+			t.Fatal(err)
+		}
+		resumed, err := sc.Run(Hooks{Resume: func(cfg core.Config, _ *metrics.Recorder) (*core.Network, bool, error) {
+			net, _, err := ReadCheckpoint(&buf, cfg, nil)
+			return net, err == nil, err
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := first
+		if first >= 0 && first < k {
+			want, early = k, early+1
+		}
+		if resumed.Delivered != want {
+			t.Fatalf("case %d resumed at round %d: watch reported %d, want %d (first EvDeliver at Dst: %d)", idx, k, resumed.Delivered, want, first)
+		}
+	}
+	t.Logf("%d of %d cases delivered, %d before their checkpoint", delivered, cases, early)
+	if delivered < cases/3 || early == 0 {
+		t.Fatalf("degenerate population: %d of %d cases delivered, %d before their checkpoint", delivered, cases, early)
 	}
 }

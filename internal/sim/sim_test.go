@@ -3,6 +3,7 @@ package sim_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"sync/atomic"
@@ -184,14 +185,16 @@ func TestRunRejectsNonPositiveReplicas(t *testing.T) {
 	}
 }
 
-// measureCase is one engine configuration of TestMeasureMatchesRecorder:
-// a fault mix, a shard count, broadcasts and unicasts injected before
-// given rounds, and optionally a process that creates a message mid-run
-// (Ctx.Send, the other creation site).
+// measureCase is one engine configuration of TestMeasureMatchesRecorder
+// and TestRecorderMatchesEventsPerRound: a fault mix, a shard count,
+// broadcasts and unicasts injected before given rounds, and optionally
+// processes that create messages mid-run (Ctx.Send, the other creation
+// site), in phase 1 or at delivery.
 type measureCase struct {
 	cfg    core.Config
 	inject []measureInjection
 	sender bool // attach broadcastAt to tile 1
+	echo   bool // attach an echoReceiver to tile 2
 	rounds int
 }
 
@@ -211,9 +214,24 @@ func (broadcastAt) Round(ctx *core.Ctx) {
 	}
 }
 
+// echoReceiver answers the first packet delivered to its tile with a
+// unicast back to the packet's source, sent from Receive.
+type echoReceiver struct{ done bool }
+
+func (*echoReceiver) Init(*core.Ctx)  {}
+func (*echoReceiver) Round(*core.Ctx) {}
+
+func (e *echoReceiver) Receive(ctx *core.Ctx, p *packet.Packet) {
+	if !e.done {
+		e.done = true
+		ctx.Send(p.Src, 1, []byte("echo"))
+	}
+}
+
 // genMeasureCase draws case idx: every fault of the analytic and literal
-// paths, StopSpreadOnDelivery, and 1 or 2 shards (a two-shard case gets
-// at least two whole 64-tile words, so it really runs two lanes).
+// paths, StopSpreadOnDelivery, Recycle, and 1 or 2 shards (a two-shard
+// case gets at least two whole 64-tile words, so it really runs two
+// lanes, unless a hook or a Receiver holds it to one).
 func genMeasureCase(idx int) measureCase {
 	g := rng.New(0x3ea5).Split(uint64(idx))
 	shards := 1 + g.Intn(2)
@@ -251,24 +269,31 @@ func genMeasureCase(idx int) measureCase {
 		}
 		c.inject = append(c.inject, in)
 	}
+	c.cfg.Recycle = g.Bool(0.25)
+	c.echo = g.Bool(0.3)
 	return c
 }
 
-// build returns the case's network, with rec installed when non-nil.
-func (c measureCase) build(tb testing.TB, rec *metrics.Recorder) *core.Network {
+// build returns the case's network under cfg, the case's config with
+// any hooks attached.
+func (c measureCase) build(tb testing.TB, cfg core.Config) *core.Network {
 	tb.Helper()
-	cfg := c.cfg
-	if rec != nil {
-		rec.Install(&cfg)
-	}
 	net, err := core.New(cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
+	c.attach(net)
+	return net
+}
+
+// attach maps the case's processes onto net.
+func (c measureCase) attach(net *core.Network) {
 	if c.sender {
 		net.Attach(1, broadcastAt{})
 	}
-	return net
+	if c.echo {
+		net.Attach(2, &echoReceiver{})
+	}
 }
 
 // stepTo steps net from its current round to round until, injecting on
@@ -294,6 +319,27 @@ func (c measureCase) run(tb testing.TB, net *core.Network) {
 	net.Drain(4 * int(c.cfg.TTL))
 }
 
+// countEvents returns an OnEvent hook that tallies every event into c,
+// one field per kind.
+func countEvents(c *sim.Counts) func(core.Event) {
+	return func(e core.Event) {
+		switch e.Kind {
+		case core.EvCreated:
+			c.Created++
+		case core.EvTransmit:
+			c.Transmissions++
+		case core.EvUpset:
+			c.CRCRejects++
+		case core.EvOverflow:
+			c.OverflowDrops++
+		case core.EvDeliver:
+			c.Deliveries++
+		case core.EvExpire:
+			c.TTLExpiries++
+		}
+	}
+}
+
 // recorderCounts reads rec's run totals in Counts' field order.
 func recorderCounts(rec *metrics.Recorder) sim.Counts {
 	return sim.Counts{
@@ -307,13 +353,13 @@ func recorderCounts(rec *metrics.Recorder) sim.Counts {
 }
 
 // TestMeasureMatchesRecorder pins Measure's engine-side counts against
-// the recorder's event tallies. Each generated case runs twice from one
-// seed: with no hook, so the engine settles upsets at the sender and
-// Measure reads only Counters and Tally, and with a metrics.Recorder
-// installed, whose OnEvent hook keeps every upset on the ring path. The
-// counts must be equal field for field. The resumed case checks that
-// Tally, like a hook, restarts at Restore while Counters carry the
-// snapshot's totals.
+// the recorder's totals and the events behind them. Each generated case
+// runs twice from one seed: with no hook, so the engine settles upsets at
+// the sender and Measure reads only Counters and Tally, and with a
+// metrics.Recorder installed next to an independently chained OnEvent
+// hook, which keeps every upset on the ring path. The counts must be
+// equal field for field. The resumed case checks that Tally, like a
+// hook, restarts at Restore while Counters carry the snapshot's totals.
 func TestMeasureMatchesRecorder(t *testing.T) {
 	cases := 60
 	if testing.Short() {
@@ -323,13 +369,20 @@ func TestMeasureMatchesRecorder(t *testing.T) {
 	sharded := 0
 	for idx := 0; idx < cases; idx++ {
 		c := genMeasureCase(idx)
-		net := c.build(t, nil)
+		net := c.build(t, c.cfg)
 		c.run(t, net)
 		got := sim.Measure(net, core.Result{}, energy.NoCLink025).Counts
 		rec := metrics.NewRecorder(metrics.Config{Rounds: 60})
-		c.run(t, c.build(t, rec))
+		var events sim.Counts
+		cfg := c.cfg
+		cfg.OnEvent = countEvents(&events)
+		rec.Install(&cfg)
+		c.run(t, c.build(t, cfg))
 		if want := recorderCounts(rec); got != want {
 			t.Fatalf("case %d (%+v): Measure counts %+v, recorder totals %+v", idx, c.cfg, got, want)
+		}
+		if got != events {
+			t.Fatalf("case %d (%+v): Measure counts %+v, event hook %+v", idx, c.cfg, got, events)
 		}
 		if net.Shards() > 1 {
 			sharded++
@@ -345,9 +398,9 @@ func TestMeasureMatchesRecorder(t *testing.T) {
 
 	t.Run("resumed", func(t *testing.T) {
 		// A hook-free run is checkpointed mid-run and restored twice, with
-		// no hook and with a fresh recorder. The resumed Measure counts
-		// must be the recorder's post-restore totals plus, for the fields
-		// Counters backs, the counts at the checkpoint.
+		// no hook and with an event hook. The resumed Measure counts must
+		// be the hook's post-restore tallies plus, for the fields Counters
+		// backs, the counts at the checkpoint.
 		c := measureCase{
 			cfg: core.Config{
 				Topo: topology.NewGrid(6, 6), P: 0.6, TTL: 8, MaxRounds: 1000, Seed: 9,
@@ -358,7 +411,7 @@ func TestMeasureMatchesRecorder(t *testing.T) {
 			rounds: 20,
 		}
 		const k = 8
-		net := c.build(t, nil)
+		net := c.build(t, c.cfg)
 		c.stepTo(t, net, k)
 		var buf bytes.Buffer
 		if err := net.Snapshot(&buf); err != nil {
@@ -368,27 +421,24 @@ func TestMeasureMatchesRecorder(t *testing.T) {
 		if at.Created == 0 || at.TTLExpiries == 0 {
 			t.Fatalf("checkpoint round %d precedes the events it should split: %+v", k, at)
 		}
-		restore := func(rec *metrics.Recorder) *core.Network {
+		restore := func(hook func(core.Event)) *core.Network {
 			cfg := c.cfg
-			if rec != nil {
-				rec.Install(&cfg)
-			}
+			cfg.OnEvent = hook
 			n, err := core.Restore(bytes.NewReader(buf.Bytes()), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			n.Attach(1, broadcastAt{})
+			c.attach(n)
 			return n
 		}
 		resumed := restore(nil)
-		if created, expired := resumed.Tally(); created != 0 || expired != 0 {
+		if created, expired, _ := resumed.Tally(); created != 0 || expired != 0 {
 			t.Fatalf("restored tally = (%d, %d), want (0, 0)", created, expired)
 		}
 		c.run(t, resumed)
 		got := sim.Measure(resumed, core.Result{}, energy.NoCLink025).Counts
-		rec := metrics.NewRecorder(metrics.Config{Rounds: 60})
-		c.run(t, restore(rec))
-		want := recorderCounts(rec)
+		var want sim.Counts
+		c.run(t, restore(countEvents(&want)))
 		want.Transmissions += at.Transmissions
 		want.CRCRejects += at.CRCRejects
 		want.OverflowDrops += at.OverflowDrops
@@ -397,6 +447,133 @@ func TestMeasureMatchesRecorder(t *testing.T) {
 			t.Fatalf("resumed Measure counts %+v, want %+v", got, want)
 		}
 	})
+}
+
+// eventRounds is the referee of a recorder's event series: an
+// independently chained OnEvent hook that buckets every event by the
+// round it carries and by its series.
+type eventRounds [][metrics.AwareTiles]int64
+
+// kindSeries maps each event kind onto the series that counts it.
+var kindSeries = [...]metrics.IntID{
+	core.EvCreated: metrics.Created, core.EvTransmit: metrics.Transmissions,
+	core.EvUpset: metrics.CRCRejects, core.EvOverflow: metrics.OverflowDrops,
+	core.EvDeliver: metrics.Deliveries, core.EvExpire: metrics.TTLExpiries,
+}
+
+func (er *eventRounds) hook(e core.Event) {
+	for len(*er) <= e.Round {
+		*er = append(*er, [metrics.AwareTiles]int64{})
+	}
+	(*er)[e.Round][kindSeries[e.Kind]]++
+}
+
+// compare fails tb at the first round and series where ts differs from
+// the events.
+func (er eventRounds) compare(tb testing.TB, label string, ts *metrics.TimeSeries) {
+	tb.Helper()
+	for r := 0; r < len(er) || r <= ts.Rounds; r++ {
+		for id := metrics.Created; id < metrics.AwareTiles; id++ {
+			var got, want int64
+			if r <= ts.Rounds {
+				got = ts.Int(id)[r]
+			}
+			if r < len(er) {
+				want = er[r][id]
+			}
+			if got != want {
+				tb.Fatalf("%s: round %d, series %d: recorder %d, events %d", label, r, id, got, want)
+			}
+		}
+	}
+}
+
+// refereeConfig is the case's config with ev's hook and rec installed,
+// and an OnRoundEnd hook that injects a broadcast from tile 0 at the end
+// of round at, chained before the recorder's flush or, with after, behind
+// it.
+func (c measureCase) refereeConfig(tb testing.TB, rec *metrics.Recorder, ev *eventRounds, at int, after bool) core.Config {
+	cfg := c.cfg
+	cfg.OnEvent = ev.hook
+	inject := func(round int, n *core.Network) {
+		if round != at {
+			return
+		}
+		if _, err := n.Inject(0, packet.Broadcast, 0, []byte("hook")); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if after {
+		rec.Install(&cfg)
+		flush := cfg.OnRoundEnd
+		cfg.OnRoundEnd = func(round int, n *core.Network) { flush(round, n); inject(round, n) }
+	} else {
+		cfg.OnRoundEnd = inject
+		rec.Install(&cfg)
+	}
+	return cfg
+}
+
+// TestRecorderMatchesEventsPerRound is the recorder's referee: the event
+// series it fills from per-round deltas of Counters and Tally must equal,
+// round for round, an independently chained OnEvent hook that buckets
+// the events by the round they carry. The population is Measure's
+// (upsets, literal frames, overflow, skew, StopSpreadOnDelivery, Recycle,
+// Ctx.Send from a Round and from a Receiver), whose injections include
+// some between rounds; every case also injects from a chained OnRoundEnd
+// (before the recorder's flush in even cases, behind it in odd ones),
+// and runs once straight and once checkpointed mid-run and resumed with
+// its recorder; every fourth checkpoint follows the hook's Inject.
+func TestRecorderMatchesEventsPerRound(t *testing.T) {
+	cases := 60
+	if testing.Short() {
+		cases = 20
+	}
+	between := 0
+	for idx := 0; idx < cases; idx++ {
+		c := genMeasureCase(idx)
+		at, after := 1+(7*idx)%c.rounds, idx%2 == 1
+		rcfg := metrics.Config{Rounds: 60, Tech: energy.NoCLink025}
+		label := func(s string) string { return fmt.Sprintf("case %d, %s", idx, s) }
+
+		var ev eventRounds
+		rec := metrics.NewRecorder(rcfg)
+		net := c.build(t, c.refereeConfig(t, rec, &ev, at, after))
+		c.run(t, net)
+		rec.Sync(net)
+		ev.compare(t, label("straight"), rec.Series())
+		for _, in := range c.inject {
+			if in.before > 0 {
+				between++
+			}
+		}
+
+		// Every fourth case checkpoints right after its hook's Inject.
+		k := 1 + idx%(c.rounds-1)
+		if idx%4 == 3 {
+			k = min(at, c.rounds-1)
+		}
+		ev = nil
+		rec = metrics.NewRecorder(rcfg)
+		net = c.build(t, c.refereeConfig(t, rec, &ev, at, after))
+		c.stepTo(t, net, k)
+		var buf bytes.Buffer
+		if err := sim.WriteCheckpoint(&buf, sim.CheckpointMeta{}, net, rec); err != nil {
+			t.Fatal(err)
+		}
+		rec = metrics.NewRecorder(rcfg)
+		resumed, _, err := sim.ReadCheckpoint(&buf, c.refereeConfig(t, rec, &ev, at, after), rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.attach(resumed)
+		c.run(t, resumed)
+		rec.Sync(resumed)
+		ev.compare(t, label(fmt.Sprintf("resumed at round %d", k)), rec.Series())
+	}
+	if between == 0 {
+		t.Fatal("no case injected between rounds")
+	}
 }
 
 func TestSummarizeSplitsCompletedFromEventStats(t *testing.T) {
