@@ -90,11 +90,7 @@ func TestBatchKernelMatchesFloodRecursion(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			reps := c.reps
-			if testing.Short() {
-				reps /= 5
-			}
-			def, batch := meanCurves(t, c.n, c.rounds, reps, c.p, 0xF100D)
+			def, batch := meanCurves(t, c.n, c.rounds, c.reps, c.p, 0xF100D)
 			theory := gossip.TheoreticalFloodSpread(c.n, c.p, c.rounds)
 			// Mean-field drops the fluctuation terms, and by Jensen
 			// (I ↦ (1−p)^I is convex) it overestimates the spread at the
@@ -106,7 +102,7 @@ func TestBatchKernelMatchesFloodRecursion(t *testing.T) {
 			// same-distribution noise) that a percent-level p bias on
 			// the steep rounds would trip.
 			tolTheory := 0.15 * float64(c.n)
-			tolKernel := 6 * (float64(c.n) / 2) / math.Sqrt(2*float64(reps))
+			tolKernel := 6 * (float64(c.n) / 2) / math.Sqrt(2*float64(c.reps))
 			for r := 0; r < c.rounds; r++ {
 				if d := math.Abs(batch[r] - theory[r+1]); d > tolTheory {
 					t.Errorf("round %d: batch mean %v vs recursion %v (|Δ|=%.2f > %.2f)",

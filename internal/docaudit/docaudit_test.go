@@ -10,7 +10,9 @@
 // enforced by review — but an undocumented export fails CI here rather
 // than slipping through. The same job runs the knob census
 // (knobs_test.go): a core.Config field nothing outside the engine sets
-// fails it too.
+// fails it too. And paths_test.go holds the docs to the tree: every
+// internal/ path they name must exist, and DESIGN.md §2 must list every
+// package.
 package docaudit
 
 import (

@@ -210,26 +210,12 @@ func (inj *Injector) DeadTileCount() int {
 	return n
 }
 
-// UpsetHappens samples whether one transmission suffers a data upset.
-// The draw is a precomputed fixed-point threshold compare; PUpset = 0
-// consumes no randomness (as the float path never did).
-func (inj *Injector) UpsetHappens(r *rng.Stream) bool {
-	return r.BoolT(inj.upsetT)
-}
-
 // UpsetThreshold exposes the fixed-point PUpset threshold so per-round
-// engines can cache it and draw with rng.Stream.BoolT inline —
-// UpsetHappens(r) ≡ r.BoolT(UpsetThreshold()), draw for draw.
+// engines can cache it and draw with rng.Stream.BoolT inline.
 func (inj *Injector) UpsetThreshold() rng.Threshold { return inj.upsetT }
 
 // OverflowThreshold is the POverflow counterpart of UpsetThreshold.
 func (inj *Injector) OverflowThreshold() rng.Threshold { return inj.overflowT }
-
-// OverflowHappens samples whether one reception is lost to buffer overflow.
-// Same fixed-point draw discipline as UpsetHappens.
-func (inj *Injector) OverflowHappens(r *rng.Stream) bool {
-	return r.BoolT(inj.overflowT)
-}
 
 // SyncSlip samples the extra delivery delay, in whole rounds, caused by
 // mixed-clock skew: ⌊|N(0, σ_rel)|⌋. With σ = 0 it is always 0; at σ = 100%

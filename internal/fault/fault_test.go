@@ -27,7 +27,7 @@ func TestZeroModelIsFaultFree(t *testing.T) {
 	}
 	r := rng.New(2)
 	for i := 0; i < 100; i++ {
-		if inj.UpsetHappens(r) || inj.OverflowHappens(r) || inj.SyncSlip(r) != 0 {
+		if r.BoolT(inj.UpsetThreshold()) || r.BoolT(inj.OverflowThreshold()) || inj.SyncSlip(r) != 0 {
 			t.Fatal("transient fault under zero model")
 		}
 	}
@@ -155,20 +155,26 @@ func TestProbabilisticCrashRate(t *testing.T) {
 
 func TestUpsetRate(t *testing.T) {
 	topo := topology.NewGrid(2, 2)
-	inj, err := NewInjector(topo, Model{PUpset: 0.3}, rng.New(1))
+	inj, err := NewInjector(topo, Model{PUpset: 0.3, POverflow: 0.1}, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := rng.New(2)
-	hits := 0
+	upsets, overflows := 0, 0
 	const n = 100000
 	for i := 0; i < n; i++ {
-		if inj.UpsetHappens(r) {
-			hits++
+		if r.BoolT(inj.UpsetThreshold()) {
+			upsets++
+		}
+		if r.BoolT(inj.OverflowThreshold()) {
+			overflows++
 		}
 	}
-	if rate := float64(hits) / n; math.Abs(rate-0.3) > 0.01 {
+	if rate := float64(upsets) / n; math.Abs(rate-0.3) > 0.01 {
 		t.Fatalf("upset rate %v", rate)
+	}
+	if rate := float64(overflows) / n; math.Abs(rate-0.1) > 0.01 {
+		t.Fatalf("overflow rate %v", rate)
 	}
 }
 

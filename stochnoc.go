@@ -10,7 +10,6 @@
 //     gossip algorithm (Fig. 3-4) with the full Chapter 2 failure model
 //     (tile/link crashes, CRC-detected data upsets, buffer overflows,
 //     mixed-clock synchronization errors);
-//   - a goroutine-per-tile asynchronous engine (GALS-style);
 //   - the evaluation workloads: Producer–Consumer, Master–Slave π,
 //     parallel 2-D FFT, a six-stage perceptual (MP3-like) audio encoder
 //     pipeline, and acoustic beamforming;
@@ -34,7 +33,6 @@
 package stochnoc
 
 import (
-	"repro/internal/async"
 	"repro/internal/core"
 	"repro/internal/energy"
 	"repro/internal/fault"
@@ -99,20 +97,6 @@ type (
 	Accounting = energy.Accounting
 )
 
-// Asynchronous (goroutine-per-tile) engine types.
-type (
-	// AsyncConfig parameterizes the GALS engine.
-	AsyncConfig = async.Config
-	// AsyncNetwork is a goroutine-per-tile NoC.
-	AsyncNetwork = async.Network
-	// AsyncProcess is an IP core on an asynchronous tile.
-	AsyncProcess = async.Process
-	// AsyncCtx is the asynchronous tile-local context.
-	AsyncCtx = async.Ctx
-	// AsyncStats summarizes an asynchronous run.
-	AsyncStats = async.Stats
-)
-
 // Monte Carlo runner types (package internal/sim). The runner executes
 // independent replicas over a bounded worker pool; replica seeds derive
 // from the master seed by index, so results are identical for every
@@ -164,9 +148,6 @@ var (
 
 // New builds a synchronous stochastic-communication network.
 func New(cfg Config) (*Network, error) { return core.New(cfg) }
-
-// NewAsync builds a goroutine-per-tile network.
-func NewAsync(cfg AsyncConfig) (*AsyncNetwork, error) { return async.New(cfg) }
 
 // NewGrid returns a width×height tile mesh.
 func NewGrid(width, height int) *Grid { return topology.NewGrid(width, height) }

@@ -81,37 +81,6 @@ func TestFacadeTechnologyConstants(t *testing.T) {
 	}
 }
 
-type facadeAsyncSink struct{}
-
-func (facadeAsyncSink) Round(ctx *stochnoc.AsyncCtx) {
-	if len(ctx.Delivered()) > 0 {
-		ctx.Finish()
-	}
-}
-
-type facadeAsyncSource struct{ sent bool }
-
-func (s *facadeAsyncSource) Round(ctx *stochnoc.AsyncCtx) {
-	if !s.sent {
-		ctx.Send(3, 1, nil)
-		s.sent = true
-	}
-}
-
-func TestFacadeAsync(t *testing.T) {
-	net, err := stochnoc.NewAsync(stochnoc.AsyncConfig{
-		Topo: stochnoc.NewGrid(2, 2), P: 1, TTL: 8, Seed: 3, MaxLocalRounds: 200,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	net.Attach(0, &facadeAsyncSource{})
-	net.Attach(3, facadeAsyncSink{})
-	if st := net.Run(); !st.Completed {
-		t.Fatalf("async facade run failed: %+v", st)
-	}
-}
-
 func TestFacadeDirectedAndXY(t *testing.T) {
 	grid := stochnoc.NewGrid(4, 4)
 	w, err := stochnoc.GridBias(grid, 0.5)
