@@ -3,28 +3,23 @@
 //
 // Usage:
 //
-//	figures [-fig all|3-1|3-3|4-4|4-5|4-6|4-8|4-9|4-10|4-11|5-3|scaling|smc]
-//	        [-runs N] [-seed S] [-workers W] [-shards K] [-quick]
+//	figures [-fig all|3-1|3-3|4-4|4-5|4-6|4-8|4-9|4-10|4-11|5-3|smc]
+//	        [-runs N] [-seed S] [-workers W] [-quick]
 //	        [-metrics FILE] [-cpuprofile FILE] [-memprofile FILE]
 //	        [-checkpoint-every N -checkpoint-dir DIR] [-resume-from DIR]
 //
 // -quick shrinks sweep resolutions for a fast smoke run. -workers sets
 // the Monte Carlo replica pool (0 = GOMAXPROCS); results are identical
 // for every worker count — replicas are seeded by index, not by
-// scheduling order. -shards sets the intra-replica shard count for the
-// `-fig scaling` study (0 auto-picks from idle cores); the engine grants
-// at most one shard per 64 tiles and the tables print the granted count.
-// Engine results are bit-identical at any shard count. The scaling study
-// prints machine-dependent wall-clock, so it is excluded from -fig all
-// (whose output is diffed against figures_output.txt) and must be
-// requested explicitly.
+// scheduling order.
 //
 // -fig smc runs the statistical-model-checking cross-validation
 // (docs/SMC.md): SPRT verdicts against exactly known trajectory
 // probabilities on complete meshes and small grids, plus the
 // fixed-effort rare-event splitting estimate against the exact flood
 // law. Replica counts are chosen by the SPRT itself, so the study is
-// excluded from the golden -fig all output like the scaling study.
+// excluded from -fig all (whose output is diffed against
+// figures_output.txt) and must be requested explicitly.
 //
 // -metrics FILE additionally runs the canonical instrumented broadcast
 // (the Fig. 3-3 walkthrough on the 8×8 microbench mesh, -runs replicas)
@@ -70,7 +65,6 @@ var (
 	seedFlag    = flag.Uint64("seed", 2003, "master seed")
 	workersFlag = flag.Int("workers", 0, "parallel replica workers (0 = GOMAXPROCS)")
 	quick       = flag.Bool("quick", false, "reduced sweep resolution")
-	shardsFlag  = flag.Int("shards", 0, "engine shards per replica for the scaling study (0 = auto from idle cores; clamped to one per 64 tiles)")
 	metricsOut  = flag.String("metrics", "", "write per-round series of the canonical 8x8 broadcast to this file (JSONL; .csv suffix selects CSV)")
 	cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile  = flag.String("memprofile", "", "write a heap profile to this file at exit")
@@ -104,8 +98,8 @@ func main() {
 	runners := []struct {
 		name string
 		run  func() error
-		// skipInAll excludes machine-dependent output (wall-clock tables)
-		// from -fig all, which is diffed against figures_output.txt.
+		// skipInAll excludes output the golden does not pin from -fig all,
+		// which is diffed against figures_output.txt.
 		skipInAll bool
 	}{
 		{name: "3-1", run: fig31},
@@ -124,10 +118,9 @@ func main() {
 		{name: "ext-bimodal", run: extBimodal},
 		{name: "ext-ttl", run: extTTL},
 		{name: "ext-fec", run: extFEC},
-		{name: "scaling", run: extScaling, skipInAll: true},
 		// smc prints SPRT-chosen replica counts, which are a property of
 		// the statistics rather than of the protocol tables the golden
-		// file pins; kept out of -fig all like the scaling study.
+		// file pins; kept out of -fig all.
 		{name: "smc", run: figSMC, skipInAll: true},
 	}
 	ran := false
@@ -499,53 +492,6 @@ func extTTL() error {
 			fmt.Fprintf(w, "%d\t%.0f%%\t%.0f\t%s\n", r.TTL, 100*r.DeliveryRate, r.Transmissions.Mean, lat)
 		}
 	})
-	return nil
-}
-
-func extScaling() error {
-	sides := []int{16, 32, 64}
-	if *quick {
-		sides = []int{16, 32}
-	}
-	rows, err := experiments.GridScaling(sides, *shardsFlag, *seedFlag)
-	if err != nil {
-		return err
-	}
-	fmt.Println("Extension: sequential vs sharded engine, center broadcast to full awareness (p=0.5, TTL=255)")
-	fmt.Printf("GOMAXPROCS: %d\n", runtime.GOMAXPROCS(0))
-	table("mesh\tshards\trounds to full\ttransmissions\tseq [ms]\tsharded [ms]\tspeedup", func(w *tabwriter.Writer) {
-		for _, r := range rows {
-			full := ""
-			if !r.FullyAware {
-				full = " (died early)"
-			}
-			fmt.Fprintf(w, "%dx%d\t%d\t%d%s\t%d\t%.1f\t%.1f\t%.2fx\n",
-				r.Side, r.Side, r.Shards, r.RoundsToFull, full, r.Transmissions,
-				1e3*r.SeqSeconds, 1e3*r.ShardSeconds, r.Speedup)
-		}
-	})
-	fmt.Println("(wall-clock is machine-dependent; protocol columns are bit-identical at any shard count)")
-
-	// Mega-mesh churn: sustained injection with ID recycling, the memory
-	// half of the scaling story. Full mode drives the 512×512 fabric
-	// through a 10k-message workload (2500 rounds × 4 injections).
-	megaSides, megaRounds := []int{128, 256, 512}, 2500
-	if *quick {
-		megaSides, megaRounds = []int{64, 128}, 400
-	}
-	mrows, err := experiments.MegaChurn(megaSides, 4, megaRounds, *shardsFlag, *seedFlag)
-	if err != nil {
-		return err
-	}
-	fmt.Println("Mega-mesh churn: sustained injection with ID recycling (p=0.5, TTL=16, 4 msgs/round)")
-	table("mesh\tshards\tmsgs\tretired\tslots mid/end\tlive\tB/tile\trounds/sec", func(w *tabwriter.Writer) {
-		for _, r := range mrows {
-			fmt.Fprintf(w, "%dx%d\t%d\t%d\t%d\t%d/%d\t%d\t%.1f\t%.0f\n",
-				r.Side, r.Side, r.Shards, r.Injected, r.Retired,
-				r.MidSlots, r.EndSlots, r.LiveEnd, r.BytesPerTile, r.RoundsPerSec)
-		}
-	})
-	fmt.Println("(equal mid/end slot counts show table memory bounded by the live population, not messages issued)")
 	return nil
 }
 

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	nocsim [-width W -height H] [-src T -dst T] [-p P] [-ttl N]
-//	       [-seed S] [-shards K] [-payload BYTES] [-max-rounds N]
+//	       [-seed S] [-payload BYTES] [-max-rounds N]
 //	       [-dead-tiles N] [-dead-links N] [-upset P] [-overflow P]
 //	       [-sigma S] [-literal-upsets]
 //	       [-trace] [-viz] [-metrics FILE]
@@ -17,13 +17,6 @@
 // Example — the thesis' Producer-Consumer walkthrough under 30% upsets:
 //
 //	nocsim -width 4 -height 4 -src 5 -dst 11 -p 0.5 -upset 0.3
-//
-// -shards splits each round's per-tile work across K parallel lanes;
-// results are bit-identical at any shard count, so it is purely a
-// wall-clock knob for large grids (see DESIGN.md, "Sharded engine"). A
-// lane owns whole 64-tile words, so K is clamped to tiles/64 and a grid
-// under 128 tiles runs the sequential engine whatever K says. -trace
-// listens to every protocol event, which runs the engine on one lane.
 //
 // -metrics FILE records the run through the internal/metrics per-round
 // recorder and writes the series (transmissions, CRC rejects, drops,
@@ -80,7 +73,6 @@ var (
 	p          = flag.Float64("p", 0.5, "forwarding probability")
 	ttl        = flag.Int("ttl", core.DefaultTTL, "message TTL in rounds")
 	seed       = flag.Uint64("seed", 1, "simulation seed")
-	shards     = flag.Int("shards", 0, "engine shards (0/1 = sequential; clamped to one per 64 tiles, one with -trace; results identical at any count)")
 	deadT      = flag.Int("dead-tiles", 0, "tiles to crash")
 	deadL      = flag.Int("dead-links", 0, "links to crash")
 	upset      = flag.Float64("upset", 0, "per-transmission data-upset probability")
@@ -207,14 +199,13 @@ func main() {
 
 // scenario maps the flags onto the experiment they name: the same
 // sim.Scenario a service.JobRequest with the same values gives
-// (TestFlagsMatchJobRequest), plus -shards and -literal-upsets, which a
-// request cannot set.
+// (TestFlagsMatchJobRequest), plus -literal-upsets, which a request
+// cannot set.
 func scenario() sim.Scenario {
 	s, d := packet.TileID(*src), packet.TileID(*dst)
 	return sim.Scenario{
 		Config: core.Config{
 			Topo: topology.NewGrid(*width, *height), P: *p, TTL: uint8(*ttl), MaxRounds: *maxR, Seed: *seed,
-			Shards: *shards,
 			Fault: fault.Model{
 				DeadTiles: *deadT, DeadLinks: *deadL,
 				PUpset: *upset, POverflow: *overflow, SigmaSync: *sigma,

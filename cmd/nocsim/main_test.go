@@ -4,6 +4,7 @@ import (
 	"flag"
 	"os"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -52,7 +53,9 @@ func TestDocCommentListsEveryFlag(t *testing.T) {
 }
 
 // TestREADMEFlagTableListsEveryFlag pins the README's nocsim flag
-// table (the marker-delimited block) to the actual flag set.
+// table (the marker-delimited block) to the actual flag set, both ways:
+// every registered flag has a row, and every flag a row names in its
+// first column is registered.
 func TestREADMEFlagTableListsEveryFlag(t *testing.T) {
 	const (
 		readme = "../../README.md"
@@ -70,12 +73,28 @@ func TestREADMEFlagTableListsEveryFlag(t *testing.T) {
 		t.Fatalf("%s is missing the %s / %s markers", readme, begin, end)
 	}
 	table := text[lo+len(begin) : hi]
+	registered := map[string]bool{}
 	for _, name := range flagNames() {
+		registered[name] = true
 		if !strings.Contains(table, "`-"+name+"`") {
 			t.Errorf("flag -%s is missing from the README nocsim flag table", name)
 		}
 	}
+	for _, line := range strings.Split(table, "\n") {
+		cells := strings.Split(line, "|")
+		if len(cells) < 3 {
+			continue
+		}
+		for _, m := range tableFlag.FindAllStringSubmatch(cells[1], -1) {
+			if !registered[m[1]] {
+				t.Errorf("the README nocsim flag table lists -%s, which nocsim does not register", m[1])
+			}
+		}
+	}
 }
+
+// tableFlag matches one backquoted flag name in a flag-table cell.
+var tableFlag = regexp.MustCompile("`-([a-z-]+)`")
 
 // setFlags resets every flag to its default and parses args, as a fresh
 // invocation would; the cleanup restores the defaults.
@@ -132,15 +151,15 @@ func TestFlagsMatchJobRequest(t *testing.T) {
 		})
 	}
 
-	// -literal-upsets and -shards have no request field: each changes
-	// only its own Config field.
-	setFlags(t, "-literal-upsets", "-shards", "4")
+	// -literal-upsets has no request field: it changes only its own
+	// Config field.
+	setFlags(t, "-literal-upsets")
 	got := scenario()
-	if !got.Config.Fault.LiteralUpsets || got.Config.Shards != 4 {
-		t.Fatalf("-literal-upsets -shards 4 give %+v", got.Config)
+	if !got.Config.Fault.LiteralUpsets {
+		t.Fatalf("-literal-upsets gives %+v", got.Config)
 	}
-	got.Config.Fault.LiteralUpsets, got.Config.Shards = false, 0
+	got.Config.Fault.LiteralUpsets = false
 	if want := base.Scenario(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("-literal-upsets -shards 4 changed more than their own fields:\n%+v\nwant\n%+v", got, want)
+		t.Fatalf("-literal-upsets changed more than its own field:\n%+v\nwant\n%+v", got, want)
 	}
 }

@@ -28,11 +28,11 @@ import (
 //
 // Which sampler runs is a per-tile, per-round cost decision on exact
 // integer state (buffered count, degree) plus config constants, so it is
-// identical across the sequential engine, any shard count, and a
-// snapshot-resumed run — the differential suite holds the kernel to
-// that. Event ordering is unchanged: trials are visited in the same
-// ascending (message, port) order the default loop uses, only the draws
-// backing the decisions differ. The kernel never runs for tiles with a
+// identical across hooked, hook-free and snapshot-resumed runs — the
+// differential suite holds the kernel to that. Event ordering is
+// unchanged: trials are visited in the same ascending (message, port)
+// order the default loop uses, only the draws backing the decisions
+// differ. The kernel never runs for tiles with a
 // router or when PortWeight is set (those paths keep per-port draws),
 // and p ≤ 0 / p ≥ 1 are decided without consuming randomness, exactly
 // like rng.BoolT at the never/always thresholds.
@@ -81,7 +81,7 @@ func skipConstant(p float64) float64 {
 // messages starting at ring-buffer position cur (the same round-robin
 // window the default path walks). Caller guarantees t.router == nil and
 // cfg.PortWeight == nil.
-func (n *Network) forwardBatch(ln *lane, t *tile, cur, count, buffered int) {
+func (n *Network) forwardBatch(t *tile, cur, count, buffered int) {
 	d := len(t.nbrs)
 	if d == 0 || n.pThresh == 0 {
 		return
@@ -96,7 +96,7 @@ func (n *Network) forwardBatch(ln *lane, t *tile, cur, count, buffered int) {
 			}
 			p := &t.sendBuf[idx]
 			for pi, nb := range t.nbrs {
-				n.transmit(ln, t, nb, p, ports[pi])
+				n.transmit(t, nb, p, ports[pi])
 			}
 		}
 		return
@@ -111,11 +111,11 @@ func (n *Network) forwardBatch(ln *lane, t *tile, cur, count, buffered int) {
 		alt = count
 	}
 	if float64(skipDrawCost)*(1+float64(trials)*n.cfg.P) < float64(alt) {
-		n.forwardSkip(ln, t, cur, count, buffered, d)
+		n.forwardSkip(t, cur, count, buffered, d)
 		return
 	}
 	if maskOK {
-		n.forwardMask(ln, t, cur, count, buffered)
+		n.forwardMask(t, cur, count, buffered)
 		return
 	}
 	// High-degree tile (or tiny p with dense fan-out): the exact
@@ -130,14 +130,14 @@ func (n *Network) forwardBatch(ln *lane, t *tile, cur, count, buffered int) {
 			if !t.rnd.BoolT(n.pThresh) {
 				continue
 			}
-			n.transmit(ln, t, nb, p, ports[pi])
+			n.transmit(t, nb, p, ports[pi])
 		}
 	}
 }
 
 // forwardMask draws one 64-bit mask per message and decides each port
 // from its own 16-bit lane.
-func (n *Network) forwardMask(ln *lane, t *tile, cur, count, buffered int) {
+func (n *Network) forwardMask(t *tile, cur, count, buffered int) {
 	ports := n.ports(t)
 	for i := 0; i < count; i++ {
 		idx := cur + i
@@ -151,14 +151,14 @@ func (n *Network) forwardMask(ln *lane, t *tile, cur, count, buffered int) {
 			if lane16 >= n.batchT16 {
 				continue
 			}
-			n.transmit(ln, t, nb, p, ports[pi])
+			n.transmit(t, nb, p, ports[pi])
 		}
 	}
 }
 
 // forwardSkip flattens the tile's trials — trial j is port j%d of the
 // window's message j/d — and geometric-skips from success to success.
-func (n *Network) forwardSkip(ln *lane, t *tile, cur, count, buffered, d int) {
+func (n *Network) forwardSkip(t *tile, cur, count, buffered, d int) {
 	trials := count * d
 	ports := n.ports(t)
 	j := t.rnd.GeometricSkip(n.invLn1mP)
@@ -168,7 +168,7 @@ func (n *Network) forwardSkip(ln *lane, t *tile, cur, count, buffered, d int) {
 			idx -= buffered
 		}
 		pi := j % d
-		n.transmit(ln, t, t.nbrs[pi], &t.sendBuf[idx], ports[pi])
+		n.transmit(t, t.nbrs[pi], &t.sendBuf[idx], ports[pi])
 		j += 1 + t.rnd.GeometricSkip(n.invLn1mP)
 	}
 }

@@ -44,7 +44,7 @@ const (
 	steadyUntil = steadyTTL - 25
 )
 
-// scaleNet is the large-mesh fixture of the sharded-engine benchmarks: a
+// scaleNet is the large-mesh fixture of the dense-grid benchmarks: a
 // side×side grid with a *center* broadcast (a corner broadcast would need
 // ~2× the rounds to cover the mesh, eating into the TTL-bounded
 // measurement window), warmed up until every tile holds a live copy.
@@ -111,10 +111,10 @@ func BenchmarkStepGrid8x8Sync(b *testing.B) {
 	}
 }
 
-// benchStepShards measures one Step of a side×side grid in broadcast
-// steady state at the given shard count (1 = the sequential engine).
-func benchStepShards(b *testing.B, side, shards int) {
-	cfg := Config{P: 0.5, Seed: 1, Shards: shards}
+// benchStepGrid measures one Step of a side×side grid in broadcast
+// steady state.
+func benchStepGrid(b *testing.B, side int) {
+	cfg := Config{P: 0.5, Seed: 1}
 	n := scaleNet(b, side, cfg)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -130,38 +130,14 @@ func benchStepShards(b *testing.B, side, shards int) {
 	}
 }
 
-// BenchmarkStepGrid32x32 compares the sequential engine against the
-// sharded engine on a 1024-tile mesh — the scaling kernel of the
-// EXPERIMENTS.md wall-clock table. The shards=1 case is the sequential
-// baseline; speedup is meaningful only with GOMAXPROCS >= shards.
-func BenchmarkStepGrid32x32(b *testing.B) {
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			benchStepShards(b, 32, shards)
-		})
-	}
-}
+// BenchmarkStepGrid32x32, 64x64 and 128x128 are the dense kernels on
+// 1024-, 4096- and 16384-tile meshes: a round's cost should grow linearly
+// with the tiles holding a live copy.
+func BenchmarkStepGrid32x32(b *testing.B) { benchStepGrid(b, 32) }
 
-// BenchmarkStepGrid64x64 is the same comparison on a 4096-tile mesh,
-// where per-round work is large enough to amortize the phase barriers.
-func BenchmarkStepGrid64x64(b *testing.B) {
-	for _, shards := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			benchStepShards(b, 64, shards)
-		})
-	}
-}
+func BenchmarkStepGrid64x64(b *testing.B) { benchStepGrid(b, 64) }
 
-// BenchmarkStepGrid128x128 is the dense kernel above sim.AutoShards'
-// shardFloorTiles (16384 tiles): the mesh size from which sharding is
-// selected, so the keep-sharding decision rests on this pair.
-func BenchmarkStepGrid128x128(b *testing.B) {
-	for _, shards := range []int{1, 2} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			benchStepShards(b, 128, shards)
-		})
-	}
-}
+func BenchmarkStepGrid128x128(b *testing.B) { benchStepGrid(b, 128) }
 
 // benchChurn measures one inject+Step round of a side×side recycling mesh
 // under sustained unicast churn — the mega-mesh workload of the memory
@@ -171,11 +147,11 @@ func BenchmarkStepGrid128x128(b *testing.B) {
 // forwarding. B/op is the metric to watch: at steady state the table is
 // warm and a round should allocate only delivery mailbox entries and
 // retired-ledger accretion, independent of mesh size.
-func benchChurn(b *testing.B, side, perRound, shards int) {
+func benchChurn(b *testing.B, side, perRound int) {
 	g := topology.NewGrid(side, side)
 	cfg := Config{
 		Topo: g, P: 0.5, TTL: 8, MaxRounds: 1 << 30, Seed: 0xE5CA1A,
-		Recycle: true, Shards: shards,
+		Recycle: true,
 	}
 	n, err := New(cfg)
 	if err != nil {
@@ -203,15 +179,14 @@ func benchChurn(b *testing.B, side, perRound, shards int) {
 	}
 }
 
-// BenchmarkStepGrid256x256 is the 65536-tile churn kernel — the smallest
-// mesh the AutoShards mega heuristic treats as a mega-mesh.
+// BenchmarkStepGrid256x256 is the 65536-tile churn kernel.
 func BenchmarkStepGrid256x256(b *testing.B) {
-	benchChurn(b, 256, 8, 8)
+	benchChurn(b, 256, 8)
 }
 
-// BenchmarkStepGrid512x512 is the tentpole 262144-tile churn kernel.
+// BenchmarkStepGrid512x512 is the 262144-tile churn kernel.
 func BenchmarkStepGrid512x512(b *testing.B) {
-	benchChurn(b, 512, 8, 8)
+	benchChurn(b, 512, 8)
 }
 
 // benchDenseBroadcast measures one inject+Step round of a 64×64 mesh
@@ -288,11 +263,11 @@ func activeTiles(n *Network) int {
 // over continuously, exercising retirement and row clears. The
 // steady-state active-tile count is attached to the result as the
 // active_tiles metric.
-func benchSubTTL(b *testing.B, side int, ttl uint8, perRound, shards int) {
+func benchSubTTL(b *testing.B, side int, ttl uint8, perRound int) {
 	g := topology.NewGrid(side, side)
 	cfg := Config{
 		Topo: g, P: 0.5, TTL: ttl, MaxRounds: 1 << 30, Seed: 0x5bb7,
-		Recycle: true, Shards: shards,
+		Recycle: true,
 	}
 	n, err := New(cfg)
 	if err != nil {
@@ -328,23 +303,22 @@ func benchSubTTL(b *testing.B, side int, ttl uint8, perRound, shards int) {
 // 262144-tile mesh where TTL-16 broadcasts keep a few thousand tiles
 // active (bench/'s mesh_sparse workload at the kernel level).
 func BenchmarkStepGrid512x512SubTTL(b *testing.B) {
-	benchSubTTL(b, 512, 16, 4, 8)
+	benchSubTTL(b, 512, 16, 4)
 }
 
 // BenchmarkStepGrid256x256SubTTL is the same workload on the 65536-tile
 // mesh.
 func BenchmarkStepGrid256x256SubTTL(b *testing.B) {
-	benchSubTTL(b, 256, 16, 4, 8)
+	benchSubTTL(b, 256, 16, 4)
 }
 
 // BenchmarkStepGrid512x512SparsePocket is the frontier scheduler's
 // limiting case: one TTL-4 broadcast per round keeps a few dozen of the
 // 262144 tiles active, so nearly the entire round cost is scheduling —
 // the part a mesh-proportional sweep dominates and a frontier walk
-// makes O(active). Sequential on purpose: barrier handoffs would
-// otherwise drown the quantity under test.
+// makes O(active).
 func BenchmarkStepGrid512x512SparsePocket(b *testing.B) {
-	benchSubTTL(b, 512, 4, 1, 1)
+	benchSubTTL(b, 512, 4, 1)
 }
 
 // BenchmarkSubTTLScaling sweeps the TTL on a fixed 64×64 mesh for the
@@ -356,11 +330,11 @@ func BenchmarkStepGrid512x512SparsePocket(b *testing.B) {
 func BenchmarkSubTTLScaling(b *testing.B) {
 	for _, ttl := range []uint8{8, 16, 32} {
 		b.Run(fmt.Sprintf("ttl=%d", ttl), func(b *testing.B) {
-			benchSubTTL(b, 64, ttl, 4, 8)
+			benchSubTTL(b, 64, ttl, 4)
 		})
 	}
 	b.Run("ttl=inf", func(b *testing.B) {
-		cfg := Config{P: 0.5, Seed: 1, Shards: 8}
+		cfg := Config{P: 0.5, Seed: 1}
 		n := scaleNet(b, 64, cfg)
 		b.ReportAllocs()
 		b.ResetTimer()

@@ -96,18 +96,6 @@ type Config struct {
 	MaxRounds int
 	// Seed makes the run reproducible.
 	Seed uint64
-	// Shards partitions the tiles into this many contiguous shards and
-	// runs the per-tile phases of every round shard-parallel; 0 or 1
-	// selects the sequential engine (one lane over every tile). Results
-	// are bit-identical at any shard count (see DESIGN.md, "Sharded
-	// engine") — Shards is purely a wall-clock knob for large meshes. The
-	// count is clamped to the mesh's whole 64-tile words (a shard owns
-	// whole words of the tile bitmaps); below 128 tiles, and with an
-	// OnEvent listener, the sequential engine runs. Network.Shards
-	// reports the count in effect. PortWeight and SetRouter functions
-	// must be pure (they already must be) and are called concurrently
-	// when Shards > 1.
-	Shards int
 	// Recycle bounds the message tables by the live message population
 	// instead of the ever-issued one: a message whose buffered copies have
 	// all expired and whose in-flight copies have drained is retired at
@@ -135,9 +123,8 @@ type Config struct {
 	// within 2^-17 for the mask lanes; validated against the closed-form
 	// flooding recursion in internal/gossip). Tiles with a router, and
 	// every tile when PortWeight is set, use the default per-port draws
-	// regardless. Sharding invariance and checkpoint/resume hold under
-	// the kernel; the snapshot payload records the choice and Restore
-	// refuses a mismatch.
+	// regardless. Checkpoint/resume holds under the kernel; the snapshot
+	// payload records the choice and Restore refuses a mismatch.
 	BatchDraws bool
 	// StopSpreadOnDelivery garbage-collects a unicast message everywhere
 	// once its destination has received it — the idealized spread
@@ -155,12 +142,11 @@ type Config struct {
 	// OnEvent, if set, receives every protocol event (message creation,
 	// transmissions, CRC rejections, overflow drops, deliveries, TTL
 	// expiries), in the order the engine makes them — the hook package
-	// trace builds its timelines on. A listener runs the network on one
-	// lane (Shards is ignored) and is called mid-phase, so it sees live
-	// state. Leaving it nil costs nothing and lets the engine settle
-	// upsets at the sender (DESIGN.md, "Settlement at the sender");
-	// Network.Tally and Counters still count every event kind, and the
-	// metrics recorder reads its series from them.
+	// trace builds its timelines on. A listener is called mid-phase, so
+	// it sees live state. Leaving it nil costs nothing and lets the
+	// engine settle upsets at the sender (DESIGN.md, "Settlement at the
+	// sender"); Network.Tally and Counters still count every event kind,
+	// and the metrics recorder reads its series from them.
 	OnEvent func(Event)
 	// OnRoundEnd, if set, is called as the very last action of every
 	// Step, at the round barrier — the per-round flush hook the metrics
@@ -244,9 +230,6 @@ func (c *Config) Validate() error {
 	}
 	if c.TTL == 0 {
 		return errors.New("core: TTL must be >= 1")
-	}
-	if c.Shards < 0 {
-		return errors.New("core: negative Shards")
 	}
 	// The literal path serializes every transmission into a Chapter 2
 	// wire frame, whose addresses are 16 bits: fabrics beyond that run on
@@ -393,11 +376,10 @@ type Network struct {
 	// skew caches Fault.SigmaSync > 0: without it SyncSlip draws nothing
 	// and always returns 0, so transmit skips the call.
 	skew bool
-	// created tallies EvCreated emissions since New (or Restore), and
-	// stepCreated is created as the latest Step found it before its round
-	// began; each lane tallies its EvExpire emissions (lane.expired). See
-	// Tally.
-	created, stepCreated int
+	// created and expired tally EvCreated and EvExpire emissions since New
+	// (or Restore), and stepCreated is created as the latest Step found it
+	// before its round began. See Tally.
+	created, expired, stepCreated int
 	// recycle caches cfg.Recycle for the hot paths (inflight/copy
 	// accounting and the per-Step retirement barrier run only under it).
 	recycle bool
@@ -416,26 +398,20 @@ type Network struct {
 	rcvOcc occMap
 	// procTiles lists the tiles with an attached Process, rebuilt from
 	// procsDirty, so phase 1 visits only them.
-	procTiles []*tile
+	procTiles  []*tile
+	procsDirty bool
 
-	// lanes holds one lane per shard, contiguous and ascending; the
-	// sequential engine is the one-lane case (shard.go).
-	lanes []lane
-	// par is true while shard goroutines are live; per-message
-	// aware-count updates switch to atomics under it, and lanes stage
-	// their transmissions instead of running direct. It is only written
-	// by the stepping goroutine between barriers, and never set on a
-	// one-lane network — which a network with an OnEvent listener always
-	// is, so events are never emitted while it is set.
-	par bool
-	// laneBase/laneRem record the initLanes partition arithmetic (64-tile
-	// words per lane) so laneFor can invert tile→lane without a lookup
-	// table.
-	laneBase, laneRem int
-	// hasReceiver caches whether any attached process implements
-	// Receiver (recomputed when procsDirty; consulted by stepLanes).
-	hasReceiver bool
-	procsDirty  bool
+	// The recycling pools (pool.go): wire frames of the literal-upset
+	// path, arrival-ring bucket arrays, drained send buffers and the arena
+	// the mailbox copies of deliveries are carved from.
+	frames framePool
+	rings  ringPool
+	bufs   bufPool
+	pkts   pktArena
+	// borrowed points at the in-processing literal arrival whose payload
+	// still aliases its pooled frame; deliver/enqueue clone the payload
+	// (once, shared) the moment that packet is stored. Nil otherwise.
+	borrowed *packet.Packet
 
 	started bool
 }
@@ -491,20 +467,10 @@ func New(cfg Config) (*Network, error) {
 	}
 	// Without synchronization skew every copy arrives in the round it was
 	// sent, so one recycled arrival bucket per tile covers all traffic.
-	ringLen := 1
+	n.rings.initLen = 1
 	if cfg.Fault.SigmaSync > 0 {
-		ringLen = ringInitLen
+		n.rings.initLen = ringInitLen
 	}
-	// A lane owns whole 64-tile words (initLanes), so a mesh carries at most
-	// one lane per whole word, and always at least one: with one the
-	// sequential engine — bit-identical by the sharding contract — runs.
-	// An OnEvent listener hears every event in engine order, live, so it
-	// holds the network to one lane.
-	shards := cfg.Shards
-	if cfg.OnEvent != nil {
-		shards = 1
-	}
-	n.initLanes(max(1, min(shards, len(n.tiles)/64)), ringLen)
 	return n, nil
 }
 
@@ -525,29 +491,21 @@ func (n *Network) Attach(t packet.TileID, proc Process) {
 	n.procsDirty = true
 }
 
-// refreshProcs rebuilds the process-bearing tile list (and the Receiver
-// flag stepLanes consults) when Attach has run since the last rebuild.
-// Phase 1 and Completed iterate procTiles instead of the whole mesh — on
-// a mega-mesh with a handful of processes that is the difference between
-// a few pointer loads and a quarter-million per round. Attachments made
-// mid-round (from Init or Round) take effect at the next rebuild point,
-// the start of the following Step.
+// refreshProcs rebuilds the process-bearing tile list when Attach has run
+// since the last rebuild. Phase 1 and Completed iterate procTiles instead
+// of the whole mesh — on a mega-mesh with a handful of processes that is
+// the difference between a few pointer loads and a quarter-million per
+// round. Attachments made mid-round (from Init or Round) take effect at
+// the next rebuild point, the start of the following Step.
 func (n *Network) refreshProcs() {
 	if !n.procsDirty {
 		return
 	}
 	n.procsDirty = false
 	n.procTiles = n.procTiles[:0]
-	n.hasReceiver = false
 	for i := range n.tiles {
-		t := &n.tiles[i]
-		proc := t.process()
-		if proc == nil {
-			continue
-		}
-		n.procTiles = append(n.procTiles, t)
-		if _, ok := proc.(Receiver); ok {
-			n.hasReceiver = true
+		if t := &n.tiles[i]; t.process() != nil {
+			n.procTiles = append(n.procTiles, t)
 		}
 	}
 }
@@ -640,19 +598,11 @@ func (n *Network) Counters() Counters { return n.cnt }
 // network starts it at zero. Together with Counters (Energy.Transmissions,
 // UpsetsDetected, OverflowDrops, Deliveries) it counts every event kind.
 func (n *Network) Tally() (created, expired, atStep int) {
-	for i := range n.lanes {
-		expired += n.lanes[i].expired
-	}
-	return n.created, expired, n.stepCreated
+	return n.created, n.expired, n.stepCreated
 }
 
 // Topology returns the fabric.
 func (n *Network) Topology() topology.Topology { return n.topo }
-
-// Shards returns the shard count the engine runs with: Config.Shards after
-// New's clamp to whole 64-tile words, 1 for the sequential engine (and so
-// with an OnEvent listener) — the number of lanes.
-func (n *Network) Shards() int { return len(n.lanes) }
 
 // Inject creates a new message originating at tile src before the
 // simulation starts (or between rounds), bypassing any Process. It is the
@@ -681,7 +631,7 @@ func (n *Network) Inject(src, dst packet.TileID, kind packet.Kind, payload []byt
 	n.setSeen(&n.tiles[src], id)
 	n.created++
 	n.emit(EvCreated, src, src, id)
-	n.enqueue(n.laneOf(src), &n.tiles[src], &packet.Packet{
+	n.enqueue(&n.tiles[src], &packet.Packet{
 		ID: id, Src: src, Dst: dst, Kind: kind, TTL: n.cfg.TTL, Payload: payload,
 	})
 	return id, nil
@@ -700,10 +650,9 @@ func (n *Network) emit(kind EventKind, tile, peer packet.TileID, msg packet.MsgI
 // message is delivered at round = Manhattan distance, matching the
 // Fig. 3-3 walkthrough.
 //
-// The round body is split into phase functions (phase.go). Phase 1 always
-// runs sequentially — it allocates message IDs, whose order is observable;
-// phases 2-4 run on the lanes (shard.go): inline on a one-lane network,
-// per lane between barriers on a sharded one.
+// The round body is split into phase functions (phase.go), run in order
+// on the stepping goroutine: the engine is single-threaded, and replicas
+// are what runs in parallel (package sim).
 func (n *Network) Step() {
 	if !n.started {
 		n.started = true
@@ -718,9 +667,13 @@ func (n *Network) Step() {
 	n.round++
 
 	n.phaseCompute()
-	n.stepLanes()
-	// Round barrier: no phase is executing and nothing is staged.
-	n.trimPools()
+	n.sweep(sweepAge)
+	n.sweep(sweepForward)
+	n.sweep(sweepReceive)
+	// Round barrier: no phase is executing, so the pools' free lists are
+	// cut back to their armed counts (see pool).
+	n.rings.trim()
+	n.bufs.trim()
 	if n.recycle {
 		// Expired-everywhere messages can be retired before observers
 		// sample the round (they see ledgered Aware counts, same values).
@@ -855,9 +808,7 @@ func (c *Ctx) Send(dst packet.TileID, kind packet.Kind, payload []byte) (packet.
 	c.net.setSeen(c.tile, id)
 	c.net.created++
 	c.net.emit(EvCreated, c.tile.id, c.tile.id, id)
-	// Send only runs on the stepping goroutine (phase 1, or a Receiver
-	// during the sequential phase-4 fallback), so no lane runs in parallel.
-	c.net.enqueue(c.net.laneOf(c.tile.id), c.tile, &packet.Packet{
+	c.net.enqueue(c.tile, &packet.Packet{
 		ID: id, Src: c.tile.id, Dst: dst, Kind: kind,
 		TTL: c.net.cfg.TTL, Payload: payload,
 	})

@@ -10,7 +10,7 @@ import (
 	"repro/internal/topology"
 )
 
-// Randomized differential testing: the scenario tables in shard_test.go
+// Randomized differential testing: the scenario tables in scenario_test.go
 // and snapshot_test.go pin the engine's invariance promises on
 // hand-picked configurations; this file hammers the same promises across
 // a few hundred machine-generated ones. Every generated Config — random
@@ -18,7 +18,7 @@ import (
 // — is executed three ways and the complete observable record must
 // agree:
 //
-//	sequential  ==  sharded (2 and 5 shards)  ==  snapshot-resumed
+//	hooked  ==  hook-free  ==  snapshot-resumed
 //
 // The generator is seeded (diffMasterSeed) and splits one stream per
 // case, so every case is reproducible from its index alone: a failure
@@ -39,18 +39,16 @@ const (
 // diffConfig is one generated test case: a scenario plus the rounds to
 // run and the checkpoint round for the resume leg.
 type diffConfig struct {
-	sc      shardScenario
+	sc      scenario
 	resumeK int
 }
 
-// genTopology picks a random fabric. A shard owns whole 64-tile words, so
-// every fabric has at least two of them (128 tiles: the 2-shard leg runs
-// on two lanes) and about four in ten of each sparse family have five or
-// more (320-512 tiles: the 5-shard leg runs on five); in between the
-// engine clamps, which runShardScenario checks. No larger than that on
-// purpose: divergence bugs are about phase ordering and RNG stream
-// discipline, not scale, and 200 cases must stay inside tier-1 time. The
-// complete fabric stays at 128-136 tiles and runs at a thinned P (genP).
+// genTopology picks a random fabric of 128-512 tiles: at least two
+// 64-tile occupancy words, so the sweeps cross word boundaries. No larger
+// than that on purpose: divergence bugs are about phase ordering and RNG
+// stream discipline, not scale, and 200 cases must stay inside tier-1
+// time. The complete fabric stays at 128-136 tiles and runs at a thinned
+// P (genP).
 func genTopology(g *rng.Stream) topology.Topology {
 	switch g.Intn(5) {
 	case 0:
@@ -74,8 +72,8 @@ func genTopology(g *rng.Stream) topology.Topology {
 // (it is outside the CRC) keeps a message alive for the whole run: at the
 // full P range the ~50 complete-fabric cases were 95 % of both generated
 // suites' time. Thinned, a tile still sends each message to 1-4 of its
-// ~130 peers a round, a grid's fan-out, nearly all of it across a lane
-// boundary and many senders into each arrival ring.
+// ~130 peers a round, a grid's fan-out, with many senders into each
+// arrival ring.
 func genP(g *rng.Stream, topo topology.Topology) float64 {
 	p := 0.2 + 0.8*g.Float64()
 	if len(topo.Neighbors(0)) == topo.Tiles()-1 {
@@ -135,7 +133,7 @@ func genCase(idx int) diffConfig {
 		// A third of the population runs the batch forwarding kernel, so
 		// its samplers (mask lanes, geometric skip, high-degree fallback
 		// — which one runs depends on the fabric's degree and P) face
-		// the same seq == sharded == resumed oracle as the default path.
+		// the same hooked == hook-free == resumed oracle as the default path.
 		BatchDraws: g.Bool(0.35),
 	}
 
@@ -183,7 +181,7 @@ func genCase(idx int) diffConfig {
 		injections = append(injections, in)
 	}
 
-	sc := shardScenario{
+	sc := scenario{
 		name:   fmt.Sprintf("case-%03d", idx),
 		cfg:    func() Config { return cfgTemplate },
 		inject: injections,
@@ -204,12 +202,11 @@ func genCase(idx int) diffConfig {
 }
 
 // TestDifferentialRandomConfigs is the randomized differential pass. For
-// each generated case the sequential run is the reference; sharded runs
-// (2 and 5 shards) and a snapshot-resumed run (interrupt at a random
+// each generated case the run with an OnEvent listener is the reference;
+// a hook-free run and a snapshot-resumed run (interrupt at a random
 // round, resume, finish) must reproduce its record (compareRuns): the
-// state at every round barrier, and the event log between the one-lane
-// runs. CI runs this under -race as well, which turns every case into a
-// concurrency probe of the sharded engine.
+// state at every round barrier, and the event log between the hooked
+// runs.
 func TestDifferentialRandomConfigs(t *testing.T) {
 	cases := diffCases
 	if testing.Short() {
@@ -218,11 +215,9 @@ func TestDifferentialRandomConfigs(t *testing.T) {
 	for idx := 0; idx < cases; idx++ {
 		dc := genCase(idx)
 		t.Run(dc.sc.name, func(t *testing.T) {
-			want := runShardScenario(t, dc.sc, 1)
-			for _, shards := range []int{2, 5} {
-				compareRuns(t, fmt.Sprintf("shards=%d", shards), want, runShardScenario(t, dc.sc, shards))
-			}
-			compareRuns(t, fmt.Sprintf("snapshot-resume at k=%d", dc.resumeK), want, runResumedScenario(t, dc.sc, dc.resumeK, 1, 1))
+			want := runScenario(t, dc.sc, true)
+			compareRuns(t, "hook-free", want, runScenario(t, dc.sc, false))
+			compareRuns(t, fmt.Sprintf("snapshot-resume at k=%d", dc.resumeK), want, runResumedScenario(t, dc.sc, dc.resumeK, true))
 		})
 	}
 }

@@ -38,7 +38,7 @@ func TestPresentImpliesSeenCatchesPlant(t *testing.T) {
 	}
 	const src = 5
 	id := n.newMsgID()
-	n.enqueue(n.laneOf(src), &n.tiles[src], &packet.Packet{ID: id, Src: src, Dst: packet.Broadcast, TTL: 4})
+	n.enqueue(&n.tiles[src], &packet.Packet{ID: id, Src: src, Dst: packet.Broadcast, TTL: 4})
 	if err := presentImpliesSeen(n); err == nil {
 		t.Fatal("a message buffered at its source without its seen bit passed the check")
 	}
@@ -115,9 +115,10 @@ func TestPresentIsOneCopyCatchesPlants(t *testing.T) {
 func dupGate(n *Network) *bool   { return &n.elideDup }
 func upsetGate(n *Network) *bool { return &n.settleUpsets }
 
-// runElision replays sc with the settlement gate picked by gate as New
-// computed it (open) or cleared; gated reports whether New opened it.
-func runElision(tb testing.TB, sc shardScenario, shards int, gate func(*Network) *bool, open bool) (run shardSnapshot, gated bool) {
+// runElision replays sc, listening or hook-free, with the settlement gate
+// picked by gate as New computed it (open) or cleared; gated reports
+// whether New opened it.
+func runElision(tb testing.TB, sc scenario, listen bool, gate func(*Network) *bool, open bool) (run runRecord, gated bool) {
 	tb.Helper()
 	setup := sc.setup
 	sc.setup = func(n *Network) {
@@ -128,14 +129,13 @@ func runElision(tb testing.TB, sc shardScenario, shards int, gate func(*Network)
 		gated = *g
 		*g = *g && open
 	}
-	return runShardScenario(tb, sc, shards), gated
+	return runScenario(tb, sc, listen), gated
 }
 
 // settlementCases is the population both settlement tests run: the
-// randomized differential cases, every shard scenario and the elision
-// cases.
-func settlementCases() []shardScenario {
-	var cases []shardScenario
+// randomized differential cases, every scenario and the elision cases.
+func settlementCases() []scenario {
+	var cases []scenario
 	count := diffCases
 	if testing.Short() {
 		count = diffCasesShort
@@ -143,29 +143,28 @@ func settlementCases() []shardScenario {
 	for idx := 0; idx < count; idx++ {
 		cases = append(cases, genCase(idx).sc)
 	}
-	cases = append(cases, shardScenarios()...)
+	cases = append(cases, scenarios()...)
 	return append(cases, elisionCases()...)
 }
 
 // TestDuplicateElisionInvisible pins sender-side duplicate elision as a
 // pure optimisation. Every case of the randomized differential population
-// and every shard scenario runs twice, once with the engine's elision gate
-// as New computed it and once with it cleared, and both runs must leave
-// the same record (compareRuns): counters, tallies and snapshot bytes —
-// RNG states included — at every round barrier, mailbox contents, aware
-// tables and, on one lane, the event log. Each pair runs sequentially and
-// at two shards, where phase 3 reads present rows owned by other lanes
-// (CI runs this under -race).
+// and every scenario runs twice, once with the engine's elision gate as
+// New computed it and once with it cleared, and both runs must leave the
+// same record (compareRuns): counters, tallies and snapshot bytes — RNG
+// states included — at every round barrier, mailbox contents, aware
+// tables and, with a listener, the event log. Each pair runs with an
+// OnEvent listener and hook-free.
 func TestDuplicateElisionInvisible(t *testing.T) {
 	cases := settlementCases()
 	elided := 0
 	for _, sc := range cases {
 		t.Run(sc.name, func(t *testing.T) {
-			for _, shards := range []int{1, 2} {
-				want, _ := runElision(t, sc, shards, dupGate, false)
-				got, gated := runElision(t, sc, shards, dupGate, true)
-				compareRuns(t, fmt.Sprintf("shards=%d", shards), want, got)
-				if shards == 1 && gated && got.cnt.Duplicates > 0 {
+			for _, listen := range []bool{true, false} {
+				want, _ := runElision(t, sc, listen, dupGate, false)
+				got, gated := runElision(t, sc, listen, dupGate, true)
+				compareRuns(t, fmt.Sprintf("listen=%v", listen), want, got)
+				if listen && gated && got.cnt.Duplicates > 0 {
 					elided++
 				}
 			}
@@ -198,34 +197,26 @@ func onTimeUpsets(barriers []barrierRec) bool {
 // TestUpsetSettlementInvisible pins sender-side upset settlement as a
 // pure optimisation, over the population of TestDuplicateElisionInvisible.
 // Each case runs with no OnEvent listener, once with the settlement gate
-// as New computed it and once with it cleared, sequentially and at two
-// shards; both runs must leave the same record (compareRuns). The same
-// pair then runs on one lane with the event hook attached, where the gate
-// must stay shut: the event logs must agree too.
+// as New computed it and once with it cleared; both runs must leave the
+// same record (compareRuns). The same pair then runs with the event hook
+// attached, where the gate must stay shut: the event logs must agree too.
 func TestUpsetSettlementInvisible(t *testing.T) {
 	cases := settlementCases()
 	settled := 0
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			for _, quiet := range []bool{true, false} {
-				sc := c
-				sc.quiet = quiet
-				for _, shards := range []int{1, 2} {
-					if !quiet && shards > 1 {
-						continue // a listener holds the network to one lane
+	for _, sc := range cases {
+		t.Run(sc.name, func(t *testing.T) {
+			for _, listen := range []bool{false, true} {
+				want, _ := runElision(t, sc, listen, upsetGate, false)
+				got, gated := runElision(t, sc, listen, upsetGate, true)
+				compareRuns(t, fmt.Sprintf("listen=%v", listen), want, got)
+				if listen {
+					if gated {
+						t.Fatal("the settlement gate opened under a listener")
 					}
-					want, _ := runElision(t, sc, shards, upsetGate, false)
-					got, gated := runElision(t, sc, shards, upsetGate, true)
-					compareRuns(t, fmt.Sprintf("quiet=%v/shards=%d", quiet, shards), want, got)
-					if !quiet {
-						if gated {
-							t.Fatal("the settlement gate opened under a listener")
-						}
-						continue
-					}
-					if shards == 1 && gated && !sc.cfg().Fault.LiteralUpsets && onTimeUpsets(got.barriers) {
-						settled++
-					}
+					continue
+				}
+				if gated && !sc.cfg().Fault.LiteralUpsets && onTimeUpsets(got.barriers) {
+					settled++
 				}
 			}
 		})
@@ -242,9 +233,9 @@ func TestUpsetSettlementInvisible(t *testing.T) {
 // sit next to the upset settlement's slip and analytic-path terms, on
 // traffic dense enough that a copy wrongly settled at the sender changes
 // the record.
-func elisionCases() []shardScenario {
-	dense := func(name string, mod func(*Config), inject ...injection) shardScenario {
-		return shardScenario{
+func elisionCases() []scenario {
+	dense := func(name string, mod func(*Config), inject ...injection) scenario {
+		return scenario{
 			name: "elide-" + name,
 			cfg: func() Config {
 				cfg := Config{Topo: topology.NewGrid(16, 8), P: 0.6, TTL: 14, MaxRounds: 1000, Seed: 0xe1}
@@ -260,7 +251,7 @@ func elisionCases() []shardScenario {
 		{beforeRound: 0, src: 64, dst: packet.Broadcast, payload: "b"},
 		{beforeRound: 2, src: 127, dst: packet.Broadcast},
 	}
-	return []shardScenario{
+	return []scenario{
 		// A delivered unicast is tombstoned mid-phase 4; its later copies
 		// that round must be dropped uncounted, not counted as duplicates.
 		dense("stop-spread", func(c *Config) { c.StopSpreadOnDelivery = true; c.P = 0.9 },

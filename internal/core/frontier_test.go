@@ -33,11 +33,11 @@ func (r *recorderProc) Round(ctx *Ctx) {
 // churnNet builds a side×side TTL-16 recycling mesh with no processes and
 // returns it with a function that injects perRound broadcasts at scattered
 // tiles and steps once — the mesh_sparse workload in miniature.
-func churnNet(tb testing.TB, side, perRound, shards int) (*Network, func()) {
+func churnNet(tb testing.TB, side, perRound int) (*Network, func()) {
 	tb.Helper()
 	n, err := New(Config{
 		Topo: topology.NewGrid(side, side), P: 0.5, TTL: 16, MaxRounds: 1 << 30,
-		Seed: 0xF407, Recycle: true, Shards: shards,
+		Seed: 0xF407, Recycle: true,
 	})
 	if err != nil {
 		tb.Fatal(err)
@@ -52,42 +52,36 @@ func churnNet(tb testing.TB, side, perRound, shards int) (*Network, func()) {
 	}
 }
 
-// checkPoolAccounting verifies, at a round barrier, that every lane's
-// armed counts are exactly the tiles of its range holding a ring or a
-// buffer, that only hot tiles hold a ring, and that Mem reports the sums.
+// checkPoolAccounting verifies, at a round barrier, that the pools'
+// armed counts are exactly the tiles holding a ring or a buffer, that only
+// hot tiles hold a ring, that the free lists are trimmed, and that Mem
+// reports the counts.
 func checkPoolAccounting(tb testing.TB, n *Network) {
 	tb.Helper()
-	var armed, pooledRings, pooledBufs int
-	for li := range n.lanes {
-		ln := &n.lanes[li]
-		rings, bufs := 0, 0
-		for i := ln.lo; i < ln.hi; i++ {
-			t := &n.tiles[i]
-			if t.ring.buckets != nil {
-				rings++
-				if t.ring.count == 0 && len(t.sendBuf) == 0 {
-					tb.Fatalf("round %d: cold tile %d still holds its ring", n.Round(), i)
-				}
-			}
-			if t.sendBuf != nil {
-				bufs++
+	rings, bufs := 0, 0
+	for i := range n.tiles {
+		t := &n.tiles[i]
+		if t.ring.buckets != nil {
+			rings++
+			if t.ring.count == 0 && len(t.sendBuf) == 0 {
+				tb.Fatalf("round %d: cold tile %d still holds its ring", n.Round(), i)
 			}
 		}
-		if rings != ln.rings.armed || bufs != ln.bufs.armed {
-			tb.Fatalf("round %d lane %d: %d rings and %d buffers held, pools count %d and %d armed",
-				n.Round(), li, rings, bufs, ln.rings.armed, ln.bufs.armed)
+		if t.sendBuf != nil {
+			bufs++
 		}
-		if len(ln.rings.free) > max(poolFloor, rings) || len(ln.bufs.free) > max(poolFloor, bufs) {
-			tb.Fatalf("round %d lane %d: %d rings and %d buffers pooled with %d and %d armed",
-				n.Round(), li, len(ln.rings.free), len(ln.bufs.free), rings, bufs)
-		}
-		armed += rings
-		pooledRings += len(ln.rings.free)
-		pooledBufs += len(ln.bufs.free)
 	}
-	if m := n.Mem(); m.ArmedRings != armed || m.PooledRings != pooledRings || m.PooledBufs != pooledBufs {
-		tb.Fatalf("round %d: Mem reports %d armed, %d/%d pooled; lanes hold %d, %d/%d",
-			n.Round(), m.ArmedRings, m.PooledRings, m.PooledBufs, armed, pooledRings, pooledBufs)
+	if rings != n.rings.armed || bufs != n.bufs.armed {
+		tb.Fatalf("round %d: %d rings and %d buffers held, pools count %d and %d armed",
+			n.Round(), rings, bufs, n.rings.armed, n.bufs.armed)
+	}
+	if len(n.rings.free) > max(poolFloor, rings) || len(n.bufs.free) > max(poolFloor, bufs) {
+		tb.Fatalf("round %d: %d rings and %d buffers pooled with %d and %d armed",
+			n.Round(), len(n.rings.free), len(n.bufs.free), rings, bufs)
+	}
+	if m := n.Mem(); m.ArmedRings != rings || m.PooledRings != len(n.rings.free) || m.PooledBufs != len(n.bufs.free) {
+		tb.Fatalf("round %d: Mem reports %d armed, %d/%d pooled; pools hold %d, %d/%d",
+			n.Round(), m.ArmedRings, m.PooledRings, m.PooledBufs, rings, len(n.rings.free), len(n.bufs.free))
 	}
 }
 
@@ -101,7 +95,7 @@ func TestFrontierMemoryPinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1200 rounds of 256x256 churn; skipped under -short")
 	}
-	n, round := churnNet(t, 256, 4, 0)
+	n, round := churnNet(t, 256, 4)
 	heap := func() uint64 {
 		runtime.GC()
 		var ms runtime.MemStats
@@ -142,69 +136,66 @@ func TestTileStaysSlim(t *testing.T) {
 // TestPoolsFollowFrontier drives a frontier of thousands of tiles, lets it
 // collapse, and starts one small pocket: the pools must cover the big
 // frontier while it lives (no allocation per round) and fall back to the
-// floor once it is gone, at any shard count.
+// floor once it is gone.
 func TestPoolsFollowFrontier(t *testing.T) {
-	for _, shards := range []int{0, 4} {
-		n, round := churnNet(t, 128, 4, shards)
-		// Warm until bucket and buffer capacities have stopped growing
-		// (pooled storage keeps what it grew to): what allocates after that
-		// is a pool running dry.
-		for n.Round() < 320 {
-			round()
-			checkPoolAccounting(t, n)
-		}
-		big := n.Mem()
-		if big.ArmedRings < 8*poolFloor {
-			t.Fatalf("shards=%d: only %d rings armed; the frontier never outgrew the pool floor", shards, big.ArmedRings)
-		}
-		// Sharded rounds allocate their goroutine closures (~20); a pool
-		// held at the floor would allocate for every tile past it (~10k).
-		if allocs := testing.AllocsPerRun(20, round); allocs > 64 {
-			t.Errorf("shards=%d: a round over %d armed rings allocates %.0f times, want <= 64", shards, big.ArmedRings, allocs)
-		}
-		if left := n.Drain(64); left == 64 {
-			t.Fatalf("shards=%d: churn did not drain", shards)
-		}
+	n, round := churnNet(t, 128, 4)
+	// Warm until bucket and buffer capacities have stopped growing (pooled
+	// storage keeps what it grew to): what allocates after that is a pool
+	// running dry.
+	for n.Round() < 320 {
+		round()
 		checkPoolAccounting(t, n)
-		lanes := max(1, shards)
-		if m := n.Mem(); m.ArmedRings != 0 || m.PooledRings > lanes*poolFloor || m.PooledBufs > lanes*poolFloor {
-			t.Errorf("shards=%d: after the drain %d rings armed, %d rings and %d buffers pooled; want 0 and <= %d each",
-				shards, m.ArmedRings, m.PooledRings, m.PooledBufs, lanes*poolFloor)
-		}
-		mustInject(t, n, 77, packet.Broadcast, 0, nil)
-		for i := 0; i < 6; i++ {
-			n.Step()
-			checkPoolAccounting(t, n)
-		}
-		if m := n.Mem(); m.ArmedRings == 0 || m.ArmedRings > poolFloor {
-			t.Errorf("shards=%d: the pocket armed %d rings, want a few dozen", shards, m.ArmedRings)
-		}
+	}
+	big := n.Mem()
+	if big.ArmedRings < 8*poolFloor {
+		t.Fatalf("only %d rings armed; the frontier never outgrew the pool floor", big.ArmedRings)
+	}
+	// A pool held at the floor would allocate for every tile past it
+	// (~10k).
+	if allocs := testing.AllocsPerRun(20, round); allocs > 64 {
+		t.Errorf("a round over %d armed rings allocates %.0f times, want <= 64", big.ArmedRings, allocs)
+	}
+	if left := n.Drain(64); left == 64 {
+		t.Fatal("churn did not drain")
+	}
+	checkPoolAccounting(t, n)
+	if m := n.Mem(); m.ArmedRings != 0 || m.PooledRings > poolFloor || m.PooledBufs > poolFloor {
+		t.Errorf("after the drain %d rings armed, %d rings and %d buffers pooled; want 0 and <= %d each",
+			m.ArmedRings, m.PooledRings, m.PooledBufs, poolFloor)
+	}
+	mustInject(t, n, 77, packet.Broadcast, 0, nil)
+	for i := 0; i < 6; i++ {
+		n.Step()
+		checkPoolAccounting(t, n)
+	}
+	if m := n.Mem(); m.ArmedRings == 0 || m.ArmedRings > poolFloor {
+		t.Errorf("the pocket armed %d rings, want a few dozen", m.ArmedRings)
 	}
 }
 
-// TestPoolAccountingExact replays the sharded-engine scenarios — routers,
-// forward limits, literal frames, skew, Receiver processes forcing the
-// sequential phase-4 fallback — and checks the pools' books every round,
-// sequentially, sharded, and across a snapshot/restore.
+// TestPoolAccountingExact replays the engine scenarios — routers,
+// forward limits, literal frames, skew, Receiver processes — and checks
+// the pools' books every round, with a listener and hook-free, and across
+// a snapshot/restore.
 func TestPoolAccountingExact(t *testing.T) {
-	for _, sc := range append(shardScenarios(), subTTLScenarios()[0]) {
+	for _, sc := range append(scenarios(), subTTLScenarios()[0]) {
 		base := sc.cfg
 		sc.cfg = func() Config {
 			cfg := base()
 			cfg.OnRoundEnd = func(_ int, n *Network) { checkPoolAccounting(t, n) }
 			return cfg
 		}
-		for _, shards := range []int{1, 3} {
-			runShardScenario(t, sc, shards)
-			runResumedScenario(t, sc, sc.rounds/3, shards, 4-shards)
+		for _, listen := range []bool{true, false} {
+			runScenario(t, sc, listen)
+			runResumedScenario(t, sc, sc.rounds/3, listen)
 		}
 	}
 }
 
 // mailboxScenario is a small mixed workload that drains well before its
 // last round, so every delivery has been handed to its Process by then.
-func mailboxScenario(setup func(n *Network)) shardScenario {
-	return shardScenario{
+func mailboxScenario(setup func(n *Network)) scenario {
+	return scenario{
 		name: "mailbox-14x14",
 		cfg: func() Config {
 			return Config{
@@ -226,43 +217,43 @@ func mailboxScenario(setup func(n *Network)) shardScenario {
 // TestMailboxOnlyWithProcess pins the mailbox contract from both sides. A
 // network with nothing attached and one with a listening Process on every
 // tile produce the same counters and tallies at every round barrier, the
-// same aware tables and RNG states and, on one lane, the same event log,
-// sequentially and sharded; the bare one stores nothing (no tile even
-// grows an IP-core block), and in the other every Process is handed each
-// of its tile's deliveries exactly once, in the order the one-lane event
-// log delivers them.
+// same aware tables and RNG states and, with a listener, the same event
+// log, with a listener and hook-free; the bare one stores nothing (no
+// tile even grows an IP-core block), and in the other every Process is
+// handed each of its tile's deliveries exactly once, in the order the
+// event log delivers them.
 func TestMailboxOnlyWithProcess(t *testing.T) {
 	var want [][]packet.MsgID
-	for _, shards := range []int{1, 3} {
+	for _, listen := range []bool{true, false} {
 		var bareNet *Network
 		sc := mailboxScenario(func(n *Network) { bareNet = n })
 		sc.bare = true
-		bare := runShardScenario(t, sc, shards)
+		bare := runScenario(t, sc, listen)
 		if bare.cnt.Deliveries < 64 {
 			t.Fatalf("scenario delivered only %d packets", bare.cnt.Deliveries)
 		}
 		for i := range bareNet.tiles {
 			if bareNet.tiles[i].cold != nil {
-				t.Fatalf("shards=%d: process-less tile %d stored its deliveries", shards, i)
+				t.Fatalf("listen=%v: process-less tile %d stored its deliveries", listen, i)
 			}
 		}
 
 		var procs []*recorderProc
-		heard := runShardScenario(t, mailboxScenario(func(n *Network) {
+		heard := runScenario(t, mailboxScenario(func(n *Network) {
 			procs = procs[:0]
 			for i := 0; i < n.Topology().Tiles(); i++ {
 				procs = append(procs, &recorderProc{})
 				n.Attach(packet.TileID(i), procs[i])
 			}
-		}), shards)
+		}), listen)
 		// Mailboxes are state: only the snapshot bytes may differ.
-		for _, s := range []*shardSnapshot{&bare, &heard} {
+		for _, s := range []*runRecord{&bare, &heard} {
 			for i := range s.barriers {
 				s.barriers[i].state = 0
 			}
 		}
-		compareRuns(t, fmt.Sprintf("shards=%d: attaching listeners", shards), bare, heard)
-		if shards == 1 {
+		compareRuns(t, fmt.Sprintf("listen=%v: attaching processes", listen), bare, heard)
+		if listen {
 			want = make([][]packet.MsgID, len(procs))
 			for _, ev := range heard.events {
 				if ev.Kind == EvDeliver {
@@ -272,7 +263,7 @@ func TestMailboxOnlyWithProcess(t *testing.T) {
 		}
 		for i, p := range procs {
 			if !reflect.DeepEqual(p.got, want[i]) {
-				t.Fatalf("shards=%d: tile %d's process was handed %v, the event log delivered %v", shards, i, p.got, want[i])
+				t.Fatalf("listen=%v: tile %d's process was handed %v, the event log delivered %v", listen, i, p.got, want[i])
 			}
 		}
 	}

@@ -95,12 +95,12 @@ func TestChurnSteadyStateAllocs(t *testing.T) {
 // megaChurn drives a side×side recycling mesh with perRound fresh
 // broadcasts per round for the given number of rounds, returning the
 // network for inspection.
-func megaChurn(tb testing.TB, side, perRound, rounds int, shards int) *Network {
+func megaChurn(tb testing.TB, side, perRound, rounds int) *Network {
 	tb.Helper()
 	g := topology.NewGrid(side, side)
 	cfg := Config{
 		Topo: g, P: 0.5, TTL: 16, MaxRounds: 1 << 30, Seed: 0xE5CA1A,
-		Recycle: true, Shards: shards,
+		Recycle: true,
 	}
 	n, err := New(cfg)
 	if err != nil {
@@ -129,7 +129,7 @@ func TestMegaMesh512Churn(t *testing.T) {
 		t.Skip("mega-mesh churn is seconds of work; skipped under -short")
 	}
 	const side, perRound = 512, 8
-	n := megaChurn(t, side, perRound, 60, 8)
+	n := megaChurn(t, side, perRound, 60)
 	mid := n.Mem()
 	// Continue the same workload: the table must not grow further.
 	tiles := side * side
@@ -167,7 +167,7 @@ func TestMegaMesh1024Smoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("million-tile smoke run; skipped under -short")
 	}
-	n := megaChurn(t, 1024, 4, 8, 8)
+	n := megaChurn(t, 1024, 4, 8)
 	if n.Round() != 8 {
 		t.Fatalf("round = %d, want 8", n.Round())
 	}

@@ -1,7 +1,5 @@
 package core
 
-import "sync/atomic"
-
 // This file holds the per-tile occupancy bitmaps of the round engine.
 //
 // The phase loops of Step sweep the mesh once per phase, and on a
@@ -36,17 +34,6 @@ import "sync/atomic"
 // ascending tile order — the same order the full sweeps used — so
 // skipping idle tiles is invisible to the event log, the RNG streams and
 // every golden.
-//
-// Concurrency: a tile's bit is only ever flipped by the lane that owns
-// the tile, and a lane owns whole 64-tile words (initLanes), so tile words
-// take plain loads and stores on both engines. The summary level is one
-// notch more shared: a summary word covers 64 tile words that may span
-// several lanes, so while shard goroutines are live every summary flip is
-// a CAS and every summary read an atomic load. That stays cheap because
-// summary bits only flip on a word's empty↔non-empty transitions — at
-// most once per active word per phase, not once per transmission — and
-// exact because the lane flipping a summary bit is the sole writer of the
-// tile word it mirrors.
 
 // occMap is one two-level occupancy bitmap: bits holds one bit per tile,
 // sum one bit per word of bits, set exactly while the word is non-zero.
@@ -81,70 +68,24 @@ func (m *occMap) reset() {
 	clear(m.sum)
 }
 
-// setBarrier sets bit ti with no concurrency discipline — only for use
-// at barriers (rebuildOccupancy), where no shard goroutine is live.
-func (m *occMap) setBarrier(ti int) {
-	wi := ti >> 6
-	m.bits[wi] |= 1 << (uint(ti) & 63)
-	m.sum[wi>>6] |= 1 << (uint(wi) & 63)
-}
-
-// occSet sets bit ti of m. Safe under parallel phases: the calling lane
-// owns the tile word outright; the summary word can span lanes, so it is
-// CASed whenever shard goroutines are live. The CAS loops live in separate
-// functions so that occSet/occClear stay leaf calls the compiler inlines
-// into the per-transmission hot path.
-func (n *Network) occSet(m *occMap, ti uint32) {
+// set sets bit ti, publishing its word in the summary when the word goes
+// live.
+func (m *occMap) set(ti uint32) {
 	wi := ti >> 6
 	old := m.bits[wi]
 	m.bits[wi] = old | 1<<(ti&63)
 	if old == 0 {
-		// Word went live: publish it in the summary.
-		if n.par {
-			sumSetAtomic(m.sum, wi)
-		} else {
-			m.sum[wi>>6] |= 1 << (wi & 63)
-		}
+		m.sum[wi>>6] |= 1 << (wi & 63)
 	}
 }
 
-// occClear clears bit ti of m, under the same discipline as occSet.
-func (n *Network) occClear(m *occMap, ti uint32) {
+// unset clears bit ti, and its word's summary bit when the word empties.
+func (m *occMap) unset(ti uint32) {
 	wi := ti >> 6
 	w := m.bits[wi] &^ (1 << (ti & 63))
 	m.bits[wi] = w
 	if w == 0 {
-		if n.par {
-			sumClearAtomic(m.sum, wi)
-		} else {
-			m.sum[wi>>6] &^= 1 << (wi & 63)
-		}
-	}
-}
-
-// sumSetAtomic sets summary bit wi (one bit per tile word) with a CAS:
-// summary words can span lanes, tile words do not.
-func sumSetAtomic(sum []uint64, wi uint32) {
-	w := &sum[wi>>6]
-	mask := uint64(1) << (wi & 63)
-	for {
-		old := atomic.LoadUint64(w)
-		if old&mask != 0 || atomic.CompareAndSwapUint64(w, old, old|mask) {
-			return
-		}
-	}
-}
-
-// sumClearAtomic clears summary bit wi. The clearing lane exclusively owns
-// tile word wi, so no concurrent fill of that word can race the clear.
-func sumClearAtomic(sum []uint64, wi uint32) {
-	w := &sum[wi>>6]
-	mask := uint64(1) << (wi & 63)
-	for {
-		old := atomic.LoadUint64(w)
-		if old&mask == 0 || atomic.CompareAndSwapUint64(w, old, old&^mask) {
-			return
-		}
+		m.sum[wi>>6] &^= 1 << (wi & 63)
 	}
 }
 
@@ -157,10 +98,10 @@ func (n *Network) rebuildOccupancy() {
 	for i := range n.tiles {
 		t := &n.tiles[i]
 		if len(t.sendBuf) > 0 {
-			n.bufOcc.setBarrier(i)
+			n.bufOcc.set(uint32(i))
 		}
 		if t.ring.count > 0 {
-			n.rcvOcc.setBarrier(i)
+			n.rcvOcc.set(uint32(i))
 		}
 	}
 }

@@ -10,85 +10,42 @@ import (
 )
 
 // TestForOccupiedIteration pins the contract of the one sweep phases 2-4
-// run (Network.sweep) over the ranges lanes actually have — whole 64-tile
-// words, the last one possibly cut short by the mesh end: ascending tile
-// order, words outside [lo, hi) never visited even when they share a
-// summary word with the range, empty ranges visit nothing, and the summary
-// stays exact through the drains. The sweep runs through a real lane, its
-// range set to the case's: the lane of a one-lane network and a lane of a
-// four-lane network, each direct (the phase-4 fallback) and in parallel
-// mode (n.par: the summary CAS path). The sweep is observed through the
-// aging phase: every occupied tile buffers one TTL-1 copy, so each visit
-// drains the tile and, on the one-lane network (the only kind an OnEvent
-// listener runs on), is one EvExpire, in visit order. The 70×70 mesh
-// spans two summary words (its tile word 64 opens the second), so the
-// two-level walk and the summary-level range masks are exercised.
+// run (Network.sweep): ascending tile order, every occupied tile visited
+// once and no other, and the summary exact through the drains. The sweep
+// is observed through the aging phase: every occupied tile buffers one
+// TTL-1 copy, so each visit drains the tile and is one EvExpire, in visit
+// order. The 70×70 mesh spans two summary words (its tile word 64 opens
+// the second) and ends in a partial word, so the two-level walk, the
+// summary-word edge and the mesh end are all exercised.
 func TestForOccupiedIteration(t *testing.T) {
-	set := []int{0, 1, 63, 64, 100, 127, 128, 199, 4095, 4096, 4100, 4899}
-	cases := []struct {
-		lo, hi int
-		want   []int
-	}{
-		{0, 4900, set},
-		{0, 64, []int{0, 1, 63}},                       // one word
-		{64, 128, []int{64, 100, 127}},                 // one word, neighbours occupied on both sides
-		{128, 4096, []int{128, 199, 4095}},             // hi on the summary-word edge
-		{128, 4160, []int{128, 199, 4095, 4096, 4100}}, // range crosses the summary-word edge
-		{4096, 4900, []int{4096, 4100, 4899}},          // lo on the summary-word edge, hi the mesh end
-		{4160, 4900, []int{4899}},                      // lo inside the second summary word, partial last word
-		{192, 192, nil},                                // empty range
-		{256, 4032, nil},                               // 59 idle words between occupied ones
-	}
-	modes := []struct {
-		shards int
-		par    bool
-	}{{0, false}, {0, true}, {4, false}, {4, true}}
-	for _, c := range cases {
-		for _, m := range modes {
-			var got []int
-			cfg := Config{Topo: topology.NewGrid(70, 70), P: 0, TTL: 1, MaxRounds: 10, Seed: 1, Shards: m.shards}
-			if m.shards == 0 {
-				cfg.OnEvent = func(ev Event) {
-					if ev.Kind == EvExpire {
-						got = append(got, int(ev.Tile))
-					}
+	for _, set := range [][]int{
+		{0, 1, 63, 64, 100, 127, 128, 199, 4095, 4096, 4100, 4899},
+		{4095, 4096}, // adjacent words on either side of the summary-word edge
+		{4899},       // only the partial last word
+		{127, 4032},  // 59 idle words between occupied ones
+		nil,          // an idle mesh visits nothing
+	} {
+		var got []int
+		n := mustNet(t, Config{
+			Topo: topology.NewGrid(70, 70), P: 0, TTL: 1, MaxRounds: 10, Seed: 1,
+			OnEvent: func(ev Event) {
+				if ev.Kind == EvExpire {
+					got = append(got, int(ev.Tile))
 				}
-			}
-			n := mustNet(t, cfg)
-			if want := max(1, m.shards); n.Shards() != want {
-				t.Fatalf("Shards: 70×70 runs %d lanes, want %d", n.Shards(), want)
-			}
-			for _, ti := range set {
-				mustInject(t, n, packet.TileID(ti), packet.Broadcast, 0, nil)
-			}
-			ln := n.laneOf(packet.TileID(c.lo))
-			ln.lo, ln.hi = c.lo, c.hi
-			n.par = m.par
-			n.sweep(ln, sweepAge)
-			n.par = false
-			if m.shards != 0 {
-				// No listener: the visits are the drained buffers.
-				for _, ti := range set {
-					if len(n.tiles[ti].sendBuf) == 0 {
-						got = append(got, ti)
-					}
-				}
-			}
-			if !reflect.DeepEqual(got, c.want) {
-				t.Fatalf("sweep[%d,%d) shards=%d par=%v visited %v, want %v", c.lo, c.hi, m.shards, m.par, got, c.want)
-			}
-			// Every visited tile drained; the summary must have followed,
-			// word by word, and nothing outside the range may have moved.
-			checkSummaryExact(t, "bufOcc", &n.bufOcc, 0)
-			for _, ti := range set {
-				inRange := c.lo <= ti && ti < c.hi
-				if occupied := n.bufOcc.bits[ti>>6]&(1<<(uint(ti)&63)) != 0; occupied == inRange {
-					t.Fatalf("sweep[%d,%d) shards=%d par=%v: tile %d occupied=%v after the sweep", c.lo, c.hi, m.shards, m.par, ti, occupied)
-				}
-			}
-			if whole := c.lo == 0 && c.hi == 4900; n.bufOcc.empty() != whole {
-				t.Fatalf("sweep[%d,%d) shards=%d par=%v: empty() = %v", c.lo, c.hi, m.shards, m.par, !whole)
-			}
+			},
+		})
+		for _, ti := range set {
+			mustInject(t, n, packet.TileID(ti), packet.Broadcast, 0, nil)
+		}
+		n.sweep(sweepAge)
+		if !reflect.DeepEqual(got, set) {
+			t.Fatalf("sweep over %v visited %v", set, got)
+		}
+		// Every visited tile drained; the summary must have followed,
+		// word by word.
+		checkSummaryExact(t, "bufOcc", &n.bufOcc, 0)
+		if !n.bufOcc.empty() {
+			t.Fatalf("sweep over %v: bufOcc not empty after the drain", set)
 		}
 	}
 }

@@ -126,7 +126,7 @@ func TestNetworkFramePoolCapEndToEnd(t *testing.T) {
 		mustInject(t, n, packet.TileID(i%36), packet.Broadcast, 0, nil)
 	}
 	n.Drain(100)
-	if got := len(n.lanes[0].pool.frames); got > framePoolCap {
-		t.Fatalf("the one lane's pool holds %d frames, cap is %d", got, framePoolCap)
+	if got := len(n.frames.frames); got > framePoolCap {
+		t.Fatalf("the frame pool holds %d frames, cap is %d", got, framePoolCap)
 	}
 }

@@ -1,7 +1,7 @@
 package core
 
 // Property tests for epoch-based MsgID recycling (Config.Recycle). The
-// shard/diff suites pin that recycling never breaks determinism; this
+// scenario/diff suites pin that recycling never breaks determinism; this
 // file pins the lifecycle semantics themselves, randomized over the same
 // topology × fault population:
 //
@@ -15,6 +15,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/fault"
@@ -69,7 +70,7 @@ func genRecycleCase(idx int) diffConfig {
 		injections = append(injections, in)
 	}
 
-	sc := shardScenario{
+	sc := scenario{
 		name:   fmt.Sprintf("recycle-%03d", idx),
 		cfg:    func() Config { return cfgTemplate },
 		inject: injections,
@@ -79,8 +80,8 @@ func genRecycleCase(idx int) diffConfig {
 }
 
 // TestRecycleDifferentialRandomConfigs extends the differential contract
-// to recycling runs: sequential, sharded (2 and 5) and snapshot-resumed
-// executions of every generated case must produce identical records —
+// to recycling runs: hooked, hook-free and snapshot-resumed executions of
+// every generated case must produce identical records —
 // retirement order, slot reuse and the IDs of late-injected messages
 // included (IDs are sampled into the record via Aware/AwareAt). The
 // population must actually retire messages, or the pass proves nothing;
@@ -94,16 +95,119 @@ func TestRecycleDifferentialRandomConfigs(t *testing.T) {
 	for idx := 0; idx < cases; idx++ {
 		dc := genRecycleCase(idx)
 		t.Run(dc.sc.name, func(t *testing.T) {
-			want := runShardScenario(t, dc.sc, 1)
+			want := runScenario(t, dc.sc, true)
 			totalRetired += want.cnt.Retired
-			for _, shards := range []int{2, 5} {
-				compareRuns(t, fmt.Sprintf("shards=%d", shards), want, runShardScenario(t, dc.sc, shards))
-			}
-			compareRuns(t, fmt.Sprintf("snapshot-resume at k=%d", dc.resumeK), want, runResumedScenario(t, dc.sc, dc.resumeK, 1, 1))
+			compareRuns(t, "hook-free", want, runScenario(t, dc.sc, false))
+			compareRuns(t, fmt.Sprintf("snapshot-resume at k=%d", dc.resumeK), want, runResumedScenario(t, dc.sc, dc.resumeK, true))
 		})
 	}
 	if totalRetired == 0 {
 		t.Fatal("no generated case retired a single message — the population no longer exercises recycling")
+	}
+}
+
+// relabelledRun replays sc with Recycle forced to recycle and an OnEvent
+// listener attached, and returns its record with every message ID
+// replaced by its issue index (the order of the EvCreated events; Msg 0,
+// a scrambled frame, stays 0), next to the Aware count of every issued
+// message at every round barrier and the run's Counters.Retired. What
+// recycling is documented to change is cleared from the record: the
+// snapshot hashes (the payload carries the flag, the generations and the
+// free list), Counters.Retired and the per-tile awareness of retired
+// messages (AwareAt).
+func relabelledRun(tb testing.TB, sc scenario, recycle bool) (snap runRecord, aware [][]int, retired int) {
+	tb.Helper()
+	var created []packet.MsgID
+	seen := 0
+	base := sc.cfg
+	sc.cfg = func() Config {
+		cfg := base()
+		cfg.Recycle = recycle
+		cfg.OnRoundEnd = func(_ int, n *Network) {
+			for ; seen < len(snap.events); seen++ {
+				if ev := snap.events[seen]; ev.Kind == EvCreated {
+					created = append(created, ev.Msg)
+				}
+			}
+			row := make([]int, len(created))
+			for i, id := range created {
+				row[i] = n.Aware(id)
+			}
+			aware = append(aware, row)
+		}
+		return cfg
+	}
+	snap = runScenario(tb, sc, true)
+	index := map[packet.MsgID]packet.MsgID{0: 0}
+	for _, ev := range snap.events {
+		if ev.Kind == EvCreated {
+			index[ev.Msg] = packet.MsgID(len(index))
+		}
+	}
+	relabel := func(id packet.MsgID) packet.MsgID {
+		i, ok := index[id]
+		if !ok {
+			tb.Fatalf("%s: message %#x appears without an EvCreated", sc.name, id)
+		}
+		return i
+	}
+	for i := range snap.events {
+		snap.events[i].Msg = relabel(snap.events[i].Msg)
+	}
+	for i := range snap.mail {
+		snap.mail[i].id = relabel(snap.mail[i].id)
+	}
+	for i := range snap.barriers {
+		snap.barriers[i].state = 0
+		snap.barriers[i].cnt.Retired = 0
+	}
+	retired, snap.cnt.Retired = snap.cnt.Retired, 0
+	snap.awareAt = nil
+	return snap, aware, retired
+}
+
+// TestRecycleIsRelabelling pins what Config.Recycle changes: the IDs
+// issued after a retirement, Counters.Retired and AwareAt of retired
+// messages, and nothing else. Every case of the differential and recycle
+// populations runs with recycling off and on, and with message IDs mapped
+// by issue order the two runs must leave the same event log, mailbox
+// contents, counters, tallies, RNG states and Aware counts — the latter
+// at every round barrier for every issued message, which with the
+// per-round counters and tallies are the inputs of every metrics series.
+func TestRecycleIsRelabelling(t *testing.T) {
+	diff, recycle := diffCases, recycleCases
+	if testing.Short() {
+		diff, recycle = diffCasesShort, recycleCasesShort
+	}
+	var cases []scenario
+	for idx := 0; idx < diff; idx++ {
+		cases = append(cases, genCase(idx).sc)
+	}
+	for idx := 0; idx < recycle; idx++ {
+		cases = append(cases, genRecycleCase(idx).sc)
+	}
+	retired := 0
+	for _, sc := range cases {
+		t.Run(sc.name, func(t *testing.T) {
+			off, offAware, _ := relabelledRun(t, sc, false)
+			on, onAware, n := relabelledRun(t, sc, true)
+			retired += n
+			compareRuns(t, "recycle on, IDs by issue order", off, on)
+			if !reflect.DeepEqual(onAware, offAware) {
+				for r := range min(len(onAware), len(offAware)) {
+					if !reflect.DeepEqual(onAware[r], offAware[r]) {
+						t.Fatalf("Aware by issue order diverged at the end of round %d\noff: %v\non:  %v", r+1, offAware[r], onAware[r])
+					}
+				}
+				t.Fatalf("%d round barriers with recycling on, %d off", len(onAware), len(offAware))
+			}
+		})
+	}
+	// The populations must actually retire, or on and off run the same
+	// lifecycle.
+	t.Logf("%d messages retired across %d cases", retired, len(cases))
+	if retired == 0 {
+		t.Fatal("no case retired a message: the comparison never left the dense lifecycle")
 	}
 }
 
@@ -227,7 +331,7 @@ func TestRecycleStaleGenerationGhostFrame(t *testing.T) {
 	}
 	base := n.Counters()
 	events = nil
-	n.tiles[1].ring.schedule(n.Round(), n.Round()+1, arrival{frame: frame, pkt: packet.Packet{ID: first}}, &n.lanes[0].rings)
+	n.tiles[1].ring.schedule(n.Round(), n.Round()+1, arrival{frame: frame, pkt: packet.Packet{ID: first}}, &n.rings)
 	n.rebuildOccupancy() // white-box ring injection bypasses the occupancy upkeep
 	n.Step()
 

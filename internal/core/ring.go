@@ -119,13 +119,12 @@ func (r *arrivalRing) release(now int) {
 	r.buckets[i] = b[:0]
 }
 
-// ringPool recycles the bucket arrays of cold tiles' arrival rings. Pools
-// are per-lane and a tile only ever uses its own lane's (Network.laneOf),
-// so arm/detach never contend and the exchange is behavior-free — every
-// pooled bucket is empty and zeroed (release truncates and zeroes before
-// detach is possible). A pooled array may be longer than initLen (it may
-// have grown in its previous tenancy); schedule's mask arithmetic works at
-// any power-of-two length, so the size is behavior-invisible.
+// ringPool recycles the bucket arrays of cold tiles' arrival rings. The
+// exchange is behavior-free — every pooled bucket is empty and zeroed
+// (release truncates and zeroes before detach is possible). A pooled array
+// may be longer than initLen (it may have grown in its previous tenancy);
+// schedule's mask arithmetic works at any power-of-two length, so the size
+// is behavior-invisible.
 type ringPool struct {
 	pool[[][]arrival]
 	// initLen is the bucket count of a freshly allocated ring (0 means

@@ -294,7 +294,7 @@ func TestGhostIDRejectedAsUpset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.tiles[1].ring.schedule(0, 1, arrival{frame: frame}, &n.lanes[0].rings)
+	n.tiles[1].ring.schedule(0, 1, arrival{frame: frame}, &n.rings)
 	n.rebuildOccupancy() // white-box ring injection bypasses the occupancy upkeep
 	n.Step()
 

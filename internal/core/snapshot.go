@@ -20,8 +20,8 @@ import (
 //
 //	Restore(Snapshot(run to round k)) → run to round n
 //
-// equals an uninterrupted n-round run byte for byte, for any k, any
-// shard count on either side, and any fault-knob combination.
+// equals an uninterrupted n-round run byte for byte, for any k and any
+// fault-knob combination.
 //
 // What the snapshot covers: the per-tile RNG streams, send buffers,
 // message-flag tables, forward cursors and limits, mailboxes, in-flight
@@ -67,9 +67,8 @@ const (
 // embeds the digest of the run that produced it; Restore refuses a cfg
 // whose digest differs, catching the classic checkpoint bug — resuming
 // under a subtly different configuration — before it can corrupt a
-// campaign. Shards is excluded (the sharded engine is bit-identical, so
-// a checkpoint may be resumed at any shard count), as are the function
-// fields (hooks, PortWeight), which the caller must re-supply unchanged.
+// campaign. The function fields (hooks, PortWeight) are excluded; the
+// caller must re-supply them unchanged.
 func ConfigDigest(cfg *Config) uint32 {
 	w := snapshot.NewWriter()
 	// Tile IDs widened to 32 bits with the mega-mesh work, but digests of
@@ -111,11 +110,10 @@ func ConfigDigest(cfg *Config) uint32 {
 
 // Snapshot serializes the network's complete simulation state to w as a
 // single-section checkpoint container. It must be called at a round
-// barrier — between Steps, where no phase is executing and nothing is
-// staged in a lane — which is the only place single-threaded callers can
-// call it anyway. The snapshot is deterministic: two networks in
-// identical states produce identical bytes, which the differential suite
-// exploits as a whole-state equality oracle.
+// barrier — between Steps, where no phase is executing — which is the only
+// place callers can call it anyway. The snapshot is deterministic: two
+// networks in identical states produce identical bytes, which the
+// differential suite exploits as a whole-state equality oracle.
 func (n *Network) Snapshot(w io.Writer) error {
 	enc := snapshot.NewEncoder(w)
 	n.EncodeState(enc.Section(snapshot.SecCore))
@@ -273,8 +271,8 @@ func encodeRing(w *snapshot.Writer, r *arrivalRing, round int) {
 // Restore reads a checkpoint container written by Snapshot and rebuilds
 // the network mid-run. cfg must be the configuration of the run that
 // produced the snapshot — same topology, seed, fault model and protocol
-// knobs (verified against the embedded digest) — though Shards and the
-// function fields may differ; see EncodeState's file comment for what
+// knobs (verified against the embedded digest) — though the function
+// fields may differ; see EncodeState's file comment for what
 // the caller must re-apply (processes, routers). The returned network
 // continues from the snapshotted round exactly as the original would
 // have.
@@ -494,13 +492,12 @@ func restoreTileScalars(sec *snapshot.Reader, n *Network, t *tile) error {
 
 // restoreTileTraffic decodes a tile's send buffer, mailbox and arrival
 // ring, taking each buffered copy's present bit (see restoreTiles). Buffer
-// and ring are armed through the lane owning the tile, so the pools'
-// armed counts cover restored tiles like any other.
+// and ring are armed through the pools, so their armed counts cover
+// restored tiles like any other.
 func restoreTileTraffic(sec *snapshot.Reader, n *Network, t *tile) error {
-	pl := n.laneOf(t.id)
 	nbuf := sec.Count(1)
 	if nbuf > 0 {
-		buf, _ := pl.bufs.get() // dry after New: counts the buffer as armed
+		buf, _ := n.bufs.get() // dry after New: counts the buffer as armed
 		t.sendBuf = slices.Grow(buf, nbuf)
 	}
 	for i := 0; i < nbuf; i++ {
@@ -511,7 +508,9 @@ func restoreTileTraffic(sec *snapshot.Reader, n *Network, t *tile) error {
 		if !rowClear(n.tbl.present[msgSlot(p.ID)], t.id) {
 			return fmt.Errorf("core: tile %d buffers message %d twice or without its present bit", t.id, p.ID)
 		}
-		n.addCopies(msgSlot(p.ID), 1)
+		if n.recycle {
+			n.tbl.copies[msgSlot(p.ID)]++
+		}
 		t.sendBuf = append(t.sendBuf, p)
 	}
 	nmail := sec.Count(1)
@@ -526,7 +525,7 @@ func restoreTileTraffic(sec *snapshot.Reader, n *Network, t *tile) error {
 		c := n.coldOf(t)
 		c.mailbox = append(c.mailbox, &p)
 	}
-	if err := decodeRing(sec, n, t, &pl.rings); err != nil {
+	if err := decodeRing(sec, n, t); err != nil {
 		return fmt.Errorf("core: tile %d arrival ring: %w", t.id, err)
 	}
 	return nil
@@ -640,11 +639,11 @@ const maxRestoredSlip = 1 << 16
 // decodeRing rebuilds t's in-flight arrivals by rescheduling them in the
 // serialized (consumption) order, which reconstructs both the ring
 // geometry and each bucket's insertion order. Every rescheduled arrival
-// raises its message's in-flight count (the mirror of lane.send), which
+// raises its message's in-flight count (the mirror of Network.send), which
 // is what keeps retirement from freeing a slot whose frames are still in
 // the air. A frame with originating ID zero (see encodeRing) is admissible
 // only without recycling.
-func decodeRing(sec *snapshot.Reader, n *Network, t *tile, pool *ringPool) error {
+func decodeRing(sec *snapshot.Reader, n *Network, t *tile) error {
 	count := sec.Count(3) // delta + kind + at least one payload byte
 	for i := 0; i < count; i++ {
 		d := sec.Int()
@@ -682,9 +681,9 @@ func decodeRing(sec *snapshot.Reader, n *Network, t *tile, pool *ringPool) error
 			return err
 		}
 		if n.recycle {
-			n.addInflight(msgSlot(a.pkt.ID), 1)
+			n.tbl.inflight[msgSlot(a.pkt.ID)]++
 		}
-		t.ring.schedule(n.round, n.round+d, a, pool)
+		t.ring.schedule(n.round, n.round+d, a, &n.rings)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -14,8 +15,8 @@ import (
 // This file pins the checkpoint/resume contract: Restore(Snapshot(run to
 // round k)) → run to round n is bit-identical to an uninterrupted n-round
 // run — same counters, tallies and mailbox contents, same aware tables
-// and, on one lane, the same event sequence — for any k, any shard count
-// on either side of the checkpoint, and any fault-knob combination. The
+// and, with a listener, the same event sequence — for any k, with or
+// without a listener, and any fault-knob combination. The
 // snapshot bytes both runs produce at every round barrier are the
 // whole-state oracle: two states that serialize identically under a
 // deterministic encoder ARE identical, in-flight arrivals and RNG streams
@@ -25,8 +26,8 @@ import (
 // with the random-bit error model, overflow, link and tile crashes with a
 // protect list, synchronization skew — so a resumed run has to replay
 // every code path the engine has.
-func everythingScenario() shardScenario {
-	return shardScenario{
+func everythingScenario() scenario {
+	return scenario{
 		name: "everything",
 		cfg: func() Config {
 			return Config{
@@ -49,13 +50,13 @@ func everythingScenario() shardScenario {
 	}
 }
 
-// resumableScenarios is the shard-invariance scenario set minus the one
+// resumableScenarios is the scenario set minus the one
 // with attached Processes: IP-core state is the application's to
 // checkpoint (see the snapshot.go file comment), so process scenarios
 // cannot round-trip through Restore.
-func resumableScenarios() []shardScenario {
-	var out []shardScenario
-	for _, sc := range shardScenarios() {
+func resumableScenarios() []scenario {
+	var out []scenario
+	for _, sc := range scenarios() {
 		if sc.name == "grid-processes-receiver" {
 			continue
 		}
@@ -74,20 +75,20 @@ func snapshotBytes(tb testing.TB, n *Network) []byte {
 	return buf.Bytes()
 }
 
-// runResumedScenario replays sc but interrupts it: it runs shardsBefore-
-// sharded to round k, snapshots, restores the snapshot into a fresh
-// shardsAfter-sharded network, and finishes the run there. The returned
-// record spans the whole run: round barriers, mailbox logs and (on one
-// lane throughout) event logs from both sides of the checkpoint
-// concatenate, and the tally continues across the restore.
-func runResumedScenario(tb testing.TB, sc shardScenario, k, shardsBefore, shardsAfter int) shardSnapshot {
+// runResumedScenario replays sc but interrupts it: it runs to round k,
+// snapshots, restores the snapshot into a fresh network, and finishes the
+// run there, listening on both sides or on neither. The returned record
+// spans the whole run: round barriers, mailbox logs and event logs from
+// both sides of the checkpoint concatenate, and the tally continues
+// across the restore.
+func runResumedScenario(tb testing.TB, sc scenario, k int, listen bool) runRecord {
 	tb.Helper()
-	snap := shardSnapshot{hooked: shardsBefore <= 1 && shardsAfter <= 1 && !sc.quiet}
-	n := sc.build(tb, &snap, shardsBefore, nil)
+	snap := runRecord{hooked: listen}
+	n := sc.build(tb, &snap, nil)
 	ids := sc.step(tb, &snap, n, k, barrierRec{}, nil)
 	var base barrierRec
 	base.created, base.expired, _ = n.Tally()
-	n2 := sc.build(tb, &snap, shardsAfter, snapshotBytes(tb, n))
+	n2 := sc.build(tb, &snap, snapshotBytes(tb, n))
 	if n2.Round() != k {
 		tb.Fatalf("%s: restored network at round %d, want %d", sc.name, n2.Round(), k)
 	}
@@ -97,21 +98,19 @@ func runResumedScenario(tb testing.TB, sc shardScenario, k, shardsBefore, shards
 
 // TestSnapshotResumeBitIdentity is the acceptance-criteria test: for
 // every resumable scenario — including the everything scenario with all
-// fault knobs enabled — interrupting at k ∈ {1, mid, n−1} and resuming
-// at shard counts {1, 4} (both sides of the checkpoint; 4 is clamped to
-// the 2 or 3 whole words of the smaller fabrics) reproduces the
-// straight-through run exactly, down to the snapshot bytes at every
-// round barrier.
+// fault knobs enabled — interrupting at k ∈ {1, mid, n−1} and resuming,
+// with a listener and hook-free, reproduces the straight-through run
+// exactly, down to the snapshot bytes at every round barrier.
 func TestSnapshotResumeBitIdentity(t *testing.T) {
 	for _, sc := range resumableScenarios() {
 		t.Run(sc.name, func(t *testing.T) {
-			straight := runShardScenario(t, sc, 1)
+			straight := runScenario(t, sc, true)
 			if len(straight.events) == 0 {
 				t.Fatal("scenario produced no events — not a meaningful resume check")
 			}
 			for _, k := range []int{1, sc.rounds / 2, sc.rounds - 1} {
-				for _, shards := range [][2]int{{1, 1}, {1, 4}, {4, 1}, {4, 4}} {
-					compareRuns(t, sprintLabel(sc.name, k, shards), straight, runResumedScenario(t, sc, k, shards[0], shards[1]))
+				for _, listen := range []bool{true, false} {
+					compareRuns(t, fmt.Sprintf("%s/k=%d/listen=%v", sc.name, k, listen), straight, runResumedScenario(t, sc, k, listen))
 				}
 				if testing.Short() {
 					break // one k per scenario keeps -short fast
@@ -119,25 +118,6 @@ func TestSnapshotResumeBitIdentity(t *testing.T) {
 			}
 		})
 	}
-}
-
-func sprintLabel(name string, k int, shards [2]int) string {
-	var b strings.Builder
-	b.WriteString(name)
-	b.WriteString("/k=")
-	writeInt(&b, k)
-	b.WriteString("/shards=")
-	writeInt(&b, shards[0])
-	b.WriteString("→")
-	writeInt(&b, shards[1])
-	return b.String()
-}
-
-func writeInt(b *strings.Builder, v int) {
-	if v >= 10 {
-		writeInt(b, v/10)
-	}
-	b.WriteByte(byte('0' + v%10))
 }
 
 // TestSnapshotDeterministic pins the whole-state oracle's premise: two
@@ -189,12 +169,11 @@ func TestRestoreRejectsDifferentConfig(t *testing.T) {
 		}
 	}
 
-	// Shards and function fields are deliberately outside the digest.
+	// Function fields are deliberately outside the digest.
 	cfg := base
-	cfg.Shards = 4
 	cfg.OnEvent = func(Event) {}
 	if _, err := Restore(bytes.NewReader(ckpt), cfg); err != nil {
-		t.Errorf("restore with different Shards/hooks failed: %v", err)
+		t.Errorf("restore with different hooks failed: %v", err)
 	}
 }
 

@@ -3,12 +3,11 @@ package core
 // Sub-TTL regime tests: meshes whose diameter dwarfs the TTL, so every
 // message dies long before reaching most tiles — the workload the
 // frontier scheduler exists for. The differential scenarios extend the
-// seq == sharded == snapshot-resumed contract onto meshes large enough
-// that the summary-level frontier and word-aligned lanes are active; the
-// property test pins the bounded retired ledger directly.
+// hooked == hook-free == snapshot-resumed contract onto meshes large
+// enough that the summary-level frontier is active; the property test
+// pins the bounded retired ledger directly.
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 
@@ -19,8 +18,8 @@ import (
 // subTTLScenarios builds the differential cases: 64×64 and 256×256
 // (multi-word summary level) grids with TTL ≪ diameter, broadcast churn
 // from scattered sources, and recycling on so retirement, slot reuse and
-// row clears all happen under shards.
-func subTTLScenarios() []shardScenario {
+// row clears all happen on the large-mesh paths.
+func subTTLScenarios() []scenario {
 	inject := func(tiles, count, stride int) []injection {
 		var ins []injection
 		for i := 0; i < count; i++ {
@@ -36,7 +35,7 @@ func subTTLScenarios() []shardScenario {
 		}
 		return ins
 	}
-	return []shardScenario{
+	return []scenario{
 		{
 			// Diameter 126, TTL 10: each broadcast touches a few hundred of
 			// the 4096 tiles.
@@ -66,12 +65,11 @@ func subTTLScenarios() []shardScenario {
 	}
 }
 
-// TestSubTTLDifferential runs each sub-TTL scenario sequentially, at
-// shard counts 2 and 5, and snapshot-resumed mid-spread, and requires
-// the full observable record (compareRuns) to be identical. This is the
-// shard-invariance and
-// resume-identity contract on the mesh sizes where the frontier
-// scheduler actually engages.
+// TestSubTTLDifferential runs each sub-TTL scenario with a listener,
+// hook-free, and snapshot-resumed mid-spread, and requires the full
+// observable record (compareRuns) to be identical. This is the
+// settlement and resume-identity contract on the mesh sizes where the
+// frontier scheduler actually engages.
 func TestSubTTLDifferential(t *testing.T) {
 	scenarios := subTTLScenarios()
 	if testing.Short() {
@@ -79,15 +77,14 @@ func TestSubTTLDifferential(t *testing.T) {
 	}
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
-			want := runShardScenario(t, sc, 1)
+			want := runScenario(t, sc, true)
 			if want.cnt.Retired == 0 {
 				t.Fatal("scenario retired nothing — sub-TTL churn is not exercising recycling")
 			}
-			for _, shards := range []int{2, 5} {
-				compareRuns(t, fmt.Sprintf("shards=%d", shards), want, runShardScenario(t, sc, shards))
-			}
-			// Resume at round 8: mid-spread, restoring into a sharded engine.
-			compareRuns(t, "snapshot-resume", want, runResumedScenario(t, sc, 8, 1, 2))
+			compareRuns(t, "hook-free", want, runScenario(t, sc, false))
+			// Resume at round 8: mid-spread, restoring into a hook-free
+			// network.
+			compareRuns(t, "snapshot-resume", want, runResumedScenario(t, sc, 8, false))
 		})
 	}
 }

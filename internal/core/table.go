@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/bits"
-	"sync/atomic"
 
 	"repro/internal/packet"
 )
@@ -26,10 +25,6 @@ import (
 // Config.Recycle the number of rows is bounded by the live population, so
 // a 512×512 mesh under TTL-16 churn holds ~70 slots × 2 rows × 32 KiB —
 // 17 B/tile.
-//
-// Concurrency. Row words are lane-private (a lane owns whole 64-tile
-// words), so bit flips are plain ops; only the per-slot counts are shared
-// across lanes and go atomic under n.par (addAware, addCopies, addInflight).
 //
 // Lifecycle. Without Config.Recycle the allocator only ever appends:
 // generations stay 0, packed IDs coincide numerically with the former
@@ -78,14 +73,13 @@ func msgGen(id packet.MsgID) uint32 { return uint32(id >> msgGenShift) }
 // (generation, aware count, tombstone, occupancy) is parallel-array; the
 // present/seen flags are tile-bitmap rows carved from the row arena.
 type msgTable struct {
-	words  int // words per tile bitmap (ceil(tiles/64))
-	stride int // allocation stride of a row, >= words (cache-line padding)
-	arena  []uint64
+	words int // words per tile bitmap (ceil(tiles/64))
+	arena []uint64
 
 	gens     []uint32   // generation currently bound to each slot
-	aware    []int32    // tiles aware (present|seen non-empty); atomic under par
-	copies   []int32    // buffered copies network-wide = popcount(present[s]) (recycle only); atomic under par
-	inflight []int32    // copies scheduled in arrival rings (recycle only); atomic under par
+	aware    []int32    // tiles aware (present|seen non-empty)
+	copies   []int32    // buffered copies network-wide = popcount(present[s]) (recycle only)
+	inflight []int32    // copies scheduled in arrival rings (recycle only)
 	dead     []bool     // spread-stop tombstone
 	occ      []bool     // slot currently bound to a live message
 	present  [][]uint64 // per-slot row: a copy is buffered at tile
@@ -115,14 +109,6 @@ type msgTable struct {
 	peakLive int // high-water mark of live
 }
 
-// tableStridePadTiles is the mesh size from which rows are padded
-// to whole 64-byte cache lines: shard lanes CAS adjacent words of
-// adjacent rows concurrently, and on meshes large enough to shard,
-// padding keeps two rows from false-sharing a line. Below it (rows
-// shorter than a line) padding would multiply the table's memory for
-// meshes where sharding is pointless anyway.
-const tableStridePadTiles = 512
-
 // tableArenaRows is how many rows a fresh arena block carves: row
 // allocation costs one make per tableArenaRows rows instead of one
 // each, and keeps rows of consecutive slots contiguous.
@@ -137,10 +123,6 @@ const retiredLedgerCap = 1 << 16
 // initTable sizes the table for a tiles-tile network.
 func (tb *msgTable) initTable(tiles int) {
 	tb.words = (tiles + 63) / 64
-	tb.stride = tb.words
-	if tiles >= tableStridePadTiles {
-		tb.stride = (tb.words + 7) &^ 7
-	}
 	tb.retCap = retiredLedgerCap
 	tb.gens = make([]uint32, 1, 8)
 	tb.aware = make([]int32, 1, 8)
@@ -152,11 +134,11 @@ func (tb *msgTable) initTable(tiles int) {
 
 // row carves one zeroed tile bitmap from the arena.
 func (tb *msgTable) row() []uint64 {
-	if len(tb.arena) < tb.stride {
-		tb.arena = make([]uint64, tb.stride*tableArenaRows)
+	if len(tb.arena) < tb.words {
+		tb.arena = make([]uint64, tb.words*tableArenaRows)
 	}
-	r := tb.arena[:tb.words:tb.stride]
-	tb.arena = tb.arena[tb.stride:]
+	r := tb.arena[:tb.words:tb.words]
+	tb.arena = tb.arena[tb.words:]
 	return r
 }
 
@@ -215,9 +197,9 @@ func (n *Network) newMsgID() packet.MsgID {
 // enabled: a live message with no buffered copy anywhere and nothing in
 // flight can never be heard from again, so its slot is reclaimed. The
 // ascending-slot scan and the FIFO free list make retirement — and every
-// ID issued after it — deterministic and shard-count independent. Scan
-// cost is O(slots), bounded by the peak live population, plus the
-// O(tiles/64) row clear of each retiree.
+// ID issued after it — deterministic. Scan cost is O(slots), bounded by
+// the peak live population, plus the O(tiles/64) row clear of each
+// retiree.
 func (n *Network) retireExpired() {
 	tb := &n.tbl
 	for s := 1; s < len(tb.occ); s++ {
@@ -298,9 +280,7 @@ func (n *Network) isDead(id packet.MsgID) bool {
 	return n.tbl.dead[s]
 }
 
-// rowBit reads tile t's membership in row r. Row words need no
-// synchronization even while shard goroutines are live: a lane flips only
-// the bits of its own tiles, and lanes own whole 64-tile words (initLanes).
+// rowBit reads tile t's membership in row r.
 func rowBit(r []uint64, t packet.TileID) bool {
 	return r[t>>6]&(1<<(t&63)) != 0
 }
@@ -343,61 +323,22 @@ func (n *Network) flagsOf(t *tile, id packet.MsgID) uint8 {
 	return f
 }
 
-// addAware adjusts slot s's aware count by delta (always ±1). The bits
-// guarding the transitions are tile-local, but the count itself is shared
-// across tiles: while shard goroutines are live (n.par) the update is
-// atomic. The ±1 transitions commute, so the end-of-phase counts are
-// exactly the sequential engine's regardless of interleaving; n.par flips
-// only on the stepping goroutine, and the goroutine-spawn / WaitGroup
-// barrier orders the flip against every shard's accesses.
-func (n *Network) addAware(s uint32, delta int32) {
-	if n.par {
-		atomic.AddInt32(&n.tbl.aware[s], delta)
-		return
-	}
-	n.tbl.aware[s] += delta
-}
-
-// addCopies adjusts the buffered-copy count of slot s; recycle only. A
-// tile buffers at most one copy of a message (enqueue), so the count is
-// the popcount of the slot's present row, kept up on the row's bit
-// transitions (setPresent, clearPresent) so retireExpired need not scan.
-func (n *Network) addCopies(s uint32, delta int32) {
-	if n.tbl.copies == nil {
-		return
-	}
-	if n.par {
-		atomic.AddInt32(&n.tbl.copies[s], delta)
-		return
-	}
-	n.tbl.copies[s] += delta
-}
-
-// addInflight adjusts the in-flight count of slot s; recycle only.
-// Incremented when a transmission is committed to an arrival ring (or
-// staged for the outbox merge that will schedule it), decremented when
-// phase 4 consumes the arrival — whatever its fate.
-func (n *Network) addInflight(s uint32, delta int32) {
-	if n.tbl.inflight == nil {
-		return
-	}
-	if n.par {
-		atomic.AddInt32(&n.tbl.inflight[s], delta)
-		return
-	}
-	n.tbl.inflight[s] += delta
-}
-
 // setPresent marks the buffered copy of id at t, counting the copy and
-// updating the aware count on the unaware -> aware transition.
+// updating the aware count on the unaware -> aware transition. A tile
+// buffers at most one copy of a message (enqueue), so the recycle-only
+// copy count is the popcount of the slot's present row, kept up on the
+// row's bit transitions here and in clearPresent so retireExpired need not
+// scan.
 func (n *Network) setPresent(t *tile, id packet.MsgID) {
 	s := msgSlot(id)
 	if rowSet(n.tbl.present[s], t.id) {
 		return
 	}
-	n.addCopies(s, 1)
+	if n.recycle {
+		n.tbl.copies[s]++
+	}
 	if !rowBit(n.tbl.seen[s], t.id) {
-		n.addAware(s, 1)
+		n.tbl.aware[s]++
 	}
 }
 
@@ -409,9 +350,11 @@ func (n *Network) clearPresent(t *tile, id packet.MsgID) {
 	if !rowClear(n.tbl.present[s], t.id) {
 		return
 	}
-	n.addCopies(s, -1)
+	if n.recycle {
+		n.tbl.copies[s]--
+	}
 	if !rowBit(n.tbl.seen[s], t.id) {
-		n.addAware(s, -1)
+		n.tbl.aware[s]--
 	}
 }
 
@@ -422,7 +365,7 @@ func (n *Network) setSeen(t *tile, id packet.MsgID) {
 		return
 	}
 	if !rowBit(n.tbl.present[s], t.id) {
-		n.addAware(s, 1)
+		n.tbl.aware[s]++
 	}
 }
 
@@ -444,7 +387,7 @@ type MemStats struct {
 	// ledger (tile-independent, bounded by the ledger ring).
 	RetiredLedger int
 	// TableBytes is the message table's total footprint: both rows per
-	// slot (at the padded stride) plus every parallel array,
+	// slot plus every parallel array,
 	// the free list and an estimate (two words per map entry plus the
 	// ring) of the retired ledger.
 	TableBytes int
@@ -454,11 +397,11 @@ type MemStats struct {
 	// frontier, and is the bound the pools below are trimmed to.
 	ArmedRings int
 	// PooledRings is the number of detached bucket arrays waiting in the
-	// lanes' ring pools for the next tile to warm up. At a round barrier
-	// each lane holds at most max(256, its armed rings).
+	// ring pool for the next tile to warm up. At a round barrier the pool
+	// holds at most max(256, ArmedRings).
 	PooledRings int
-	// PooledBufs is the same count for drained send buffers, bounded per
-	// lane by max(256, its tiles with a buffer).
+	// PooledBufs is the same count for drained send buffers, bounded by
+	// max(256, the tiles with a buffer).
 	PooledBufs int
 }
 
@@ -468,24 +411,20 @@ type MemStats struct {
 func (n *Network) Mem() MemStats {
 	tb := &n.tbl
 	slots := tb.slots()
-	bytes := slots*2*tb.stride*8 +
+	bytes := slots*2*tb.words*8 +
 		len(tb.gens)*4 + len(tb.aware)*4 + len(tb.dead) + len(tb.occ) +
 		len(tb.copies)*4 + len(tb.inflight)*4 +
 		len(tb.free)*4 + len(tb.retired)*16 + len(tb.retRing)*8
-	m := MemStats{
+	return MemStats{
 		Slots:         slots,
 		Live:          tb.live,
 		PeakLive:      tb.peakLive,
 		RetiredLedger: len(tb.retired),
 		TableBytes:    bytes,
+		ArmedRings:    n.rings.armed,
+		PooledRings:   len(n.rings.free),
+		PooledBufs:    len(n.bufs.free),
 	}
-	for i := range n.lanes {
-		ln := &n.lanes[i]
-		m.ArmedRings += ln.rings.armed
-		m.PooledRings += len(ln.rings.free)
-		m.PooledBufs += len(ln.bufs.free)
-	}
-	return m
 }
 
 // awareScan recomputes slot s's aware count from its rows — the

@@ -16,11 +16,12 @@ import (
 // stays.
 var unsetKnobs = map[string]string{
 	"BatchDraws": "bench/ sets it by reflection (setKnob), so the benchmark builds whether or not the field exists; ROADMAP item 11 decides the kernel",
+	"Recycle":    "bench/ sets it by reflection (setKnob) for mesh_sparse and the core kernels; ROADMAP item 10 makes recycling unconditional and deletes the field",
 }
 
 // configFieldCount is how many exported fields core.Config has: a field
 // added or deleted must move it, so a new knob is a visible decision.
-const configFieldCount = 13
+const configFieldCount = 12
 
 // TestEveryConfigFieldHasACaller is the knob census: every exported
 // core.Config field must be named — as a composite-literal key or on the
@@ -59,8 +60,8 @@ func TestEveryConfigFieldHasACaller(t *testing.T) {
 // protocol events are for traces. Outside test files, the only code that
 // sets an OnEvent field (matched by name, as the census does) is
 // cmd/nocsim, for -trace; the metrics recorder and every measurement
-// count from the engine instead, and a listener would hold their
-// networks to one lane and turn off settlement at the sender.
+// count from the engine instead, and a listener would turn off
+// settlement at the sender.
 func TestOnlyTracesListenForEvents(t *testing.T) {
 	allowed := filepath.Join("cmd", "nocsim")
 	found := false
@@ -75,6 +76,41 @@ func TestOnlyTracesListenForEvents(t *testing.T) {
 	})
 	if !found {
 		t.Fatalf("no file sets OnEvent, not even %s: the check is vacuous", allowed)
+	}
+}
+
+// TestEngineIsSingleThreaded pins the round engine as one deterministic,
+// single-threaded sweep: no non-test file of internal/core may import sync
+// or sync/atomic or start a goroutine: replicas are what runs in parallel
+// (internal/sim), and a round's phases touch other tiles' rings, rows
+// and counts in an order the results depend on.
+func TestEngineIsSingleThreaded(t *testing.T) {
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, "../core", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatalf("parse ../core: %v", err)
+	}
+	files := 0
+	for _, pkg := range pkgs {
+		for name, file := range pkg.Files {
+			files++
+			for _, imp := range file.Imports {
+				if path := strings.Trim(imp.Path.Value, `"`); path == "sync" || path == "sync/atomic" {
+					t.Errorf("%s imports %s: the round engine is single-threaded", name, path)
+				}
+			}
+			ast.Inspect(file, func(n ast.Node) bool {
+				if g, ok := n.(*ast.GoStmt); ok {
+					t.Errorf("%s: go statement: the round engine starts no goroutine", fset.Position(g.Pos()))
+				}
+				return true
+			})
+		}
+	}
+	if files == 0 {
+		t.Fatal("no non-test file parsed in ../core: the check is vacuous")
 	}
 }
 

@@ -223,9 +223,6 @@ type GridSpreadRow struct {
 func GridSpread(side int, p float64, mc sim.Config) ([]GridSpreadRow, error) {
 	g := topology.NewGrid(side, side)
 	maxRounds := 6 * side
-	// Idle replica-pool cores run inside each replica as engine shards;
-	// the sharded engine is bit-identical, so the curve is unchanged.
-	shards := mc.AutoShards(g.Tiles())
 	curves, err := sim.Run(mc, func(_ int, seed uint64) ([]int, error) {
 		// The per-round awareness curve comes from the metrics
 		// recorder's AwareTiles series (the engine flushes it at every
@@ -233,7 +230,7 @@ func GridSpread(side int, p float64, mc sim.Config) ([]GridSpreadRow, error) {
 		rec := metrics.NewRecorder(metrics.Config{Rounds: maxRounds})
 		cfg := core.Config{
 			Topo: g, P: p, TTL: uint8(min(255, maxRounds)), MaxRounds: maxRounds + 1,
-			Seed: seed, Shards: shards,
+			Seed: seed,
 		}
 		rec.Install(&cfg)
 		net, err := core.New(cfg)

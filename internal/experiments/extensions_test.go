@@ -201,28 +201,3 @@ func TestFECStudyShape(t *testing.T) {
 		}
 	}
 }
-
-// TestScalingRowsReportGrantedShards pins the shards column of the two
-// scaling tables to what the engine ran with: core.New clamps a request to
-// the mesh's whole 64-tile words (sequential below two), and a table that
-// printed the request would label a sequential run "64 shards".
-func TestScalingRowsReportGrantedShards(t *testing.T) {
-	grid, err := GridScaling([]int{8, 16}, 64, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	churn, err := MegaChurn([]int{8, 16}, 2, 12, 64, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, want := range []int{1, 4} { // 64 tiles: one word; 256 tiles: four
-		if grid[i].Shards != want {
-			t.Errorf("GridScaling %dx%d with 64 shards asked: row says %d, engine grants %d",
-				grid[i].Side, grid[i].Side, grid[i].Shards, want)
-		}
-		if churn[i].Shards != want {
-			t.Errorf("MegaChurn %dx%d with 64 shards asked: row says %d, engine grants %d",
-				churn[i].Side, churn[i].Side, churn[i].Shards, want)
-		}
-	}
-}

@@ -23,7 +23,7 @@ func TestMetricsBroadcastSumsReconcile(t *testing.T) {
 	series := make([]*metrics.TimeSeries, replicas)
 	var want core.Counters
 	for i, s := range seeds {
-		ts, cnt, err := broadcastSeriesReplica(i, s, 1, BroadcastCheckpoints{})
+		ts, cnt, err := broadcastSeriesReplica(i, s, BroadcastCheckpoints{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -39,13 +39,12 @@ type BroadcastCheckpoints struct {
 // checkpoints configured the replica saves its state periodically and
 // resumes from a prior save; the engine's bit-identical restore
 // guarantees the returned series is the same either way.
-func broadcastSeriesReplica(replica int, seed uint64, shards int, ck BroadcastCheckpoints) (*metrics.TimeSeries, core.Counters, error) {
+func broadcastSeriesReplica(replica int, seed uint64, ck BroadcastCheckpoints) (*metrics.TimeSeries, core.Counters, error) {
 	g := topology.NewGrid(broadcastSide, broadcastSide)
 	center := g.ID(broadcastSide/2, broadcastSide/2)
 	sc := sim.Scenario{
 		Config: core.Config{
-			Topo: g, P: 0.5, TTL: broadcastTTL, MaxRounds: broadcastMaxRounds,
-			Seed: seed, Shards: shards,
+			Topo: g, P: 0.5, TTL: broadcastTTL, MaxRounds: broadcastMaxRounds, Seed: seed,
 			Fault: fault.Model{PUpset: 0.1, POverflow: 0.05, Protect: []packet.TileID{center}},
 		},
 		Src: center, Dst: packet.Broadcast, Payload: 16,
@@ -83,12 +82,8 @@ func BroadcastMetrics(mc sim.Config) (*metrics.Aggregate, error) {
 // ck.ResumeDir. The merged aggregate is byte-identical to an
 // uninterrupted run — the checkpoint layer cannot perturb the series.
 func BroadcastMetricsCheckpointed(mc sim.Config, ck BroadcastCheckpoints) (*metrics.Aggregate, error) {
-	// When the replica pool leaves cores idle, spend them inside each
-	// replica — the sharded engine is bit-identical, so the export stays
-	// byte-stable regardless of the pick.
-	shards := mc.AutoShards(broadcastSide * broadcastSide)
 	return sim.RunSeries(mc, func(replica int, seed uint64) (*metrics.TimeSeries, error) {
-		ts, _, err := broadcastSeriesReplica(replica, seed, shards, ck)
+		ts, _, err := broadcastSeriesReplica(replica, seed, ck)
 		return ts, err
 	})
 }

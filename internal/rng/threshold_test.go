@@ -146,7 +146,7 @@ func TestGeometricSkipDistribution(t *testing.T) {
 }
 
 // TestGeometricSkipConsumesOneDraw pins the draw discipline the batch
-// kernel's shard invariance relies on.
+// kernel's determinism relies on.
 func TestGeometricSkipConsumesOneDraw(t *testing.T) {
 	r, ref := New(3), New(3)
 	inv := 1 / math.Log1p(-0.3)

@@ -64,8 +64,8 @@ type Options struct {
 	// 100000.
 	MaxJobRounds int
 	// MaxTiles caps the accepted fabric size in tiles; 0 defaults to
-	// 65536 (the mega-mesh shard threshold; larger fabrics belong in
-	// offline campaigns, not a shared daemon).
+	// 65536 (a 256×256 mesh; larger fabrics belong in offline campaigns,
+	// not a shared daemon).
 	MaxTiles int
 
 	// roundHook, if set, observes every executed round of every job

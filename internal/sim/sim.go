@@ -48,64 +48,6 @@ func (c Config) workers() int {
 	return w
 }
 
-// megaShardTiles is the fabric size at which AutoShards stops trading
-// shards against replica parallelism and simply uses the whole pool.
-// At 65536+ tiles one replica's state tables are tens of megabytes, so
-// running Workers mega-replicas side by side multiplies peak memory by
-// the pool size, and a single sequential round is long enough that the
-// shard barrier overhead is noise. Better to run replicas one at a time,
-// each sharded across every core.
-const megaShardTiles = 1 << 16
-
-// shardFloorTiles is the fabric size below which AutoShards never shards
-// at all. The break-even is measured, not guessed: in the steady-state
-// broadcast benchmarks (internal/core/bench_test.go) a 32×32 mesh steps
-// in ~138µs sequentially but ~162µs with 2 shards, and even a 64×64 mesh
-// (~876µs sequential) loses to the barrier and occupancy-merge overhead
-// at 4 and 8 shards unless the machine really runs the lanes in parallel.
-// Below this floor the sequential engine is never the slower choice, and
-// it is the zero-allocation one.
-const shardFloorTiles = 1 << 14
-
-// AutoShards picks a core.Config.Shards value for replicas of a
-// tiles-tile network run under this configuration: the cores the replica
-// pool leaves idle, so Monte Carlo parallelism and intra-run sharding
-// share the machine instead of oversubscribing it. With at least as many
-// replicas as workers every core is already busy and AutoShards returns 1
-// (sequential — the zero-allocation path). Meshes under shardFloorTiles
-// tiles are never sharded — the measured per-round barrier overhead
-// exceeds the parallelism below that size — and above the floor shards
-// are capped at one per 64 tiles, which is the engine's own clamp (a shard
-// owns whole 64-tile words, see core.Config.Shards): AutoShards never asks
-// for more than core.New grants. Mega-meshes
-// (megaShardTiles tiles and up) ignore the replica count and shard with
-// the full pool — see megaShardTiles for why.
-func (c Config) AutoShards(tiles int) int {
-	if tiles < shardFloorTiles {
-		return 1
-	}
-	w := c.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	maxUseful := tiles / 64
-	spare := w
-	if tiles < megaShardTiles {
-		busy := c.Replicas
-		if busy < 1 {
-			busy = 1
-		}
-		spare = w / busy
-	}
-	if spare > maxUseful {
-		spare = maxUseful
-	}
-	if spare < 1 {
-		spare = 1
-	}
-	return spare
-}
-
 // Seeds returns the n per-replica seeds derived from the master seed.
 // The sequence is prefix-stable: Seeds(m, n)[r] depends only on m and r,
 // so growing a study keeps every already-run replica's seed.

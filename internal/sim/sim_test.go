@@ -186,7 +186,7 @@ func TestRunRejectsNonPositiveReplicas(t *testing.T) {
 }
 
 // measureCase is one engine configuration of TestMeasureMatchesRecorder
-// and TestRecorderMatchesEventsPerRound: a fault mix, a shard count,
+// and TestRecorderMatchesEventsPerRound: a fault mix, a mesh size,
 // broadcasts and unicasts injected before given rounds, and optionally
 // processes that create messages mid-run (Ctx.Send, the other creation
 // site), in phase 1 or at delivery.
@@ -229,14 +229,13 @@ func (e *echoReceiver) Receive(ctx *core.Ctx, p *packet.Packet) {
 }
 
 // genMeasureCase draws case idx: every fault of the analytic and literal
-// paths, StopSpreadOnDelivery, Recycle, and 1 or 2 shards (a two-shard
-// case gets at least two whole 64-tile words, so it really runs two
-// lanes, unless a hook or a Receiver holds it to one).
+// paths, StopSpreadOnDelivery, Recycle, on a small mesh or, in about
+// half the cases, one of at least two 64-tile occupancy words.
 func genMeasureCase(idx int) measureCase {
 	g := rng.New(0x3ea5).Split(uint64(idx))
-	shards := 1 + g.Intn(2)
+	wide := g.Intn(2) == 1
 	side := 4 + g.Intn(6)
-	if shards == 2 {
+	if wide {
 		side = 12 + g.Intn(5)
 	}
 	tiles := side * side
@@ -244,7 +243,7 @@ func genMeasureCase(idx int) measureCase {
 		cfg: core.Config{
 			Topo: topology.NewGrid(side, side), P: 0.3 + 0.6*g.Float64(),
 			TTL: uint8(3 + g.Intn(10)), MaxRounds: 1000, Seed: g.Uint64(),
-			Shards: shards, StopSpreadOnDelivery: g.Bool(0.2),
+			StopSpreadOnDelivery: g.Bool(0.2),
 		},
 		sender: g.Bool(0.3),
 		rounds: 10 + g.Intn(30),
@@ -366,7 +365,6 @@ func TestMeasureMatchesRecorder(t *testing.T) {
 		cases = 20
 	}
 	var total sim.Counts
-	sharded := 0
 	for idx := 0; idx < cases; idx++ {
 		c := genMeasureCase(idx)
 		net := c.build(t, c.cfg)
@@ -384,16 +382,13 @@ func TestMeasureMatchesRecorder(t *testing.T) {
 		if got != events {
 			t.Fatalf("case %d (%+v): Measure counts %+v, event hook %+v", idx, c.cfg, got, events)
 		}
-		if net.Shards() > 1 {
-			sharded++
-		}
 		total.Created += got.Created
 		total.CRCRejects += got.CRCRejects
 		total.OverflowDrops += got.OverflowDrops
 		total.TTLExpiries += got.TTLExpiries
 	}
-	if sharded == 0 || total.Created == 0 || total.CRCRejects == 0 || total.OverflowDrops == 0 || total.TTLExpiries == 0 {
-		t.Fatalf("degenerate population: %d sharded cases, totals %+v", sharded, total)
+	if total.Created == 0 || total.CRCRejects == 0 || total.OverflowDrops == 0 || total.TTLExpiries == 0 {
+		t.Fatalf("degenerate population: totals %+v", total)
 	}
 
 	t.Run("resumed", func(t *testing.T) {
@@ -596,67 +591,6 @@ func TestSummarizeSplitsCompletedFromEventStats(t *testing.T) {
 	}
 	if agg.CompletionRate != 2.0/3.0 {
 		t.Fatalf("completion rate %v", agg.CompletionRate)
-	}
-}
-
-func TestAutoShards(t *testing.T) {
-	cases := []struct {
-		name  string
-		cfg   sim.Config
-		tiles int
-		want  int
-	}{
-		// Replicas saturate the pool: stay sequential.
-		{"saturated", sim.Config{Replicas: 8, Workers: 8}, 16384, 1},
-		{"oversubscribed", sim.Config{Replicas: 100, Workers: 4}, 16384, 1},
-		// One replica on an 8-core pool, mesh above the shard floor: all
-		// spare cores go to sharding.
-		{"single-replica", sim.Config{Replicas: 1, Workers: 8}, 16384, 8},
-		// Spare cores split across the running replicas.
-		{"split", sim.Config{Replicas: 2, Workers: 8}, 16384, 4},
-		// Meshes below the measured shard floor never shard, no matter how
-		// many cores are idle: the barriers cost more than the lanes gain.
-		{"small-mesh", sim.Config{Replicas: 1, Workers: 16}, 64, 1},
-		{"below-floor", sim.Config{Replicas: 1, Workers: 16}, 4096, 1},
-		{"floor-boundary", sim.Config{Replicas: 1, Workers: 16}, 16384 - 1, 1},
-		// At the floor the tiles/64 cap still applies above it.
-		{"floor-capped", sim.Config{Replicas: 1, Workers: 512}, 16384, 256},
-		// Mega-meshes shard with the whole pool even when replicas
-		// saturate it: concurrent mega-replicas would multiply peak
-		// memory by the pool size.
-		{"mega-saturated", sim.Config{Replicas: 8, Workers: 8}, 512 * 512, 8},
-		{"mega-boundary", sim.Config{Replicas: 100, Workers: 4}, 1 << 16, 4},
-		{"below-mega", sim.Config{Replicas: 100, Workers: 4}, 1<<16 - 64, 1},
-	}
-	for _, c := range cases {
-		if got := c.cfg.AutoShards(c.tiles); got != c.want {
-			t.Errorf("%s: AutoShards(%d) = %d, want %d", c.name, c.tiles, got, c.want)
-		}
-	}
-	// The tiles/64 cap is the engine's own clamp, so AutoShards never asks
-	// for shards core.New would not grant — pinned where the cap binds (a
-	// pool far wider than the mesh has words), on a mesh of whole words and
-	// on one whose last word is partial.
-	for _, side := range []int{128, 129} {
-		tiles := side * side
-		shards := sim.Config{Replicas: 1, Workers: 512}.AutoShards(tiles)
-		n, err := core.New(core.Config{
-			Topo: topology.NewGrid(side, side), P: 0.5, TTL: 4, Shards: shards,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if shards != tiles/64 || n.Shards() != shards {
-			t.Errorf("%dx%d: AutoShards = %d (cap %d), engine runs %d", side, side, shards, tiles/64, n.Shards())
-		}
-	}
-}
-
-// TestAutoShardsZeroWorkersPositive pins the default-pool path: whatever
-// GOMAXPROCS is, the result is at least 1 (a valid core.Config.Shards).
-func TestAutoShardsZeroWorkersPositive(t *testing.T) {
-	if got := (sim.Config{Replicas: 1}).AutoShards(1 << 20); got < 1 {
-		t.Fatalf("AutoShards = %d, want >= 1", got)
 	}
 }
 
