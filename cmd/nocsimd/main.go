@@ -142,7 +142,8 @@ func shutdown(srv *service.Server, httpSrv *http.Server, drain, grace time.Durat
 }
 
 // newHTTPServer fronts srv with connection limits. It sets no
-// WriteTimeout: an SSE stream stays open as long as its job runs.
+// WriteTimeout: an SSE stream stays open as long as its job runs, and
+// the stream handler bounds each of its writes itself.
 func newHTTPServer(srv *service.Server) *http.Server {
 	return &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: 10 * time.Second, IdleTimeout: 2 * time.Minute}
 }

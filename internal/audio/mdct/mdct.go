@@ -8,24 +8,41 @@ package mdct
 import (
 	"errors"
 	"math"
+	"sync"
 )
 
 // ErrBadSize is returned when a window length is not a positive even
 // number or does not match the transform size.
 var ErrBadSize = errors.New("mdct: window length must be 2M")
 
-// Transform holds precomputed tables for a fixed M.
+// Transform holds precomputed tables for a fixed M. It is read-only
+// after New: one Transform is shared by every caller that asks for its M,
+// from any number of goroutines.
 type Transform struct {
 	m      int
 	window []float64 // sine window, length 2M
 	cosTab [][]float64
 }
 
-// New returns an MDCT of size M (2M-sample windows, M coefficients).
+// transforms memoises New: M → *Transform.
+var transforms sync.Map
+
+// New returns an MDCT of size M (2M-sample windows, M coefficients). The
+// tables are built once per M per process; later calls return the same
+// Transform.
 func New(m int) (*Transform, error) {
 	if m <= 0 {
 		return nil, ErrBadSize
 	}
+	if t, ok := transforms.Load(m); ok {
+		return t.(*Transform), nil
+	}
+	t, _ := transforms.LoadOrStore(m, build(m))
+	return t.(*Transform), nil
+}
+
+// build computes the tables of an MDCT of size M.
+func build(m int) *Transform {
 	t := &Transform{m: m}
 	n := 2 * m
 	t.window = make([]float64, n)
@@ -42,7 +59,7 @@ func New(m int) (*Transform, error) {
 				(float64(i) + 0.5 + float64(m)/2) * (float64(k) + 0.5))
 		}
 	}
-	return t, nil
+	return t
 }
 
 // M returns the coefficient count.

@@ -2,6 +2,8 @@ package mdct
 
 import (
 	"math"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/audio/signal"
@@ -121,6 +123,49 @@ func TestZeroInputZeroOutput(t *testing.T) {
 func TestOverlapAddEmpty(t *testing.T) {
 	if OverlapAdd(nil, 8) != nil {
 		t.Fatal("OverlapAdd(nil) != nil")
+	}
+}
+
+// TestTablesSharedPerM pins the memoised tables: two New calls for one M
+// return the same Transform, and goroutines using it at once (run under
+// -race) get the coefficients and windows of a freshly built table.
+func TestTablesSharedPerM(t *testing.T) {
+	const m = 48
+	a, _ := New(m)
+	b, _ := New(m)
+	if a != b {
+		t.Fatal("two New calls for one M built two tables")
+	}
+	if c, _ := New(m + 1); c == a {
+		t.Fatal("New(M+1) returned the Transform of M")
+	}
+	fresh := build(m)
+	x, err := signal.DefaultProgram().Samples(0, 2*m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantCoef, _ := fresh.Forward(x)
+	wantWin, _ := fresh.Inverse(wantCoef)
+	var wg sync.WaitGroup
+	errs := make(chan string, 4)
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 20 {
+				coef, _ := a.Forward(x)
+				win, _ := a.Inverse(coef)
+				if !slices.Equal(coef, wantCoef) || !slices.Equal(win, wantWin) {
+					errs <- "shared tables disagree with a fresh build"
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Fatal(e)
 	}
 }
 

@@ -10,38 +10,297 @@ import (
 	"repro/internal/topology"
 )
 
-// Randomized differential testing: the scenario tables in scenario_test.go
-// and snapshot_test.go pin the engine's invariance promises on
-// hand-picked configurations; this file hammers the same promises across
-// a few hundred machine-generated ones. Every generated Config — random
-// topology, protocol knobs, fault mix, routers, forward limits, workload
-// — is executed three ways and the complete observable record must
-// agree:
+// The variant table: the engine's invariance promises, checked over one
+// population. Every case of the population runs once as the baseline —
+// unedited, with an OnEvent listener — and once per row that applies to
+// it. Each row edits the run (hook-free, resumed from a snapshot, a
+// settlement gate cleared, recycling flipped) and its record must match
+// the baseline's (compareRuns) under the row's equivalence:
 //
-//	hooked  ==  hook-free  ==  snapshot-resumed
+//	exact         the whole record, event log included (the row listens)
+//	exceptEvents  all but the event log (the row runs hook-free)
+//	relabelled    the whole record after relabel: message IDs by EvCreated
+//	              order, without what recycling changes (the row listens)
 //
-// The generator is seeded (diffMasterSeed) and splits one stream per
-// case, so every case is reproducible from its index alone: a failure
-// report names the case number, and re-running the test replays it.
+// The table runs as eight suites, one per promise (the Test functions
+// below). Each names the parts of the population it covers and the rows
+// it judges there, and every pair of a row and a part belongs to exactly
+// one suite. The suites share each case's baseline (baseline), so it runs
+// once per test binary, not once per suite.
+//
+// The generated parts are seeded (diffMasterSeed, recycleMasterSeed) and
+// split one stream per case, so every case is reproducible from its index
+// alone: a failure names the suite, the case and the row, and re-running
+// replays it.
+
+// slice is a set of the population's parts.
+type slice uint8
+
+const (
+	diffs    slice = 1 << iota // generated cases (genCase)
+	recycles                   // generated recycling cases (genRecycleCase)
+	scens                      // scenarios() and everythingScenario
+	elides                     // the cases next to the settlement gates (elisionCases)
+	subTTLs                    // the sub-TTL meshes (subTTLScenarios)
+)
+
+// member is one case of the population: a scenario, its part and the
+// rounds the resume rows interrupt it at.
+type member struct {
+	sc      scenario
+	slice   slice
+	resumes []int
+}
+
+// population is every case the variant table runs. -short runs a prefix
+// of each generated part (the cases are index-seeded, so the subset is
+// stable too), one resume round per scenario and the smaller sub-TTL mesh.
+func population() []member {
+	diff, recycle, meshes := diffCases, recycleCases, subTTLScenarios()
+	if testing.Short() {
+		diff, recycle, meshes = diffCasesShort, recycleCasesShort, meshes[:1]
+	}
+	var pop []member
+	for idx := range diff {
+		pop = append(pop, genCase(idx))
+	}
+	for idx := range recycle {
+		pop = append(pop, genRecycleCase(idx))
+	}
+	for _, sc := range append(scenarios(), everythingScenario()) {
+		m := member{sc: sc, slice: scens}
+		// IP-core state is the application's to checkpoint (see the
+		// snapshot.go file comment), so a scenario with processes of its
+		// own cannot round-trip through Restore.
+		if sc.name != "grid-processes-receiver" {
+			m.resumes = []int{1, sc.rounds / 2, sc.rounds - 1}
+			if testing.Short() {
+				m.resumes = m.resumes[:1]
+			}
+		}
+		pop = append(pop, m)
+	}
+	for _, sc := range elisionCases() {
+		pop = append(pop, member{sc: sc, slice: elides})
+	}
+	for _, sc := range meshes {
+		pop = append(pop, member{sc: sc, slice: subTTLs, resumes: []int{8}}) // mid-spread
+	}
+	return pop
+}
+
+// equivalence is how a row's record must match the baseline's.
+type equivalence uint8
+
+const (
+	exact equivalence = iota
+	exceptEvents
+	relabelled
+)
+
+// variant is one row of the table.
+type variant struct {
+	name   string
+	eq     equivalence
+	resume bool           // interrupted and resumed at each of the case's resume rounds
+	cfg    func(*Config)  // config edit, before New
+	gate   func(*Network) // gate edit, after New
+	// covers reports whether a case exercised what the row is there for;
+	// need is how many of the suite's cases must.
+	covers func(sc scenario, want, got runRecord) bool
+	need   func(cases int) int
+}
+
+func clearElision(n *Network)    { n.elideDup = false }
+func clearSettlement(n *Network) { n.settleUpsets = false }
+func aQuarter(cases int) int     { return cases / 4 }
+
+var (
+	hookFree        = variant{name: "hook-free", eq: exceptEvents}
+	resumed         = variant{name: "resumed", eq: exact, resume: true}
+	resumedHookFree = variant{name: "resumed hook-free", eq: exceptEvents, resume: true}
+	// Sender-side duplicate elision is a pure optimisation. A population
+	// in which the gate never opens on duplicate traffic would compare the
+	// ring path with itself.
+	elisionCleared = variant{
+		name: "elision gate cleared", eq: exact, gate: clearElision,
+		covers: func(_ scenario, want, _ runRecord) bool { return want.elide && want.cnt.Duplicates > 0 },
+		need:   aQuarter,
+	}
+	elisionClearedHookFree = variant{name: "elision gate cleared, hook-free", eq: exceptEvents, gate: clearElision}
+	// Sender-side upset settlement is a pure optimisation. Under a
+	// listener the gate stays shut: the baseline checks its own.
+	settlementCleared = variant{
+		name: "settlement gate cleared, hook-free", eq: exceptEvents, gate: clearSettlement,
+		covers: func(sc scenario, want, got runRecord) bool {
+			return got.settle && !sc.cfg().Fault.LiteralUpsets && onTimeUpsets(want.barriers)
+		},
+		need: aQuarter,
+	}
+	// Recycling changes the IDs issued after a retirement,
+	// Counters.Retired and AwareAt of retired messages, and nothing else —
+	// Aware of every issued message at every barrier included, which with
+	// the per-round counters and tallies are the inputs of every metrics
+	// series. The population must retire, or on and off run the same
+	// lifecycle.
+	recyclingFlipped = variant{
+		name: "recycling flipped", eq: relabelled,
+		cfg:    func(c *Config) { c.Recycle = !c.Recycle },
+		covers: func(_ scenario, want, got runRecord) bool { return want.cnt.Retired+got.cnt.Retired > 0 },
+		need:   func(int) int { return 1 },
+	}
+)
+
+// baselines holds each case's baseline record by case name, for the
+// suites that share the case. The suites run one at a time (none is
+// parallel); the full population's records take about 35 MB.
+var baselines = map[string]runRecord{}
+
+// baseline returns m's baseline record, running it on first use. Every
+// baseline must keep the settlement gate shut under its listener, a
+// scenario's must produce events and deliveries, and a sub-TTL mesh's
+// must retire messages.
+func baseline(t *testing.T, m member) runRecord {
+	t.Helper()
+	if want, ok := baselines[m.sc.name]; ok {
+		return want
+	}
+	want := m.sc.run(t, variant{}, true, 0)
+	switch {
+	case want.settle:
+		t.Fatal("the settlement gate opened under a listener")
+	case m.slice == scens && (len(want.events) == 0 || len(want.mail) == 0):
+		t.Fatal("scenario produced no events or no deliveries — not a meaningful comparison")
+	case m.slice == subTTLs && want.cnt.Retired == 0:
+		t.Fatal("scenario retired nothing — sub-TTL churn is not exercising recycling")
+	}
+	baselines[m.sc.name] = want
+	return want
+}
+
+// runSuite runs every case of the population's parts through rows, one
+// subtest per case, each row against the case's baseline; a case that
+// none of the rows runs (resume rows on a scenario that cannot resume)
+// gets no subtest. It then judges each row's coverage guard over the
+// suite's cases, unless a -run filter left some out.
+func runSuite(t *testing.T, parts slice, rows ...variant) {
+	var cases []member
+	for _, m := range population() {
+		if m.slice&parts == 0 {
+			continue
+		}
+		for _, v := range rows {
+			if !v.resume || len(m.resumes) > 0 {
+				cases = append(cases, m)
+				break
+			}
+		}
+	}
+	ran, covered := 0, make([]int, len(rows))
+	for _, m := range cases {
+		t.Run(m.sc.name, func(t *testing.T) {
+			ran++
+			want := baseline(t, m)
+			for i, v := range rows {
+				ks := []int{0}
+				if v.resume {
+					ks = m.resumes
+				}
+				for _, k := range ks {
+					got := m.sc.run(t, v, v.eq != exceptEvents, k)
+					if v.covers != nil && v.covers(m.sc, want, got) {
+						covered[i]++
+					}
+					label := v.name
+					if k > 0 {
+						label = fmt.Sprintf("%s at k=%d", v.name, k)
+					}
+					if v.eq == relabelled {
+						compareRuns(t, label, relabel(t, want), relabel(t, got))
+					} else {
+						compareRuns(t, label, want, got)
+					}
+				}
+			}
+		})
+	}
+	for i, v := range rows {
+		if v.covers == nil {
+			continue
+		}
+		if ran < len(cases) {
+			t.Logf("%s: %d of %d cases ran, coverage not judged", v.name, ran, len(cases))
+			continue
+		}
+		t.Logf("%s: %d of %d cases covered", v.name, covered[i], len(cases))
+		if need := v.need(len(cases)); covered[i] < need {
+			t.Errorf("%s: only %d of %d cases exercised the row, want >= %d", v.name, covered[i], len(cases), need)
+		}
+	}
+}
+
+// TestDifferentialRandomConfigs: a generated case's hook-free run and its
+// run interrupted, snapshotted and resumed at a random round leave its
+// baseline's record.
+func TestDifferentialRandomConfigs(t *testing.T) { runSuite(t, diffs, hookFree, resumed) }
+
+// TestRecycleDifferentialRandomConfigs extends that contract to the
+// recycling cases: retirement order, slot reuse and the IDs of
+// late-injected messages replay too.
+func TestRecycleDifferentialRandomConfigs(t *testing.T) { runSuite(t, recycles, hookFree, resumed) }
+
+// TestHookFreeRunsMatchHooked: a hook-free run of a scenario or an
+// elision case, where the engine settles upsets and duplicates at the
+// sender, leaves its baseline's record.
+func TestHookFreeRunsMatchHooked(t *testing.T) { runSuite(t, scens|elides, hookFree) }
+
+// TestSnapshotResumeBitIdentity: interrupting every resumable scenario —
+// the everything scenario with all fault knobs included — at
+// k ∈ {1, mid, n−1} and resuming, with a listener and hook-free,
+// reproduces the straight-through run down to the snapshot payload at
+// every round barrier.
+func TestSnapshotResumeBitIdentity(t *testing.T) {
+	runSuite(t, scens, resumed, resumedHookFree)
+}
+
+// TestSubTTLDifferential extends the hook-free and resume contracts onto
+// meshes large enough that the frontier scheduler engages.
+func TestSubTTLDifferential(t *testing.T) { runSuite(t, subTTLs, hookFree, resumedHookFree) }
+
+// TestDuplicateElisionInvisible pins sender-side duplicate elision as a
+// pure optimisation: with the gate cleared, listening and hook-free,
+// every generated case, scenario and elision case leaves its baseline's
+// record, and at least a quarter of them run the gate open on duplicate
+// traffic.
+func TestDuplicateElisionInvisible(t *testing.T) {
+	runSuite(t, diffs|scens|elides, elisionCleared, elisionClearedHookFree)
+}
+
+// TestUpsetSettlementInvisible pins sender-side upset settlement as a
+// pure optimisation over the same cases: hook-free with the gate cleared,
+// each leaves its baseline's record, and at least a quarter of them
+// settle an on-time upset at the sender when the gate is open.
+func TestUpsetSettlementInvisible(t *testing.T) {
+	runSuite(t, diffs|scens|elides, settlementCleared)
+}
+
+// TestRecycleIsRelabelling pins what Config.Recycle changes: flipped on
+// every generated and recycling case, the run leaves its baseline's
+// record once IDs are mapped by issue order, and some case retires.
+func TestRecycleIsRelabelling(t *testing.T) {
+	runSuite(t, diffs|recycles, recyclingFlipped)
+}
 
 // diffMasterSeed roots the config generator. Changing it trades the
 // whole generated population for a fresh one — fine, but do it on
 // purpose, not accidentally.
 const diffMasterSeed = 0x5eed5
 
-// diffCases is the population size; -short runs a prefix (the cases are
-// index-seeded, so the subset is stable too).
+// diffCases is the size of the generated part.
 const (
 	diffCases      = 200
 	diffCasesShort = 30
 )
-
-// diffConfig is one generated test case: a scenario plus the rounds to
-// run and the checkpoint round for the resume leg.
-type diffConfig struct {
-	sc      scenario
-	resumeK int
-}
 
 // genTopology picks a random fabric of 128-512 tiles: at least two
 // 64-tile occupancy words, so the sweeps cross word boundaries. No larger
@@ -117,7 +376,7 @@ func genFault(g *rng.Stream, tiles int) fault.Model {
 
 // genCase builds test case idx. All randomness derives from the
 // per-case stream, so cases are independent and index-stable.
-func genCase(idx int) diffConfig {
+func genCase(idx int) member {
 	g := rng.New(diffMasterSeed).Split(uint64(idx))
 	topo := genTopology(g)
 	tiles := topo.Tiles()
@@ -198,26 +457,5 @@ func genCase(idx int) diffConfig {
 			}
 		}
 	}
-	return diffConfig{sc: sc, resumeK: 1 + g.Intn(rounds-1)}
-}
-
-// TestDifferentialRandomConfigs is the randomized differential pass. For
-// each generated case the run with an OnEvent listener is the reference;
-// a hook-free run and a snapshot-resumed run (interrupt at a random
-// round, resume, finish) must reproduce its record (compareRuns): the
-// state at every round barrier, and the event log between the hooked
-// runs.
-func TestDifferentialRandomConfigs(t *testing.T) {
-	cases := diffCases
-	if testing.Short() {
-		cases = diffCasesShort
-	}
-	for idx := 0; idx < cases; idx++ {
-		dc := genCase(idx)
-		t.Run(dc.sc.name, func(t *testing.T) {
-			want := runScenario(t, dc.sc, true)
-			compareRuns(t, "hook-free", want, runScenario(t, dc.sc, false))
-			compareRuns(t, fmt.Sprintf("snapshot-resume at k=%d", dc.resumeK), want, runResumedScenario(t, dc.sc, dc.resumeK, true))
-		})
-	}
+	return member{sc: sc, slice: diffs, resumes: []int{1 + g.Intn(rounds-1)}}
 }

@@ -111,73 +111,6 @@ func TestPresentIsOneCopyCatchesPlants(t *testing.T) {
 	}
 }
 
-// The sender-side settlement gates the tests open and clear.
-func dupGate(n *Network) *bool   { return &n.elideDup }
-func upsetGate(n *Network) *bool { return &n.settleUpsets }
-
-// runElision replays sc, listening or hook-free, with the settlement gate
-// picked by gate as New computed it (open) or cleared; gated reports
-// whether New opened it.
-func runElision(tb testing.TB, sc scenario, listen bool, gate func(*Network) *bool, open bool) (run runRecord, gated bool) {
-	tb.Helper()
-	setup := sc.setup
-	sc.setup = func(n *Network) {
-		if setup != nil {
-			setup(n)
-		}
-		g := gate(n)
-		gated = *g
-		*g = *g && open
-	}
-	return runScenario(tb, sc, listen), gated
-}
-
-// settlementCases is the population both settlement tests run: the
-// randomized differential cases, every scenario and the elision cases.
-func settlementCases() []scenario {
-	var cases []scenario
-	count := diffCases
-	if testing.Short() {
-		count = diffCasesShort
-	}
-	for idx := 0; idx < count; idx++ {
-		cases = append(cases, genCase(idx).sc)
-	}
-	cases = append(cases, scenarios()...)
-	return append(cases, elisionCases()...)
-}
-
-// TestDuplicateElisionInvisible pins sender-side duplicate elision as a
-// pure optimisation. Every case of the randomized differential population
-// and every scenario runs twice, once with the engine's elision gate as
-// New computed it and once with it cleared, and both runs must leave the
-// same record (compareRuns): counters, tallies and snapshot bytes — RNG
-// states included — at every round barrier, mailbox contents, aware
-// tables and, with a listener, the event log. Each pair runs with an
-// OnEvent listener and hook-free.
-func TestDuplicateElisionInvisible(t *testing.T) {
-	cases := settlementCases()
-	elided := 0
-	for _, sc := range cases {
-		t.Run(sc.name, func(t *testing.T) {
-			for _, listen := range []bool{true, false} {
-				want, _ := runElision(t, sc, listen, dupGate, false)
-				got, gated := runElision(t, sc, listen, dupGate, true)
-				compareRuns(t, fmt.Sprintf("listen=%v", listen), want, got)
-				if listen && gated && got.cnt.Duplicates > 0 {
-					elided++
-				}
-			}
-		})
-	}
-	// A population in which the gate never opens on duplicate traffic
-	// would compare the ring path with itself.
-	t.Logf("%d of %d cases ran the elision gate open with duplicates", elided, len(cases))
-	if want := len(cases) / 4; elided < want {
-		t.Fatalf("only %d of %d cases ran the elision gate open with duplicates, want >= %d", elided, len(cases), want)
-	}
-}
-
 // onTimeUpsets reports whether some round's transmissions, read from the
 // counters at its barriers, must have included an upset copy that arrived
 // on time: more upsets than slipped copies in one round. A lower bound —
@@ -192,39 +125,6 @@ func onTimeUpsets(barriers []barrierRec) bool {
 		prev = c
 	}
 	return false
-}
-
-// TestUpsetSettlementInvisible pins sender-side upset settlement as a
-// pure optimisation, over the population of TestDuplicateElisionInvisible.
-// Each case runs with no OnEvent listener, once with the settlement gate
-// as New computed it and once with it cleared; both runs must leave the
-// same record (compareRuns). The same pair then runs with the event hook
-// attached, where the gate must stay shut: the event logs must agree too.
-func TestUpsetSettlementInvisible(t *testing.T) {
-	cases := settlementCases()
-	settled := 0
-	for _, sc := range cases {
-		t.Run(sc.name, func(t *testing.T) {
-			for _, listen := range []bool{false, true} {
-				want, _ := runElision(t, sc, listen, upsetGate, false)
-				got, gated := runElision(t, sc, listen, upsetGate, true)
-				compareRuns(t, fmt.Sprintf("listen=%v", listen), want, got)
-				if listen {
-					if gated {
-						t.Fatal("the settlement gate opened under a listener")
-					}
-					continue
-				}
-				if gated && !sc.cfg().Fault.LiteralUpsets && onTimeUpsets(got.barriers) {
-					settled++
-				}
-			}
-		})
-	}
-	t.Logf("%d of %d cases settled upsets at the sender", settled, len(cases))
-	if want := len(cases) / 4; settled < want {
-		t.Fatalf("only %d of %d cases settled upsets at the sender, want >= %d", settled, len(cases), want)
-	}
 }
 
 // elisionCases are the configurations that sit next to the settlement

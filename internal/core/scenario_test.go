@@ -3,26 +3,29 @@ package core
 import (
 	"bytes"
 	"fmt"
-	"hash/fnv"
+	"hash/maphash"
 	"reflect"
 	"testing"
 
 	"repro/internal/fault"
 	"repro/internal/packet"
 	"repro/internal/rng"
+	"repro/internal/snapshot"
 	"repro/internal/topology"
 )
 
-// This file holds the scenario harness the engine's differential tests
-// share. A scenario is one engine configuration with its workload; a run
-// of it records the complete observable outcome — counters, tallies and
-// the whole-state snapshot bytes at every round barrier, what recording
-// processes were handed (payloads included), aware tables, RNG states
-// and, when an OnEvent listener is attached, the event log — and checks
-// presentImpliesSeen and presentIsOneCopy at every barrier. Two runs that
-// must agree are compared with compareRuns: hooked against hook-free
-// (where the engine settles copies at the sender), straight against
-// snapshot-resumed, settlement gate open against cleared.
+// This file holds the scenario harness behind the variant table
+// (diff_test.go). A scenario is one engine configuration
+// with its workload; a run of it records the complete observable outcome —
+// counters, tallies and a hash of the whole-state snapshot payload at
+// every round barrier, what recording processes were handed (payloads
+// included), aware tables, RNG states and, when an OnEvent listener is
+// attached, the event log and the Aware count of every issued message at
+// every barrier — and checks presentImpliesSeen and presentIsOneCopy at
+// every barrier. A variant's run is judged against the baseline's by
+// compareRuns, under the variant's equivalence.
+//
+// Run: go test -run 'Test(Differential|RecycleDifferential|HookFree|SnapshotResume|SubTTL|DuplicateElision|UpsetSettlement|RecycleIsRelabelling)' ./internal/core/
 
 // mailRec is one packet a recording process was handed: its tile, the
 // round it read its mailbox in, and the message with its payload, so a
@@ -60,7 +63,8 @@ func attachMail(n *Network, log *[]mailRec) {
 }
 
 // barrierRec is a run's state at one round barrier: the counters, the
-// tally (continued across a restore) and a hash of the snapshot bytes.
+// tally (continued across a restore) and a hash of the snapshot payload
+// (EncodeState), seeded by stateSeed.
 // Meshes beyond 64×64 hash their snapshot every eighth round and at the
 // last one only: encoding a quarter-million tiles every round would be
 // most of the sub-TTL suite's time.
@@ -70,10 +74,15 @@ type barrierRec struct {
 	state            uint64
 }
 
+var stateSeed = maphash.MakeSeed()
+
 // runRecord is the full observable outcome of one run.
 type runRecord struct {
 	hooked   bool    // an OnEvent listener recorded events (throughout)
 	events   []Event // the listener's log
+	scanned  int     // events already searched for EvCreated
+	created  []packet.MsgID
+	issued   [][]int // per barrier, Aware of each of created
 	mail     []mailRec
 	barriers []barrierRec
 	cnt      Counters
@@ -81,21 +90,38 @@ type runRecord struct {
 	awareAt  []bool
 	rngs     []rng.Stream
 	rounds   int
+	// elide and settle are Network.elideDup and settleUpsets as New (or
+	// Restore) computed them, before any variant cleared one.
+	elide, settle bool
 }
 
 // barrier appends n's state at the round barrier it stands at, last
 // being the run's final round; base is the tally of the network n was
-// restored from, if any.
+// restored from, if any. A hooked run also adds the messages the events
+// since the last barrier created and samples Aware for every one so far.
 func (s *runRecord) barrier(tb testing.TB, n *Network, last int, base barrierRec) {
 	tb.Helper()
 	created, expired, _ := n.Tally()
 	rec := barrierRec{cnt: n.Counters(), created: base.created + created, expired: base.expired + expired}
 	if r := n.Round(); len(n.tiles) <= 4096 || r%8 == 0 || r == last {
-		h := fnv.New64a()
-		h.Write(snapshotBytes(tb, n))
-		rec.state = h.Sum64()
+		w := snapshot.NewWriter()
+		n.EncodeState(w)
+		rec.state = maphash.Bytes(stateSeed, w.Bytes())
 	}
 	s.barriers = append(s.barriers, rec)
+	if !s.hooked {
+		return
+	}
+	for ; s.scanned < len(s.events); s.scanned++ {
+		if ev := s.events[s.scanned]; ev.Kind == EvCreated {
+			s.created = append(s.created, ev.Msg)
+		}
+	}
+	row := make([]int, len(s.created))
+	for i, id := range s.created {
+		row[i] = n.Aware(id)
+	}
+	s.issued = append(s.issued, row)
 }
 
 // finish records n's final state: counters, round, the awareness of the
@@ -407,15 +433,18 @@ func scenarios() []scenario {
 	}
 }
 
-// build makes the scenario's network: with an OnEvent listener recording
-// into snap when hooked, its setup applied and recording processes
-// attached (unless bare). restore, if set, builds it from a checkpoint
-// instead of New.
-func (sc scenario) build(tb testing.TB, snap *runRecord, restore []byte) *Network {
+// build makes the scenario's network under variant v: its config edit
+// applied, with an OnEvent listener recording into rec when hooked, its
+// setup applied, recording processes attached (unless bare) and its gate
+// cleared. restore, if set, builds it from a checkpoint instead of New.
+func (sc scenario) build(tb testing.TB, rec *runRecord, restore []byte, v variant) *Network {
 	tb.Helper()
 	cfg := sc.cfg()
-	if snap.hooked {
-		cfg.OnEvent = func(ev Event) { snap.events = append(snap.events, ev) }
+	if v.cfg != nil {
+		v.cfg(&cfg)
+	}
+	if rec.hooked {
+		cfg.OnEvent = func(ev Event) { rec.events = append(rec.events, ev) }
 	}
 	var n *Network
 	var err error
@@ -431,15 +460,19 @@ func (sc scenario) build(tb testing.TB, snap *runRecord, restore []byte) *Networ
 		sc.setup(n) // routers and forward limits are the caller's to re-apply
 	}
 	if !sc.bare {
-		attachMail(n, &snap.mail)
+		attachMail(n, &rec.mail)
+	}
+	rec.elide, rec.settle = n.elideDup, n.settleUpsets
+	if v.gate != nil {
+		v.gate(n)
 	}
 	return n
 }
 
 // step runs the scenario's rounds [n.Round(), until) on n, injecting on
-// schedule, and records every round barrier into snap, checked against
+// schedule, and records every round barrier into rec, checked against
 // presentImpliesSeen and presentIsOneCopy.
-func (sc scenario) step(tb testing.TB, snap *runRecord, n *Network, until int, base barrierRec, ids []packet.MsgID) []packet.MsgID {
+func (sc scenario) step(tb testing.TB, rec *runRecord, n *Network, until int, base barrierRec, ids []packet.MsgID) []packet.MsgID {
 	tb.Helper()
 	for round := n.Round(); round < until; round++ {
 		for _, in := range sc.inject {
@@ -459,37 +492,59 @@ func (sc scenario) step(tb testing.TB, snap *runRecord, n *Network, until int, b
 		if err := presentIsOneCopy(n); err != nil {
 			tb.Fatalf("%s: %v", sc.name, err)
 		}
-		snap.barrier(tb, n, sc.rounds, base)
+		rec.barrier(tb, n, sc.rounds, base)
 	}
 	return ids
 }
 
-// runScenario executes one scenario and returns the full observable
-// record. A run asked to listen records its events; otherwise it runs
-// hook-free.
+// run replays sc under variant v, listening or hook-free, and returns the
+// full observable record. With k > 0 the run is interrupted at round k,
+// snapshotted and finished on a network restored from the snapshot: the
+// record then spans both sides of the checkpoint (round barriers, mailbox
+// and event logs concatenate, and the tally continues across the
+// restore).
+func (sc scenario) run(tb testing.TB, v variant, listen bool, k int) runRecord {
+	tb.Helper()
+	rec := runRecord{hooked: listen}
+	n := sc.build(tb, &rec, nil, v)
+	var ids []packet.MsgID
+	var base barrierRec
+	if k > 0 {
+		ids = sc.step(tb, &rec, n, k, base, nil)
+		base.created, base.expired, _ = n.Tally()
+		if n = sc.build(tb, &rec, snapshotBytes(tb, n), v); n.Round() != k {
+			tb.Fatalf("%s: restored network at round %d, want %d", sc.name, n.Round(), k)
+		}
+	}
+	rec.finish(n, sc.step(tb, &rec, n, sc.rounds, base, ids))
+	return rec
+}
+
+// runScenario executes one scenario unedited, listening or hook-free.
 func runScenario(tb testing.TB, sc scenario, listen bool) runRecord {
 	tb.Helper()
-	snap := runRecord{hooked: listen}
-	n := sc.build(tb, &snap, nil)
-	snap.finish(n, sc.step(tb, &snap, n, sc.rounds, barrierRec{}, nil))
-	return snap
+	return sc.run(tb, variant{}, listen, 0)
+}
+
+// runResumedScenario executes one scenario unedited, interrupted and
+// resumed at round k, listening on both sides or on neither.
+func runResumedScenario(tb testing.TB, sc scenario, k int, listen bool) runRecord {
+	tb.Helper()
+	return sc.run(tb, variant{}, listen, k)
 }
 
 // compareRuns fails tb unless got left the record want did; event logs
-// are compared when both runs recorded one.
+// and the per-barrier Aware of issued messages are compared when both
+// runs recorded them.
 func compareRuns(tb testing.TB, label string, want, got runRecord) {
 	tb.Helper()
 	switch {
 	case want.hooked && got.hooked && !reflect.DeepEqual(got.events, want.events):
-		tb.Fatalf("%s: event log diverged: %s", label, firstEventDiff(want.events, got.events))
+		tb.Fatalf("%s: event log diverged: %s", label, firstDiff(want.events, got.events))
+	case want.hooked && got.hooked && !reflect.DeepEqual(got.issued, want.issued):
+		tb.Fatalf("%s: Aware by issue order diverged at barrier %s", label, firstDiff(want.issued, got.issued))
 	case !reflect.DeepEqual(got.barriers, want.barriers):
-		for r := range min(len(got.barriers), len(want.barriers)) {
-			if got.barriers[r] != want.barriers[r] {
-				tb.Fatalf("%s: state diverged at the end of round %d\nwant: %+v\ngot:  %+v",
-					label, r+1, want.barriers[r], got.barriers[r])
-			}
-		}
-		tb.Fatalf("%s: %d round barriers, want %d", label, len(got.barriers), len(want.barriers))
+		tb.Fatalf("%s: state diverged at barrier %s", label, firstDiff(want.barriers, got.barriers))
 	case !reflect.DeepEqual(got.mail, want.mail):
 		tb.Fatalf("%s: mailbox log diverged\nwant: %v\ngot:  %v", label, want.mail, got.mail)
 	case got.cnt != want.cnt:
@@ -505,28 +560,48 @@ func compareRuns(tb testing.TB, label string, want, got runRecord) {
 	}
 }
 
-// TestHookFreeRunsMatchHooked pins what a listener may not change: for
-// every scenario, a hook-free run — where the engine settles upsets at
-// the sender and skips every emit — must leave the record of the run with
-// an OnEvent listener: same counters, tallies and snapshot bytes at every
-// round barrier, same mailbox contents (payloads included), same aware
-// tables and RNG states.
-func TestHookFreeRunsMatchHooked(t *testing.T) {
-	for _, sc := range scenarios() {
-		t.Run(sc.name, func(t *testing.T) {
-			want := runScenario(t, sc, true)
-			if len(want.events) == 0 || len(want.mail) == 0 {
-				t.Fatalf("scenario produced no events or no deliveries — not a meaningful comparison")
-			}
-			compareRuns(t, "hook-free", want, runScenario(t, sc, false))
-		})
+// relabel returns a copy of a hooked record with every message ID
+// replaced by its issue index (its place in EvCreated order; Msg 0, a
+// scrambled frame, stays 0) and with what recycling is documented to
+// change cleared: the snapshot hashes (the payload carries the flag, the
+// generations and the free list), Counters.Retired and the per-tile
+// awareness of retired messages (AwareAt).
+func relabel(tb testing.TB, r runRecord) runRecord {
+	tb.Helper()
+	index := map[packet.MsgID]packet.MsgID{0: 0}
+	for i, id := range r.created {
+		index[id] = packet.MsgID(i + 1)
 	}
+	byIssue := func(id packet.MsgID) packet.MsgID {
+		i, ok := index[id]
+		if !ok {
+			tb.Fatalf("message %#x appears without an EvCreated", id)
+		}
+		return i
+	}
+	r.events = append([]Event(nil), r.events...)
+	for i := range r.events {
+		r.events[i].Msg = byIssue(r.events[i].Msg)
+	}
+	r.mail = append([]mailRec(nil), r.mail...)
+	for i := range r.mail {
+		r.mail[i].id = byIssue(r.mail[i].id)
+	}
+	r.barriers = append([]barrierRec(nil), r.barriers...)
+	for i := range r.barriers {
+		r.barriers[i].state = 0
+		r.barriers[i].cnt.Retired = 0
+	}
+	r.cnt.Retired = 0
+	r.awareAt = nil
+	return r
 }
 
-// firstEventDiff renders the first position where two event logs differ.
-func firstEventDiff(want, got []Event) string {
+// firstDiff renders the first index at which two logs differ (barrier i
+// is the end of round i+1).
+func firstDiff[T any](want, got []T) string {
 	for i := range min(len(want), len(got)) {
-		if want[i] != got[i] {
+		if !reflect.DeepEqual(want[i], got[i]) {
 			return fmt.Sprintf("index %d: want %+v, got %+v", i, want[i], got[i])
 		}
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"fmt"
 	"strings"
 	"testing"
 
@@ -16,7 +15,9 @@ import (
 // round k)) → run to round n is bit-identical to an uninterrupted n-round
 // run — same counters, tallies and mailbox contents, same aware tables
 // and, with a listener, the same event sequence — for any k, with or
-// without a listener, and any fault-knob combination. The
+// without a listener, and any fault-knob combination; the resume rows of
+// the variant table (TestSnapshotResumeBitIdentity, diff_test.go) replay
+// it over the population. The
 // snapshot bytes both runs produce at every round barrier are the
 // whole-state oracle: two states that serialize identically under a
 // deterministic encoder ARE identical, in-flight arrivals and RNG streams
@@ -50,21 +51,6 @@ func everythingScenario() scenario {
 	}
 }
 
-// resumableScenarios is the scenario set minus the one
-// with attached Processes: IP-core state is the application's to
-// checkpoint (see the snapshot.go file comment), so process scenarios
-// cannot round-trip through Restore.
-func resumableScenarios() []scenario {
-	var out []scenario
-	for _, sc := range scenarios() {
-		if sc.name == "grid-processes-receiver" {
-			continue
-		}
-		out = append(out, sc)
-	}
-	return append(out, everythingScenario())
-}
-
 // snapshotBytes serializes n and fails the test on error.
 func snapshotBytes(tb testing.TB, n *Network) []byte {
 	tb.Helper()
@@ -73,51 +59,6 @@ func snapshotBytes(tb testing.TB, n *Network) []byte {
 		tb.Fatalf("Snapshot: %v", err)
 	}
 	return buf.Bytes()
-}
-
-// runResumedScenario replays sc but interrupts it: it runs to round k,
-// snapshots, restores the snapshot into a fresh network, and finishes the
-// run there, listening on both sides or on neither. The returned record
-// spans the whole run: round barriers, mailbox logs and event logs from
-// both sides of the checkpoint concatenate, and the tally continues
-// across the restore.
-func runResumedScenario(tb testing.TB, sc scenario, k int, listen bool) runRecord {
-	tb.Helper()
-	snap := runRecord{hooked: listen}
-	n := sc.build(tb, &snap, nil)
-	ids := sc.step(tb, &snap, n, k, barrierRec{}, nil)
-	var base barrierRec
-	base.created, base.expired, _ = n.Tally()
-	n2 := sc.build(tb, &snap, snapshotBytes(tb, n))
-	if n2.Round() != k {
-		tb.Fatalf("%s: restored network at round %d, want %d", sc.name, n2.Round(), k)
-	}
-	snap.finish(n2, sc.step(tb, &snap, n2, sc.rounds, base, ids))
-	return snap
-}
-
-// TestSnapshotResumeBitIdentity is the acceptance-criteria test: for
-// every resumable scenario — including the everything scenario with all
-// fault knobs enabled — interrupting at k ∈ {1, mid, n−1} and resuming,
-// with a listener and hook-free, reproduces the straight-through run
-// exactly, down to the snapshot bytes at every round barrier.
-func TestSnapshotResumeBitIdentity(t *testing.T) {
-	for _, sc := range resumableScenarios() {
-		t.Run(sc.name, func(t *testing.T) {
-			straight := runScenario(t, sc, true)
-			if len(straight.events) == 0 {
-				t.Fatal("scenario produced no events — not a meaningful resume check")
-			}
-			for _, k := range []int{1, sc.rounds / 2, sc.rounds - 1} {
-				for _, listen := range []bool{true, false} {
-					compareRuns(t, fmt.Sprintf("%s/k=%d/listen=%v", sc.name, k, listen), straight, runResumedScenario(t, sc, k, listen))
-				}
-				if testing.Short() {
-					break // one k per scenario keeps -short fast
-				}
-			}
-		})
-	}
 }
 
 // TestSnapshotDeterministic pins the whole-state oracle's premise: two

@@ -2,10 +2,11 @@ package core
 
 // Sub-TTL regime tests: meshes whose diameter dwarfs the TTL, so every
 // message dies long before reaching most tiles — the workload the
-// frontier scheduler exists for. The differential scenarios extend the
-// hooked == hook-free == snapshot-resumed contract onto meshes large
-// enough that the summary-level frontier is active; the property test
-// pins the bounded retired ledger directly.
+// frontier scheduler exists for. The meshes join the variant table
+// (TestSubTTLDifferential), which extends the hooked == hook-free ==
+// snapshot-resumed contract onto meshes large enough that the
+// summary-level frontier is active; the property test pins the bounded
+// retired ledger directly.
 
 import (
 	"reflect"
@@ -15,7 +16,7 @@ import (
 	"repro/internal/topology"
 )
 
-// subTTLScenarios builds the differential cases: 64×64 and 256×256
+// subTTLScenarios builds the sub-TTL meshes: 64×64 and 256×256
 // (multi-word summary level) grids with TTL ≪ diameter, broadcast churn
 // from scattered sources, and recycling on so retirement, slot reuse and
 // row clears all happen on the large-mesh paths.
@@ -62,30 +63,6 @@ func subTTLScenarios() []scenario {
 			inject: inject(256*256, 6, 9241),
 			rounds: 30,
 		},
-	}
-}
-
-// TestSubTTLDifferential runs each sub-TTL scenario with a listener,
-// hook-free, and snapshot-resumed mid-spread, and requires the full
-// observable record (compareRuns) to be identical. This is the
-// settlement and resume-identity contract on the mesh sizes where the
-// frontier scheduler actually engages.
-func TestSubTTLDifferential(t *testing.T) {
-	scenarios := subTTLScenarios()
-	if testing.Short() {
-		scenarios = scenarios[:1]
-	}
-	for _, sc := range scenarios {
-		t.Run(sc.name, func(t *testing.T) {
-			want := runScenario(t, sc, true)
-			if want.cnt.Retired == 0 {
-				t.Fatal("scenario retired nothing — sub-TTL churn is not exercising recycling")
-			}
-			compareRuns(t, "hook-free", want, runScenario(t, sc, false))
-			// Resume at round 8: mid-spread, restoring into a hook-free
-			// network.
-			compareRuns(t, "snapshot-resume", want, runResumedScenario(t, sc, 8, false))
-		})
 	}
 }
 

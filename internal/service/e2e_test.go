@@ -1,12 +1,14 @@
 package service
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -381,6 +383,119 @@ func TestStreamStopsAtFailedWrite(t *testing.T) {
 	case <-returned:
 	case <-time.After(time.Second):
 		t.Fatal("handleStream still running a second after its writes failed")
+	}
+}
+
+// stalledWriter is a ResponseWriter whose client never reads: a write
+// blocks until a write deadline is set and then fails, as a connection's
+// write does once its deadline passes. Without a deadline it blocks until
+// the test ends.
+type stalledWriter struct {
+	*httptest.ResponseRecorder
+	set      chan struct{} // closed by the first SetWriteDeadline
+	end      chan struct{} // closed at test end
+	once     sync.Once
+	deadline atomic.Int64 // unix nanoseconds of the last deadline
+}
+
+func (w *stalledWriter) SetWriteDeadline(d time.Time) error {
+	w.deadline.Store(d.UnixNano())
+	w.once.Do(func() { close(w.set) })
+	return nil
+}
+
+func (w *stalledWriter) Write([]byte) (int, error) {
+	select {
+	case <-w.set:
+		return 0, os.ErrDeadlineExceeded
+	case <-w.end:
+		return 0, errors.New("test ended")
+	}
+}
+
+// TestStreamStalledReaderReleased verifies that a stream whose client
+// stops reading gives every write a deadline at most streamWriteTimeout
+// ahead, and returns once it passes, while the job is still live.
+func TestStreamStalledReaderReleased(t *testing.T) {
+	srv, c, p := newParkedServer(t, Options{Workers: 1}, 1)
+	sub := submit(t, c, longJob(7))
+	<-p.entered
+
+	srv.mu.Lock()
+	j := srv.jobs[sub.ID]
+	srv.mu.Unlock()
+	w := &stalledWriter{ResponseRecorder: httptest.NewRecorder(), set: make(chan struct{}), end: make(chan struct{})}
+	defer close(w.end)
+	start := time.Now()
+	returned := make(chan struct{})
+	go func() {
+		srv.handleStream(w, httptest.NewRequest(http.MethodGet, "/", nil), j)
+		close(returned)
+	}()
+	select {
+	case <-returned:
+	case <-time.After(2 * time.Second):
+		t.Fatal("handleStream still blocked in a write to a client that stopped reading: no write deadline")
+	}
+	if d := time.Unix(0, w.deadline.Load()); d.After(time.Now().Add(streamWriteTimeout)) || d.Before(start) {
+		t.Fatalf("write deadline %v, want within %v of the write", d, streamWriteTimeout)
+	}
+}
+
+// TestStreamHeartbeatWhileParked opens a raw stream and a Client stream
+// on a job parked before its first round, with a short heartbeat. The
+// raw reader must see a keepalive comment while the job is parked; once
+// it is released, both streams must carry exactly the job's result.
+func TestStreamHeartbeatWhileParked(t *testing.T) {
+	srv, c, p := newParkedServer(t, Options{Workers: 1}, 1)
+	sub := submit(t, c, smallJob(62))
+	<-p.entered
+	srv.mu.Lock()
+	j := srv.jobs[sub.ID]
+	srv.mu.Unlock()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		srv.stream(w, r, j, 5*time.Millisecond)
+	}))
+	defer ts.Close()
+
+	ctx := testCtx(t)
+	var viaClient bytes.Buffer
+	clientDone := make(chan error, 1)
+	go func() {
+		_, err := NewClient(ts.URL, ts.Client()).Stream(ctx, sub.ID, func(line []byte) { viaClient.Write(line) })
+		clientDone <- err
+	}()
+	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL, nil)
+	resp, err := ts.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var data bytes.Buffer
+	event, keptAlive := "", false
+	for sc := bufio.NewScanner(resp.Body); sc.Scan(); {
+		line := sc.Bytes()
+		name, isEvent := bytes.CutPrefix(line, []byte(sseEvent))
+		switch {
+		case isEvent:
+			event = string(name)
+		case !keptAlive && string(line)+"\n\n" == sseKeepalive:
+			keptAlive = true
+			p.release()
+		case event == eventRound && bytes.HasPrefix(line, []byte(sseData)):
+			data.Write(line[len(sseData):])
+			data.WriteByte('\n')
+		}
+	}
+	if !keptAlive {
+		t.Fatal("no keepalive while the job was parked")
+	}
+	if err := <-clientDone; err != nil {
+		t.Fatalf("Client.Stream across keepalives: %v", err)
+	}
+	_, want := waitState(t, c, sub.ID, StateDone)
+	if !bytes.Equal(viaClient.Bytes(), want) || !bytes.Equal(data.Bytes(), want) {
+		t.Fatalf("streams with keepalives differ from the result:\nclient:\n%s\nraw:\n%s\nresult:\n%s", viaClient.Bytes(), data.Bytes(), want)
 	}
 }
 

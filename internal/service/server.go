@@ -543,13 +543,25 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request, j *Job) {
 
 // The SSE framing of GET /v1/jobs/{id}/stream, written by handleStream
 // and parsed by Client.Stream: each event is an "event: " line naming
-// it, one "data: " line and a blank line.
+// it, one "data: " line and a blank line. Between events the server may
+// write a comment line (sseKeepalive), which clients skip.
 const (
-	sseEvent   = "event: "
-	sseData    = "data: "
-	eventRound = "round" // data: one round's JSONL record, without its newline
-	eventDone  = "done"  // data: the terminal Status; the stream ends
-	eventError = "error" // data: an APIError; the stream ends without done
+	sseEvent     = "event: "
+	sseData      = "data: "
+	sseKeepalive = ": keepalive\n\n"
+	eventRound   = "round" // data: one round's JSONL record, without its newline
+	eventDone    = "done"  // data: the terminal Status; the stream ends
+	eventError   = "error" // data: an APIError; the stream ends without done
+)
+
+// A stream gives each batch of writes and its flush streamWriteTimeout
+// to reach the client, and while its job has nothing new it writes a
+// keepalive comment every streamHeartbeat: a client that stops reading
+// then frees its handler within the two, even while the job is queued
+// or parked.
+const (
+	streamWriteTimeout = 30 * time.Second
+	streamHeartbeat    = 15 * time.Second
 )
 
 // writeEvent writes one server-sent event.
@@ -568,18 +580,26 @@ func writeEvent(w io.Writer, name string, data []byte) error {
 // entry, the rounds not yet sent are read from there; if the entry no
 // longer holds them, an "event: error" carrying the internal APIError
 // ends the stream instead. A failed write or flush ends the handler, so
-// a vanished client does not hold it until the job ends.
+// a vanished or stalled client does not hold it until the job ends.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, j *Job) {
+	s.stream(w, r, j, streamHeartbeat)
+}
+
+// stream is handleStream with its heartbeat interval.
+func (s *Server) stream(w http.ResponseWriter, r *http.Request, j *Job, heartbeat time.Duration) {
 	h := w.Header()
 	h.Set("Content-Type", "text/event-stream")
 	h.Set("Cache-Control", "no-store")
 	h.Set("Connection", "keep-alive")
 	w.WriteHeader(http.StatusOK)
 	rc := http.NewResponseController(w)
+	tick := time.NewTicker(heartbeat)
+	defer tick.Stop()
 
 	sent := 0
 	for {
 		lines, state, updated := j.snapshot(sent)
+		rc.SetWriteDeadline(time.Now().Add(streamWriteTimeout))
 		for _, line := range lines {
 			// line carries its trailing newline; SSE data is the line body.
 			if writeEvent(w, eventRound, bytes.TrimSuffix(line, []byte("\n"))) != nil {
@@ -622,6 +642,11 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, j *Job) {
 		}
 		select {
 		case <-updated:
+		case <-tick.C:
+			rc.SetWriteDeadline(time.Now().Add(streamWriteTimeout))
+			if _, err := io.WriteString(w, sseKeepalive); err != nil || rc.Flush() != nil {
+				return
+			}
 		case <-r.Context().Done():
 			return
 		}
