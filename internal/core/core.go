@@ -413,41 +413,75 @@ type Network struct {
 	// (once, shared) the moment that packet is stored. Nil otherwise.
 	borrowed *packet.Packet
 
+	// digest caches ConfigDigest(&cfg) once digestSet; the config is fixed
+	// between New, Restore or Reset and the next Reset.
+	digest    uint32
+	digestSet bool
+
 	started bool
 }
 
 // New builds a network from cfg. Tile crash failures are sampled here,
 // deterministically from cfg.Seed.
 func New(cfg Config) (*Network, error) {
+	n := new(Network)
+	if err := n.Reset(cfg); err != nil {
+		return nil, err
+	}
+	return n, nil
+}
+
+// Reset rebuilds n from cfg: afterwards n is observably identical to what
+// New(cfg) returns — same crash set, streams and counters, an empty
+// message table, nothing attached, round 0 — but it reuses n's tile
+// array, message table, occupancy maps and pools, so a replica runner that
+// keeps one network per worker (sim.Hooks.Net) pays for rounds, not for
+// construction. cfg may differ from the previous one in every field,
+// fabric size included. Attached processes, routers, forward limits and
+// undelivered mailboxes are dropped; attach anew as after New. The one
+// observable difference is Mem's pool counters: PooledRings and PooledBufs
+// count what the previous run handed back until the first round barrier
+// trims them. Call Reset between Steps, like Snapshot. It fails exactly
+// when New would; a Reset that fails leaves n unusable until one succeeds.
+// Whatever was taken from n before (Injector, a Ctx.Rand stream) sees the
+// new run.
+func (n *Network) Reset(cfg Config) error {
 	if cfg.MaxRounds == 0 {
 		cfg.MaxRounds = 10000
 	}
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return err
+	}
+	n.release()
+	inj := n.inj
+	if inj == nil {
+		inj = new(fault.Injector)
 	}
 	master := rng.New(cfg.Seed)
-	inj, err := fault.NewInjector(cfg.Topo, cfg.Fault, master.Split(0xfa017))
-	if err != nil {
-		return nil, err
+	if err := inj.Reset(cfg.Topo, cfg.Fault, master.Split(0xfa017)); err != nil {
+		return err
 	}
-	n := &Network{
+	// Every field starts from its zero value, as in a new Network; only
+	// storage carries over.
+	*n = Network{
 		cfg: cfg, topo: cfg.Topo, inj: inj, recycle: cfg.Recycle,
 		procsDirty: true, pThresh: rng.MakeThreshold(cfg.P),
 		upsetT: inj.UpsetThreshold(), overflowT: inj.OverflowThreshold(),
 		batch: cfg.BatchDraws, batchT16: maskThreshold16(cfg.P),
 		invLn1mP: skipConstant(cfg.P),
+		elideDup: !cfg.StopSpreadOnDelivery && !cfg.Fault.LiteralUpsets &&
+			inj.OverflowThreshold() == 0,
+		settleUpsets: cfg.OnEvent == nil,
+		skew:         cfg.Fault.SigmaSync > 0,
+
+		tiles: n.tiles, portAlive: n.portAlive, tbl: n.tbl,
+		bufOcc: n.bufOcc, rcvOcc: n.rcvOcc, procTiles: n.procTiles,
+		frames: n.frames, rings: n.rings, bufs: n.bufs, pkts: n.pkts,
 	}
-	n.elideDup = !cfg.StopSpreadOnDelivery && !cfg.Fault.LiteralUpsets && n.overflowT == 0
-	n.settleUpsets = cfg.OnEvent == nil
-	n.skew = cfg.Fault.SigmaSync > 0
 	n.bufOcc.initOcc(cfg.Topo.Tiles())
 	n.rcvOcc.initOcc(cfg.Topo.Tiles())
-	n.tbl.initTable(cfg.Topo.Tiles())
-	if n.recycle {
-		n.tbl.copies = make([]int32, 1, 8)
-		n.tbl.inflight = make([]int32, 1, 8)
-	}
-	n.tiles = make([]tile, cfg.Topo.Tiles())
+	n.tbl.initTable(cfg.Topo.Tiles(), n.recycle)
+	n.tiles = zeroed(n.tiles, cfg.Topo.Tiles())
 	ports := 0
 	for i := range n.tiles {
 		t := &n.tiles[i]
@@ -458,7 +492,7 @@ func New(cfg Config) (*Network, error) {
 		t.portOff = ports
 		ports += len(t.nbrs)
 	}
-	n.portAlive = make([]bool, ports)
+	n.portAlive = zeroed(n.portAlive, ports)
 	for i := range n.tiles {
 		t := &n.tiles[i]
 		for j, nb := range t.nbrs {
@@ -471,7 +505,36 @@ func New(cfg Config) (*Network, error) {
 	if cfg.Fault.SigmaSync > 0 {
 		n.rings.initLen = ringInitLen
 	}
-	return n, nil
+	return nil
+}
+
+// release hands every tile's send buffer and arrival ring back to the
+// pools, emptied and zeroed as the pools keep them, and zeroes the tiles,
+// dropping their IP-core blocks (Reset). Afterwards nothing is armed.
+func (n *Network) release() {
+	for i := range n.tiles {
+		t := &n.tiles[i]
+		if t.sendBuf != nil {
+			clear(t.sendBuf)
+			n.bufs.put(t.sendBuf[:0])
+		}
+		t.ring.drain(&n.frames)
+		n.rings.detach(&t.ring)
+		*t = tile{}
+	}
+	clear(n.procTiles)
+	n.procTiles = n.procTiles[:0]
+}
+
+// zeroed returns s resized to length l and zeroed, reusing its storage
+// when it is large enough.
+func zeroed[T any](s []T, l int) []T {
+	if cap(s) < l {
+		return make([]T, l)
+	}
+	s = s[:l]
+	clear(s)
+	return s
 }
 
 // ports returns the cached link verdicts of t's ports, index-aligned with

@@ -22,7 +22,7 @@ import (
 //	relabelled    the whole record after relabel: message IDs by EvCreated
 //	              order, without what recycling changes (the row listens)
 //
-// The table runs as eight suites, one per promise (the Test functions
+// The table runs as nine suites, one per promise (the Test functions
 // below). Each names the parts of the population it covers and the rows
 // it judges there, and every pair of a row and a part belongs to exactly
 // one suite. The suites share each case's baseline (baseline), so it runs
@@ -105,6 +105,9 @@ type variant struct {
 	resume bool           // interrupted and resumed at each of the case's resume rounds
 	cfg    func(*Config)  // config edit, before New
 	gate   func(*Network) // gate edit, after New
+	// reuse, if set, holds the network the row's previous run ended with:
+	// the next run Resets it instead of calling New (see scenario.run).
+	reuse *(*Network)
 	// covers reports whether a case exercised what the row is there for;
 	// need is how many of the suite's cases must.
 	covers func(sc scenario, want, got runRecord) bool
@@ -148,6 +151,16 @@ var (
 		cfg:    func(c *Config) { c.Recycle = !c.Recycle },
 		covers: func(_ scenario, want, got runRecord) bool { return want.cnt.Retired+got.cnt.Retired > 0 },
 		need:   func(int) int { return 1 },
+	}
+	// Reset is New on storage that held another run: every case runs on
+	// the network the previous case left, so fabric size, recycling,
+	// literal upsets, skew and processes change from one to the next.
+	// An eighth of the cases must reuse the previous case's table rows
+	// (same width), or stale bits in them would go untested.
+	resetFromPrevious = variant{
+		name: "reset from the previous case", eq: exact, reuse: new(*Network),
+		covers: func(_ scenario, _, got runRecord) bool { return got.reused },
+		need:   func(cases int) int { return cases / 8 },
 	}
 )
 
@@ -289,6 +302,14 @@ func TestUpsetSettlementInvisible(t *testing.T) {
 // record once IDs are mapped by issue order, and some case retires.
 func TestRecycleIsRelabelling(t *testing.T) {
 	runSuite(t, diffs|recycles, recyclingFlipped)
+}
+
+// TestResetMatchesNew pins Network.Reset as New on reused storage: every
+// case of the population, run on the network the previous case ended
+// with, Reset, leaves its baseline's record, and at least an eighth of
+// them reuse the previous case's message-table rows.
+func TestResetMatchesNew(t *testing.T) {
+	runSuite(t, diffs|recycles|scens|elides|subTTLs, resetFromPrevious)
 }
 
 // diffMasterSeed roots the config generator. Changing it trades the

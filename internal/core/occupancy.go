@@ -56,10 +56,10 @@ func (m *occMap) empty() bool {
 // occWords returns the bitmap length for a tiles-tile mesh.
 func occWords(tiles int) int { return (tiles + 63) / 64 }
 
-// initOcc sizes the map for a tiles-tile mesh.
+// initOcc sizes the map for a tiles-tile mesh, empty, reusing its storage.
 func (m *occMap) initOcc(tiles int) {
-	m.bits = make([]uint64, occWords(tiles))
-	m.sum = make([]uint64, occWords(len(m.bits)))
+	m.bits = zeroed(m.bits, occWords(tiles))
+	m.sum = zeroed(m.sum, occWords(len(m.bits)))
 }
 
 // reset zeroes both levels (restore path).

@@ -119,6 +119,22 @@ func (r *arrivalRing) release(now int) {
 	r.buckets[i] = b[:0]
 }
 
+// drain drops every arrival in flight, handing literal-path frames back
+// to frames, and leaves every bucket empty and zeroed, as detach requires
+// (Network.Reset).
+func (r *arrivalRing) drain(frames *framePool) {
+	for i, b := range r.buckets {
+		for j := range b {
+			if f := b[j].frame; f != nil {
+				frames.put(f)
+			}
+		}
+		clear(b)
+		r.buckets[i] = b[:0]
+	}
+	r.count = 0
+}
+
 // ringPool recycles the bucket arrays of cold tiles' arrival rings. The
 // exchange is behavior-free — every pooled bucket is empty and zeroed
 // (release truncates and zeroes before detach is possible). A pooled array

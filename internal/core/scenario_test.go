@@ -93,6 +93,9 @@ type runRecord struct {
 	// elide and settle are Network.elideDup and settleUpsets as New (or
 	// Restore) computed them, before any variant cleared one.
 	elide, settle bool
+	// reused reports a run on a network Reset from one whose message
+	// table held rows of the same width, which the run then reuses.
+	reused bool
 }
 
 // barrier appends n's state at the round barrier it stands at, last
@@ -436,7 +439,8 @@ func scenarios() []scenario {
 // build makes the scenario's network under variant v: its config edit
 // applied, with an OnEvent listener recording into rec when hooked, its
 // setup applied, recording processes attached (unless bare) and its gate
-// cleared. restore, if set, builds it from a checkpoint instead of New.
+// cleared. restore, if set, builds it from a checkpoint instead of New;
+// a row that reuses networks Resets the one it holds, if any.
 func (sc scenario) build(tb testing.TB, rec *runRecord, restore []byte, v variant) *Network {
 	tb.Helper()
 	cfg := sc.cfg()
@@ -448,10 +452,15 @@ func (sc scenario) build(tb testing.TB, rec *runRecord, restore []byte, v varian
 	}
 	var n *Network
 	var err error
-	if restore == nil {
-		n, err = New(cfg)
-	} else {
+	switch {
+	case restore != nil:
 		n, err = Restore(bytes.NewReader(restore), cfg)
+	case v.reuse != nil && *v.reuse != nil:
+		n = *v.reuse
+		rec.reused = len(n.tbl.present) > 1 && n.tbl.words == (cfg.Topo.Tiles()+63)/64
+		err = n.Reset(cfg)
+	default:
+		n, err = New(cfg)
 	}
 	if err != nil {
 		tb.Fatalf("%s: %v", sc.name, err)
@@ -502,13 +511,16 @@ func (sc scenario) step(tb testing.TB, rec *runRecord, n *Network, until int, ba
 // snapshotted and finished on a network restored from the snapshot: the
 // record then spans both sides of the checkpoint (round barriers, mailbox
 // and event logs concatenate, and the tally continues across the
-// restore).
+// restore). The first barrier record is the network as built, before any
+// injection. A row that reuses networks runs on the network its previous
+// run ended with, Reset, and leaves its own final network for the next.
 func (sc scenario) run(tb testing.TB, v variant, listen bool, k int) runRecord {
 	tb.Helper()
 	rec := runRecord{hooked: listen}
 	n := sc.build(tb, &rec, nil, v)
 	var ids []packet.MsgID
 	var base barrierRec
+	rec.barrier(tb, n, sc.rounds, base) // the network as built
 	if k > 0 {
 		ids = sc.step(tb, &rec, n, k, base, nil)
 		base.created, base.expired, _ = n.Tally()
@@ -517,6 +529,9 @@ func (sc scenario) run(tb testing.TB, v variant, listen bool, k int) runRecord {
 		}
 	}
 	rec.finish(n, sc.step(tb, &rec, n, sc.rounds, base, ids))
+	if v.reuse != nil {
+		*v.reuse = n
+	}
 	return rec
 }
 
@@ -598,7 +613,7 @@ func relabel(tb testing.TB, r runRecord) runRecord {
 }
 
 // firstDiff renders the first index at which two logs differ (barrier i
-// is the end of round i+1).
+// is the end of round i, barrier 0 the network as built).
 func firstDiff[T any](want, got []T) string {
 	for i := range min(len(want), len(got)) {
 		if !reflect.DeepEqual(want[i], got[i]) {

@@ -108,6 +108,16 @@ func ConfigDigest(cfg *Config) uint32 {
 	return crc.Checksum32(w.Bytes())
 }
 
+// configDigest is ConfigDigest(&n.cfg), computed on first use after New,
+// Restore or Reset: it walks every port of the fabric, and the config does
+// not change until the next Reset.
+func (n *Network) configDigest() uint32 {
+	if !n.digestSet {
+		n.digest, n.digestSet = ConfigDigest(&n.cfg), true
+	}
+	return n.digest
+}
+
 // Snapshot serializes the network's complete simulation state to w as a
 // single-section checkpoint container. It must be called at a round
 // barrier — between Steps, where no phase is executing — which is the only
@@ -126,7 +136,7 @@ func (n *Network) Snapshot(w io.Writer) error {
 // metadata).
 func (n *Network) EncodeState(w *snapshot.Writer) {
 	w.Int(corePayloadVersion)
-	w.U32(ConfigDigest(&n.cfg))
+	w.U32(n.configDigest())
 	// The recycle and batch-kernel flags live in the payload, not the
 	// digest (so older digests stay valid); restore still refuses a
 	// mismatch with cfg.Recycle/cfg.BatchDraws — the retirement barrier
@@ -300,8 +310,8 @@ func RestoreSection(sec *snapshot.Reader, cfg Config) (*Network, error) {
 	if v := sec.Int(); sec.Err() == nil && v != corePayloadVersion {
 		return nil, fmt.Errorf("%w %d, this build reads only %d", ErrPayloadVersion, v, corePayloadVersion)
 	}
-	if d := sec.U32(); sec.Err() == nil && d != ConfigDigest(&n.cfg) {
-		return nil, fmt.Errorf("core: checkpoint was taken under a different configuration (digest %08x != %08x)", d, ConfigDigest(&n.cfg))
+	if d := sec.U32(); sec.Err() == nil && d != n.configDigest() {
+		return nil, fmt.Errorf("core: checkpoint was taken under a different configuration (digest %08x != %08x)", d, n.configDigest())
 	}
 	if recycle := sec.Bool(); sec.Err() == nil && recycle != n.recycle {
 		return nil, fmt.Errorf("core: checkpoint written with Recycle=%v, config says %v", recycle, n.recycle)

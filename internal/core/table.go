@@ -120,16 +120,49 @@ const tableArenaRows = 32
 // later) while pinning the ledger to ~1.5 MiB worst case.
 const retiredLedgerCap = 1 << 16
 
-// initTable sizes the table for a tiles-tile network.
-func (tb *msgTable) initTable(tiles int) {
-	tb.words = (tiles + 63) / 64
+// initTable sizes the table for a tiles-tile network, empty, with the
+// recycle-only counts when recycle is set. A table being reused
+// (Network.Reset) keeps its storage: its rows are zeroed and stay in the
+// per-slot slices' capacity, where appendSlot takes them back, unless the
+// mesh's word count changed.
+func (tb *msgTable) initTable(tiles int, recycle bool) {
+	if words := (tiles + 63) / 64; words != tb.words {
+		clear(tb.present[:cap(tb.present)])
+		clear(tb.seen[:cap(tb.seen)])
+		tb.words = words
+	} else {
+		for s := 1; s < len(tb.present); s++ {
+			clear(tb.present[s])
+			clear(tb.seen[s])
+		}
+	}
 	tb.retCap = retiredLedgerCap
-	tb.gens = make([]uint32, 1, 8)
-	tb.aware = make([]int32, 1, 8)
-	tb.dead = make([]bool, 1, 8)
-	tb.occ = make([]bool, 1, 8)
-	tb.present = make([][]uint64, 1, 8)
-	tb.seen = make([][]uint64, 1, 8)
+	tb.gens = sentinel(tb.gens)
+	tb.aware = sentinel(tb.aware)
+	tb.dead = sentinel(tb.dead)
+	tb.occ = sentinel(tb.occ)
+	tb.present = sentinel(tb.present)
+	tb.seen = sentinel(tb.seen)
+	tb.copies, tb.inflight = nil, nil
+	if recycle {
+		tb.copies = sentinel(tb.copies)
+		tb.inflight = sentinel(tb.inflight)
+	}
+	clear(tb.free)
+	tb.free, tb.freeHead = tb.free[:0], 0
+	clear(tb.retired)
+	tb.retRing, tb.retHead = tb.retRing[:0], 0
+	tb.live, tb.peakLive = 0, 0
+}
+
+// sentinel returns s holding slot 0 alone, zero, reusing its storage.
+func sentinel[T any](s []T) []T {
+	if cap(s) == 0 {
+		return make([]T, 1, 8)
+	}
+	s = s[:1]
+	clear(s)
+	return s
 }
 
 // row carves one zeroed tile bitmap from the arena.
@@ -142,6 +175,17 @@ func (tb *msgTable) row() []uint64 {
 	return r
 }
 
+// nextRow extends rows by one zeroed row: the one initTable kept past its
+// length, or a fresh one from the arena.
+func (tb *msgTable) nextRow(rows [][]uint64) [][]uint64 {
+	if l := len(rows); l < cap(rows) {
+		if r := rows[:l+1][l]; len(r) == tb.words {
+			return rows[:l+1]
+		}
+	}
+	return append(rows, tb.row())
+}
+
 // appendSlot extends every parallel array by one slot and returns its
 // index. Slices double via append, so issuing m messages reallocates
 // each array O(log m) times over a run.
@@ -151,8 +195,8 @@ func (tb *msgTable) appendSlot() uint32 {
 	tb.aware = append(tb.aware, 0)
 	tb.dead = append(tb.dead, false)
 	tb.occ = append(tb.occ, false)
-	tb.present = append(tb.present, tb.row())
-	tb.seen = append(tb.seen, tb.row())
+	tb.present = tb.nextRow(tb.present)
+	tb.seen = tb.nextRow(tb.seen)
 	if tb.copies != nil {
 		tb.copies = append(tb.copies, 0)
 		tb.inflight = append(tb.inflight, 0)

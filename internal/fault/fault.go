@@ -107,18 +107,38 @@ func linkKey(a, b packet.TileID) uint64 {
 // It returns an error for invalid configurations or if the requested crash
 // counts exceed the available tiles/links.
 func NewInjector(topo topology.Topology, model Model, r *rng.Stream) (*Injector, error) {
-	if err := model.Validate(); err != nil {
+	inj := new(Injector)
+	if err := inj.Reset(topo, model, r); err != nil {
 		return nil, err
 	}
-	inj := &Injector{
-		model:     model,
-		tileAlive: make([]bool, topo.Tiles()),
-		linkDead:  map[uint64]bool{},
-		upsetT:    rng.MakeThreshold(model.PUpset),
-		overflowT: rng.MakeThreshold(model.POverflow),
+	return inj, nil
+}
+
+// Reset re-samples inj in place: afterwards it is what NewInjector(topo,
+// model, r) would return, drawing the same numbers from r, but it reuses
+// inj's tile table and link set, so re-sampling an injector of the same
+// size allocates nothing when no crash count is set. It fails exactly
+// when NewInjector would, and a failed Reset leaves inj unusable until a
+// later one succeeds. Whoever holds inj sees the new sample.
+func (inj *Injector) Reset(topo topology.Topology, model Model, r *rng.Stream) error {
+	if err := model.Validate(); err != nil {
+		return err
+	}
+	inj.model = model
+	inj.upsetT = rng.MakeThreshold(model.PUpset)
+	inj.overflowT = rng.MakeThreshold(model.POverflow)
+	if tiles := topo.Tiles(); cap(inj.tileAlive) < tiles {
+		inj.tileAlive = make([]bool, tiles)
+	} else {
+		inj.tileAlive = inj.tileAlive[:tiles]
 	}
 	for i := range inj.tileAlive {
 		inj.tileAlive[i] = true
+	}
+	if inj.linkDead == nil {
+		inj.linkDead = map[uint64]bool{}
+	} else {
+		clear(inj.linkDead)
 	}
 	protected := map[packet.TileID]bool{}
 	for _, t := range model.Protect {
@@ -134,7 +154,7 @@ func NewInjector(topo topology.Topology, model Model, r *rng.Stream) (*Injector,
 			}
 		}
 		if model.DeadTiles > len(candidates) {
-			return nil, fmt.Errorf("fault: DeadTiles=%d exceeds %d unprotected tiles",
+			return fmt.Errorf("fault: DeadTiles=%d exceeds %d unprotected tiles",
 				model.DeadTiles, len(candidates))
 		}
 		for _, idx := range r.Sample(len(candidates), model.DeadTiles) {
@@ -155,7 +175,7 @@ func NewInjector(topo topology.Topology, model Model, r *rng.Stream) (*Injector,
 	if model.DeadLinks > 0 {
 		links := allLinks(topo)
 		if model.DeadLinks > len(links) {
-			return nil, fmt.Errorf("fault: DeadLinks=%d exceeds %d links", model.DeadLinks, len(links))
+			return fmt.Errorf("fault: DeadLinks=%d exceeds %d links", model.DeadLinks, len(links))
 		}
 		for _, idx := range r.Sample(len(links), model.DeadLinks) {
 			inj.linkDead[linkKey(links[idx][0], links[idx][1])] = true
@@ -167,7 +187,7 @@ func NewInjector(topo topology.Topology, model Model, r *rng.Stream) (*Injector,
 			}
 		}
 	}
-	return inj, nil
+	return nil
 }
 
 func allLinks(topo topology.Topology) [][2]packet.TileID {

@@ -31,8 +31,16 @@ func splitmix64(x *uint64) uint64 {
 }
 
 // New returns a Stream seeded from seed. Distinct seeds give streams that
-// are, for simulation purposes, statistically independent.
+// are, for simulation purposes, statistically independent. Like Split it
+// inlines, so a stream that does not outlive its caller stays off the
+// heap.
 func New(seed uint64) *Stream {
+	st := seeded(seed)
+	return &st
+}
+
+// seeded is New's stream, by value.
+func seeded(seed uint64) Stream {
 	var st Stream
 	x := seed
 	for i := range st.s {
@@ -42,7 +50,7 @@ func New(seed uint64) *Stream {
 	if st.s[0]|st.s[1]|st.s[2]|st.s[3] == 0 {
 		st.s[0] = 0x9e3779b97f4a7c15
 	}
-	return &st
+	return st
 }
 
 func rotl(x uint64, k uint) uint64 { return x<<k | x>>(64-k) }
@@ -81,8 +89,15 @@ func (r *Stream) Uint64() uint64 {
 
 // Split derives a new independent Stream identified by label. Splitting is
 // deterministic: the same parent state and label always yield the same
-// child, and the parent's own sequence is not advanced.
+// child, and the parent's own sequence is not advanced. Split inlines, so
+// a caller that copies the child out (*r.Split(label)) allocates nothing.
 func (r *Stream) Split(label uint64) *Stream {
+	st := r.child(label)
+	return &st
+}
+
+// child is Split's child stream, by value.
+func (r *Stream) child(label uint64) Stream {
 	// Mix the parent state with the label through SplitMix64 so that
 	// nearby labels (0, 1, 2, ...) still produce well-separated seeds.
 	x := r.s[0] ^ rotl(r.s[2], 29) ^ (label * 0xd1342543de82ef95)
@@ -93,7 +108,7 @@ func (r *Stream) Split(label uint64) *Stream {
 	if st.s[0]|st.s[1]|st.s[2]|st.s[3] == 0 {
 		st.s[0] = 1
 	}
-	return &st
+	return st
 }
 
 // Float64 returns a uniform float64 in [0, 1).

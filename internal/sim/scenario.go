@@ -37,6 +37,10 @@ type Scenario struct {
 type Hooks struct {
 	// Record attaches a metrics.Recorder watching the message.
 	Record bool
+	// Net, if set, is the network a fresh run is built on: Run Resets it
+	// to the scenario's config instead of calling core.New, reusing its
+	// storage, and Trial.Net is Net. A resumed run ignores it.
+	Net *core.Network
 	// Resume, if set, restores the run from a checkpoint (cfg and rec as
 	// LoadReplica takes them); ok = false starts it fresh.
 	Resume func(cfg core.Config, rec *metrics.Recorder) (net *core.Network, ok bool, err error)
@@ -66,10 +70,11 @@ type Trial struct {
 	Status LoopStatus
 }
 
-// Run builds the network and recorder, injects the message or resumes it
-// through h.Resume, and drives it with a Loop. A fresh network that is
-// quiescent before its first round (a dead source) stops there with
-// LoopQuiescent, where the Loop alone would run one round.
+// Run builds the network (or Resets h.Net) and the recorder, injects the
+// message or resumes it through h.Resume, and drives it with a Loop. A
+// fresh network that is quiescent before its first round (a dead source)
+// stops there with LoopQuiescent, where the Loop alone would run one
+// round.
 func (s Scenario) Run(h Hooks) (*Trial, error) {
 	t := &Trial{Delivered: -1}
 	cfg := s.Config
@@ -99,7 +104,12 @@ func (s Scenario) Run(h Hooks) (*Trial, error) {
 		t.Msg, t.Resumed = 1, true
 		watch()
 	} else {
-		if t.Net, err = core.New(cfg); err != nil {
+		if h.Net != nil {
+			t.Net, err = h.Net, h.Net.Reset(cfg)
+		} else {
+			t.Net, err = core.New(cfg)
+		}
+		if err != nil {
 			return nil, err
 		}
 		if t.Msg, err = t.Net.Inject(s.Src, s.Dst, s.Kind, make([]byte, s.Payload)); err != nil {

@@ -123,6 +123,67 @@ func TestScenarioResumeByteIdentical(t *testing.T) {
 	}
 }
 
+// TestScenarioNetReuseMatchesFresh pins Hooks.Net: run after run on one
+// network — Reset to scenarios of other sizes, faults, stopping rules and
+// seeds, with and without a recorder, after runs that stopped mid-spread —
+// Run leaves the Trial, the final engine state and the recorded series a
+// fresh network gives.
+func TestScenarioNetReuseMatchesFresh(t *testing.T) {
+	broadcast := func(side int, seed uint64) Scenario {
+		g := topology.NewGrid(side, side)
+		return Scenario{
+			Config: core.Config{Topo: g, P: 0.5, TTL: 16, Seed: seed,
+				Fault: fault.Model{POverflow: 0.05, SigmaSync: 0.4}},
+			Src: g.ID(side/2, side/2), Dst: packet.Broadcast, Payload: 16, Rounds: 48,
+			Tech: energy.NoCLink025,
+		}
+	}
+	dead := unicastScenario(9)
+	dead.Config.Fault = fault.Model{PTileCrash: 1}
+	var net *core.Network
+	for i, tc := range []struct {
+		sc     Scenario
+		record bool
+	}{
+		{unicastScenario(3), true},
+		{broadcast(16, 2003), true},
+		{broadcast(16, 2004), true},
+		{unicastScenario(4), false},
+		{dead, true},
+		{broadcast(12, 7), true},
+		{unicastScenario(5), true},
+	} {
+		want, err := tc.sc.Run(Hooks{Record: tc.record})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := tc.sc.Run(Hooks{Record: tc.record, Net: net})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if net != nil && got.Net != net {
+			t.Fatalf("run %d: Trial.Net is not Hooks.Net", i)
+		}
+		net = got.Net
+		if got.Msg != want.Msg || got.Resumed != want.Resumed || got.Delivered != want.Delivered || got.Status != want.Status {
+			t.Fatalf("run %d: trial %+v, fresh %+v", i, *got, *want)
+		}
+		var gotState, wantState bytes.Buffer
+		if err := got.Net.Snapshot(&gotState); err != nil {
+			t.Fatal(err)
+		}
+		if err := want.Net.Snapshot(&wantState); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gotState.Bytes(), wantState.Bytes()) {
+			t.Fatalf("run %d: final engine state differs from a fresh network's", i)
+		}
+		if tc.record && !reflect.DeepEqual(got.Rec.Series(), want.Rec.Series()) {
+			t.Fatalf("run %d: series differs from a fresh network's", i)
+		}
+	}
+}
+
 // TestScenarioResumeDeliveredBeforeCheckpoint: a delivery the
 // checkpoint already holds ends the resumed run at once, reported at the
 // checkpoint's round — unless Dst is the source, which knows its own

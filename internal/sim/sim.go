@@ -38,14 +38,17 @@ type Config struct {
 
 // workers resolves the effective pool size.
 func (c Config) workers() int {
-	w := c.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
+	return min(PoolSize(c.Workers), c.Replicas)
+}
+
+// PoolSize is the worker count a Workers setting stands for, before Run
+// caps it at the replica count: workers itself, or runtime.GOMAXPROCS(0)
+// for 0 or less.
+func PoolSize(workers int) int {
+	if workers <= 0 {
+		return runtime.GOMAXPROCS(0)
 	}
-	if w > c.Replicas {
-		w = c.Replicas
-	}
-	return w
+	return workers
 }
 
 // Seeds returns the n per-replica seeds derived from the master seed.

@@ -32,17 +32,15 @@ type CheckConfig struct {
 	// deep inside the indifference region can take long). 0 defaults to
 	// 100000.
 	MaxReplicas int
-	// Batch is the wave size: replicas are scheduled through the worker
-	// pool Batch at a time and their outcomes consumed in replica-index
-	// order, so at most Batch−1 replicas beyond the SPRT's stopping
-	// point are simulated and discarded. 0 defaults to 64.
-	Batch int
-	// Workers bounds the worker pool (sim.Config.Workers semantics).
+	// Workers bounds the worker pool (sim.Config.Workers semantics). It
+	// also sets the least wave size (see Check), so at most Workers−1
+	// replicas past the SPRT's stopping point are simulated and
+	// discarded: none at Workers = 1.
 	Workers int
 	// Seed is the master seed; replica r's seed is derived from it by
 	// absolute index (sim.RunOffset), so the verdict is deterministic in
-	// Seed and the test parameters alone — Batch and Workers can change
-	// wall-clock time and wasted replicas, never the Report.
+	// Seed and the test parameters alone — Workers can change wall-clock
+	// time and wasted replicas, never the Report.
 	Seed uint64
 }
 
@@ -91,32 +89,36 @@ func (c CheckConfig) withDefaults() CheckConfig {
 	if c.MaxReplicas <= 0 {
 		c.MaxReplicas = 100000
 	}
-	if c.Batch <= 0 {
-		c.Batch = 64
-	}
 	return c
 }
+
+// maxWave bounds a wave, and with it the outcomes one sim.RunOffset call
+// holds. A wave below the bound already simulates nothing the SPRT could
+// skip, so the bound only adds a barrier on checks that run long.
+const maxWave = 64
 
 // Check sequentially tests P[φ] ≥ θ for the property φ evaluated by
 // replica, scheduling trajectory replicas through the internal/sim
 // worker pool in waves and feeding their outcomes — strictly in
 // replica-index order — to a Wald SPRT until it settles or
-// cfg.MaxReplicas is exhausted. The Report is deterministic in
-// (cfg.Seed, cfg.Theta, cfg.Delta, cfg.Alpha, cfg.Beta) alone: replica
-// seeds derive from the absolute replica index, and outcomes past the
-// SPRT's stopping index are discarded, so neither the wave size nor the
-// worker count can shift the verdict or the consumed-replica count.
+// cfg.MaxReplicas is exhausted. Each wave is as long as the fewest
+// outcomes after which the SPRT could stop, but at least the worker
+// count (so every worker has a replica) and at most maxWave: no wave
+// runs past the earliest possible stop by more than Workers−1 replicas.
+// The Report is deterministic in (cfg.Seed, cfg.Theta, cfg.Delta,
+// cfg.Alpha, cfg.Beta) alone: replica seeds derive from the absolute
+// replica index, and outcomes past the SPRT's stopping index are
+// discarded, so neither the wave sizes nor the worker count can shift
+// the verdict or the consumed-replica count.
 func Check(prop Property, replica Replica, cfg CheckConfig) (Report, error) {
 	cfg = cfg.withDefaults()
 	test, err := NewSPRT(cfg.Theta, cfg.Delta, cfg.Alpha, cfg.Beta)
 	if err != nil {
 		return Report{}, err
 	}
+	workers := sim.PoolSize(cfg.Workers)
 	for offset := 0; test.Verdict() == Undecided && offset < cfg.MaxReplicas; {
-		wave := cfg.Batch
-		if rest := cfg.MaxReplicas - offset; wave > rest {
-			wave = rest
-		}
+		wave := min(max(test.minToStop(maxWave), workers), maxWave, cfg.MaxReplicas-offset)
 		mc := sim.Config{Replicas: wave, Workers: cfg.Workers, Seed: cfg.Seed}
 		outcomes, err := sim.RunOffset(mc, offset, replica)
 		if err != nil {

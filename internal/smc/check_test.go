@@ -2,6 +2,7 @@ package smc
 
 import (
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -136,8 +137,8 @@ func TestCheckDeterministicFloodingEndpoints(t *testing.T) {
 }
 
 // The Report must be deterministic in (Seed, test parameters) alone:
-// wave size and worker count shift wall-clock work, never the verdict
-// or the consumed-replica count.
+// the worker count, and with it the wave sizes, shifts wall-clock work,
+// never the verdict or the consumed-replica count.
 func TestCheckDeterministicAcrossWorkersAndBatch(t *testing.T) {
 	model := completeMeshModel(16, 0.1, 4)
 	prop := AwareFraction(0.375).Within(2)
@@ -147,9 +148,9 @@ func TestCheckDeterministicAcrossWorkersAndBatch(t *testing.T) {
 	var first Report
 	for i, cfg := range []CheckConfig{
 		base,
-		{Theta: 0.35, Delta: 0.02, Seed: 42, Workers: 1, Batch: 16},
-		{Theta: 0.35, Delta: 0.02, Seed: 42, Workers: 4, Batch: 250},
-		{Theta: 0.35, Delta: 0.02, Seed: 42, Workers: 7, Batch: 3},
+		{Theta: 0.35, Delta: 0.02, Seed: 42, Workers: 1},
+		{Theta: 0.35, Delta: 0.02, Seed: 42, Workers: 4},
+		{Theta: 0.35, Delta: 0.02, Seed: 42, Workers: 7},
 	} {
 		rep, err := Check(prop, replica, cfg)
 		if err != nil {
@@ -168,6 +169,68 @@ func TestCheckDeterministicAcrossWorkersAndBatch(t *testing.T) {
 	}
 }
 
+// TestCheckWavesStopWithTheSPRT is the wave referee: a check simulates
+// only the replicas its SPRT consumes at Workers = 1, at most Workers−1
+// more at 2, 3 and 7 workers, and reports the same at every worker count
+// — on accepting, rejecting and undecided checks. The flooding cases
+// decide on their first possible outcome. With p1/p0 = 2 and
+// (1−β)/α = 2^12, twelve successes bring the LLR to the accept boundary
+// in real arithmetic; the test's float additions reach it at the twelfth,
+// while dividing the distance by the increment asks for a thirteenth.
+// Two failures cross the reject boundary, where successes would need
+// twelve.
+func TestCheckWavesStopWithTheSPRT(t *testing.T) {
+	mesh := completeMeshModel(16, 0.1, 4)
+	spread := AwareFraction(0.375).Within(2)
+	truth := gossip.FloodReachProb(16, 0.1, 6, 2)
+	flood := gridModel(4, 1, 6) // p = 1: full coverage takes exactly 4 rounds
+	full := AwareFraction(1)
+	boundary := CheckConfig{Theta: 0.45, Delta: 0.15, Alpha: 1.0 / 8192, Beta: 0.5, Seed: 5}
+	for _, tc := range []struct {
+		name  string
+		model Model
+		prop  Property
+		cfg   CheckConfig
+		want  Verdict
+	}{
+		{"accept", mesh, spread, CheckConfig{Theta: truth - 0.12, Delta: 0.02, Seed: 42}, Accepted},
+		{"reject", mesh, spread, CheckConfig{Theta: truth + 0.12, Delta: 0.02, Seed: 42}, Rejected},
+		{"undecided at the cap", mesh, spread, CheckConfig{Theta: truth, Delta: 0.005, Seed: 3, MaxReplicas: 40}, Undecided},
+		{"accept on the boundary", flood, full.Within(4), boundary, Accepted},
+		{"reject on failures alone", flood, full.Within(3), boundary, Rejected},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			inner := tc.model.Replica(tc.prop)
+			var first Report
+			for _, workers := range []int{1, 2, 3, 7} {
+				var simulated atomic.Int64
+				replica := func(r int, seed uint64) (bool, error) {
+					simulated.Add(1)
+					return inner(r, seed)
+				}
+				cfg := tc.cfg
+				cfg.Workers = workers
+				rep, err := Check(tc.prop, replica, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if workers == 1 {
+					first = rep
+					if rep.Verdict != tc.want {
+						t.Fatalf("verdict %v, want %v (%s)", rep.Verdict, tc.want, rep)
+					}
+				} else if rep != first {
+					t.Errorf("Workers=%d: report %+v, Workers=1 gave %+v", workers, rep, first)
+				}
+				if n := int(simulated.Load()); n < rep.Replicas || n > rep.Replicas+workers-1 {
+					t.Errorf("Workers=%d: simulated %d replicas for %d consumed, want at most %d more",
+						workers, n, rep.Replicas, workers-1)
+				}
+			}
+		})
+	}
+}
+
 // A check that cannot settle within MaxReplicas reports Undecided
 // rather than erroring or spinning.
 func TestCheckUndecidedAtReplicaCap(t *testing.T) {
@@ -176,7 +239,7 @@ func TestCheckUndecidedAtReplicaCap(t *testing.T) {
 	truth := gossip.FloodReachProb(16, 0.1, 6, 2)
 	rep, err := Check(prop, model.Replica(prop), CheckConfig{
 		Theta: truth, // dead center of the indifference region
-		Delta: 0.005, Seed: 3, MaxReplicas: 40, Batch: 16,
+		Delta: 0.005, Seed: 3, MaxReplicas: 40,
 	})
 	if err != nil {
 		t.Fatal(err)

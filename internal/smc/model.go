@@ -2,6 +2,7 @@ package smc
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/energy"
@@ -34,19 +35,25 @@ func BroadcastModel(cfg core.Config, source packet.TileID, tech energy.Technolog
 }
 
 // Replica builds the per-trajectory evaluator for prop: each call
-// simulates one fresh network under the given seed up to the property's
-// horizon (or to quiescence / Scenario.Rounds for unbounded
-// properties) and evaluates prop on the recorded series. The returned
-// function is safe for concurrent calls — every invocation builds its
-// own network and recorder.
+// simulates one network under the given seed up to the property's horizon
+// (or to quiescence / Scenario.Rounds for unbounded properties) and
+// evaluates prop on the recorded series. The returned function is safe
+// for concurrent calls: each call takes a network of its own from a pool
+// the function keeps, Resets it (sim.Hooks.Net) and hands it back, so a
+// worker reuses one engine across its replicas instead of building one
+// per replica. Every call records into its own recorder.
 func (m Model) Replica(prop Property) Replica {
 	horizon := prop.Horizon()
+	var nets sync.Pool
 	return func(_ int, seed uint64) (bool, error) {
-		ts, err := m.Run(seed, horizon)
+		net, _ := nets.Get().(*core.Network)
+		t, err := m.trial(seed, horizon, net)
 		if err != nil {
 			return false, err
 		}
-		return prop.Eval(ts), nil
+		ok := prop.Eval(t.Rec.Series())
+		nets.Put(t.Net)
+		return ok, nil
 	}
 }
 
@@ -56,11 +63,21 @@ func (m Model) Replica(prop Property) Replica {
 // every series is the pre-run state; the engine's rounds land at
 // indices 1… .
 func (m Model) Run(seed uint64, horizon int) (*metrics.TimeSeries, error) {
-	t, err := m.scenario(seed, horizon).Run(sim.Hooks{Record: true})
+	t, err := m.trial(seed, horizon, nil)
+	if err != nil {
+		return nil, err
+	}
+	return t.Rec.Series(), nil
+}
+
+// trial runs the recorded trajectory under seed, on net Reset when it is
+// set.
+func (m Model) trial(seed uint64, horizon int, net *core.Network) (*sim.Trial, error) {
+	t, err := m.scenario(seed, horizon).Run(sim.Hooks{Record: true, Net: net})
 	if err != nil {
 		return nil, fmt.Errorf("smc: model: %w", err)
 	}
-	return t.Rec.Series(), nil
+	return t, nil
 }
 
 // scenario is the model's experiment under seed, bounded by horizon.

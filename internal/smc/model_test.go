@@ -57,3 +57,37 @@ func TestModelRunsPastDelivery(t *testing.T) {
 		t.Fatalf("series stops at round %d, want the run to continue past the delivery", ts.Rounds)
 	}
 }
+
+// TestModelReplicaReuseMatchesFresh pins the engine pool of Model.Replica:
+// a check whose replicas reuse pooled networks reports exactly what one
+// building a fresh network per replica reports, sequentially and with
+// workers sharing the pool.
+func TestModelReplicaReuseMatchesFresh(t *testing.T) {
+	g := topology.NewGrid(8, 8)
+	model := BroadcastModel(core.Config{
+		Topo: g, P: 0.5, TTL: 16, Fault: fault.Model{PUpset: 0.05, SigmaSync: 0.3},
+	}, g.ID(4, 4), energy.NoCLink025)
+	prop := MustParse("aware(0.9) within 10")
+	fresh := func(_ int, seed uint64) (bool, error) {
+		ts, err := model.Run(seed, prop.Horizon())
+		if err != nil {
+			return false, err
+		}
+		return prop.Eval(ts), nil
+	}
+	cfg := CheckConfig{Theta: 0.5, Delta: 0.05, Seed: 2003, Workers: 1}
+	want, err := Check(prop, fresh, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 3} {
+		cfg.Workers = workers
+		got, err := Check(prop, model.Replica(prop), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("Workers=%d: pooled replicas report %+v, fresh networks %+v", workers, got, want)
+		}
+	}
+}

@@ -113,6 +113,28 @@ func (s *SPRT) Add(success bool) Verdict {
 	return s.verdict
 }
 
+// minToStop returns the fewest further outcomes after which the test
+// could stop, up to limit (0 once it has stopped). It replays Add's own
+// float additions instead of dividing the distance to a boundary by an
+// increment: k successes raise the LLR at least as far as any k outcomes
+// do and k failures lower it at least as far (float addition is
+// monotone), so the first k at which the all-success sum reaches upper
+// or the all-failure sum reaches lower is exact, never an overestimate.
+func (s *SPRT) minToStop(limit int) int {
+	if s.verdict != Undecided {
+		return 0
+	}
+	up, down := s.llr, s.llr
+	for k := 1; k < limit; k++ {
+		up += s.winS
+		down += s.winF
+		if up >= s.upper || down <= s.lower {
+			return k
+		}
+	}
+	return limit
+}
+
 // Verdict returns the verdict so far (Undecided until a boundary is
 // crossed).
 func (s *SPRT) Verdict() Verdict { return s.verdict }
