@@ -6,15 +6,11 @@ import (
 	"repro/internal/apps/mp3"
 	"repro/internal/apps/pisum"
 	"repro/internal/apps/prodcons"
-	"repro/internal/apps/psat"
-	"repro/internal/apps/sensors"
 	"repro/internal/audio/encoder"
 	"repro/internal/audio/signal"
 	"repro/internal/directed"
 	"repro/internal/diversity"
 	"repro/internal/reliable"
-	"repro/internal/rng"
-	"repro/internal/sat"
 	"repro/internal/xyrouting"
 )
 
@@ -102,36 +98,6 @@ func SetupBeamforming(net *Network, aggTile TileID, sensorTiles []TileID,
 	return beamform.Setup(net, aggTile, sensorTiles, delays, src, selfNoise, blockLen, blocks, pace)
 }
 
-// Parallel SAT solving (named in Ch. 4's applications).
-type (
-	// SATFormula is a CNF formula.
-	SATFormula = sat.Formula
-	// SATClause is a disjunction of literals.
-	SATClause = sat.Clause
-	// SATLit is a literal (±variable).
-	SATLit = sat.Lit
-	// SATResult is a solver verdict.
-	SATResult = sat.Result
-	// SATApp is a wired distributed solve.
-	SATApp = psat.App
-)
-
-// SolveSAT runs the serial DPLL solver.
-func SolveSAT(f *SATFormula, assumptions []SATLit) (*SATResult, error) {
-	return sat.Solve(f, assumptions)
-}
-
-// Random3SAT generates a uniform random 3-SAT instance from a seed.
-func Random3SAT(vars, clauses int, seed uint64) *SATFormula {
-	return sat.Random3SAT(vars, clauses, rng.New(seed))
-}
-
-// SetupSAT attaches a cube-and-conquer master (splitting on the first
-// splitVars variables) and its workers to net.
-func SetupSAT(net *Network, masterTile TileID, workerTiles []TileID, f *SATFormula, splitVars int) (*SATApp, error) {
-	return psat.Setup(net, masterTile, workerTiles, f, splitVars)
-}
-
 // On-chip diversity (Chapter 5).
 type (
 	// DiversityKind names one of the Fig. 5-2 architectures.
@@ -154,19 +120,6 @@ const (
 func CompareDiversity(cfg DiversityConfig) ([]*DiversityResult, error) {
 	return diversity.Compare(cfg)
 }
-
-// Periodic sensor data acquisition (named in Ch. 4's applications).
-type (
-	// SensorField is the synthetic physical quantity sensors sample.
-	SensorField = sensors.Field
-	// Sensor periodically broadcasts readings of a SensorField.
-	Sensor = sensors.Sensor
-	// SensorMonitor keeps the freshest reading per sensor.
-	SensorMonitor = sensors.Monitor
-)
-
-// NewSensorMonitor returns a monitor for the given sensor count.
-func NewSensorMonitor(count int) (*SensorMonitor, error) { return sensors.NewMonitor(count) }
 
 // Reliable transport (§4.2.3's "higher level protocol").
 type (

@@ -9,14 +9,11 @@ import (
 	"testing"
 
 	stochnoc "repro"
-	"repro/internal/apps/psat"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/fault"
 	"repro/internal/packet"
 	"repro/internal/reliable"
-	"repro/internal/rng"
-	"repro/internal/sat"
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
@@ -290,31 +287,6 @@ func BenchmarkEngineSync(b *testing.B) {
 func BenchmarkExtRobustness(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := experiments.RobustnessStudy([]int{0, 2}, bmc(5, uint64(i))); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// The distributed SAT solve (8 cubes, 6 workers, 4x4 NoC).
-func BenchmarkExtParallelSAT(b *testing.B) {
-	f := sat.Random3SAT(18, 36, rng.New(1))
-	grid := topology.NewGrid(4, 4)
-	for i := 0; i < b.N; i++ {
-		net, err := core.New(core.Config{
-			Topo: grid, P: 0.75, TTL: core.DefaultTTL, MaxRounds: 500, Seed: uint64(i),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		app, err := psat.Setup(net, 5,
-			[]packet.TileID{0, 3, 12, 15, 6, 9}, f, 3)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !net.Run().Completed {
-			b.Fatal("solve incomplete")
-		}
-		if _, err := app.Master.Result(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -45,20 +45,6 @@ func ExampleNetwork_Inject() {
 	// Output: delivered: true, CRC caught upsets: true
 }
 
-// ExampleSolveSAT runs the serial DPLL substrate directly.
-func ExampleSolveSAT() {
-	f := &stochnoc.SATFormula{
-		NumVars: 3,
-		Clauses: []stochnoc.SATClause{{1, 2}, {-1, 3}, {-2, -3}},
-	}
-	res, err := stochnoc.SolveSAT(f, nil)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("sat: %v, model satisfies: %v\n", res.Sat, f.Satisfies(res.Model))
-	// Output: sat: true, model satisfies: true
-}
-
 // ExampleReferencePi shows the quadrature the Master–Slave case study
 // distributes.
 func ExampleReferencePi() {

@@ -3,8 +3,9 @@
 // layer — internal/core, internal/sim, internal/metrics, internal/trace
 // — plus the statistical stack internal/smc, internal/stats and
 // internal/gossip) must carry a godoc comment, every audited package a
-// package-level doc comment, and every identifier docs/SMC.md cites
-// must actually exist. The repo's convention is that godoc comments
+// package-level doc comment, and every identifier docs/SMC.md,
+// docs/SERVICE.md, docs/OBSERVABILITY.md or DESIGN.md cites must
+// actually exist. The repo's convention is that godoc comments
 // state units (rounds, bits, joules) and cite the thesis section they
 // reproduce; this gate can only enforce presence, so the units rule is
 // enforced by review — but an undocumented export fails CI here rather
@@ -12,7 +13,9 @@
 // (knobs_test.go): a core.Config field nothing outside the engine sets
 // fails it too. And paths_test.go holds the docs to the tree: every
 // internal/ path they name must exist, and DESIGN.md §2 must list every
-// package.
+// package. reach_test.go holds the tree to its uses: a package under
+// internal/ that no binary, the benchmark or the figure harness imports
+// must name in DESIGN.md the EXPERIMENTS.md section it backs.
 package docaudit
 
 import (
@@ -82,7 +85,7 @@ func TestPackagesHaveDocComment(t *testing.T) {
 
 // docIdentRe matches qualified identifier citations in the docs —
 // `pkg.Exported` with an optional method or field selector.
-var docIdentRe = regexp.MustCompile(`\b(core|sim|metrics|trace|smc|stats|gossip|rng|packet|topology|energy|fault|service)\.([A-Z][A-Za-z0-9]*)(?:\.([A-Za-z_][A-Za-z0-9_]*))?`)
+var docIdentRe = regexp.MustCompile(`\b(core|sim|metrics|trace|smc|stats|gossip|rng|packet|topology|energy|fault|service|experiments)\.([A-Z][A-Za-z0-9]*)(?:\.([A-Za-z_][A-Za-z0-9_]*))?`)
 
 // TestSMCDocReferencesExist cross-checks docs/SMC.md against the code:
 // every `pkg.Identifier` the document cites must exist as an exported
@@ -103,6 +106,12 @@ func TestServiceDocReferencesExist(t *testing.T) {
 // docs/OBSERVABILITY.md, the hook and recorder reference.
 func TestObservabilityDocReferencesExist(t *testing.T) {
 	auditDocReferences(t, "../../docs/OBSERVABILITY.md")
+}
+
+// TestDesignDocReferencesExist applies the same link check to
+// DESIGN.md, the architecture reference.
+func TestDesignDocReferencesExist(t *testing.T) {
+	auditDocReferences(t, "../../DESIGN.md")
 }
 
 // auditDocReferences fails for every `pkg.Identifier` citation in doc

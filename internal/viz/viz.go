@@ -25,7 +25,10 @@ const (
 )
 
 // Frame renders one snapshot of a grid network: which tiles are aware of
-// msg, with src/dst and crashes highlighted.
+// msg, with src/dst and crashes highlighted. It renders live state only,
+// read through core.Network.AwareAt: under core.Config.Recycle a message
+// that has retired forgets its per-tile awareness with its slot, so its
+// frame shows every tile unaware (nocsim -viz never sets Recycle).
 func Frame(net *core.Network, grid *topology.Grid, msg packet.MsgID, src, dst packet.TileID) string {
 	var b strings.Builder
 	for y := 0; y < grid.Height; y++ {

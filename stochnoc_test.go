@@ -117,14 +117,7 @@ func TestFacadeDirectedAndXY(t *testing.T) {
 	}
 }
 
-func TestFacadeSensors(t *testing.T) {
-	mon, err := stochnoc.NewSensorMonitor(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mon.Coverage() != 0 {
-		t.Fatal("fresh monitor has coverage")
-	}
+func TestFacadeReliable(t *testing.T) {
 	if stochnoc.NewReliableEndpoint().Outstanding() != 0 {
 		t.Fatal("fresh reliable endpoint has pending messages")
 	}
