@@ -151,9 +151,8 @@ func (n *Network) forwardTile(t *tile) {
 		cur = c.fwdCursor % buffered
 		router = c.router
 	}
-	if n.batch && n.cfg.PortWeight == nil && router == nil {
-		n.forwardBatch(t, cur, count, buffered)
-	} else {
+	switch {
+	case router != nil || n.cfg.PortWeight != nil:
 		ports := n.ports(t)
 		for i := 0; i < count; i++ {
 			idx := cur + i
@@ -167,24 +166,19 @@ func (n *Network) forwardTile(t *tile) {
 				}
 				continue
 			}
-			if n.cfg.PortWeight != nil {
-				for pi, nb := range t.nbrs {
-					prob := n.cfg.P * n.cfg.PortWeight(t.id, nb, p)
-					// MakeThreshold+BoolT ≡ Bool(prob), draw for draw.
-					if !t.rnd.BoolT(rng.MakeThreshold(prob)) {
-						continue
-					}
-					n.transmit(t, nb, p, ports[pi])
-				}
-				continue
-			}
 			for pi, nb := range t.nbrs {
-				if !t.rnd.BoolT(n.pThresh) {
+				prob := n.cfg.P * n.cfg.PortWeight(t.id, nb, p)
+				// MakeThreshold+BoolT ≡ Bool(prob), draw for draw.
+				if !t.rnd.BoolT(rng.MakeThreshold(prob)) {
 					continue
 				}
 				n.transmit(t, nb, p, ports[pi])
 			}
 		}
+	case n.batch:
+		n.forwardBatch(t, cur, count, buffered)
+	default:
+		n.forwardGossip(t, cur, count, buffered)
 	}
 	if c != nil {
 		cur += count
@@ -192,6 +186,95 @@ func (n *Network) forwardTile(t *tile) {
 			cur -= buffered // count <= buffered: one wrap at most
 		}
 		c.fwdCursor = cur
+	}
+}
+
+// forwardGossip is phase 3's default path (no router, no PortWeight, no
+// BatchDraws): each of count messages from window position cur flips one
+// P coin per port, in port order, and each copy that wins goes out. With
+// an OnEvent listener, literal upsets or skew, transmit handles every
+// copy, right after its coin. Otherwise each copy is settled here
+// (gossipSettled), with the same draws in the same order (DESIGN.md
+// "Forwarding kernels").
+func (n *Network) forwardGossip(t *tile, cur, count, buffered int) {
+	ports := n.ports(t)
+	settle := n.settleUpsets && !n.skew && !n.cfg.Fault.LiteralUpsets
+	for i := 0; i < count; i++ {
+		idx := cur + i
+		if idx >= buffered {
+			idx -= buffered // i < count <= buffered: one wrap at most
+		}
+		p := &t.sendBuf[idx]
+		if settle {
+			n.gossipSettled(t, p, ports)
+			continue
+		}
+		for pi, nb := range t.nbrs {
+			if t.rnd.BoolT(n.pThresh) {
+				n.transmit(t, nb, p, ports[pi])
+			}
+		}
+	}
+}
+
+// gossipSettled is forwardGossip's body for one message when every copy
+// can be settled at the sender: no listener, the analytic path, no skew.
+// It does what transmit would do for each copy — the energy of every
+// copy, nothing more for a dead link, the upset draw, settlement of an
+// upset or of a duplicate, send for the rest — but tallies the energy
+// once per message. With no upsets to draw, the copies draw nothing, so
+// the coins are the message's only draws: they are drawn first, 64 ports
+// to a BoolsT mask, and the winners handled after, in port order, with
+// the message's present row looked up once (phase 3 writes no present
+// bit). With upsets each coin is followed by its copy's upset draw, as in
+// transmit.
+func (n *Network) gossipSettled(t *tile, p *packet.Packet, ports []bool) {
+	elide := n.elideDup
+	sent := 0
+	if n.upsetT == 0 {
+		var row []uint64
+		for base := 0; base < len(t.nbrs); base += 64 {
+			mask := t.rnd.BoolsT(n.pThresh, min(64, len(t.nbrs)-base))
+			if mask == 0 {
+				continue
+			}
+			if elide && row == nil {
+				row = n.tbl.present[msgSlot(p.ID)]
+			}
+			sent += bits.OnesCount64(mask)
+			for ; mask != 0; mask &= mask - 1 {
+				pi := base + bits.TrailingZeros64(mask)
+				if !ports[pi] {
+					continue // crashed link or dead far-end tile
+				}
+				if nb := t.nbrs[pi]; elide && rowBit(row, nb) {
+					n.cnt.Duplicates++
+				} else {
+					n.send(nb, n.round, arrival{pkt: *p})
+				}
+			}
+		}
+	} else {
+		for pi, nb := range t.nbrs {
+			if !t.rnd.BoolT(n.pThresh) {
+				continue
+			}
+			sent++
+			switch {
+			case !ports[pi]:
+				// crashed link or dead far-end tile
+			case t.rnd.BoolT(n.upsetT):
+				n.cnt.UpsetsInjected++
+				n.cnt.UpsetsDetected++
+			case elide && rowBit(n.tbl.present[msgSlot(p.ID)], nb):
+				n.cnt.Duplicates++
+			default:
+				n.send(nb, n.round, arrival{pkt: *p})
+			}
+		}
+	}
+	if sent > 0 {
+		n.cnt.Energy.AddTransmissions(sent, p.SizeBits())
 	}
 }
 

@@ -401,6 +401,44 @@ func scenarios() []scenario {
 			rounds: 50,
 		},
 		{
+			// Degree 69 on the complete fabric: phase 3 draws each
+			// message's coins as two masks (64 ports, then 5), and with no
+			// upsets to draw they are drawn ahead of the copies. Crashed
+			// links and tiles leave dead ports in both chunks.
+			name: "complete70-clean",
+			cfg: func() Config {
+				return Config{
+					Topo: topology.NewFullyConnected(70), P: 0.06, TTL: 6,
+					MaxRounds: 1000, Seed: 61,
+					Fault: fault.Model{PLinkCrash: 0.05, DeadTiles: 4, Protect: []packet.TileID{0, 69}},
+				}
+			},
+			inject: []injection{
+				{beforeRound: 0, src: 0, dst: packet.Broadcast, payload: "wide"},
+				{beforeRound: 2, src: 69, dst: 3, kind: 1, payload: "across"},
+				{beforeRound: 4, src: 35, dst: packet.Broadcast},
+			},
+			rounds: 25,
+		},
+		{
+			// The same fabric with upsets: each coin is followed by its
+			// copy's upset draw, across the 64-port boundary.
+			name: "complete70-upsets",
+			cfg: func() Config {
+				return Config{
+					Topo: topology.NewFullyConnected(70), P: 0.06, TTL: 6,
+					MaxRounds: 1000, Seed: 62,
+					Fault: fault.Model{PUpset: 0.15, PLinkCrash: 0.05, Protect: []packet.TileID{0, 69}},
+				}
+			},
+			inject: []injection{
+				{beforeRound: 0, src: 69, dst: packet.Broadcast, payload: "wide"},
+				{beforeRound: 2, src: 0, dst: 66, kind: 1, payload: "across"},
+				{beforeRound: 4, src: 35, dst: packet.Broadcast},
+			},
+			rounds: 25,
+		},
+		{
 			// StopSpreadOnDelivery writes cross-tile tombstones mid-phase
 			// that later tiles of the same round must observe.
 			name: "stop-spread-on-delivery",
@@ -661,17 +699,27 @@ func TestCountersExactBetweenRounds(t *testing.T) {
 // live. A P=1 broadcast from a corner reaches its two neighbours in round
 // 1; the OnEvent hook reads Aware and Counters at each delivery and must
 // see the count rise between them (2 then 3 aware tiles, 1 then 2
-// deliveries).
+// deliveries). At each EvTransmit of the whole run it reads the energy
+// tally, which must have risen by exactly one since the previous one: a
+// per-message tally, as the hook-free forwarding loop keeps, would jump.
 func TestOneLaneHooksSeeLiveState(t *testing.T) {
 	var n *Network
 	var id packet.MsgID
 	var aware, delivered []int
+	transmits, lastTx := 0, 0
 	n = mustNet(t, Config{
 		Topo: topology.NewGrid(16, 16), P: 1, TTL: 4, MaxRounds: 10, Seed: 3,
 		OnEvent: func(ev Event) {
-			if ev.Kind == EvDeliver && ev.Round == 1 {
+			switch {
+			case ev.Kind == EvDeliver && ev.Round == 1:
 				aware = append(aware, n.Aware(id))
 				delivered = append(delivered, n.Counters().Deliveries)
+			case ev.Kind == EvTransmit:
+				tx := n.Counters().Energy.Transmissions
+				if tx != lastTx+1 {
+					t.Fatalf("EvTransmit %d in round %d saw %d transmissions, want live %d", transmits, ev.Round, tx, lastTx+1)
+				}
+				transmits, lastTx = transmits+1, tx
 			}
 		},
 	})
@@ -679,5 +727,11 @@ func TestOneLaneHooksSeeLiveState(t *testing.T) {
 	n.Step()
 	if !reflect.DeepEqual(aware, []int{2, 3}) || !reflect.DeepEqual(delivered, []int{1, 2}) {
 		t.Fatalf("round-1 delivery hooks saw Aware %v and Deliveries %v, want live [2 3] and [1 2]", aware, delivered)
+	}
+	for range 3 {
+		n.Step()
+	}
+	if got := n.Counters().Energy.Transmissions; transmits == 0 || got != transmits {
+		t.Fatalf("%d EvTransmit events for %d transmissions", transmits, got)
 	}
 }

@@ -51,6 +51,12 @@ func (a *Accounting) AddTransmission(sizeBits int) {
 	a.Bits += sizeBits
 }
 
+// AddTransmissions records copies packet copies of sizeBits each.
+func (a *Accounting) AddTransmissions(copies, sizeBits int) {
+	a.Transmissions += copies
+	a.Bits += copies * sizeBits
+}
+
 // Merge adds the counters of b into a.
 func (a *Accounting) Merge(b Accounting) {
 	a.Transmissions += b.Transmissions

@@ -12,6 +12,7 @@ package rng
 import (
 	"errors"
 	"math"
+	"math/bits"
 )
 
 // Stream is a deterministic pseudo-random stream. It is NOT safe for
@@ -53,8 +54,6 @@ func seeded(seed uint64) Stream {
 	return st
 }
 
-func rotl(x uint64, k uint) uint64 { return x<<k | x>>(64-k) }
-
 // State exports the stream's internal xoshiro256** state. Together with
 // SetState it forms the checkpoint surface of the simulator: a Stream
 // restored from a captured state produces exactly the sequence the
@@ -74,17 +73,16 @@ func (r *Stream) SetState(s [4]uint64) error {
 	return nil
 }
 
-// Uint64 returns the next 64 uniformly distributed bits.
+// Uint64 returns the next 64 uniformly distributed bits. It works on a
+// local copy of the state so that it fits the compiler's inlining budget:
+// the forwarding loop draws one coin per (message, port), and a call per
+// coin is a measurable share of a round.
 func (r *Stream) Uint64() uint64 {
-	result := rotl(r.s[1]*5, 7) * 9
-	t := r.s[1] << 17
-	r.s[2] ^= r.s[0]
-	r.s[3] ^= r.s[1]
-	r.s[1] ^= r.s[2]
-	r.s[0] ^= r.s[3]
-	r.s[2] ^= t
-	r.s[3] = rotl(r.s[3], 45)
-	return result
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	s2 ^= s0
+	s3 ^= s1
+	r.s = [4]uint64{s0 ^ s3, s1 ^ s2, s2 ^ s1<<17, bits.RotateLeft64(s3, 45)}
+	return bits.RotateLeft64(s1*5, 7) * 9
 }
 
 // Split derives a new independent Stream identified by label. Splitting is
@@ -100,7 +98,7 @@ func (r *Stream) Split(label uint64) *Stream {
 func (r *Stream) child(label uint64) Stream {
 	// Mix the parent state with the label through SplitMix64 so that
 	// nearby labels (0, 1, 2, ...) still produce well-separated seeds.
-	x := r.s[0] ^ rotl(r.s[2], 29) ^ (label * 0xd1342543de82ef95)
+	x := r.s[0] ^ bits.RotateLeft64(r.s[2], 29) ^ (label * 0xd1342543de82ef95)
 	var st Stream
 	for i := range st.s {
 		st.s[i] = splitmix64(&x)
@@ -158,13 +156,37 @@ func MakeThreshold(p float64) Threshold {
 // except for the never/always thresholds, which (like Bool at p <= 0 and
 // p >= 1) are decided without touching the stream.
 func (r *Stream) BoolT(t Threshold) bool {
-	if t == 0 {
-		return false
+	// One unsigned compare sorts out both edges (t-1 wraps for t = 0), so
+	// that BoolT, with Uint64 inlined into it, still fits the inlining
+	// budget.
+	if t-1 < ThresholdAlways-1 {
+		return r.Uint64()>>11 < uint64(t)
 	}
-	if t >= ThresholdAlways {
-		return true
+	return t != 0
+}
+
+// BoolsT returns k outcomes of BoolT(t) as a mask: bit i is the i-th
+// call's. It consumes exactly the draws those k calls would — k of them,
+// or none at the never/always thresholds — so a caller may draw a run of
+// coins ahead and act on them afterwards without changing the stream. k
+// must lie in [0, 64].
+func (r *Stream) BoolsT(t Threshold, k int) uint64 {
+	if uint(k) > 64 {
+		panic("rng: BoolsT with k outside [0, 64]")
 	}
-	return r.Uint64()>>11 < uint64(t)
+	if t-1 >= ThresholdAlways-1 {
+		if t == 0 {
+			return 0
+		}
+		return ^uint64(0) >> (64 - k)
+	}
+	// With both sides below 2^53, u>>11 - t underflows, setting bit 63,
+	// exactly when u>>11 < t: the coin needs no branch.
+	var m uint64
+	for i := range k {
+		m |= (r.Uint64()>>11 - uint64(t)) >> 63 << i
+	}
+	return m
 }
 
 // Bool returns true with probability p. p outside [0, 1] is clamped.

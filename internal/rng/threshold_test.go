@@ -1,6 +1,7 @@
 package rng
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -105,6 +106,63 @@ func TestThresholdEquivalenceSweep(t *testing.T) {
 		if a.State() != b.State() {
 			t.Fatalf("p=%v: draw consumption diverged", p)
 		}
+	}
+}
+
+// TestBoolsTMatchesBoolT holds BoolsT(t, k) to k BoolT(t) calls, mask
+// bit for call and draw for draw, at every k and at the thresholds where
+// the two could part: the never/always edges, the smallest and largest
+// drawn ones, and a sweep of interior probabilities.
+func TestBoolsTMatchesBoolT(t *testing.T) {
+	ths := []Threshold{0, 1, 1 << 52, 1<<53 - 1, ThresholdAlways}
+	g := New(0xB001)
+	for i := 0; i < 20; i++ {
+		ths = append(ths, MakeThreshold(g.Float64()))
+	}
+	for _, th := range ths {
+		for k := 0; k <= 64; k++ {
+			a, b := New(uint64(k)+7), New(uint64(k)+7)
+			var want uint64
+			for i := 0; i < k; i++ {
+				if a.BoolT(th) {
+					want |= 1 << i
+				}
+			}
+			if got := b.BoolsT(th, k); got != want {
+				t.Fatalf("threshold %d, k=%d: mask %#x, want %#x", th, k, got, want)
+			}
+			if a.State() != b.State() {
+				t.Fatalf("threshold %d, k=%d: BoolsT consumed other draws than %d BoolT calls", th, k, k)
+			}
+		}
+	}
+}
+
+// coinSink keeps BenchmarkBoolsT's coins live.
+var coinSink uint64
+
+// BenchmarkBoolsT times k p = 0.5 coins, drawn as one BoolsT mask and as
+// k BoolT calls: the RNG-draw rung under phase 3's coins-first loop. k = 4
+// is a mesh tile's degree, k = 64 a full chunk.
+func BenchmarkBoolsT(b *testing.B) {
+	th := MakeThreshold(0.5)
+	for _, k := range []int{4, 64} {
+		b.Run(fmt.Sprintf("mask/k=%d", k), func(b *testing.B) {
+			r := New(1)
+			for i := 0; i < b.N; i++ {
+				coinSink ^= r.BoolsT(th, k)
+			}
+		})
+		b.Run(fmt.Sprintf("calls/k=%d", k), func(b *testing.B) {
+			r := New(1)
+			for i := 0; i < b.N; i++ {
+				for j := range k {
+					if r.BoolT(th) {
+						coinSink ^= 1 << j
+					}
+				}
+			}
+		})
 	}
 }
 
