@@ -82,11 +82,11 @@ func skipConstant(p float64) float64 {
 // window the default path walks). Caller guarantees t.router == nil and
 // cfg.PortWeight == nil.
 func (n *Network) forwardBatch(t *tile, cur, count, buffered int) {
-	d := len(t.nbrs)
+	ports := n.ports(t)
+	d := len(ports)
 	if d == 0 || n.pThresh == 0 {
 		return
 	}
-	ports := n.ports(t)
 	if n.pThresh >= rng.ThresholdAlways {
 		// Flooding: every port, no draws — same as BoolT(ThresholdAlways).
 		for i := 0; i < count; i++ {
@@ -95,8 +95,8 @@ func (n *Network) forwardBatch(t *tile, cur, count, buffered int) {
 				idx -= buffered
 			}
 			p := &t.sendBuf[idx]
-			for pi, nb := range t.nbrs {
-				n.transmit(t, nb, p, ports[pi])
+			for _, e := range ports {
+				n.transmit(t, e, p)
 			}
 		}
 		return
@@ -126,11 +126,11 @@ func (n *Network) forwardBatch(t *tile, cur, count, buffered int) {
 			idx -= buffered
 		}
 		p := &t.sendBuf[idx]
-		for pi, nb := range t.nbrs {
+		for _, e := range ports {
 			if !t.rnd.BoolT(n.pThresh) {
 				continue
 			}
-			n.transmit(t, nb, p, ports[pi])
+			n.transmit(t, e, p)
 		}
 	}
 }
@@ -146,12 +146,12 @@ func (n *Network) forwardMask(t *tile, cur, count, buffered int) {
 		}
 		p := &t.sendBuf[idx]
 		mask := t.rnd.Uint64()
-		for pi, nb := range t.nbrs {
+		for pi, e := range ports {
 			lane16 := uint32(mask>>(uint(pi)*maskLaneBits)) & (1<<maskLaneBits - 1)
 			if lane16 >= n.batchT16 {
 				continue
 			}
-			n.transmit(t, nb, p, ports[pi])
+			n.transmit(t, e, p)
 		}
 	}
 }
@@ -167,8 +167,7 @@ func (n *Network) forwardSkip(t *tile, cur, count, buffered, d int) {
 		if idx >= buffered {
 			idx -= buffered
 		}
-		pi := j % d
-		n.transmit(t, t.nbrs[pi], &t.sendBuf[idx], ports[pi])
+		n.transmit(t, ports[j%d], &t.sendBuf[idx])
 		j += 1 + t.rnd.GeometricSkip(n.invLn1mP)
 	}
 }

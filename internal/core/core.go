@@ -37,6 +37,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/energy"
 	"repro/internal/fault"
@@ -239,6 +240,11 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("core: LiteralUpsets needs wire-addressable tiles (%d > %d)",
 			c.Topo.Tiles(), int(packet.MaxWireTile)+1)
 	}
+	// The port table packs a link verdict into bit 31 of every neighbour
+	// ID (see port).
+	if uint64(c.Topo.Tiles()) > uint64(portDead) {
+		return fmt.Errorf("core: %d tiles exceed the port table's 31-bit tile IDs", c.Topo.Tiles())
+	}
 	return c.Fault.Validate()
 }
 
@@ -285,29 +291,55 @@ type Counters struct {
 // hardware interface, and everything the per-round sweeps touch. All of it
 // is flat: the send buffer owns its packets by value, dedup and the
 // delivery-once filter are bit flags indexed by MsgID, in-flight copies
-// sit in a per-tile arrival ring keyed by arrival round, and the tiles
-// themselves are one contiguous array (Network.tiles). It is kept small
-// on purpose (136 bytes): a mega-mesh pays it once per tile whether or not
-// the tile ever carries traffic. What only some tiles have lives behind
-// cold.
+// sit in a per-tile arrival ring keyed by arrival round, the ports are a
+// window of the network's port table, and the tiles themselves are one
+// contiguous array (Network.tiles). It is kept small on purpose (104
+// bytes): a mega-mesh pays it once per tile whether or not the tile ever
+// carries traffic. What only some tiles have lives in a coldTile.
 type tile struct {
 	sendBuf []packet.Packet // live copies, owned by value
 	ring    arrivalRing     // in-flight copies keyed by arrival round
 	rnd     rng.Stream      // forwarding decisions + app randomness (by value: hot state stays on the tile's cache lines)
-	nbrs    []packet.TileID // topo.Neighbors(id), cached at New
-	cold    *coldTile       // IP-core side; nil until Attach/SetRouter/SetForwardLimit
-	// portOff locates this tile's ports in Network.portAlive: port i's
-	// cached link verdict is portAlive[portOff+i].
-	portOff int
-	id      packet.TileID
-	alive   bool // inj.TileAlive(id), cached at New (crash state is immutable)
+	// portOff and deg locate this tile's ports in Network.portTab: port i
+	// is portTab[portOff+i], for i < deg (see Network.ports).
+	portOff uint32
+	// cold indexes the IP-core block in Network.colds; 0 (a nil entry)
+	// until Attach/SetRouter/SetForwardLimit.
+	cold  uint32
+	id    packet.TileID
+	deg   uint16
+	alive bool // inj.TileAlive(id), cached at New (crash state is immutable)
 }
+
+// port is one entry of the network's port table: the far-end TileID of a
+// link, with portDead set when the link cannot carry a copy (a crashed
+// link, or a crashed tile at either end). Neighbour and verdict share one
+// word, so the forwarding loops read both from one array.
+type port uint32
+
+// portDead is the verdict bit of a port; tile IDs stay below it
+// (Config.Validate).
+const portDead port = 1 << 31
+
+// makePort packs neighbour nb and its link verdict into a port.
+func makePort(nb packet.TileID, up bool) port {
+	if up {
+		return port(nb)
+	}
+	return port(nb) | portDead
+}
+
+// peer returns the port's far-end tile.
+func (e port) peer() packet.TileID { return packet.TileID(e &^ portDead) }
+
+// up reports whether the port's link carries copies.
+func (e port) up() bool { return e&portDead == 0 }
 
 // coldTile is the IP-core half of a tile: the attached Process with its
 // mailbox and context, and the bridge settings of the Chapter 5 hybrids.
 // Most tiles of a large mesh have none of these, so the block is
 // allocated on first use (Network.coldOf) and the sweeps reach it through
-// one nil check.
+// one index check.
 type coldTile struct {
 	proc    Process
 	mailbox []*packet.Packet
@@ -318,20 +350,24 @@ type coldTile struct {
 	router    func(p *packet.Packet) []packet.TileID
 }
 
+// cold returns t's IP-core block, or nil if it has none.
+func (n *Network) cold(t *tile) *coldTile { return n.colds[t.cold] }
+
 // coldOf returns t's IP-core block, allocating it on first use.
 func (n *Network) coldOf(t *tile) *coldTile {
-	if t.cold == nil {
-		t.cold = &coldTile{ctx: Ctx{net: n, tile: t}}
+	if t.cold == 0 {
+		t.cold = uint32(len(n.colds))
+		n.colds = append(n.colds, &coldTile{ctx: Ctx{net: n, tile: t}})
 	}
-	return t.cold
+	return n.colds[t.cold]
 }
 
 // process returns the Process attached to t, or nil.
-func (t *tile) process() Process {
-	if t.cold == nil {
-		return nil
+func (n *Network) process(t *tile) Process {
+	if c := n.cold(t); c != nil {
+		return c.proc
 	}
-	return t.cold.proc
+	return nil
 }
 
 // Network is one simulated stochastically-communicating NoC.
@@ -344,15 +380,19 @@ type Network struct {
 	// prefetcher hide that sweep on mega-meshes. Tiles are only ever
 	// handled through pointers into it, never copied.
 	tiles []tile
-	// portAlive caches inj.LinkAlive(t.id, t.nbrs[i]) for every port of
-	// every tile (see tile.portOff): the per-copy link-liveness test in
-	// transmit is a slice load instead of a map lookup. Valid for the
+	// portTab holds every tile's ports, tile after tile, each in the
+	// topology's port order with its inj.LinkAlive verdict packed in (see
+	// port, tile.portOff): the forwarding loops read neighbour and
+	// liveness from one array, with no map lookup per copy. Valid for the
 	// network's lifetime — crash faults are sampled once, before round 0.
-	portAlive []bool
-	round     int
-	nextID    packet.MsgID // last issued packed ID (slot | generation<<32)
-	cnt       Counters
-	tbl       msgTable // per-message state, slot-indexed (table.go)
+	portTab []port
+	// colds holds the IP-core blocks tile.cold indexes; entry 0 is nil,
+	// the block of every tile without one.
+	colds  []*coldTile
+	round  int
+	nextID packet.MsgID // last issued packed ID (slot | generation<<32)
+	cnt    Counters
+	tbl    msgTable // per-message state, slot-indexed (table.go)
 	// pThresh is cfg.P in 53-bit fixed point, precomputed once so the
 	// innermost forwarding draw is a single integer compare —
 	// decision-identical to the former Float64() < P (see rng.MakeThreshold).
@@ -474,7 +514,7 @@ func (n *Network) Reset(cfg Config) error {
 		settleUpsets: cfg.OnEvent == nil,
 		skew:         cfg.Fault.SigmaSync > 0,
 
-		tiles: n.tiles, portAlive: n.portAlive, tbl: n.tbl,
+		tiles: n.tiles, portTab: n.portTab, colds: append(n.colds[:0], nil), tbl: n.tbl,
 		bufOcc: n.bufOcc, rcvOcc: n.rcvOcc, procTiles: n.procTiles,
 		frames: n.frames, rings: n.rings, bufs: n.bufs, pkts: n.pkts,
 	}
@@ -488,15 +528,25 @@ func (n *Network) Reset(cfg Config) error {
 		t.id = packet.TileID(i)
 		t.alive = inj.TileAlive(t.id)
 		t.rnd = *master.Split(uint64(i) + 1)
-		t.nbrs = cfg.Topo.Neighbors(t.id)
-		t.portOff = ports
-		ports += len(t.nbrs)
+		d := len(cfg.Topo.Neighbors(t.id))
+		if d > math.MaxUint16 || uint64(ports+d) > math.MaxUint32 {
+			return fmt.Errorf("core: tile %d's %d ports overflow the port table", i, d)
+		}
+		t.portOff, t.deg = uint32(ports), uint16(d)
+		ports += d
 	}
-	n.portAlive = zeroed(n.portAlive, ports)
+	// Without link crashes a link is up exactly when both ends are, and
+	// the injector's link set need not be consulted port by port.
+	linkFaults := inj.DeadLinkCount() > 0
+	n.portTab = zeroed(n.portTab, ports)
 	for i := range n.tiles {
 		t := &n.tiles[i]
-		for j, nb := range t.nbrs {
-			n.portAlive[t.portOff+j] = inj.LinkAlive(t.id, nb)
+		for j, nb := range cfg.Topo.Neighbors(t.id) {
+			up := t.alive && inj.TileAlive(nb)
+			if up && linkFaults {
+				up = inj.LinkAlive(t.id, nb)
+			}
+			n.portTab[t.portOff+uint32(j)] = makePort(nb, up)
 		}
 	}
 	// Without synchronization skew every copy arrives in the round it was
@@ -522,6 +572,7 @@ func (n *Network) release() {
 		n.rings.detach(&t.ring)
 		*t = tile{}
 	}
+	clear(n.colds)
 	clear(n.procTiles)
 	n.procTiles = n.procTiles[:0]
 }
@@ -537,10 +588,10 @@ func zeroed[T any](s []T, l int) []T {
 	return s
 }
 
-// ports returns the cached link verdicts of t's ports, index-aligned with
-// t.nbrs.
-func (n *Network) ports(t *tile) []bool {
-	return n.portAlive[t.portOff:][:len(t.nbrs)]
+// ports returns t's window of the port table, in the topology's port
+// order.
+func (n *Network) ports(t *tile) []port {
+	return n.portTab[t.portOff:][:t.deg]
 }
 
 // Attach maps proc onto tile t. It panics if t is out of range (a mapping
@@ -567,7 +618,7 @@ func (n *Network) refreshProcs() {
 	n.procsDirty = false
 	n.procTiles = n.procTiles[:0]
 	for i := range n.tiles {
-		if t := &n.tiles[i]; t.process() != nil {
+		if t := &n.tiles[i]; n.process(t) != nil {
 			n.procTiles = append(n.procTiles, t)
 		}
 	}
@@ -639,7 +690,7 @@ func (n *Network) Drain(maxRounds int) int {
 }
 
 // Process returns the process attached to tile t, or nil.
-func (n *Network) Process(t packet.TileID) Process { return n.tiles[t].process() }
+func (n *Network) Process(t packet.TileID) Process { return n.process(&n.tiles[t]) }
 
 // Injector exposes the sampled fault state (read-only use).
 func (n *Network) Injector() *fault.Injector { return n.inj }
@@ -720,7 +771,7 @@ func (n *Network) Step() {
 	if !n.started {
 		n.started = true
 		for i := range n.tiles {
-			if c := n.tiles[i].cold; c != nil && c.proc != nil && n.tiles[i].alive {
+			if c := n.cold(&n.tiles[i]); c != nil && c.proc != nil && n.tiles[i].alive {
 				c.proc.Init(&c.ctx)
 			}
 		}
@@ -773,7 +824,7 @@ func (n *Network) Completed() bool {
 		if !t.alive {
 			continue
 		}
-		c, ok := t.cold.proc.(Completer)
+		c, ok := n.cold(t).proc.(Completer)
 		if !ok {
 			continue
 		}

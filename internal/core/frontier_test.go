@@ -9,6 +9,8 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"math"
+	"math/bits"
 	"reflect"
 	"runtime"
 	"testing"
@@ -117,7 +119,7 @@ func TestFrontierMemoryPinned(t *testing.T) {
 		t.Errorf("steady churn round allocates %.0f times, want <= 16", allocs)
 	}
 	for i := range n.tiles {
-		if n.tiles[i].cold != nil {
+		if n.tiles[i].cold != 0 {
 			t.Fatalf("tile %d grew an IP-core block with nothing attached", i)
 		}
 	}
@@ -126,10 +128,111 @@ func TestFrontierMemoryPinned(t *testing.T) {
 
 // TestTileStaysSlim pins the per-tile fixed cost: a mega-mesh pays it for
 // every tile, hot or not, so what only attached tiles need belongs in
-// coldTile.
+// coldTile, and the ports live in the network's port table.
 func TestTileStaysSlim(t *testing.T) {
-	if size := unsafe.Sizeof(tile{}); size > 136 {
-		t.Errorf("tile is %d bytes, want <= 136", size)
+	if size := unsafe.Sizeof(tile{}); size > 104 {
+		t.Errorf("tile is %d bytes, want <= 104", size)
+	}
+}
+
+// TestPortTableMatchesInjector holds every port of the table to the
+// fault injector: the port's peer is the topology's neighbour in port
+// order, and the port is up exactly when Injector.LinkAlive says so.
+// Reset takes the verdict from tile liveness alone when no link crashed,
+// so the cases cover crashed tiles and crashed links apart and together.
+func TestPortTableMatchesInjector(t *testing.T) {
+	models := map[string]fault.Model{
+		"clean":       {},
+		"dead-tiles":  {DeadTiles: 5},
+		"dead-links":  {DeadLinks: 9},
+		"both":        {DeadTiles: 3, DeadLinks: 7},
+		"p-link-only": {PLinkCrash: 0.2},
+	}
+	for _, topo := range []topology.Topology{topology.NewGrid(6, 5), topology.NewTorus(5, 4)} {
+		for name, m := range models {
+			n, err := New(Config{Topo: topo, P: 0.5, TTL: 4, Seed: 11, Fault: m})
+			if err != nil {
+				t.Fatal(err)
+			}
+			deadPorts := 0
+			for i := range n.tiles {
+				tl := &n.tiles[i]
+				nbrs := topo.Neighbors(tl.id)
+				ports := n.ports(tl)
+				if len(ports) != len(nbrs) {
+					t.Fatalf("%s: tile %d has %d ports, want %d", name, i, len(ports), len(nbrs))
+				}
+				for j, nb := range nbrs {
+					if ports[j].peer() != nb {
+						t.Errorf("%s: tile %d port %d leads to %d, want %d", name, i, j, ports[j].peer(), nb)
+					}
+					if want := n.inj.LinkAlive(tl.id, nb); ports[j].up() != want {
+						t.Errorf("%s: tile %d port %d up = %v, LinkAlive = %v", name, i, j, ports[j].up(), want)
+					}
+					if !ports[j].up() {
+						deadPorts++
+					}
+				}
+			}
+			if (name == "clean") != (deadPorts == 0) {
+				t.Errorf("%s: %d dead ports", name, deadPorts)
+			}
+		}
+	}
+}
+
+// sizedTopo reports a tile count without holding any adjacency; it is
+// for Validate only, which never asks for neighbours.
+type sizedTopo int
+
+func (s sizedTopo) Tiles() int                            { return int(s) }
+func (sizedTopo) Neighbors(packet.TileID) []packet.TileID { return nil }
+
+// starTopo links tile 0 to each of the other tiles. AddLink on a Graph
+// checks for duplicates, which makes a 65 536-port star quadratic to
+// build.
+type starTopo struct{ hub, leaf []packet.TileID }
+
+func newStarTopo(deg int) *starTopo {
+	s := &starTopo{hub: make([]packet.TileID, deg), leaf: []packet.TileID{0}}
+	for i := range s.hub {
+		s.hub[i] = packet.TileID(i + 1)
+	}
+	return s
+}
+
+func (s *starTopo) Tiles() int { return len(s.hub) + 1 }
+func (s *starTopo) Neighbors(t packet.TileID) []packet.TileID {
+	if t == 0 {
+		return s.hub
+	}
+	return s.leaf
+}
+
+// TestPackedLayoutLimits pins the bounds of the packed port layout at
+// their edges: a tile ID must stay below the dead bit (portDead), so
+// Validate takes 2^31 tiles and refuses one more; a tile's degree is a
+// uint16, so Reset takes a tile of 65 535 ports and refuses 65 536. An
+// off-by-one in either would let a tile ID or a degree wrap into the dead
+// bit or the next tile's ports instead of failing.
+func TestPackedLayoutLimits(t *testing.T) {
+	if bits.UintSize == 64 {
+		limit := uint64(portDead)
+		if err := (&Config{Topo: sizedTopo(limit), P: 0.5, TTL: 1}).Validate(); err != nil {
+			t.Errorf("2^31 tiles refused: %v", err)
+		}
+		if err := (&Config{Topo: sizedTopo(limit + 1), P: 0.5, TTL: 1}).Validate(); err == nil {
+			t.Error("2^31+1 tiles accepted; tile IDs would reach the dead bit")
+		}
+	}
+	var n Network
+	if err := n.Reset(Config{Topo: newStarTopo(math.MaxUint16), P: 0.5, TTL: 1}); err != nil {
+		t.Errorf("a tile of 65535 ports refused: %v", err)
+	} else if got := len(n.ports(&n.tiles[0])); got != math.MaxUint16 {
+		t.Errorf("tile 0 has %d ports, want 65535", got)
+	}
+	if err := n.Reset(Config{Topo: newStarTopo(math.MaxUint16 + 1), P: 0.5, TTL: 1}); err == nil {
+		t.Error("a tile of 65536 ports accepted; its uint16 degree would wrap")
 	}
 }
 
@@ -233,7 +336,7 @@ func TestMailboxOnlyWithProcess(t *testing.T) {
 			t.Fatalf("scenario delivered only %d packets", bare.cnt.Deliveries)
 		}
 		for i := range bareNet.tiles {
-			if bareNet.tiles[i].cold != nil {
+			if bareNet.tiles[i].cold != 0 {
 				t.Fatalf("listen=%v: process-less tile %d stored its deliveries", listen, i)
 			}
 		}

@@ -21,7 +21,7 @@ func (n *Network) phaseCompute() {
 		if !t.alive {
 			continue
 		}
-		c := t.cold
+		c := n.cold(t)
 		c.ctx.delivered = c.mailbox
 		c.proc.Round(&c.ctx)
 		c.ctx.delivered = nil
@@ -137,7 +137,7 @@ func (n *Network) forwardTile(t *tile) {
 	// buffer goes out every round and the round-robin start never moves.
 	count, cur := buffered, 0
 	var router func(p *packet.Packet) []packet.TileID
-	c := t.cold
+	c := n.cold(t)
 	if c != nil {
 		if c.fwdLimit > 0 && count > c.fwdLimit {
 			count = c.fwdLimit // serializing bridge: TDM slots this round
@@ -162,17 +162,17 @@ func (n *Network) forwardTile(t *tile) {
 			p := &t.sendBuf[idx]
 			if router != nil {
 				for _, nb := range router(p) {
-					n.transmit(t, nb, p, n.inj.LinkAlive(t.id, nb))
+					n.transmit(t, makePort(nb, n.inj.LinkAlive(t.id, nb)), p)
 				}
 				continue
 			}
-			for pi, nb := range t.nbrs {
-				prob := n.cfg.P * n.cfg.PortWeight(t.id, nb, p)
+			for _, e := range ports {
+				prob := n.cfg.P * n.cfg.PortWeight(t.id, e.peer(), p)
 				// MakeThreshold+BoolT ≡ Bool(prob), draw for draw.
 				if !t.rnd.BoolT(rng.MakeThreshold(prob)) {
 					continue
 				}
-				n.transmit(t, nb, p, ports[pi])
+				n.transmit(t, e, p)
 			}
 		}
 	case n.batch:
@@ -209,9 +209,9 @@ func (n *Network) forwardGossip(t *tile, cur, count, buffered int) {
 			n.gossipSettled(t, p, ports)
 			continue
 		}
-		for pi, nb := range t.nbrs {
+		for _, e := range ports {
 			if t.rnd.BoolT(n.pThresh) {
-				n.transmit(t, nb, p, ports[pi])
+				n.transmit(t, e, p)
 			}
 		}
 	}
@@ -228,13 +228,13 @@ func (n *Network) forwardGossip(t *tile, cur, count, buffered int) {
 // the message's present row looked up once (phase 3 writes no present
 // bit). With upsets each coin is followed by its copy's upset draw, as in
 // transmit.
-func (n *Network) gossipSettled(t *tile, p *packet.Packet, ports []bool) {
+func (n *Network) gossipSettled(t *tile, p *packet.Packet, ports []port) {
 	elide := n.elideDup
 	sent := 0
 	if n.upsetT == 0 {
 		var row []uint64
-		for base := 0; base < len(t.nbrs); base += 64 {
-			mask := t.rnd.BoolsT(n.pThresh, min(64, len(t.nbrs)-base))
+		for base := 0; base < len(ports); base += 64 {
+			mask := t.rnd.BoolsT(n.pThresh, min(64, len(ports)-base))
 			if mask == 0 {
 				continue
 			}
@@ -243,11 +243,11 @@ func (n *Network) gossipSettled(t *tile, p *packet.Packet, ports []bool) {
 			}
 			sent += bits.OnesCount64(mask)
 			for ; mask != 0; mask &= mask - 1 {
-				pi := base + bits.TrailingZeros64(mask)
-				if !ports[pi] {
+				e := ports[base+bits.TrailingZeros64(mask)]
+				if !e.up() {
 					continue // crashed link or dead far-end tile
 				}
-				if nb := t.nbrs[pi]; elide && rowBit(row, nb) {
+				if nb := e.peer(); elide && rowBit(row, nb) {
 					n.cnt.Duplicates++
 				} else {
 					n.send(nb, n.round, arrival{pkt: *p})
@@ -255,21 +255,21 @@ func (n *Network) gossipSettled(t *tile, p *packet.Packet, ports []bool) {
 			}
 		}
 	} else {
-		for pi, nb := range t.nbrs {
+		for _, e := range ports {
 			if !t.rnd.BoolT(n.pThresh) {
 				continue
 			}
 			sent++
 			switch {
-			case !ports[pi]:
+			case !e.up():
 				// crashed link or dead far-end tile
 			case t.rnd.BoolT(n.upsetT):
 				n.cnt.UpsetsInjected++
 				n.cnt.UpsetsDetected++
-			case elide && rowBit(n.tbl.present[msgSlot(p.ID)], nb):
+			case elide && rowBit(n.tbl.present[msgSlot(p.ID)], e.peer()):
 				n.cnt.Duplicates++
 			default:
-				n.send(nb, n.round, arrival{pkt: *p})
+				n.send(e.peer(), n.round, arrival{pkt: *p})
 			}
 		}
 	}
@@ -278,7 +278,7 @@ func (n *Network) gossipSettled(t *tile, p *packet.Packet, ports []bool) {
 	}
 }
 
-// transmit sends one copy of *p from tile t toward neighbor nb, applying
+// transmit sends one copy of *p from tile t out of port e, applying
 // the transient fault model. The energy of driving the link is spent even
 // when the copy is lost downstream. The copy travels by value (analytic
 // path) or as a pooled encoded frame (literal path); either way the
@@ -286,14 +286,14 @@ func (n *Network) gossipSettled(t *tile, p *packet.Packet, ports []bool) {
 // the destination ring through n.send — unless the far end could only
 // drop it as a duplicate or, with no OnEvent listener, as an upset, in
 // which case it is counted here and never scheduled (Network.elideDup,
-// Network.settleUpsets; DESIGN.md "Settlement at the sender"). linkUp is
-// the cached
-// inj.LinkAlive(t.id, nb) verdict — precomputed per port at New on the
-// gossip paths, looked up per call on the (cold) router path.
-func (n *Network) transmit(t *tile, nb packet.TileID, p *packet.Packet, linkUp bool) {
+// Network.settleUpsets; DESIGN.md "Settlement at the sender"). e carries
+// the far end and its inj.LinkAlive verdict — t's port-table entry on the
+// gossip paths, made per call on the (cold) router path.
+func (n *Network) transmit(t *tile, e port, p *packet.Packet) {
+	nb := e.peer()
 	n.cnt.Energy.AddTransmission(p.SizeBits())
 	n.emit(EvTransmit, t.id, nb, p.ID)
-	if !linkUp {
+	if !e.up() {
 		return // crashed link or dead far-end tile: copy vanishes
 	}
 	slip := 0
@@ -454,8 +454,8 @@ func (n *Network) deliver(t *tile, p *packet.Packet) {
 	n.cnt.Deliveries++
 	n.cnt.DeliveredPayloadBits += 8 * len(p.Payload)
 	n.emit(EvDeliver, t.id, p.Src, p.ID)
-	proc := t.process()
-	if proc == nil {
+	c := n.cold(t)
+	if c == nil || c.proc == nil {
 		return
 	}
 	if n.borrowed == p {
@@ -463,9 +463,9 @@ func (n *Network) deliver(t *tile, p *packet.Packet) {
 	}
 	q := n.pkts.get()
 	*q = *p
-	t.cold.mailbox = append(t.cold.mailbox, q)
-	if rcv, ok := proc.(Receiver); ok {
-		rcv.Receive(&t.cold.ctx, q)
+	c.mailbox = append(c.mailbox, q)
+	if rcv, ok := c.proc.(Receiver); ok {
+		rcv.Receive(&c.ctx, q)
 	}
 }
 

@@ -56,7 +56,7 @@ func (m mailProc) Round(ctx *Ctx) {
 // into log.
 func attachMail(n *Network, log *[]mailRec) {
 	for i := 0; i < len(n.tiles); i += 2 {
-		if n.tiles[i].process() == nil {
+		if n.process(&n.tiles[i]) == nil {
 			n.Attach(packet.TileID(i), mailProc{log})
 		}
 	}

@@ -210,8 +210,8 @@ func (n *Network) EncodeState(w *snapshot.Writer) {
 		}
 		// A tile without an IP-core block encodes as the zero one.
 		var c coldTile
-		if t.cold != nil {
-			c = *t.cold
+		if tc := n.cold(t); tc != nil {
+			c = *tc
 		}
 		w.Int(c.fwdCursor)
 		w.Int(c.fwdLimit)

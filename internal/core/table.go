@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/bits"
+	"unsafe"
 
 	"repro/internal/packet"
 )
@@ -447,11 +448,18 @@ type MemStats struct {
 	// PooledBufs is the same count for drained send buffers, bounded by
 	// max(256, the tiles with a buffer).
 	PooledBufs int
+	// FabricBytes is the fixed state every tile pays, busy or idle: the
+	// tile array plus the port table, at the capacity they hold. Divide by
+	// the tile count for the fixed bytes per tile (≈ 120 on a 512×512
+	// grid: a 104-byte tile and four 4-byte ports). The topology's own
+	// neighbour lists and the IP-core blocks of attached tiles are not
+	// included.
+	FabricBytes int
 }
 
-// Mem returns the current message-table footprint and pool sizes. Divide
-// TableBytes by the tile count for the bytes-per-tile figure the scaling
-// experiments report.
+// Mem returns the current message-table footprint, pool sizes and fixed
+// fabric bytes. Divide TableBytes by the tile count for the bytes-per-tile
+// figure the scaling experiments report.
 func (n *Network) Mem() MemStats {
 	tb := &n.tbl
 	slots := tb.slots()
@@ -468,6 +476,8 @@ func (n *Network) Mem() MemStats {
 		ArmedRings:    n.rings.armed,
 		PooledRings:   len(n.rings.free),
 		PooledBufs:    len(n.bufs.free),
+		FabricBytes: cap(n.tiles)*int(unsafe.Sizeof(tile{})) +
+			cap(n.portTab)*int(unsafe.Sizeof(port(0))),
 	}
 }
 

@@ -27,6 +27,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -114,34 +115,106 @@ func TestDesignDocReferencesExist(t *testing.T) {
 	auditDocReferences(t, "../../DESIGN.md")
 }
 
+// TestTestingDocReferencesExist applies the same link check to
+// docs/TESTING.md, the test-suite guide.
+func TestTestingDocReferencesExist(t *testing.T) {
+	auditDocReferences(t, "../../docs/TESTING.md")
+}
+
+// TestREADMEReferencesExist applies the same link check to README.md.
+func TestREADMEReferencesExist(t *testing.T) {
+	auditDocReferences(t, "../../README.md")
+}
+
+// TestExperimentsDocReferencesExist applies the same link check to
+// EXPERIMENTS.md. Some of its sections are records of code that was
+// measured and then deleted, and cite it by name on purpose; those
+// citations are allowed by the exact text of the heading they sit under
+// (deletedCodeRecords), and every such heading must still exist.
+func TestExperimentsDocReferencesExist(t *testing.T) {
+	auditDocReferences(t, "../../EXPERIMENTS.md")
+}
+
+// deletedCodeRecords maps a document to the sections that record deleted
+// code: each exact heading line to the citations, as the link check
+// prints them, that may name what is gone. A citation is allowed only
+// under its own heading (the nearest heading above it).
+var deletedCodeRecords = map[string]map[string][]string{
+	"../../EXPERIMENTS.md": {
+		"### Settlement at the sender: upsets, and counting without a recorder":         {"metrics.Recorder.OnEvent"},
+		"## Engine scaling — the tile-sharded parallel engine":                          {"sim.AutoShards", "sim.Config.AutoShards"},
+		"## Draw-kernel CPU time — fixed-point thresholds, batch draws, shard overhead": {"sim.AutoShards"},
+		"## Variant matrix: what stayed, what went, and the number behind each":         {"sim.AutoShards"},
+		"### The unaligned lane partition (PR 18)":                                      {"sim.AutoShards"},
+		"### The tile-sharded round path (PR 40)":                                       {"sim.AutoShards", "experiments.GridScaling"},
+		"## Frontier memory — resident set follows the live frontier":                   {"sim.AutoShards"},
+	},
+}
+
 // auditDocReferences fails for every `pkg.Identifier` citation in doc
 // that does not exist as an exported declaration of internal/<pkg>, and
 // for every `pkg.Type.Member` citation whose Type has no such field or
-// method. A member of a non-type identifier (a variable's field) is not
-// checked.
+// method, unless deletedCodeRecords allows it under its heading. A member
+// of a non-type identifier (a variable's field) is not checked. An
+// allowance whose heading is gone, or whose citation no longer appears
+// under it, fails too, so the allowlist cannot outlive its records.
 func auditDocReferences(t *testing.T, doc string) {
 	t.Helper()
 	text, err := os.ReadFile(doc)
 	if err != nil {
 		t.Fatalf("read %s: %v", doc, err)
 	}
+	records := deletedCodeRecords[doc]
 	apis := map[string]*pkgAPI{}
-	for _, m := range docIdentRe.FindAllStringSubmatch(string(text), -1) {
-		pkg, ident, member := m[1], m[2], m[3]
-		if apis[pkg] == nil {
-			apis[pkg] = parseAPI(t, "../"+pkg)
+	headings := map[string]bool{}
+	used := map[[2]string]bool{}
+	heading, fenced := "", false
+	for _, line := range strings.Split(string(text), "\n") {
+		if strings.HasPrefix(line, "```") {
+			fenced = !fenced
 		}
-		api := apis[pkg]
-		if !api.exported[ident] {
-			t.Errorf("%s references %s.%s, which does not exist in internal/%s", doc, pkg, ident, pkg)
-			continue
+		// A heading opens its own section: citations in it are checked
+		// as part of that section.
+		if !fenced && strings.HasPrefix(line, "#") {
+			heading = line
+			headings[heading] = true
 		}
-		if ms := api.members(ident); member != "" && ms != nil && !ms[member] {
-			t.Errorf("%s references %s.%s.%s, which is not a field or method of %s.%s", doc, pkg, ident, member, pkg, ident)
+		for _, m := range docIdentRe.FindAllStringSubmatch(line, -1) {
+			pkg, ident, member := m[1], m[2], m[3]
+			if apis[pkg] == nil {
+				apis[pkg] = parseAPI(t, "../"+pkg)
+			}
+			api := apis[pkg]
+			var cite, problem string
+			if !api.exported[ident] {
+				cite = pkg + "." + ident
+				problem = "which does not exist in internal/" + pkg
+			} else if ms := api.members(ident); member != "" && ms != nil && !ms[member] {
+				cite = pkg + "." + ident + "." + member
+				problem = fmt.Sprintf("which is not a field or method of %s.%s", pkg, ident)
+			} else {
+				continue
+			}
+			if slices.Contains(records[heading], cite) {
+				used[[2]string{heading, cite}] = true
+				continue
+			}
+			t.Errorf("%s references %s, %s", doc, cite, problem)
 		}
 	}
 	if len(apis) == 0 {
 		t.Fatalf("%s cites no qualified identifiers — the link check is vacuous", doc)
+	}
+	for heading, cites := range records {
+		if !headings[heading] {
+			t.Errorf("%s has no heading %q, which deletedCodeRecords allows citations under", doc, heading)
+			continue
+		}
+		for _, cite := range cites {
+			if !used[[2]string{heading, cite}] {
+				t.Errorf("%s no longer cites %s under %q: drop it from deletedCodeRecords", doc, cite, heading)
+			}
+		}
 	}
 }
 

@@ -230,6 +230,11 @@ func (inj *Injector) DeadTileCount() int {
 	return n
 }
 
+// DeadLinkCount returns the number of crashed links, not counting links
+// that are dead only through a crashed endpoint. With none, LinkAlive(a,
+// b) is TileAlive(a) && TileAlive(b).
+func (inj *Injector) DeadLinkCount() int { return len(inj.linkDead) }
+
 // UpsetThreshold exposes the fixed-point PUpset threshold so per-round
 // engines can cache it and draw with rng.Stream.BoolT inline.
 func (inj *Injector) UpsetThreshold() rng.Threshold { return inj.upsetT }

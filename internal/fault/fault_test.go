@@ -87,6 +87,18 @@ func TestDeadLinksExact(t *testing.T) {
 	if dead != 4 {
 		t.Fatalf("dead links = %d, want 4", dead)
 	}
+	if got := inj.DeadLinkCount(); got != 4 {
+		t.Fatalf("DeadLinkCount = %d, want 4", got)
+	}
+	// A crashed tile kills its links through LinkAlive without adding to
+	// the count of crashed links.
+	tilesOnly, err := NewInjector(topo, Model{DeadTiles: 2}, rng.New(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tilesOnly.DeadLinkCount(); got != 0 {
+		t.Fatalf("DeadLinkCount with tile crashes only = %d, want 0", got)
+	}
 }
 
 // TestNoLinkListWithoutLinkFaults pins that an injector whose model has no

@@ -62,11 +62,17 @@ func (g *Graph) AddLink(a, b packet.TileID) error {
 }
 
 // HasLink reports whether a and b are directly connected.
-func (g *Graph) HasLink(a, b packet.TileID) bool {
-	if int(a) >= len(g.adj) {
+func (g *Graph) HasLink(a, b packet.TileID) bool { return hasLink(g, a, b) }
+
+// Links returns every undirected link exactly once, as (low, high) pairs
+// in deterministic order.
+func (g *Graph) Links() [][2]packet.TileID { return links(g) }
+
+func hasLink(t Topology, a, b packet.TileID) bool {
+	if int(a) >= t.Tiles() {
 		return false
 	}
-	for _, x := range g.adj[a] {
+	for _, x := range t.Neighbors(a) {
 		if x == b {
 			return true
 		}
@@ -74,12 +80,10 @@ func (g *Graph) HasLink(a, b packet.TileID) bool {
 	return false
 }
 
-// Links returns every undirected link exactly once, as (low, high) pairs
-// in deterministic order.
-func (g *Graph) Links() [][2]packet.TileID {
+func links(t Topology) [][2]packet.TileID {
 	var links [][2]packet.TileID
-	for a := range g.adj {
-		for _, b := range g.adj[a] {
+	for a := 0; a < t.Tiles(); a++ {
+		for _, b := range t.Neighbors(packet.TileID(a)) {
 			if packet.TileID(a) < b {
 				links = append(links, [2]packet.TileID{packet.TileID(a), b})
 			}
@@ -89,10 +93,16 @@ func (g *Graph) Links() [][2]packet.TileID {
 }
 
 // Grid is the rectangular tile array of Fig. 1-1. Tile (x, y) has ID
-// y*Width + x; each tile links to its four mesh neighbours.
+// y*Width + x; each tile links to its four mesh neighbours. A Grid is
+// immutable: every neighbour list is a window of one flat array, located
+// by a per-tile uint32 offset, so a tile costs its neighbour IDs plus
+// four bytes — no per-tile slice header. Fabrics that need links added
+// one by one are built as a Graph.
 type Grid struct {
-	Graph
 	Width, Height int
+	// off[t] .. off[t+1] is tile t's window of nbrs (Tiles()+1 entries).
+	off  []uint32
+	nbrs []packet.TileID
 }
 
 // NewGrid returns a Width x Height mesh. It panics on non-positive
@@ -105,58 +115,75 @@ func NewGrid(width, height int) *Grid {
 }
 
 // newMesh builds the width x height mesh, plus the torus wraparound
-// links when wrap is set, with every neighbour list carved from one flat
-// backing array at the tile's final degree: two allocations however many
-// tiles, where per-tile append growth cost four per tile. Links are added
-// in the order they always were (tiles ascending, each linking right then
-// down; then the row wraps, then the column wraps), so every list fills
-// in the historical port order. The carved capacities make those appends
-// in place; the full-slice bounds make an AddLink on the finished grid
-// reallocate the one list it extends instead of overwriting the next
-// tile's.
+// links when wrap is set, in three allocations however many tiles. Each
+// tile's list is written in the historical port order — the order the
+// links were once added one by one (tiles ascending, each linking right
+// then down; then the row wraps, then the column wraps): up, left, right,
+// down, then the row wrap, then the column wrap.
 func newMesh(width, height int, wrap bool) *Grid {
-	g := &Grid{Graph: *NewGraph(width * height), Width: width, Height: height}
+	tiles := width * height
 	ports := 2 * (width*(height-1) + height*(width-1))
 	if wrap {
-		ports = 4 * width * height
+		ports = 4 * tiles
 	}
-	flat := make([]packet.TileID, ports)
-	off := 0
+	g := &Grid{
+		Width: width, Height: height,
+		off:  make([]uint32, tiles+1),
+		nbrs: make([]packet.TileID, 0, ports),
+	}
 	for y := 0; y < height; y++ {
 		for x := 0; x < width; x++ {
-			d := 4
-			if !wrap {
-				for _, onEdge := range [4]bool{x == 0, x == width-1, y == 0, y == height-1} {
-					if onEdge {
-						d--
-					}
-				}
+			g.off[g.ID(x, y)] = uint32(len(g.nbrs))
+			if y > 0 {
+				g.nbrs = append(g.nbrs, g.ID(x, y-1))
 			}
-			g.adj[g.ID(x, y)] = flat[off : off : off+d]
-			off += d
-		}
-	}
-	for y := 0; y < height; y++ {
-		for x := 0; x < width; x++ {
-			id := g.ID(x, y)
+			if x > 0 {
+				g.nbrs = append(g.nbrs, g.ID(x-1, y))
+			}
 			if x+1 < width {
-				mustLink(&g.Graph, id, g.ID(x+1, y))
+				g.nbrs = append(g.nbrs, g.ID(x+1, y))
 			}
 			if y+1 < height {
-				mustLink(&g.Graph, id, g.ID(x, y+1))
+				g.nbrs = append(g.nbrs, g.ID(x, y+1))
+			}
+			if !wrap {
+				continue
+			}
+			switch x {
+			case 0:
+				g.nbrs = append(g.nbrs, g.ID(width-1, y))
+			case width - 1:
+				g.nbrs = append(g.nbrs, g.ID(0, y))
+			}
+			switch y {
+			case 0:
+				g.nbrs = append(g.nbrs, g.ID(x, height-1))
+			case height - 1:
+				g.nbrs = append(g.nbrs, g.ID(x, 0))
 			}
 		}
 	}
-	if wrap {
-		for y := 0; y < height; y++ {
-			mustLink(&g.Graph, g.ID(0, y), g.ID(width-1, y))
-		}
-		for x := 0; x < width; x++ {
-			mustLink(&g.Graph, g.ID(x, 0), g.ID(x, height-1))
-		}
-	}
+	g.off[tiles] = uint32(len(g.nbrs))
 	return g
 }
+
+// Tiles implements Topology.
+func (g *Grid) Tiles() int { return g.Width * g.Height }
+
+// Neighbors implements Topology, in the port order the Topology
+// interface documents. The returned slice is owned by the grid and must
+// not be mutated.
+func (g *Grid) Neighbors(t packet.TileID) []packet.TileID {
+	lo, hi := g.off[t], g.off[t+1]
+	return g.nbrs[lo:hi:hi]
+}
+
+// HasLink reports whether a and b are directly connected.
+func (g *Grid) HasLink(a, b packet.TileID) bool { return hasLink(g, a, b) }
+
+// Links returns every undirected link exactly once, as (low, high) pairs
+// in deterministic order.
+func (g *Grid) Links() [][2]packet.TileID { return links(g) }
 
 func mustLink(g *Graph, a, b packet.TileID) {
 	if err := g.AddLink(a, b); err != nil {

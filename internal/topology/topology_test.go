@@ -149,8 +149,7 @@ func TestGridPortOrder(t *testing.T) {
 }
 
 // TestGridFlatAdjacency pins the constructor's storage: a constant number
-// of allocations whatever the mesh size, and neighbour lists that a later
-// AddLink extends without touching the next tile's.
+// of allocations whatever the mesh size.
 func TestGridFlatAdjacency(t *testing.T) {
 	if allocs := testing.AllocsPerRun(5, func() { NewGrid(32, 32) }); allocs > 4 {
 		t.Errorf("NewGrid(32, 32) made %v allocations, want a constant few", allocs)
@@ -158,16 +157,65 @@ func TestGridFlatAdjacency(t *testing.T) {
 	if allocs := testing.AllocsPerRun(5, func() { NewTorus(32, 32) }); allocs > 4 {
 		t.Errorf("NewTorus(32, 32) made %v allocations, want a constant few", allocs)
 	}
-	g := NewGrid(4, 4)
-	next := append([]packet.TileID(nil), g.Neighbors(1)...)
-	if err := g.AddLink(0, 15); err != nil {
-		t.Fatal(err)
+}
+
+// TestGridMatchesReferenceGraph holds the flat grid to the wiring it
+// replaced: every tile's Neighbors must equal, element for element, that
+// of a Graph built link by link in the historical order — tiles ascending,
+// each linking right then down; then the row wraps, then the column wraps
+// for a torus. Port order is what every per-port draw sequence hangs on.
+func TestGridMatchesReferenceGraph(t *testing.T) {
+	reference := func(width, height int, wrap bool) *Graph {
+		g := NewGraph(width * height)
+		id := func(x, y int) packet.TileID { return packet.TileID(y*width + x) }
+		for y := 0; y < height; y++ {
+			for x := 0; x < width; x++ {
+				if x+1 < width {
+					mustLink(g, id(x, y), id(x+1, y))
+				}
+				if y+1 < height {
+					mustLink(g, id(x, y), id(x, y+1))
+				}
+			}
+		}
+		if wrap {
+			for y := 0; y < height; y++ {
+				mustLink(g, id(0, y), id(width-1, y))
+			}
+			for x := 0; x < width; x++ {
+				mustLink(g, id(x, 0), id(x, height-1))
+			}
+		}
+		return g
 	}
-	if got, want := g.Neighbors(0), []packet.TileID{1, 4, 15}; !reflect.DeepEqual(got, want) {
-		t.Errorf("Neighbors(0) after AddLink = %v, want %v", got, want)
-	}
-	if got := g.Neighbors(1); !reflect.DeepEqual(got, next) {
-		t.Errorf("AddLink(0, 15) overwrote tile 1's ports: %v, want %v", got, next)
+	for _, tc := range []struct {
+		width, height int
+		wrap          bool
+	}{
+		{1, 1, false}, {1, 7, false}, {7, 1, false}, {2, 2, false},
+		{4, 4, false}, {5, 3, false}, {3, 8, false}, {16, 16, false},
+		{3, 3, true}, {4, 4, true}, {3, 7, true}, {7, 3, true}, {8, 5, true},
+	} {
+		var got *Grid
+		if tc.wrap {
+			got = NewTorus(tc.width, tc.height)
+		} else {
+			got = NewGrid(tc.width, tc.height)
+		}
+		want := reference(tc.width, tc.height, tc.wrap)
+		if got.Tiles() != want.Tiles() {
+			t.Fatalf("%dx%d wrap=%v: %d tiles, want %d", tc.width, tc.height, tc.wrap, got.Tiles(), want.Tiles())
+		}
+		for i := 0; i < want.Tiles(); i++ {
+			tile := packet.TileID(i)
+			g, w := got.Neighbors(tile), want.Neighbors(tile)
+			if len(g) != len(w) || (len(w) > 0 && !reflect.DeepEqual(g, w)) {
+				t.Errorf("%dx%d wrap=%v: Neighbors(%d) = %v, want %v", tc.width, tc.height, tc.wrap, i, g, w)
+			}
+		}
+		if g, w := got.Links(), want.Links(); !reflect.DeepEqual(g, w) {
+			t.Errorf("%dx%d wrap=%v: Links = %v, want %v", tc.width, tc.height, tc.wrap, g, w)
+		}
 	}
 }
 

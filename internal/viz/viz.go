@@ -1,6 +1,9 @@
 // Package viz renders NoC state as ASCII art for CLI tools and debug
 // sessions: which tiles know a message (the shaded tiles of the thesis'
 // Fig. 3-3 walkthrough), which have crashed, and where the endpoints sit.
+// A frame renders live state only: with core.Config.Recycle on, a message
+// that has retired has forgotten its per-tile awareness, and its frame
+// shows every tile unaware (see Frame).
 package viz
 
 import (
