@@ -189,20 +189,18 @@ func BenchmarkStepGrid512x512(b *testing.B) {
 	benchChurn(b, 512, 8)
 }
 
-// benchDenseBroadcast measures one inject+Step round of a 64×64 mesh
-// saturated with low-p broadcast traffic — the draw-dominated workload
-// the batch kernel (Config.BatchDraws) exists for. Every round injects
-// perRound fresh broadcasts; with TTL 192 the steady state holds ~37k
-// live copies, so phase 3 faces ~150k Bernoulli(0.001) trials per
-// round of which only a couple hundred fire. The default kernel pays
-// one draw per trial; the batch kernel geometric-skips straight to the
-// successes.
-func benchDenseBroadcast(b *testing.B, batch bool) {
+// BenchmarkStepGrid64x64DenseBcast measures one inject+Step round of a
+// 64×64 mesh saturated with low-p broadcast traffic, the draw-dominated
+// workload. Every round injects perRound fresh broadcasts; with TTL 192
+// the steady state holds ~37k live copies, so phase 3 faces ~150k
+// Bernoulli(0.001) trials per round of which only a couple hundred fire,
+// one draw per trial.
+func BenchmarkStepGrid64x64DenseBcast(b *testing.B) {
 	const side, perRound = 64, 192
 	g := topology.NewGrid(side, side)
 	cfg := Config{
 		Topo: g, P: 0.001, TTL: 192, MaxRounds: 1 << 30, Seed: 0xDE45E,
-		Recycle: true, BatchDraws: batch,
+		Recycle: true,
 	}
 	n, err := New(cfg)
 	if err != nil {
@@ -230,18 +228,6 @@ func benchDenseBroadcast(b *testing.B, batch bool) {
 	for i := 0; i < b.N; i++ {
 		denseRound()
 	}
-}
-
-// BenchmarkStepGrid64x64DenseBcast is the default-kernel baseline of the
-// dense-broadcast workload.
-func BenchmarkStepGrid64x64DenseBcast(b *testing.B) {
-	benchDenseBroadcast(b, false)
-}
-
-// BenchmarkStepGrid64x64DenseBcastBatch is the same workload under the
-// batch forwarding kernel — the ≥2× acceptance target of the kernel.
-func BenchmarkStepGrid64x64DenseBcastBatch(b *testing.B) {
-	benchDenseBroadcast(b, true)
 }
 
 // activeTiles counts the tiles currently on the engine's frontier (send

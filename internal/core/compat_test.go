@@ -148,6 +148,25 @@ func TestRestoreRefusesOtherVersions(t *testing.T) {
 	}
 }
 
+// TestRestoreRefusesBatchFlag pins the retired batch-kernel byte of the
+// v5 payload (offset 6: after the version, the four digest bytes and the
+// Recycle flag). EncodeState writes it as 0; a payload with a 1 there was
+// written under a draw kernel this build no longer has, and Restore
+// refuses it by name instead of resuming it under a different
+// realisation.
+func TestRestoreRefusesBatchFlag(t *testing.T) {
+	payload, cfg := recycleState(t)
+	const batchByte = 6
+	if payload[batchByte-1] != 1 || payload[batchByte] != 0 {
+		t.Fatalf("payload bytes 5-6 = %v, want the Recycle flag then 0", payload[batchByte-1:batchByte+1])
+	}
+	mut := append([]byte(nil), payload...)
+	mut[batchByte] = 1
+	if _, err := RestoreSection(snapshot.NewReader(mut), cfg); !errors.Is(err, errRetiredKernel) {
+		t.Fatalf("payload with the batch byte set: err = %v, want errRetiredKernel", err)
+	}
+}
+
 // recycleState builds a mid-run recycling network and returns its
 // payload bytes plus the config to restore under.
 func recycleState(t *testing.T) ([]byte, Config) {

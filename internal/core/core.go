@@ -102,31 +102,16 @@ type Config struct {
 	// all expired and whose in-flight copies have drained is retired at
 	// the next round barrier, and its table slot is reissued to a later
 	// message under a fresh generation tag (see table.go). Long
-	// continuous-injection workloads on mega-meshes need it; the default
-	// (off) preserves the historical dense ID sequence, keeps Aware and
-	// AwareAt answerable for the whole run, and is byte-identical to
-	// engines that predate recycling. The observable difference when on:
+	// continuous-injection workloads on mega-meshes need it. It is the
+	// engine's one on/off variant; the default (off) preserves the
+	// historical dense ID sequence, keeps Aware and AwareAt answerable
+	// for the whole run, and is byte-identical to engines that predate
+	// recycling. The observable difference when on:
 	// MsgIDs of later messages reuse slots (so event logs differ from a
 	// recycle-off run), and per-tile awareness of retired messages is
 	// forgotten (AwareAt reports false; Aware still reports the final
 	// count, from the retired ledger).
 	Recycle bool
-	// BatchDraws selects the batched forwarding-draw kernel (off by
-	// default, like Recycle): on the default-router, nil-PortWeight path,
-	// the per-(message, port) Bernoulli draws of phase 3 are replaced by
-	// one 64-bit port mask per buffered message (degree ≤ 4) or, when
-	// p·trials is small, geometric skip-sampling straight to the next
-	// forwarded copy (batch.go). The kernel changes the RNG *realization*
-	// — a run with the knob on consumes different random numbers than the
-	// default path, so event logs differ draw for draw — but not the
-	// distribution: every (message, port) pair still forwards
-	// independently with probability P (exactly for the skip sampler, to
-	// within 2^-17 for the mask lanes; validated against the closed-form
-	// flooding recursion in internal/gossip). Tiles with a router, and
-	// every tile when PortWeight is set, use the default per-port draws
-	// regardless. Checkpoint/resume holds under the kernel; the snapshot
-	// payload records the choice and Restore refuses a mismatch.
-	BatchDraws bool
 	// StopSpreadOnDelivery garbage-collects a unicast message everywhere
 	// once its destination has received it — the idealized spread
 	// termination §3.2.2 alludes to ("the spread could be terminated even
@@ -423,11 +408,6 @@ type Network struct {
 	// recycle caches cfg.Recycle for the hot paths (inflight/copy
 	// accounting and the per-Step retirement barrier run only under it).
 	recycle bool
-	// batch caches cfg.BatchDraws; batchT16 and invLn1mP are the mask
-	// threshold and skip-sampler constant precomputed for it (batch.go).
-	batch    bool
-	batchT16 uint32
-	invLn1mP float64
 
 	// bufOcc/rcvOcc are the two-level per-tile occupancy bitmaps the
 	// phase loops iterate instead of sweeping every tile (occupancy.go).
@@ -507,8 +487,6 @@ func (n *Network) Reset(cfg Config) error {
 		cfg: cfg, topo: cfg.Topo, inj: inj, recycle: cfg.Recycle,
 		procsDirty: true, pThresh: rng.MakeThreshold(cfg.P),
 		upsetT: inj.UpsetThreshold(), overflowT: inj.OverflowThreshold(),
-		batch: cfg.BatchDraws, batchT16: maskThreshold16(cfg.P),
-		invLn1mP: skipConstant(cfg.P),
 		elideDup: !cfg.StopSpreadOnDelivery && !cfg.Fault.LiteralUpsets &&
 			inj.OverflowThreshold() == 0,
 		settleUpsets: cfg.OnEvent == nil,

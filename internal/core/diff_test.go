@@ -410,12 +410,8 @@ func genCase(idx int) member {
 		Seed:                 g.Uint64(),
 		Fault:                genFault(g, tiles),
 		StopSpreadOnDelivery: g.Bool(0.15),
-		// A third of the population runs the batch forwarding kernel, so
-		// its samplers (mask lanes, geometric skip, high-degree fallback
-		// — which one runs depends on the fabric's degree and P) face
-		// the same hooked == hook-free == resumed oracle as the default path.
-		BatchDraws: g.Bool(0.35),
 	}
+	_ = g.Bool(0.35) // the retired batch-kernel coin: drawn so later fields stay put
 
 	// Routers and forward limits on a few random tiles. The route tables
 	// are generated here as plain data so the setup closure, which runs

@@ -175,8 +175,6 @@ func (n *Network) forwardTile(t *tile) {
 				n.transmit(t, e, p)
 			}
 		}
-	case n.batch:
-		n.forwardBatch(t, cur, count, buffered)
 	default:
 		n.forwardGossip(t, cur, count, buffered)
 	}
@@ -189,11 +187,11 @@ func (n *Network) forwardTile(t *tile) {
 	}
 }
 
-// forwardGossip is phase 3's default path (no router, no PortWeight, no
-// BatchDraws): each of count messages from window position cur flips one
-// P coin per port, in port order, and each copy that wins goes out. With
-// an OnEvent listener, literal upsets or skew, transmit handles every
-// copy, right after its coin. Otherwise each copy is settled here
+// forwardGossip is phase 3's default path (no router, no PortWeight):
+// each of count messages from window position cur flips one P coin per
+// port, in port order, and each copy that wins goes out. With an OnEvent
+// listener, literal upsets or skew, transmit handles every copy, right
+// after its coin. Otherwise each copy is settled here
 // (gossipSettled), with the same draws in the same order (DESIGN.md
 // "Forwarding kernels").
 func (n *Network) forwardGossip(t *tile, cur, count, buffered int) {

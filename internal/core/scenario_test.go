@@ -330,49 +330,6 @@ func scenarios() []scenario {
 			rounds: 35,
 		},
 		{
-			// Batch kernel, mask-lane sampler: P >= 1/16 on a degree-4
-			// grid draws one 64-bit mask per message. Faults keep the
-			// downstream transmit/receive draws in the mix.
-			name: "grid-batch-mask",
-			cfg: func() Config {
-				return Config{
-					Topo: topology.NewGrid(18, 18), P: 0.4, TTL: 9,
-					MaxRounds: 1000, Seed: 51, BatchDraws: true,
-					Fault: fault.Model{PUpset: 0.08, SigmaSync: 0.6},
-				}
-			},
-			inject: []injection{
-				{beforeRound: 0, src: 171, dst: packet.Broadcast, payload: "mask"},
-				{beforeRound: 3, src: 323, dst: 250, kind: 1},
-			},
-			rounds: 35,
-		},
-		{
-			// Batch kernel, geometric-skip sampler: P below the mask
-			// floor with several buffered messages per tile (three
-			// broadcasts from each of two tiles facing each other across
-			// a word boundary, long TTL) makes the flattened-trial skip
-			// path the cost winner; thin tiles fall back to the exact
-			// per-port draws, so both batch branches run.
-			name: "grid-batch-skip",
-			cfg: func() Config {
-				return Config{
-					Topo: topology.NewGrid(12, 12), P: 0.03, TTL: 14,
-					MaxRounds: 1000, Seed: 52, BatchDraws: true,
-				}
-			},
-			inject: []injection{
-				{beforeRound: 0, src: 126, dst: packet.Broadcast, payload: "skip-a"},
-				{beforeRound: 0, src: 126, dst: packet.Broadcast, payload: "skip-b"},
-				{beforeRound: 0, src: 126, dst: packet.Broadcast, payload: "skip-c"},
-				{beforeRound: 1, src: 129, dst: packet.Broadcast, payload: "skip-d"},
-				{beforeRound: 1, src: 129, dst: packet.Broadcast, payload: "skip-e"},
-				{beforeRound: 1, src: 129, dst: packet.Broadcast, payload: "skip-f"},
-				{beforeRound: 2, src: 66, dst: packet.Broadcast, payload: "skip-g"},
-			},
-			rounds: 40,
-		},
-		{
 			// Two 9×9 gossip clusters (tiles 0-80 and 81-161) bridged by
 			// deterministic routers with a serializing forward limit — the
 			// round-robin cursor path.

@@ -47,13 +47,19 @@ import (
 // EncodeState writes and refuses every other with ErrPayloadVersion.
 // Version 5 stores the message table slot-major (generations, occupancy,
 // bare tile-bitmap rows, the free list, the retired ledger in ring order),
-// the Recycle and BatchDraws flags, and stamps every in-flight wire frame
-// with its originating ID.
+// the Recycle flag, a byte that is always 0 (it once flagged a second draw
+// kernel; Restore refuses a 1 with errRetiredKernel), and stamps every
+// in-flight wire frame with its originating ID.
 const corePayloadVersion = 5
 
 // ErrPayloadVersion is returned (wrapped) by Restore and RestoreSection
 // for a SecCore payload whose version is not the one this build writes.
 var ErrPayloadVersion = errors.New("core: unsupported checkpoint payload version")
+
+// errRetiredKernel is returned by Restore and RestoreSection for a
+// payload whose former batch-kernel byte is set: this build has one draw
+// kernel, and resuming such a run under it would change its realisation.
+var errRetiredKernel = errors.New("core: checkpoint written under the retired batch draw kernel")
 
 // arrival discriminants in the in-flight encoding.
 const (
@@ -137,12 +143,12 @@ func (n *Network) Snapshot(w io.Writer) error {
 func (n *Network) EncodeState(w *snapshot.Writer) {
 	w.Int(corePayloadVersion)
 	w.U32(n.configDigest())
-	// The recycle and batch-kernel flags live in the payload, not the
-	// digest (so older digests stay valid); restore still refuses a
-	// mismatch with cfg.Recycle/cfg.BatchDraws — the retirement barrier
-	// and the draw kernel are both behavior-defining.
+	// The recycle flag lives in the payload, not the digest (so older
+	// digests stay valid); restore still refuses a mismatch with
+	// cfg.Recycle — the retirement barrier is behavior-defining. The byte
+	// after it flagged the retired batch draw kernel and is always 0.
 	w.Bool(n.recycle)
-	w.Bool(n.batch)
+	w.Bool(false)
 	w.Int(n.round)
 	w.Uvarint(uint64(n.nextID))
 	w.Bool(n.started)
@@ -316,8 +322,8 @@ func RestoreSection(sec *snapshot.Reader, cfg Config) (*Network, error) {
 	if recycle := sec.Bool(); sec.Err() == nil && recycle != n.recycle {
 		return nil, fmt.Errorf("core: checkpoint written with Recycle=%v, config says %v", recycle, n.recycle)
 	}
-	if batch := sec.Bool(); sec.Err() == nil && batch != n.batch {
-		return nil, fmt.Errorf("core: checkpoint written with BatchDraws=%v, config says %v", batch, n.batch)
+	if batch := sec.Bool(); sec.Err() == nil && batch {
+		return nil, errRetiredKernel
 	}
 	n.round = sec.Int()
 	id := sec.Uvarint()

@@ -15,13 +15,12 @@ import (
 // outside internal/core and examples/ names, each with the reason it
 // stays.
 var unsetKnobs = map[string]string{
-	"BatchDraws": "bench/ sets it by reflection (setKnob), so the benchmark builds whether or not the field exists; ROADMAP item 11 decides the kernel",
-	"Recycle":    "bench/ sets it by reflection (setKnob) for mesh_sparse and the core kernels; ROADMAP item 10 makes recycling unconditional and deletes the field",
+	"Recycle": "bench/ sets it by reflection (setKnob) for mesh_sparse and the core kernels; ROADMAP item 10 makes recycling unconditional and deletes the field",
 }
 
 // configFieldCount is how many exported fields core.Config has: a field
 // added or deleted must move it, so a new knob is a visible decision.
-const configFieldCount = 12
+const configFieldCount = 11
 
 // TestEveryConfigFieldHasACaller is the knob census: every exported
 // core.Config field must be named — as a composite-literal key or on the

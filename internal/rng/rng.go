@@ -214,8 +214,9 @@ func (r *Stream) Bool(p float64) bool {
 // law of a failure run, up to float rounding in the logarithm (≲1 ulp,
 // against Bool's exact 2^-53 grid). Jumping straight to the next success
 // replaces one draw per trial with one draw per success — the standard
-// sparse Bernoulli subset-sampling trick the batch forwarding kernel
-// uses when p·trials is small.
+// sparse Bernoulli subset-sampling trick. No engine path uses it; it
+// stays because the repository benchmark's rng.geomskip_ns kernel
+// (bench/kernels.go) times it.
 func (r *Stream) GeometricSkip(invLn1mP float64) int {
 	u := 1 - r.Float64() // (0, 1]: ln stays finite
 	return int(math.Log(u) * invLn1mP)
