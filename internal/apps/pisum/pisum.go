@@ -10,7 +10,6 @@ package pisum
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/core"
 	"repro/internal/packet"
@@ -184,6 +183,3 @@ func Setup(net *core.Network, masterTile packet.TileID, slaveTiles [][]packet.Ti
 func ReferencePi(intervals int) float64 {
 	return PartialSum(1, intervals+1, intervals)
 }
-
-// Error returns |estimate − π| for convenience in experiments.
-func Error(estimate float64) float64 { return math.Abs(estimate - math.Pi) }

@@ -73,7 +73,7 @@ func TestMasterSlaveFaultFree(t *testing.T) {
 	if math.Abs(pi-ReferencePi(8000)) > 1e-12 {
 		t.Fatalf("distributed π %v != serial %v", pi, ReferencePi(8000))
 	}
-	if Error(pi) > 1e-4 {
+	if math.Abs(pi-math.Pi) > 1e-4 {
 		t.Fatalf("π estimate %v too far from π", pi)
 	}
 	// The thesis reports 6-9 rounds for p=0.5 on this workload; allow a
@@ -102,7 +102,7 @@ func TestMasterSlaveFlooding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if Error(pi) > 1e-4 {
+	if math.Abs(pi-math.Pi) > 1e-4 {
 		t.Fatalf("π = %v", pi)
 	}
 }
@@ -143,7 +143,7 @@ func TestDuplicationToleratesDeadSlaves(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if Error(pi) > 1e-2 {
+			if math.Abs(pi-math.Pi) > 1e-2 {
 				t.Fatalf("seed %d: corrupted π %v", seed, pi)
 			}
 		}
@@ -167,7 +167,7 @@ func TestReplicaResultsNotDoubleCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Double counting any partial sum would inflate π by ≥ π/8.
-	if Error(pi) > 0.01 {
+	if math.Abs(pi-math.Pi) > 0.01 {
 		t.Fatalf("π = %v: replica double-counted?", pi)
 	}
 }
@@ -219,7 +219,7 @@ func TestWithUpsets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if Error(pi) > 1e-3 {
+	if math.Abs(pi-math.Pi) > 1e-3 {
 		t.Fatalf("π corrupted by upsets: %v (CRC should have caught them)", pi)
 	}
 }

@@ -84,24 +84,6 @@ func DefaultProgram() *Synth {
 	}
 }
 
-// Frames slices a signal generator into hop-sized frames of the given
-// length (consecutive frames overlap by length−hop samples). It returns
-// count frames starting at sample 0.
-func Frames(s *Synth, length, hop, count int) ([][]float64, error) {
-	if length <= 0 || hop <= 0 || hop > length {
-		return nil, errors.New("signal: invalid framing")
-	}
-	frames := make([][]float64, count)
-	for f := 0; f < count; f++ {
-		w, err := s.Samples(f*hop, length)
-		if err != nil {
-			return nil, err
-		}
-		frames[f] = w
-	}
-	return frames, nil
-}
-
 // Energy returns the mean square of x.
 func Energy(x []float64) float64 {
 	if len(x) == 0 {

@@ -82,30 +82,26 @@ func TestNoiseAmplitudeBounded(t *testing.T) {
 	}
 }
 
+// TestFrames cuts hop-spaced, overlapping frames from one generator:
+// Samples is a pure function of the sample index, so frame f+1's head
+// repeats frame f's tail.
 func TestFrames(t *testing.T) {
 	s := DefaultProgram()
-	frames, err := Frames(s, 512, 256, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(frames) != 4 {
-		t.Fatalf("frames = %d", len(frames))
-	}
-	// Frame f starts at sample f*hop: overlap region must match.
-	for i := 0; i < 256; i++ {
-		if frames[0][256+i] != frames[1][i] {
-			t.Fatalf("overlap mismatch at %d", i)
+	const length, hop = 512, 256
+	var frames [4][]float64
+	for f := range frames {
+		w, err := s.Samples(f*hop, length)
+		if err != nil {
+			t.Fatal(err)
 		}
+		frames[f] = w
 	}
-}
-
-func TestFramesValidation(t *testing.T) {
-	s := DefaultProgram()
-	if _, err := Frames(s, 0, 1, 1); err == nil {
-		t.Error("zero length accepted")
-	}
-	if _, err := Frames(s, 4, 8, 1); err == nil {
-		t.Error("hop > length accepted")
+	for f := 0; f+1 < len(frames); f++ {
+		for i := 0; i < length-hop; i++ {
+			if frames[f][hop+i] != frames[f+1][i] {
+				t.Fatalf("frames %d/%d: overlap mismatch at %d", f, f+1, i)
+			}
+		}
 	}
 }
 

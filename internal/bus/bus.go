@@ -139,15 +139,3 @@ func Simulate(msgs []Message, tech energy.Technology) (Result, error) {
 	}
 	return res, nil
 }
-
-// UniformWorkload builds the synthetic workload used by the Fig. 4-6
-// comparison: count messages of bits size each, issued by modules 0..mods-1
-// round-robin, all ready at t = 0 (the worst-case burst a parallel
-// application presents to a shared medium).
-func UniformWorkload(count, mods, bits int) []Message {
-	msgs := make([]Message, count)
-	for i := range msgs {
-		msgs[i] = Message{Src: i % mods, Bits: bits}
-	}
-	return msgs
-}

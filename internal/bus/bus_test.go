@@ -45,14 +45,25 @@ func TestSerialization(t *testing.T) {
 	}
 }
 
+// burst is count messages of bits size each, issued by modules
+// 0..mods-1 round-robin, all ready at t = 0: the worst case a parallel
+// application presents to a shared medium.
+func burst(count, mods, bits int) []Message {
+	msgs := make([]Message, count)
+	for i := range msgs {
+		msgs[i] = Message{Src: i % mods, Bits: bits}
+	}
+	return msgs
+}
+
 func TestLatencyGrowsWithContention(t *testing.T) {
 	// The §1 motivation: performance decreases drastically as module
 	// count grows, because of contention for the shared medium.
-	small, err := Simulate(UniformWorkload(4, 4, 256), energy.Bus025)
+	small, err := Simulate(burst(4, 4, 256), energy.Bus025)
 	if err != nil {
 		t.Fatal(err)
 	}
-	large, err := Simulate(UniformWorkload(64, 64, 256), energy.Bus025)
+	large, err := Simulate(burst(64, 64, 256), energy.Bus025)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,23 +126,11 @@ func TestNegativeModuleRejected(t *testing.T) {
 	}
 }
 
-func TestUniformWorkloadShape(t *testing.T) {
-	msgs := UniformWorkload(10, 3, 128)
-	if len(msgs) != 10 {
-		t.Fatalf("len = %d", len(msgs))
-	}
-	for i, m := range msgs {
-		if m.Src != i%3 || m.Bits != 128 || m.Ready != 0 {
-			t.Fatalf("msg %d = %+v", i, m)
-		}
-	}
-}
-
 func TestEnergyIndependentOfContention(t *testing.T) {
 	// Energy is per-bit: the same bits cost the same regardless of
 	// scheduling.
-	a, _ := Simulate(UniformWorkload(10, 1, 64), energy.Bus025)
-	b, _ := Simulate(UniformWorkload(10, 10, 64), energy.Bus025)
+	a, _ := Simulate(burst(10, 1, 64), energy.Bus025)
+	b, _ := Simulate(burst(10, 10, 64), energy.Bus025)
 	if a.EnergyJ != b.EnergyJ {
 		t.Fatalf("energy differs with contention: %v vs %v", a.EnergyJ, b.EnergyJ)
 	}

@@ -15,7 +15,10 @@
 // internal/ path they name must exist, and DESIGN.md §2 must list every
 // package. reach_test.go holds the tree to its uses: a package under
 // internal/ that no binary, the benchmark or the figure harness imports
-// must name in DESIGN.md the EXPERIMENTS.md section it backs.
+// must name in DESIGN.md the EXPERIMENTS.md section it backs, and
+// callers_test.go holds the same rule below package level: an exported
+// function or type nothing outside the tests calls must be a listed test
+// reference or back a listed claim.
 package docaudit
 
 import (

@@ -1,8 +1,7 @@
 // Package fft implements the Fast Fourier Transform used by the thesis'
 // FFT2 case study (§4.1.2) and by the psychoacoustic model of the MP3
-// encoder (§4.2): an iterative radix-2 Cooley–Tukey transform, its
-// inverse, the 2-D transform, and a naive O(N²) DFT kept as the testing
-// reference.
+// encoder (§4.2): an iterative radix-2 Cooley–Tukey transform, the 2-D
+// transform, and a naive O(N²) DFT kept as the testing reference.
 package fft
 
 import (
@@ -18,26 +17,9 @@ var ErrNotPowerOfTwo = errors.New("fft: length must be a power of two")
 func IsPowerOfTwo(n int) bool { return n > 0 && n&(n-1) == 0 }
 
 // Forward computes the in-place decimation-in-time FFT of x using the
-// engineering convention X[k] = Σ x[n]·e^(−2πi·kn/N). The input length
-// must be a power of two.
-func Forward(x []complex128) error { return transform(x, -1) }
-
-// Inverse computes the in-place inverse FFT, scaling by 1/N so that
-// Inverse(Forward(x)) == x.
-func Inverse(x []complex128) error {
-	if err := transform(x, +1); err != nil {
-		return err
-	}
-	scale := complex(1/float64(len(x)), 0)
-	for i := range x {
-		x[i] *= scale
-	}
-	return nil
-}
-
-// transform runs the iterative radix-2 butterfly network with twiddle sign
-// `sign` (−1 forward, +1 inverse).
-func transform(x []complex128, sign float64) error {
+// engineering convention X[k] = Σ x[n]·e^(−2πi·kn/N): an iterative
+// radix-2 butterfly network. The input length must be a power of two.
+func Forward(x []complex128) error {
 	n := len(x)
 	if n == 0 {
 		return nil
@@ -58,7 +40,7 @@ func transform(x []complex128, sign float64) error {
 	}
 	// Butterflies.
 	for size := 2; size <= n; size <<= 1 {
-		ang := sign * 2 * math.Pi / float64(size)
+		ang := -2 * math.Pi / float64(size)
 		wStep := cmplx.Exp(complex(0, ang))
 		for start := 0; start < n; start += size {
 			w := complex(1, 0)
@@ -94,15 +76,6 @@ func NaiveDFT(x []complex128) []complex128 {
 // transform applied along both dimensions, as the thesis' FFT2 case study
 // does ("Equation 5 is applied to both dimensions").
 func Forward2D(m [][]complex128) error {
-	return apply2D(m, Forward)
-}
-
-// Inverse2D inverts Forward2D.
-func Inverse2D(m [][]complex128) error {
-	return apply2D(m, Inverse)
-}
-
-func apply2D(m [][]complex128, f func([]complex128) error) error {
 	if len(m) == 0 {
 		return nil
 	}
@@ -111,7 +84,7 @@ func apply2D(m [][]complex128, f func([]complex128) error) error {
 		if len(row) != cols {
 			return errors.New("fft: ragged matrix")
 		}
-		if err := f(row); err != nil {
+		if err := Forward(row); err != nil {
 			return err
 		}
 	}
@@ -120,7 +93,7 @@ func apply2D(m [][]complex128, f func([]complex128) error) error {
 		for r := range m {
 			col[r] = m[r][c]
 		}
-		if err := f(col); err != nil {
+		if err := Forward(col); err != nil {
 			return err
 		}
 		for r := range m {
@@ -128,26 +101,4 @@ func apply2D(m [][]complex128, f func([]complex128) error) error {
 		}
 	}
 	return nil
-}
-
-// Magnitudes returns |X[k]| for each bin — the spectrum magnitude used by
-// the psychoacoustic model.
-func Magnitudes(x []complex128) []float64 {
-	out := make([]float64, len(x))
-	for i, v := range x {
-		out[i] = cmplx.Abs(v)
-	}
-	return out
-}
-
-// RealForward transforms a real signal, returning the complex spectrum.
-func RealForward(x []float64) ([]complex128, error) {
-	c := make([]complex128, len(x))
-	for i, v := range x {
-		c[i] = complex(v, 0)
-	}
-	if err := Forward(c); err != nil {
-		return nil, err
-	}
-	return c, nil
 }

@@ -26,7 +26,7 @@ func TestBroadcastMetricsCheckpointInvariance(t *testing.T) {
 		return buf.Bytes()
 	}
 
-	straight, err := BroadcastMetrics(mc)
+	straight, err := BroadcastMetricsCheckpointed(mc, BroadcastCheckpoints{})
 	if err != nil {
 		t.Fatal(err)
 	}

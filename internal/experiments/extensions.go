@@ -267,13 +267,6 @@ func GridSpread(side int, p float64, mc sim.Config) ([]GridSpreadRow, error) {
 	return rows, nil
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // BimodalRow is one histogram bin of the bimodal-delivery study.
 type BimodalRow struct {
 	// CoverageLo/Hi bound the bin ([lo, hi) fraction of tiles reached).

@@ -60,12 +60,12 @@ func TestMetricsBroadcastSumsReconcile(t *testing.T) {
 	// The Monte Carlo runner path must reproduce the serial reference
 	// bit for bit at any worker count.
 	for _, workers := range []int{1, 3} {
-		got, err := BroadcastMetrics(sim.Config{Replicas: replicas, Seed: seed, Workers: workers})
+		got, err := BroadcastMetricsCheckpointed(sim.Config{Replicas: replicas, Seed: seed, Workers: workers}, BroadcastCheckpoints{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, agg) {
-			t.Errorf("BroadcastMetrics(workers=%d) differs from the serial merge", workers)
+			t.Errorf("BroadcastMetricsCheckpointed(workers=%d) differs from the serial merge", workers)
 		}
 	}
 }

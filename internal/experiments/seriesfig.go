@@ -67,20 +67,15 @@ func broadcastSeriesReplica(replica int, seed uint64, ck BroadcastCheckpoints) (
 	return t.Rec.Series(), t.Net.Counters(), nil
 }
 
-// BroadcastMetrics records the canonical 8×8 broadcast over mc.Replicas
-// Monte Carlo runs and merges the per-round series across replicas.
-// This is the study behind cmd/figures -metrics: its JSONL/CSV export is
-// the per-round observability artifact CI archives, and its per-round
-// sums reconcile exactly with the engine's core.Counters totals at any
-// worker count.
-func BroadcastMetrics(mc sim.Config) (*metrics.Aggregate, error) {
-	return BroadcastMetricsCheckpointed(mc, BroadcastCheckpoints{})
-}
-
-// BroadcastMetricsCheckpointed is BroadcastMetrics with checkpoint/resume:
-// each replica periodically saves its state to ck.Save and resumes from
-// ck.ResumeDir. The merged aggregate is byte-identical to an
-// uninterrupted run — the checkpoint layer cannot perturb the series.
+// BroadcastMetricsCheckpointed records the canonical 8×8 broadcast over
+// mc.Replicas Monte Carlo runs and merges the per-round series across
+// replicas. This is the study behind cmd/figures -metrics: its JSONL/CSV
+// export is the per-round observability artifact CI archives, and its
+// per-round sums reconcile exactly with the engine's core.Counters
+// totals at any worker count. Each replica periodically saves its state
+// to ck.Save and resumes from ck.ResumeDir (the zero ck does neither);
+// the merged aggregate is byte-identical to an uninterrupted run — the
+// checkpoint layer cannot perturb the series.
 func BroadcastMetricsCheckpointed(mc sim.Config, ck BroadcastCheckpoints) (*metrics.Aggregate, error) {
 	return sim.RunSeries(mc, func(replica int, seed uint64) (*metrics.TimeSeries, error) {
 		ts, _, err := broadcastSeriesReplica(replica, seed, ck)

@@ -103,23 +103,14 @@ func linkKey(a, b packet.TileID) uint64 {
 	return uint64(a)<<32 | uint64(b)
 }
 
-// NewInjector samples the permanent failures of model over topo using r.
-// It returns an error for invalid configurations or if the requested crash
-// counts exceed the available tiles/links.
-func NewInjector(topo topology.Topology, model Model, r *rng.Stream) (*Injector, error) {
-	inj := new(Injector)
-	if err := inj.Reset(topo, model, r); err != nil {
-		return nil, err
-	}
-	return inj, nil
-}
-
-// Reset re-samples inj in place: afterwards it is what NewInjector(topo,
-// model, r) would return, drawing the same numbers from r, but it reuses
-// inj's tile table and link set, so re-sampling an injector of the same
-// size allocates nothing when no crash count is set. It fails exactly
-// when NewInjector would, and a failed Reset leaves inj unusable until a
-// later one succeeds. Whoever holds inj sees the new sample.
+// Reset samples the permanent failures of model over topo into inj,
+// using r; the zero Injector is ready for it. It returns an error for
+// invalid configurations or if the requested crash counts exceed the
+// available tiles/links, and a failed Reset leaves inj unusable until a
+// later one succeeds. Re-sampling a used injector draws the same numbers
+// from r as a zero one would, but reuses inj's tile table and link set,
+// so re-sampling an injector of the same size allocates nothing when no
+// crash count is set. Whoever holds inj sees the new sample.
 func (inj *Injector) Reset(topo topology.Topology, model Model, r *rng.Stream) error {
 	if err := model.Validate(); err != nil {
 		return err

@@ -9,9 +9,15 @@ import (
 	"repro/internal/topology"
 )
 
+// newInjector samples a fresh injector, as core.New does.
+func newInjector(topo topology.Topology, model Model, r *rng.Stream) (*Injector, error) {
+	inj := new(Injector)
+	return inj, inj.Reset(topo, model, r)
+}
+
 func TestZeroModelIsFaultFree(t *testing.T) {
 	topo := topology.NewGrid(4, 4)
-	inj, err := NewInjector(topo, Model{}, rng.New(1))
+	inj, err := newInjector(topo, Model{}, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +42,7 @@ func TestZeroModelIsFaultFree(t *testing.T) {
 func TestExactDeadTiles(t *testing.T) {
 	topo := topology.NewGrid(5, 5)
 	for _, n := range []int{0, 1, 3, 6} {
-		inj, err := NewInjector(topo, Model{DeadTiles: n}, rng.New(7))
+		inj, err := newInjector(topo, Model{DeadTiles: n}, rng.New(7))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,7 +56,7 @@ func TestProtectedTilesSurvive(t *testing.T) {
 	topo := topology.NewGrid(4, 4)
 	protect := []packet.TileID{0, 5, 15}
 	for seed := uint64(0); seed < 50; seed++ {
-		inj, err := NewInjector(topo, Model{DeadTiles: 10, Protect: protect}, rng.New(seed))
+		inj, err := newInjector(topo, Model{DeadTiles: 10, Protect: protect}, rng.New(seed))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,14 +73,14 @@ func TestProtectedTilesSurvive(t *testing.T) {
 
 func TestDeadTilesExceedCapacity(t *testing.T) {
 	topo := topology.NewGrid(2, 2)
-	if _, err := NewInjector(topo, Model{DeadTiles: 3, Protect: []packet.TileID{0, 1}}, rng.New(1)); err == nil {
+	if _, err := newInjector(topo, Model{DeadTiles: 3, Protect: []packet.TileID{0, 1}}, rng.New(1)); err == nil {
 		t.Fatal("over-subscribed DeadTiles accepted")
 	}
 }
 
 func TestDeadLinksExact(t *testing.T) {
 	topo := topology.NewGrid(3, 3)
-	inj, err := NewInjector(topo, Model{DeadLinks: 4}, rng.New(3))
+	inj, err := newInjector(topo, Model{DeadLinks: 4}, rng.New(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +98,7 @@ func TestDeadLinksExact(t *testing.T) {
 	}
 	// A crashed tile kills its links through LinkAlive without adding to
 	// the count of crashed links.
-	tilesOnly, err := NewInjector(topo, Model{DeadTiles: 2}, rng.New(3))
+	tilesOnly, err := newInjector(topo, Model{DeadTiles: 2}, rng.New(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +124,7 @@ func TestNoLinkListWithoutLinkFaults(t *testing.T) {
 	} {
 		allocs := func(topo topology.Topology) float64 {
 			return testing.AllocsPerRun(5, func() {
-				if _, err := NewInjector(topo, tc.model, rng.New(7)); err != nil {
+				if _, err := newInjector(topo, tc.model, rng.New(7)); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -132,14 +138,14 @@ func TestNoLinkListWithoutLinkFaults(t *testing.T) {
 
 func TestDeadLinksExceedCapacity(t *testing.T) {
 	topo := topology.NewGrid(2, 1) // one link
-	if _, err := NewInjector(topo, Model{DeadLinks: 2}, rng.New(1)); err == nil {
+	if _, err := newInjector(topo, Model{DeadLinks: 2}, rng.New(1)); err == nil {
 		t.Fatal("over-subscribed DeadLinks accepted")
 	}
 }
 
 func TestLinkWithDeadEndpointIsDead(t *testing.T) {
 	topo := topology.NewGrid(2, 1)
-	inj, err := NewInjector(topo, Model{DeadTiles: 1}, rng.New(1))
+	inj, err := newInjector(topo, Model{DeadTiles: 1}, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +159,7 @@ func TestProbabilisticCrashRate(t *testing.T) {
 	dead := 0
 	const runs = 200
 	for seed := uint64(0); seed < runs; seed++ {
-		inj, err := NewInjector(topo, Model{PTileCrash: 0.2}, rng.New(seed))
+		inj, err := newInjector(topo, Model{PTileCrash: 0.2}, rng.New(seed))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,7 +173,7 @@ func TestProbabilisticCrashRate(t *testing.T) {
 
 func TestUpsetRate(t *testing.T) {
 	topo := topology.NewGrid(2, 2)
-	inj, err := NewInjector(topo, Model{PUpset: 0.3, POverflow: 0.1}, rng.New(1))
+	inj, err := newInjector(topo, Model{PUpset: 0.3, POverflow: 0.1}, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +198,7 @@ func TestUpsetRate(t *testing.T) {
 
 func TestSyncSlipDistribution(t *testing.T) {
 	topo := topology.NewGrid(2, 2)
-	inj, err := NewInjector(topo, Model{SigmaSync: 1.0}, rng.New(1))
+	inj, err := newInjector(topo, Model{SigmaSync: 1.0}, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,11 +248,11 @@ func TestValidateRejectsBadConfig(t *testing.T) {
 func TestInjectorDeterminism(t *testing.T) {
 	topo := topology.NewGrid(5, 5)
 	m := Model{DeadTiles: 5, DeadLinks: 3}
-	a, err := NewInjector(topo, m, rng.New(42))
+	a, err := newInjector(topo, m, rng.New(42))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewInjector(topo, m, rng.New(42))
+	b, err := newInjector(topo, m, rng.New(42))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +270,7 @@ func TestInjectorDeterminism(t *testing.T) {
 
 func TestTileAliveOutOfRange(t *testing.T) {
 	topo := topology.NewGrid(2, 2)
-	inj, _ := NewInjector(topo, Model{}, rng.New(1))
+	inj, _ := newInjector(topo, Model{}, rng.New(1))
 	if inj.TileAlive(100) {
 		t.Fatal("out-of-range tile reported alive")
 	}
@@ -272,7 +278,7 @@ func TestTileAliveOutOfRange(t *testing.T) {
 
 func TestCorruptFrameChangesBytes(t *testing.T) {
 	topo := topology.NewGrid(2, 2)
-	inj, _ := NewInjector(topo, Model{PUpset: 1, LiteralUpsets: true}, rng.New(1))
+	inj, _ := newInjector(topo, Model{PUpset: 1, LiteralUpsets: true}, rng.New(1))
 	frame := []byte{1, 2, 3, 4, 5, 6, 7, 8}
 	orig := append([]byte(nil), frame...)
 	inj.CorruptFrame(frame, rng.New(2))
@@ -289,7 +295,7 @@ func TestCorruptFrameChangesBytes(t *testing.T) {
 
 func TestAliveFuncsAdapter(t *testing.T) {
 	topo := topology.NewGrid(3, 1)
-	inj, _ := NewInjector(topo, Model{DeadTiles: 1, Protect: []packet.TileID{0, 2}}, rng.New(1))
+	inj, _ := newInjector(topo, Model{DeadTiles: 1, Protect: []packet.TileID{0, 2}}, rng.New(1))
 	alive, linkAlive := inj.AliveFuncs()
 	if alive(1) {
 		t.Fatal("tile 1 should be the dead one")

@@ -190,44 +190,3 @@ func RoundsToInform(n, maxRounds int, r *rng.Stream) int {
 	}
 	return len(curve) - 1
 }
-
-// SimulateSpreadPushPull runs the push–pull variant (Karp et al.,
-// "Randomized rumor spreading" [26]): per round, every informed node
-// pushes to a random partner AND every uninformed node pulls from a
-// random partner. The pull phase collapses the tail of the epidemic —
-// the last stragglers find the rumor themselves — cutting total rounds
-// to ≈ log₃n + O(log log n), noticeably below push-only's
-// log₂n + ln n. It is the natural upgrade path for an on-chip gossip
-// fabric whose links are bidirectional anyway.
-func SimulateSpreadPushPull(n, maxRounds int, r *rng.Stream) []int {
-	informed := make([]bool, n)
-	informed[0] = true
-	count := 1
-	curve := []int{1}
-	for t := 0; t < maxRounds && count < n; t++ {
-		next := make([]bool, n)
-		copy(next, informed)
-		for i := 0; i < n; i++ {
-			// Choose a partner uniformly among the other nodes.
-			j := r.Intn(n - 1)
-			if j >= i {
-				j++
-			}
-			if informed[i] && !informed[j] {
-				next[j] = true // push
-			}
-			if !informed[i] && informed[j] {
-				next[i] = true // pull
-			}
-		}
-		count = 0
-		for _, in := range next {
-			if in {
-				count++
-			}
-		}
-		informed = next
-		curve = append(curve, count)
-	}
-	return curve
-}

@@ -144,39 +144,6 @@ func BenchmarkSimulateSpread1000(b *testing.B) {
 	}
 }
 
-func TestPushPullCompletes(t *testing.T) {
-	curve := SimulateSpreadPushPull(1000, 50, rng.New(21))
-	if curve[len(curve)-1] != 1000 {
-		t.Fatalf("push-pull incomplete: %d", curve[len(curve)-1])
-	}
-}
-
-func TestPushPullBeatsPushOnly(t *testing.T) {
-	// Averaged over seeds, push-pull needs strictly fewer rounds than
-	// push-only on the same population.
-	const n, runs = 1000, 30
-	var pushSum, ppSum float64
-	for seed := uint64(0); seed < runs; seed++ {
-		push := SimulateSpread(n, 100, rng.New(seed))
-		pp := SimulateSpreadPushPull(n, 100, rng.New(seed+1000))
-		pushSum += float64(len(push) - 1)
-		ppSum += float64(len(pp) - 1)
-	}
-	if ppSum >= pushSum {
-		t.Fatalf("push-pull mean %.1f rounds not below push-only %.1f",
-			ppSum/runs, pushSum/runs)
-	}
-}
-
-func TestPushPullMonotone(t *testing.T) {
-	curve := SimulateSpreadPushPull(300, 100, rng.New(5))
-	for i := 1; i < len(curve); i++ {
-		if curve[i] < curve[i-1] {
-			t.Fatalf("informed count decreased at round %d", i)
-		}
-	}
-}
-
 func TestFloodSpreadDistIsDistribution(t *testing.T) {
 	for _, tc := range []struct {
 		n, rounds int

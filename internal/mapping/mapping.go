@@ -9,16 +9,12 @@
 // energy-aware mapping [21]).
 //
 // This package provides both: task graphs with per-task replica counts,
-// and three placement strategies — row-major, random, and a greedy
-// energy-aware heuristic minimizing Σ volume×distance.
+// placements, and the Σ volume×distance cost a communication-aware
+// placement minimizes.
 package mapping
 
 import (
-	"fmt"
-	"sort"
-
 	"repro/internal/packet"
-	"repro/internal/rng"
 	"repro/internal/topology"
 )
 
@@ -33,7 +29,7 @@ type Task struct {
 }
 
 // Edge is a producer-consumer communication with an estimated volume in
-// bits (per execution), used by the energy-aware mapper.
+// bits (per execution), weighting its distance in CommCost.
 type Edge struct {
 	From, To int
 	Volume   int
@@ -45,163 +41,9 @@ type Graph struct {
 	Edges []Edge
 }
 
-// Validate reports structural errors.
-func (g *Graph) Validate() error {
-	for i, t := range g.Tasks {
-		if t.Replicas < 1 {
-			return fmt.Errorf("mapping: task %d (%s) has %d replicas", i, t.Name, t.Replicas)
-		}
-	}
-	for _, e := range g.Edges {
-		if e.From < 0 || e.From >= len(g.Tasks) || e.To < 0 || e.To >= len(g.Tasks) {
-			return fmt.Errorf("mapping: edge %d->%d out of range", e.From, e.To)
-		}
-		if e.Volume < 0 {
-			return fmt.Errorf("mapping: negative volume on edge %d->%d", e.From, e.To)
-		}
-	}
-	return nil
-}
-
-// TotalInstances returns the number of tiles the graph needs.
-func (g *Graph) TotalInstances() int {
-	n := 0
-	for _, t := range g.Tasks {
-		n += t.Replicas
-	}
-	return n
-}
-
 // Placement maps each task to the tiles hosting its replicas.
 type Placement struct {
 	TilesOf [][]packet.TileID
-}
-
-// AllTiles returns every occupied tile.
-func (p *Placement) AllTiles() []packet.TileID {
-	var out []packet.TileID
-	for _, ts := range p.TilesOf {
-		out = append(out, ts...)
-	}
-	return out
-}
-
-// Primary returns the first replica's tile for task i.
-func (p *Placement) Primary(i int) packet.TileID { return p.TilesOf[i][0] }
-
-// RowMajor places replicas on tiles 0, 1, 2, ... in task order.
-func RowMajor(g *Graph, topo topology.Topology) (*Placement, error) {
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	need := g.TotalInstances()
-	if need > topo.Tiles() {
-		return nil, fmt.Errorf("mapping: %d instances exceed %d tiles", need, topo.Tiles())
-	}
-	p := &Placement{TilesOf: make([][]packet.TileID, len(g.Tasks))}
-	next := packet.TileID(0)
-	for i, t := range g.Tasks {
-		for r := 0; r < t.Replicas; r++ {
-			p.TilesOf[i] = append(p.TilesOf[i], next)
-			next++
-		}
-	}
-	return p, nil
-}
-
-// Random places replicas on uniformly random distinct tiles.
-func Random(g *Graph, topo topology.Topology, r *rng.Stream) (*Placement, error) {
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	need := g.TotalInstances()
-	if need > topo.Tiles() {
-		return nil, fmt.Errorf("mapping: %d instances exceed %d tiles", need, topo.Tiles())
-	}
-	perm := r.Sample(topo.Tiles(), need)
-	p := &Placement{TilesOf: make([][]packet.TileID, len(g.Tasks))}
-	k := 0
-	for i, t := range g.Tasks {
-		for rep := 0; rep < t.Replicas; rep++ {
-			p.TilesOf[i] = append(p.TilesOf[i], packet.TileID(perm[k]))
-			k++
-		}
-	}
-	return p, nil
-}
-
-// GreedyEnergyAware is a constructive heuristic in the spirit of [21]:
-// tasks are placed in decreasing order of communication volume; each
-// replica goes to the free tile minimizing the added Σ volume×hop-distance
-// to already-placed communication partners. Grid topologies use Manhattan
-// distance; general graphs use BFS hops.
-func GreedyEnergyAware(g *Graph, topo topology.Topology) (*Placement, error) {
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	need := g.TotalInstances()
-	if need > topo.Tiles() {
-		return nil, fmt.Errorf("mapping: %d instances exceed %d tiles", need, topo.Tiles())
-	}
-
-	// Task order: decreasing total adjacent volume, ties by index.
-	vol := make([]int, len(g.Tasks))
-	for _, e := range g.Edges {
-		vol[e.From] += e.Volume
-		vol[e.To] += e.Volume
-	}
-	order := make([]int, len(g.Tasks))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return vol[order[a]] > vol[order[b]] })
-
-	dist := hopMatrix(topo)
-	free := make([]bool, topo.Tiles())
-	for i := range free {
-		free[i] = true
-	}
-	p := &Placement{TilesOf: make([][]packet.TileID, len(g.Tasks))}
-
-	for _, ti := range order {
-		for rep := 0; rep < g.Tasks[ti].Replicas; rep++ {
-			best, bestCost := -1, -1
-			for tile := 0; tile < topo.Tiles(); tile++ {
-				if !free[tile] {
-					continue
-				}
-				cost := 0
-				for _, e := range g.Edges {
-					other := -1
-					switch ti {
-					case e.From:
-						other = e.To
-					case e.To:
-						other = e.From
-					default:
-						continue
-					}
-					for _, ot := range p.TilesOf[other] {
-						cost += e.Volume * dist[tile][ot]
-					}
-				}
-				// Spread replicas of the same task apart so one crash
-				// region cannot take out all copies: penalize adjacency
-				// to sibling replicas.
-				for _, sib := range p.TilesOf[ti] {
-					if dist[tile][sib] <= 1 {
-						cost += vol[ti] + 1
-					}
-				}
-				if best < 0 || cost < bestCost {
-					best, bestCost = tile, cost
-				}
-			}
-			free[best] = false
-			p.TilesOf[ti] = append(p.TilesOf[ti], packet.TileID(best))
-		}
-	}
-	return p, nil
 }
 
 // hopMatrix precomputes all-pairs hop distances.
@@ -215,7 +57,7 @@ func hopMatrix(topo topology.Topology) [][]int {
 }
 
 // CommCost returns the Σ volume×distance objective of a placement — the
-// quantity the energy-aware mapper minimizes, proportional to the minimum
+// quantity an energy-aware mapper minimizes, proportional to the minimum
 // achievable switching energy for the traffic pattern. For replicated
 // tasks the nearest replica pair carries the edge.
 func CommCost(g *Graph, topo topology.Topology, p *Placement) int {

@@ -4,170 +4,8 @@ import (
 	"testing"
 
 	"repro/internal/packet"
-	"repro/internal/rng"
 	"repro/internal/topology"
 )
-
-func starGraph() *Graph {
-	// A master talking to 4 slaves, heavy traffic to slave 0.
-	return &Graph{
-		Tasks: []Task{
-			{Name: "master", Replicas: 1},
-			{Name: "s0", Replicas: 1},
-			{Name: "s1", Replicas: 1},
-			{Name: "s2", Replicas: 1},
-			{Name: "s3", Replicas: 1},
-		},
-		Edges: []Edge{
-			{From: 0, To: 1, Volume: 1000},
-			{From: 0, To: 2, Volume: 100},
-			{From: 0, To: 3, Volume: 100},
-			{From: 0, To: 4, Volume: 100},
-		},
-	}
-}
-
-func noDuplicateTiles(t *testing.T, p *Placement) {
-	t.Helper()
-	seen := map[packet.TileID]bool{}
-	for _, tile := range p.AllTiles() {
-		if seen[tile] {
-			t.Fatalf("tile %d hosts two instances", tile)
-		}
-		seen[tile] = true
-	}
-}
-
-func TestRowMajor(t *testing.T) {
-	g := starGraph()
-	grid := topology.NewGrid(3, 3)
-	p, err := RowMajor(g, grid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	noDuplicateTiles(t, p)
-	if p.Primary(0) != 0 || p.Primary(1) != 1 {
-		t.Fatalf("row-major order broken: %v", p.TilesOf)
-	}
-}
-
-func TestRowMajorWithReplicas(t *testing.T) {
-	g := &Graph{Tasks: []Task{{Name: "a", Replicas: 3}, {Name: "b", Replicas: 2}}}
-	grid := topology.NewGrid(3, 2)
-	p, err := RowMajor(g, grid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(p.TilesOf[0]) != 3 || len(p.TilesOf[1]) != 2 {
-		t.Fatalf("replica counts wrong: %v", p.TilesOf)
-	}
-	noDuplicateTiles(t, p)
-}
-
-func TestCapacityExceeded(t *testing.T) {
-	g := &Graph{Tasks: []Task{{Name: "a", Replicas: 5}}}
-	grid := topology.NewGrid(2, 2)
-	if _, err := RowMajor(g, grid); err == nil {
-		t.Fatal("overfull mapping accepted")
-	}
-	if _, err := Random(g, grid, rng.New(1)); err == nil {
-		t.Fatal("overfull random mapping accepted")
-	}
-	if _, err := GreedyEnergyAware(g, grid); err == nil {
-		t.Fatal("overfull greedy mapping accepted")
-	}
-}
-
-func TestValidateRejectsBadGraphs(t *testing.T) {
-	bad := []*Graph{
-		{Tasks: []Task{{Name: "a", Replicas: 0}}},
-		{Tasks: []Task{{Name: "a", Replicas: 1}}, Edges: []Edge{{From: 0, To: 5}}},
-		{Tasks: []Task{{Name: "a", Replicas: 1}}, Edges: []Edge{{From: -1, To: 0}}},
-		{Tasks: []Task{{Name: "a", Replicas: 1}, {Name: "b", Replicas: 1}},
-			Edges: []Edge{{From: 0, To: 1, Volume: -5}}},
-	}
-	for i, g := range bad {
-		if err := g.Validate(); err == nil {
-			t.Errorf("bad graph %d accepted", i)
-		}
-	}
-}
-
-func TestRandomDeterministicPerSeed(t *testing.T) {
-	g := starGraph()
-	grid := topology.NewGrid(4, 4)
-	a, err := Random(g, grid, rng.New(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Random(g, grid, rng.New(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.TilesOf {
-		for j := range a.TilesOf[i] {
-			if a.TilesOf[i][j] != b.TilesOf[i][j] {
-				t.Fatal("same seed, different random placement")
-			}
-		}
-	}
-	noDuplicateTiles(t, a)
-}
-
-func TestGreedyBeatsRandomOnAverage(t *testing.T) {
-	g := starGraph()
-	grid := topology.NewGrid(5, 5)
-	greedy, err := GreedyEnergyAware(g, grid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gc := CommCost(g, grid, greedy)
-
-	worse := 0
-	const runs = 30
-	for seed := uint64(0); seed < runs; seed++ {
-		rp, err := Random(g, grid, rng.New(seed))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if CommCost(g, grid, rp) >= gc {
-			worse++
-		}
-	}
-	if worse < runs*3/4 {
-		t.Fatalf("greedy cost %d beaten by random too often (%d/%d worse)", gc, worse, runs)
-	}
-}
-
-func TestGreedyKeepsHeavyEdgeShort(t *testing.T) {
-	g := starGraph()
-	grid := topology.NewGrid(5, 5)
-	p, err := GreedyEnergyAware(g, grid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	noDuplicateTiles(t, p)
-	// The 1000-volume edge (master-s0) must be mapped adjacent.
-	if d := grid.Manhattan(p.Primary(0), p.Primary(1)); d != 1 {
-		t.Fatalf("heavy edge mapped %d hops apart", d)
-	}
-}
-
-func TestGreedySpreadsReplicas(t *testing.T) {
-	g := &Graph{
-		Tasks: []Task{{Name: "m", Replicas: 1}, {Name: "s", Replicas: 2}},
-		Edges: []Edge{{From: 0, To: 1, Volume: 10}},
-	}
-	grid := topology.NewGrid(4, 4)
-	p, err := GreedyEnergyAware(g, grid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reps := p.TilesOf[1]
-	if grid.Manhattan(reps[0], reps[1]) <= 1 {
-		t.Fatalf("replicas placed adjacent: %v", reps)
-	}
-}
 
 func TestCommCostZeroForColocatedReplicaPair(t *testing.T) {
 	g := &Graph{
@@ -182,106 +20,5 @@ func TestCommCostZeroForColocatedReplicaPair(t *testing.T) {
 	far := &Placement{TilesOf: [][]packet.TileID{{0}, {3}}}
 	if got := CommCost(g, grid, far); got != 14 {
 		t.Fatalf("CommCost = %d, want 14 (volume × 2 hops)", got)
-	}
-}
-
-func TestTotalInstances(t *testing.T) {
-	g := &Graph{Tasks: []Task{{Replicas: 2}, {Replicas: 3}}}
-	if g.TotalInstances() != 5 {
-		t.Fatalf("TotalInstances = %d", g.TotalInstances())
-	}
-}
-
-func TestAnnealImprovesRandomPlacement(t *testing.T) {
-	g := starGraph()
-	grid := topology.NewGrid(6, 6)
-	r := rng.New(3)
-	start, err := Random(g, grid, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	startCost := CommCost(g, grid, start)
-	out, err := Anneal(g, grid, start, AnnealConfig{Iterations: 5000}, rng.New(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	outCost := CommCost(g, grid, out)
-	if outCost > startCost {
-		t.Fatalf("annealing worsened the placement: %d -> %d", startCost, outCost)
-	}
-	// The star graph's optimum places everything adjacent: total cost
-	// 1000+3*100 = 1300 at distance 1 each.
-	if outCost > 2*1300 {
-		t.Fatalf("annealed cost %d far from optimum 1300", outCost)
-	}
-	noDuplicateTiles(t, out)
-}
-
-func TestAnnealMatchesOrBeatsGreedy(t *testing.T) {
-	// On random communication graphs, SA refinement starting from the
-	// greedy construction never loses to greedy alone.
-	r := rng.New(9)
-	for trial := 0; trial < 5; trial++ {
-		g := &Graph{}
-		const tasks = 8
-		for i := 0; i < tasks; i++ {
-			g.Tasks = append(g.Tasks, Task{Name: "t", Replicas: 1})
-		}
-		for i := 0; i < tasks; i++ {
-			for j := i + 1; j < tasks; j++ {
-				if r.Bool(0.4) {
-					g.Edges = append(g.Edges, Edge{From: i, To: j, Volume: 1 + r.Intn(20)})
-				}
-			}
-		}
-		if len(g.Edges) == 0 {
-			continue
-		}
-		grid := topology.NewGrid(5, 5)
-		greedy, err := GreedyEnergyAware(g, grid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gc := CommCost(g, grid, greedy)
-		annealed, err := Anneal(g, grid, greedy, AnnealConfig{Iterations: 8000}, rng.New(uint64(trial)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ac := CommCost(g, grid, annealed)
-		if ac > gc {
-			t.Fatalf("trial %d: annealing worsened greedy: %d -> %d", trial, gc, ac)
-		}
-		noDuplicateTiles(t, annealed)
-	}
-}
-
-func TestAnnealPreservesReplicaCounts(t *testing.T) {
-	g := &Graph{
-		Tasks: []Task{{Name: "a", Replicas: 2}, {Name: "b", Replicas: 3}},
-		Edges: []Edge{{From: 0, To: 1, Volume: 5}},
-	}
-	grid := topology.NewGrid(4, 4)
-	start, err := RowMajor(g, grid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := Anneal(g, grid, start, AnnealConfig{Iterations: 2000}, rng.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out.TilesOf[0]) != 2 || len(out.TilesOf[1]) != 3 {
-		t.Fatalf("replica counts changed: %v", out.TilesOf)
-	}
-}
-
-func TestAnnealValidation(t *testing.T) {
-	bad := &Graph{Tasks: []Task{{Replicas: 0}}}
-	grid := topology.NewGrid(2, 2)
-	if _, err := Anneal(bad, grid, &Placement{}, AnnealConfig{}, rng.New(1)); err == nil {
-		t.Fatal("invalid graph accepted")
-	}
-	good := &Graph{Tasks: []Task{{Name: "a", Replicas: 1}}}
-	if _, err := Anneal(good, grid, &Placement{TilesOf: [][]packet.TileID{}}, AnnealConfig{}, rng.New(1)); err == nil {
-		t.Fatal("empty placement accepted")
 	}
 }

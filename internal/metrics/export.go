@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -47,30 +48,67 @@ func fmtF(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 // over replicas.
 func WriteJSONL(w io.Writer, a *Aggregate) error {
 	bw := bufio.NewWriter(w)
+	var b []byte
 	for r := 0; r <= a.Rounds; r++ {
-		fmt.Fprintf(bw, `{"round":%d,"replicas":%d,"series":{`, r, a.Replicas)
-		first := true
+		b = appendLineHead(b[:0], r, a.Replicas)
 		for id := range a.Ints {
-			writeJSONStat(bw, &first, intNames[id], a.Ints[id][r])
+			b = appendRoundStat(b, intNames[id], a.Ints[id][r])
 		}
 		for id := range a.Floats {
-			writeJSONStat(bw, &first, floatNames[id], a.Floats[id][r])
+			b = appendRoundStat(b, floatNames[id], a.Floats[id][r])
 		}
-		if _, err := bw.WriteString("}}\n"); err != nil {
+		if _, err := bw.Write(append(b, "}}\n"...)); err != nil {
 			return err
 		}
 	}
 	return bw.Flush()
 }
 
-// writeJSONStat emits one `"name":{...}` member.
-func writeJSONStat(bw *bufio.Writer, first *bool, name string, s RoundStat) {
-	if !*first {
-		bw.WriteByte(',')
+// appendLineHead opens round's JSONL line: the round and replica counts
+// and the series object, whose members appendRoundStat appends.
+func appendLineHead(b []byte, round, replicas int) []byte {
+	b = append(b, `{"round":`...)
+	b = strconv.AppendInt(b, int64(round), 10)
+	b = append(b, `,"replicas":`...)
+	b = strconv.AppendInt(b, int64(replicas), 10)
+	return append(b, `,"series":{`...)
+}
+
+// appendRoundStat appends one `"name":{"n":…,"sum":…,"mean":…,"min":…,
+// "max":…,"ci95":…}` member of a line's series object, preceded by a
+// comma unless it is the first, floats in fmtF's form. It is the one
+// renderer of a JSONL member: WriteJSONL and Streamer.RoundLine both
+// call it. A field with the bits of sum copies sum's bytes, and a +0
+// is "0", instead of formatting them again: a one-replica statistic,
+// which the daemon streams every round, repeats its value four times
+// and has a zero ci95.
+func appendRoundStat(b []byte, name string, s RoundStat) []byte {
+	if b[len(b)-1] != '{' {
+		b = append(b, ',')
 	}
-	*first = false
-	fmt.Fprintf(bw, `"%s":{"n":%d,"sum":%s,"mean":%s,"min":%s,"max":%s,"ci95":%s}`,
-		name, s.N, fmtF(s.Sum), fmtF(s.Mean), fmtF(s.Min), fmtF(s.Max), fmtF(s.CI95))
+	b = append(b, '"')
+	b = append(b, name...)
+	b = append(b, `":{"n":`...)
+	b = strconv.AppendInt(b, int64(s.N), 10)
+	b = append(b, `,"sum":`...)
+	at := len(b)
+	b = strconv.AppendFloat(b, s.Sum, 'g', -1, 64)
+	sum := b[at:len(b):len(b)]
+	for _, f := range [...]struct {
+		key string
+		v   float64
+	}{{`,"mean":`, s.Mean}, {`,"min":`, s.Min}, {`,"max":`, s.Max}, {`,"ci95":`, s.CI95}} {
+		b = append(b, f.key...)
+		switch bits := math.Float64bits(f.v); {
+		case bits == math.Float64bits(s.Sum):
+			b = append(b, sum...)
+		case bits == 0:
+			b = append(b, '0')
+		default:
+			b = strconv.AppendFloat(b, f.v, 'g', -1, 64)
+		}
+	}
+	return append(b, '}')
 }
 
 // WriteCSV writes a in long form, one row per (round, series):

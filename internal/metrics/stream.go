@@ -1,9 +1,6 @@
 package metrics
 
-import (
-	"fmt"
-	"strconv"
-)
+import "fmt"
 
 // Incremental export: the simulation service streams a running
 // replica's series to subscribers round by round, while the run is
@@ -11,9 +8,10 @@ import (
 // byte-addressed cache. Those two paths must agree byte for byte —
 // a client that watched the stream and a client that fetched the
 // cached result must hold identical files — so the Streamer renders
-// each round's line with exactly the bytes the batch exporter
-// (WriteJSONL over a one-replica Merge) would emit for that round.
-// The equivalence is pinned by TestStreamerMatchesBatchExport.
+// each round's line through the batch exporter's own line renderer
+// (appendLineHead, appendRoundStat), handing it the statistic a
+// one-replica Merge would hold. The equivalence is pinned by
+// TestStreamerMatchesBatchExport.
 
 // Streamer incrementally renders one replica's recorded series as
 // JSON Lines. RoundLine(r) returns the identical bytes line r of
@@ -40,42 +38,20 @@ func (s *Streamer) RoundLine(round int) []byte {
 	if round < 0 || round > s.rec.last {
 		panic(fmt.Sprintf("metrics: Streamer.RoundLine(%d) outside recorded rounds [0, %d]", round, s.rec.last))
 	}
-	b := s.buf[:0]
-	b = append(b, `{"round":`...)
-	b = strconv.AppendInt(b, int64(round), 10)
-	b = append(b, `,"replicas":1,"series":{`...)
-	first := true
+	b := appendLineHead(s.buf[:0], round, 1)
 	for id, vals := range &s.rec.ints {
-		b = appendSingleStat(b, &first, intNames[id], float64(vals[round]))
+		b = appendRoundStat(b, intNames[id], single(float64(vals[round])))
 	}
 	for id, vals := range &s.rec.floats {
-		b = appendSingleStat(b, &first, floatNames[id], vals[round])
+		b = appendRoundStat(b, floatNames[id], single(vals[round]))
 	}
 	b = append(b, "}}\n"...)
 	s.buf = b
 	return b
 }
 
-// appendSingleStat appends one `"name":{...}` member holding the n=1
-// statistic of value v — the RoundStat a one-replica Merge produces
-// (sum = mean = min = max = v, ci95 = 0), rendered with the batch
-// exporter's float formatting.
-func appendSingleStat(b []byte, first *bool, name string, v float64) []byte {
-	if !*first {
-		b = append(b, ',')
-	}
-	*first = false
-	b = append(b, '"')
-	b = append(b, name...)
-	b = append(b, `":{"n":1,"sum":`...)
-	f := strconv.AppendFloat(nil, v, 'g', -1, 64)
-	b = append(b, f...)
-	b = append(b, `,"mean":`...)
-	b = append(b, f...)
-	b = append(b, `,"min":`...)
-	b = append(b, f...)
-	b = append(b, `,"max":`...)
-	b = append(b, f...)
-	b = append(b, `,"ci95":0}`...)
-	return b
+// single is the statistic a one-replica Merge produces for value v:
+// n = 1, sum = mean = min = max = v, ci95 = 0.
+func single(v float64) RoundStat {
+	return RoundStat{N: 1, Sum: v, Mean: v, Min: v, Max: v}
 }

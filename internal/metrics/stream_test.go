@@ -74,6 +74,20 @@ func TestStreamerLineReuse(t *testing.T) {
 	}
 }
 
+// TestStreamerRoundLineAllocatesNothing pins that RoundLine, which the
+// daemon calls once per round of every job, renders into its reused
+// buffer without allocating once that buffer has grown.
+func TestStreamerRoundLineAllocatesNothing(t *testing.T) {
+	rec := NewRecorder(Config{Rounds: 8})
+	add(rec, Created, 0, 1)
+	add(rec, Created, 1, 2)
+	str := NewStreamer(rec)
+	str.RoundLine(0)
+	if allocs := testing.AllocsPerRun(100, func() { str.RoundLine(1) }); allocs != 0 {
+		t.Fatalf("RoundLine allocates %v times a call, want 0", allocs)
+	}
+}
+
 // TestStreamerRejectsUnrecordedRound pins the contract that only
 // recorded rounds ([0, Rounds()]) can be rendered.
 func TestStreamerRejectsUnrecordedRound(t *testing.T) {

@@ -80,18 +80,6 @@ func flipBit(frame []byte, bit int) {
 	frame[bit/8] ^= 1 << uint(7-bit%8)
 }
 
-// PvFromUpset converts a packet-level upset probability into the
-// per-error-vector probability p_v ≈ p_upset / 2^n of the random error
-// vector model. nbits is the frame size in bits.
-func PvFromUpset(pupset float64, nbits int) float64 {
-	if nbits >= 1024 {
-		// 2^n overflows float64 well before 1024 bits; the probability of
-		// any individual vector is effectively zero.
-		return 0
-	}
-	return pupset / math.Exp2(float64(nbits))
-}
-
 // PbFromUpset converts a packet-level upset probability into the per-bit
 // probability p_b ≈ p_upset / n of the random bit error model.
 func PbFromUpset(pupset float64, nbits int) float64 {
@@ -112,10 +100,4 @@ func PbFromUpset(pupset float64, nbits int) float64 {
 		pb = pupset / float64(nbits)
 	}
 	return pb
-}
-
-// UpsetFromPb is the forward direction p_upset = 1 - (1 - p_b)^n, used by
-// tests to validate the inversion.
-func UpsetFromPb(pb float64, nbits int) float64 {
-	return 1 - math.Pow(1-pb, float64(nbits))
 }

@@ -236,7 +236,7 @@ func TestPbFromUpsetInversion(t *testing.T) {
 	for _, pupset := range []float64{0.01, 0.1, 0.5, 0.9} {
 		for _, nbits := range []int{8, 64, 256, 1024} {
 			pb := PbFromUpset(pupset, nbits)
-			back := UpsetFromPb(pb, nbits)
+			back := 1 - math.Pow(1-pb, float64(nbits)) // p_upset = 1 - (1 - p_b)^n
 			if math.Abs(back-pupset) > 1e-9 {
 				t.Errorf("PbFromUpset(%v,%d): round-trip %v", pupset, nbits, back)
 			}
@@ -253,15 +253,6 @@ func TestPbFromUpsetEdges(t *testing.T) {
 	}
 	if PbFromUpset(0.5, 0) != 0 {
 		t.Error("PbFromUpset with 0 bits != 0")
-	}
-}
-
-func TestPvFromUpset(t *testing.T) {
-	if got := PvFromUpset(0.5, 4); math.Abs(got-0.5/16) > 1e-12 {
-		t.Errorf("PvFromUpset(0.5, 4) = %v", got)
-	}
-	if got := PvFromUpset(0.5, 4096); got != 0 {
-		t.Errorf("PvFromUpset huge frame = %v, want 0", got)
 	}
 }
 

@@ -137,13 +137,6 @@ func (s *scheduler) release(j *Job) {
 	s.mu.Unlock()
 }
 
-// queued returns the number of waiting jobs.
-func (s *scheduler) queued() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.interactive) + len(s.batch)
-}
-
 // snapshot returns (running, queued, maxRunning, draining).
 func (s *scheduler) snapshot() (running, queued, maxRunning int, draining bool) {
 	s.mu.Lock()

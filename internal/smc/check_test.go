@@ -258,7 +258,10 @@ func TestCheckUndecidedAtReplicaCap(t *testing.T) {
 // constructor twin yield identical reports.
 func TestCheckParsedPropertyMatchesConstructor(t *testing.T) {
 	model := completeMeshModel(12, 0.15, 5)
-	parsed := MustParse("aware(0.75) within 3")
+	parsed, err := Parse("aware(0.75) within 3")
+	if err != nil {
+		t.Fatal(err)
+	}
 	built := AwareFraction(0.75).Within(3)
 	cfg := CheckConfig{Theta: 0.5, Delta: 0.02, Seed: 11}
 

@@ -32,7 +32,7 @@ func TestModelRunCrashedSourceStopsAtRoundZero(t *testing.T) {
 			t.Errorf("horizon %d: %d tiles aware at round 0, want 0", horizon, got)
 		}
 	}
-	if ok, err := model.Replica(MustParse("aware(0.01) within 8"))(0, 3); err != nil || ok {
+	if ok, err := model.Replica(AwareFraction(0.01).Within(8))(0, 3); err != nil || ok {
 		t.Fatalf("replica on a dead source = %v (err %v), want false", ok, err)
 	}
 }
@@ -67,7 +67,7 @@ func TestModelReplicaReuseMatchesFresh(t *testing.T) {
 	model := BroadcastModel(core.Config{
 		Topo: g, P: 0.5, TTL: 16, Fault: fault.Model{PUpset: 0.05, SigmaSync: 0.3},
 	}, g.ID(4, 4), energy.NoCLink025)
-	prop := MustParse("aware(0.9) within 10")
+	prop := AwareFraction(0.9).Within(10)
 	fresh := func(_ int, seed uint64) (bool, error) {
 		ts, err := model.Run(seed, prop.Horizon())
 		if err != nil {

@@ -36,16 +36,6 @@ func Parse(s string) (Property, error) {
 	return prop, nil
 }
 
-// MustParse is Parse for compile-time-constant specs: it panics on
-// error. Use it in tests and examples only.
-func MustParse(s string) Property {
-	p, err := Parse(s)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // lex splits the spec into tokens: parentheses, "<=", and maximal runs
 // of non-space, non-paren characters.
 func lex(s string) []string {

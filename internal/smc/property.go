@@ -10,7 +10,7 @@
 //   - A property-specification layer: a Property is a predicate over one
 //     replica's per-round metric series (internal/metrics), built from
 //     the constructors below (AwareFraction(0.95).Within(64),
-//     EnergyBelow(j), DeliveredBy(t), And/Or/Not) or parsed from the
+//     EnergyBelow(j), Delivered().By(t), And/Or/Not) or parsed from the
 //     documented text form ("aware(0.95) within 64"; see Parse and
 //     docs/SMC.md). Evaluating a Property on a replica yields one
 //     Bernoulli outcome.
@@ -127,12 +127,6 @@ func Delivered() DeliveredProp {
 // for the text form).
 func Deliveries(count int64) DeliveredProp {
 	return DeliveredProp{Count: count, Rounds: NoHorizon}
-}
-
-// DeliveredBy returns the property "at least one delivery happens by
-// round `rounds`" — shorthand for Delivered().By(rounds).
-func DeliveredBy(rounds int) DeliveredProp {
-	return Delivered().By(rounds)
 }
 
 // By bounds the delivery deadline (inclusive round index).

@@ -6,7 +6,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Online accumulates moments incrementally using Welford's algorithm, so
@@ -93,89 +92,6 @@ func Summarize(o *Online) Summary {
 func (s Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.4g sd=%.4g min=%.4g max=%.4g ±%.3g",
 		s.N, s.Mean, s.StdDev, s.Min, s.Max, s.CI95Width)
-}
-
-// OfSlice computes a Summary of xs directly.
-func OfSlice(xs []float64) Summary {
-	var o Online
-	for _, x := range xs {
-		o.Add(x)
-	}
-	return Summarize(&o)
-}
-
-// Median returns the median of xs (the average of the two middle elements
-// for even lengths). It returns 0 for empty input.
-func Median(xs []float64) float64 {
-	return Quantile(xs, 0.5)
-}
-
-// Quantile returns the q-th quantile of xs by linear interpolation between
-// closest ranks. q is clamped to [0, 1]; empty input yields 0.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if q <= 0 {
-		return sorted[0]
-	}
-	if q >= 1 {
-		return sorted[len(sorted)-1]
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(pos)
-	frac := pos - float64(lo)
-	if lo+1 >= len(sorted) {
-		return sorted[lo]
-	}
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
-}
-
-// Histogram counts samples into uniform-width bins over [lo, hi]. Samples
-// outside the range are clamped into the edge bins, which is what the
-// latency-distribution plots want.
-type Histogram struct {
-	// Lo and Hi bound the binned range; samples outside are clamped
-	// into the edge bins.
-	Lo, Hi float64
-	// Bins holds the per-bin sample counts, uniform width over [Lo, Hi].
-	Bins  []int
-	total int
-}
-
-// NewHistogram returns a histogram with the given range and bin count.
-// It panics for bins <= 0 or hi <= lo (programming errors).
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins <= 0 || hi <= lo {
-		panic("stats: invalid histogram shape")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Bins: make([]int, bins)}
-}
-
-// Add counts one sample.
-func (h *Histogram) Add(x float64) {
-	idx := int(float64(len(h.Bins)) * (x - h.Lo) / (h.Hi - h.Lo))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(h.Bins) {
-		idx = len(h.Bins) - 1
-	}
-	h.Bins[idx]++
-	h.total++
-}
-
-// Total returns the number of samples counted.
-func (h *Histogram) Total() int { return h.total }
-
-// Fraction returns the fraction of samples in bin i.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.Bins[i]) / float64(h.total)
 }
 
 // NormalQuantile returns the p-th quantile of the standard normal

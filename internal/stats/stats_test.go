@@ -80,100 +80,6 @@ func TestSummaryString(t *testing.T) {
 	}
 }
 
-func TestOfSlice(t *testing.T) {
-	s := OfSlice([]float64{1, 2, 3})
-	if s.N != 3 || !almostEq(s.Mean, 2, 1e-12) {
-		t.Fatalf("OfSlice: %+v", s)
-	}
-}
-
-func TestMedian(t *testing.T) {
-	if Median(nil) != 0 {
-		t.Error("Median(nil) != 0")
-	}
-	if Median([]float64{3}) != 3 {
-		t.Error("Median single")
-	}
-	if got := Median([]float64{1, 3, 2}); got != 2 {
-		t.Errorf("Median odd = %v", got)
-	}
-	if got := Median([]float64{4, 1, 3, 2}); got != 2.5 {
-		t.Errorf("Median even = %v", got)
-	}
-}
-
-func TestMedianDoesNotMutate(t *testing.T) {
-	xs := []float64{3, 1, 2}
-	Median(xs)
-	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
-		t.Fatal("Median mutated its input")
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	xs := []float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	if got := Quantile(xs, 0); got != 0 {
-		t.Errorf("q0 = %v", got)
-	}
-	if got := Quantile(xs, 1); got != 10 {
-		t.Errorf("q1 = %v", got)
-	}
-	if got := Quantile(xs, 0.9); !almostEq(got, 9, 1e-12) {
-		t.Errorf("q0.9 = %v", got)
-	}
-	if got := Quantile(xs, -2); got != 0 {
-		t.Errorf("q<0 = %v", got)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{0.5, 1, 3, 5, 7, 9, 9.9} {
-		h.Add(x)
-	}
-	if h.Total() != 7 {
-		t.Fatalf("Total = %d", h.Total())
-	}
-	if h.Bins[0] != 2 { // 0.5 and 1 land in [0,2)
-		t.Fatalf("bin 0 = %d", h.Bins[0])
-	}
-	if h.Bins[4] != 2 { // 9 and 9.9
-		t.Fatalf("bin 4 = %d", h.Bins[4])
-	}
-}
-
-func TestHistogramClampsOutliers(t *testing.T) {
-	h := NewHistogram(0, 1, 2)
-	h.Add(-5)
-	h.Add(42)
-	if h.Bins[0] != 1 || h.Bins[1] != 1 {
-		t.Fatalf("outliers not clamped: %v", h.Bins)
-	}
-}
-
-func TestHistogramFraction(t *testing.T) {
-	h := NewHistogram(0, 4, 2)
-	if h.Fraction(0) != 0 {
-		t.Error("empty histogram Fraction != 0")
-	}
-	h.Add(1)
-	h.Add(1)
-	h.Add(3)
-	if !almostEq(h.Fraction(0), 2.0/3, 1e-12) {
-		t.Errorf("Fraction(0) = %v", h.Fraction(0))
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("invalid histogram accepted")
-		}
-	}()
-	NewHistogram(5, 5, 3)
-}
-
-// Property: Online matches a direct two-pass computation.
 func TestQuickOnlineMatchesDirect(t *testing.T) {
 	f := func(xs []float64) bool {
 		clean := xs[:0]
@@ -207,29 +113,6 @@ func TestQuickOnlineMatchesDirect(t *testing.T) {
 }
 
 // Property: quantiles are monotone in q.
-func TestQuickQuantileMonotone(t *testing.T) {
-	f := func(xs []float64, a, b float64) bool {
-		clean := xs[:0]
-		for _, x := range xs {
-			if !math.IsNaN(x) {
-				clean = append(clean, x)
-			}
-		}
-		if len(clean) == 0 {
-			return true
-		}
-		qa := math.Mod(math.Abs(a), 1)
-		qb := math.Mod(math.Abs(b), 1)
-		if qa > qb {
-			qa, qb = qb, qa
-		}
-		return Quantile(clean, qa) <= Quantile(clean, qb)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestLinRegExactLine(t *testing.T) {
 	xs := []float64{1, 2, 3, 4}
 	ys := []float64{3, 5, 7, 9} // y = 1 + 2x

@@ -66,16 +66,3 @@ func Install(net *core.Network) error {
 	}
 	return nil
 }
-
-// PathThrough returns the XY path from src to dst, inclusive. The
-// robustness experiment uses it to classify which crash sets must break a
-// static route.
-func PathThrough(g *topology.Grid, src, dst packet.TileID) []packet.TileID {
-	path := []packet.TileID{src}
-	cur := src
-	for cur != dst {
-		cur = NextHop(g, cur, dst)
-		path = append(path, cur)
-	}
-	return path
-}

@@ -37,14 +37,18 @@ func TestNextHopSelf(t *testing.T) {
 	}
 }
 
+// TestPathThroughLength follows NextHop from every source to every
+// destination: the XY path is a shortest one, Manhattan-distance hops.
 func TestPathThroughLength(t *testing.T) {
 	g := topology.NewGrid(5, 5)
 	for src := 0; src < g.Tiles(); src++ {
 		for dst := 0; dst < g.Tiles(); dst++ {
-			path := PathThrough(g, packet.TileID(src), packet.TileID(dst))
-			want := g.Manhattan(packet.TileID(src), packet.TileID(dst)) + 1
-			if len(path) != want {
-				t.Fatalf("path %d->%d has %d tiles, want %d", src, dst, len(path), want)
+			hops := 0
+			for cur := packet.TileID(src); cur != packet.TileID(dst); cur = NextHop(g, cur, packet.TileID(dst)) {
+				hops++
+			}
+			if want := g.Manhattan(packet.TileID(src), packet.TileID(dst)); hops != want {
+				t.Fatalf("path %d->%d takes %d hops, want %d", src, dst, hops, want)
 			}
 		}
 	}
