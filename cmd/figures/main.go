@@ -6,7 +6,6 @@
 //	figures [-fig all|3-1|3-3|4-4|4-5|4-6|4-8|4-9|4-10|4-11|5-3|smc]
 //	        [-runs N] [-seed S] [-workers W] [-quick]
 //	        [-metrics FILE] [-cpuprofile FILE] [-memprofile FILE]
-//	        [-checkpoint-every N -checkpoint-dir DIR] [-resume-from DIR]
 //
 // -quick shrinks sweep resolutions for a fast smoke run. -workers sets
 // the Monte Carlo replica pool (0 = GOMAXPROCS); results are identical
@@ -30,13 +29,6 @@
 // core.Counters totals and are byte-identical at any -workers setting;
 // nothing is added to stdout, so the figures golden diff is unaffected.
 // See docs/OBSERVABILITY.md.
-//
-// -checkpoint-every N -checkpoint-dir DIR (with -metrics) checkpoint
-// every replica of the metrics study to DIR/replica-NNNN.ckpt every N
-// rounds; -resume-from DIR resumes replicas from those files (replicas
-// without a file start fresh). Checkpoint/resume is bit-identical —
-// the exported series match an uninterrupted run byte for byte (see
-// README.md, "Checkpoint/resume").
 //
 // -cpuprofile and -memprofile write pprof profiles of the regeneration
 // (inspect with `go tool pprof`); the figure harness is the realistic
@@ -68,9 +60,6 @@ var (
 	metricsOut  = flag.String("metrics", "", "write per-round series of the canonical 8x8 broadcast to this file (JSONL; .csv suffix selects CSV)")
 	cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile  = flag.String("memprofile", "", "write a heap profile to this file at exit")
-	ckptEvery   = flag.Int("checkpoint-every", 0, "with -metrics: checkpoint each replica every N rounds (0 = off; needs -checkpoint-dir)")
-	ckptDir     = flag.String("checkpoint-dir", "", "with -metrics: directory for per-replica checkpoint files")
-	resumeFrom  = flag.String("resume-from", "", "with -metrics: resume replicas from checkpoint files in this directory")
 )
 
 // mc builds the sim.Config for a figure that wants `runs` replicas per
@@ -168,14 +157,7 @@ func main() {
 // otherwise). It writes only to the file — stdout stays byte-identical
 // to an un-instrumented run.
 func exportMetrics(path string) error {
-	ck := experiments.BroadcastCheckpoints{
-		Save:      sim.Checkpointer{Dir: *ckptDir, Every: *ckptEvery},
-		ResumeDir: *resumeFrom,
-	}
-	if (*ckptEvery > 0) != (*ckptDir != "") {
-		return fmt.Errorf("-checkpoint-every and -checkpoint-dir must be set together")
-	}
-	agg, err := experiments.BroadcastMetricsCheckpointed(mc(*runsFlag), ck)
+	agg, err := experiments.BroadcastMetrics(mc(*runsFlag))
 	if err != nil {
 		return err
 	}

@@ -10,7 +10,6 @@
 //	       [-dead-tiles N] [-dead-links N] [-upset P] [-overflow P]
 //	       [-sigma S] [-literal-upsets]
 //	       [-trace] [-viz] [-metrics FILE]
-//	       [-checkpoint-every N -checkpoint-file FILE] [-resume-from FILE]
 //	       [-check "PROPERTY" [-theta θ] [-delta δ] [-alpha α] [-beta β]
 //	        [-max-replicas N] [-workers W]]
 //
@@ -23,15 +22,6 @@
 // expiries, deliveries, aware fraction, energy per round) as JSONL, or
 // CSV when FILE ends in .csv. See docs/OBSERVABILITY.md.
 //
-// -checkpoint-every N -checkpoint-file FILE snapshot the complete run
-// state to FILE every N rounds (atomically — an interrupted save never
-// leaves a torn file); -resume-from FILE continues an interrupted run
-// from its last checkpoint. The resumed run is bit-identical to the
-// uninterrupted one, provided every other flag matches the original
-// invocation (verified via a config digest embedded in the file). The
-// -trace timeline cannot span a resume (events before the checkpoint are
-// gone), so -trace and -resume-from are mutually exclusive.
-//
 // -check "PROPERTY" switches from simulating once to statistical model
 // checking (internal/smc): does the configured run satisfy PROPERTY
 // with probability at least -theta? Replicas of the fabric run under
@@ -43,8 +33,8 @@
 // gate scripts. The property language ("aware(0.9) within 32",
 // "delivered by 16 and transmissions <= 4000", ...) is documented in
 // docs/SMC.md. -check applies to the same single src→dst message the
-// plain mode simulates; per-run flags (-trace, -viz, -metrics,
-// checkpointing) cannot combine with it.
+// plain mode simulates; per-run flags (-trace, -viz, -metrics) cannot
+// combine with it.
 package main
 
 import (
@@ -84,9 +74,6 @@ var (
 	showTrace  = flag.Bool("trace", false, "print the message's full event timeline")
 	showViz    = flag.Bool("viz", false, "render the spread as an ASCII grid each round")
 	metricsOut = flag.String("metrics", "", "write the run's per-round series to this file (JSONL; .csv suffix selects CSV)")
-	ckptEvery  = flag.Int("checkpoint-every", 0, "checkpoint the run to -checkpoint-file every N rounds (0 = off)")
-	ckptFile   = flag.String("checkpoint-file", "", "checkpoint file path (needed with -checkpoint-every)")
-	resumeFrom = flag.String("resume-from", "", "resume the run from this checkpoint file (flags must match the original run)")
 	checkProp  = flag.String("check", "", "statistically check a property of the run instead of simulating once (spec language: docs/SMC.md)")
 	theta      = flag.Float64("theta", 0.9, "with -check: probability threshold θ — test P[property] >= θ")
 	delta      = flag.Float64("delta", 0.02, "with -check: SPRT indifference half-width δ around θ")
@@ -110,25 +97,15 @@ func main() {
 		runCheck(sc)
 		return
 	}
-	if *ckptEvery > 0 && *ckptFile == "" {
-		log.Fatal("-checkpoint-every needs -checkpoint-file")
-	}
-	if *resumeFrom != "" && *showTrace {
-		log.Fatal("-trace cannot span a resume; drop one of -trace / -resume-from")
-	}
 	col := &trace.Collector{}
 	if *showTrace {
 		sc.Config.OnEvent = col.Hook()
 	}
-	from := 0 // the round the run starts at: > 0 after a resume
 	h := sim.Hooks{
 		Record: *metricsOut != "",
 		Start: func(t *sim.Trial) {
 			fmt.Printf("gossiping tile %d -> tile %d on a %dx%d NoC (p=%.2f, TTL=%d, Manhattan=%d)\n",
 				*src, *dst, *width, *height, *p, *ttl, grid.Manhattan(sc.Src, sc.Dst))
-			if from = t.Net.Round(); from > 0 {
-				fmt.Printf("resumed from %s at round %d\n", *resumeFrom, from)
-			}
 			if *showViz {
 				fmt.Println(viz.Legend())
 			}
@@ -138,27 +115,8 @@ func main() {
 			if *showViz {
 				fmt.Print(viz.Frame(t.Net, grid, t.Msg, sc.Src, sc.Dst))
 			}
-			if *ckptEvery > 0 && t.Net.Round()%*ckptEvery == 0 {
-				// Engine plus recorder, when one is attached; atomic, so an
-				// interruption mid-save never leaves a torn file.
-				return sim.SaveCheckpoint(*ckptFile, sim.CheckpointMeta{Seed: *seed}, t.Net, t.Rec)
-			}
 			return nil
 		},
-	}
-	if *resumeFrom != "" {
-		h.Resume = func(cfg core.Config, rec *metrics.Recorder) (*core.Network, bool, error) {
-			f, err := os.Open(*resumeFrom)
-			if err != nil {
-				return nil, false, fmt.Errorf("resume: %w", err)
-			}
-			defer f.Close()
-			net, _, err := sim.ReadCheckpoint(f, cfg, rec)
-			if err != nil {
-				return nil, false, fmt.Errorf("resume %s: %w", *resumeFrom, err)
-			}
-			return net, true, nil
-		}
 	}
 	t, err := sc.Run(h)
 	if err != nil {
@@ -166,12 +124,9 @@ func main() {
 	}
 
 	c := t.Net.Counters()
-	switch {
-	case t.Resumed && t.Delivered == from:
-		fmt.Println("result: delivered before the resume point (round not replayed)")
-	case t.Delivered < 0:
+	if t.Delivered < 0 {
 		fmt.Println("result: NOT DELIVERED (every copy was lost or expired)")
-	default:
+	} else {
 		fmt.Printf("result: delivered in round %d\n", t.Delivered)
 	}
 	fmt.Printf("traffic: %d transmissions, %d bits\n", c.Energy.Transmissions, c.Energy.Bits)
@@ -227,11 +182,9 @@ func scenario() sim.Scenario {
 // 1 REJECT, 2 UNDECIDED — so properties can gate scripts and CI.
 func runCheck(sc sim.Scenario) {
 	for name, set := range map[string]bool{
-		"-trace":            *showTrace,
-		"-viz":              *showViz,
-		"-metrics":          *metricsOut != "",
-		"-checkpoint-every": *ckptEvery > 0,
-		"-resume-from":      *resumeFrom != "",
+		"-trace":   *showTrace,
+		"-viz":     *showViz,
+		"-metrics": *metricsOut != "",
 	} {
 		if set {
 			log.Fatalf("%s applies to a single simulated run and cannot combine with -check", name)

@@ -2,16 +2,15 @@
 // HTTP: a long-running daemon accepting job configs, running them on a
 // bounded worker fleet with admission control, streaming per-round
 // metric series live, preempting long batch jobs at round barriers
-// (checkpointed, resumed bit-identically) when interactive traffic
-// waits, and caching results on disk so identical submissions are
-// served without re-simulating. The API and its invariants are
+// (parked in memory, continued bit-identically) when interactive
+// traffic waits, and caching results on disk so identical submissions
+// are served without re-simulating. The API and its invariants are
 // documented in docs/SERVICE.md.
 //
 // Usage:
 //
 //	nocsimd [-addr HOST:PORT] [-workers N] [-queue N]
-//	        [-cache-dir DIR] [-ckpt-dir DIR] [-ckpt-retain DUR]
-//	        [-max-job-rounds N] [-max-tiles N]
+//	        [-cache-dir DIR] [-max-job-rounds N] [-max-tiles N]
 //	nocsimd -loadtest [-load-duration DUR] [-load-clients N]
 //	        [-load-batch FRAC] [-load-seeds N] [-load-report FILE]
 //
@@ -21,10 +20,11 @@
 //
 // -workers bounds the simulation fleet (0 = GOMAXPROCS); -queue is the
 // admission bound — submissions past it get a structured 429. -cache-dir
-// enables the on-disk result cache (off when empty). -ckpt-dir holds
-// preemption checkpoints (a temporary directory when empty) and
-// -ckpt-retain is the stale-checkpoint GC window. -max-job-rounds and
-// -max-tiles cap what a single job may ask for.
+// enables the on-disk result cache (off when empty); it is the only
+// place the daemon writes to. -max-job-rounds and -max-tiles cap what a
+// single job may ask for. -ckpt-dir is accepted and ignored: a preempted
+// job keeps its engine in memory, and the benchmark harness still passes
+// the flag.
 //
 // -loadtest switches to self-test mode: the daemon starts in-process,
 // drives itself with mixed interactive+batch traffic for -load-duration
@@ -58,8 +58,7 @@ var (
 	workers      = flag.Int("workers", 0, "simulation worker fleet bound (0 = GOMAXPROCS)")
 	queue        = flag.Int("queue", 64, "admission bound: max jobs waiting for a worker")
 	cacheDir     = flag.String("cache-dir", "", "on-disk result cache directory (empty = caching off)")
-	ckptDir      = flag.String("ckpt-dir", "", "preemption checkpoint directory (empty = a temp dir)")
-	ckptRetain   = flag.Duration("ckpt-retain", time.Hour, "GC window for checkpoints orphaned by a crash")
+	_            = flag.String("ckpt-dir", "", "ignored: preempted jobs keep their engine in memory")
 	maxJobRounds = flag.Int("max-job-rounds", 100000, "cap on a single job's round budget")
 	maxTiles     = flag.Int("max-tiles", 1<<16, "cap on a single job's fabric size in tiles")
 	loadtest     = flag.Bool("loadtest", false, "run the self-load-test instead of serving (exit 1 on invariant violations)")
@@ -75,15 +74,7 @@ func main() {
 	log.SetPrefix("nocsimd: ")
 	flag.Parse()
 
-	srv, err := service.New(service.Options{
-		Workers:          *workers,
-		QueueCap:         *queue,
-		CacheDir:         *cacheDir,
-		CheckpointDir:    *ckptDir,
-		CheckpointRetain: *ckptRetain,
-		MaxJobRounds:     *maxJobRounds,
-		MaxTiles:         *maxTiles,
-	})
+	srv, err := service.New(options())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -111,6 +102,17 @@ func main() {
 	log.Print("draining: rejecting new jobs, finishing accepted ones")
 	shutdown(srv, httpSrv, drainTimeout, shutdownGrace)
 	log.Print("drained; bye")
+}
+
+// options maps the flags onto the server's options.
+func options() service.Options {
+	return service.Options{
+		Workers:      *workers,
+		QueueCap:     *queue,
+		CacheDir:     *cacheDir,
+		MaxJobRounds: *maxJobRounds,
+		MaxTiles:     *maxTiles,
+	}
 }
 
 // The shutdown sequence's bounds: accepted jobs get drainTimeout to

@@ -2,9 +2,11 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"strings"
 	"testing"
@@ -152,5 +154,58 @@ func TestShutdownBoundedWithOpenStreams(t *testing.T) {
 		case <-time.After(5 * time.Second):
 			t.Fatal("a stream is still open after shutdown")
 		}
+	}
+}
+
+// TestCkptDirIgnored serves a job that is preempted at a round barrier
+// from a daemon started with -ckpt-dir D, and checks that the job comes
+// back done, once preempted, and that D is still empty: a preempted job
+// keeps its engine in memory.
+func TestCkptDirIgnored(t *testing.T) {
+	d := t.TempDir()
+	if err := flag.CommandLine.Parse([]string{"-ckpt-dir", d, "-workers", "1"}); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		flag.Set("ckpt-dir", "")
+		flag.Set("workers", "0")
+	})
+	srv, err := service.New(options())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer srv.Close()
+	defer ts.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	c := service.NewClient(ts.URL, ts.Client())
+	// A self-addressed flood is never delivered: it runs until its TTL
+	// runs out, hundreds of rounds on a 32x32 mesh.
+	sub, err := c.Submit(ctx, service.JobRequest{
+		Width: 32, Height: 32, Src: 528, Dst: 528, P: 0.5, TTL: 200, Seed: 1,
+		Priority: service.PriorityBatch,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		_, err := c.Preempt(ctx, sub.ID)
+		if err == nil {
+			break
+		}
+		var aerr *service.APIError
+		if !errors.As(err, &aerr) || aerr.Code != service.ErrConflict {
+			t.Fatalf("preempt: %v", err)
+		}
+		time.Sleep(time.Millisecond) // not running yet
+	}
+	st, err := c.Stream(ctx, sub.ID, func([]byte) {})
+	if err != nil || st.State != service.StateDone || st.Preempts != 1 {
+		t.Fatalf("job ended %+v (err %v), want done after one preemption", st, err)
+	}
+	if left, err := os.ReadDir(d); err != nil || len(left) != 0 {
+		t.Fatalf("-ckpt-dir holds %d entries (err %v), want none", len(left), err)
 	}
 }

@@ -30,7 +30,8 @@ var uncalledFuncs = map[string]string{
 	"wav.Read":                      "reference: TestRoundTrip (internal/audio/wav) reads back what wav.Write, which cmd/mp3enc uses, wrote",
 	"signal.Energy":                 "reference: TestPureToneFrequency and TestNoiseAmplitudeBounded measure the Synth's output with it",
 	"stats.LinReg":                  "reference: TestFig49Linearity (internal/experiments) fits Fig. 4-9's energy against p with it",
-	"sim.WriteCheckpoint":           "reference: TestCheckpointFileRoundTrip and FuzzRestore (internal/snapshot) write the checkpoints ReadCheckpoint, which cmd/nocsim -resume-from uses, reads back",
+	"sim.WriteCheckpoint":           "reference: TestCheckpointFileRoundTrip and FuzzRestore (internal/snapshot) write the checkpoints ReadCheckpoint reads back",
+	"sim.ReadCheckpoint":            "reference: TestCheckpointFileRoundTrip, TestReadCheckpointRejectsMissingMetrics, TestRecorderMatchesEventsPerRound and FuzzRestore (internal/snapshot) read checkpoints through it into the decoder LoadReplica, which bench's checkpoint kernel runs, shares",
 	"mp3.SetupReplicated":           `claim: EXPERIMENTS.md "Stage replication for the MP3 pipeline"`,
 	"gossip.RoundsToInform":         `claim: EXPERIMENTS.md "Fig. 3-1 — Message spreading, 1000-node fully connected network"`,
 	"gossip.ExpectedRounds":         `claim: EXPERIMENTS.md "Fig. 3-1 — Message spreading, 1000-node fully connected network"`,

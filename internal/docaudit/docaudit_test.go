@@ -3,9 +3,9 @@
 // layer — internal/core, internal/sim, internal/metrics, internal/trace
 // — plus the statistical stack internal/smc, internal/stats and
 // internal/gossip) must carry a godoc comment, every audited package a
-// package-level doc comment, and every identifier docs/SMC.md,
-// docs/SERVICE.md, docs/OBSERVABILITY.md or DESIGN.md cites must
-// actually exist. The repo's convention is that godoc comments
+// package-level doc comment, and every identifier the docs/ pages,
+// DESIGN.md, README.md, EXPERIMENTS.md or PAPER.md cite must actually
+// exist. The repo's convention is that godoc comments
 // state units (rounds, bits, joules) and cite the thesis section they
 // reproduce; this gate can only enforce presence, so the units rule is
 // enforced by review — but an undocumented export fails CI here rather
@@ -122,6 +122,12 @@ func TestDesignDocReferencesExist(t *testing.T) {
 // docs/TESTING.md, the test-suite guide.
 func TestTestingDocReferencesExist(t *testing.T) {
 	auditDocReferences(t, "../../docs/TESTING.md")
+}
+
+// TestPaperDocReferencesExist applies the same link check to PAPER.md,
+// whose subsystem table names packages and identifiers too.
+func TestPaperDocReferencesExist(t *testing.T) {
+	auditDocReferences(t, "../../PAPER.md")
 }
 
 // TestREADMEReferencesExist applies the same link check to README.md.

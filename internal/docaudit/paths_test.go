@@ -25,8 +25,8 @@ var docPathRe = regexp.MustCompile(`internal/\w[\w/-]*(?:\.[a-z]+\b)?`)
 var subtreeRe = regexp.MustCompile(`internal/(\w[\w/-]*)/\.\.\.`)
 
 // pathDocs returns the documents whose internal/ paths must exist: the
-// README, DESIGN.md, EXPERIMENTS.md and the docs/ deep dives. CHANGES.md,
-// ROADMAP.md and PAPER.md are history or source material and may name
+// README, DESIGN.md, EXPERIMENTS.md, PAPER.md's subsystem table and the
+// docs/ deep dives. CHANGES.md and ROADMAP.md are history and may name
 // packages that are gone.
 func pathDocs(t *testing.T) []string {
 	t.Helper()
@@ -34,7 +34,7 @@ func pathDocs(t *testing.T) []string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	docs := []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"}
+	docs := []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "PAPER.md"}
 	for i, d := range docs {
 		docs[i] = filepath.Join(repoRoot, d)
 	}
@@ -42,8 +42,8 @@ func pathDocs(t *testing.T) []string {
 }
 
 // TestDocPathsExist fails for every internal/ directory or file that
-// README.md (its text or its layout tree), DESIGN.md, EXPERIMENTS.md or
-// a docs/*.md page names but the tree does not hold, so a deleted
+// README.md (its text or its layout tree), DESIGN.md, EXPERIMENTS.md,
+// PAPER.md or a docs/*.md page names but the tree does not hold, so a deleted
 // package cannot stay advertised.
 func TestDocPathsExist(t *testing.T) {
 	checked := 0

@@ -23,7 +23,7 @@ func TestMetricsBroadcastSumsReconcile(t *testing.T) {
 	series := make([]*metrics.TimeSeries, replicas)
 	var want core.Counters
 	for i, s := range seeds {
-		ts, cnt, err := broadcastSeriesReplica(i, s, BroadcastCheckpoints{})
+		ts, cnt, err := broadcastSeriesReplica(s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,12 +60,12 @@ func TestMetricsBroadcastSumsReconcile(t *testing.T) {
 	// The Monte Carlo runner path must reproduce the serial reference
 	// bit for bit at any worker count.
 	for _, workers := range []int{1, 3} {
-		got, err := BroadcastMetricsCheckpointed(sim.Config{Replicas: replicas, Seed: seed, Workers: workers}, BroadcastCheckpoints{})
+		got, err := BroadcastMetrics(sim.Config{Replicas: replicas, Seed: seed, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, agg) {
-			t.Errorf("BroadcastMetricsCheckpointed(workers=%d) differs from the serial merge", workers)
+			t.Errorf("BroadcastMetrics(workers=%d) differs from the serial merge", workers)
 		}
 	}
 }

@@ -25,7 +25,7 @@ func TestMetricsExportGolden(t *testing.T) {
 	var firstJSON, firstCSV []byte
 	for _, workers := range []int{1, 4, 16} {
 		mc.Workers = workers
-		agg, err := experiments.BroadcastMetricsCheckpointed(mc, experiments.BroadcastCheckpoints{})
+		agg, err := experiments.BroadcastMetrics(mc)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

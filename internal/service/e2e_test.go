@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -44,16 +45,20 @@ type park struct {
 }
 
 // newParkedServer is newTestServer with a round hook that parks the first
-// job to reach round.
+// job to reach round. A round hook already in opts runs after it.
 func newParkedServer(t *testing.T, opts Options, round int) (*Server, *Client, park) {
 	t.Helper()
 	p := park{entered: make(chan struct{})}
 	gate := make(chan struct{})
 	var held atomic.Bool
-	opts.roundHook = func(_ string, r int) {
+	next := opts.roundHook
+	opts.roundHook = func(id string, r int) {
 		if r == round && held.CompareAndSwap(false, true) {
 			close(p.entered)
 			<-gate
+		}
+		if next != nil {
+			next(id, r)
 		}
 	}
 	p.release = sync.OnceFunc(func() { close(gate) })
@@ -199,9 +204,11 @@ func TestCancelQueuedJob(t *testing.T) {
 }
 
 // TestPreemptResumeByteIdentical is the tentpole invariant: a job
-// preempted at a round barrier, checkpointed, and resumed on a fresh
-// engine produces a result byte-identical to the same job run
-// uninterrupted — and the checkpoint directory is empty afterwards.
+// preempted at a round barrier, parked, and continued produces a result
+// byte-identical to the same job run uninterrupted. A parked job's engine
+// stays in memory: from submission to Close the server writes nothing
+// outside its cache directory, neither in the temporary directory nor in
+// the working directory.
 func TestPreemptResumeByteIdentical(t *testing.T) {
 	req := JobRequest{
 		Width: 6, Height: 6, Src: 0, Dst: 35,
@@ -215,9 +222,17 @@ func TestPreemptResumeByteIdentical(t *testing.T) {
 	refDone, want := waitState(t, ref, refSub.ID, StateDone)
 
 	// Preempted: park the worker inside round 3, land the preempt, then
-	// let it reach the barrier and yield.
-	ckdir := t.TempDir()
-	srv, c, p := newParkedServer(t, Options{Workers: 1, CheckpointDir: ckdir}, 3)
+	// let it reach the barrier and yield. Round 6 runs after the job was
+	// taken up again.
+	opts := Options{Workers: 1, CacheDir: t.TempDir()}
+	stray := strayFiles(t)
+	midRun := make(chan []string, 1)
+	opts.roundHook = func(_ string, r int) {
+		if r == 6 {
+			midRun <- stray()
+		}
+	}
+	srv, c, p := newParkedServer(t, opts, 3)
 	sub := submit(t, c, req)
 	<-p.entered
 
@@ -241,11 +256,155 @@ func TestPreemptResumeByteIdentical(t *testing.T) {
 	if st.Simulations != 1 || st.Resumes != 1 || st.Preemptions != 1 {
 		t.Fatalf("stats = %+v, want simulations=1 resumes=1 preemptions=1", st)
 	}
+	select {
+	case left := <-midRun:
+		if len(left) != 0 {
+			t.Fatalf("after its preemption the job's server had written outside its cache: %v", left)
+		}
+	default:
+		t.Fatal("the job never ran round 6")
+	}
+	srv.Close()
+	if left := stray(); len(left) != 0 {
+		t.Fatalf("after Close the server had written outside its cache: %v", left)
+	}
+}
 
-	// Satellite: a resumed-then-completed job deletes its checkpoint —
-	// the directory holds no .ckpt files afterwards.
-	if left, _ := filepath.Glob(filepath.Join(ckdir, "*.ckpt")); len(left) != 0 {
-		t.Fatalf("checkpoint files left after completion: %v", left)
+// strayFiles points the temporary directory at a fresh empty one and
+// returns a probe listing every file or directory made since, there or
+// in the working directory. The probe may run on any goroutine.
+func strayFiles(t *testing.T) func() []string {
+	t.Helper()
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	before, err := os.ReadDir(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	had := map[string]bool{}
+	for _, e := range before {
+		had[e.Name()] = true
+	}
+	return func() []string {
+		var made []string
+		filepath.WalkDir(tmp, func(path string, d fs.DirEntry, err error) error {
+			if path != tmp {
+				made = append(made, path)
+			}
+			return err
+		})
+		now, err := os.ReadDir(".")
+		if err != nil {
+			return append(made, err.Error())
+		}
+		for _, e := range now {
+			if !had[e.Name()] {
+				made = append(made, e.Name())
+			}
+		}
+		return made
+	}
+}
+
+// TestParkedJobsCountAgainstQueueCap pins the bound on parked engines:
+// a preempted job waits in the queue with its engine, and admission
+// counts it against QueueCap, so at most QueueCap + Workers jobs ever
+// wait and a queue filled by parked jobs refuses the next submission.
+// Jobs are preempted both ways: by POST …/preempt and by the scheduler,
+// for waiting interactive work. Every job is held at its first round
+// until the test lets it go.
+func TestParkedJobsCountAgainstQueueCap(t *testing.T) {
+	const workers, queueCap = 2, 2
+	var srv *Server
+	var mu sync.Mutex
+	entered, gates := map[string]chan struct{}{}, map[string]chan struct{}{}
+	slot := func(m map[string]chan struct{}, id string) chan struct{} {
+		mu.Lock()
+		defer mu.Unlock()
+		if m[id] == nil {
+			m[id] = make(chan struct{})
+		}
+		return m[id]
+	}
+	maxQueued := 0
+	ended := make(chan struct{})
+	opts := Options{Workers: workers, QueueCap: queueCap}
+	opts.roundHook = func(id string, r int) {
+		_, queued, _, _ := srv.sched.snapshot()
+		mu.Lock()
+		maxQueued = max(maxQueued, queued)
+		mu.Unlock()
+		if r == 1 {
+			close(slot(entered, id))
+			select {
+			case <-slot(gates, id):
+			case <-ended:
+			}
+		}
+	}
+	srv, c := newTestServer(t, opts)
+	t.Cleanup(func() { close(ended) }) // runs first: Close waits for held workers
+	hold := func(id string) {
+		t.Helper()
+		select {
+		case <-slot(entered, id):
+		case <-time.After(10 * time.Second):
+			t.Fatalf("job %s never reached round 1", id)
+		}
+	}
+	release := func(id string) { close(slot(gates, id)) }
+	preempt := func(id string) {
+		t.Helper()
+		if _, err := c.Preempt(testCtx(t), id); err != nil {
+			t.Fatalf("preempt %s: %v", id, err)
+		}
+	}
+	saturated := func(when string) {
+		t.Helper()
+		_, err := c.Submit(testCtx(t), longJob(99))
+		var aerr *APIError
+		if !errors.As(err, &aerr) || aerr.Code != ErrSaturated {
+			t.Fatalf("%s: submission answered %v, want %s", when, err, ErrSaturated)
+		}
+	}
+	batch := func(seed uint64) JobRequest {
+		r := longJob(seed)
+		r.Priority = PriorityBatch
+		return r
+	}
+
+	a, b := submit(t, c, batch(1)), submit(t, c, batch(2))
+	hold(a.ID)
+	hold(b.ID)
+	preempt(a.ID)                   // by hand
+	i1 := submit(t, c, smallJob(3)) // the scheduler preempts b for it
+	i2 := submit(t, c, smallJob(4)) // the queue is full
+	saturated("queue full of fresh jobs")
+
+	release(a.ID) // a and b yield, park, and wait behind i1 and i2
+	release(b.ID)
+	hold(i1.ID)
+	hold(i2.ID)
+	st := srv.Stats()
+	if st.Preemptions != 2 || st.Queued != queueCap || st.Running != workers {
+		t.Fatalf("stats = %+v, want 2 preemptions, %d parked jobs queued, %d running", st, queueCap, workers)
+	}
+	saturated("queue full of parked jobs")
+
+	release(i1.ID)
+	release(i2.ID)
+	for id, preempts := range map[string]int{a.ID: 1, b.ID: 1, i1.ID: 0, i2.ID: 0} {
+		if st, _ := waitState(t, c, id, StateDone); st.Preempts != preempts {
+			t.Fatalf("job %s preempted %d times, want %d", id, st.Preempts, preempts)
+		}
+	}
+	if st := srv.Stats(); st.Rejected != 2 || st.Preemptions != 2 || st.Resumes != 2 {
+		t.Fatalf("stats = %+v, want 2 rejected, 2 preemptions and 2 resumes", st)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if maxQueued > queueCap+workers {
+		t.Fatalf("%d jobs waited at once, want at most QueueCap + Workers = %d", maxQueued, queueCap+workers)
 	}
 }
 

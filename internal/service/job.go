@@ -1,6 +1,10 @@
 package service
 
-import "sync"
+import (
+	"sync"
+
+	"repro/internal/sim"
+)
 
 // State is a job's position in its lifecycle state machine:
 //
@@ -9,11 +13,12 @@ import "sync"
 //	  │(requeue)  │  └──▶ failed
 //	preempted ◀───┤
 //	  │           └──▶ canceled
-//	  └──▶ running (resumed from checkpoint) / canceled
+//	  └──▶ running (its parked trial continued) / canceled
 //
 // queued and preempted jobs wait in the scheduler; running jobs own a
-// worker; done, failed and canceled are terminal. A cache hit skips the
-// machine entirely: the job is born done, its result in the cache entry.
+// worker; a preempted job holds its parked trial; done, failed and
+// canceled are terminal. A cache hit skips the machine entirely: the job
+// is born done, its result in the cache entry.
 type State string
 
 // The job states.
@@ -22,8 +27,8 @@ const (
 	StateQueued State = "queued"
 	// StateRunning: executing on a worker.
 	StateRunning State = "running"
-	// StatePreempted: checkpointed at a round barrier and requeued; a
-	// worker will resume it bit-identically from the checkpoint file.
+	// StatePreempted: stopped at a round barrier and requeued with its
+	// engine parked in memory; a worker continues it bit-identically.
 	StatePreempted State = "preempted"
 	// StateDone: finished; the result is available.
 	StateDone State = "done"
@@ -62,8 +67,8 @@ type Status struct {
 	// CacheHit reports whether the result was served from the on-disk
 	// result cache instead of simulated.
 	CacheHit bool `json:"cache_hit"`
-	// Preempts counts how many times the job was checkpointed at a
-	// round barrier and requeued.
+	// Preempts counts how many times the job was parked at a round
+	// barrier and requeued.
 	Preempts int `json:"preempts"`
 	// Error carries the failure detail when State is failed.
 	Error *APIError `json:"error,omitempty"`
@@ -82,15 +87,15 @@ type Job struct {
 	// Req is the normalized request.
 	Req JobRequest
 
-	num   int    // numeric id: the checkpoint file's replica index
 	key   string // content-addressed result identity (JobRequest.Key)
 	canon []byte // canonical request JSON (cache cross-serve guard)
 
 	mu       sync.Mutex
 	state    State
-	lines    [][]byte // per-round JSONL, lines[r] = round r; nil once on disk
-	status   Status   // terminal summary, valid once state.Terminal()
-	preempts int      // times preempted so far
+	lines    [][]byte   // per-round JSONL, lines[r] = round r; nil once on disk
+	status   Status     // terminal summary, valid once state.Terminal()
+	preempts int        // times preempted so far
+	parked   *sim.Trial // the run a preempted job continues; nil otherwise
 	cacheHit bool
 	cancelRq bool          // cancellation requested
 	yieldRq  bool          // preemption requested
@@ -98,9 +103,9 @@ type Job struct {
 }
 
 // newJob builds an accepted job in StateQueued.
-func newJob(id string, num int, req JobRequest, key string, canon []byte) *Job {
+func newJob(id string, req JobRequest, key string, canon []byte) *Job {
 	return &Job{
-		ID: id, Req: req, num: num, key: key, canon: canon,
+		ID: id, Req: req, key: key, canon: canon,
 		state:   StateQueued,
 		updated: make(chan struct{}),
 	}
@@ -152,13 +157,15 @@ func (j *Job) currentStatus() Status {
 	}
 }
 
-// finish moves the job into terminal state st with summary status.
-// onDisk reports that the result now lives in the job's cache entry: the
-// lines are dropped, and result reads go to the entry.
+// finish moves the job into terminal state st with summary status, and
+// lets go of a parked trial. onDisk reports that the result now lives in
+// the job's cache entry: the lines are dropped, and result reads go to
+// the entry.
 func (j *Job) finish(st Status, onDisk bool) {
 	j.mu.Lock()
 	j.state = st.State
 	j.status = st
+	j.parked = nil
 	if onDisk {
 		j.lines = nil
 	}
@@ -199,27 +206,28 @@ func (j *Job) ctl() (cancel, yield bool) {
 }
 
 // claimRun transitions queued/preempted → running for a worker that
-// just dequeued the job. It reports resume=true when the job was
-// preempted (a checkpoint file holds its state) and ok=false when the
-// job is not claimable — canceled while waiting, in which case the
-// scheduler finalizes the cancellation instead of running it.
-func (j *Job) claimRun() (resume, ok bool) {
+// just dequeued the job. It hands over the parked trial of a preempted
+// job (nil for a queued one) and reports ok=false when the job is not
+// claimable — canceled while waiting, in which case the scheduler
+// finalizes the cancellation instead of running it.
+func (j *Job) claimRun() (parked *sim.Trial, ok bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.cancelRq || (j.state != StateQueued && j.state != StatePreempted) {
-		return false, false
+		return nil, false
 	}
-	resume = j.state == StatePreempted
+	parked, j.parked = j.parked, nil
 	j.state = StateRunning
 	j.yieldRq = false
 	j.broadcast()
-	return resume, true
+	return parked, true
 }
 
-// markPreempted transitions running → preempted after the worker wrote
-// the checkpoint file.
-func (j *Job) markPreempted() {
+// markPreempted transitions running → preempted, parking t, which
+// stopped at a round barrier, until a worker claims the job again.
+func (j *Job) markPreempted(t *sim.Trial) {
 	j.mu.Lock()
+	j.parked = t
 	j.state = StatePreempted
 	j.yieldRq = false
 	j.preempts++

@@ -101,7 +101,7 @@ type LoadReport struct {
 	Simulations int64 `json:"simulations"`
 	// Preemptions counts round-barrier yields (server counter).
 	Preemptions int64 `json:"preemptions"`
-	// Resumes counts checkpoint-resumed continuations (server counter).
+	// Resumes counts continuations of parked preempted jobs (server counter).
 	Resumes int64 `json:"resumes"`
 	// Workers is the configured fleet bound.
 	Workers int `json:"workers"`

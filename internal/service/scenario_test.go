@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 )
@@ -45,59 +44,24 @@ const (
 
 // localRun is one request run by the shared runner, away from any
 // server: its JSONL round lines, streamed the way runJob streams them,
-// and the trial. yieldAt > 0 yields at that round's barrier, checkpoints,
-// and resumes from the checkpoint on a fresh engine, as a preempted job
-// does.
-func localRun(t *testing.T, req JobRequest, yieldAt int) ([]byte, *sim.Trial) {
+// and the trial.
+func localRun(t *testing.T, req JobRequest) ([]byte, *sim.Trial) {
 	t.Helper()
 	var lines bytes.Buffer
 	var str *metrics.Streamer
-	h := sim.Hooks{
+	tr, err := req.Scenario().Run(sim.Hooks{
 		Record: true,
 		Start: func(tr *sim.Trial) {
 			str = metrics.NewStreamer(tr.Rec)
-			if !tr.Resumed {
-				lines.Write(str.RoundLine(0))
-			}
+			lines.Write(str.RoundLine(0))
 		},
 		OnRound: func(tr *sim.Trial) error {
 			lines.Write(str.RoundLine(tr.Net.Round()))
 			return nil
 		},
-	}
-	if yieldAt > 0 {
-		h.Barrier = func(n *core.Network) sim.BarrierOp {
-			if n.Round() == yieldAt {
-				return sim.OpYield
-			}
-			return sim.OpContinue
-		}
-	}
-	sc := req.Scenario()
-	tr, err := sc.Run(h)
+	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if yieldAt > 0 {
-		if tr.Status != sim.LoopYielded {
-			t.Fatalf("local run ended %v before its yield at round %d", tr.Status, yieldAt)
-		}
-		var ckpt bytes.Buffer
-		meta := sim.CheckpointMeta{Replica: 1, Seed: req.Seed}
-		if err := sim.WriteCheckpoint(&ckpt, meta, tr.Net, tr.Rec); err != nil {
-			t.Fatal(err)
-		}
-		h.Barrier = nil
-		h.Resume = func(cfg core.Config, rec *metrics.Recorder) (*core.Network, bool, error) {
-			net, _, err := sim.ReadCheckpoint(&ckpt, cfg, rec)
-			return net, err == nil, err
-		}
-		if tr, err = sc.Run(h); err != nil {
-			t.Fatal(err)
-		}
-		if !tr.Resumed {
-			t.Fatal("local resume started fresh")
-		}
 	}
 	return lines.Bytes(), tr
 }
@@ -107,7 +71,8 @@ func localRun(t *testing.T, req JobRequest, yieldAt int) ([]byte, *sim.Trial) {
 // request, the shared runner's JSONL lines, the served result, the
 // concatenated stream, the cache entry's payload and the one-replica
 // metrics.WriteJSONL export (what nocsim -metrics writes) are one byte
-// string, also when the job is preempted and resumed.
+// string, also when the served job is preempted at a barrier, parked and
+// continued.
 func TestLocalRunEqualsServed(t *testing.T) {
 	faulty := JobRequest{
 		Width: 8, Height: 8, Src: 0, Dst: 63, P: 0.5, TTL: 64, Seed: 7,
@@ -123,7 +88,7 @@ func TestLocalRunEqualsServed(t *testing.T) {
 	cases := []struct {
 		name      string
 		req       JobRequest
-		preemptAt int // > 0: preempt the served job, and yield the local run, at this round
+		preemptAt int // > 0: preempt the served job at this round
 	}{
 		{"faults", faulty, 0},
 		{"links, overflow, sigma, payload", mixed, 0},
@@ -133,10 +98,7 @@ func TestLocalRunEqualsServed(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			want, straight := localRun(t, tc.req, 0)
-			if got, _ := localRun(t, tc.req, tc.preemptAt); tc.preemptAt > 0 && !bytes.Equal(got, want) {
-				t.Fatalf("local yield-and-resume differs from the straight run:\ngot:\n%s\nwant:\n%s", got, want)
-			}
+			want, straight := localRun(t, tc.req)
 			agg, err := metrics.Merge([]*metrics.TimeSeries{straight.Rec.Series()})
 			if err != nil {
 				t.Fatal(err)

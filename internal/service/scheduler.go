@@ -3,6 +3,8 @@ package service
 import (
 	"context"
 	"sync"
+
+	"repro/internal/sim"
 )
 
 // scheduler is the admission-controlled two-class job queue feeding the
@@ -85,28 +87,29 @@ func (s *scheduler) maybePreemptLocked() {
 	}
 }
 
-// next blocks until a job is claimable and returns it with its resume
-// flag, or returns nil when the scheduler is closed. Jobs canceled
-// while waiting are claimed, reported via the canceled return, and
-// finalized by the caller — never run.
-func (s *scheduler) next() (j *Job, resume, canceled bool) {
+// next blocks until a job is claimable and returns it with its parked
+// trial (nil unless it was preempted), or returns nil when the
+// scheduler is closed. Jobs canceled while waiting are claimed,
+// reported via the canceled return, and finalized by the caller — never
+// run.
+func (s *scheduler) next() (j *Job, parked *sim.Trial, canceled bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
 		if s.closed {
-			return nil, false, false
+			return nil, nil, false
 		}
 		if j := s.popLocked(); j != nil {
-			resume, ok := j.claimRun()
+			parked, ok := j.claimRun()
 			if !ok {
 				// Canceled while waiting; hand it back for finalization.
-				return j, false, true
+				return j, nil, true
 			}
 			s.running[j.ID] = j
 			if len(s.running) > s.maxRunning {
 				s.maxRunning = len(s.running)
 			}
-			return j, resume, false
+			return j, parked, false
 		}
 		s.cond.Wait()
 	}

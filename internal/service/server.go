@@ -10,8 +10,9 @@
 //   - GET /v1/jobs/{id}/stream streams the per-round metric series as
 //     server-sent events while the run executes, byte-identical to the
 //     finished JSONL artifact (metrics.Streamer);
-//   - long batch jobs yield to interactive traffic at round barriers
-//     via sim.Checkpointer and resume bit-identically (sim.Loop);
+//   - long batch jobs yield to interactive traffic at round barriers,
+//     keep their engine in memory while they wait, and continue
+//     bit-identically (sim.Loop, sim.Hooks.Parked);
 //   - results are stored in an on-disk cache keyed by a hash of the
 //     canonical request (JobRequest.Key), so identical requests
 //     are served from disk instead of re-simulated, with singleflight
@@ -28,7 +29,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -50,16 +50,9 @@ type Options struct {
 	// jobs waiting for a worker. Submissions past it are rejected with
 	// HTTP 429 / ErrSaturated. 0 defaults to 64.
 	QueueCap int
-	// CacheDir roots the on-disk result cache; "" disables caching.
+	// CacheDir roots the on-disk result cache; "" disables caching. It
+	// is the only place the server writes to.
 	CacheDir string
-	// CheckpointDir holds preemption checkpoints; "" uses a fresh
-	// temporary directory.
-	CheckpointDir string
-	// CheckpointRetain is the stale-checkpoint GC retention window
-	// (sim.Checkpointer.Retain); 0 defaults to one hour. Completed and
-	// canceled jobs delete their checkpoints eagerly — the sweep only
-	// collects files orphaned by a crash.
-	CheckpointRetain time.Duration
 	// MaxJobRounds caps any single job's round budget; 0 defaults to
 	// 100000.
 	MaxJobRounds int
@@ -93,9 +86,9 @@ type Stats struct {
 	// Simulations counts fresh engine runs started — the
 	// re-simulation detector: a cache hit or dedup leaves it unchanged.
 	Simulations int64 `json:"simulations"`
-	// Resumes counts checkpoint-resumed continuations of preempted jobs.
+	// Resumes counts continuations of parked preempted jobs.
 	Resumes int64 `json:"resumes"`
-	// Preemptions counts jobs checkpointed at a barrier and requeued.
+	// Preemptions counts jobs parked at a barrier and requeued.
 	Preemptions int64 `json:"preemptions"`
 	// Completed counts jobs that reached StateDone.
 	Completed int64 `json:"completed"`
@@ -123,7 +116,6 @@ type Server struct {
 	opts  Options
 	cache *Cache
 	sched *scheduler
-	ck    sim.Checkpointer
 	mux   *http.ServeMux
 	wg    sync.WaitGroup
 
@@ -131,7 +123,6 @@ type Server struct {
 	jobs   map[string]*Job
 	byKey  map[string]*Job // singleflight index: live job per result key
 	nextID int
-	ckTmp  bool // CheckpointDir was created by us; Close removes it
 
 	submitted, accepted, rejected, deduped   atomic.Int64
 	simulations, resumes, preemptions        atomic.Int64
@@ -153,9 +144,6 @@ func New(opts Options) (*Server, error) {
 	if opts.MaxTiles <= 0 {
 		opts.MaxTiles = 1 << 16
 	}
-	if opts.CheckpointRetain <= 0 {
-		opts.CheckpointRetain = time.Hour
-	}
 	cache, err := OpenCache(opts.CacheDir)
 	if err != nil {
 		return nil, err
@@ -167,16 +155,6 @@ func New(opts Options) (*Server, error) {
 		jobs:  map[string]*Job{},
 		byKey: map[string]*Job{},
 	}
-	if opts.CheckpointDir == "" {
-		dir, err := os.MkdirTemp("", "nocsimd-ckpt-*")
-		if err != nil {
-			return nil, fmt.Errorf("service: checkpoint dir: %w", err)
-		}
-		opts.CheckpointDir = dir
-		s.ckTmp = true
-	}
-	s.opts.CheckpointDir = opts.CheckpointDir
-	s.ck = sim.Checkpointer{Dir: opts.CheckpointDir, Every: 1, Retain: opts.CheckpointRetain}
 	s.mux = http.NewServeMux()
 	s.routes()
 	for i := 0; i < opts.Workers; i++ {
@@ -229,9 +207,9 @@ func (s *Server) Drain(ctx context.Context) error {
 	return nil
 }
 
-// Close stops the server immediately: pending jobs are canceled, the
-// workers exit, and the temporary checkpoint directory (if the server
-// created one) is removed. Safe after Drain; tests defer it.
+// Close stops the server immediately: pending jobs are canceled (a
+// parked engine goes with its job) and the workers exit. Safe after
+// Drain; tests defer it.
 func (s *Server) Close() {
 	s.mu.Lock()
 	for _, j := range s.jobs {
@@ -240,9 +218,6 @@ func (s *Server) Close() {
 	s.mu.Unlock()
 	s.sched.close()
 	s.wg.Wait()
-	if s.ckTmp {
-		os.RemoveAll(s.opts.CheckpointDir)
-	}
 }
 
 // worker is one fleet goroutine: claim the next job, run it until a
@@ -250,17 +225,16 @@ func (s *Server) Close() {
 func (s *Server) worker() {
 	defer s.wg.Done()
 	for {
-		j, resume, canceled := s.sched.next()
+		j, parked, canceled := s.sched.next()
 		if j == nil {
 			return
 		}
 		if canceled {
 			// Canceled while waiting: finalize without running.
-			s.ck.Remove(j.num)
 			s.finishCanceled(j)
 			continue
 		}
-		s.runJob(j, resume)
+		s.runJob(j, parked)
 		s.sched.release(j)
 	}
 }
@@ -286,23 +260,22 @@ func (s *Server) unindex(j *Job) {
 	s.mu.Unlock()
 }
 
-// runJob runs (or resumes) the job's sim.Scenario on the calling worker
-// until it completes, is canceled, or yields to preemption.
-func (s *Server) runJob(j *Job, resume bool) {
-	meta := sim.CheckpointMeta{Replica: j.num, Seed: j.Req.Seed}
+// runJob runs the job's sim.Scenario, or continues its parked trial, on
+// the calling worker until it completes, is canceled, or yields to
+// preemption.
+func (s *Server) runJob(j *Job, parked *sim.Trial) {
 	var str *metrics.Streamer
 	h := sim.Hooks{
 		Record: true,
+		Parked: parked,
 		Start: func(t *sim.Trial) {
-			if t.Resumed {
-				s.resumes.Add(1)
-			} else {
-				s.simulations.Add(1)
-			}
 			str = metrics.NewStreamer(t.Rec)
-			if !resume {
-				j.appendLine(str.RoundLine(0)) // round 0: the pre-run injection
+			if parked != nil {
+				s.resumes.Add(1)
+				return
 			}
+			s.simulations.Add(1)
+			j.appendLine(str.RoundLine(0)) // round 0: the pre-run injection
 		},
 		Barrier: func(*core.Network) sim.BarrierOp {
 			switch cancel, yield := j.ctl(); {
@@ -321,11 +294,6 @@ func (s *Server) runJob(j *Job, resume bool) {
 			return nil
 		},
 	}
-	if resume {
-		h.Resume = func(cfg core.Config, rec *metrics.Recorder) (*core.Network, bool, error) {
-			return sim.LoadReplica(s.ck.Dir, meta, cfg, rec)
-		}
-	}
 	sc := j.Req.Scenario()
 	t, err := sc.Run(h)
 	if err != nil {
@@ -335,18 +303,13 @@ func (s *Server) runJob(j *Job, resume bool) {
 
 	switch t.Status {
 	case sim.LoopYielded:
-		if err := s.ck.Save(meta, t.Net, t.Rec); err != nil {
-			s.fail(j, apiErrorf(ErrInternal, "preempt checkpoint: %v", err))
-			return
-		}
-		j.markPreempted()
+		j.markPreempted(t)
 		s.preemptions.Add(1)
 		if err := s.sched.enqueue(j, true); err != nil {
 			// Only possible after close; the job is lost with the server.
 			s.fail(j, err)
 		}
 	case sim.LoopCanceled:
-		s.ck.Remove(j.num)
 		s.finishCanceled(j)
 	default: // LoopDone, LoopBudget, LoopQuiescent: a terminal run outcome
 		c := t.Net.Counters()
@@ -362,11 +325,9 @@ func (s *Server) runJob(j *Job, resume bool) {
 		// memory, so the error is deliberately dropped.
 		lines, _, _ := j.snapshot(0)
 		onDisk := s.cache != nil && s.cache.put(j.key, j.canon, status, lines...) == nil
-		s.ck.Remove(j.num)
 		j.finish(status, onDisk)
 		s.completed.Add(1)
 		s.unindex(j)
-		s.ck.Sweep(time.Now())
 	}
 }
 
@@ -378,7 +339,6 @@ func (s *Server) fail(j *Job, err *APIError) {
 	j.finish(st, false)
 	s.failed.Add(1)
 	s.unindex(j)
-	s.ck.Remove(j.num)
 }
 
 // submit admits one parsed, validated request and returns the job that
@@ -436,8 +396,7 @@ func (s *Server) submit(req JobRequest) (j *Job, how string, err *APIError) {
 func (s *Server) register(req JobRequest, key string, canon []byte) *Job {
 	s.mu.Lock()
 	s.nextID++
-	num := s.nextID
-	j := newJob(fmt.Sprintf("j-%06d", num), num, req, key, canon)
+	j := newJob(fmt.Sprintf("j-%06d", s.nextID), req, key, canon)
 	s.jobs[j.ID] = j
 	s.mu.Unlock()
 	return j
@@ -699,7 +658,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request, j *Job) {
 }
 
 // handlePreempt is POST /v1/jobs/{id}/preempt: ask a running job to
-// yield at its next round barrier (checkpoint + requeue). The scheduler
+// yield at its next round barrier (park + requeue). The scheduler
 // preempts batch jobs automatically when interactive work waits; the
 // endpoint exposes the same lever to operators and tests.
 func (s *Server) handlePreempt(w http.ResponseWriter, r *http.Request, j *Job) {

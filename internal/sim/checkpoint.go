@@ -7,21 +7,15 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"strings"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/snapshot"
 )
 
-// Checkpoint files let a Monte Carlo campaign survive interruption: each
-// replica periodically serializes its complete state — engine and
-// metrics recorder — to its own file, and a later run resumes every
-// replica from its file instead of from round 0. Because the engine's
-// checkpoint/resume is bit-identical (see internal/core/snapshot.go),
-// a resumed campaign produces byte-for-byte the figures and series an
-// uninterrupted one would have.
+// A checkpoint file holds one replica's complete state — engine and
+// metrics recorder — so that it can be resumed bit-identically (see
+// internal/core/snapshot.go).
 //
 // One container file holds three sections: SecSim (replica index and
 // derived seed, so a file cannot silently be fed to the wrong replica),
@@ -109,41 +103,21 @@ func decodeCheckpoint(dec *snapshot.Decoder, cfg core.Config, rec *metrics.Recor
 	return net, meta, nil
 }
 
-// Checkpointer writes periodic per-replica checkpoint files into a
-// directory. The zero value is inert: Active reports false and MaybeSave
-// does nothing, so run loops can call it unconditionally.
+// Checkpointer writes per-replica checkpoint files into a directory.
+// No tool of the repository writes checkpoint files: a preempted nocsimd
+// job keeps its engine in memory (Hooks.Parked). The type, SaveCheckpoint
+// and LoadReplica serve the benchmark's checkpoint kernel
+// (bench/kernels.go).
 type Checkpointer struct {
 	// Dir is the checkpoint directory (created on first save).
 	Dir string
-	// Every is the round interval between saves; <= 0 disables saving.
+	// Every is the round interval between saves; Save does not read it.
 	Every int
-	// Retain is the garbage-collection retention window: Sweep removes
-	// checkpoint files whose modification time is older than Retain.
-	// <= 0 disables sweeping (files live until Remove). Size it well
-	// above the longest expected gap between a replica's saves — a file
-	// is refreshed on every save, so only replicas that stopped saving
-	// (crashed campaigns, abandoned preempted jobs) age out.
-	Retain time.Duration
 }
 
-// Active reports whether this checkpointer will ever save.
-func (c *Checkpointer) Active() bool { return c != nil && c.Dir != "" && c.Every > 0 }
-
-// CheckpointPath names replica's checkpoint file under dir. All
-// checkpoint-aware tools agree on this layout, so a campaign can be
-// resumed by pointing -resume-from at a former -checkpoint-dir.
-func CheckpointPath(dir string, replica int) string {
+// checkpointPath names replica's checkpoint file under dir.
+func checkpointPath(dir string, replica int) string {
 	return filepath.Join(dir, fmt.Sprintf("replica-%04d.ckpt", replica))
-}
-
-// MaybeSave writes a checkpoint if the checkpointer is active and net
-// sits on a multiple of the save interval. Call it after every Step, at
-// the round barrier.
-func (c *Checkpointer) MaybeSave(meta CheckpointMeta, net *core.Network, rec *metrics.Recorder) error {
-	if !c.Active() || net.Round() == 0 || net.Round()%c.Every != 0 {
-		return nil
-	}
-	return c.Save(meta, net, rec)
 }
 
 // Save unconditionally writes replica's checkpoint file, atomically
@@ -152,7 +126,7 @@ func (c *Checkpointer) Save(meta CheckpointMeta, net *core.Network, rec *metrics
 	if err := os.MkdirAll(c.Dir, 0o755); err != nil {
 		return fmt.Errorf("sim: checkpoint dir: %w", err)
 	}
-	return SaveCheckpoint(CheckpointPath(c.Dir, meta.Replica), meta, net, rec)
+	return SaveCheckpoint(checkpointPath(c.Dir, meta.Replica), meta, net, rec)
 }
 
 // SaveCheckpoint writes one checkpoint (WriteCheckpoint's format) to path.
@@ -167,57 +141,6 @@ func SaveCheckpoint(path string, meta CheckpointMeta, net *core.Network, rec *me
 	return nil
 }
 
-// Remove deletes replica's checkpoint file, if any. Call it when the
-// replica completes: a finished run's checkpoint is dead weight, and
-// removing it is what lets a resumed-then-completed campaign leave the
-// checkpoint directory empty. A missing file is not an error.
-func (c *Checkpointer) Remove(replica int) error {
-	err := os.Remove(CheckpointPath(c.Dir, replica))
-	if err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return fmt.Errorf("sim: checkpoint remove: %w", err)
-	}
-	return nil
-}
-
-// Sweep garbage-collects stale checkpoint files: every replica-*.ckpt
-// in Dir whose modification time is older than now minus Retain is
-// deleted, and the number removed is reported. Saves refresh a file's
-// mtime, so live replicas are never swept — only files nothing has
-// touched for a full retention window (interrupted campaigns that were
-// never resumed, preempted jobs whose owner vanished). A nil sweep —
-// no Dir, Retain <= 0, or the directory absent — removes nothing.
-func (c *Checkpointer) Sweep(now time.Time) (int, error) {
-	if c == nil || c.Dir == "" || c.Retain <= 0 {
-		return 0, nil
-	}
-	entries, err := os.ReadDir(c.Dir)
-	if errors.Is(err, fs.ErrNotExist) {
-		return 0, nil
-	}
-	if err != nil {
-		return 0, fmt.Errorf("sim: checkpoint sweep: %w", err)
-	}
-	cutoff := now.Add(-c.Retain)
-	removed := 0
-	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasPrefix(name, "replica-") || !strings.HasSuffix(name, ".ckpt") {
-			continue
-		}
-		info, err := e.Info()
-		if err != nil {
-			continue // raced with a concurrent remove
-		}
-		if info.ModTime().After(cutoff) {
-			continue
-		}
-		if err := os.Remove(filepath.Join(c.Dir, name)); err == nil {
-			removed++
-		}
-	}
-	return removed, nil
-}
-
 // LoadReplica restores one replica from dir's checkpoint file. A missing
 // file is not an error — it reports ok=false and the caller starts the
 // replica from round 0 (replicas checkpoint independently, so a campaign
@@ -226,7 +149,7 @@ func (c *Checkpointer) Sweep(now time.Time) (int, error) {
 // restarting would discard completed work. The loaded meta is verified
 // against the expected identity.
 func LoadReplica(dir string, want CheckpointMeta, cfg core.Config, rec *metrics.Recorder) (*core.Network, bool, error) {
-	path := CheckpointPath(dir, want.Replica)
+	path := checkpointPath(dir, want.Replica)
 	dec, err := snapshot.ReadFile(path, new([]byte))
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil, false, nil

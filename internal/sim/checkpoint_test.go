@@ -99,9 +99,6 @@ func TestCheckpointerSaveAndLoadReplica(t *testing.T) {
 	dir := t.TempDir()
 	net, rec, meta, cfg := ckptFixture(t, 4)
 	ck := Checkpointer{Dir: filepath.Join(dir, "ckpts"), Every: 2}
-	if !ck.Active() {
-		t.Fatal("configured checkpointer reports inactive")
-	}
 	if err := ck.Save(meta, net, rec); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
@@ -129,17 +126,5 @@ func TestCheckpointerSaveAndLoadReplica(t *testing.T) {
 	missing.Replica = 99
 	if _, ok, err := LoadReplica(ck.Dir, missing, cfg2, nil); ok || err != nil {
 		t.Fatalf("missing file: ok=%v err=%v, want false,nil", ok, err)
-	}
-}
-
-func TestCheckpointerInertZeroValue(t *testing.T) {
-	var ck *Checkpointer
-	if ck.Active() {
-		t.Fatal("nil checkpointer active")
-	}
-	zero := &Checkpointer{}
-	net, rec, meta, _ := ckptFixture(t, 1)
-	if err := zero.MaybeSave(meta, net, rec); err != nil {
-		t.Fatalf("inert MaybeSave errored: %v", err)
 	}
 }

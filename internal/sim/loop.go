@@ -8,9 +8,9 @@ import (
 // on: a replica that can be cancelled or preempted, but only at round
 // barriers — the one place the engine's state is snapshot-consistent
 // (core.Snapshot's own precondition). A long job driven through Loop
-// yields to interactive traffic by checkpointing at a barrier and
-// resuming later, bit-identically, from the file (see sim.Checkpointer
-// and docs/SERVICE.md, "Preemption semantics").
+// yields to interactive traffic by stopping at a barrier and continuing
+// later, bit-identically, from the state it stopped in (see
+// Hooks.Parked and docs/SERVICE.md, "Preemptive scheduling").
 
 // BarrierOp is a control decision taken at a round barrier, before the
 // next round executes.
@@ -20,9 +20,9 @@ type BarrierOp int
 const (
 	// OpContinue lets the next round execute.
 	OpContinue BarrierOp = iota
-	// OpYield stops the loop so the caller can checkpoint and requeue;
+	// OpYield stops the loop so the caller can park and requeue the run;
 	// the network is at a round barrier, exactly where core.Snapshot is
-	// legal, so a resumed run continues bit-identically.
+	// legal, so a continued run goes on bit-identically.
 	OpYield
 	// OpCancel abandons the run; the caller discards the network.
 	OpCancel
@@ -43,7 +43,7 @@ const (
 	// remain — with Done still false (every copy was lost or expired).
 	LoopQuiescent
 	// LoopYielded: the Barrier hook requested a yield; the network sits
-	// at a round barrier, ready to checkpoint.
+	// at a round barrier, ready to be parked or snapshot.
 	LoopYielded
 	// LoopCanceled: the Barrier hook requested cancellation.
 	LoopCanceled
@@ -82,7 +82,7 @@ func (s LoopStatus) Terminal() bool {
 // uninterrupted run would have.
 type Loop struct {
 	// Net is the network to drive (required, positioned at any barrier —
-	// round 0 for a fresh run, later for a checkpoint-resumed one).
+	// round 0 for a fresh run, later for a continued or restored one).
 	Net *core.Network
 	// MaxRounds is the round budget: the loop stops with LoopBudget once
 	// Net.Round() reaches it.
@@ -103,8 +103,8 @@ type Loop struct {
 // Run executes rounds until a terminal outcome or a control request and
 // reports why it stopped. The check order at each barrier — Done, then
 // budget, then quiescence, then Barrier — means a run that completes is
-// never also yielded: a checkpoint written on LoopYielded always holds
-// an unfinished run.
+// never also yielded: a run stopped with LoopYielded is always
+// unfinished.
 func (l *Loop) Run() LoopStatus {
 	for {
 		if l.Done != nil && l.Done(l.Net) {

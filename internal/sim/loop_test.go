@@ -2,9 +2,7 @@ package sim
 
 import (
 	"bytes"
-	"os"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/metrics"
@@ -147,87 +145,5 @@ func TestLoopYieldResumeBitIdentical(t *testing.T) {
 	}
 	if !bytes.Equal(gotBytes, wantBytes) {
 		t.Fatal("resumed run's streamed series is not byte-identical to the uninterrupted run")
-	}
-}
-
-func TestCheckpointerRemove(t *testing.T) {
-	dir := t.TempDir()
-	net, rec, meta, _ := ckptFixture(t, 2)
-	ck := Checkpointer{Dir: dir, Every: 1}
-	if err := ck.Save(meta, net, rec); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(CheckpointPath(dir, meta.Replica)); err != nil {
-		t.Fatalf("checkpoint not written: %v", err)
-	}
-	if err := ck.Remove(meta.Replica); err != nil {
-		t.Fatalf("Remove: %v", err)
-	}
-	// The directory must be empty: a resumed-then-completed job leaves
-	// nothing behind.
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ents) != 0 {
-		t.Fatalf("checkpoint dir still holds %d entries after Remove", len(ents))
-	}
-	// Removing an already-removed replica is not an error.
-	if err := ck.Remove(meta.Replica); err != nil {
-		t.Fatalf("second Remove: %v", err)
-	}
-}
-
-func TestCheckpointerSweep(t *testing.T) {
-	dir := t.TempDir()
-	net, rec, meta, _ := ckptFixture(t, 2)
-	ck := Checkpointer{Dir: dir, Every: 1, Retain: time.Hour}
-	stale, fresh := meta, meta
-	fresh.Replica = 4
-	for _, m := range []CheckpointMeta{stale, fresh} {
-		if err := ck.Save(m, net, rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// An unrelated file must survive the sweep.
-	other := dir + "/notes.txt"
-	if err := os.WriteFile(other, []byte("keep"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// Age the stale replica's file past the retention window.
-	old := time.Now().Add(-2 * time.Hour)
-	if err := os.Chtimes(CheckpointPath(dir, stale.Replica), old, old); err != nil {
-		t.Fatal(err)
-	}
-
-	removed, err := ck.Sweep(time.Now())
-	if err != nil {
-		t.Fatalf("Sweep: %v", err)
-	}
-	if removed != 1 {
-		t.Fatalf("Sweep removed %d files, want 1", removed)
-	}
-	if _, err := os.Stat(CheckpointPath(dir, stale.Replica)); !os.IsNotExist(err) {
-		t.Fatal("stale checkpoint survived the sweep")
-	}
-	if _, err := os.Stat(CheckpointPath(dir, fresh.Replica)); err != nil {
-		t.Fatal("fresh checkpoint was swept")
-	}
-	if _, err := os.Stat(other); err != nil {
-		t.Fatal("non-checkpoint file was swept")
-	}
-
-	// Inert sweeps: no retention, nil receiver, missing directory.
-	ck.Retain = 0
-	if n, err := ck.Sweep(time.Now()); n != 0 || err != nil {
-		t.Fatalf("retention-less Sweep: n=%d err=%v", n, err)
-	}
-	var nilCk *Checkpointer
-	if n, err := nilCk.Sweep(time.Now()); n != 0 || err != nil {
-		t.Fatalf("nil Sweep: n=%d err=%v", n, err)
-	}
-	gone := Checkpointer{Dir: dir + "/absent", Retain: time.Hour}
-	if n, err := gone.Sweep(time.Now()); n != 0 || err != nil {
-		t.Fatalf("missing-dir Sweep: n=%d err=%v", n, err)
 	}
 }

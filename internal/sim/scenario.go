@@ -23,7 +23,7 @@ type Scenario struct {
 	// Payload is the payload size in bytes.
 	Payload int
 	// Rounds is the round budget and the recorder's preallocation; unlike
-	// Config.MaxRounds it is not part of the checkpoint digest.
+	// Config.MaxRounds it is not part of the config digest.
 	Rounds int
 	// Tech prices the recorder's energy series.
 	Tech energy.Technology
@@ -39,12 +39,14 @@ type Hooks struct {
 	Record bool
 	// Net, if set, is the network a fresh run is built on: Run Resets it
 	// to the scenario's config instead of calling core.New, reusing its
-	// storage, and Trial.Net is Net. A resumed run ignores it.
+	// storage, and Trial.Net is Net. A parked run ignores it.
 	Net *core.Network
-	// Resume, if set, restores the run from a checkpoint (cfg and rec as
-	// LoadReplica takes them); ok = false starts it fresh.
-	Resume func(cfg core.Config, rec *metrics.Recorder) (net *core.Network, ok bool, err error)
-	// Start, if set, sees the trial once it is built or restored.
+	// Parked, if set, is a trial of this scenario that an earlier Run
+	// left at a round barrier (LoopYielded): Run continues it, network,
+	// recorder and delivery watch as they stood, instead of building a
+	// fresh one, and returns it. Record and Net are ignored.
+	Parked *Trial
+	// Start, if set, sees the trial once it is built or taken up.
 	Start func(t *Trial)
 	// Barrier, if set, is the Loop's control check.
 	Barrier func(n *core.Network) BarrierOp
@@ -61,8 +63,6 @@ type Trial struct {
 	Rec *metrics.Recorder
 	// Msg is the message under study.
 	Msg packet.MsgID
-	// Resumed reports a run continued from a checkpoint.
-	Resumed bool
 	// Delivered is the first delivery round at Dst, or -1; watched only
 	// with StopAtDelivery, and set before Hooks.OnRound sees the round.
 	Delivered int
@@ -70,14 +70,15 @@ type Trial struct {
 	Status LoopStatus
 }
 
-// Run builds the network (or Resets h.Net) and the recorder, injects the
-// message or resumes it through h.Resume, and drives it with a Loop. A
-// fresh network that is quiescent before its first round (a dead source)
-// stops there with LoopQuiescent, where the Loop alone would run one
-// round.
+// Run builds the network (or Resets h.Net) and the recorder and injects
+// the message, or takes up h.Parked, and drives it with a Loop. A fresh
+// network that is quiescent before its first round (a dead source) stops
+// there with LoopQuiescent, where the Loop alone would run one round.
 func (s Scenario) Run(h Hooks) (*Trial, error) {
-	t := &Trial{Delivered: -1}
-	cfg := s.Config
+	t := h.Parked
+	if t == nil {
+		t = &Trial{Delivered: -1}
+	}
 	// Dst is aware of the message exactly when it has taken delivery:
 	// a copy reaching it is delivered and buffered together, and nothing
 	// else marks it aware — except at the source, which knows its own
@@ -87,23 +88,17 @@ func (s Scenario) Run(h Hooks) (*Trial, error) {
 			t.Delivered = t.Net.Round()
 		}
 	}
-	if h.Record {
-		t.Rec = metrics.NewRecorder(metrics.Config{Rounds: s.Rounds, Tech: s.Tech})
-		t.Rec.Install(&cfg)
-	}
 	var err error
-	ok := false
-	if h.Resume != nil {
-		if t.Net, ok, err = h.Resume(cfg, t.Rec); err != nil {
-			return nil, err
-		}
-	}
-	if ok {
-		// One message is injected before round 1: ID 1. A delivery before the
-		// checkpoint shows as Dst's awareness (the source's needs none).
-		t.Msg, t.Resumed = 1, true
+	if h.Parked != nil {
+		// The watch reads the barrier it starts at too, so a trial parked
+		// without it reports a delivery it already holds at that round.
 		watch()
 	} else {
+		cfg := s.Config
+		if h.Record {
+			t.Rec = metrics.NewRecorder(metrics.Config{Rounds: s.Rounds, Tech: s.Tech})
+			t.Rec.Install(&cfg)
+		}
 		if h.Net != nil {
 			t.Net, err = h.Net, h.Net.Reset(cfg)
 		} else {

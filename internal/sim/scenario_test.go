@@ -37,8 +37,8 @@ func TestScenarioStopsAtDelivery(t *testing.T) {
 		t.Fatalf("status %v, delivered %d at round %d; want done in the delivery round, >= 14 hops",
 			tr.Status, tr.Delivered, tr.Net.Round())
 	}
-	if tr.Msg != 1 || tr.Resumed || tr.Rec.Rounds() != tr.Net.Round() {
-		t.Fatalf("msg %d, resumed %v, recorded %d rounds of %d", tr.Msg, tr.Resumed, tr.Rec.Rounds(), tr.Net.Round())
+	if tr.Msg != 1 || tr.Rec.Rounds() != tr.Net.Round() {
+		t.Fatalf("msg %d, recorded %d rounds of %d", tr.Msg, tr.Rec.Rounds(), tr.Net.Round())
 	}
 }
 
@@ -76,43 +76,26 @@ func TestScenarioDeadSourceQuiescentAtRoundZero(t *testing.T) {
 	}
 }
 
-// TestScenarioResumeByteIdentical yields a run at a barrier, checkpoints
-// it, resumes it through Hooks.Resume and compares it with the straight
-// run: same recorder state, same counters, same delivery round.
+// TestScenarioResumeByteIdentical yields a run at a barrier, continues
+// the parked trial through Hooks.Parked and compares it with the
+// straight run: same recorder state, same counters, same delivery round.
 func TestScenarioResumeByteIdentical(t *testing.T) {
 	sc := unicastScenario(5)
 	straight, err := sc.Run(Hooks{Record: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	yield := Hooks{Record: true, Barrier: func(n *core.Network) BarrierOp {
-		if n.Round() == 6 {
-			return OpYield
-		}
-		return OpContinue
-	}}
-	first, err := sc.Run(yield)
+	first, err := sc.Run(Hooks{Record: true, Barrier: yieldAt(6)})
 	if err != nil || first.Status != LoopYielded {
 		t.Fatalf("status %v (err %v), want yielded", first.Status, err)
 	}
-	var ckpt bytes.Buffer
-	if err := WriteCheckpoint(&ckpt, CheckpointMeta{Seed: 5}, first.Net, first.Rec); err != nil {
-		t.Fatal(err)
-	}
 	var started int
-	resumed, err := sc.Run(Hooks{
-		Record: true,
-		Resume: func(cfg core.Config, rec *metrics.Recorder) (*core.Network, bool, error) {
-			net, _, err := ReadCheckpoint(&ckpt, cfg, rec)
-			return net, err == nil, err
-		},
-		Start: func(tr *Trial) { started = tr.Net.Round() },
-	})
+	resumed, err := sc.Run(Hooks{Parked: first, Start: func(tr *Trial) { started = tr.Net.Round() }})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !resumed.Resumed || started != 6 || resumed.Msg != 1 {
-		t.Fatalf("resumed %v at round %d, msg %d; want a resume at round 6 of message 1", resumed.Resumed, started, resumed.Msg)
+	if resumed != first || started != 6 || resumed.Msg != 1 {
+		t.Fatalf("continued %v at round %d, msg %d; want the parked trial at round 6 of message 1", resumed == first, started, resumed.Msg)
 	}
 	if resumed.Delivered != straight.Delivered || resumed.Net.Counters() != straight.Net.Counters() {
 		t.Fatalf("resumed run delivered %d with %+v; straight %d with %+v",
@@ -120,6 +103,101 @@ func TestScenarioResumeByteIdentical(t *testing.T) {
 	}
 	if !reflect.DeepEqual(resumed.Rec.Series(), straight.Rec.Series()) {
 		t.Fatal("resumed series differs from the straight run's")
+	}
+}
+
+// yieldAt is a Barrier hook that yields at round k.
+func yieldAt(k int) func(*core.Network) BarrierOp {
+	return func(n *core.Network) BarrierOp {
+		if n.Round() == k {
+			return OpYield
+		}
+		return OpContinue
+	}
+}
+
+// TestParkedTrialSurvivesOtherRuns parks a recorded broadcast at three
+// barriers, as a job preempted three times is, and runs other scenarios
+// — fresh, and on a reused network — while it waits. Each continuation
+// streams its rounds the way nocsimd does, and the parked run must end
+// with the straight run's lines, counters, final engine state and
+// series: a parked trial shares nothing with the runs around it.
+func TestParkedTrialSurvivesOtherRuns(t *testing.T) {
+	g := topology.NewGrid(12, 12)
+	sc := Scenario{
+		Config: core.Config{Topo: g, P: 0.5, TTL: 16, Seed: 2003,
+			Fault: fault.Model{PUpset: 0.1, POverflow: 0.05}},
+		Src: g.ID(6, 6), Dst: packet.Broadcast, Payload: 16, Rounds: 48,
+		Tech: energy.NoCLink025,
+	}
+	run := func(h Hooks) (*Trial, []byte) {
+		t.Helper()
+		var lines bytes.Buffer
+		var str *metrics.Streamer
+		h.Start = func(tr *Trial) {
+			str = metrics.NewStreamer(tr.Rec)
+			if tr.Net.Round() == 0 {
+				lines.Write(str.RoundLine(0))
+			}
+		}
+		h.OnRound = func(tr *Trial) error {
+			lines.Write(str.RoundLine(tr.Net.Round()))
+			return nil
+		}
+		tr, err := sc.Run(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr, lines.Bytes()
+	}
+	straight, want := run(Hooks{Record: true})
+
+	// A taken-up trial starts at the barrier it yielded at: each round
+	// yields once.
+	parkAt := []int{3, 7, 11}
+	barrier := func(n *core.Network) BarrierOp {
+		if len(parkAt) > 0 && n.Round() == parkAt[0] {
+			parkAt = parkAt[1:]
+			return OpYield
+		}
+		return OpContinue
+	}
+	var got []byte
+	var other *core.Network
+	tr, lines := run(Hooks{Record: true, Barrier: barrier})
+	for parks := 0; ; parks++ {
+		got = append(got, lines...)
+		if tr.Status != LoopYielded {
+			if parks != 3 {
+				t.Fatalf("run ended %v after %d parks, want 3", tr.Status, parks)
+			}
+			break
+		}
+		for _, o := range []Scenario{unicastScenario(uint64(parks)), sc} {
+			o.Config.Seed++
+			ot, err := o.Run(Hooks{Record: true, Net: other})
+			if err != nil {
+				t.Fatal(err)
+			}
+			other = ot.Net
+		}
+		tr, lines = run(Hooks{Parked: tr, Barrier: barrier})
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("parked run streamed\n%s\nstraight run streamed\n%s", got, want)
+	}
+	if tr.Net.Counters() != straight.Net.Counters() || !reflect.DeepEqual(tr.Rec.Series(), straight.Rec.Series()) {
+		t.Fatal("parked run's counters or series differ from the straight run's")
+	}
+	var gotState, wantState bytes.Buffer
+	if err := tr.Net.Snapshot(&gotState); err != nil {
+		t.Fatal(err)
+	}
+	if err := straight.Net.Snapshot(&wantState); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotState.Bytes(), wantState.Bytes()) {
+		t.Fatal("parked run's final engine state differs from the straight run's")
 	}
 }
 
@@ -165,7 +243,7 @@ func TestScenarioNetReuseMatchesFresh(t *testing.T) {
 			t.Fatalf("run %d: Trial.Net is not Hooks.Net", i)
 		}
 		net = got.Net
-		if got.Msg != want.Msg || got.Resumed != want.Resumed || got.Delivered != want.Delivered || got.Status != want.Status {
+		if got.Msg != want.Msg || got.Delivered != want.Delivered || got.Status != want.Status {
 			t.Fatalf("run %d: trial %+v, fresh %+v", i, *got, *want)
 		}
 		var gotState, wantState bytes.Buffer
@@ -184,10 +262,11 @@ func TestScenarioNetReuseMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestScenarioResumeDeliveredBeforeCheckpoint: a delivery the
-// checkpoint already holds ends the resumed run at once, reported at the
-// checkpoint's round — unless Dst is the source, which knows its own
-// message without a delivery.
+// TestScenarioResumeDeliveredBeforeCheckpoint: a trial parked by a run
+// that did not watch for delivery, holding one already, ends at once when
+// a watching run takes it up, reported at the round it was parked at —
+// unless Dst is the source, which knows its own message without a
+// delivery.
 func TestScenarioResumeDeliveredBeforeCheckpoint(t *testing.T) {
 	for _, self := range []bool{false, true} {
 		sc := unicastScenario(5)
@@ -202,22 +281,21 @@ func TestScenarioResumeDeliveredBeforeCheckpoint(t *testing.T) {
 		if self && straight.Delivered != -1 {
 			t.Fatalf("self-addressed run delivered at round %d", straight.Delivered)
 		}
-		var ckpt bytes.Buffer
 		end := straight.Net.Round()
-		if err := WriteCheckpoint(&ckpt, CheckpointMeta{}, straight.Net, nil); err != nil {
-			t.Fatal(err)
+		unwatched := sc
+		unwatched.StopAtDelivery, unwatched.Rounds = false, end
+		parked, err := unwatched.Run(Hooks{})
+		if err != nil || parked.Delivered != -1 || parked.Net.Round() != end {
+			t.Fatalf("unwatched run: delivered %d at round %d (err %v); want -1 at round %d", parked.Delivered, parked.Net.Round(), err, end)
 		}
 		sc.Rounds = end + 10
-		resumed, err := sc.Run(Hooks{Resume: func(cfg core.Config, _ *metrics.Recorder) (*core.Network, bool, error) {
-			net, _, err := ReadCheckpoint(&ckpt, cfg, nil)
-			return net, err == nil, err
-		}})
+		resumed, err := sc.Run(Hooks{Parked: parked})
 		if err != nil {
 			t.Fatal(err)
 		}
 		switch {
 		case !self && (resumed.Status != LoopDone || resumed.Delivered != end || resumed.Net.Round() != end):
-			t.Fatalf("status %v, delivered %d at round %d; want done, delivered at the checkpoint's round %d",
+			t.Fatalf("status %v, delivered %d at round %d; want done, delivered at the parked round %d",
 				resumed.Status, resumed.Delivered, resumed.Net.Round(), end)
 		case self && (resumed.Delivered != -1 || resumed.Status == LoopDone):
 			t.Fatalf("self-addressed resume: status %v, delivered %d; want never delivered", resumed.Status, resumed.Delivered)
@@ -246,10 +324,10 @@ func TestScenarioOnRoundErrorStops(t *testing.T) {
 // Recycle, literal upsets, overflow, skew, crashed tiles, a destination
 // that is the source or the broadcast address — Trial.Delivered must be
 // the round of the first EvDeliver at Dst a hooked twin sees, or -1 with
-// none. Each case is also checkpointed at a round barrier by a run that
-// does not stop at delivery, and resumed with the watch on: it reports
-// the same round, or the checkpoint's for a delivery the checkpoint
-// already holds.
+// none. Each case is also parked at a round barrier by a run that does
+// not stop at delivery, and taken up with the watch on: it reports the
+// same round, or the parked round for a delivery the trial already
+// holds.
 func TestScenarioDeliveryWatchMatchesEvents(t *testing.T) {
 	cases := 80
 	if testing.Short() {
@@ -308,26 +386,14 @@ func TestScenarioDeliveryWatchMatchesEvents(t *testing.T) {
 		k := 1 + g.Intn(12)
 		through := sc
 		through.StopAtDelivery = false
-		ck, err := through.Run(Hooks{Barrier: func(n *core.Network) BarrierOp {
-			if n.Round() == k {
-				return OpYield
-			}
-			return OpContinue
-		}})
+		ck, err := through.Run(Hooks{Barrier: yieldAt(k)})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if ck.Status != LoopYielded {
 			continue // drained before round k
 		}
-		var buf bytes.Buffer
-		if err := WriteCheckpoint(&buf, CheckpointMeta{}, ck.Net, nil); err != nil {
-			t.Fatal(err)
-		}
-		resumed, err := sc.Run(Hooks{Resume: func(cfg core.Config, _ *metrics.Recorder) (*core.Network, bool, error) {
-			net, _, err := ReadCheckpoint(&buf, cfg, nil)
-			return net, err == nil, err
-		}})
+		resumed, err := sc.Run(Hooks{Parked: ck})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -339,8 +405,8 @@ func TestScenarioDeliveryWatchMatchesEvents(t *testing.T) {
 			t.Fatalf("case %d resumed at round %d: watch reported %d, want %d (first EvDeliver at Dst: %d)", idx, k, resumed.Delivered, want, first)
 		}
 	}
-	t.Logf("%d of %d cases delivered, %d before their checkpoint", delivered, cases, early)
+	t.Logf("%d of %d cases delivered, %d before they were parked", delivered, cases, early)
 	if delivered < cases/3 || early == 0 {
-		t.Fatalf("degenerate population: %d of %d cases delivered, %d before their checkpoint", delivered, cases, early)
+		t.Fatalf("degenerate population: %d of %d cases delivered, %d before they were parked", delivered, cases, early)
 	}
 }

@@ -22,7 +22,7 @@
 //   - Fixed-effort importance splitting (split.go) estimates rare-event
 //     probabilities (tails below ~1e-6 that fixed-N Monte Carlo cannot
 //     see) by forking trajectories at level crossings via the engine's
-//     checkpoint machinery (core.Snapshot / core.Restore / core.Reseed).
+//     snapshot machinery (core.Snapshot / core.Restore / core.Reseed).
 //
 // Verdicts are cross-validated against the exact complete-fabric flood
 // law (gossip.FloodSpreadDist) and exact one-round grid events; see

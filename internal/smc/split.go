@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/packet"
 	"repro/internal/rng"
 	"repro/internal/sim"
@@ -73,10 +72,12 @@ func (r SplitResult) String() string {
 // branch is one stored level-crossing: enough state to fork
 // continuations from it. Restore validates its ConfigDigest, which
 // includes the seed of the root trajectory this branch descends from —
-// hence rootSeed rides along with the serialized state.
+// hence rootSeed rides along with the serialized state, and so does the
+// root's message ID, which the restored network does not name.
 type branch struct {
 	state    []byte
 	rootSeed uint64
+	msg      packet.MsgID
 }
 
 // Split estimates the probability of a rare trajectory event by
@@ -150,35 +151,33 @@ func Split(model Model, score Score, cfg SplitConfig) (SplitResult, error) {
 }
 
 // trajectory runs a fresh root under seed, or a fork of parent reseeded
-// with seed, toward level. The scenario runs no round itself (a zero
-// budget): advance, which stops on a score crossing, steps it.
+// with seed, toward level. A root's scenario runs no round itself (a
+// zero budget): advance, which stops on a score crossing, steps it.
 func (m Model) trajectory(parent *branch, seed uint64, sc Score, level float64, horizon int) (branch, bool, error) {
-	b, h := branch{rootSeed: seed}, sim.Hooks{}
 	if parent != nil {
-		b.rootSeed = parent.rootSeed
-		h.Resume = func(cfg core.Config, _ *metrics.Recorder) (*core.Network, bool, error) {
-			net, err := core.Restore(bytes.NewReader(parent.state), cfg)
-			return net, err == nil, err
+		net, err := core.Restore(bytes.NewReader(parent.state), m.scenario(parent.rootSeed, 0).Config)
+		if err != nil {
+			return branch{}, false, fmt.Errorf("smc: split: %w", err)
 		}
+		net.Reseed(seed)
+		return m.advance(net, branch{rootSeed: parent.rootSeed, msg: parent.msg}, level, horizon, sc)
 	}
-	t, err := m.scenario(b.rootSeed, 0).Run(h)
+	t, err := m.scenario(seed, 0).Run(sim.Hooks{})
 	if err != nil {
 		return branch{}, false, fmt.Errorf("smc: split: %w", err)
 	}
-	if parent != nil {
-		t.Net.Reseed(seed)
-	}
-	return m.advance(t.Net, t.Msg, b, level, horizon, sc)
+	return m.advance(t.Net, branch{rootSeed: seed, msg: t.Msg}, level, horizon, sc)
 }
 
-// advance steps net until its score reaches level (snapshotting the
-// crossing state into b) or the horizon/quiescence ends the trajectory.
-func (m Model) advance(net *core.Network, msg packet.MsgID, b branch, level float64, horizon int, sc Score) (branch, bool, error) {
+// advance steps net until its score for b's message reaches level
+// (snapshotting the crossing state into b) or the horizon/quiescence ends
+// the trajectory.
+func (m Model) advance(net *core.Network, b branch, level float64, horizon int, sc Score) (branch, bool, error) {
 	if sc == nil {
 		sc = AwareScore
 	}
 	for {
-		if sc(net, msg) >= level {
+		if sc(net, b.msg) >= level {
 			var buf bytes.Buffer
 			if err := net.Snapshot(&buf); err != nil {
 				return branch{}, false, fmt.Errorf("smc: split: snapshot: %w", err)
