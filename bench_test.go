@@ -106,14 +106,6 @@ func BenchmarkFig48MP3Latency(b *testing.B) {
 	}
 }
 
-func BenchmarkFig49MP3Energy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig49([]float64{0.5, 1}, bmc(1, uint64(i))); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkFig410Overflow(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := experiments.Fig410Overflow([]float64{0, 0.5}, bmc(1, uint64(i))); err != nil {
@@ -125,14 +117,6 @@ func BenchmarkFig410Overflow(b *testing.B) {
 func BenchmarkFig410Sync(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := experiments.Fig410Sync([]float64{0, 1.5}, bmc(1, uint64(i))); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig411BitRate(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig411Overflow([]float64{0, 0.5}, bmc(1, uint64(i))); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -32,18 +32,22 @@
 //
 // -cpuprofile and -memprofile write pprof profiles of the regeneration
 // (inspect with `go tool pprof`); the figure harness is the realistic
-// end-to-end workload for profiling the round engine. The memory profile
-// is written at exit and reflects allocations across the whole run.
+// end-to-end workload for profiling the round engine. CPU samples carry
+// a "figure" label (`go tool pprof -tags`). The memory profile is
+// written at exit and reflects allocations across the whole run.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
+	"sync"
 	"text/tabwriter"
 
 	"repro/internal/experiments"
@@ -122,7 +126,13 @@ func main() {
 		}
 		ran = true
 		fmt.Printf("==== Figure %s ====\n", r.name)
-		if err := r.run(); err != nil {
+		// The label splits a -cpuprofile by figure (go tool pprof -tags);
+		// a sweep two figures share is charged to the first that runs it.
+		var err error
+		pprof.Do(context.Background(), pprof.Labels("figure", r.name), func(context.Context) {
+			err = r.run()
+		})
+		if err != nil {
 			log.Fatalf("figure %s: %v", r.name, err)
 		}
 		fmt.Println()
@@ -273,14 +283,51 @@ func fig46() error {
 	return nil
 }
 
-func fig48() error {
+// mp3Grid is the (p, p_upset) sweep that Figs. 4-8 and 4-9 share, run
+// once on first use. Fig. 4-9 prints its p_upset = 0 column, so run
+// alone it sweeps that column only.
+var mp3Grid = sync.OnceValues(func() ([]experiments.Fig48Cell, error) {
 	ps := []float64{0.25, 0.4, 0.55, 0.7, 0.85, 1}
 	upsets := []float64{0, 0.2, 0.4, 0.6, 0.8}
 	if *quick {
-		ps = []float64{0.5, 1}
+		ps = []float64{0.25, 0.5, 1}
 		upsets = []float64{0, 0.6}
 	}
-	cells, err := experiments.Fig48(ps, upsets, mc(*runsFlag/2+1))
+	if *figFlag == "4-9" {
+		upsets = []float64{0}
+	}
+	return experiments.Fig48(ps, upsets, mc(*runsFlag/2+1))
+})
+
+// fig411MaxDrop is the last drop level of Fig. 4-11; Fig. 4-10 goes on
+// past it.
+const fig411MaxDrop = 0.8
+
+// mp3Overflow and mp3Sync are the fault sweeps that Figs. 4-10 and 4-11
+// share, each run once on first use. Run alone, Fig. 4-11 sweeps only
+// the drop levels it prints.
+var (
+	mp3Overflow = sync.OnceValues(func() ([]experiments.Fig410Row, error) {
+		drops := []float64{0, 0.2, 0.4, 0.6, 0.8, 0.9}
+		if *quick {
+			drops = []float64{0, 0.4, 0.9}
+		}
+		if *figFlag == "4-11" {
+			drops = slices.DeleteFunc(drops, func(x float64) bool { return x > fig411MaxDrop })
+		}
+		return experiments.Fig410Overflow(drops, mc(*runsFlag/2+1))
+	})
+	mp3Sync = sync.OnceValues(func() ([]experiments.Fig410Row, error) {
+		sigmas := []float64{0, 0.5, 1, 1.5, 2}
+		if *quick {
+			sigmas = []float64{0, 1.5}
+		}
+		return experiments.Fig410Sync(sigmas, mc(*runsFlag/2+1))
+	})
+)
+
+func fig48() error {
+	cells, err := mp3Grid()
 	if err != nil {
 		return err
 	}
@@ -298,31 +345,23 @@ func fig48() error {
 }
 
 func fig49() error {
-	ps := []float64{0.25, 0.4, 0.55, 0.7, 0.85, 1}
-	if *quick {
-		ps = []float64{0.25, 0.5, 1}
-	}
-	rows, err := experiments.Fig49(ps, mc(*runsFlag/2+1))
+	cells, err := mp3Grid()
 	if err != nil {
 		return err
 	}
 	fmt.Println("MP3 communication energy vs forwarding probability p (Fig. 4-9)")
 	table("p\tenergy [J]", func(w *tabwriter.Writer) {
-		for _, r := range rows {
-			fmt.Fprintf(w, "%.2f\t%.3g ±%.2g\n", r.P, r.EnergyJ.Mean, r.EnergyJ.StdDev)
+		for _, c := range cells {
+			if c.PUpset == 0 {
+				fmt.Fprintf(w, "%.2f\t%.3g ±%.2g\n", c.P, c.EnergyJ.Mean, c.EnergyJ.StdDev)
+			}
 		}
 	})
 	return nil
 }
 
 func fig410() error {
-	drops := []float64{0, 0.2, 0.4, 0.6, 0.8, 0.9}
-	sigmas := []float64{0, 0.5, 1, 1.5, 2}
-	if *quick {
-		drops = []float64{0, 0.4, 0.9}
-		sigmas = []float64{0, 1.5}
-	}
-	over, err := experiments.Fig410Overflow(drops, mc(*runsFlag/2+1))
+	over, err := mp3Overflow()
 	if err != nil {
 		return err
 	}
@@ -336,7 +375,7 @@ func fig410() error {
 			fmt.Fprintf(w, "%.0f%%\t%s\t%.0f%%\n", 100*r.X, lat, 100*r.CompletionRate)
 		}
 	})
-	syncRows, err := experiments.Fig410Sync(sigmas, mc(*runsFlag/2+1))
+	syncRows, err := mp3Sync()
 	if err != nil {
 		return err
 	}
@@ -351,23 +390,19 @@ func fig410() error {
 }
 
 func fig411() error {
-	drops := []float64{0, 0.2, 0.4, 0.6, 0.8}
-	sigmas := []float64{0, 0.5, 1, 1.5, 2}
-	if *quick {
-		drops = []float64{0, 0.5}
-		sigmas = []float64{0, 1.5}
-	}
-	over, err := experiments.Fig411Overflow(drops, mc(*runsFlag/2+1))
+	over, err := mp3Overflow()
 	if err != nil {
 		return err
 	}
 	fmt.Println("MP3 output bit-rate vs dropped packets (Fig. 4-11 left)")
 	table("dropped\tbit-rate [b/s]\tjitter [rounds]", func(w *tabwriter.Writer) {
 		for _, r := range over {
-			fmt.Fprintf(w, "%.0f%%\t%.0f\t%.2f\n", 100*r.X, r.BitrateBps.Mean, r.JitterRounds.Mean)
+			if r.X <= fig411MaxDrop {
+				fmt.Fprintf(w, "%.0f%%\t%.0f\t%.2f\n", 100*r.X, r.BitrateBps.Mean, r.JitterRounds.Mean)
+			}
 		}
 	})
-	syncRows, err := experiments.Fig411Sync(sigmas, mc(*runsFlag/2+1))
+	syncRows, err := mp3Sync()
 	if err != nil {
 		return err
 	}

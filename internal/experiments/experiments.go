@@ -21,6 +21,7 @@ import (
 	"repro/internal/energy"
 	"repro/internal/packet"
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/topology"
 )
 
@@ -153,3 +154,28 @@ func repeatCase(app CaseApp, cfg core.Config, mc sim.Config) (Repeated, error) {
 		return runCase(app, cfg, seed)
 	})
 }
+
+// delivery is one replica's outcome in the unicast and MP3 studies:
+// whether it delivered (completed) and in which round.
+type delivery struct {
+	got   bool
+	round int
+}
+
+// deliveries reduces replica outcomes in one pass: the delivered share
+// and the latency over the delivered replicas.
+type deliveries struct {
+	n, got  int
+	latency stats.Online
+}
+
+func (d *deliveries) add(o delivery) {
+	d.n++
+	if o.got {
+		d.got++
+		d.latency.Add(float64(o.round))
+	}
+}
+
+// rate is the delivered share of the replicas added.
+func (d *deliveries) rate() float64 { return float64(d.got) / float64(d.n) }

@@ -185,13 +185,13 @@ func TestFig48Shape(t *testing.T) {
 }
 
 func TestFig49Linearity(t *testing.T) {
-	rows, err := Fig49([]float64{0.25, 0.5, 1}, mc(2, 50))
+	cells, err := Fig48([]float64{0.25, 0.5, 1}, []float64{0}, mc(2, 50))
 	if err != nil {
 		t.Fatal(err)
 	}
 	e := map[float64]float64{}
-	for _, r := range rows {
-		e[r.P] = r.EnergyJ.Mean
+	for _, c := range cells {
+		e[c.P] = c.EnergyJ.Mean
 	}
 	if !(e[0.25] < e[0.5] && e[0.5] < e[1]) {
 		t.Fatalf("energy not increasing in p: %v", e)
@@ -240,7 +240,7 @@ func TestFig410Shapes(t *testing.T) {
 }
 
 func TestFig411Shapes(t *testing.T) {
-	over, err := Fig411Overflow([]float64{0, 0.5}, mc(2, 70))
+	over, err := Fig410Overflow([]float64{0, 0.5}, mc(2, 70))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestFig411Shapes(t *testing.T) {
 			over[1].BitrateBps.Mean, over[0].BitrateBps.Mean)
 	}
 
-	syncRows, err := Fig411Sync([]float64{0, 1.5}, mc(2, 71))
+	syncRows, err := Fig410Sync([]float64{0, 1.5}, mc(2, 71))
 	if err != nil {
 		t.Fatal(err)
 	}

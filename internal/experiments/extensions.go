@@ -60,12 +60,6 @@ func (s *studySink) Receive(ctx *core.Ctx, _ *packet.Packet) {
 	}
 }
 
-// delivery is one replica's outcome in the unicast studies.
-type delivery struct {
-	got   bool
-	round int
-}
-
 // RobustnessStudy quantifies the thesis' introduction: static routing
 // "would fail if even a single tile on the path is faulty", while
 // stochastic communication keeps delivering. One message crosses a 6×6
@@ -115,18 +109,14 @@ func RobustnessStudy(deadTiles []int, mc sim.Config) ([]RobustnessRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			var lat stats.Online
-			delivered := 0
-			for _, d := range results {
-				if d.got {
-					delivered++
-					lat.Add(float64(d.round))
-				}
+			var d deliveries
+			for _, r := range results {
+				d.add(r)
 			}
 			rows = append(rows, RobustnessRow{
 				Protocol: proto, DeadTiles: dead,
-				DeliveryRate: float64(delivered) / float64(len(results)),
-				Latency:      stats.Summarize(&lat),
+				DeliveryRate: d.rate(),
+				Latency:      stats.Summarize(&d.latency),
 			})
 		}
 	}
@@ -194,15 +184,13 @@ func MappingStudy(mc sim.Config) ([]MappingRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		var lat stats.Online
-		for _, d := range results {
-			if d.got {
-				lat.Add(float64(d.round))
-			}
+		var d deliveries
+		for _, r := range results {
+			d.add(r)
 		}
 		rows = append(rows, MappingRow{
 			Strategy: st.name,
-			Latency:  stats.Summarize(&lat),
+			Latency:  stats.Summarize(&d.latency),
 			CommCost: mapping.CommCost(tg, grid, placement),
 		})
 	}
@@ -380,20 +368,17 @@ func TTLStudy(ttls []uint8, mc sim.Config) ([]TTLRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		var tx, lat stats.Online
-		delivered := 0
+		var d deliveries
+		var tx stats.Online
 		for _, s := range results {
+			d.add(s.delivery)
 			tx.Add(float64(s.tx))
-			if s.got {
-				delivered++
-				lat.Add(float64(s.round))
-			}
 		}
 		rows = append(rows, TTLRow{
 			TTL:           ttl,
-			DeliveryRate:  float64(delivered) / float64(len(results)),
+			DeliveryRate:  d.rate(),
 			Transmissions: stats.Summarize(&tx),
-			Latency:       stats.Summarize(&lat),
+			Latency:       stats.Summarize(&d.latency),
 		})
 	}
 	return rows, nil

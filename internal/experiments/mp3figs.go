@@ -15,13 +15,12 @@ import (
 // MP3Frames is the stream length used by the §4.2 experiments.
 const MP3Frames = 16
 
-// mp3Run is one MP3 pipeline replica's latency, energy, output metrics
-// and completion.
+// mp3Run is one MP3 pipeline replica's completion and latency, energy
+// and output metrics.
 type mp3Run struct {
-	Rounds    int
-	Completed bool
-	EnergyJ   float64
-	Output    *mp3.Output
+	delivery
+	EnergyJ float64
+	Output  *mp3.Output
 }
 
 func runMP3(cfg core.Config, seed uint64) (*mp3Run, error) {
@@ -46,103 +45,107 @@ func runMP3(cfg core.Config, seed uint64) (*mp3Run, error) {
 	}
 	res := net.Run()
 	return &mp3Run{
-		Rounds:    res.Rounds,
-		Completed: res.Completed,
-		EnergyJ:   res.Counters.Energy.EnergyJ(energy.NoCLink025),
-		Output:    pipe.Output(),
+		delivery: delivery{got: res.Completed, round: res.Rounds},
+		EnergyJ:  res.Counters.Energy.EnergyJ(energy.NoCLink025),
+		Output:   pipe.Output(),
 	}, nil
 }
 
-// mp3Replicas runs mc.Replicas independent MP3 pipeline replicas of cfg.
-func mp3Replicas(cfg core.Config, mc sim.Config) ([]*mp3Run, error) {
-	return sim.Run(mc, func(_ int, seed uint64) (*mp3Run, error) {
-		return runMP3(cfg, seed)
-	})
-}
-
-// Fig48Cell is one point of the Fig. 4-8 latency contour.
-type Fig48Cell struct {
-	P, PUpset      float64
+// MP3Stats is one MP3 configuration's replicas reduced to every quantity
+// Figs. 4-8 to 4-11 print.
+type MP3Stats struct {
+	// Latency is the encoding latency in rounds over completed runs.
 	Latency        stats.Summary
 	CompletionRate float64
+	// EnergyJ is the communication energy over completed runs.
+	EnergyJ stats.Summary
+	// BitrateBps is the sustained output bit-rate over all runs.
+	BitrateBps stats.Summary
+	// JitterRounds is the output inter-arrival jitter (Fig. 4-11's error
+	// bars) over all runs.
+	JitterRounds stats.Summary
 }
 
-// Fig48 reproduces Fig. 4-8: MP3 encoding latency (rounds) over the
-// (p, p_upset) plane. The thesis' shape: best at (p=1, upset=0), rising
-// toward low p / high upsets, DNF in the worst corner.
+// mp3Cell runs mc.Replicas independent MP3 pipeline replicas of cfg and
+// reduces them in one pass.
+func mp3Cell(cfg core.Config, mc sim.Config) (MP3Stats, error) {
+	runs, err := sim.Run(mc, func(_ int, seed uint64) (*mp3Run, error) {
+		return runMP3(cfg, seed)
+	})
+	if err != nil {
+		return MP3Stats{}, err
+	}
+	var d deliveries
+	var en, br, jit stats.Online
+	for _, run := range runs {
+		d.add(run.delivery)
+		if run.got {
+			en.Add(run.EnergyJ)
+		}
+		// Bit-rate is measured whether or not the run completed: a
+		// stalled encoding shows up as missing bits, exactly as the
+		// thesis' monitoring would see it.
+		br.Add(run.Output.BitrateBps())
+		jit.Add(run.Output.JitterRounds())
+	}
+	return MP3Stats{
+		Latency:        stats.Summarize(&d.latency),
+		CompletionRate: d.rate(),
+		EnergyJ:        stats.Summarize(&en),
+		BitrateBps:     stats.Summarize(&br),
+		JitterRounds:   stats.Summarize(&jit),
+	}, nil
+}
+
+// Fig48Cell is one (p, p_upset) point of the MP3 sweep behind Figs. 4-8
+// and 4-9.
+type Fig48Cell struct {
+	P, PUpset float64
+	MP3Stats
+}
+
+// Fig48 reproduces Figs. 4-8 and 4-9 from one sweep of the (p, p_upset)
+// plane. Fig. 4-8 is the MP3 encoding latency (rounds) over the plane —
+// best at (p=1, upset=0), rising toward low p / high upsets, DNF in the
+// worst corner. Fig. 4-9 is the communication energy of the p_upset = 0
+// column — approximately linear in p, because the total number of
+// transmitted packets is dictated by p.
 func Fig48(ps, upsets []float64, mc sim.Config) ([]Fig48Cell, error) {
 	var cells []Fig48Cell
 	for _, p := range ps {
 		for _, pu := range upsets {
-			runs, err := mp3Replicas(core.Config{P: p, Fault: fault.Model{PUpset: pu}}, mc)
+			s, err := mp3Cell(core.Config{P: p, Fault: fault.Model{PUpset: pu}}, mc)
 			if err != nil {
 				return nil, err
 			}
-			var lat stats.Online
-			completed := 0
-			for _, run := range runs {
-				if run.Completed {
-					completed++
-					lat.Add(float64(run.Rounds))
-				}
-			}
-			cells = append(cells, Fig48Cell{
-				P: p, PUpset: pu,
-				Latency:        stats.Summarize(&lat),
-				CompletionRate: float64(completed) / float64(len(runs)),
-			})
+			cells = append(cells, Fig48Cell{P: p, PUpset: pu, MP3Stats: s})
 		}
 	}
 	return cells, nil
 }
 
-// Fig49Row is one point of the Fig. 4-9 energy curve.
-type Fig49Row struct {
-	P       float64
-	EnergyJ stats.Summary
-}
-
-// Fig49 reproduces Fig. 4-9: MP3 communication energy versus the
-// forwarding probability p — approximately linear, because the total
-// number of transmitted packets is dictated by p.
-func Fig49(ps []float64, mc sim.Config) ([]Fig49Row, error) {
-	var rows []Fig49Row
-	for _, p := range ps {
-		runs, err := mp3Replicas(core.Config{P: p}, mc)
-		if err != nil {
-			return nil, err
-		}
-		var en stats.Online
-		for _, run := range runs {
-			if run.Completed {
-				en.Add(run.EnergyJ)
-			}
-		}
-		rows = append(rows, Fig49Row{P: p, EnergyJ: stats.Summarize(&en)})
-	}
-	return rows, nil
-}
-
-// Fig410Row is one x-value of either Fig. 4-10 panel.
+// Fig410Row is one x-value of the left or right panels of Figs. 4-10 and
+// 4-11.
 type Fig410Row struct {
-	// X is p_overflow (left panel) or σ_synchr (right panel).
-	X              float64
-	Latency        stats.Summary
-	CompletionRate float64
+	// X is p_overflow (left panels) or σ_synchr (right panels).
+	X float64
+	MP3Stats
 }
 
-// Fig410Overflow reproduces the left panel of Fig. 4-10: MP3 latency vs.
-// the fraction of packets dropped to buffer overflow. Latency stays flat
-// until the "point A" cliff where losses become fatal.
+// Fig410Overflow reproduces the left panels of Figs. 4-10 and 4-11: MP3
+// latency and output bit-rate vs. the fraction of packets dropped to
+// buffer overflow. Latency stays flat until the "point A" cliff where
+// losses become fatal; the bit-rate is sustained well past 60 %.
 func Fig410Overflow(drops []float64, mc sim.Config) ([]Fig410Row, error) {
 	return fig410sweep(drops, mc, func(x float64) fault.Model {
 		return fault.Model{POverflow: x}
 	})
 }
 
-// Fig410Sync reproduces the right panel of Fig. 4-10: MP3 latency vs. the
-// synchronization-error level σ_synchr (relative to T_R). The mean stays
-// flat; the spread grows.
+// Fig410Sync reproduces the right panels of Figs. 4-10 and 4-11: MP3
+// latency and output bit-rate vs. the synchronization-error level
+// σ_synchr (relative to T_R). The mean latency and the rate hold; the
+// spread and the jitter grow.
 func Fig410Sync(sigmas []float64, mc sim.Config) ([]Fig410Row, error) {
 	return fig410sweep(sigmas, mc, func(x float64) fault.Model {
 		return fault.Model{SigmaSync: x}
@@ -152,69 +155,11 @@ func Fig410Sync(sigmas []float64, mc sim.Config) ([]Fig410Row, error) {
 func fig410sweep(xs []float64, mc sim.Config, mk func(float64) fault.Model) ([]Fig410Row, error) {
 	var rows []Fig410Row
 	for _, x := range xs {
-		runs, err := mp3Replicas(core.Config{P: 0.75, Fault: mk(x)}, mc)
+		s, err := mp3Cell(core.Config{P: 0.75, Fault: mk(x)}, mc)
 		if err != nil {
 			return nil, err
 		}
-		var lat stats.Online
-		completed := 0
-		for _, run := range runs {
-			if run.Completed {
-				completed++
-				lat.Add(float64(run.Rounds))
-			}
-		}
-		rows = append(rows, Fig410Row{
-			X: x, Latency: stats.Summarize(&lat),
-			CompletionRate: float64(completed) / float64(len(runs)),
-		})
-	}
-	return rows, nil
-}
-
-// Fig411Row is one x-value of either Fig. 4-11 panel.
-type Fig411Row struct {
-	X float64
-	// BitrateBps is the sustained output bit-rate (mean over runs).
-	BitrateBps stats.Summary
-	// JitterRounds is the output inter-arrival jitter (the error bars).
-	JitterRounds stats.Summary
-}
-
-// Fig411Overflow reproduces the left panel of Fig. 4-11: output bit-rate
-// vs. dropped-packet fraction — sustained well past 60 %.
-func Fig411Overflow(drops []float64, mc sim.Config) ([]Fig411Row, error) {
-	return fig411sweep(drops, mc, func(x float64) fault.Model {
-		return fault.Model{POverflow: x}
-	})
-}
-
-// Fig411Sync reproduces the right panel of Fig. 4-11: output bit-rate vs.
-// σ_synchr — the rate holds, only the jitter grows.
-func Fig411Sync(sigmas []float64, mc sim.Config) ([]Fig411Row, error) {
-	return fig411sweep(sigmas, mc, func(x float64) fault.Model {
-		return fault.Model{SigmaSync: x}
-	})
-}
-
-func fig411sweep(xs []float64, mc sim.Config, mk func(float64) fault.Model) ([]Fig411Row, error) {
-	var rows []Fig411Row
-	for _, x := range xs {
-		runs, err := mp3Replicas(core.Config{P: 0.75, Fault: mk(x)}, mc)
-		if err != nil {
-			return nil, err
-		}
-		var br, jit stats.Online
-		for _, run := range runs {
-			// Bit-rate is measured whether or not the run completed: a
-			// stalled encoding shows up as missing bits, exactly as the
-			// thesis' monitoring would see it.
-			br.Add(run.Output.BitrateBps())
-			jit.Add(run.Output.JitterRounds())
-		}
-		rows = append(rows, Fig411Row{
-			X: x, BitrateBps: stats.Summarize(&br), JitterRounds: stats.Summarize(&jit),
-		})
+		rows = append(rows, Fig410Row{X: x, MP3Stats: s})
 	}
 	return rows, nil
 }

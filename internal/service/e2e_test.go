@@ -317,48 +317,18 @@ func TestParkedJobsCountAgainstQueueCap(t *testing.T) {
 	const workers, queueCap = 2, 2
 	var srv *Server
 	var mu sync.Mutex
-	entered, gates := map[string]chan struct{}{}, map[string]chan struct{}{}
-	slot := func(m map[string]chan struct{}, id string) chan struct{} {
-		mu.Lock()
-		defer mu.Unlock()
-		if m[id] == nil {
-			m[id] = make(chan struct{})
-		}
-		return m[id]
-	}
 	maxQueued := 0
-	ended := make(chan struct{})
+	h := newHolds(1)
 	opts := Options{Workers: workers, QueueCap: queueCap}
 	opts.roundHook = func(id string, r int) {
 		_, queued, _, _ := srv.sched.snapshot()
 		mu.Lock()
 		maxQueued = max(maxQueued, queued)
 		mu.Unlock()
-		if r == 1 {
-			close(slot(entered, id))
-			select {
-			case <-slot(gates, id):
-			case <-ended:
-			}
-		}
+		h.hook(id, r)
 	}
 	srv, c := newTestServer(t, opts)
-	t.Cleanup(func() { close(ended) }) // runs first: Close waits for held workers
-	hold := func(id string) {
-		t.Helper()
-		select {
-		case <-slot(entered, id):
-		case <-time.After(10 * time.Second):
-			t.Fatalf("job %s never reached round 1", id)
-		}
-	}
-	release := func(id string) { close(slot(gates, id)) }
-	preempt := func(id string) {
-		t.Helper()
-		if _, err := c.Preempt(testCtx(t), id); err != nil {
-			t.Fatalf("preempt %s: %v", id, err)
-		}
-	}
+	t.Cleanup(h.end) // runs first: Close waits for held workers
 	saturated := func(when string) {
 		t.Helper()
 		_, err := c.Submit(testCtx(t), longJob(99))
@@ -374,25 +344,25 @@ func TestParkedJobsCountAgainstQueueCap(t *testing.T) {
 	}
 
 	a, b := submit(t, c, batch(1)), submit(t, c, batch(2))
-	hold(a.ID)
-	hold(b.ID)
-	preempt(a.ID)                   // by hand
+	h.hold(t, a.ID)
+	h.hold(t, b.ID)
+	preemptByHand(t, c, a.ID)       // by hand
 	i1 := submit(t, c, smallJob(3)) // the scheduler preempts b for it
 	i2 := submit(t, c, smallJob(4)) // the queue is full
 	saturated("queue full of fresh jobs")
 
-	release(a.ID) // a and b yield, park, and wait behind i1 and i2
-	release(b.ID)
-	hold(i1.ID)
-	hold(i2.ID)
+	h.release(a.ID) // a and b yield, park, and wait behind i1 and i2
+	h.release(b.ID)
+	h.hold(t, i1.ID)
+	h.hold(t, i2.ID)
 	st := srv.Stats()
 	if st.Preemptions != 2 || st.Queued != queueCap || st.Running != workers {
 		t.Fatalf("stats = %+v, want 2 preemptions, %d parked jobs queued, %d running", st, queueCap, workers)
 	}
 	saturated("queue full of parked jobs")
 
-	release(i1.ID)
-	release(i2.ID)
+	h.release(i1.ID)
+	h.release(i2.ID)
 	for id, preempts := range map[string]int{a.ID: 1, b.ID: 1, i1.ID: 0, i2.ID: 0} {
 		if st, _ := waitState(t, c, id, StateDone); st.Preempts != preempts {
 			t.Fatalf("job %s preempted %d times, want %d", id, st.Preempts, preempts)
@@ -405,6 +375,154 @@ func TestParkedJobsCountAgainstQueueCap(t *testing.T) {
 	defer mu.Unlock()
 	if maxQueued > queueCap+workers {
 		t.Fatalf("%d jobs waited at once, want at most QueueCap + Workers = %d", maxQueued, queueCap+workers)
+	}
+}
+
+// holds parks every job that reaches a chosen round until the test lets
+// it go; a job let go before it arrives passes straight through. Install
+// hook as (or in) the round hook, and register end as a cleanup after
+// the server's, so that it runs first: Close waits for held workers.
+type holds struct {
+	round          int
+	mu             sync.Mutex
+	entered, gates map[string]chan struct{}
+	ended          chan struct{}
+}
+
+func newHolds(round int) *holds {
+	return &holds{
+		round:   round,
+		entered: map[string]chan struct{}{},
+		gates:   map[string]chan struct{}{},
+		ended:   make(chan struct{}),
+	}
+}
+
+func (h *holds) slot(m map[string]chan struct{}, id string) chan struct{} {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if m[id] == nil {
+		m[id] = make(chan struct{})
+	}
+	return m[id]
+}
+
+func (h *holds) hook(id string, r int) {
+	if r != h.round {
+		return
+	}
+	close(h.slot(h.entered, id))
+	select {
+	case <-h.slot(h.gates, id):
+	case <-h.ended:
+	}
+}
+
+// hold waits until job id is held.
+func (h *holds) hold(t *testing.T, id string) {
+	t.Helper()
+	select {
+	case <-h.slot(h.entered, id):
+	case <-time.After(10 * time.Second):
+		t.Fatalf("job %s never reached round %d", id, h.round)
+	}
+}
+
+func (h *holds) release(id string) { close(h.slot(h.gates, id)) }
+func (h *holds) end()              { close(h.ended) }
+
+// preemptByHand asks job id to yield through POST …/preempt.
+func preemptByHand(t *testing.T, c *Client, id string) {
+	t.Helper()
+	if _, err := c.Preempt(testCtx(t), id); err != nil {
+		t.Fatalf("preempt %s: %v", id, err)
+	}
+}
+
+// TestHandPreemptionsSpareBatch pins the requeue of a preempted job: it
+// hands back its worker slot in the same step, so the preemption check
+// never counts the yielding worker as busy. While a batch job holds one
+// of two workers, two interactive jobs preempted by hand on the other
+// cost it nothing; only an interactive job that has to wait costs it
+// its one preemption.
+func TestHandPreemptionsSpareBatch(t *testing.T) {
+	h := newHolds(2)
+	srv, c, p := newParkedServer(t, Options{Workers: 2, roundHook: h.hook}, 1)
+	t.Cleanup(h.end)
+
+	batch := longJob(31)
+	batch.Priority = PriorityBatch
+	b := submit(t, c, batch)
+	<-p.entered // b is held in round 1 on one worker
+	for _, seed := range []uint64{32, 33} {
+		i := submit(t, c, longJob(seed)) // interactive, on the other worker
+		h.hold(t, i.ID)
+		preemptByHand(t, c, i.ID)
+		h.release(i.ID) // i yields, is requeued and taken up again
+		if st, _ := waitState(t, c, i.ID, StateDone); st.Preempts != 1 {
+			t.Fatalf("job %s preempted %d times, want 1", i.ID, st.Preempts)
+		}
+	}
+	p.release()
+	h.hold(t, b.ID)
+
+	running := submit(t, c, longJob(34))
+	h.hold(t, running.ID)
+	waiting := submit(t, c, smallJob(35)) // both workers busy: b must yield
+	h.release(waiting.ID)
+	h.release(b.ID)
+	h.release(running.ID)
+	for _, id := range []string{waiting.ID, running.ID} {
+		waitState(t, c, id, StateDone)
+	}
+	if st, _ := waitState(t, c, b.ID, StateDone); st.Preempts != 1 {
+		t.Fatalf("batch job preempted %d times, want 1", st.Preempts)
+	}
+	if st := srv.Stats(); st.Preemptions != 3 {
+		t.Fatalf("stats = %+v, want 3 preemptions", st)
+	}
+}
+
+// TestRequeuedJobCountsAsRunning: a job preempted while another worker
+// is idle may be taken up by that worker at once, and Stats counts it
+// as running while it runs there.
+func TestRequeuedJobCountsAsRunning(t *testing.T) {
+	h := newHolds(2)
+	srv, c, p := newParkedServer(t, Options{Workers: 2, roundHook: h.hook}, 1)
+	t.Cleanup(h.end)
+
+	j := submit(t, c, longJob(41))
+	<-p.entered
+	preemptByHand(t, c, j.ID)
+	p.release()
+	h.hold(t, j.ID) // taken up again, on either worker
+	if st := srv.Stats(); st.Running != 1 {
+		t.Fatalf("stats = %+v while the requeued job runs, want 1 running", st)
+	}
+	h.release(j.ID)
+	if st, _ := waitState(t, c, j.ID, StateDone); st.Preempts != 1 {
+		t.Fatalf("job preempted %d times, want 1", st.Preempts)
+	}
+}
+
+// TestRequeueReturnsSlot pins the scheduler half of the two tests above:
+// requeuing a preempted job frees its worker slot in the same critical
+// section, before any worker can claim the job again.
+func TestRequeueReturnsSlot(t *testing.T) {
+	s := newScheduler(2, 4)
+	j := newJob("j", longJob(51), "", nil)
+	if err := s.enqueue(j, false); err != nil {
+		t.Fatal(err)
+	}
+	if got, _, _ := s.next(); got != j {
+		t.Fatalf("claimed %v, want the queued job", got)
+	}
+	j.markPreempted(nil)
+	if err := s.enqueue(j, true); err != nil {
+		t.Fatal(err)
+	}
+	if running, queued, _, _ := s.snapshot(); running != 0 || queued != 1 {
+		t.Fatalf("after the requeue: %d running, %d queued; want 0 and 1", running, queued)
 	}
 }
 

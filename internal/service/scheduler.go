@@ -44,12 +44,18 @@ func newScheduler(workers, queueCap int) *scheduler {
 }
 
 // enqueue admits j, or reports the admission error (saturated,
-// draining, closed). admitted=true bypasses the queue cap and the
-// draining check: a preempted job being requeued was already admitted,
-// and refusing it would lose an accepted job.
+// draining, closed). admitted=true requeues a preempted job: it bypasses
+// the queue cap and the draining check, since j was already admitted
+// and refusing it would lose an accepted job, and it returns j's worker
+// slot in the same critical section. Otherwise the preemption check
+// would count the yielding worker as busy, and a later release could
+// drop the running entry of another worker that had claimed j again.
 func (s *scheduler) enqueue(j *Job, admitted bool) *APIError {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if admitted {
+		delete(s.running, j.ID)
+	}
 	if s.closed {
 		return apiErrorf(ErrDraining, "server is shut down")
 	}
@@ -131,8 +137,9 @@ func (s *scheduler) popLocked() *Job {
 	return nil
 }
 
-// release returns j's worker slot to the pool after the job ran (to
-// completion, preemption, cancellation, or failure).
+// release returns j's worker slot to the pool after the job ran to a
+// terminal state (completion, cancellation, or failure); a preempted job
+// returns its slot as it is requeued.
 func (s *scheduler) release(j *Job) {
 	s.mu.Lock()
 	delete(s.running, j.ID)

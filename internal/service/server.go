@@ -234,8 +234,9 @@ func (s *Server) worker() {
 			s.finishCanceled(j)
 			continue
 		}
-		s.runJob(j, parked)
-		s.sched.release(j)
+		if !s.runJob(j, parked) {
+			s.sched.release(j)
+		}
 	}
 }
 
@@ -262,8 +263,9 @@ func (s *Server) unindex(j *Job) {
 
 // runJob runs the job's sim.Scenario, or continues its parked trial, on
 // the calling worker until it completes, is canceled, or yields to
-// preemption.
-func (s *Server) runJob(j *Job, parked *sim.Trial) {
+// preemption. It reports whether j yielded, in which case requeuing it
+// has already returned its worker slot.
+func (s *Server) runJob(j *Job, parked *sim.Trial) (yielded bool) {
 	var str *metrics.Streamer
 	h := sim.Hooks{
 		Record: true,
@@ -298,7 +300,7 @@ func (s *Server) runJob(j *Job, parked *sim.Trial) {
 	t, err := sc.Run(h)
 	if err != nil {
 		s.fail(j, apiErrorf(ErrInternal, "run: %v", err))
-		return
+		return false
 	}
 
 	switch t.Status {
@@ -309,6 +311,7 @@ func (s *Server) runJob(j *Job, parked *sim.Trial) {
 			// Only possible after close; the job is lost with the server.
 			s.fail(j, err)
 		}
+		return true
 	case sim.LoopCanceled:
 		s.finishCanceled(j)
 	default: // LoopDone, LoopBudget, LoopQuiescent: a terminal run outcome
@@ -329,6 +332,7 @@ func (s *Server) runJob(j *Job, parked *sim.Trial) {
 		s.completed.Add(1)
 		s.unindex(j)
 	}
+	return false
 }
 
 // fail moves j into StateFailed with err.
