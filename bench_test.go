@@ -108,7 +108,7 @@ func BenchmarkFig48MP3Latency(b *testing.B) {
 
 func BenchmarkFig410Overflow(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig410Overflow([]float64{0, 0.5}, bmc(1, uint64(i))); err != nil {
+		if _, err := experiments.Fig410([]float64{0, 0.5}, nil, bmc(1, uint64(i))); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -116,7 +116,7 @@ func BenchmarkFig410Overflow(b *testing.B) {
 
 func BenchmarkFig410Sync(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig410Sync([]float64{0, 1.5}, bmc(1, uint64(i))); err != nil {
+		if _, err := experiments.Fig410(nil, []float64{0, 1.5}, bmc(1, uint64(i))); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -303,28 +303,21 @@ var mp3Grid = sync.OnceValues(func() ([]experiments.Fig48Cell, error) {
 // past it.
 const fig411MaxDrop = 0.8
 
-// mp3Overflow and mp3Sync are the fault sweeps that Figs. 4-10 and 4-11
-// share, each run once on first use. Run alone, Fig. 4-11 sweeps only
-// the drop levels it prints.
-var (
-	mp3Overflow = sync.OnceValues(func() ([]experiments.Fig410Row, error) {
-		drops := []float64{0, 0.2, 0.4, 0.6, 0.8, 0.9}
-		if *quick {
-			drops = []float64{0, 0.4, 0.9}
-		}
-		if *figFlag == "4-11" {
-			drops = slices.DeleteFunc(drops, func(x float64) bool { return x > fig411MaxDrop })
-		}
-		return experiments.Fig410Overflow(drops, mc(*runsFlag/2+1))
-	})
-	mp3Sync = sync.OnceValues(func() ([]experiments.Fig410Row, error) {
-		sigmas := []float64{0, 0.5, 1, 1.5, 2}
-		if *quick {
-			sigmas = []float64{0, 1.5}
-		}
-		return experiments.Fig410Sync(sigmas, mc(*runsFlag/2+1))
-	})
-)
+// mp3Faults is the pair of fault sweeps that Figs. 4-10 and 4-11
+// share, run once on first use. Run alone, Fig. 4-11 sweeps only the
+// drop levels it prints.
+var mp3Faults = sync.OnceValues(func() (experiments.Fig410Sweeps, error) {
+	drops := []float64{0, 0.2, 0.4, 0.6, 0.8, 0.9}
+	sigmas := []float64{0, 0.5, 1, 1.5, 2}
+	if *quick {
+		drops = []float64{0, 0.4, 0.9}
+		sigmas = []float64{0, 1.5}
+	}
+	if *figFlag == "4-11" {
+		drops = slices.DeleteFunc(drops, func(x float64) bool { return x > fig411MaxDrop })
+	}
+	return experiments.Fig410(drops, sigmas, mc(*runsFlag/2+1))
+})
 
 func fig48() error {
 	cells, err := mp3Grid()
@@ -361,13 +354,13 @@ func fig49() error {
 }
 
 func fig410() error {
-	over, err := mp3Overflow()
+	sweeps, err := mp3Faults()
 	if err != nil {
 		return err
 	}
 	fmt.Println("MP3 latency vs dropped packets (Fig. 4-10 left; 'point A' = completion collapse)")
 	table("dropped\tlatency [rounds]\tcompletion", func(w *tabwriter.Writer) {
-		for _, r := range over {
+		for _, r := range sweeps.Overflow {
 			lat := "DNF"
 			if r.Latency.N > 0 {
 				lat = fmt.Sprintf("%.0f ±%.0f", r.Latency.Mean, r.Latency.StdDev)
@@ -375,13 +368,9 @@ func fig410() error {
 			fmt.Fprintf(w, "%.0f%%\t%s\t%.0f%%\n", 100*r.X, lat, 100*r.CompletionRate)
 		}
 	})
-	syncRows, err := mp3Sync()
-	if err != nil {
-		return err
-	}
 	fmt.Println("\nMP3 latency vs synchronization error σ (Fig. 4-10 right)")
 	table("σ/T_R\tlatency [rounds]\tcompletion", func(w *tabwriter.Writer) {
-		for _, r := range syncRows {
+		for _, r := range sweeps.Sync {
 			fmt.Fprintf(w, "%.0f%%\t%.0f ±%.0f\t%.0f%%\n",
 				100*r.X, r.Latency.Mean, r.Latency.StdDev, 100*r.CompletionRate)
 		}
@@ -390,25 +379,21 @@ func fig410() error {
 }
 
 func fig411() error {
-	over, err := mp3Overflow()
+	sweeps, err := mp3Faults()
 	if err != nil {
 		return err
 	}
 	fmt.Println("MP3 output bit-rate vs dropped packets (Fig. 4-11 left)")
 	table("dropped\tbit-rate [b/s]\tjitter [rounds]", func(w *tabwriter.Writer) {
-		for _, r := range over {
+		for _, r := range sweeps.Overflow {
 			if r.X <= fig411MaxDrop {
 				fmt.Fprintf(w, "%.0f%%\t%.0f\t%.2f\n", 100*r.X, r.BitrateBps.Mean, r.JitterRounds.Mean)
 			}
 		}
 	})
-	syncRows, err := mp3Sync()
-	if err != nil {
-		return err
-	}
 	fmt.Println("\nMP3 output bit-rate vs synchronization error σ (Fig. 4-11 right)")
 	table("σ/T_R\tbit-rate [b/s]\tjitter [rounds]", func(w *tabwriter.Writer) {
-		for _, r := range syncRows {
+		for _, r := range sweeps.Sync {
 			fmt.Fprintf(w, "%.0f%%\t%.0f\t%.2f\n", 100*r.X, r.BitrateBps.Mean, r.JitterRounds.Mean)
 		}
 	})

@@ -837,19 +837,6 @@ func (n *Network) Run() Result {
 	return Result{Rounds: n.round, Completed: false, Counters: n.cnt}
 }
 
-// RunWhile steps the network until cond returns false or MaxRounds is
-// reached; it reports Completed = !cond at exit. Used by dissemination
-// experiments with external termination conditions.
-func (n *Network) RunWhile(cond func(*Network) bool) Result {
-	for n.round < n.cfg.MaxRounds {
-		if !cond(n) {
-			return Result{Rounds: n.round, Completed: true, Counters: n.cnt}
-		}
-		n.Step()
-	}
-	return Result{Rounds: n.round, Completed: !cond(n), Counters: n.cnt}
-}
-
 // Ctx is the per-round view a Process has of its tile: the hardware
 // interface of Fig. 3-5 from the IP core's side of the buffers. The
 // engine reuses one Ctx per tile across rounds, so a Process must use the

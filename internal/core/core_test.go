@@ -385,6 +385,8 @@ func TestEnergyAccountingConsistent(t *testing.T) {
 	}
 }
 
+// TestRunWhile steps a p = 1 broadcast while some tile has yet to take
+// delivery: it informs all of a 4×4 grid in 6 rounds, its diameter.
 func TestRunWhile(t *testing.T) {
 	g := topology.NewGrid(4, 4)
 	reached := map[packet.TileID]bool{}
@@ -392,21 +394,25 @@ func TestRunWhile(t *testing.T) {
 	cfg.OnEvent = deliveries(func(tl packet.TileID, _ packet.MsgID, _ int) { reached[tl] = true })
 	n := mustNet(t, cfg)
 	n.Inject(0, packet.Broadcast, 0, nil)
-	res := n.RunWhile(func(*Network) bool { return len(reached) < g.Tiles()-1 })
-	if !res.Completed {
-		t.Fatal("RunWhile did not complete")
+	for len(reached) < g.Tiles()-1 && n.Round() < cfg.MaxRounds {
+		n.Step()
 	}
-	if res.Rounds != 6 { // diameter of 4x4 grid
-		t.Fatalf("full broadcast took %d rounds, want 6 (diameter)", res.Rounds)
+	if len(reached) < g.Tiles()-1 {
+		t.Fatal("broadcast did not complete")
+	}
+	if n.Round() != 6 { // diameter of 4x4 grid
+		t.Fatalf("full broadcast took %d rounds, want 6 (diameter)", n.Round())
 	}
 }
 
+// TestMaxRoundsGuillotine: with no Completer attached, Run steps to
+// MaxRounds and reports the run incomplete.
 func TestMaxRoundsGuillotine(t *testing.T) {
 	g := topology.NewGrid(2, 2)
 	cfg := baseCfg(g, 0.5)
 	cfg.MaxRounds = 7
 	n := mustNet(t, cfg)
-	res := n.RunWhile(func(*Network) bool { return true })
+	res := n.Run()
 	if res.Completed || res.Rounds != 7 {
 		t.Fatalf("guillotine: %+v", res)
 	}

@@ -6,24 +6,10 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/packet"
+	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/topology"
 )
-
-type dirSink struct {
-	got      bool
-	gotRound int
-}
-
-func (s *dirSink) Init(*core.Ctx)  {}
-func (s *dirSink) Round(*core.Ctx) {}
-func (s *dirSink) Done() bool      { return s.got }
-func (s *dirSink) Receive(ctx *core.Ctx, _ *packet.Packet) {
-	if !s.got {
-		s.got = true
-		s.gotRound = ctx.Round()
-	}
-}
 
 func TestGridBiasValidation(t *testing.T) {
 	g := topology.NewGrid(4, 4)
@@ -60,41 +46,42 @@ func TestGridBiasWeights(t *testing.T) {
 }
 
 // run measures (mean latency, mean transmissions, completion rate) over
-// seeds for a (1,1)->(6,6) unicast on an 8x8 grid.
+// seeds for a (1,1)->(6,6) unicast on an 8x8 grid. Each run stops at the
+// delivery, then drains, so its transmissions are the whole bill.
 func run(t *testing.T, bias float64, deadTiles int, runs int, stopSpread bool) (lat, tx stats.Summary, completion float64) {
 	t.Helper()
 	g := topology.NewGrid(8, 8)
 	src, dst := g.ID(1, 1), g.ID(6, 6)
-	var latAcc, txAcc stats.Online
-	completed := 0
-	for seed := uint64(0); seed < uint64(runs); seed++ {
-		cfg := core.Config{
-			Topo: g, P: 0.5, TTL: 24, MaxRounds: 120, Seed: seed,
+	s := sim.Scenario{
+		Config: core.Config{
+			Topo: g, P: 0.5, TTL: 24, MaxRounds: 120,
 			StopSpreadOnDelivery: stopSpread,
 			Fault:                fault.Model{DeadTiles: deadTiles, Protect: []packet.TileID{src, dst}},
-		}
-		if bias > 0 {
-			w, err := GridBias(g, bias)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg.PortWeight = w
-		}
-		net, err := core.New(cfg)
+		},
+		Src: src, Dst: dst, Kind: 1, Payload: 1, Rounds: 120, StopAtDelivery: true,
+	}
+	if bias > 0 {
+		w, err := GridBias(g, bias)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sink := &dirSink{}
-		net.Attach(dst, sink)
-		net.Inject(src, dst, 1, []byte("d"))
-		res := net.RunWhile(func(*core.Network) bool { return !sink.got })
-		if !res.Completed {
+		s.Config.PortWeight = w
+	}
+	var latAcc, txAcc stats.Online
+	completed := 0
+	for seed := uint64(0); seed < uint64(runs); seed++ {
+		s.Config.Seed = seed
+		trial, err := s.Run(sim.Hooks{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if trial.Delivered < 0 {
 			continue
 		}
 		completed++
-		latAcc.Add(float64(sink.gotRound))
-		net.Drain(64)
-		txAcc.Add(float64(net.Counters().Energy.Transmissions))
+		latAcc.Add(float64(trial.Delivered))
+		trial.Net.Drain(64)
+		txAcc.Add(float64(trial.Net.Counters().Energy.Transmissions))
 	}
 	return stats.Summarize(&latAcc), stats.Summarize(&txAcc), float64(completed) / float64(runs)
 }

@@ -38,32 +38,44 @@ func protect(base []packet.TileID, t packet.TileID) []packet.TileID {
 	return append(out, t)
 }
 
-// buildMasterSlave wires the §4.1.1 workload: 5×5 grid, master at the
-// center, 8 slaves each duplicated, quadrature resolution 8000.
-func buildMasterSlave(cfg core.Config) (*core.Network, *pisum.App, error) {
-	grid := topology.NewGrid(5, 5)
-	cfg.Topo = grid
-	master := grid.ID(2, 2)
+// msGrid is the §4.1.1 fabric, a 5×5 grid; the case study puts the
+// master at its center, msCenter.
+var (
+	msGrid   = topology.NewGrid(5, 5)
+	msCenter = msGrid.ID(2, 2)
+)
+
+// buildMasterSlave wires the §4.1.1 workload on msGrid: the master at
+// tile master, 8 slaves each duplicated (msSlaves), quadrature resolution
+// 8000.
+func buildMasterSlave(cfg core.Config, master packet.TileID) (*core.Network, *pisum.App, error) {
+	cfg.Topo = msGrid
 	cfg.Fault.Protect = protect(cfg.Fault.Protect, master)
 	net, err := core.New(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	var free []packet.TileID
-	for i := 0; i < grid.Tiles(); i++ {
-		if packet.TileID(i) != master {
-			free = append(free, packet.TileID(i))
-		}
-	}
-	var slaves [][]packet.TileID
-	for k := 0; k < 8; k++ {
-		slaves = append(slaves, []packet.TileID{free[2*k], free[2*k+1]})
-	}
-	app, err := pisum.Setup(net, master, slaves, 8000)
+	app, err := pisum.Setup(net, master, msSlaves(master), 8000)
 	if err != nil {
 		return nil, nil, err
 	}
 	return net, app, nil
+}
+
+// msSlaves places the 8 duplicated slaves on the first 16 tiles of
+// msGrid other than master, in tile order.
+func msSlaves(master packet.TileID) [][]packet.TileID {
+	var free []packet.TileID
+	for i := 0; i < msGrid.Tiles(); i++ {
+		if packet.TileID(i) != master {
+			free = append(free, packet.TileID(i))
+		}
+	}
+	slaves := make([][]packet.TileID, 8)
+	for k := range slaves {
+		slaves[k] = []packet.TileID{free[2*k], free[2*k+1]}
+	}
+	return slaves
 }
 
 // buildFFT2 wires the §4.1.2 workload: 4×4 grid, root at (0,0), 4 workers
@@ -128,7 +140,7 @@ func runCase(app CaseApp, cfg core.Config, seed uint64) (sim.Metrics, error) {
 	)
 	switch app {
 	case MasterSlave:
-		net, _, err = buildMasterSlave(cfg)
+		net, _, err = buildMasterSlave(cfg, msCenter)
 	case FFT2:
 		net, _, err = buildFFT2(cfg, seed)
 	default:

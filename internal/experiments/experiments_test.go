@@ -214,10 +214,11 @@ func TestFig49Linearity(t *testing.T) {
 }
 
 func TestFig410Shapes(t *testing.T) {
-	over, err := Fig410Overflow([]float64{0, 0.4}, mc(2, 60))
+	sweeps, err := Fig410([]float64{0, 0.4}, nil, mc(2, 60))
 	if err != nil {
 		t.Fatal(err)
 	}
+	over := sweeps.Overflow
 	if over[0].CompletionRate < 1 || over[1].CompletionRate < 0.5 {
 		t.Fatalf("moderate overflow fatal: %+v", over)
 	}
@@ -226,10 +227,11 @@ func TestFig410Shapes(t *testing.T) {
 		t.Fatalf("overflow latency blew up: %v vs %v", over[1].Latency.Mean, over[0].Latency.Mean)
 	}
 
-	syncRows, err := Fig410Sync([]float64{0, 1.5}, mc(3, 61))
+	sweeps, err = Fig410(nil, []float64{0, 1.5}, mc(3, 61))
 	if err != nil {
 		t.Fatal(err)
 	}
+	syncRows := sweeps.Sync
 	if syncRows[1].CompletionRate < 1 {
 		t.Fatalf("sync errors prevented termination: %+v", syncRows[1])
 	}
@@ -240,10 +242,11 @@ func TestFig410Shapes(t *testing.T) {
 }
 
 func TestFig411Shapes(t *testing.T) {
-	over, err := Fig410Overflow([]float64{0, 0.5}, mc(2, 70))
+	sweeps, err := Fig410([]float64{0, 0.5}, nil, mc(2, 70))
 	if err != nil {
 		t.Fatal(err)
 	}
+	over := sweeps.Overflow
 	// Bit-rate sustained at 50% drops: within 25% of the clean rate
 	// (thesis: "sustainable with as much as 60% of the packets
 	// dropped").
@@ -252,10 +255,11 @@ func TestFig411Shapes(t *testing.T) {
 			over[1].BitrateBps.Mean, over[0].BitrateBps.Mean)
 	}
 
-	syncRows, err := Fig410Sync([]float64{0, 1.5}, mc(2, 71))
+	sweeps, err = Fig410(nil, []float64{0, 1.5}, mc(2, 71))
 	if err != nil {
 		t.Fatal(err)
 	}
+	syncRows := sweeps.Sync
 	if syncRows[1].BitrateBps.Mean < 0.75*syncRows[0].BitrateBps.Mean {
 		t.Fatalf("bitrate collapsed under sync errors")
 	}

@@ -6,9 +6,9 @@ package experiments
 // "can be disseminated explosively fast" on meshes too.
 
 import (
+	"cmp"
 	"fmt"
 
-	"repro/internal/apps/pisum"
 	"repro/internal/core"
 	"repro/internal/directed"
 	"repro/internal/fault"
@@ -20,12 +20,6 @@ import (
 	"repro/internal/topology"
 	"repro/internal/xyrouting"
 )
-
-// setupPiAt wires the standard π workload with the master at a chosen
-// tile, for placement studies.
-func setupPiAt(net *core.Network, master packet.TileID, slaves [][]packet.TileID) (*pisum.App, error) {
-	return pisum.Setup(net, master, slaves, 8000)
-}
 
 // Protocol names a communication scheme in the robustness study.
 type Protocol string
@@ -45,19 +39,45 @@ type RobustnessRow struct {
 	Latency      stats.Summary
 }
 
-type studySink struct {
-	got      bool
-	gotRound int
-}
+// robustnessRounds is the robustness study's round budget.
+const robustnessRounds = 120
 
-func (s *studySink) Init(*core.Ctx)  {}
-func (s *studySink) Round(*core.Ctx) {}
-func (s *studySink) Done() bool      { return s.got }
-func (s *studySink) Receive(ctx *core.Ctx, _ *packet.Packet) {
-	if !s.got {
-		s.got = true
-		s.gotRound = ctx.Round()
+// robustnessCell is one (protocol, dead tiles) cell of RobustnessStudy:
+// one message crossing a 6×6 grid corner to corner, stopping at its
+// delivery. The returned function runs one replica of it under seed with
+// h; for XY routing it adds the Start hook that installs the routers,
+// and Install's error is the replica's.
+func robustnessCell(proto Protocol, dead int) (func(seed uint64, h sim.Hooks) (*sim.Trial, error), error) {
+	g := topology.NewGrid(6, 6)
+	src, dst := g.ID(0, 0), g.ID(5, 5)
+	s := sim.Scenario{
+		Config: core.Config{
+			Topo: g, P: 0.75, TTL: 24, MaxRounds: robustnessRounds,
+			Fault: fault.Model{DeadTiles: dead, Protect: []packet.TileID{src, dst}},
+		},
+		Src: src, Dst: dst, Kind: 1, Payload: 1,
+		Rounds: robustnessRounds, StopAtDelivery: true,
 	}
+	switch proto {
+	case ProtoDirected:
+		bias, err := directed.GridBias(g, 0.7)
+		if err != nil {
+			return nil, err
+		}
+		s.Config.PortWeight = bias
+	case ProtoXY:
+		s.Config.P = 0 // routers bypass the gossip probability
+	}
+	return func(seed uint64, h sim.Hooks) (*sim.Trial, error) {
+		s := s
+		s.Config.Seed = seed
+		var installErr error
+		if proto == ProtoXY {
+			h.Start = func(t *sim.Trial) { installErr = xyrouting.Install(t.Net) }
+		}
+		t, err := s.Run(h)
+		return t, cmp.Or(err, installErr)
+	}, nil
 }
 
 // RobustnessStudy quantifies the thesis' introduction: static routing
@@ -65,46 +85,19 @@ func (s *studySink) Receive(ctx *core.Ctx, _ *packet.Packet) {
 // stochastic communication keeps delivering. One message crosses a 6×6
 // grid corner-to-corner under an increasing number of crashed tiles.
 func RobustnessStudy(deadTiles []int, mc sim.Config) ([]RobustnessRow, error) {
-	g := topology.NewGrid(6, 6)
-	src, dst := g.ID(0, 0), g.ID(5, 5)
-	bias, err := directed.GridBias(g, 0.7)
-	if err != nil {
-		return nil, err
-	}
-
 	var rows []RobustnessRow
 	for _, proto := range []Protocol{ProtoGossip, ProtoDirected, ProtoXY} {
 		for _, dead := range deadTiles {
-			proto := proto
+			run, err := robustnessCell(proto, dead)
+			if err != nil {
+				return nil, err
+			}
 			results, err := sim.Run(mc, func(_ int, seed uint64) (delivery, error) {
-				cfg := core.Config{
-					Topo: g, TTL: 24, MaxRounds: 120,
-					Seed:  seed,
-					Fault: fault.Model{DeadTiles: dead, Protect: []packet.TileID{src, dst}},
-				}
-				switch proto {
-				case ProtoGossip:
-					cfg.P = 0.75
-				case ProtoDirected:
-					cfg.P = 0.75
-					cfg.PortWeight = bias
-				case ProtoXY:
-					cfg.P = 0 // routers bypass the gossip probability
-				}
-				net, err := core.New(cfg)
+				t, err := run(seed, sim.Hooks{})
 				if err != nil {
 					return delivery{}, err
 				}
-				if proto == ProtoXY {
-					if err := xyrouting.Install(net); err != nil {
-						return delivery{}, err
-					}
-				}
-				sink := &studySink{}
-				net.Attach(dst, sink)
-				net.Inject(src, dst, 1, []byte("r"))
-				res := net.RunWhile(func(*core.Network) bool { return !sink.got })
-				return delivery{got: res.Completed, round: sink.gotRound}, nil
+				return delivery{got: t.Delivered >= 0, round: t.Delivered}, nil
 			})
 			if err != nil {
 				return nil, err
@@ -136,13 +129,12 @@ type MappingRow struct {
 // center (communication-aware) vs at a corner (naive), measured at
 // p = 0.5.
 func MappingStudy(mc sim.Config) ([]MappingRow, error) {
-	grid := topology.NewGrid(5, 5)
 	strategies := []struct {
 		name   string
 		master packet.TileID
 	}{
-		{"center (comm-aware)", grid.ID(2, 2)},
-		{"corner (naive)", grid.ID(0, 0)},
+		{"center (comm-aware)", msGrid.ID(2, 2)},
+		{"corner (naive)", msGrid.ID(0, 0)},
 	}
 	// The communication graph: master <-> 8 slaves, uniform volume.
 	tg := &mapping.Graph{Tasks: []mapping.Task{{Name: "master", Replicas: 1}}}
@@ -153,29 +145,14 @@ func MappingStudy(mc sim.Config) ([]MappingRow, error) {
 
 	var rows []MappingRow
 	for _, st := range strategies {
-		st := st
-		var slaves [][]packet.TileID
-		var free []packet.TileID
-		for i := 0; i < grid.Tiles(); i++ {
-			if packet.TileID(i) != st.master {
-				free = append(free, packet.TileID(i))
-			}
+		placement := &mapping.Placement{
+			TilesOf: append([][]packet.TileID{{st.master}}, msSlaves(st.master)...),
 		}
-		for k := 0; k < 8; k++ {
-			slaves = append(slaves, []packet.TileID{free[2*k], free[2*k+1]})
-		}
-		placement := &mapping.Placement{TilesOf: [][]packet.TileID{{st.master}}}
-		placement.TilesOf = append(placement.TilesOf, slaves...)
-
 		results, err := sim.Run(mc, func(_ int, seed uint64) (delivery, error) {
-			net, err := core.New(core.Config{
-				Topo: grid, P: 0.5, TTL: core.DefaultTTL, MaxRounds: 200,
-				Seed: seed,
-			})
+			net, _, err := buildMasterSlave(core.Config{
+				P: 0.5, TTL: core.DefaultTTL, MaxRounds: 200, Seed: seed,
+			}, st.master)
 			if err != nil {
-				return delivery{}, err
-			}
-			if _, err := setupPiAt(net, st.master, slaves); err != nil {
 				return delivery{}, err
 			}
 			res := net.Run()
@@ -191,7 +168,7 @@ func MappingStudy(mc sim.Config) ([]MappingRow, error) {
 		rows = append(rows, MappingRow{
 			Strategy: st.name,
 			Latency:  stats.Summarize(&d.latency),
-			CommCost: mapping.CommCost(tg, grid, placement),
+			CommCost: mapping.CommCost(tg, msGrid, placement),
 		})
 	}
 	return rows, nil
@@ -211,35 +188,20 @@ type GridSpreadRow struct {
 func GridSpread(side int, p float64, mc sim.Config) ([]GridSpreadRow, error) {
 	g := topology.NewGrid(side, side)
 	maxRounds := 6 * side
-	curves, err := sim.Run(mc, func(_ int, seed uint64) ([]int, error) {
-		// The per-round awareness curve comes from the metrics
-		// recorder's AwareTiles series (the engine flushes it at every
-		// round end), not a hand-rolled Aware() polling loop.
-		rec := metrics.NewRecorder(metrics.Config{Rounds: maxRounds})
-		cfg := core.Config{
-			Topo: g, P: p, TTL: uint8(min(255, maxRounds)), MaxRounds: maxRounds + 1,
-			Seed: seed,
-		}
-		rec.Install(&cfg)
-		net, err := core.New(cfg)
+	s := sim.Scenario{
+		Config: core.Config{Topo: g, P: p, TTL: uint8(min(255, maxRounds)), MaxRounds: maxRounds},
+		Src:    g.ID(side/2, side/2), Dst: packet.Broadcast, Rounds: maxRounds,
+	}
+	// The per-round awareness curve is the recorder's AwareTiles series;
+	// index 0 is the injection, round r lands at index r.
+	curves, err := sim.Run(mc, func(_ int, seed uint64) ([]int64, error) {
+		s := s
+		s.Config.Seed = seed
+		t, err := s.Run(sim.Hooks{Record: true})
 		if err != nil {
 			return nil, err
 		}
-		center := g.ID(side/2, side/2)
-		id, err := net.Inject(center, packet.Broadcast, 0, nil)
-		if err != nil {
-			return nil, err
-		}
-		rec.Watch(id)
-		for round := 0; round < maxRounds; round++ {
-			net.Step()
-		}
-		aware := rec.Series().Int(metrics.AwareTiles)
-		curve := make([]int, maxRounds)
-		for round := 0; round < maxRounds; round++ {
-			curve[round] = int(aware[round+1])
-		}
-		return curve, nil
+		return t.Rec.Series().Int(metrics.AwareTiles), nil
 	})
 	if err != nil {
 		return nil, err
@@ -247,8 +209,9 @@ func GridSpread(side int, p float64, mc sim.Config) ([]GridSpreadRow, error) {
 	rows := make([]GridSpreadRow, maxRounds)
 	for i := range rows {
 		sum := 0.0
-		for _, curve := range curves {
-			sum += float64(curve[i])
+		for _, aware := range curves {
+			// A run that drained early keeps its last count.
+			sum += float64(aware[min(i+1, len(aware)-1)])
 		}
 		rows[i] = GridSpreadRow{Round: i + 1, AwareMean: sum / float64(len(curves))}
 	}
@@ -278,29 +241,29 @@ type BimodalRow struct {
 func BimodalStudy(pcrash float64, mc sim.Config) ([]BimodalRow, error) {
 	const side = 6
 	const bins = 10
-	coverages, err := sim.Run(mc, func(_ int, seed uint64) (float64, error) {
-		g := topology.NewGrid(side, side)
-		center := g.ID(side/2, side/2)
-		net, err := core.New(core.Config{
+	g := topology.NewGrid(side, side)
+	center := g.ID(side/2, side/2)
+	s := sim.Scenario{
+		Config: core.Config{
 			Topo: g, P: 0.75, TTL: 30, MaxRounds: 80,
-			Seed:  seed,
 			Fault: fault.Model{PTileCrash: pcrash, Protect: []packet.TileID{center}},
-		})
+		},
+		Src: center, Dst: packet.Broadcast, Rounds: 80,
+	}
+	coverages, err := sim.Run(mc, func(_ int, seed uint64) (float64, error) {
+		s := s
+		s.Config.Seed = seed
+		t, err := s.Run(sim.Hooks{})
 		if err != nil {
 			return 0, err
 		}
 		alive := 0
 		for i := 0; i < g.Tiles(); i++ {
-			if net.Injector().TileAlive(packet.TileID(i)) {
+			if t.Net.Injector().TileAlive(packet.TileID(i)) {
 				alive++
 			}
 		}
-		id, err := net.Inject(center, packet.Broadcast, 0, nil)
-		if err != nil {
-			return 0, err
-		}
-		net.Drain(80)
-		return float64(net.Aware(id)) / float64(alive), nil
+		return float64(t.Net.Aware(t.Msg)) / float64(alive), nil
 	})
 	if err != nil {
 		return nil, err
@@ -347,23 +310,27 @@ func TTLStudy(ttls []uint8, mc sim.Config) ([]TTLRow, error) {
 	src, dst := g.ID(0, 0), g.ID(4, 4)
 	var rows []TTLRow
 	for _, ttl := range ttls {
-		ttl := ttl
+		s := sim.Scenario{
+			Config: core.Config{Topo: g, P: 0.5, TTL: ttl, MaxRounds: 3 * int(ttl)},
+			Src:    src, Dst: dst, Kind: 1, Payload: 1, Rounds: 3 * int(ttl),
+		}
 		results, err := sim.Run(mc, func(_ int, seed uint64) (ttlSample, error) {
-			sink := &studySink{}
-			net, err := core.New(core.Config{
-				Topo: g, P: 0.5, TTL: ttl, MaxRounds: 3 * int(ttl),
-				Seed: seed,
-			})
+			s := s
+			s.Config.Seed = seed
+			// The run goes on past the delivery, to quiescence or the
+			// budget, so that every transmission is billed; the delivery
+			// round is watched here.
+			var d delivery
+			t, err := s.Run(sim.Hooks{OnRound: func(t *sim.Trial) error {
+				if !d.got && t.Net.AwareAt(t.Msg, dst) {
+					d = delivery{got: true, round: t.Net.Round()}
+				}
+				return nil
+			}})
 			if err != nil {
 				return ttlSample{}, err
 			}
-			net.Attach(dst, sink)
-			net.Inject(src, dst, 1, []byte("t"))
-			net.Drain(3 * int(ttl))
-			return ttlSample{
-				delivery: delivery{got: sink.got, round: sink.gotRound},
-				tx:       net.Counters().Energy.Transmissions,
-			}, nil
+			return ttlSample{delivery: d, tx: t.Net.Counters().Energy.Transmissions}, nil
 		})
 		if err != nil {
 			return nil, err

@@ -1,6 +1,11 @@
 package experiments
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/sim"
+	"repro/internal/smc"
+)
 
 func TestRobustnessStudyShape(t *testing.T) {
 	rows, err := RobustnessStudy([]int{0, 1, 3}, mc(20, 5))
@@ -56,6 +61,43 @@ func TestRobustnessStudyShape(t *testing.T) {
 	// Directed gossip is faster than pure gossip on the healthy grid.
 	if get(ProtoDirected, 0).Latency.Mean >= get(ProtoGossip, 0).Latency.Mean {
 		t.Fatal("directed gossip not faster than pure gossip")
+	}
+}
+
+// TestRobustnessClaim states ext-robustness as verdicts over seeds: with
+// 4 of the 6×6 grid's tiles crashed, gossip delivers corner to corner
+// by round 120 with probability at least 0.85, and XY routing does not.
+// Each leg runs the figure's own cell through smc.Check.
+func TestRobustnessClaim(t *testing.T) {
+	prop := smc.Delivered().By(robustnessRounds)
+	for _, tc := range []struct {
+		proto Protocol
+		want  smc.Verdict
+	}{
+		{ProtoGossip, smc.Accepted},
+		{ProtoXY, smc.Rejected},
+	} {
+		run, err := robustnessCell(tc.proto, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		replica := func(_ int, seed uint64) (bool, error) {
+			trial, err := run(seed, sim.Hooks{Record: true})
+			if err != nil {
+				return false, err
+			}
+			return prop.Eval(trial.Rec.Series()), nil
+		}
+		rep, err := smc.Check(prop, replica, smc.CheckConfig{
+			Theta: 0.85, Delta: 0.05, Alpha: 0.01, Beta: 0.01, Seed: 2003,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("%v: %v", tc.proto, rep)
+		if rep.Verdict != tc.want {
+			t.Fatalf("%v: verdict %v, want %v", tc.proto, rep.Verdict, tc.want)
+		}
 	}
 }
 

@@ -144,7 +144,7 @@ func Fig46(mc sim.Config) (*Fig46Result, error) {
 			StopSpreadOnDelivery: true,
 			Seed:                 seed,
 		}
-		net, app, err := buildMasterSlave(cfg)
+		net, app, err := buildMasterSlave(cfg, msCenter)
 		if err != nil {
 			return Fig46Run{}, err
 		}
@@ -158,7 +158,7 @@ func Fig46(mc sim.Config) (*Fig46Result, error) {
 		c := res.Counters
 		// Eq. 2: T_R = packets-per-link-round × S / f over the 40 links
 		// of a 5×5 mesh.
-		links := len(topology.NewGrid(5, 5).Links())
+		links := len(msGrid.Links())
 		perLinkRound := float64(c.Energy.Transmissions) / float64(res.Rounds*links)
 		tr := energy.RoundDuration(perLinkRound, c.Energy.AvgPacketBits(), energy.NoCLink025)
 		lat := energy.LatencySeconds(float64(res.Rounds), tr)

@@ -132,34 +132,50 @@ type Fig410Row struct {
 	MP3Stats
 }
 
-// Fig410Overflow reproduces the left panels of Figs. 4-10 and 4-11: MP3
-// latency and output bit-rate vs. the fraction of packets dropped to
-// buffer overflow. Latency stays flat until the "point A" cliff where
-// losses become fatal; the bit-rate is sustained well past 60 %.
-func Fig410Overflow(drops []float64, mc sim.Config) ([]Fig410Row, error) {
-	return fig410sweep(drops, mc, func(x float64) fault.Model {
-		return fault.Model{POverflow: x}
-	})
+// Fig410Sweeps are the two fault sweeps behind Figs. 4-10 and 4-11.
+type Fig410Sweeps struct {
+	// Overflow is the left panels: MP3 latency and output bit-rate vs.
+	// the fraction of packets dropped to buffer overflow. Latency stays
+	// flat until the "point A" cliff where losses become fatal; the
+	// bit-rate is sustained well past 60 %.
+	Overflow []Fig410Row
+	// Sync is the right panels: latency and bit-rate vs. the
+	// synchronization-error level σ_synchr (relative to T_R). The mean
+	// latency and the rate hold; the spread and the jitter grow.
+	Sync []Fig410Row
 }
 
-// Fig410Sync reproduces the right panels of Figs. 4-10 and 4-11: MP3
-// latency and output bit-rate vs. the synchronization-error level
-// σ_synchr (relative to T_R). The mean latency and the rate hold; the
-// spread and the jitter grow.
-func Fig410Sync(sigmas []float64, mc sim.Config) ([]Fig410Row, error) {
-	return fig410sweep(sigmas, mc, func(x float64) fault.Model {
-		return fault.Model{SigmaSync: x}
-	})
-}
-
-func fig410sweep(xs []float64, mc sim.Config, mk func(float64) fault.Model) ([]Fig410Row, error) {
-	var rows []Fig410Row
-	for _, x := range xs {
-		s, err := mp3Cell(core.Config{P: 0.75, Fault: mk(x)}, mc)
-		if err != nil {
-			return nil, err
+// Fig410 reproduces Figs. 4-10 and 4-11 at p = 0.75 over the drop levels
+// and σ_synchr levels given. The 0 %-drop and σ_synchr = 0 cells are the
+// same fault-free config under the same seeds, so it runs once and both
+// panels print it.
+func Fig410(drops, sigmas []float64, mc sim.Config) (Fig410Sweeps, error) {
+	var out Fig410Sweeps
+	var clean *MP3Stats
+	sweep := func(xs []float64, mk func(float64) fault.Model) ([]Fig410Row, error) {
+		var rows []Fig410Row
+		for _, x := range xs {
+			if x == 0 && clean != nil {
+				rows = append(rows, Fig410Row{X: x, MP3Stats: *clean})
+				continue
+			}
+			s, err := mp3Cell(core.Config{P: 0.75, Fault: mk(x)}, mc)
+			if err != nil {
+				return nil, err
+			}
+			if x == 0 {
+				clean = &s
+			}
+			rows = append(rows, Fig410Row{X: x, MP3Stats: s})
 		}
-		rows = append(rows, Fig410Row{X: x, MP3Stats: s})
+		return rows, nil
 	}
-	return rows, nil
+	var err error
+	if out.Overflow, err = sweep(drops, func(x float64) fault.Model { return fault.Model{POverflow: x} }); err != nil {
+		return Fig410Sweeps{}, err
+	}
+	if out.Sync, err = sweep(sigmas, func(x float64) fault.Model { return fault.Model{SigmaSync: x} }); err != nil {
+		return Fig410Sweeps{}, err
+	}
+	return out, nil
 }

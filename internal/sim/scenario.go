@@ -9,8 +9,10 @@ import (
 
 // Scenario is the paper's basic experiment: one message gossiped from Src
 // to Dst under the Chapter 2 fault model. cmd/nocsim, the nocsimd job
-// runner, smc.Model, the Fig. 3-3 walkthrough and its 8×8 metrics study
-// all run it through Run; the values they differ in are fields.
+// runner, smc.Model, the Fig. 3-3 walkthrough and its 8×8 metrics study,
+// and the one-message extension studies (robustness, grid spread,
+// bimodal delivery, TTL) all run it through Run; the values they differ
+// in are fields.
 type Scenario struct {
 	// Config is the fabric, protocol knobs, fault model and seed. Its
 	// hooks stay (the recorder chains after them).
