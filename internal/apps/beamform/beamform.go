@@ -175,19 +175,6 @@ func (a *Aggregator) Completed() bool {
 // Done implements core.Completer.
 func (a *Aggregator) Done() bool { return a.Completed() }
 
-// Beam returns the beamformed output of block b, scaled by 1/N.
-func (a *Aggregator) Beam(b int) ([]float64, error) {
-	sum, ok := a.sums[uint32(b)]
-	if !ok || len(a.got[uint32(b)]) < a.Sensors {
-		return nil, fmt.Errorf("beamform: block %d incomplete", b)
-	}
-	out := make([]float64, len(sum))
-	for i, v := range sum {
-		out[i] = v / float64(a.Sensors)
-	}
-	return out, nil
-}
-
 // App wires an array of sensors and one aggregator.
 type App struct {
 	Agg     *Aggregator

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/apps/codec"
 	"repro/internal/audio/signal"
 	"repro/internal/core"
 	"repro/internal/packet"
@@ -37,6 +38,16 @@ func setup(t *testing.T, cfg core.Config, selfNoise float64, blocks int) (*core.
 	return net, app
 }
 
+// beamOf returns the beamformed output of a completed block b: the
+// aligned sum of the sensors' samples, scaled by 1/N.
+func beamOf(a *Aggregator, b int) []float64 {
+	out := make([]float64, a.BlockLen)
+	for i, v := range a.sums[uint32(b)] {
+		out[i] = v / float64(a.Sensors)
+	}
+	return out
+}
+
 func TestBeamformCompletes(t *testing.T) {
 	net, app := setup(t, core.Config{
 		Topo: topology.NewGrid(4, 4), P: 0.75, TTL: core.DefaultTTL,
@@ -62,10 +73,7 @@ func TestCoherentSumMatchesSource(t *testing.T) {
 		t.Fatal("incomplete")
 	}
 	// Block 1 (samples 64..128): all delays (≤21) have real data by then.
-	beam, err := app.Agg.Beam(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	beam := beamOf(app.Agg, 1)
 	ref, err := wave().Samples(64, 64)
 	if err != nil {
 		t.Fatal(err)
@@ -89,10 +97,7 @@ func TestArrayGainSuppressesNoise(t *testing.T) {
 	if !net.Run().Completed {
 		t.Fatal("incomplete")
 	}
-	beam, err := app.Agg.Beam(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	beam := beamOf(app.Agg, 1)
 	ref, err := wave().Samples(64, 64)
 	if err != nil {
 		t.Fatal(err)
@@ -114,13 +119,37 @@ func TestArrayGainSuppressesNoise(t *testing.T) {
 	}
 }
 
+// TestBeamIncompleteBlockErrors checks that a block lacking any
+// sensor's contribution keeps the aggregator incomplete, so no beam is
+// read from it.
 func TestBeamIncompleteBlockErrors(t *testing.T) {
 	agg, err := NewAggregator(4, 16, 2, []int{0, 1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := agg.Beam(0); err == nil {
-		t.Fatal("incomplete block returned a beam")
+	if agg.Completed() {
+		t.Fatal("empty aggregator complete")
+	}
+	deliver := func(sensor, block int) {
+		w := codec.NewWriter(0).U16(uint16(sensor)).U32(uint32(block))
+		for range agg.BlockLen {
+			w.F64(1)
+		}
+		// Receive reads the round from ctx only on completion.
+		agg.Receive(nil, &packet.Packet{Kind: KindBlock, Payload: w.Bytes()})
+	}
+	for s := range 4 {
+		deliver(s, 0)
+	}
+	if agg.Completed() {
+		t.Fatal("complete with block 1 missing")
+	}
+	for s := range 3 {
+		deliver(s, 1)
+	}
+	deliver(2, 1) // a duplicate is not the missing sensor
+	if agg.Completed() {
+		t.Fatal("complete with sensor 3 of block 1 missing")
 	}
 }
 

@@ -54,15 +54,6 @@ func (w *Writer) C128(v complex128) *Writer {
 	return w.F64(real(v)).F64(imag(v))
 }
 
-// C128Slice appends a length-prefixed slice of complex128.
-func (w *Writer) C128Slice(vs []complex128) *Writer {
-	w.U32(uint32(len(vs)))
-	for _, v := range vs {
-		w.C128(v)
-	}
-	return w
-}
-
 // Reader consumes fixed-width fields from a payload.
 type Reader struct {
 	buf []byte
@@ -138,21 +129,4 @@ func (r *Reader) C128() complex128 {
 	re := r.F64()
 	im := r.F64()
 	return complex(re, im)
-}
-
-// C128Slice reads a length-prefixed slice of complex128.
-func (r *Reader) C128Slice() []complex128 {
-	n := int(r.U32())
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || r.off+16*n > len(r.buf) {
-		r.err = ErrShort
-		return nil
-	}
-	out := make([]complex128, n)
-	for i := range out {
-		out[i] = r.C128()
-	}
-	return out
 }

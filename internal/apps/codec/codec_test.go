@@ -19,15 +19,18 @@ func TestRoundTripScalars(t *testing.T) {
 
 func TestRoundTripComplex(t *testing.T) {
 	vs := []complex128{1 + 2i, -3.5 + 0i, 0 - 7i}
-	w := NewWriter(0).C128Slice(vs)
-	got := NewReader(w.Bytes()).C128Slice()
-	if len(got) != len(vs) {
-		t.Fatalf("len %d", len(got))
+	w := NewWriter(0)
+	for _, v := range vs {
+		w.C128(v)
 	}
+	r := NewReader(w.Bytes())
 	for i := range vs {
-		if got[i] != vs[i] {
-			t.Fatalf("element %d: %v vs %v", i, got[i], vs[i])
+		if got := r.C128(); got != vs[i] {
+			t.Fatalf("element %d: %v vs %v", i, got, vs[i])
 		}
+	}
+	if r.Err() != nil {
+		t.Fatal(r.Err())
 	}
 }
 
@@ -44,18 +47,22 @@ func TestShortPayload(t *testing.T) {
 }
 
 func TestShortComplexSlice(t *testing.T) {
-	w := NewWriter(0).U32(100) // claims 100 elements, provides none
+	w := NewWriter(0).F64(1) // the real part only
 	r := NewReader(w.Bytes())
-	if r.C128Slice() != nil || !errors.Is(r.Err(), ErrShort) {
-		t.Fatal("oversized slice claim accepted")
+	_ = r.C128()
+	if !errors.Is(r.Err(), ErrShort) {
+		t.Fatal("half a complex value accepted")
 	}
 }
 
 func TestEmptySlice(t *testing.T) {
-	w := NewWriter(0).C128Slice(nil)
+	w := NewWriter(0).Raw(nil)
 	r := NewReader(w.Bytes())
-	if got := r.C128Slice(); len(got) != 0 || r.Err() != nil {
+	if got := r.Raw(0); len(got) != 0 || r.Err() != nil {
 		t.Fatalf("empty slice: %v, %v", got, r.Err())
+	}
+	if got := r.Rest(); len(got) != 0 || r.Err() != nil {
+		t.Fatalf("rest of empty payload: %v, %v", got, r.Err())
 	}
 }
 

@@ -21,12 +21,6 @@ func New(capacity int) *Reservoir {
 	return &Reservoir{capacity: capacity}
 }
 
-// Fill returns the currently banked bits.
-func (r *Reservoir) Fill() int { return r.fill }
-
-// Capacity returns the maximum bankable bits.
-func (r *Reservoir) Capacity() int { return r.capacity }
-
 // Grant returns the bit budget for the next frame: the nominal per-frame
 // allotment plus up to the full reservoir content.
 func (r *Reservoir) Grant(nominal int) int {

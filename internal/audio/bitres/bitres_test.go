@@ -10,8 +10,8 @@ func TestGrantIncludesFill(t *testing.T) {
 	if err := r.Commit(700, 500); err != nil {
 		t.Fatal(err)
 	}
-	if r.Fill() != 200 {
-		t.Fatalf("fill = %d", r.Fill())
+	if r.fill != 200 {
+		t.Fatalf("fill = %d", r.fill)
 	}
 	if g := r.Grant(700); g != 900 {
 		t.Fatalf("grant after donation = %d", g)
@@ -26,8 +26,8 @@ func TestBorrowDrainsReservoir(t *testing.T) {
 	if err := r.Commit(700, 900); err != nil { // borrow 200
 		t.Fatal(err)
 	}
-	if r.Fill() != 100 {
-		t.Fatalf("fill = %d", r.Fill())
+	if r.fill != 100 {
+		t.Fatalf("fill = %d", r.fill)
 	}
 }
 
@@ -36,8 +36,8 @@ func TestCapacityCaps(t *testing.T) {
 	if err := r.Commit(700, 100); err != nil {
 		t.Fatal(err)
 	}
-	if r.Fill() != 250 {
-		t.Fatalf("fill = %d, want capped 250", r.Fill())
+	if r.fill != 250 {
+		t.Fatalf("fill = %d, want capped 250", r.fill)
 	}
 }
 
@@ -46,14 +46,14 @@ func TestOverdraftRejected(t *testing.T) {
 	if err := r.Commit(700, 800); err == nil {
 		t.Fatal("overdraft beyond grant accepted")
 	}
-	if r.Fill() != 0 {
-		t.Fatalf("failed commit mutated fill: %d", r.Fill())
+	if r.fill != 0 {
+		t.Fatalf("failed commit mutated fill: %d", r.fill)
 	}
 }
 
 func TestNegativeInputs(t *testing.T) {
 	r := New(-5)
-	if r.Capacity() != 0 {
+	if r.capacity != 0 {
 		t.Fatal("negative capacity not clamped")
 	}
 	if g := r.Grant(-10); g != 0 {
@@ -80,8 +80,8 @@ func TestLongRunConservation(t *testing.T) {
 		if err := r.Commit(700, u); err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		if r.Fill() < 0 || r.Fill() > r.Capacity() {
-			t.Fatalf("frame %d: fill %d out of range", i, r.Fill())
+		if r.fill < 0 || r.fill > r.capacity {
+			t.Fatalf("frame %d: fill %d out of range", i, r.fill)
 		}
 	}
 }

@@ -72,6 +72,3 @@ func (r *BitReader) ReadBits(n int) (uint64, error) {
 	}
 	return v, nil
 }
-
-// Remaining returns the number of unread bits.
-func (r *BitReader) Remaining() int { return 8*len(r.buf) - r.pos }

@@ -62,12 +62,6 @@ func build(m int) *Transform {
 	return t
 }
 
-// M returns the coefficient count.
-func (t *Transform) M() int { return t.m }
-
-// WindowLen returns the input window length 2M.
-func (t *Transform) WindowLen() int { return 2 * t.m }
-
 // Forward transforms a 2M-sample window into M coefficients.
 func (t *Transform) Forward(x []float64) ([]float64, error) {
 	n := 2 * t.m

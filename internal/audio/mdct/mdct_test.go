@@ -14,8 +14,13 @@ func TestSizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.M() != 256 || tr.WindowLen() != 512 {
-		t.Fatalf("M=%d WindowLen=%d", tr.M(), tr.WindowLen())
+	coef, err := tr.Forward(make([]float64, 512))
+	if err != nil || len(coef) != 256 {
+		t.Fatalf("Forward of a 512-sample window: %d coefficients, %v", len(coef), err)
+	}
+	win, err := tr.Inverse(coef)
+	if err != nil || len(win) != 512 {
+		t.Fatalf("Inverse of 256 coefficients: %d samples, %v", len(win), err)
 	}
 }
 

@@ -69,9 +69,6 @@ func NewModel(windowLen, bands int) (*Model, error) {
 	return m, nil
 }
 
-// Bands returns the band count.
-func (m *Model) Bands() int { return m.bands }
-
 // BandRange returns the spectrum bin range [lo, hi) of band b.
 func (m *Model) BandRange(b int) (lo, hi int) { return m.edges[b], m.edges[b+1] }
 

@@ -26,7 +26,7 @@ func TestBandEdgesPartitionSpectrum(t *testing.T) {
 			t.Fatalf("NewModel(%v): %v", cfg, err)
 		}
 		prevHi := 0
-		for b := 0; b < m.Bands(); b++ {
+		for b := 0; b < m.bands; b++ {
 			lo, hi := m.BandRange(b)
 			if lo != prevHi {
 				t.Fatalf("cfg %v band %d: gap or overlap (lo=%d prevHi=%d)", cfg, b, lo, prevHi)

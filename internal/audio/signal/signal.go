@@ -84,18 +84,6 @@ func DefaultProgram() *Synth {
 	}
 }
 
-// Energy returns the mean square of x.
-func Energy(x []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, v := range x {
-		sum += v * v
-	}
-	return sum / float64(len(x))
-}
-
 // SNRdB returns the signal-to-noise ratio, in dB, of a reconstruction
 // versus a reference. Returns +Inf for a perfect reconstruction.
 func SNRdB(ref, got []float64) float64 {

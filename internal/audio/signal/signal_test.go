@@ -54,7 +54,7 @@ func TestPureToneFrequency(t *testing.T) {
 		}
 	}
 	// RMS of a unit sine is 1/√2 => mean square 0.5.
-	if e := Energy(x); math.Abs(e-0.5) > 0.01 {
+	if e := energy(x); math.Abs(e-0.5) > 0.01 {
 		t.Fatalf("tone energy = %v, want ~0.5", e)
 	}
 }
@@ -77,7 +77,7 @@ func TestNoiseAmplitudeBounded(t *testing.T) {
 			t.Fatalf("noise sample %d = %v exceeds amplitude", i, v)
 		}
 	}
-	if Energy(x) == 0 {
+	if energy(x) == 0 {
 		t.Fatal("noise generated silence")
 	}
 }
@@ -106,8 +106,8 @@ func TestFrames(t *testing.T) {
 }
 
 func TestEnergyEmpty(t *testing.T) {
-	if Energy(nil) != 0 {
-		t.Fatal("Energy(nil) != 0")
+	if energy(nil) != 0 {
+		t.Fatal("energy(nil) != 0")
 	}
 }
 

@@ -18,7 +18,7 @@ func TestRoundTrip(t *testing.T) {
 	if err := Write(&buf, src, 44100, 1); err != nil {
 		t.Fatal(err)
 	}
-	got, rate, ch, err := Read(&buf)
+	got, rate, ch, err := read(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestClipping(t *testing.T) {
 	if err := Write(&buf, []float64{2, -2}, 8000, 1); err != nil {
 		t.Fatal(err)
 	}
-	got, _, _, err := Read(&buf)
+	got, _, _, err := read(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestStereoInterleaved(t *testing.T) {
 	if err := Write(&buf, samples, 48000, 2); err != nil {
 		t.Fatal(err)
 	}
-	got, rate, ch, err := Read(&buf)
+	got, rate, ch, err := read(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestReadRejectsGarbage(t *testing.T) {
 		[]byte("RIFF\x00\x00\x00\x00JUNK"),
 	}
 	for i, c := range cases {
-		if _, _, _, err := Read(bytes.NewReader(c)); !errors.Is(err, ErrFormat) {
+		if _, _, _, err := read(bytes.NewReader(c)); !errors.Is(err, errFormat) {
 			t.Errorf("case %d: err = %v", i, err)
 		}
 	}
@@ -107,7 +107,7 @@ func TestReadSkipsUnknownChunks(t *testing.T) {
 	withList := append([]byte{}, b[:36]...)
 	withList = append(withList, 'L', 'I', 'S', 'T', 4, 0, 0, 0, 'x', 'x', 'x', 'x')
 	withList = append(withList, b[36:]...)
-	got, _, _, err := Read(bytes.NewReader(withList))
+	got, _, _, err := read(bytes.NewReader(withList))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,7 +64,7 @@ func (goldenReceiver) Init(*Ctx)  {}
 func (goldenReceiver) Round(*Ctx) {}
 
 func (r goldenReceiver) Receive(ctx *Ctx, p *packet.Packet) {
-	fmt.Fprintf(r.w, "deliver %d %d %d %q\n", ctx.Round(), ctx.Self(), p.ID, p.Payload)
+	fmt.Fprintf(r.w, "deliver %d %d %d %q\n", ctx.Round(), ctx.tile.id, p.ID, p.Payload)
 }
 
 // TestRestoreV1Golden restores the state the version-1 engine froze

@@ -47,7 +47,8 @@ import (
 )
 
 // Process is the IP core mapped onto one tile. Implementations receive a
-// Ctx giving access to the tile's mailbox and send port. Round is invoked
+// Ctx giving access to the tile's send port; a Receiver is also handed
+// each message addressed to the tile as it arrives. Round is invoked
 // once per gossip round, after delivery; a Process on a crashed tile is
 // never invoked.
 //
@@ -70,10 +71,9 @@ type Completer interface {
 	Done() bool
 }
 
-// Receiver is optionally implemented by Processes that want messages
-// pushed at the instant of delivery (within the round the packet arrives)
-// instead of polling Delivered on their next Round. Latency-sensitive
-// completion detection should use Receive: the round in which the last
+// Receiver is optionally implemented by Processes that take the messages
+// addressed to their tile: each is pushed at the instant of delivery
+// (within the round the packet arrives), so the round in which the last
 // result arrives is the application latency the thesis reports.
 type Receiver interface {
 	Receive(ctx *Ctx, p *packet.Packet)
@@ -284,7 +284,7 @@ type Counters struct {
 type tile struct {
 	sendBuf []packet.Packet // live copies, owned by value
 	ring    arrivalRing     // in-flight copies keyed by arrival round
-	rnd     rng.Stream      // forwarding decisions + app randomness (by value: hot state stays on the tile's cache lines)
+	rnd     rng.Stream      // forwarding decisions and upsets (by value: hot state stays on the tile's cache lines)
 	// portOff and deg locate this tile's ports in Network.portTab: port i
 	// is portTab[portOff+i], for i < deg (see Network.ports).
 	portOff uint32
@@ -667,9 +667,6 @@ func (n *Network) Drain(maxRounds int) int {
 	return maxRounds
 }
 
-// Process returns the process attached to tile t, or nil.
-func (n *Network) Process(t packet.TileID) Process { return n.process(&n.tiles[t]) }
-
 // Injector exposes the sampled fault state (read-only use).
 func (n *Network) Injector() *fault.Injector { return n.inj }
 
@@ -840,22 +837,13 @@ func (n *Network) Run() Result {
 // Ctx is the per-round view a Process has of its tile: the hardware
 // interface of Fig. 3-5 from the IP core's side of the buffers. The
 // engine reuses one Ctx per tile across rounds, so a Process must use the
-// Ctx only within the Init/Round/Receive call that handed it over, and
-// must not retain the Delivered slice past the Round call (the mailbox is
-// recycled).
+// Ctx only within the Init/Round/Receive call that handed it over.
 type Ctx struct {
-	net       *Network
-	tile      *tile
+	net  *Network
+	tile *tile
+	// delivered is the tile's mailbox while Round runs: the packets that
+	// arrived since the previous round (only the engine's tests read it).
 	delivered []*packet.Packet
-}
-
-// Self returns the hosting tile's ID. A zero Ctx (as unit tests hand to
-// Receive implementations directly) reports tile 0.
-func (c *Ctx) Self() packet.TileID {
-	if c.tile == nil {
-		return 0
-	}
-	return c.tile.id
 }
 
 // Round returns the current round index (0 for a zero Ctx).
@@ -865,12 +853,6 @@ func (c *Ctx) Round() int {
 	}
 	return c.net.round
 }
-
-// Delivered returns the messages addressed to this tile that arrived since
-// the previous round, each delivered exactly once. Only packets that
-// arrived while a Process was attached are here: a tile stores nothing
-// before its first Attach (see Process).
-func (c *Ctx) Delivered() []*packet.Packet { return c.delivered }
 
 // Send creates a new message and hands it to the communication fabric.
 // The IP core neither knows nor cares where dst is — locating it is the
@@ -893,13 +875,3 @@ func (c *Ctx) Send(dst packet.TileID, kind packet.Kind, payload []byte) (packet.
 	})
 	return id, nil
 }
-
-// Broadcast creates a message addressed to every tile. It propagates
-// Send's packet.ErrTooLarge for oversized payloads.
-func (c *Ctx) Broadcast(kind packet.Kind, payload []byte) (packet.MsgID, error) {
-	return c.Send(packet.Broadcast, kind, payload)
-}
-
-// Rand returns the tile-local random stream for application use (e.g.
-// randomized workloads); consuming it does not perturb other tiles.
-func (c *Ctx) Rand() *rng.Stream { return &c.tile.rnd }

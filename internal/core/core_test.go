@@ -528,7 +528,7 @@ type broadcastOnce struct{ sent bool }
 func (b *broadcastOnce) Init(*Ctx) {}
 func (b *broadcastOnce) Round(ctx *Ctx) {
 	if !b.sent {
-		ctx.Broadcast(2, []byte("all"))
+		ctx.Send(packet.Broadcast, 2, []byte("all"))
 		b.sent = true
 	}
 }

@@ -27,7 +27,7 @@ type recorderProc struct{ got []packet.MsgID }
 
 func (r *recorderProc) Init(*Ctx) {}
 func (r *recorderProc) Round(ctx *Ctx) {
-	for _, p := range ctx.Delivered() {
+	for _, p := range ctx.delivered {
 		r.got = append(r.got, p.ID)
 	}
 }

@@ -49,13 +49,14 @@ func (s *oversizeSender) Round(ctx *Ctx) {
 	}
 	s.done = true
 	s.bigID, s.bigErr = ctx.Send(1, 0, make([]byte, packet.MaxPayload+1))
-	_, s.broadErr = ctx.Broadcast(0, make([]byte, packet.MaxPayload+1))
+	_, s.broadErr = ctx.Send(packet.Broadcast, 0, make([]byte, packet.MaxPayload+1))
 	s.smallID, s.smallErr = ctx.Send(1, 0, []byte("fits"))
 }
 
 // TestSendOversizedPayload pins the same guard on the Process-facing API:
-// Ctx.Send and Ctx.Broadcast reject unframeable payloads with
-// packet.ErrTooLarge, consume no ID, and leave the fabric working.
+// Ctx.Send, to one tile or to packet.Broadcast, rejects unframeable
+// payloads with packet.ErrTooLarge, consumes no ID, and leaves the fabric
+// working.
 func TestSendOversizedPayload(t *testing.T) {
 	n := mustNet(t, baseCfg(topology.NewGrid(2, 2), 1))
 	proc := &oversizeSender{}
@@ -68,7 +69,7 @@ func TestSendOversizedPayload(t *testing.T) {
 		t.Fatalf("oversized Send returned MsgID %d, want 0", proc.bigID)
 	}
 	if !errors.Is(proc.broadErr, packet.ErrTooLarge) {
-		t.Fatalf("oversized Broadcast: err = %v, want packet.ErrTooLarge", proc.broadErr)
+		t.Fatalf("oversized broadcast Send: err = %v, want packet.ErrTooLarge", proc.broadErr)
 	}
 	if proc.smallErr != nil {
 		t.Fatalf("small Send after rejection: %v", proc.smallErr)

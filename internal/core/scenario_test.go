@@ -47,8 +47,8 @@ type mailProc struct{ log *[]mailRec }
 func (mailProc) Init(*Ctx) {}
 
 func (m mailProc) Round(ctx *Ctx) {
-	for _, p := range ctx.Delivered() {
-		*m.log = append(*m.log, mailRec{tile: ctx.Self(), round: ctx.Round(), id: p.ID, payload: string(p.Payload)})
+	for _, p := range ctx.delivered {
+		*m.log = append(*m.log, mailRec{tile: ctx.tile.id, round: ctx.Round(), id: p.ID, payload: string(p.Payload)})
 	}
 }
 

@@ -11,14 +11,14 @@ import (
 func TestChecksum16KnownVector(t *testing.T) {
 	// "123456789" is the standard CRC check string; CRC-16/CCITT-FALSE
 	// of it is 0x29B1.
-	if got := Checksum16([]byte("123456789")); got != 0x29b1 {
-		t.Fatalf("Checksum16(check string) = %#04x, want 0x29b1", got)
+	if got := checksumSerial16([]byte("123456789")); got != 0x29b1 {
+		t.Fatalf("CRC-16 of the check string = %#04x, want 0x29b1", got)
 	}
 }
 
 func TestChecksum16Empty(t *testing.T) {
-	if got := Checksum16(nil); got != 0xffff {
-		t.Fatalf("Checksum16(nil) = %#04x, want 0xffff (initial state)", got)
+	if got := checksumSerial16(nil); got != 0xffff {
+		t.Fatalf("CRC-16 of nothing = %#04x, want 0xffff (initial state)", got)
 	}
 }
 
@@ -49,7 +49,7 @@ func TestSerialMatchesTable16(t *testing.T) {
 		for j := range data {
 			data[j] = byte(r.Uint64())
 		}
-		if got, want := ChecksumSerial16(data), Checksum16(data); got != want {
+		if got, want := checksumSerial16(data), checksum16(data); got != want {
 			t.Fatalf("serial %#04x != table %#04x for %v", got, want, data)
 		}
 	}
@@ -65,7 +65,7 @@ func TestSerialMatchesTable32(t *testing.T) {
 		for j := range data {
 			data[j] = byte(r.Uint64())
 		}
-		if got, want := ChecksumSerial32(data), Checksum32(data); got != want {
+		if got, want := checksumSerial32(data), Checksum32(data); got != want {
 			t.Fatalf("serial %#08x != fast path %#08x for %v", got, want, data)
 		}
 	}
@@ -79,7 +79,7 @@ func TestChecksum32InPieces(t *testing.T) {
 	for j := range data {
 		data[j] = byte(r.Uint64())
 	}
-	want := ChecksumSerial32(data)
+	want := checksumSerial32(data)
 	for i := range data {
 		if got := Update32(Update32(0, data[:i]), data[i:]); got != want {
 			t.Fatalf("split at %d: %#08x, want %#08x", i, got, want)
@@ -90,19 +90,24 @@ func TestChecksum32InPieces(t *testing.T) {
 	}
 }
 
+// TestShiftRegisterReset checks that every new register starts in the
+// reset state, whatever another register has clocked: each frame's CRC
+// is computed from a fresh one.
 func TestShiftRegisterReset(t *testing.T) {
 	s := NewShiftRegister16()
 	s.ClockByte(0xa5)
-	s.Reset()
-	if s.Sum() != 0xffff {
-		t.Fatalf("after Reset, Sum = %#04x", s.Sum())
+	if s.Sum() == 0xffff {
+		t.Fatal("clocking a byte left the reset state")
+	}
+	if got := NewShiftRegister16().Sum(); got != 0xffff {
+		t.Fatalf("new register Sum = %#04x, want 0xffff", got)
 	}
 }
 
 // Property: the table-driven and bit-serial CRC-16 agree on arbitrary input.
 func TestQuickSerialEquivalence16(t *testing.T) {
 	f := func(data []byte) bool {
-		return Checksum16(data) == ChecksumSerial16(data)
+		return checksum16(data) == checksumSerial16(data)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -113,7 +118,7 @@ func TestQuickSerialEquivalence16(t *testing.T) {
 // bit-serial reference on arbitrary input.
 func TestQuickStdlibEquivalence32(t *testing.T) {
 	f := func(data []byte) bool {
-		return crc32.ChecksumIEEE(data) == ChecksumSerial32(data)
+		return crc32.ChecksumIEEE(data) == checksumSerial32(data)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -123,13 +128,13 @@ func TestQuickStdlibEquivalence32(t *testing.T) {
 // Property: any single-bit error is detected by CRC-16.
 func TestSingleBitErrorsDetected(t *testing.T) {
 	data := []byte("stochastic communication packet payload")
-	want := Checksum16(data)
+	want := checksumSerial16(data)
 	for i := range data {
 		for b := 0; b < 8; b++ {
 			corrupted := make([]byte, len(data))
 			copy(corrupted, data)
 			corrupted[i] ^= 1 << uint(b)
-			if Checksum16(corrupted) == want {
+			if checksumSerial16(corrupted) == want {
 				t.Fatalf("single-bit error at byte %d bit %d undetected", i, b)
 			}
 		}
@@ -145,7 +150,7 @@ func TestBurstErrorsDetected16(t *testing.T) {
 	for i := range data {
 		data[i] = byte(r.Uint64())
 	}
-	want := Checksum16(data)
+	want := checksumSerial16(data)
 	for trial := 0; trial < 500; trial++ {
 		burstLen := 1 + r.Intn(16) // bits
 		start := r.Intn(len(data)*8 - burstLen)
@@ -163,7 +168,7 @@ func TestBurstErrorsDetected16(t *testing.T) {
 				}
 			}
 		}
-		if Checksum16(corrupted) == want {
+		if checksumSerial16(corrupted) == want {
 			t.Fatalf("burst error (len %d at %d) undetected", burstLen, start)
 		}
 	}
@@ -177,14 +182,14 @@ func TestRandomErrorsDetectionRate(t *testing.T) {
 	for i := range data {
 		data[i] = byte(r.Uint64())
 	}
-	want := Checksum16(data)
+	want := checksumSerial16(data)
 	misses := 0
 	for trial := 0; trial < 20000; trial++ {
 		corrupted := make([]byte, len(data))
 		for i := range corrupted {
 			corrupted[i] = byte(r.Uint64())
 		}
-		if Checksum16(corrupted) == want {
+		if checksumSerial16(corrupted) == want {
 			misses++
 		}
 	}
@@ -193,19 +198,11 @@ func TestRandomErrorsDetectionRate(t *testing.T) {
 	}
 }
 
-func BenchmarkChecksum16(b *testing.B) {
+func BenchmarkShiftRegister16(b *testing.B) {
 	data := make([]byte, 64)
 	b.SetBytes(int64(len(data)))
 	for i := 0; i < b.N; i++ {
-		_ = Checksum16(data)
-	}
-}
-
-func BenchmarkChecksumSerial16(b *testing.B) {
-	data := make([]byte, 64)
-	b.SetBytes(int64(len(data)))
-	for i := 0; i < b.N; i++ {
-		_ = ChecksumSerial16(data)
+		_ = checksumSerial16(data)
 	}
 }
 

@@ -17,8 +17,8 @@
 // internal/ that no binary, the benchmark or the figure harness imports
 // must name in DESIGN.md the EXPERIMENTS.md section it backs, and
 // callers_test.go holds the same rule below package level: an exported
-// function or type nothing outside the tests calls must be a listed test
-// reference or back a listed claim.
+// function, type, method, constant or variable nothing outside the tests
+// uses must be a listed test reference or back a listed claim.
 package docaudit
 
 import (
@@ -119,9 +119,26 @@ func TestDesignDocReferencesExist(t *testing.T) {
 }
 
 // TestTestingDocReferencesExist applies the same link check to
-// docs/TESTING.md, the test-suite guide.
+// docs/TESTING.md, the test-suite guide, and fails for every test or
+// fuzz target it names that no test function of the repository is, or
+// starts with (a -run pattern such as TestQuick selects by prefix).
 func TestTestingDocReferencesExist(t *testing.T) {
-	auditDocReferences(t, "../../docs/TESTING.md")
+	const doc = "../../docs/TESTING.md"
+	auditDocReferences(t, doc)
+	text, err := os.ReadFile(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tests := testFuncs(t)
+	for _, name := range refereeRe.FindAllString(string(text), -1) {
+		found := false
+		for test := range tests {
+			found = found || strings.HasPrefix(test, name)
+		}
+		if !found {
+			t.Errorf("%s names %s, which no test function in the repository is or starts with", doc, name)
+		}
+	}
 }
 
 // TestPaperDocReferencesExist applies the same link check to PAPER.md,

@@ -56,22 +56,6 @@ func Forward(x []complex128) error {
 	return nil
 }
 
-// NaiveDFT computes the O(N²) discrete Fourier transform as a reference.
-// It works for any length.
-func NaiveDFT(x []complex128) []complex128 {
-	n := len(x)
-	out := make([]complex128, n)
-	for k := 0; k < n; k++ {
-		var sum complex128
-		for t := 0; t < n; t++ {
-			ang := -2 * math.Pi * float64(k) * float64(t) / float64(n)
-			sum += x[t] * cmplx.Exp(complex(0, ang))
-		}
-		out[k] = sum
-	}
-	return out
-}
-
 // Forward2D computes the 2-D FFT of a rows×cols matrix in place: the 1-D
 // transform applied along both dimensions, as the thesis' FFT2 case study
 // does ("Equation 5 is applied to both dimensions").

@@ -38,7 +38,7 @@ func TestIsPowerOfTwo(t *testing.T) {
 func TestForwardMatchesNaiveDFT(t *testing.T) {
 	for _, n := range []int{1, 2, 4, 8, 64, 256} {
 		x := randomSignal(n, uint64(n))
-		want := NaiveDFT(x)
+		want := naiveDFT(x)
 		got := append([]complex128(nil), x...)
 		if err := Forward(got); err != nil {
 			t.Fatal(err)

@@ -57,12 +57,6 @@ func (a *Accounting) AddTransmissions(copies, sizeBits int) {
 	a.Bits += copies * sizeBits
 }
 
-// Merge adds the counters of b into a.
-func (a *Accounting) Merge(b Accounting) {
-	a.Transmissions += b.Transmissions
-	a.Bits += b.Bits
-}
-
 // AvgPacketBits returns S, the average packet size in bits.
 func (a Accounting) AvgPacketBits() float64 {
 	if a.Transmissions == 0 {

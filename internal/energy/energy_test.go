@@ -28,14 +28,6 @@ func TestAccountingEmpty(t *testing.T) {
 	}
 }
 
-func TestMerge(t *testing.T) {
-	a := Accounting{Transmissions: 2, Bits: 100}
-	a.Merge(Accounting{Transmissions: 3, Bits: 50})
-	if a.Transmissions != 5 || a.Bits != 150 {
-		t.Fatalf("Merge: %+v", a)
-	}
-}
-
 func TestEnergyEq3(t *testing.T) {
 	// E = N * S * Ebit: 1000 packets of 512 bits on a 2.4e-10 J/bit link.
 	var a Accounting

@@ -39,7 +39,7 @@ func TestMetricsBroadcastSumsReconcile(t *testing.T) {
 	}
 	sum := func(id metrics.IntID) int {
 		var total float64
-		for _, s := range agg.Int(id) {
+		for _, s := range agg.Ints[id] {
 			total += s.Sum
 		}
 		return int(total)

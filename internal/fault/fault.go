@@ -193,9 +193,6 @@ func allLinks(topo topology.Topology) [][2]packet.TileID {
 	return links
 }
 
-// Model returns the injector's configuration.
-func (inj *Injector) Model() Model { return inj.model }
-
 // TileAlive reports whether tile t escaped crash injection.
 func (inj *Injector) TileAlive(t packet.TileID) bool {
 	if uint(t) >= uint(len(inj.tileAlive)) {

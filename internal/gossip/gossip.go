@@ -35,33 +35,6 @@ func TheoreticalSpread(n, rounds int) []float64 {
 	return out
 }
 
-// TheoreticalFloodSpread evaluates the probabilistic-flooding analogue
-// of Eq. 1 for the fabric protocol itself on a fully connected mesh:
-// every informed tile forwards the rumor on each of its n−1 ports
-// independently with probability p per round, so an uninformed tile
-// stays uninformed with probability (1−p)^I(t) and
-//
-//	I(t+1) = n − (n − I(t))·(1 − p)^I(t),    I(0) = 1.
-//
-// (Eq. 1 is the one-confidant limit: choosing a single uniform target
-// gives (1−1/(n−1))^I ≈ e^(−I/n) in place of (1−p)^I.) The recursion is
-// mean-field — exact in expectation conditioned on I(t), with the
-// fluctuation terms dropped — and is the reference curve the
-// batch-kernel statistical cross-check holds the engine against: both
-// forwarding kernels must track it within Monte Carlo noise. It assumes
-// every informed tile still buffers the rumor (TTL longer than the
-// horizon) and a fault-free fabric.
-func TheoreticalFloodSpread(n int, p float64, rounds int) []float64 {
-	out := make([]float64, rounds+1)
-	out[0] = 1
-	nf := float64(n)
-	for t := 0; t < rounds; t++ {
-		i := out[t]
-		out[t+1] = nf - (nf-i)*math.Pow(1-p, i)
-	}
-	return out
-}
-
 // FloodSpreadDist returns the exact probability distribution of the
 // informed-tile count after `rounds` rounds of probabilistic flooding on
 // a fully connected fault-free n-tile fabric: out[k] = P[I(rounds) = k]
@@ -76,8 +49,9 @@ func TheoreticalFloodSpread(n int, p float64, rounds int) []float64 {
 //	I(t+1) − i  ~  Binomial(n−i, 1 − (1−p)^i).
 //
 // This is the exact law whose conditional expectation, iterated with the
-// fluctuations dropped, is the TheoreticalFloodSpread mean-field
-// recursion. It matches the engine's dynamics on a fully connected
+// fluctuations dropped, is the mean-field recursion
+// I(t+1) = n − (n − I(t))·(1 − p)^I(t), the probabilistic-flooding
+// analogue of Eq. 1. It matches the engine's dynamics on a fully connected
 // topology exactly — fault free, dedup on, TTL longer than the horizon —
 // because a tile informed during round t (phase 4) starts forwarding in
 // round t+1 (phase 3), which is the statistical-model-checking ground

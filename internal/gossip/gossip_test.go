@@ -177,7 +177,7 @@ func TestFloodSpreadDistIsDistribution(t *testing.T) {
 // percent (exactly at round 0 and in the p→1 limit).
 func TestFloodSpreadDistMeanNearMeanField(t *testing.T) {
 	const n, p, rounds = 16, 0.3, 5
-	mf := TheoreticalFloodSpread(n, p, rounds)
+	mf := theoreticalFloodSpread(n, p, rounds)
 	for T := 0; T <= rounds; T++ {
 		dist := FloodSpreadDist(n, p, T)
 		var mean float64

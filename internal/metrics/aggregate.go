@@ -40,12 +40,6 @@ type Aggregate struct {
 	Floats [numFloats][]RoundStat
 }
 
-// Int returns one merged integer series (length Rounds+1, index=round).
-func (a *Aggregate) Int(id IntID) []RoundStat { return a.Ints[id] }
-
-// Float returns one merged float series (length Rounds+1, index=round).
-func (a *Aggregate) Float(id FloatID) []RoundStat { return a.Floats[id] }
-
 // Merge folds replicas' TimeSeries into per-round cross-replica
 // statistics. The fold visits replicas in slice order, so the result is
 // a pure function of the input slice — the internal/sim runner hands

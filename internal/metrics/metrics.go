@@ -271,12 +271,8 @@ func (r *Recorder) Total(id IntID) int64 {
 	return sum
 }
 
-// Rounds returns the highest round recorded so far (0 before the first
-// round).
-func (r *Recorder) Rounds() int { return r.last }
-
 // Series snapshots the recorded data as an immutable TimeSeries covering
-// rounds [0, Rounds()]. It copies (one allocation per series) so the
+// rounds 0 through the highest recorded round. It copies (one allocation per series) so the
 // snapshot survives further recording; call it once, after the run.
 func (r *Recorder) Series() *TimeSeries {
 	n := r.last + 1

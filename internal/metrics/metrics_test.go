@@ -129,8 +129,8 @@ func TestMetricsInstallChains(t *testing.T) {
 	if rec.Total(metrics.Transmissions) == 0 {
 		t.Error("recorder counted no transmissions behind the chained hook")
 	}
-	if rec.Rounds() != 3 {
-		t.Errorf("recorder highest round %d, want 3", rec.Rounds())
+	if got := rec.Series().Rounds; got != 3 {
+		t.Errorf("recorder highest round %d, want 3", got)
 	}
 }
 
@@ -162,7 +162,7 @@ func TestMetricsMergeStats(t *testing.T) {
 	if a.Replicas != 2 || a.Rounds != 3 {
 		t.Fatalf("Replicas %d Rounds %d, want 2 and 3", a.Replicas, a.Rounds)
 	}
-	tx := a.Int(metrics.Transmissions)
+	tx := a.Ints[metrics.Transmissions]
 	r1 := tx[1]
 	if r1.N != 2 || r1.Sum != 6 || r1.Mean != 3 || r1.Min != 2 || r1.Max != 4 {
 		t.Errorf("round 1 stat %+v, want N=2 Sum=6 Mean=3 Min=2 Max=4", r1)
@@ -202,8 +202,8 @@ func TestMetricsRecorderGrowth(t *testing.T) {
 	}
 	before := net.Counters().Energy.Transmissions
 	net.Step()
-	if rec.Rounds() != 100 {
-		t.Fatalf("recorded rounds %d, want 100", rec.Rounds())
+	if got := rec.Series().Rounds; got != 100 {
+		t.Fatalf("recorded rounds %d, want 100", got)
 	}
 	want := int64(net.Counters().Energy.Transmissions - before)
 	if got := rec.Series().Int(metrics.Transmissions)[100]; got != want || got == 0 {

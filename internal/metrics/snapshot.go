@@ -20,9 +20,9 @@ import (
 const payloadVersion = 1
 
 // EncodeState writes the recorder's mutable state — watched message,
-// energy accumulator, and every series over the recorded rounds
-// [0, Rounds()] — as a SecMetrics payload. Unrecorded rounds beyond
-// Rounds() are omitted: they are zero by construction on both sides.
+// energy accumulator, and every series over the recorded rounds, 0
+// through the highest — as a SecMetrics payload. Unrecorded rounds
+// beyond it are omitted: they are zero by construction on both sides.
 func (r *Recorder) EncodeState(w *snapshot.Writer) {
 	w.Int(payloadVersion)
 	w.Int(numInts)

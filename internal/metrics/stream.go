@@ -32,8 +32,8 @@ func NewStreamer(rec *Recorder) *Streamer {
 }
 
 // RoundLine renders round's JSONL line (newline-terminated). round
-// must not exceed rec.Rounds(). The returned slice is reused by the
-// next call; copy it to retain.
+// must not exceed the highest round rec has recorded. The returned
+// slice is reused by the next call; copy it to retain.
 func (s *Streamer) RoundLine(round int) []byte {
 	if round < 0 || round > s.rec.last {
 		panic(fmt.Sprintf("metrics: Streamer.RoundLine(%d) outside recorded rounds [0, %d]", round, s.rec.last))

@@ -89,7 +89,7 @@ func TestStreamerRoundLineAllocatesNothing(t *testing.T) {
 }
 
 // TestStreamerRejectsUnrecordedRound pins the contract that only
-// recorded rounds ([0, Rounds()]) can be rendered.
+// recorded rounds (0 through the highest) can be rendered.
 func TestStreamerRejectsUnrecordedRound(t *testing.T) {
 	rec := NewRecorder(Config{Rounds: 8})
 	add(rec, Created, 2, 1)

@@ -18,17 +18,16 @@ import (
 	"repro/internal/rng"
 )
 
-// ErrorModel selects how a data upset scrambles a frame.
+// ErrorModel selects how a data upset scrambles a frame. The zero value
+// flips a uniformly random non-empty subset of the frame's bits
+// (Chapter 2's random error vector model).
 type ErrorModel int
 
 const (
-	// RandomErrorVector flips a uniformly random non-empty subset of the
-	// frame's bits (Chapter 2's random error vector model).
-	RandomErrorVector ErrorModel = iota
 	// RandomBitError flips each bit independently with probability
 	// p_b = p_upset / n, conditioned on at least one flip so that the
 	// upset is never a no-op.
-	RandomBitError
+	RandomBitError ErrorModel = iota + 1
 	// SingleBitError flips exactly one uniformly random bit — the classic
 	// SEU (single-event upset) caused by a particle strike.
 	SingleBitError
@@ -58,7 +57,7 @@ func Corrupt(model ErrorModel, frame []byte, pupset float64, r *rng.Stream) {
 		if !flipped {
 			flipBit(frame, r.Intn(nbits))
 		}
-	default: // RandomErrorVector
+	default: // the zero value, the random error vector
 		// A uniformly random non-null error vector: flip each bit with
 		// probability 1/2, rejecting the all-zero outcome. For frames of
 		// realistic size the rejection probability is negligible, but we

@@ -89,26 +89,6 @@ func EncodedLen(payloadLen int) int { return headerLen + payloadLen + crcLen }
 // model E = N_packets * S * E_bit (thesis Eq. 3).
 func (p *Packet) SizeBits() int { return 8 * EncodedLen(len(p.Payload)) }
 
-// ShallowClone returns a copy of p sharing the payload slice. Forwarding
-// engines use it for in-flight copies: the header (notably the TTL) is
-// copied by value, and payloads are immutable once a packet is created,
-// so sharing is safe and avoids copying kilobyte payloads per hop.
-func (p *Packet) ShallowClone() *Packet {
-	q := *p
-	return &q
-}
-
-// Clone returns a deep copy of p, for callers that intend to mutate the
-// payload.
-func (p *Packet) Clone() *Packet {
-	q := *p
-	if p.Payload != nil {
-		q.Payload = make([]byte, len(p.Payload))
-		copy(q.Payload, p.Payload)
-	}
-	return &q
-}
-
 // String implements fmt.Stringer for debugging and traces.
 func (p *Packet) String() string {
 	return fmt.Sprintf("pkt{id=%d %d->%d kind=%d ttl=%d len=%d}",

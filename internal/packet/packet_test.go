@@ -128,24 +128,6 @@ func TestCorruptionDetected(t *testing.T) {
 	}
 }
 
-func TestClone(t *testing.T) {
-	p := samplePacket()
-	q := p.Clone()
-	q.TTL = 1
-	q.Payload[0] = 'X'
-	if p.TTL == 1 || p.Payload[0] == 'X' {
-		t.Fatal("Clone aliased the original")
-	}
-}
-
-func TestCloneNilPayload(t *testing.T) {
-	p := &Packet{ID: 1}
-	q := p.Clone()
-	if q.Payload != nil {
-		t.Fatal("Clone invented a payload")
-	}
-}
-
 func TestString(t *testing.T) {
 	s := samplePacket().String()
 	if !strings.Contains(s, "3->12") {
@@ -196,6 +178,10 @@ func TestQuickCorruptChangesFrame(t *testing.T) {
 	}
 }
 
+// randomErrorVector is ErrorModel's zero value, the random error vector
+// model.
+const randomErrorVector ErrorModel = 0
+
 func TestCorruptedFrameRejectedByCRC(t *testing.T) {
 	r := rng.New(7)
 	rejected := 0
@@ -203,7 +189,7 @@ func TestCorruptedFrameRejectedByCRC(t *testing.T) {
 	for i := 0; i < trials; i++ {
 		p := &Packet{ID: MsgID(i), Src: 1, Dst: 2, TTL: 5, Payload: []byte("abcdefgh")}
 		frame, _ := Encode(p)
-		Corrupt(RandomErrorVector, frame, 1, r)
+		Corrupt(randomErrorVector, frame, 1, r)
 		if _, err := Decode(frame); err != nil {
 			rejected++
 		}
@@ -258,7 +244,7 @@ func TestPbFromUpsetEdges(t *testing.T) {
 
 func TestCorruptEmptyFrameNoop(t *testing.T) {
 	r := rng.New(1)
-	Corrupt(RandomErrorVector, nil, 0.5, r) // must not panic
+	Corrupt(randomErrorVector, nil, 0.5, r) // must not panic
 }
 
 func BenchmarkEncode(b *testing.B) {

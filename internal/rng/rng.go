@@ -282,15 +282,6 @@ func (r *Stream) Perm(n int) []int {
 	return p
 }
 
-// Shuffle randomly permutes the first n elements using the provided swap
-// function, matching the contract of math/rand.Shuffle.
-func (r *Stream) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
 // Sample returns k distinct values drawn uniformly from [0, n) in random
 // order. It panics if k > n or k < 0.
 func (r *Stream) Sample(n, k int) []int {

@@ -261,19 +261,6 @@ func TestSamplePanics(t *testing.T) {
 	New(1).Sample(3, 5)
 }
 
-func TestShuffleMatchesPermSemantics(t *testing.T) {
-	r := New(47)
-	vals := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	r.Shuffle(len(vals), func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
-	seen := make([]bool, len(vals))
-	for _, v := range vals {
-		if seen[v] {
-			t.Fatalf("Shuffle duplicated value: %v", vals)
-		}
-		seen[v] = true
-	}
-}
-
 func TestExponentialMean(t *testing.T) {
 	r := New(53)
 	const n = 200000

@@ -42,6 +42,9 @@ import (
 type Cache struct {
 	dir string
 
+	// hits, misses and corrupt count Get's outcomes (a corrupt entry is
+	// also a miss); the server keeps its own hit and miss counts for
+	// Stats, so only the tests read these.
 	hits    atomic.Int64
 	misses  atomic.Int64
 	corrupt atomic.Int64
@@ -62,32 +65,6 @@ func OpenCache(dir string) (*Cache, error) {
 // path names key's entry file.
 func (c *Cache) path(key string) string {
 	return filepath.Join(c.dir, key+".res")
-}
-
-// Hits returns the number of Get calls served from disk.
-func (c *Cache) Hits() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.hits.Load()
-}
-
-// Misses returns the number of Get calls that found no servable entry
-// (absent, corrupt, or canon-mismatched).
-func (c *Cache) Misses() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.misses.Load()
-}
-
-// Corrupt returns the number of entry files rejected (and deleted)
-// because they did not decode as a result container.
-func (c *Cache) Corrupt() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.corrupt.Load()
 }
 
 // Get looks key up. canon is the requester's canonical request JSON; an

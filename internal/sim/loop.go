@@ -67,12 +67,6 @@ func (s LoopStatus) String() string {
 	}
 }
 
-// Terminal reports whether the status is a run outcome (done, budget,
-// quiescent) rather than a control outcome (yielded, canceled).
-func (s LoopStatus) Terminal() bool {
-	return s == LoopDone || s == LoopBudget || s == LoopQuiescent
-}
-
 // Loop drives one network round by round with a control check at every
 // round barrier. The hooks run on the calling goroutine, strictly
 // between rounds, so they may checkpoint, record, or stream without any

@@ -37,8 +37,8 @@ func TestScenarioStopsAtDelivery(t *testing.T) {
 		t.Fatalf("status %v, delivered %d at round %d; want done in the delivery round, >= 14 hops",
 			tr.Status, tr.Delivered, tr.Net.Round())
 	}
-	if tr.Msg != 1 || tr.Rec.Rounds() != tr.Net.Round() {
-		t.Fatalf("msg %d, recorded %d rounds of %d", tr.Msg, tr.Rec.Rounds(), tr.Net.Round())
+	if got := tr.Rec.Series().Rounds; tr.Msg != 1 || got != tr.Net.Round() {
+		t.Fatalf("msg %d, recorded %d rounds of %d", tr.Msg, got, tr.Net.Round())
 	}
 }
 

@@ -210,7 +210,7 @@ func (broadcastAt) Init(*core.Ctx) {}
 
 func (broadcastAt) Round(ctx *core.Ctx) {
 	if ctx.Round() == 3 {
-		ctx.Broadcast(0, []byte("mid-run"))
+		ctx.Send(packet.Broadcast, 0, []byte("mid-run"))
 	}
 }
 

@@ -423,15 +423,6 @@ func (r *Reader) U8() uint8 {
 	return b[0]
 }
 
-// U16 reads a big-endian uint16.
-func (r *Reader) U16() uint16 {
-	b := r.take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint16(b)
-}
-
 // U32 reads a big-endian uint32.
 func (r *Reader) U32() uint32 {
 	b := r.take(4)

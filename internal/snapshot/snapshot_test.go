@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io/fs"
 	"math"
 	"os"
@@ -51,8 +52,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if got := r.U8(); got != 7 {
 		t.Errorf("U8 = %d", got)
 	}
-	if got := r.U16(); got != 0xbeef {
-		t.Errorf("U16 = %#x", got)
+	if hi, lo := r.U8(), r.U8(); hi != 0xbe || lo != 0xef {
+		t.Errorf("U16 wrote %#x %#x, want 0xbe 0xef", hi, lo)
 	}
 	if got := r.U32(); got != 0xdeadbeef {
 		t.Errorf("U32 = %#x", got)
@@ -91,7 +92,9 @@ func TestSnapshotRoundTrip(t *testing.T) {
 }
 
 // TestSnapshotLayout pins the bytes Close streams out against the format
-// written out by hand, for a container with sections and one without.
+// written out by hand, for a container with sections and one without;
+// the trailer is the standard library's CRC-32 (IEEE) of the body, which
+// internal/crc's tests hold to a bit-serial CRC-32.
 func TestSnapshotLayout(t *testing.T) {
 	var sections []byte
 	for _, s := range []struct {
@@ -117,7 +120,7 @@ func TestSnapshotLayout(t *testing.T) {
 			return buf.Bytes()
 		}(), []byte("SNOC\x00\x01")},
 	} {
-		want := binary.BigEndian.AppendUint32(c.body, crc.ChecksumSerial32(c.body))
+		want := binary.BigEndian.AppendUint32(c.body, crc32.ChecksumIEEE(c.body))
 		if !bytes.Equal(c.got, want) {
 			t.Errorf("%s: Close wrote\n%x, want\n%x", c.name, c.got, want)
 		}

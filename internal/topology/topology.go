@@ -61,25 +61,8 @@ func (g *Graph) AddLink(a, b packet.TileID) error {
 	return nil
 }
 
-// HasLink reports whether a and b are directly connected.
-func (g *Graph) HasLink(a, b packet.TileID) bool { return hasLink(g, a, b) }
-
-// Links returns every undirected link exactly once, as (low, high) pairs
-// in deterministic order.
-func (g *Graph) Links() [][2]packet.TileID { return links(g) }
-
-func hasLink(t Topology, a, b packet.TileID) bool {
-	if int(a) >= t.Tiles() {
-		return false
-	}
-	for _, x := range t.Neighbors(a) {
-		if x == b {
-			return true
-		}
-	}
-	return false
-}
-
+// links returns every undirected link of t exactly once, as (low, high)
+// pairs in deterministic order.
 func links(t Topology) [][2]packet.TileID {
 	var links [][2]packet.TileID
 	for a := 0; a < t.Tiles(); a++ {
@@ -177,9 +160,6 @@ func (g *Grid) Neighbors(t packet.TileID) []packet.TileID {
 	lo, hi := g.off[t], g.off[t+1]
 	return g.nbrs[lo:hi:hi]
 }
-
-// HasLink reports whether a and b are directly connected.
-func (g *Grid) HasLink(a, b packet.TileID) bool { return hasLink(g, a, b) }
 
 // Links returns every undirected link exactly once, as (low, high) pairs
 // in deterministic order.

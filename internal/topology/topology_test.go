@@ -2,6 +2,7 @@ package topology
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -83,7 +84,7 @@ func TestFullyConnected(t *testing.T) {
 			t.Fatalf("degree of %d = %d", i, n)
 		}
 	}
-	if got, want := len(g.Links()), 16*15/2; got != want {
+	if got, want := len(links(g)), 16*15/2; got != want {
 		t.Fatalf("links = %d, want %d", got, want)
 	}
 }
@@ -95,7 +96,7 @@ func TestRing(t *testing.T) {
 			t.Fatalf("ring degree = %d", n)
 		}
 	}
-	if d := Diameter(g, AllAlive, AllLinksAlive); d != 4 {
+	if d := diameter(g, AllAlive, AllLinksAlive); d != 4 {
 		t.Fatalf("ring(8) diameter = %d, want 4", d)
 	}
 }
@@ -108,7 +109,7 @@ func TestTorus(t *testing.T) {
 		}
 	}
 	// Torus diameter is floor(W/2)+floor(H/2).
-	if d := Diameter(g, AllAlive, AllLinksAlive); d != 4 {
+	if d := diameter(g, AllAlive, AllLinksAlive); d != 4 {
 		t.Fatalf("torus(4,4) diameter = %d, want 4", d)
 	}
 }
@@ -213,7 +214,7 @@ func TestGridMatchesReferenceGraph(t *testing.T) {
 				t.Errorf("%dx%d wrap=%v: Neighbors(%d) = %v, want %v", tc.width, tc.height, tc.wrap, i, g, w)
 			}
 		}
-		if g, w := got.Links(), want.Links(); !reflect.DeepEqual(g, w) {
+		if g, w := got.Links(), links(want); !reflect.DeepEqual(g, w) {
 			t.Errorf("%dx%d wrap=%v: Links = %v, want %v", tc.width, tc.height, tc.wrap, g, w)
 		}
 	}
@@ -237,14 +238,14 @@ func TestAddLinkErrors(t *testing.T) {
 
 func TestHasLink(t *testing.T) {
 	g := NewGrid(3, 3)
-	if !g.HasLink(0, 1) || !g.HasLink(1, 0) {
+	if !slices.Contains(g.Neighbors(0), 1) || !slices.Contains(g.Neighbors(1), 0) {
 		t.Error("adjacent link missing")
 	}
-	if g.HasLink(0, 8) {
+	if slices.Contains(g.Neighbors(0), 8) {
 		t.Error("phantom diagonal link")
 	}
-	if g.HasLink(200, 0) {
-		t.Error("out-of-range HasLink true")
+	if got := len(links(g)); got != 12 {
+		t.Errorf("3x3 grid has %d links, want 12", got)
 	}
 }
 
@@ -307,10 +308,10 @@ func TestConnectedComponents(t *testing.T) {
 }
 
 func TestDiameterGrid(t *testing.T) {
-	if d := Diameter(NewGrid(4, 4), AllAlive, AllLinksAlive); d != 6 {
+	if d := diameter(NewGrid(4, 4), AllAlive, AllLinksAlive); d != 6 {
 		t.Fatalf("grid(4,4) diameter = %d, want 6", d)
 	}
-	if d := Diameter(NewGrid(5, 5), AllAlive, AllLinksAlive); d != 8 {
+	if d := diameter(NewGrid(5, 5), AllAlive, AllLinksAlive); d != 8 {
 		t.Fatalf("grid(5,5) diameter = %d, want 8", d)
 	}
 }
@@ -320,7 +321,7 @@ func TestDiameterDisconnected(t *testing.T) {
 	if err := g.AddLink(0, 1); err != nil {
 		t.Fatal(err)
 	}
-	if d := Diameter(g, AllAlive, AllLinksAlive); d != -1 {
+	if d := diameter(g, AllAlive, AllLinksAlive); d != -1 {
 		t.Fatalf("disconnected diameter = %d, want -1", d)
 	}
 }
@@ -328,7 +329,7 @@ func TestDiameterDisconnected(t *testing.T) {
 func TestDiameterAllDead(t *testing.T) {
 	g := NewGrid(2, 2)
 	dead := func(packet.TileID) bool { return false }
-	if d := Diameter(g, dead, AllLinksAlive); d != -1 {
+	if d := diameter(g, dead, AllLinksAlive); d != -1 {
 		t.Fatalf("all-dead diameter = %d, want -1", d)
 	}
 }
@@ -349,7 +350,7 @@ func TestQuickGridSymmetry(t *testing.T) {
 		g := NewGrid(width, height)
 		for a := 0; a < g.Tiles(); a++ {
 			for _, b := range g.Neighbors(packet.TileID(a)) {
-				if !g.HasLink(b, packet.TileID(a)) {
+				if !slices.Contains(g.Neighbors(b), packet.TileID(a)) {
 					return false
 				}
 			}

@@ -8,7 +8,6 @@ package trace
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/core"
@@ -38,12 +37,6 @@ func (c *Collector) Hook() func(core.Event) {
 	}
 }
 
-// Len returns the number of collected events.
-func (c *Collector) Len() int { return len(c.events) }
-
-// Events returns all events in emission order.
-func (c *Collector) Events() []core.Event { return c.events }
-
 // Of returns the events of one message, in emission order.
 func (c *Collector) Of(id packet.MsgID) []core.Event {
 	var out []core.Event
@@ -53,25 +46,6 @@ func (c *Collector) Of(id packet.MsgID) []core.Event {
 		}
 	}
 	return out
-}
-
-// CountByKind tallies events per kind.
-func (c *Collector) CountByKind() map[core.EventKind]int {
-	out := map[core.EventKind]int{}
-	for _, ev := range c.events {
-		out[ev.Kind]++
-	}
-	return out
-}
-
-// Delivered reports whether msg was delivered to tile.
-func (c *Collector) Delivered(id packet.MsgID, tile packet.TileID) bool {
-	for _, ev := range c.events {
-		if ev.Kind == core.EvDeliver && ev.Msg == id && ev.Tile == tile {
-			return true
-		}
-	}
-	return false
 }
 
 // Timeline renders a message's lifecycle as one line per event.
@@ -89,23 +63,6 @@ func (c *Collector) Timeline(id packet.MsgID) string {
 		}
 	}
 	return b.String()
-}
-
-// RoundActivity returns (round, transmissions in that round) pairs,
-// sorted by round — a quick congestion profile.
-func (c *Collector) RoundActivity() [][2]int {
-	counts := map[int]int{}
-	for _, ev := range c.events {
-		if ev.Kind == core.EvTransmit {
-			counts[ev.Round]++
-		}
-	}
-	out := make([][2]int, 0, len(counts))
-	for round, n := range counts {
-		out = append(out, [2]int{round, n})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
-	return out
 }
 
 // CheckInvariants validates engine-level lifecycle ordering over the

@@ -24,6 +24,25 @@ func traced(t *testing.T, cfg core.Config) (*Collector, packet.MsgID) {
 	return col, id
 }
 
+// countByKind tallies the collected events per kind.
+func countByKind(col *Collector) map[core.EventKind]int {
+	out := map[core.EventKind]int{}
+	for _, ev := range col.events {
+		out[ev.Kind]++
+	}
+	return out
+}
+
+// deliveredTo reports whether the collected events deliver id at tile.
+func deliveredTo(col *Collector, id packet.MsgID, tile packet.TileID) bool {
+	for _, ev := range col.Of(id) {
+		if ev.Kind == core.EvDeliver && ev.Tile == tile {
+			return true
+		}
+	}
+	return false
+}
+
 func TestLifecycleEventsPresent(t *testing.T) {
 	col, id := traced(t, core.Config{
 		Topo: topology.NewGrid(4, 4), P: 1, TTL: 10, MaxRounds: 100, Seed: 1,
@@ -35,17 +54,17 @@ func TestLifecycleEventsPresent(t *testing.T) {
 	if evs[0].Kind != core.EvCreated {
 		t.Fatalf("first event = %v, want created", evs[0].Kind)
 	}
-	counts := col.CountByKind()
+	counts := countByKind(col)
 	for _, k := range []core.EventKind{core.EvCreated, core.EvTransmit, core.EvDeliver, core.EvExpire} {
 		if counts[k] == 0 {
 			t.Fatalf("no %v events", k)
 		}
 	}
-	if !col.Delivered(id, 15) {
-		t.Fatal("Delivered(id, 15) false")
+	if !deliveredTo(col, id, 15) {
+		t.Fatal("no delivery at tile 15")
 	}
-	if col.Delivered(id, 3) {
-		t.Fatal("Delivered reported an unaddressed tile")
+	if deliveredTo(col, id, 3) {
+		t.Fatal("a delivery at an unaddressed tile")
 	}
 }
 
@@ -67,8 +86,40 @@ func TestInvariantsUnderFaults(t *testing.T) {
 	if v := col.CheckInvariants(); len(v) != 0 {
 		t.Fatalf("invariant violations under faults: %v", v)
 	}
-	if col.CountByKind()[core.EvUpset] == 0 {
+	if countByKind(col)[core.EvUpset] == 0 {
 		t.Fatal("no upset events recorded")
+	}
+}
+
+// TestRoundActivityProfile checks that the collector records events in
+// round order, so a per-round activity profile reads straight off it.
+func TestRoundActivityProfile(t *testing.T) {
+	col, _ := traced(t, core.Config{
+		Topo: topology.NewGrid(4, 4), P: 1, TTL: 8, MaxRounds: 60, Seed: 5,
+	})
+	var act [][2]int // (round, transmissions)
+	for _, ev := range col.events {
+		if ev.Kind != core.EvTransmit {
+			continue
+		}
+		if n := len(act); n > 0 && act[n-1][0] == ev.Round {
+			act[n-1][1]++
+			continue
+		}
+		act = append(act, [2]int{ev.Round, 1})
+	}
+	if len(act) == 0 {
+		t.Fatal("no activity profile")
+	}
+	for i := 1; i < len(act); i++ {
+		if act[i][0] <= act[i-1][0] {
+			t.Fatal("rounds not strictly increasing")
+		}
+	}
+	for i := 1; i < len(col.events); i++ {
+		if col.events[i].Round < col.events[i-1].Round {
+			t.Fatalf("event %d in round %d after round %d", i, col.events[i].Round, col.events[i-1].Round)
+		}
 	}
 }
 
@@ -84,28 +135,6 @@ func TestTimelineRendering(t *testing.T) {
 	}
 }
 
-func TestRoundActivityProfile(t *testing.T) {
-	col, _ := traced(t, core.Config{
-		Topo: topology.NewGrid(4, 4), P: 1, TTL: 8, MaxRounds: 60, Seed: 5,
-	})
-	act := col.RoundActivity()
-	if len(act) == 0 {
-		t.Fatal("no activity profile")
-	}
-	for i := 1; i < len(act); i++ {
-		if act[i][0] <= act[i-1][0] {
-			t.Fatal("rounds not strictly increasing")
-		}
-	}
-	total := 0
-	for _, a := range act {
-		total += a[1]
-	}
-	if total != col.CountByKind()[core.EvTransmit] {
-		t.Fatal("activity total does not match transmit count")
-	}
-}
-
 func TestCapTruncates(t *testing.T) {
 	col := &Collector{Cap: 10}
 	cfg := core.Config{
@@ -118,8 +147,8 @@ func TestCapTruncates(t *testing.T) {
 	}
 	net.Inject(0, packet.Broadcast, 0, nil)
 	net.Drain(100)
-	if col.Len() != 10 || !col.Truncated {
-		t.Fatalf("cap not enforced: len=%d truncated=%v", col.Len(), col.Truncated)
+	if len(col.events) != 10 || !col.Truncated {
+		t.Fatalf("cap not enforced: len=%d truncated=%v", len(col.events), col.Truncated)
 	}
 }
 

@@ -17,14 +17,13 @@ import (
 
 // Cell glyphs.
 const (
-	GlyphAware   = '#' // tile knows the message
-	GlyphBlank   = '.' // tile does not
-	GlyphDead    = 'x' // crashed tile
-	GlyphSrc     = 'S' // source
-	GlyphDst     = 'D' // destination
-	GlyphSrcHit  = '$' // source that also knows (always true after inject)
-	GlyphDstHit  = '@' // destination that has received the message
-	GlyphUnknown = '?'
+	GlyphAware  = '#' // tile knows the message
+	GlyphBlank  = '.' // tile does not
+	GlyphDead   = 'x' // crashed tile
+	GlyphSrc    = 'S' // source
+	GlyphDst    = 'D' // destination
+	GlyphSrcHit = '$' // source that also knows (always true after inject)
+	GlyphDstHit = '@' // destination that has received the message
 )
 
 // Frame renders one snapshot of a grid network: which tiles are aware of
