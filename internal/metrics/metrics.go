@@ -286,6 +286,24 @@ func (r *Recorder) Series() *TimeSeries {
 	return ts
 }
 
+// View is Series without the copy: its series alias the recorder's
+// tables, so they hold only until the next round is recorded (or the
+// tables grow), and must not be written. It serves a reader that follows
+// a run round by round — smc's decision at every round barrier — which
+// Series, copying every series at every call, would cost time
+// quadratic in the rounds.
+func (r *Recorder) View() TimeSeries {
+	n := r.last + 1
+	ts := TimeSeries{Rounds: r.last}
+	for i, s := range r.ints {
+		ts.Ints[i] = s[:n:n]
+	}
+	for i, s := range r.floats {
+		ts.Floats[i] = s[:n:n]
+	}
+	return ts
+}
+
 // TimeSeries is one replica's recorded per-round series: every series is
 // dense over rounds [0, Rounds] (index = round; round 0 holds pre-run
 // injections).

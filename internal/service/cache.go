@@ -42,11 +42,8 @@ import (
 type Cache struct {
 	dir string
 
-	// hits, misses and corrupt count Get's outcomes (a corrupt entry is
-	// also a miss); the server keeps its own hit and miss counts for
-	// Stats, so only the tests read these.
-	hits    atomic.Int64
-	misses  atomic.Int64
+	// corrupt counts the entries quarantined because they did not
+	// decode (Stats.CacheCorrupt).
 	corrupt atomic.Int64
 }
 
@@ -74,7 +71,8 @@ func (c *Cache) path(key string) string {
 // returns the result payload (JSONL), which aliases the bytes read from
 // the file, and the terminal status stored with it.
 func (c *Cache) Get(key string, canon []byte) (payload []byte, status Status, ok bool) {
-	return c.lookup(key, canon, new([]byte))
+	payload, ok = c.read(key, canon, new([]byte), &status)
+	return payload, status, ok
 }
 
 // entryBuffers recycles the buffers the server reads entries into: a
@@ -82,26 +80,11 @@ func (c *Cache) Get(key string, canon []byte) (payload []byte, status Status, ok
 // result bytes that done jobs no longer hold.
 var entryBuffers = sync.Pool{New: func() any { return new([]byte) }}
 
-// lookup is Get reading the entry into *buf, which the payload aliases.
-func (c *Cache) lookup(key string, canon []byte, buf *[]byte) (payload []byte, status Status, ok bool) {
-	if c == nil {
-		return nil, Status{}, false
-	}
-	payload, ok = c.read(key, canon, buf, &status)
-	if ok {
-		c.hits.Add(1)
-	} else {
-		c.misses.Add(1)
-	}
-	return payload, status, ok
-}
-
-// read is Get without the hit and miss counts: the server also uses it to
-// read a done job's result back from its entry, which is not a lookup.
-// It quarantines an entry that does not decode all the same. The file is
-// read into *buf (grown if it is too small), which the payload aliases,
-// so a caller can recycle it; status, unless nil, receives the status
-// stored with the payload.
+// read is Get reading the entry into *buf (grown if it is too small),
+// which the payload aliases, so a caller can recycle it; status, unless
+// nil, receives the status stored with the payload. The server also uses
+// it to read a done job's result back from its entry. It quarantines an
+// entry that does not decode.
 func (c *Cache) read(key string, canon []byte, buf *[]byte, status *Status) (payload []byte, ok bool) {
 	if c == nil {
 		return nil, false

@@ -214,8 +214,8 @@ func TestCorruptEntryResimulated(t *testing.T) {
 		if _, got := waitState(t, c, sub.ID, StateDone); !bytes.Equal(got, want) {
 			t.Fatalf("%s: re-simulated result differs from the original", damage.name)
 		}
-		if st := srv.Stats(); st.Simulations != int64(i+2) || srv.cache.corrupt.Load() != int64(i+1) {
-			t.Fatalf("%s: Simulations = %d, Corrupt = %d, want %d and %d", damage.name, st.Simulations, srv.cache.corrupt.Load(), i+2, i+1)
+		if st := srv.Stats(); st.Simulations != int64(i+2) || st.CacheCorrupt != int64(i+1) {
+			t.Fatalf("%s: Simulations = %d, CacheCorrupt = %d, want %d and %d", damage.name, st.Simulations, st.CacheCorrupt, i+2, i+1)
 		}
 	}
 
@@ -248,9 +248,6 @@ func TestCacheNeverCrossServesOnDigestCollision(t *testing.T) {
 	}
 	if _, _, ok := c.Get(key, b.canonical()); ok {
 		t.Fatal("cache served request A's result to request B across a key collision")
-	}
-	if c.hits.Load() != 1 || c.misses.Load() != 1 {
-		t.Fatalf("hits=%d misses=%d, want 1/1", c.hits.Load(), c.misses.Load())
 	}
 
 	// The collided writer overwrites; now B hits and A must miss.

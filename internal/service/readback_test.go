@@ -90,8 +90,8 @@ func TestDoneJobsHoldNoResultBytes(t *testing.T) {
 	if growth > 2<<20 {
 		t.Errorf("cached server: live heap grew %d B over %d jobs, want < 2 MB", growth, jobs)
 	}
-	if st := srv.Stats(); st.CacheHits != 0 || st.CacheMisses != jobs+16 || srv.cache.hits.Load() != 0 || srv.cache.misses.Load() != jobs+16 {
-		t.Errorf("result reads moved the cache counters: %+v, Hits %d, Misses %d", st, srv.cache.hits.Load(), srv.cache.misses.Load())
+	if st := srv.Stats(); st.CacheHits != 0 || st.CacheMisses != jobs+16 {
+		t.Errorf("result reads moved the cache counters: %+v", st)
 	}
 	t.Logf("cached: live heap +%d B over %d jobs", growth, jobs)
 
@@ -136,7 +136,7 @@ func TestDoneResultFailsSafe(t *testing.T) {
 			return srv.cache.Put(req.Key(), other.canonical(), []byte("other bytes\n"), Status{State: StateDone})
 		}, 0},
 	} {
-		corrupt, before := srv.cache.corrupt.Load(), srv.Stats()
+		before := srv.Stats()
 		if err := damage.mut(); err != nil {
 			t.Fatalf("%s: %v", damage.name, err)
 		}
@@ -148,7 +148,7 @@ func TestDoneResultFailsSafe(t *testing.T) {
 		if len(res) != 0 || streamed.Len() != 0 {
 			t.Fatalf("%s: served %q and streamed %q", damage.name, res, streamed.Bytes())
 		}
-		if got := srv.cache.corrupt.Load() - corrupt; got != damage.corrupt {
+		if got := srv.Stats().CacheCorrupt - before.CacheCorrupt; got != damage.corrupt {
 			t.Fatalf("%s: %d entries quarantined, want %d", damage.name, got, damage.corrupt)
 		}
 		if damage.corrupt > 0 {

@@ -83,6 +83,10 @@ type Stats struct {
 	CacheHits int64 `json:"cache_hits"`
 	// CacheMisses counts cache lookups that found no servable entry.
 	CacheMisses int64 `json:"cache_misses"`
+	// CacheCorrupt counts cache entries that did not decode and were
+	// deleted, on a lookup or a result read (each lookup of one is also a
+	// miss).
+	CacheCorrupt int64 `json:"cache_corrupt"`
 	// Simulations counts fresh engine runs started — the
 	// re-simulation detector: a cache hit or dedup leaves it unchanged.
 	Simulations int64 `json:"simulations"`
@@ -170,24 +174,29 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Stats snapshots the cumulative counters.
 func (s *Server) Stats() Stats {
 	running, queued, maxRunning, draining := s.sched.snapshot()
+	var corrupt int64
+	if s.cache != nil {
+		corrupt = s.cache.corrupt.Load()
+	}
 	return Stats{
-		Submitted:   s.submitted.Load(),
-		Accepted:    s.accepted.Load(),
-		Rejected:    s.rejected.Load(),
-		Deduped:     s.deduped.Load(),
-		CacheHits:   s.cacheHits.Load(),
-		CacheMisses: s.cacheMisses.Load(),
-		Simulations: s.simulations.Load(),
-		Resumes:     s.resumes.Load(),
-		Preemptions: s.preemptions.Load(),
-		Completed:   s.completed.Load(),
-		Canceled:    s.canceled.Load(),
-		Failed:      s.failed.Load(),
-		Running:     running,
-		Queued:      queued,
-		MaxRunning:  maxRunning,
-		Workers:     s.opts.Workers,
-		Draining:    draining,
+		Submitted:    s.submitted.Load(),
+		Accepted:     s.accepted.Load(),
+		Rejected:     s.rejected.Load(),
+		Deduped:      s.deduped.Load(),
+		CacheHits:    s.cacheHits.Load(),
+		CacheMisses:  s.cacheMisses.Load(),
+		CacheCorrupt: corrupt,
+		Simulations:  s.simulations.Load(),
+		Resumes:      s.resumes.Load(),
+		Preemptions:  s.preemptions.Load(),
+		Completed:    s.completed.Load(),
+		Canceled:     s.canceled.Load(),
+		Failed:       s.failed.Load(),
+		Running:      running,
+		Queued:       queued,
+		MaxRunning:   maxRunning,
+		Workers:      s.opts.Workers,
+		Draining:     draining,
 	}
 }
 
@@ -362,7 +371,8 @@ func (s *Server) submit(req JobRequest) (j *Job, how string, err *APIError) {
 
 	// The payload is not kept: the job's result reads go to the entry.
 	buf := entryBuffers.Get().(*[]byte)
-	_, status, ok := s.cache.lookup(key, canon, buf)
+	var status Status
+	_, ok := s.cache.read(key, canon, buf, &status)
 	entryBuffers.Put(buf)
 	if ok {
 		s.cacheHits.Add(1)

@@ -24,7 +24,8 @@ const (
 	// the network is at a round barrier, exactly where core.Snapshot is
 	// legal, so a continued run goes on bit-identically.
 	OpYield
-	// OpCancel abandons the run; the caller discards the network.
+	// OpCancel abandons the run; the caller discards the network or
+	// Resets it for another run.
 	OpCancel
 )
 

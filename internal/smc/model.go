@@ -35,26 +35,56 @@ func BroadcastModel(cfg core.Config, source packet.TileID, tech energy.Technolog
 }
 
 // Replica builds the per-trajectory evaluator for prop: each call
-// simulates one network under the given seed up to the property's horizon
-// (or to quiescence / Scenario.Rounds for unbounded properties) and
-// evaluates prop on the recorded series. The returned function is safe
-// for concurrent calls: each call takes a network of its own from a pool
-// the function keeps, Resets it (sim.Hooks.Net) and hands it back, so a
-// worker reuses one engine across its replicas instead of building one
-// per replica. Every call records into its own recorder.
+// simulates one network under the given seed and returns prop's outcome
+// on the recorded series. The run stops at the first round barrier where
+// prop is decided (see decide), at the latest at the property's horizon
+// (or at quiescence / Scenario.Rounds for unbounded properties). The
+// returned function is safe for concurrent calls: each call takes a
+// network of its own from a pool the function keeps, Resets it
+// (sim.Hooks.Net) and hands it back, so a worker reuses one engine
+// across its replicas instead of building one per replica. Every call
+// records into its own recorder.
 func (m Model) Replica(prop Property) Replica {
-	horizon := prop.Horizon()
 	var nets sync.Pool
 	return func(_ int, seed uint64) (bool, error) {
 		net, _ := nets.Get().(*core.Network)
-		t, err := m.trial(seed, horizon, net)
+		t, holds, err := m.decide(prop, seed, net)
 		if err != nil {
 			return false, err
 		}
-		ok := prop.Eval(t.Rec.Series())
 		nets.Put(t.Net)
-		return ok, nil
+		return holds, nil
 	}
+}
+
+// decide runs one replica under seed, on net Reset when it is set, and
+// returns it with prop's outcome. At every round barrier it reads the
+// rounds the recorder has added into prop's monitor, and it stops the
+// run (sim.OpCancel) at the first barrier where prop is decided: no
+// later round could change the outcome, so it is the one Eval would
+// give on the whole series. A run that ends undecided — at the horizon,
+// the round budget or quiescence — reads its last rounds after the
+// loop, which is Eval on its series.
+func (m Model) decide(prop Property, seed uint64, net *core.Network) (*sim.Trial, bool, error) {
+	mon := &monitor{prop: prop}
+	var rec *metrics.Recorder
+	t, err := m.scenario(seed, prop.Horizon()).Run(sim.Hooks{
+		Record: true, Net: net,
+		Start: func(t *sim.Trial) { rec = t.Rec },
+		Barrier: func(*core.Network) sim.BarrierOp {
+			v := rec.View()
+			if mon.follow(&v); mon.decided {
+				return sim.OpCancel
+			}
+			return sim.OpContinue
+		},
+	})
+	if err != nil {
+		return nil, false, fmt.Errorf("smc: model: %w", err)
+	}
+	v := t.Rec.View()
+	mon.follow(&v)
+	return t, mon.holds, nil
 }
 
 // Run simulates a single trajectory under seed up to horizon rounds
@@ -63,21 +93,11 @@ func (m Model) Replica(prop Property) Replica {
 // every series is the pre-run state; the engine's rounds land at
 // indices 1… .
 func (m Model) Run(seed uint64, horizon int) (*metrics.TimeSeries, error) {
-	t, err := m.trial(seed, horizon, nil)
-	if err != nil {
-		return nil, err
-	}
-	return t.Rec.Series(), nil
-}
-
-// trial runs the recorded trajectory under seed, on net Reset when it is
-// set.
-func (m Model) trial(seed uint64, horizon int, net *core.Network) (*sim.Trial, error) {
-	t, err := m.scenario(seed, horizon).Run(sim.Hooks{Record: true, Net: net})
+	t, err := m.scenario(seed, horizon).Run(sim.Hooks{Record: true})
 	if err != nil {
 		return nil, fmt.Errorf("smc: model: %w", err)
 	}
-	return t, nil
+	return t.Rec.Series(), nil
 }
 
 // scenario is the model's experiment under seed, bounded by horizon.

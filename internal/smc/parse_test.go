@@ -5,27 +5,32 @@ import (
 	"testing"
 )
 
+// canonicalForms are the property forms in their canonical text: one of
+// every atom, bound and combinator shape. TestDecisionMatchesEval checks
+// each of them too.
+var canonicalForms = []string{
+	"aware(0.95)",
+	"aware(0.95) within 64",
+	"aware(1) within 3",
+	"aware(0)",
+	"delivered",
+	"delivered by 10",
+	"delivered(3)",
+	"delivered(3) by 10",
+	"energy <= 1.5e-09",
+	"energy <= 0.25",
+	"transmissions <= 4000",
+	"not aware(0.5)",
+	"aware(0.9) within 32 and energy <= 1e-06",
+	"delivered by 8 or aware(0.99) within 64",
+	"aware(0.5) and aware(0.9) and aware(0.99)",
+	"not (aware(0.5) and delivered)",
+	"(aware(0.5) or delivered) and transmissions <= 100",
+}
+
 // Canonical specs must round-trip exactly: Parse(s).String() == s.
 func TestParseRoundTripsCanonicalForms(t *testing.T) {
-	for _, s := range []string{
-		"aware(0.95)",
-		"aware(0.95) within 64",
-		"aware(1) within 3",
-		"aware(0)",
-		"delivered",
-		"delivered by 10",
-		"delivered(3)",
-		"delivered(3) by 10",
-		"energy <= 1.5e-09",
-		"energy <= 0.25",
-		"transmissions <= 4000",
-		"not aware(0.5)",
-		"aware(0.9) within 32 and energy <= 1e-06",
-		"delivered by 8 or aware(0.99) within 64",
-		"aware(0.5) and aware(0.9) and aware(0.99)",
-		"not (aware(0.5) and delivered)",
-		"(aware(0.5) or delivered) and transmissions <= 100",
-	} {
+	for _, s := range canonicalForms {
 		p, err := Parse(s)
 		if err != nil {
 			t.Errorf("Parse(%q): %v", s, err)

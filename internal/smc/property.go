@@ -44,17 +44,28 @@ const NoHorizon = -1
 
 // Property is one checkable claim about a replica: a predicate over the
 // per-round metric series the replica recorded. Implementations are
-// immutable values; String renders the canonical text form, which Parse
-// round-trips (Parse(p.String()) is equivalent to p).
+// this package's immutable values (the unexported step closes the set);
+// String renders the canonical text form, which Parse round-trips
+// (Parse(p.String()) is equivalent to p).
 type Property interface {
-	// Eval reports whether the property holds on one replica's series.
+	// Eval reports whether the property holds on one replica's series:
+	// its decision (step) after the series' last round.
 	Eval(ts *metrics.TimeSeries) bool
 	// Horizon returns the last round index the property needs to
-	// observe, or NoHorizon when it depends on the whole run. Drivers
-	// may stop a replica once its horizon has been simulated.
+	// observe, or NoHorizon when it depends on the whole run.
+	// Model.Replica runs a replica no further, and stops it sooner, at
+	// the first round barrier where step reports it decided.
 	Horizon() int
 	// String renders the property in the canonical spec-language form.
 	String() string
+	// step is the property's one semantics, read one round at a time:
+	// it takes round m.next of the series (s) into the running state of
+	// the property's atoms in m and reports whether the property holds
+	// on the rounds read so far — its value if the series ended there —
+	// and whether it is decided, so that no later round can change that
+	// value. And, Or and Not combine their terms' answers
+	// in Kleene's three-valued logic, an undecided term being unknown.
+	step(m *monitor, s sample) (holds, decided bool)
 }
 
 // AwareProp asserts that the watched message's awareness reaches a
@@ -82,17 +93,19 @@ func (a AwareProp) Within(rounds int) AwareProp {
 	return a
 }
 
-// Eval scans the aware_fraction series up to the bound. Awareness is
-// monotone, but the scan tolerates non-monotone custom series too.
-func (a AwareProp) Eval(ts *metrics.TimeSeries) bool {
-	s := ts.Float(metrics.AwareFraction)
-	last := lastRound(len(s)-1, a.Rounds)
-	for t := 0; t <= last; t++ {
-		if s[t] >= a.Frac {
-			return true
-		}
+// Eval reports whether the aware_fraction series reaches Frac at a
+// round within the bound. Awareness is monotone, but the scan tolerates
+// non-monotone custom series too.
+func (a AwareProp) Eval(ts *metrics.TimeSeries) bool { return eval(a, ts) }
+
+// step: decided true at the first round within the bound that reaches
+// the fraction, decided false once the bound's round is read without it.
+func (a AwareProp) step(m *monitor, s sample) (holds, decided bool) {
+	st := m.state()
+	if within(m.next, a.Rounds) && s.aware >= a.Frac {
+		st.hit = true
 	}
-	return false
+	return st.hit, st.hit || !within(m.next+1, a.Rounds)
 }
 
 // Horizon returns the Within bound, or NoHorizon when unbounded.
@@ -135,18 +148,19 @@ func (d DeliveredProp) By(rounds int) DeliveredProp {
 	return d
 }
 
-// Eval accumulates the deliveries series up to the bound.
-func (d DeliveredProp) Eval(ts *metrics.TimeSeries) bool {
-	s := ts.Int(metrics.Deliveries)
-	last := lastRound(len(s)-1, d.Rounds)
-	var sum int64
-	for t := 0; t <= last; t++ {
-		sum += s[t]
-		if sum >= d.Count {
-			return true
-		}
+// Eval reports whether the deliveries series, summed over the rounds
+// within the bound, reaches Count.
+func (d DeliveredProp) Eval(ts *metrics.TimeSeries) bool { return eval(d, ts) }
+
+// step: decided true at the first round within the bound where the sum
+// reaches Count, decided false once the bound's round is read without it.
+func (d DeliveredProp) step(m *monitor, s sample) (holds, decided bool) {
+	st := m.state()
+	if within(m.next, d.Rounds) {
+		st.n += s.deliveries
+		st.hit = st.hit || st.n >= d.Count
 	}
-	return false
+	return st.hit, st.hit || !within(m.next+1, d.Rounds)
 }
 
 // Horizon returns the By bound, or NoHorizon when unbounded.
@@ -183,12 +197,15 @@ func EnergyBelow(joules float64) EnergyProp {
 }
 
 // Eval sums the per-round energy series over the whole run.
-func (e EnergyProp) Eval(ts *metrics.TimeSeries) bool {
-	var sum float64
-	for _, v := range ts.Float(metrics.EnergyJ) {
-		sum += v
-	}
-	return sum <= e.MaxJ
+func (e EnergyProp) Eval(ts *metrics.TimeSeries) bool { return eval(e, ts) }
+
+// step sums the series left to right and is decided false once the sum
+// exceeds the budget: a round's energy is never negative, so the sum
+// cannot come back under it.
+func (e EnergyProp) step(m *monitor, s sample) (holds, decided bool) {
+	st := m.state()
+	st.j += s.energyJ
+	return st.j <= e.MaxJ, st.j > e.MaxJ
 }
 
 // Horizon returns NoHorizon: the budget covers the whole run.
@@ -214,12 +231,13 @@ func TransmissionsBelow(max int64) TransmissionsProp {
 }
 
 // Eval sums the per-round transmissions series over the whole run.
-func (p TransmissionsProp) Eval(ts *metrics.TimeSeries) bool {
-	var sum int64
-	for _, v := range ts.Int(metrics.Transmissions) {
-		sum += v
-	}
-	return sum <= p.Max
+func (p TransmissionsProp) Eval(ts *metrics.TimeSeries) bool { return eval(p, ts) }
+
+// step is decided false once the sum exceeds the budget, as EnergyProp's.
+func (p TransmissionsProp) step(m *monitor, s sample) (holds, decided bool) {
+	st := m.state()
+	st.n += s.transmissions
+	return st.n <= p.Max, st.n > p.Max
 }
 
 // Horizon returns NoHorizon: the budget covers the whole run.
@@ -246,14 +264,20 @@ func And(terms ...Property) Property {
 	return AndProp{Terms: terms}
 }
 
-// Eval evaluates every term (no short-circuit — Eval is pure and cheap).
-func (a AndProp) Eval(ts *metrics.TimeSeries) bool {
+// Eval reports whether every term holds.
+func (a AndProp) Eval(ts *metrics.TimeSeries) bool { return eval(a, ts) }
+
+// step steps every term (each atom must read every round) and is
+// decided once a term is decided false, or once every term is decided.
+func (a AndProp) step(m *monitor, s sample) (holds, decided bool) {
+	holds, decided = true, true
+	refuted := false
 	for _, t := range a.Terms {
-		if !t.Eval(ts) {
-			return false
-		}
+		h, d := t.step(m, s)
+		holds, decided = holds && h, decided && d
+		refuted = refuted || d && !h
 	}
-	return true
+	return holds, decided || refuted
 }
 
 // Horizon returns the largest term horizon (NoHorizon if any term is
@@ -277,14 +301,20 @@ func Or(terms ...Property) Property {
 	return OrProp{Terms: terms}
 }
 
-// Eval evaluates every term.
-func (o OrProp) Eval(ts *metrics.TimeSeries) bool {
+// Eval reports whether some term holds.
+func (o OrProp) Eval(ts *metrics.TimeSeries) bool { return eval(o, ts) }
+
+// step steps every term and is decided once a term is decided true, or
+// once every term is decided.
+func (o OrProp) step(m *monitor, s sample) (holds, decided bool) {
+	holds, decided = false, true
+	proved := false
 	for _, t := range o.Terms {
-		if t.Eval(ts) {
-			return true
-		}
+		h, d := t.step(m, s)
+		holds, decided = holds || h, decided && d
+		proved = proved || d && h
 	}
-	return false
+	return holds, decided || proved
 }
 
 // Horizon returns the largest term horizon (NoHorizon if any term is
@@ -306,7 +336,13 @@ type NotProp struct {
 func Not(p Property) Property { return NotProp{Term: p} }
 
 // Eval inverts the term.
-func (n NotProp) Eval(ts *metrics.TimeSeries) bool { return !n.Term.Eval(ts) }
+func (n NotProp) Eval(ts *metrics.TimeSeries) bool { return eval(n, ts) }
+
+// step inverts the term's value; it is decided when the term is.
+func (n NotProp) step(m *monitor, s sample) (holds, decided bool) {
+	h, d := n.Term.step(m, s)
+	return !h, d
+}
 
 // Horizon returns the term's horizon.
 func (n NotProp) Horizon() int { return n.Term.Horizon() }
@@ -316,19 +352,84 @@ func (n NotProp) String() string {
 	return "not " + parenthesize(n.Term)
 }
 
-// lastRound clamps a property's round bound to the recorded range:
-// series index `have` is the last recorded round, `want` the bound (or
-// NoHorizon). A bound beyond the recording simply scans what exists —
-// the driver is responsible for simulating far enough (Check sizes the
-// replica horizon from Property.Horizon).
-func lastRound(have, want int) int {
-	if want == NoHorizon || want > have {
-		return have
+// within reports whether round t lies within an atom's round bound
+// (NoHorizon: every round does). A bound beyond the recording leaves
+// the atom undecided to the series' end — the driver is responsible for
+// simulating far enough (Model.Replica bounds each run by
+// Property.Horizon).
+func within(t, bound int) bool { return bound == NoHorizon || t <= bound }
+
+// sample is the one round of a series that step reads: the values of
+// the four series the atoms watch.
+type sample struct {
+	aware, energyJ            float64
+	deliveries, transmissions int64
+}
+
+// sampleAt reads round t of ts.
+func sampleAt(ts *metrics.TimeSeries, t int) sample {
+	return sample{
+		aware:         ts.Float(metrics.AwareFraction)[t],
+		energyJ:       ts.Float(metrics.EnergyJ)[t],
+		deliveries:    ts.Int(metrics.Deliveries)[t],
+		transmissions: ts.Int(metrics.Transmissions)[t],
 	}
-	if want < 0 {
-		return -1
+}
+
+// monitor is one property's decision in progress over a growing
+// series: the running state of its atoms and the next round to read.
+// Eval runs one over a whole series; Model.Replica runs one at every
+// round barrier of a replica and stops the replica at the first decided
+// round.
+type monitor struct {
+	prop           Property
+	atoms          []atom // the atoms' running state, in depth-first order
+	cursor         int    // the atom the walk of the current round is at
+	next           int    // the round read takes in next
+	holds, decided bool   // prop's step on the rounds read so far
+}
+
+// atom is one atom's running state: the sum of its series over the
+// rounds read (deliveries or transmissions in n, energy in j) and
+// whether its target was reached within its bound.
+type atom struct {
+	n   int64
+	j   float64
+	hit bool
+}
+
+// state hands the walk the state of the next atom in depth-first order.
+func (m *monitor) state() *atom {
+	if m.cursor == len(m.atoms) {
+		m.atoms = append(m.atoms, atom{})
 	}
-	return want
+	m.cursor++
+	return &m.atoms[m.cursor-1]
+}
+
+// read takes round m.next of the series, s, into m.
+func (m *monitor) read(s sample) {
+	m.cursor = 0
+	m.holds, m.decided = m.prop.step(m, s)
+	m.next++
+}
+
+// follow reads the rounds of ts that m has not read, up to the first
+// decided one.
+func (m *monitor) follow(ts *metrics.TimeSeries) {
+	for !m.decided && m.next <= ts.Rounds {
+		m.read(sampleAt(ts, m.next))
+	}
+}
+
+// eval is every property's Eval: its step after the last round of ts,
+// every round read in order.
+func eval(prop Property, ts *metrics.TimeSeries) bool {
+	m := monitor{prop: prop}
+	for m.next <= ts.Rounds {
+		m.read(sampleAt(ts, m.next))
+	}
+	return m.holds
 }
 
 // maxHorizon folds term horizons: unbounded wins, else the maximum.
