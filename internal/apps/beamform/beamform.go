@@ -1,10 +1,10 @@
 // Package beamform implements the acoustic delay-and-sum beamforming
 // application the thesis uses to compare on-chip diversity architectures
 // (Chapter 5, after Zhang et al. [42]): an array of sensor IPs sample a
-// plane wave with per-sensor propagation delays and stream their blocks
-// to an aggregator IP, which time-aligns and sums them. Coherent summing
-// reinforces the source by N while incoherent noise grows only by √N —
-// the array gain the aggregator verifies.
+// plane wave with per-sensor propagation delays, steer their blocks into
+// alignment and stream them to an aggregator IP, whose beam is their sum.
+// Coherent summing reinforces the source by N while incoherent noise
+// grows only by √N — the array gain the package tests verify.
 //
 // For the NoC experiments the interesting part is the traffic: an
 // all-to-one streaming pattern with block-sized messages, spread across
@@ -85,17 +85,16 @@ func (s *Sensor) Round(ctx *core.Ctx) {
 	s.sent++
 }
 
-// Aggregator aligns and sums sensor blocks.
+// Aggregator collects the sensor blocks the beam is summed from, and
+// completes when every block has every sensor's contribution.
 type Aggregator struct {
 	Sensors  int
 	BlockLen int
 	Blocks   int
 	Delays   []int // steering delays, one per sensor
 
-	// got[block][sensor] marks arrivals; sum[block] accumulates aligned
-	// samples.
-	got  map[uint32]map[int]bool
-	sums map[uint32][]float64
+	// got[block][sensor] marks arrivals.
+	got map[uint32]map[int]bool
 	// DoneRound is the round the last block completed in.
 	DoneRound int
 }
@@ -111,8 +110,7 @@ func NewAggregator(sensors, blockLen, blocks int, delays []int) (*Aggregator, er
 	}
 	return &Aggregator{
 		Sensors: sensors, BlockLen: blockLen, Blocks: blocks, Delays: delays,
-		got:  map[uint32]map[int]bool{},
-		sums: map[uint32][]float64{},
+		got: map[uint32]map[int]bool{},
 	}, nil
 }
 
@@ -122,38 +120,28 @@ func (a *Aggregator) Init(*core.Ctx) {}
 // Round implements core.Process (reactive only).
 func (a *Aggregator) Round(*core.Ctx) {}
 
-// Receive implements core.Receiver: align (the steering delay has already
-// been applied physically at the sensor: a plane wave from the steered
-// direction arrives with exactly Delays[i] lag, which the sensor's
-// block-relative resampling undoes) and sum.
+// Receive implements core.Receiver: it marks the block's sensor as
+// arrived. The samples need no alignment here: a plane wave from the
+// steered direction arrives with exactly Delays[i] lag, which the
+// sensor's block-relative resampling undoes. A block counts only with
+// all its samples aboard (a 6-byte header, then BlockLen float64s).
 func (a *Aggregator) Receive(ctx *core.Ctx, p *packet.Packet) {
-	if p.Kind != KindBlock {
+	if p.Kind != KindBlock || len(p.Payload) < 6+8*a.BlockLen {
 		return
 	}
 	r := codec.NewReader(p.Payload)
 	sensor := int(r.U16())
 	block := r.U32()
-	if r.Err() != nil || sensor >= a.Sensors || int(block) >= a.Blocks {
-		return
-	}
-	samples := make([]float64, a.BlockLen)
-	for i := range samples {
-		samples[i] = r.F64()
-	}
-	if r.Err() != nil {
+	if sensor >= a.Sensors || int(block) >= a.Blocks {
 		return
 	}
 	if a.got[block] == nil {
 		a.got[block] = map[int]bool{}
-		a.sums[block] = make([]float64, a.BlockLen)
 	}
 	if a.got[block][sensor] {
 		return
 	}
 	a.got[block][sensor] = true
-	for i, v := range samples {
-		a.sums[block][i] += v
-	}
 	if a.Completed() {
 		a.DoneRound = ctx.Round()
 	}

@@ -18,7 +18,37 @@ func wave() *signal.Synth {
 	}
 }
 
-func setup(t *testing.T, cfg core.Config, selfNoise float64, blocks int) (*core.Network, *App) {
+// beam wraps the aggregator with the beam the tests check: it sums the
+// samples of every (block, sensor) contribution the aggregator accepts,
+// once.
+type beam struct {
+	*Aggregator
+	sums map[uint32][]float64
+}
+
+// Receive implements core.Receiver.
+func (b *beam) Receive(ctx *core.Ctx, p *packet.Packet) {
+	r := codec.NewReader(p.Payload)
+	sensor, block := int(r.U16()), r.U32()
+	fresh := !b.got[block][sensor]
+	b.Aggregator.Receive(ctx, p)
+	if !fresh || !b.got[block][sensor] {
+		return // a duplicate, or not a block the aggregator took
+	}
+	if b.sums[block] == nil {
+		b.sums[block] = make([]float64, b.BlockLen)
+	}
+	for i := range b.sums[block] {
+		b.sums[block][i] += r.F64()
+	}
+}
+
+// newBeam returns a beam over agg.
+func newBeam(agg *Aggregator) *beam {
+	return &beam{Aggregator: agg, sums: map[uint32][]float64{}}
+}
+
+func setup(t *testing.T, cfg core.Config, selfNoise float64, blocks int) (*core.Network, *beam) {
 	t.Helper()
 	net, err := core.New(cfg)
 	if err != nil {
@@ -35,21 +65,23 @@ func setup(t *testing.T, cfg core.Config, selfNoise float64, blocks int) (*core.
 	if err != nil {
 		t.Fatal(err)
 	}
-	return net, app
+	bm := newBeam(app.Agg)
+	net.Attach(agg, bm)
+	return net, bm
 }
 
-// beamOf returns the beamformed output of a completed block b: the
-// aligned sum of the sensors' samples, scaled by 1/N.
-func beamOf(a *Aggregator, b int) []float64 {
-	out := make([]float64, a.BlockLen)
-	for i, v := range a.sums[uint32(b)] {
-		out[i] = v / float64(a.Sensors)
+// of returns the beamformed output of a completed block blk: the aligned
+// sum of the sensors' samples, scaled by 1/N.
+func (b *beam) of(blk int) []float64 {
+	out := make([]float64, b.BlockLen)
+	for i, v := range b.sums[uint32(blk)] {
+		out[i] = v / float64(b.Sensors)
 	}
 	return out
 }
 
 func TestBeamformCompletes(t *testing.T) {
-	net, app := setup(t, core.Config{
+	net, bm := setup(t, core.Config{
 		Topo: topology.NewGrid(4, 4), P: 0.75, TTL: core.DefaultTTL,
 		MaxRounds: 300, Seed: 1,
 	}, 0, 4)
@@ -57,7 +89,7 @@ func TestBeamformCompletes(t *testing.T) {
 	if !res.Completed {
 		t.Fatalf("beamforming incomplete: %+v", res)
 	}
-	if app.Agg.DoneRound == 0 {
+	if bm.DoneRound == 0 {
 		t.Fatal("DoneRound not recorded")
 	}
 }
@@ -65,7 +97,7 @@ func TestBeamformCompletes(t *testing.T) {
 func TestCoherentSumMatchesSource(t *testing.T) {
 	// Without self-noise, the aligned average must equal the source
 	// exactly (for samples where every sensor had wave data).
-	net, app := setup(t, core.Config{
+	net, bm := setup(t, core.Config{
 		Topo: topology.NewGrid(4, 4), P: 1, TTL: core.DefaultTTL,
 		MaxRounds: 200, Seed: 2,
 	}, 0, 3)
@@ -73,7 +105,7 @@ func TestCoherentSumMatchesSource(t *testing.T) {
 		t.Fatal("incomplete")
 	}
 	// Block 1 (samples 64..128): all delays (≤21) have real data by then.
-	beam := beamOf(app.Agg, 1)
+	beam := bm.of(1)
 	ref, err := wave().Samples(64, 64)
 	if err != nil {
 		t.Fatal(err)
@@ -90,14 +122,14 @@ func TestArrayGainSuppressesNoise(t *testing.T) {
 	// the clean source than any single noisy sensor: SNR improves by
 	// ≈10·log10(N) = 9 dB for 8 sensors.
 	const noiseAmp = 0.2
-	net, app := setup(t, core.Config{
+	net, bm := setup(t, core.Config{
 		Topo: topology.NewGrid(4, 4), P: 1, TTL: core.DefaultTTL,
 		MaxRounds: 200, Seed: 3,
 	}, noiseAmp, 3)
 	if !net.Run().Completed {
 		t.Fatal("incomplete")
 	}
-	beam := beamOf(app.Agg, 1)
+	beam := bm.of(1)
 	ref, err := wave().Samples(64, 64)
 	if err != nil {
 		t.Fatal(err)
@@ -177,6 +209,7 @@ func TestDuplicateBlocksIgnored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	bm := newBeam(agg)
 	// Hand-craft two deliveries of the same (sensor, block).
 	mk := func() *packet.Packet {
 		w := make([]byte, 0)
@@ -188,9 +221,12 @@ func TestDuplicateBlocksIgnored(t *testing.T) {
 		return &packet.Packet{Kind: KindBlock, Payload: w}
 	}
 	ctx := &core.Ctx{}
-	agg.Receive(ctx, mk())
-	agg.Receive(ctx, mk())
-	if agg.sums[0][0] != 1.0 {
-		t.Fatalf("duplicate block double-counted: %v", agg.sums[0][0])
+	bm.Receive(ctx, mk())
+	bm.Receive(ctx, mk())
+	if bm.sums[0][0] != 1.0 {
+		t.Fatalf("duplicate block double-counted: %v", bm.sums[0][0])
+	}
+	if agg.Completed() || len(agg.got[0]) != 1 {
+		t.Fatalf("a duplicate of sensor 0 counted as sensor 1: %v", agg.got[0])
 	}
 }

@@ -20,14 +20,14 @@
 // The round engine is the hot path of every Monte Carlo replica, so its
 // steady state allocates (almost) nothing: per-message state lives in
 // slot-major bitset tables indexed by the slot half of the MsgID
-// (table.go), in-flight copies travel by value through small per-tile
-// arrival rings (ring.go) — except the copies the far end could only drop
-// as duplicates (or, with no OnEvent listener, as upsets), which transmit
-// settles at the sender without scheduling them (phase.go) — and the
-// per-tile state every sweep touches is
-// one flat array built once at New (the IP-core side of a tile exists only
-// where a Process, router or forward limit was attached). With
-// Config.Recycle the tables are additionally bounded by the *live* message
+// (table.go), in-flight copies travel by value through the small arrival
+// rings of the frontier tiles' pooled hot slots (ring.go, pool.go) —
+// except the copies the far end could only drop as duplicates (or, with
+// no OnEvent listener, as upsets), which transmit settles at the sender
+// without scheduling them (phase.go) — and the per-tile state every
+// sweep touches is one flat array built once at New (the IP-core side of
+// a tile exists only where a Process, router or forward limit was
+// attached). With Config.Recycle the tables are additionally bounded by the *live* message
 // population — expired-everywhere messages are retired at round barriers
 // and their IDs recycled under a fresh generation tag — which is what lets
 // the engine sustain mega-meshes (512×512 and beyond). See DESIGN.md,
@@ -38,6 +38,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/energy"
 	"repro/internal/fault"
@@ -272,19 +273,20 @@ type Counters struct {
 	GhostFrames int
 }
 
-// tile is the communication half of a tile's runtime state — the Fig. 3-5
-// hardware interface, and everything the per-round sweeps touch. All of it
-// is flat: the send buffer owns its packets by value, dedup and the
-// delivery-once filter are bit flags indexed by MsgID, in-flight copies
-// sit in a per-tile arrival ring keyed by arrival round, the ports are a
+// tile is the communication half of a tile's runtime state — everything
+// the per-round sweeps touch. All of it is flat: dedup and the
+// delivery-once filter are bit flags indexed by MsgID, the ports are a
 // window of the network's port table, and the tiles themselves are one
-// contiguous array (Network.tiles). It is kept small on purpose (104
-// bytes): a mega-mesh pays it once per tile whether or not the tile ever
-// carries traffic. What only some tiles have lives in a coldTile.
+// contiguous array (Network.tiles). The Fig. 3-5 buffers (send buffer and
+// arrival ring) live in a hotSlot the tile holds only while it is on the
+// frontier. It is kept small on purpose (56 bytes): a mega-mesh pays it
+// once per tile whether or not the tile ever carries traffic. What only
+// some tiles have lives in a coldTile.
 type tile struct {
-	sendBuf []packet.Packet // live copies, owned by value
-	ring    arrivalRing     // in-flight copies keyed by arrival round
-	rnd     rng.Stream      // forwarding decisions and upsets (by value: hot state stays on the tile's cache lines)
+	rnd rng.Stream // forwarding decisions and upsets (by value: hot state stays on the tile's cache lines)
+	// hot is the tile's send buffer and arrival ring while it is on the
+	// frontier (Network.hotOf, slotPool); nil while it is cold.
+	hot *hotSlot
 	// portOff and deg locate this tile's ports in Network.portTab: port i
 	// is portTab[portOff+i], for i < deg (see Network.ports).
 	portOff uint32
@@ -345,6 +347,14 @@ func (n *Network) coldOf(t *tile) *coldTile {
 		n.colds = append(n.colds, &coldTile{ctx: Ctx{net: n, tile: t}})
 	}
 	return n.colds[t.cold]
+}
+
+// hotOf returns t's hot slot, taking one from the pool if t is cold.
+func (n *Network) hotOf(t *tile) *hotSlot {
+	if t.hot == nil {
+		n.slots.take(t)
+	}
+	return t.hot
 }
 
 // process returns the Process attached to t, or nil.
@@ -412,8 +422,9 @@ type Network struct {
 	// bufOcc/rcvOcc are the two-level per-tile occupancy bitmaps the
 	// phase loops iterate instead of sweeping every tile (occupancy.go).
 	// Exact at round barriers; bufOcc bit set ⇔ send buffer non-empty,
-	// rcvOcc bit set ⇔ arrival ring non-empty; the summary level (one
-	// bit per 64-tile word) is the frontier the sweeps walk.
+	// rcvOcc bit set ⇔ arrival ring non-empty, and a tile holds a hot
+	// slot ⇔ either bit is set; the summary level (one bit per 64-tile
+	// word) is the frontier the sweeps walk.
 	bufOcc occMap
 	rcvOcc occMap
 	// procTiles lists the tiles with an attached Process, rebuilt from
@@ -422,11 +433,10 @@ type Network struct {
 	procsDirty bool
 
 	// The recycling pools (pool.go): wire frames of the literal-upset
-	// path, arrival-ring bucket arrays, drained send buffers and the arena
-	// the mailbox copies of deliveries are carved from.
+	// path, the frontier tiles' hot slots and the arena the mailbox
+	// copies of deliveries are carved from.
 	frames framePool
-	rings  ringPool
-	bufs   bufPool
+	slots  slotPool
 	pkts   pktArena
 	// borrowed points at the in-processing literal arrival whose payload
 	// still aliases its pooled frame; deliver/enqueue clone the payload
@@ -459,10 +469,10 @@ func New(cfg Config) (*Network, error) {
 // construction. cfg may differ from the previous one in every field,
 // fabric size included. Attached processes, routers, forward limits and
 // undelivered mailboxes are dropped; attach anew as after New. The one
-// observable difference is Mem's pool counters: PooledRings and PooledBufs
-// count what the previous run handed back until the first round barrier
-// trims them. Call Reset between Steps, like Snapshot. It fails exactly
-// when New would; a Reset that fails leaves n unusable until one succeeds.
+// observable difference is Mem's pool counter: PooledSlots counts what
+// the previous run handed back until the first round barrier trims it.
+// Call Reset between Steps, like Snapshot. It fails exactly when New
+// would; a Reset that fails leaves n unusable until one succeeds.
 // Whatever was taken from n before (Injector, a Ctx.Rand stream) sees the
 // new run.
 func (n *Network) Reset(cfg Config) error {
@@ -472,7 +482,6 @@ func (n *Network) Reset(cfg Config) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	n.release()
 	inj := n.inj
 	if inj == nil {
 		inj = new(fault.Injector)
@@ -481,6 +490,7 @@ func (n *Network) Reset(cfg Config) error {
 	if err := inj.Reset(cfg.Topo, cfg.Fault, master.Split(0xfa017)); err != nil {
 		return err
 	}
+	n.release()
 	// Every field starts from its zero value, as in a new Network; only
 	// storage carries over.
 	*n = Network{
@@ -494,7 +504,7 @@ func (n *Network) Reset(cfg Config) error {
 
 		tiles: n.tiles, portTab: n.portTab, colds: append(n.colds[:0], nil), tbl: n.tbl,
 		bufOcc: n.bufOcc, rcvOcc: n.rcvOcc, procTiles: n.procTiles,
-		frames: n.frames, rings: n.rings, bufs: n.bufs, pkts: n.pkts,
+		frames: n.frames, slots: n.slots, pkts: n.pkts,
 	}
 	n.bufOcc.initOcc(cfg.Topo.Tiles())
 	n.rcvOcc.initOcc(cfg.Topo.Tiles())
@@ -529,26 +539,30 @@ func (n *Network) Reset(cfg Config) error {
 	}
 	// Without synchronization skew every copy arrives in the round it was
 	// sent, so one recycled arrival bucket per tile covers all traffic.
-	n.rings.initLen = 1
+	n.slots.initLen = 1
 	if cfg.Fault.SigmaSync > 0 {
-		n.rings.initLen = ringInitLen
+		n.slots.initLen = ringInitLen
 	}
 	return nil
 }
 
-// release hands every tile's send buffer and arrival ring back to the
-// pools, emptied and zeroed as the pools keep them, and zeroes the tiles,
-// dropping their IP-core blocks (Reset). Afterwards nothing is armed.
+// release hands every hot slot back to the pool, emptied and zeroed as
+// the pool keeps them, and drops the IP-core blocks (Reset, which then
+// zeroes the tiles). A tile holds a slot exactly when it is on the
+// frontier, so walking the occupancy bitmaps finds every slot without
+// visiting idle tiles. Afterwards nothing is armed.
 func (n *Network) release() {
-	for i := range n.tiles {
-		t := &n.tiles[i]
-		if t.sendBuf != nil {
-			clear(t.sendBuf)
-			n.bufs.put(t.sendBuf[:0])
+	for si, sw := range n.bufOcc.sum {
+		for sw |= n.rcvOcc.sum[si]; sw != 0; sw &= sw - 1 {
+			wi := si<<6 + bits.TrailingZeros64(sw)
+			for w := n.bufOcc.bits[wi] | n.rcvOcc.bits[wi]; w != 0; w &= w - 1 {
+				t := &n.tiles[wi<<6+bits.TrailingZeros64(w)]
+				clear(t.hot.buf)
+				t.hot.buf = t.hot.buf[:0]
+				t.hot.ring.drain(&n.frames)
+				n.slots.give(t)
+			}
 		}
-		t.ring.drain(&n.frames)
-		n.rings.detach(&t.ring)
-		*t = tile{}
 	}
 	clear(n.colds)
 	clear(n.procTiles)
@@ -759,10 +773,9 @@ func (n *Network) Step() {
 	n.sweep(sweepAge)
 	n.sweep(sweepForward)
 	n.sweep(sweepReceive)
-	// Round barrier: no phase is executing, so the pools' free lists are
-	// cut back to their armed counts (see pool).
-	n.rings.trim()
-	n.bufs.trim()
+	// Round barrier: no phase is executing, so the slot pool's free list
+	// is cut back to its armed count (see slotPool).
+	n.slots.trim()
 	if n.recycle {
 		// Expired-everywhere messages can be retired before observers
 		// sample the round (they see ledgered Aware counts, same values).
@@ -841,9 +854,6 @@ func (n *Network) Run() Result {
 type Ctx struct {
 	net  *Network
 	tile *tile
-	// delivered is the tile's mailbox while Round runs: the packets that
-	// arrived since the previous round (only the engine's tests read it).
-	delivered []*packet.Packet
 }
 
 // Round returns the current round index (0 for a zero Ctx).

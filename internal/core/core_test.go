@@ -186,7 +186,7 @@ func TestTTLBoundsBufferLifetime(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		n.Step()
 	}
-	if got := len(n.tiles[0].sendBuf); got != 0 {
+	if got := len(bufOf(&n.tiles[0])); got != 0 {
 		t.Fatalf("buffer holds %d messages after TTL expiry", got)
 	}
 	if n.flagsOf(&n.tiles[0], 1)&flagPresent != 0 {

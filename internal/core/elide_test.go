@@ -16,8 +16,9 @@ import (
 func presentImpliesSeen(n *Network) error {
 	for i := range n.tiles {
 		t := &n.tiles[i]
-		for j := range t.sendBuf {
-			p := &t.sendBuf[j]
+		buf := bufOf(t)
+		for j := range buf {
+			p := &buf[j]
 			if (p.Dst == t.id || p.Dst == packet.Broadcast) && !rowBit(n.tbl.seen[msgSlot(p.ID)], t.id) {
 				return fmt.Errorf("round %d: tile %d buffers message %#x, which addresses it, but has not seen it",
 					n.round, t.id, p.ID)
@@ -53,14 +54,15 @@ func presentIsOneCopy(n *Network) error {
 	copies := make([]int, len(n.tbl.gens))
 	for i := range n.tiles {
 		t := &n.tiles[i]
-		for j := range t.sendBuf {
-			p := &t.sendBuf[j]
+		buf := bufOf(t)
+		for j := range buf {
+			p := &buf[j]
 			s := msgSlot(p.ID)
 			if !rowBit(n.tbl.present[s], t.id) {
 				return fmt.Errorf("round %d: tile %d buffers message %#x without its present bit", n.round, t.id, p.ID)
 			}
 			for k := range j {
-				if t.sendBuf[k].ID == p.ID {
+				if buf[k].ID == p.ID {
 					return fmt.Errorf("round %d: tile %d buffers message %#x twice", n.round, t.id, p.ID)
 				}
 			}
@@ -97,14 +99,14 @@ func TestPresentIsOneCopyCatchesPlants(t *testing.T) {
 			return n
 		}
 		n := build()
-		src := &n.tiles[3]
-		src.sendBuf = append(src.sendBuf, src.sendBuf[0])
+		src := n.tiles[3].hot
+		src.buf = append(src.buf, src.buf[0])
 		if err := presentIsOneCopy(n); err == nil {
 			t.Errorf("recycle=%v: a tile buffering a message twice passed the check", recycle)
 		}
 		n = build()
-		src = &n.tiles[3]
-		src.sendBuf = src.sendBuf[:0]
+		src = n.tiles[3].hot
+		src.buf = src.buf[:0]
 		if err := presentIsOneCopy(n); err == nil {
 			t.Errorf("recycle=%v: a present bit without a buffered copy passed the check", recycle)
 		}

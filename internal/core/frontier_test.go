@@ -2,9 +2,9 @@ package core
 
 // Frontier-memory tests: what a sub-TTL mega-mesh keeps resident must
 // follow what is live. Three promises are pinned here — a tile with no
-// Process stores no deliveries (the mailbox contract), the ring and buffer
-// pools are sized by the hot tiles and shrink when the frontier does, and
-// steady churn neither grows the heap nor allocates per round.
+// Process stores no deliveries (the mailbox contract), the hot-slot pool
+// is sized by the frontier and shrinks when the frontier does, and steady
+// churn neither grows the heap nor allocates per round.
 
 import (
 	"bytes"
@@ -22,14 +22,29 @@ import (
 )
 
 // recorderProc is a Process that only listens: it logs the IDs its
-// mailbox hands it, in order, and sends nothing.
+// Receiver is handed, in order, and sends nothing.
 type recorderProc struct{ got []packet.MsgID }
 
-func (r *recorderProc) Init(*Ctx) {}
-func (r *recorderProc) Round(ctx *Ctx) {
-	for _, p := range ctx.delivered {
-		r.got = append(r.got, p.ID)
+func (r *recorderProc) Init(*Ctx)  {}
+func (r *recorderProc) Round(*Ctx) {}
+func (r *recorderProc) Receive(_ *Ctx, p *packet.Packet) {
+	r.got = append(r.got, p.ID)
+}
+
+// bufOf returns t's send buffer, nil while t is cold.
+func bufOf(t *tile) []packet.Packet {
+	if t.hot == nil {
+		return nil
 	}
+	return t.hot.buf
+}
+
+// inFlight returns how many copies are in flight toward t.
+func inFlight(t *tile) int {
+	if t.hot == nil {
+		return 0
+	}
+	return t.hot.ring.count
 }
 
 // churnNet builds a side×side TTL-16 recycling mesh with no processes and
@@ -54,36 +69,38 @@ func churnNet(tb testing.TB, side, perRound int) (*Network, func()) {
 	}
 }
 
-// checkPoolAccounting verifies, at a round barrier, that the pools'
-// armed counts are exactly the tiles holding a ring or a buffer, that only
-// hot tiles hold a ring, that the free lists are trimmed, and that Mem
+// checkPoolAccounting verifies, at a round barrier, that a tile holds a
+// hot slot exactly when it is on the frontier (its bufOcc or rcvOcc bit
+// is set), that the pool's armed count is the number of slots held, that
+// every pooled slot is empty, that the free list is trimmed, and that Mem
 // reports the counts.
 func checkPoolAccounting(tb testing.TB, n *Network) {
 	tb.Helper()
-	rings, bufs := 0, 0
+	held := 0
 	for i := range n.tiles {
 		t := &n.tiles[i]
-		if t.ring.buckets != nil {
-			rings++
-			if t.ring.count == 0 && len(t.sendBuf) == 0 {
-				tb.Fatalf("round %d: cold tile %d still holds its ring", n.Round(), i)
-			}
+		frontier := n.bufOcc.bits[i>>6]&(1<<(i&63)) != 0 || n.rcvOcc.bits[i>>6]&(1<<(i&63)) != 0
+		if (t.hot != nil) != frontier {
+			tb.Fatalf("round %d: tile %d holds a slot: %v, on the frontier: %v", n.Round(), i, t.hot != nil, frontier)
 		}
-		if t.sendBuf != nil {
-			bufs++
+		if t.hot != nil {
+			held++
 		}
 	}
-	if rings != n.rings.armed || bufs != n.bufs.armed {
-		tb.Fatalf("round %d: %d rings and %d buffers held, pools count %d and %d armed",
-			n.Round(), rings, bufs, n.rings.armed, n.bufs.armed)
+	if held != n.slots.armed {
+		tb.Fatalf("round %d: %d slots held, pool counts %d armed", n.Round(), held, n.slots.armed)
 	}
-	if len(n.rings.free) > max(poolFloor, rings) || len(n.bufs.free) > max(poolFloor, bufs) {
-		tb.Fatalf("round %d: %d rings and %d buffers pooled with %d and %d armed",
-			n.Round(), len(n.rings.free), len(n.bufs.free), rings, bufs)
+	for _, s := range n.slots.free {
+		if len(s.buf) != 0 || s.ring.count != 0 {
+			tb.Fatalf("round %d: a pooled slot buffers %d copies with %d in flight", n.Round(), len(s.buf), s.ring.count)
+		}
 	}
-	if m := n.Mem(); m.ArmedRings != rings || m.PooledRings != len(n.rings.free) || m.PooledBufs != len(n.bufs.free) {
-		tb.Fatalf("round %d: Mem reports %d armed, %d/%d pooled; pools hold %d, %d/%d",
-			n.Round(), m.ArmedRings, m.PooledRings, m.PooledBufs, rings, len(n.rings.free), len(n.bufs.free))
+	if len(n.slots.free) > max(poolFloor, held) {
+		tb.Fatalf("round %d: %d slots pooled with %d armed", n.Round(), len(n.slots.free), held)
+	}
+	if m := n.Mem(); m.ArmedSlots != held || m.PooledSlots != len(n.slots.free) {
+		tb.Fatalf("round %d: Mem reports %d armed, %d pooled; pool holds %d, %d",
+			n.Round(), m.ArmedSlots, m.PooledSlots, held, len(n.slots.free))
 	}
 }
 
@@ -130,8 +147,8 @@ func TestFrontierMemoryPinned(t *testing.T) {
 // every tile, hot or not, so what only attached tiles need belongs in
 // coldTile, and the ports live in the network's port table.
 func TestTileStaysSlim(t *testing.T) {
-	if size := unsafe.Sizeof(tile{}); size > 104 {
-		t.Errorf("tile is %d bytes, want <= 104", size)
+	if size := unsafe.Sizeof(tile{}); size > 56 {
+		t.Errorf("tile is %d bytes, want <= 56", size)
 	}
 }
 
@@ -237,7 +254,7 @@ func TestPackedLayoutLimits(t *testing.T) {
 }
 
 // TestPoolsFollowFrontier drives a frontier of thousands of tiles, lets it
-// collapse, and starts one small pocket: the pools must cover the big
+// collapse, and starts one small pocket: the slot pool must cover the big
 // frontier while it lives (no allocation per round) and fall back to the
 // floor once it is gone.
 func TestPoolsFollowFrontier(t *testing.T) {
@@ -250,29 +267,29 @@ func TestPoolsFollowFrontier(t *testing.T) {
 		checkPoolAccounting(t, n)
 	}
 	big := n.Mem()
-	if big.ArmedRings < 8*poolFloor {
-		t.Fatalf("only %d rings armed; the frontier never outgrew the pool floor", big.ArmedRings)
+	if big.ArmedSlots < 8*poolFloor {
+		t.Fatalf("only %d slots armed; the frontier never outgrew the pool floor", big.ArmedSlots)
 	}
 	// A pool held at the floor would allocate for every tile past it
 	// (~10k).
 	if allocs := testing.AllocsPerRun(20, round); allocs > 64 {
-		t.Errorf("a round over %d armed rings allocates %.0f times, want <= 64", big.ArmedRings, allocs)
+		t.Errorf("a round over %d armed slots allocates %.0f times, want <= 64", big.ArmedSlots, allocs)
 	}
 	if left := n.Drain(64); left == 64 {
 		t.Fatal("churn did not drain")
 	}
 	checkPoolAccounting(t, n)
-	if m := n.Mem(); m.ArmedRings != 0 || m.PooledRings > poolFloor || m.PooledBufs > poolFloor {
-		t.Errorf("after the drain %d rings armed, %d rings and %d buffers pooled; want 0 and <= %d each",
-			m.ArmedRings, m.PooledRings, m.PooledBufs, poolFloor)
+	if m := n.Mem(); m.ArmedSlots != 0 || m.PooledSlots > poolFloor {
+		t.Errorf("after the drain %d slots armed and %d pooled; want 0 and <= %d",
+			m.ArmedSlots, m.PooledSlots, poolFloor)
 	}
 	mustInject(t, n, 77, packet.Broadcast, 0, nil)
 	for i := 0; i < 6; i++ {
 		n.Step()
 		checkPoolAccounting(t, n)
 	}
-	if m := n.Mem(); m.ArmedRings == 0 || m.ArmedRings > poolFloor {
-		t.Errorf("the pocket armed %d rings, want a few dozen", m.ArmedRings)
+	if m := n.Mem(); m.ArmedSlots == 0 || m.ArmedSlots > poolFloor {
+		t.Errorf("the pocket armed %d slots, want a few dozen", m.ArmedSlots)
 	}
 }
 
@@ -406,7 +423,8 @@ func TestAttachMidRunSeesLaterDeliveries(t *testing.T) {
 
 // TestRestoreKeepsMailboxes: deliveries waiting in mailboxes at a
 // checkpoint are serialized, survive a restore byte for byte with nothing
-// attached, and reach the Process the caller re-attaches.
+// attached, and are drained in the next round's computation phase by the
+// Process the caller re-attaches.
 func TestRestoreKeepsMailboxes(t *testing.T) {
 	cfg := baseCfg(topology.NewGrid(4, 4), 1)
 	n := mustNet(t, cfg)
@@ -425,19 +443,29 @@ func TestRestoreKeepsMailboxes(t *testing.T) {
 	if again := snapshotBytes(t, restored); !bytes.Equal(ckpt, again) {
 		t.Fatal("snapshot → restore → snapshot changed the bytes")
 	}
-	procs := make([]*recorderProc, 16)
-	for i := range procs {
-		procs[i] = &recorderProc{}
-		restored.Attach(packet.TileID(i), procs[i])
+	mail := func(i int) []packet.MsgID {
+		var ids []packet.MsgID
+		if c := restored.cold(&restored.tiles[i]); c != nil {
+			for _, p := range c.mailbox {
+				ids = append(ids, p.ID)
+			}
+		}
+		return ids
 	}
-	restored.Step()
-	for i, p := range procs {
+	for i := range 16 {
 		var want []packet.MsgID
 		if i == 2 || i == 5 || i == 8 {
 			want = []packet.MsgID{id}
 		}
-		if !reflect.DeepEqual(p.got, want) {
-			t.Errorf("tile %d's re-attached process was handed %v, want %v", i, p.got, want)
+		if got := mail(i); !reflect.DeepEqual(got, want) {
+			t.Errorf("restored tile %d's mailbox holds %v, want %v", i, got, want)
+		}
+		restored.Attach(packet.TileID(i), &recorderProc{})
+	}
+	restored.Step()
+	for _, i := range []int{2, 5, 8} {
+		if got := mail(i); len(got) != 0 {
+			t.Errorf("tile %d's mailbox still holds %v after its re-attached process ran", i, got)
 		}
 	}
 }

@@ -162,13 +162,13 @@ func TestMegaMesh512Churn(t *testing.T) {
 
 // TestFabricBytes512 pins the fixed state a 512×512 mesh pays for every
 // tile, busy or idle — the tile array and the port table, as
-// MemStats.FabricBytes reports them — at no more than 124 bytes a tile:
-// a 104-byte tile (TestTileStaysSlim) plus ~16 bytes of ports.
+// MemStats.FabricBytes reports them — at no more than 76 bytes a tile:
+// a 56-byte tile (TestTileStaysSlim) plus ~16 bytes of ports.
 func TestFabricBytes512(t *testing.T) {
 	const side = 512
 	n := mustNet(t, Config{Topo: topology.NewGrid(side, side), P: 0.5, TTL: 16, Seed: 1})
-	if perTile := float64(n.Mem().FabricBytes) / (side * side); perTile > 124 {
-		t.Errorf("fixed fabric state costs %.2f B/tile at 512×512, want <= 124", perTile)
+	if perTile := float64(n.Mem().FabricBytes) / (side * side); perTile > 76 {
+		t.Errorf("fixed fabric state costs %.2f B/tile at 512×512, want <= 76", perTile)
 	}
 }
 

@@ -96,12 +96,13 @@ func (n *Network) rebuildOccupancy() {
 	n.bufOcc.reset()
 	n.rcvOcc.reset()
 	for i := range n.tiles {
-		t := &n.tiles[i]
-		if len(t.sendBuf) > 0 {
-			n.bufOcc.set(uint32(i))
-		}
-		if t.ring.count > 0 {
-			n.rcvOcc.set(uint32(i))
+		if h := n.tiles[i].hot; h != nil {
+			if len(h.buf) > 0 {
+				n.bufOcc.set(uint32(i))
+			}
+			if h.ring.count > 0 {
+				n.rcvOcc.set(uint32(i))
+			}
 		}
 	}
 }

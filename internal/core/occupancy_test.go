@@ -84,15 +84,15 @@ func TestOccupancyTracksTileState(t *testing.T) {
 	checkExact := func(round int) {
 		for i := range n.tiles {
 			tl := &n.tiles[i]
-			wantBuf := len(tl.sendBuf) > 0
+			wantBuf := len(bufOf(tl)) > 0
 			gotBuf := n.bufOcc.bits[i>>6]&(1<<(uint(i)&63)) != 0
 			if wantBuf != gotBuf {
-				t.Fatalf("round %d tile %d: bufOcc = %v, buffer len %d", round, i, gotBuf, len(tl.sendBuf))
+				t.Fatalf("round %d tile %d: bufOcc = %v, buffer len %d", round, i, gotBuf, len(bufOf(tl)))
 			}
-			wantRcv := tl.ring.count > 0
+			wantRcv := inFlight(tl) > 0
 			gotRcv := n.rcvOcc.bits[i>>6]&(1<<(uint(i)&63)) != 0
 			if wantRcv != gotRcv {
-				t.Fatalf("round %d tile %d: rcvOcc = %v, ring count %d", round, i, gotRcv, tl.ring.count)
+				t.Fatalf("round %d tile %d: rcvOcc = %v, ring count %d", round, i, gotRcv, inFlight(tl))
 			}
 		}
 		checkSummaryExact(t, "bufOcc", &n.bufOcc, round)
@@ -113,7 +113,7 @@ func TestOccupancyTracksTileState(t *testing.T) {
 	// Quiescence via bitmaps must agree with the ground truth.
 	for i := range n.tiles {
 		tl := &n.tiles[i]
-		if len(tl.sendBuf) > 0 || tl.ring.count > 0 {
+		if tl.hot != nil {
 			t.Fatalf("Quiescent() true but tile %d holds state", tl.id)
 		}
 	}

@@ -22,9 +22,7 @@ func (n *Network) phaseCompute() {
 			continue
 		}
 		c := n.cold(t)
-		c.ctx.delivered = c.mailbox
 		c.proc.Round(&c.ctx)
-		c.ctx.delivered = nil
 		clear(c.mailbox)
 		c.mailbox = c.mailbox[:0]
 	}
@@ -87,9 +85,10 @@ func (n *Network) ageTile(t *tile) {
 	// compaction pass below (which copies every surviving packet) is pure
 	// overhead then. isDead cannot change during phase 2, so both passes
 	// agree on who expires.
+	s := t.hot
 	dropped := false
-	for i := range t.sendBuf {
-		p := &t.sendBuf[i]
+	for i := range s.buf {
+		p := &s.buf[i]
 		p.TTL--
 		if p.TTL == 0 || (checkDead && n.isDead(p.ID)) {
 			dropped = true
@@ -98,9 +97,9 @@ func (n *Network) ageTile(t *tile) {
 	if !dropped {
 		return
 	}
-	kept := t.sendBuf[:0]
-	for i := range t.sendBuf {
-		p := &t.sendBuf[i]
+	kept := s.buf[:0]
+	for i := range s.buf {
+		p := &s.buf[i]
 		if p.TTL == 0 || (checkDead && n.isDead(p.ID)) {
 			n.clearPresent(t, p.ID)
 			n.expired++
@@ -110,16 +109,12 @@ func (n *Network) ageTile(t *tile) {
 		kept = append(kept, *p)
 	}
 	// Zero the compaction tail so expired payloads can be collected.
-	for i := len(kept); i < len(t.sendBuf); i++ {
-		t.sendBuf[i] = packet.Packet{}
-	}
-	t.sendBuf = kept
+	clear(s.buf[len(kept):])
+	s.buf = kept
 	if len(kept) == 0 {
 		n.bufOcc.unset(uint32(t.id)) // buffer drained
-		n.bufs.put(t.sendBuf)
-		t.sendBuf = nil
-		if t.ring.count == 0 {
-			n.rings.detach(&t.ring) // nothing in flight either: the tile went cold
+		if s.ring.count == 0 {
+			n.slots.give(t) // nothing in flight either: the tile went cold
 		}
 	}
 }
@@ -128,7 +123,9 @@ func (n *Network) ageTile(t *tile) {
 // goes out on each port independently with probability P; skew-free copies
 // arrive within this round, skewed ones slip to later rounds.
 func (n *Network) forwardTile(t *tile) {
-	buffered := len(t.sendBuf)
+	// Phase 3 stores no copy, so the buffer is stable for the whole body.
+	buf := t.hot.buf
+	buffered := len(buf)
 	if buffered == 0 {
 		return
 	}
@@ -159,7 +156,7 @@ func (n *Network) forwardTile(t *tile) {
 			if idx >= buffered {
 				idx -= buffered // i < count <= buffered: one wrap at most
 			}
-			p := &t.sendBuf[idx]
+			p := &buf[idx]
 			if router != nil {
 				for _, nb := range router(p) {
 					n.transmit(t, makePort(nb, n.inj.LinkAlive(t.id, nb)), p)
@@ -176,7 +173,7 @@ func (n *Network) forwardTile(t *tile) {
 			}
 		}
 	default:
-		n.forwardGossip(t, cur, count, buffered)
+		n.forwardGossip(t, buf, cur, count)
 	}
 	if c != nil {
 		cur += count
@@ -188,21 +185,21 @@ func (n *Network) forwardTile(t *tile) {
 }
 
 // forwardGossip is phase 3's default path (no router, no PortWeight):
-// each of count messages from window position cur flips one P coin per
-// port, in port order, and each copy that wins goes out. With an OnEvent
-// listener, literal upsets or skew, transmit handles every copy, right
-// after its coin. Otherwise each copy is settled here
+// each of count messages of buf from window position cur flips one P
+// coin per port, in port order, and each copy that wins goes out. With an
+// OnEvent listener, literal upsets or skew, transmit handles every copy,
+// right after its coin. Otherwise each copy is settled here
 // (gossipSettled), with the same draws in the same order (DESIGN.md
 // "Forwarding kernels").
-func (n *Network) forwardGossip(t *tile, cur, count, buffered int) {
+func (n *Network) forwardGossip(t *tile, buf []packet.Packet, cur, count int) {
 	ports := n.ports(t)
 	settle := n.settleUpsets && !n.skew && !n.cfg.Fault.LiteralUpsets
 	for i := 0; i < count; i++ {
 		idx := cur + i
-		if idx >= buffered {
-			idx -= buffered // i < count <= buffered: one wrap at most
+		if idx >= len(buf) {
+			idx -= len(buf) // i < count <= len(buf): one wrap at most
 		}
-		p := &t.sendBuf[idx]
+		p := &buf[idx]
 		if settle {
 			n.gossipSettled(t, p, ports)
 			continue
@@ -346,7 +343,8 @@ func (n *Network) transmit(t *tile, e port, p *packet.Packet) {
 // scheduled for this round, CRC-check them, merge survivors into the send
 // buffer, deliver.
 func (n *Network) receiveTile(t *tile) {
-	bucket := t.ring.take(n.round)
+	s := t.hot
+	bucket := s.ring.take(n.round)
 	for i := range bucket {
 		a := &bucket[i]
 		if n.recycle {
@@ -390,14 +388,14 @@ func (n *Network) receiveTile(t *tile) {
 			n.borrowed = nil
 		}
 	}
-	t.ring.release(n.round)
-	if t.ring.count == 0 {
+	s.ring.release(n.round)
+	if s.ring.count == 0 {
 		n.rcvOcc.unset(uint32(t.id)) // nothing left in flight here
-		if len(t.sendBuf) == 0 {
+		if len(s.buf) == 0 {
 			// Nothing was kept either (every arrival was a reject): the
 			// tile went cold. A tile that still buffers a copy keeps its
-			// ring for the arrivals its neighbours send next round.
-			n.rings.detach(&t.ring)
+			// slot for the arrivals its neighbours send next round.
+			n.slots.give(t)
 		}
 	}
 }
@@ -480,11 +478,9 @@ func (n *Network) enqueue(t *tile, p *packet.Packet) {
 	if n.borrowed == p {
 		n.unshare(p)
 	}
-	if t.sendBuf == nil {
-		t.sendBuf, _ = n.bufs.get() // re-arm from the pool; dry = nil, append allocates
-	}
-	t.sendBuf = append(t.sendBuf, *p)
-	if len(t.sendBuf) == 1 {
+	s := n.hotOf(t)
+	s.buf = append(s.buf, *p)
+	if len(s.buf) == 1 {
 		n.bufOcc.set(uint32(t.id)) // buffer went non-empty
 	}
 	n.setPresent(t, p.ID)

@@ -10,8 +10,8 @@ import "repro/internal/packet"
 // first-touch allocations (a fresh tile's arrival-ring buckets, its send
 // buffer) happen every round somewhere new — a steady allocation rate
 // whose GC marks the whole mesh's pointer graph, an O(mesh) round cost in
-// disguise. The pools make the steady state allocation-free: buffers
-// return to the pool when they drain, rings when their tile goes cold, and
+// disguise. The pools make the steady state allocation-free: a tile's hot
+// slot (buffer and ring) returns to the pool when the tile goes cold, and
 // the heap copies deliveries hand to processes are carved from a chunked
 // arena. All of it is behavior-invisible (capacity and address reuse
 // only).
@@ -53,61 +53,76 @@ func (fp *framePool) put(f []byte) {
 	fp.frames = append(fp.frames, f)
 }
 
-// poolFloor is how many detached items a pool keeps however small the
+// poolFloor is how many detached slots the pool keeps however small the
 // frontier is: it covers the churn of small meshes and sparse pockets
-// outright, so their pools are never trimmed.
+// outright, so their pool is never trimmed.
 const poolFloor = 256
 
-// pool is a free list of a recyclable per-tile resource (ring bucket
-// arrays, send buffers). Its size follows the frontier: armed counts the
-// items handed out and not yet returned — the hot tiles — and at every
-// round barrier trim cuts the free list back to that count
-// (or poolFloor). A frontier in steady state returns about as many items
-// per round as it takes, at most one per armed tile, so the bound never
-// starves it; a frontier that collapses leaves its pool holding what a
-// frontier of the new size can use, and the rest goes to the GC.
-type pool[T any] struct {
-	free  []T
+// hotSlot is the traffic state of a tile on the frontier — the send
+// buffer and arrival ring of the Fig. 3-5 interface. A tile holds one
+// exactly while it buffers a copy or has one in flight toward it (its
+// bufOcc or rcvOcc bit is set), so a mega-mesh pays for buffers only
+// where traffic is, not for every tile.
+type hotSlot struct {
+	buf  []packet.Packet // live copies, owned by value
+	ring arrivalRing     // in-flight copies keyed by arrival round
+}
+
+// slotPool is the free list of hot slots. A tile takes a slot when it
+// first buffers a copy or is sent one, and gives it back when it goes
+// cold (nothing buffered, nothing in flight). A pooled slot is empty and
+// zeroed — every truncation in the engine zeroes what it cuts — but keeps
+// its buffer capacity and ring buckets, so reuse is behavior-free and a
+// warm frontier allocates nothing. A pooled ring may be longer than
+// initLen (it may have grown in an earlier tenancy); schedule's mask
+// arithmetic works at any power-of-two length.
+//
+// The pool's size follows the frontier: armed counts the slots held by
+// tiles, and at every round barrier trim cuts the free list back to that
+// count (or poolFloor). A frontier in steady state returns about as many
+// slots per round as it takes, at most one per armed tile, so the bound
+// never starves it; a frontier that collapses leaves its pool holding
+// what a frontier of the new size can use, and the rest goes to the GC.
+type slotPool struct {
+	free  []*hotSlot
 	armed int
+	// initLen is the bucket count of a fresh slot's ring. A skew-free
+	// fault model never slips an arrival, so its networks start every ring
+	// with a single bucket; grow covers the rest.
+	initLen int
 }
 
-// get hands out a pooled item. ok is false when the pool is dry: the
-// caller then allocates, and the item it eventually puts back is what
-// fills the pool.
-func (p *pool[T]) get() (v T, ok bool) {
-	p.armed++
-	l := len(p.free)
-	if l == 0 {
-		return v, false
+// take gives cold tile t a slot: a pooled one when the pool has one,
+// otherwise a fresh one, whose buffer and ring allocate on first use.
+func (sp *slotPool) take(t *tile) {
+	sp.armed++
+	if l := len(sp.free); l > 0 {
+		t.hot, sp.free[l-1] = sp.free[l-1], nil
+		sp.free = sp.free[:l-1]
+		return
 	}
-	var zero T
-	v, p.free[l-1] = p.free[l-1], zero
-	p.free = p.free[:l-1]
-	return v, true
+	t.hot = new(hotSlot)
 }
 
-// put takes an item back.
-func (p *pool[T]) put(v T) {
-	p.armed--
-	p.free = append(p.free, v)
+// give takes t's slot back; t goes cold. Callers give it only once the
+// slot is empty — nothing buffered and nothing in flight: a tile that
+// still gossips gets its next arrivals a round later, and giving its slot
+// back between them would cycle every hot tile through the pool every
+// round.
+func (sp *slotPool) give(t *tile) {
+	sp.armed--
+	sp.free = append(sp.free, t.hot)
+	t.hot = nil
 }
 
-// trim drops the pooled items beyond max(poolFloor, armed), reallocating
+// trim drops the pooled slots beyond max(poolFloor, armed), reallocating
 // the list so the cut tail is collectable. Barrier only.
-func (p *pool[T]) trim() {
-	keep := max(poolFloor, p.armed)
-	if len(p.free) > keep {
-		p.free = append(make([]T, 0, keep), p.free[:keep]...)
+func (sp *slotPool) trim() {
+	keep := max(poolFloor, sp.armed)
+	if len(sp.free) > keep {
+		sp.free = append(make([]*hotSlot, 0, keep), sp.free[:keep]...)
 	}
 }
-
-// bufPool recycles drained send-buffer slices: phase 2 returns a tile's
-// buffer when its last copy expires, enqueue re-arms the next cold tile
-// from the pool. Pooled slices are empty with their tail zeroed (every
-// truncation in the engine zeroes what it cuts), so reuse is
-// behavior-free; a dry pool hands out nil and the caller's append
-// allocates.
-type bufPool = pool[[]packet.Packet]
 
 // pktArenaChunk is how many delivered-packet copies the arena carves from
 // one allocation.
@@ -138,7 +153,7 @@ func (n *Network) send(dst packet.TileID, when int, a arrival) {
 	if n.recycle {
 		n.tbl.inflight[msgSlot(a.pkt.ID)]++
 	}
-	n.tiles[dst].ring.schedule(n.round, when, a, &n.rings)
+	n.hotOf(&n.tiles[dst]).ring.schedule(n.round, when, a, n.slots.initLen)
 	n.rcvOcc.set(uint32(dst))
 }
 

@@ -199,7 +199,7 @@ func TestRecycleStaleGenerationGhostFrame(t *testing.T) {
 	}
 	base := n.Counters()
 	events = nil
-	n.tiles[1].ring.schedule(n.Round(), n.Round()+1, arrival{frame: frame, pkt: packet.Packet{ID: first}}, &n.rings)
+	n.hotOf(&n.tiles[1]).ring.schedule(n.Round(), n.Round()+1, arrival{frame: frame, pkt: packet.Packet{ID: first}}, n.slots.initLen)
 	n.rebuildOccupancy() // white-box ring injection bypasses the occupancy upkeep
 	n.Step()
 
@@ -217,7 +217,7 @@ func TestRecycleStaleGenerationGhostFrame(t *testing.T) {
 			t.Fatalf("ghost frame resurrected awareness of retired message %d at tile %d", first, ti)
 		}
 	}
-	for _, p := range n.tiles[1].sendBuf {
+	for _, p := range bufOf(&n.tiles[1]) {
 		if p.ID == first {
 			t.Fatalf("ghost frame buffered a copy of retired message %d", first)
 		}

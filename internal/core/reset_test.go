@@ -103,3 +103,38 @@ func TestConfigDigestCached(t *testing.T) {
 	}
 	check("Reset to another seed", restored, cfg)
 }
+
+// TestResetReturnsEverySlot: Reset finds the hot slots by walking the
+// frontier bitmaps, so it must walk both. A skewed run is interrupted
+// while some tile has copies in flight toward it and none buffered (on
+// rcvOcc only); after the Reset nothing may be armed, and every slot the
+// run held is back in the pool, emptied.
+func TestResetReturnsEverySlot(t *testing.T) {
+	cfg := Config{
+		Topo: topology.NewGrid(16, 16), P: 0.5, TTL: 4, Seed: 5,
+		Fault: fault.Model{SigmaSync: 2},
+	}
+	n := mustNet(t, cfg)
+	mustInject(t, n, 136, packet.Broadcast, 0, nil)
+	receiving := func() bool {
+		for i, w := range n.rcvOcc.bits {
+			if w&^n.bufOcc.bits[i] != 0 {
+				return true
+			}
+		}
+		return false
+	}
+	for !receiving() {
+		if n.Step(); n.Round() > 50 {
+			t.Fatal("no tile ever had copies in flight and none buffered")
+		}
+	}
+	held := n.Mem().ArmedSlots
+	if err := n.Reset(cfg); err != nil {
+		t.Fatal(err)
+	}
+	checkPoolAccounting(t, n)
+	if m := n.Mem(); m.PooledSlots < held {
+		t.Fatalf("%d slots held before the Reset, %d pooled after it", held, m.PooledSlots)
+	}
+}

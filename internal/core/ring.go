@@ -47,12 +47,11 @@ type arrivalRing struct {
 
 // schedule enqueues a for consumption at absolute round when. now is the
 // round currently executing; when >= now always holds (slips are never
-// negative), and the ring grows if the slip outruns its span. A cold ring
-// is armed from pool first; a nil pool (unit tests) allocates a
-// ringInitLen-bucket ring.
-func (r *arrivalRing) schedule(now, when int, a arrival, pool *ringPool) {
+// negative), and the ring grows if the slip outruns its span. A ring that
+// has never held an arrival gets initLen buckets first.
+func (r *arrivalRing) schedule(now, when int, a arrival, initLen int) {
 	if r.buckets == nil {
-		pool.arm(r)
+		r.buckets = newBuckets(initLen)
 	}
 	if when-now >= len(r.buckets) {
 		r.grow(now, when-now+1)
@@ -120,8 +119,8 @@ func (r *arrivalRing) release(now int) {
 }
 
 // drain drops every arrival in flight, handing literal-path frames back
-// to frames, and leaves every bucket empty and zeroed, as detach requires
-// (Network.Reset).
+// to frames, and leaves every bucket empty and zeroed, as a pooled slot
+// requires (Network.Reset).
 func (r *arrivalRing) drain(frames *framePool) {
 	for i, b := range r.buckets {
 		for j := range b {
@@ -133,54 +132,4 @@ func (r *arrivalRing) drain(frames *framePool) {
 		r.buckets[i] = b[:0]
 	}
 	r.count = 0
-}
-
-// ringPool recycles the bucket arrays of cold tiles' arrival rings. The
-// exchange is behavior-free — every pooled bucket is empty and zeroed
-// (release truncates and zeroes before detach is possible). A pooled array
-// may be longer than initLen (it may have grown in its previous tenancy);
-// schedule's mask arithmetic works at any power-of-two length, so the size
-// is behavior-invisible.
-type ringPool struct {
-	pool[[][]arrival]
-	// initLen is the bucket count of a freshly allocated ring (0 means
-	// ringInitLen). A skew-free fault model never slips an arrival, so its
-	// networks start every ring with a single recycled bucket; grow covers
-	// the rest.
-	initLen int
-}
-
-// arm gives a cold ring its buckets: a detached array when the pool has
-// one — the steady state of a wandering frontier, which keeps first touch
-// allocation-free and bounds ring memory by the tiles that are hot, not
-// by every tile ever touched — otherwise a fresh one. A nil pool always
-// allocates.
-func (rp *ringPool) arm(r *arrivalRing) {
-	if rp == nil {
-		r.buckets = newBuckets(ringInitLen)
-		return
-	}
-	var ok bool
-	if r.buckets, ok = rp.get(); ok {
-		return
-	}
-	n := rp.initLen
-	if n == 0 {
-		n = ringInitLen
-	}
-	r.buckets = newBuckets(n)
-}
-
-// detach returns a ring's buckets to the pool and the ring to its
-// never-touched state. Caller must ensure r.count == 0, and calls it only
-// when the tile has gone cold (nothing buffered either): a tile that is
-// still gossiping gets its next arrivals a round later, and detaching
-// between them would cycle every hot tile's ring through the pool every
-// round.
-func (rp *ringPool) detach(r *arrivalRing) {
-	if r.buckets == nil {
-		return
-	}
-	rp.put(r.buckets)
-	r.buckets = nil
 }

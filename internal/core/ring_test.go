@@ -19,9 +19,9 @@ func TestRingScheduleTakeRelease(t *testing.T) {
 	if got := r.take(0); got != nil {
 		t.Fatalf("take on empty ring = %v", got)
 	}
-	r.schedule(10, 10, mkArrival(1), nil) // same-round arrival
-	r.schedule(10, 12, mkArrival(2), nil) // slipped by 2
-	r.schedule(10, 10, mkArrival(3), nil)
+	r.schedule(10, 10, mkArrival(1), ringInitLen) // same-round arrival
+	r.schedule(10, 12, mkArrival(2), ringInitLen) // slipped by 2
+	r.schedule(10, 10, mkArrival(3), ringInitLen)
 	if r.count != 3 {
 		t.Fatalf("count = %d, want 3", r.count)
 	}
@@ -52,10 +52,10 @@ func TestRingGrowPreservesSchedule(t *testing.T) {
 	// Fill several future rounds, then slip one arrival far beyond the
 	// initial span so the ring must grow mid-flight.
 	for slip := 0; slip < ringInitLen; slip++ {
-		r.schedule(100, 100+slip, mkArrival(packet.MsgID(slip+1)), nil)
+		r.schedule(100, 100+slip, mkArrival(packet.MsgID(slip+1)), ringInitLen)
 	}
 	far := 100 + 3*ringInitLen
-	r.schedule(100, far, mkArrival(999), nil)
+	r.schedule(100, far, mkArrival(999), ringInitLen)
 	if len(r.buckets) <= ringInitLen {
 		t.Fatalf("ring did not grow: len = %d", len(r.buckets))
 	}
@@ -88,7 +88,7 @@ func TestRingRecyclesBuckets(t *testing.T) {
 	// Warm one wrap of the ring so every bucket has capacity.
 	for round := 0; round < 2*ringInitLen; round++ {
 		for k := 0; k < ringInitCap; k++ {
-			r.schedule(round, round, mkArrival(1), nil)
+			r.schedule(round, round, mkArrival(1), ringInitLen)
 		}
 		r.take(round)
 		r.release(round)
@@ -96,7 +96,7 @@ func TestRingRecyclesBuckets(t *testing.T) {
 	round := 2 * ringInitLen
 	allocs := testing.AllocsPerRun(100, func() {
 		for k := 0; k < ringInitCap; k++ {
-			r.schedule(round, round, mkArrival(1), nil)
+			r.schedule(round, round, mkArrival(1), ringInitLen)
 		}
 		r.take(round)
 		r.release(round)
@@ -294,7 +294,7 @@ func TestGhostIDRejectedAsUpset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.tiles[1].ring.schedule(0, 1, arrival{frame: frame}, &n.rings)
+	n.hotOf(&n.tiles[1]).ring.schedule(0, 1, arrival{frame: frame}, n.slots.initLen)
 	n.rebuildOccupancy() // white-box ring injection bypasses the occupancy upkeep
 	n.Step()
 
@@ -302,7 +302,7 @@ func TestGhostIDRejectedAsUpset(t *testing.T) {
 	if c.UpsetsDetected != 1 {
 		t.Fatalf("UpsetsDetected = %d, want 1 (ghost ID)", c.UpsetsDetected)
 	}
-	if c.Deliveries != 0 || len(n.tiles[1].sendBuf) != 0 {
+	if c.Deliveries != 0 || len(bufOf(&n.tiles[1])) != 0 {
 		t.Fatal("ghost-ID frame was accepted")
 	}
 	if n.issuedSlots() != 0 {

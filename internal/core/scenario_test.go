@@ -28,9 +28,8 @@ import (
 // Run: go test -run 'Test(Differential|RecycleDifferential|HookFree|SnapshotResume|SubTTL|DuplicateElision|UpsetSettlement|RecycleIsRelabelling)' ./internal/core/
 
 // mailRec is one packet a recording process was handed: its tile, the
-// round it read its mailbox in, and the message with its payload, so a
-// run cannot get away with delivering the right ID with a corrupted
-// body.
+// round it was delivered in, and the message with its payload, so a run
+// cannot get away with delivering the right ID with a corrupted body.
 type mailRec struct {
 	tile    packet.TileID
 	round   int
@@ -38,18 +37,17 @@ type mailRec struct {
 	payload string
 }
 
-// mailProc is a plain (non-Receiver) process that logs its mailbox every
-// round. The scenario runners attach one to every other tile that has no
-// process, so deliveries are read back without a Receiver, and the tiles
+// mailProc is a listening process that logs every packet its Receiver is
+// handed. The scenario runners attach one to every other tile that has no
+// process, so deliveries are read back and fill mailboxes, and the tiles
 // between keep the process-less delivery path.
 type mailProc struct{ log *[]mailRec }
 
-func (mailProc) Init(*Ctx) {}
+func (mailProc) Init(*Ctx)  {}
+func (mailProc) Round(*Ctx) {}
 
-func (m mailProc) Round(ctx *Ctx) {
-	for _, p := range ctx.delivered {
-		*m.log = append(*m.log, mailRec{tile: ctx.tile.id, round: ctx.Round(), id: p.ID, payload: string(p.Payload)})
-	}
+func (m mailProc) Receive(ctx *Ctx, p *packet.Packet) {
+	*m.log = append(*m.log, mailRec{tile: ctx.tile.id, round: ctx.Round(), id: p.ID, payload: string(p.Payload)})
 }
 
 // attachMail gives every even tile without a process a mailProc logging

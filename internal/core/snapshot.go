@@ -214,22 +214,27 @@ func (n *Network) EncodeState(w *snapshot.Writer) {
 		for _, s := range t.rnd.State() {
 			w.U64(s)
 		}
-		// A tile without an IP-core block encodes as the zero one.
+		// A tile without an IP-core block or a hot slot encodes as the
+		// zero one.
 		var c coldTile
 		if tc := n.cold(t); tc != nil {
 			c = *tc
 		}
+		var h hotSlot
+		if t.hot != nil {
+			h = *t.hot
+		}
 		w.Int(c.fwdCursor)
 		w.Int(c.fwdLimit)
-		w.Int(len(t.sendBuf))
-		for i := range t.sendBuf {
-			encodePacket(w, &t.sendBuf[i])
+		w.Int(len(h.buf))
+		for i := range h.buf {
+			encodePacket(w, &h.buf[i])
 		}
 		w.Int(len(c.mailbox))
 		for _, p := range c.mailbox {
 			encodePacket(w, p)
 		}
-		encodeRing(w, &t.ring, n.round)
+		encodeRing(w, &h.ring, n.round)
 	}
 }
 
@@ -478,9 +483,10 @@ func restoreTiles(sec *snapshot.Reader, n *Network) error {
 		}
 	}
 	for i := range n.tiles {
-		t := &n.tiles[i]
-		for j := range t.sendBuf {
-			rowSet(n.tbl.present[msgSlot(t.sendBuf[j].ID)], t.id)
+		if h := n.tiles[i].hot; h != nil {
+			for j := range h.buf {
+				rowSet(n.tbl.present[msgSlot(h.buf[j].ID)], packet.TileID(i))
+			}
 		}
 	}
 	return nil
@@ -507,14 +513,14 @@ func restoreTileScalars(sec *snapshot.Reader, n *Network, t *tile) error {
 }
 
 // restoreTileTraffic decodes a tile's send buffer, mailbox and arrival
-// ring, taking each buffered copy's present bit (see restoreTiles). Buffer
-// and ring are armed through the pools, so their armed counts cover
-// restored tiles like any other.
+// ring, taking each buffered copy's present bit (see restoreTiles). A
+// tile with traffic takes its hot slot from the pool, so the armed count
+// covers restored tiles like any other.
 func restoreTileTraffic(sec *snapshot.Reader, n *Network, t *tile) error {
 	nbuf := sec.Count(1)
 	if nbuf > 0 {
-		buf, _ := n.bufs.get() // dry after New: counts the buffer as armed
-		t.sendBuf = slices.Grow(buf, nbuf)
+		h := n.hotOf(t) // the pool is dry after New: a fresh slot
+		h.buf = slices.Grow(h.buf, nbuf)
 	}
 	for i := 0; i < nbuf; i++ {
 		p, err := decodePacket(sec, n, false)
@@ -527,7 +533,7 @@ func restoreTileTraffic(sec *snapshot.Reader, n *Network, t *tile) error {
 		if n.recycle {
 			n.tbl.copies[msgSlot(p.ID)]++
 		}
-		t.sendBuf = append(t.sendBuf, p)
+		t.hot.buf = append(t.hot.buf, p)
 	}
 	nmail := sec.Count(1)
 	for i := 0; i < nmail; i++ {
@@ -699,7 +705,7 @@ func decodeRing(sec *snapshot.Reader, n *Network, t *tile) error {
 		if n.recycle {
 			n.tbl.inflight[msgSlot(a.pkt.ID)]++
 		}
-		t.ring.schedule(n.round, n.round+d, a, &n.rings)
+		n.hotOf(t).ring.schedule(n.round, n.round+d, a, n.slots.initLen)
 	}
 	return nil
 }

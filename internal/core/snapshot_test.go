@@ -188,13 +188,13 @@ func TestRestoreRefusesBufferNotASet(t *testing.T) {
 		edit       func(n *Network, src *tile)
 	}{
 		{"repeated-id", "twice", func(n *Network, src *tile) {
-			src.sendBuf = append(src.sendBuf, src.sendBuf[0])
+			src.hot.buf = append(src.hot.buf, src.hot.buf[0])
 		}},
 		{"present-without-copy", "present at", func(n *Network, src *tile) {
-			src.sendBuf = src.sendBuf[:0]
+			src.hot.buf = src.hot.buf[:0]
 		}},
 		{"copy-without-present", "without its present bit", func(n *Network, src *tile) {
-			rowClear(n.tbl.present[msgSlot(src.sendBuf[0].ID)], src.id)
+			rowClear(n.tbl.present[msgSlot(src.hot.buf[0].ID)], src.id)
 		}},
 	}
 	for _, recycle := range []bool{false, true} {
@@ -204,8 +204,8 @@ func TestRestoreRefusesBufferNotASet(t *testing.T) {
 			mustInject(t, n, 5, packet.Broadcast, 0, []byte("x"))
 			n.Step()
 			src := &n.tiles[5]
-			if len(src.sendBuf) != 1 {
-				t.Fatalf("source tile buffers %d copies, want 1 to doctor", len(src.sendBuf))
+			if len(bufOf(src)) != 1 {
+				t.Fatalf("source tile buffers %d copies, want 1 to doctor", len(bufOf(src)))
 			}
 			if _, err := Restore(bytes.NewReader(snapshotBytes(t, n)), cfg); err != nil {
 				t.Fatalf("recycle=%v: undoctored checkpoint refused: %v", recycle, err)
@@ -235,10 +235,10 @@ func TestRestoreZeroTTLOnlyUnderLiteralUpsets(t *testing.T) {
 		mustInject(t, n, 5, packet.Broadcast, 0, []byte("x"))
 		n.Step()
 		n.Step()
-		if len(n.tiles[5].sendBuf) == 0 {
+		if len(bufOf(&n.tiles[5])) == 0 {
 			t.Fatal("source tile holds no copy to doctor")
 		}
-		n.tiles[5].sendBuf[0].TTL = 0 // what the flipped frame leaves behind
+		n.tiles[5].hot.buf[0].TTL = 0 // what the flipped frame leaves behind
 		restored, err := Restore(bytes.NewReader(snapshotBytes(t, n)), cfg)
 		if !literal {
 			if err == nil {

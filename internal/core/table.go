@@ -416,7 +416,7 @@ func (n *Network) setSeen(t *tile, id packet.MsgID) {
 
 // MemStats summarizes the state of a Network that grows and shrinks with
 // its traffic: the message table, bounded by the live messages, and the
-// ring and buffer pools, bounded by the hot tiles. All figures are computed
+// hot-slot pool, bounded by the frontier. All figures are computed
 // from the engine's own bookkeeping (rows, parallel arrays, free lists),
 // not from runtime heap statistics, so they are deterministic and
 // comparable across runs.
@@ -436,22 +436,19 @@ type MemStats struct {
 	// the free list and an estimate (two words per map entry plus the
 	// ring) of the retired ledger.
 	TableBytes int
-	// ArmedRings is the number of tiles whose arrival ring currently holds
-	// a bucket array: the tiles that have taken an arrival since they last
-	// went cold (nothing buffered, nothing in flight). It follows the live
-	// frontier, and is the bound the pools below are trimmed to.
-	ArmedRings int
-	// PooledRings is the number of detached bucket arrays waiting in the
-	// ring pool for the next tile to warm up. At a round barrier the pool
-	// holds at most max(256, ArmedRings).
-	PooledRings int
-	// PooledBufs is the same count for drained send buffers, bounded by
-	// max(256, the tiles with a buffer).
-	PooledBufs int
+	// ArmedSlots is the number of tiles holding a hot slot (send buffer
+	// and arrival ring): at a round barrier, exactly the frontier — the
+	// tiles that buffer a copy or have one in flight toward them. It is
+	// the bound the pool is trimmed to.
+	ArmedSlots int
+	// PooledSlots is the number of emptied slots waiting in the pool for
+	// the next tile to warm up. At a round barrier the pool holds at most
+	// max(256, ArmedSlots).
+	PooledSlots int
 	// FabricBytes is the fixed state every tile pays, busy or idle: the
 	// tile array plus the port table, at the capacity they hold. Divide by
-	// the tile count for the fixed bytes per tile (≈ 120 on a 512×512
-	// grid: a 104-byte tile and four 4-byte ports). The topology's own
+	// the tile count for the fixed bytes per tile (≈ 72 on a 512×512
+	// grid: a 56-byte tile and four 4-byte ports). The topology's own
 	// neighbour lists and the IP-core blocks of attached tiles are not
 	// included.
 	FabricBytes int
@@ -473,9 +470,8 @@ func (n *Network) Mem() MemStats {
 		PeakLive:      tb.peakLive,
 		RetiredLedger: len(tb.retired),
 		TableBytes:    bytes,
-		ArmedRings:    n.rings.armed,
-		PooledRings:   len(n.rings.free),
-		PooledBufs:    len(n.bufs.free),
+		ArmedSlots:    n.slots.armed,
+		PooledSlots:   len(n.slots.free),
 		FabricBytes: cap(n.tiles)*int(unsafe.Sizeof(tile{})) +
 			cap(n.portTab)*int(unsafe.Sizeof(port(0))),
 	}
